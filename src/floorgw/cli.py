@@ -72,11 +72,14 @@ def _parse_points(delta, args: argparse.Namespace) -> int:
     return points_for_genus(delta, args.genus)
 
 
-def _parse_partition(text: str) -> Partition:
+def _parse_partition(text: str, flag: str, parser: argparse.ArgumentParser) -> Partition:
     text = text.strip()
     if not text:
         return Partition()
-    return Partition(int(p) for p in text.split(","))
+    try:
+        return Partition(int(p) for p in text.split(","))
+    except ValueError:
+        parser.error(f"{flag} must be a comma-separated list of positive integers, got {text!r}")
 
 
 def _emit(text: str) -> None:
@@ -158,8 +161,8 @@ def _cmd_gw(args, parser, log: bool) -> int:
 
 
 def _cmd_vertex(args, parser) -> int:
-    mu = _parse_partition(args.mu)
-    nu = _parse_partition(args.nu)
+    mu = _parse_partition(args.mu, "--mu", parser)
+    nu = _parse_partition(args.nu, "--nu", parser)
     series = vertex_series(mu, nu, args.order)
     if args.format == "text":
         _emit(f"vertex series for mu={tuple(mu)}, nu={tuple(nu)}")

@@ -22,12 +22,16 @@ edges onto the positions 1..n; marking rigidifies the diagram, so
 isomorphism classes are exactly the distinct position-labelled structures.
 ``enumerate_marked`` produces one representative per class by a left-to-right
 sweep over positions, branching at each position over the element placed
-there; see its docstring for the exact branching order.
+there; see its docstring for the exact branching order.  ``refined_count``
+takes the same branches without listing any diagram, memoizing the sum over
+each canonical sweep state.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations, product
+from math import comb, prod
 from typing import Iterable
 
 from .algebra import LaurentPolyS, Partition, lp_eval_at_one, q_integer
@@ -377,20 +381,11 @@ def enumerate_marked(delta: HTransverseDegree, n: int) -> list[MarkedFloorDiagra
     is performed; selecting between equal-weight pending heads by position
     produces genuinely distinct marked diagrams.
     """
-    from itertools import combinations
-
-    g = delta.genus_for_points(n)
-    if g < 0:
-        raise DiagramError(
-            f"no diagrams: n = {n} gives negative genus {g} for {delta.label}"
-        )
+    total_bounded = _bounded_edge_count(delta, n)
     h = delta.height
     if h == 0:
         return []
     d_b, d_t = delta.d_b, delta.d_t
-    total_bounded = n - h - d_b - d_t
-    if total_bounded != g + h - 1:
-        raise AssertionError("element count bookkeeping is inconsistent")
 
     div_remaining: dict[int, int] = {}
     for d in delta.divergences:
@@ -506,16 +501,144 @@ def enumerate_marked(delta: HTransverseDegree, n: int) -> list[MarkedFloorDiagra
                     divs.pop()
                     vertices.pop()
 
-    place(1)
+    try:
+        place(1)
+    finally:
+        # ``place`` refers to itself through its closure; unbinding it breaks
+        # that cycle, so a dropped listing is freed by reference counting.
+        place = None
     return results
 
 
+def _bounded_edge_count(delta: HTransverseDegree, n: int) -> int:
+    """Bounded edges of every diagram on n points, g + h - 1; rejects g < 0."""
+    g = delta.genus_for_points(n)
+    if g < 0:
+        raise DiagramError(
+            f"no diagrams: n = {n} gives negative genus {g} for {delta.label}"
+        )
+    total_bounded = n - delta.height - delta.d_b - delta.d_t
+    if total_bounded != g + delta.height - 1:
+        raise AssertionError("element count bookkeeping is inconsistent")
+    return total_bounded
+
+
 def refined_count(delta: HTransverseDegree, n: int) -> LaurentPolyS:
-    """Sum of refined multiplicities over all marked diagrams on n points."""
-    total = LaurentPolyS.zero()
-    for diagram in enumerate_marked(delta, n):
-        total = total + refined_multiplicity(diagram)
-    return total
+    """Sum of refined multiplicities over all marked diagrams on n points.
+
+    Counts without listing: a memoized recursion over the states of the
+    sweep of :func:`enumerate_marked`, taking exactly its branches.  As in
+    the floor-diagram recursions of Fomin-Mikhalkin and Block-Goettsche, the
+    future of the sweep depends only on a small canonical state:
+
+    * the numbers of incoming, bounded and outgoing edges placed so far (the
+      position is their sum plus the number of placed vertices);
+    * the remaining divergences, as a sorted tuple;
+    * the number of pending incoming unbounded heads;
+    * the sorted tuple of connected components of the placed vertices, each
+      a pair (sorted positive outgoing budgets, sorted weights of the
+      pending bounded heads leaving it).
+
+    A bounded edge of weight w contributes [w]_q^2 when it is placed.
+    Vertices of equal budget in one component give equal states, so their
+    branch is taken once and weighted by their number; a vertex taking r of
+    the m pending heads of one weight in one component is weighted by
+    C(m, r).  A closed component (no budget, no pending head) can never be
+    joined again, so a state holding one beside another component or an
+    unplaced vertex is dead.  The memo table lives for one call.
+    """
+    total_bounded = _bounded_edge_count(delta, n)
+    h, d_b, d_t = delta.height, delta.d_b, delta.d_t
+    one, zero = LaurentPolyS.one(), LaurentPolyS.zero()
+    if h == 0:
+        return zero
+    squares = {w: q_integer(w) ** 2 for w in range(2, delta.max_bounded_weight() + 1)}
+    memo: dict[tuple, LaurentPolyS] = {}
+
+    def state(in_used, bd_used, out_used, divs, free, comps):
+        """The canonical state, or None when a closed component kills it."""
+        comps = tuple(sorted(comps))
+        if ((), ()) in comps and (len(comps) > 1 or divs):
+            return None
+        return (in_used, bd_used, out_used, divs, free, comps)
+
+    def future(key) -> LaurentPolyS:
+        """Sum of refined multiplicity factors over all completions of key."""
+        if key in memo:
+            return memo[key]
+        in_used, bd_used, out_used, divs, free, comps = key
+        if not divs and (in_used, bd_used, out_used) == (d_b, total_bounded, d_t):
+            return one if comps == (((), ()),) else zero
+        branches = []  # (number of sweep branches, bounded edge weight, state)
+        if divs and in_used < d_b:
+            branches.append((1, 1, state(in_used + 1, bd_used, out_used, divs, free + 1, comps)))
+        for i, (budgets, heads) in enumerate(comps):
+            others = comps[:i] + comps[i + 1:]
+            for b in dict.fromkeys(budgets):
+                m = budgets.count(b)
+                k = budgets.index(b)
+                rest = budgets[:k] + budgets[k + 1:]
+                if divs and bd_used < total_bounded:
+                    for w in range(1, b + 1):
+                        left = tuple(sorted(rest + (b - w,))) if w < b else rest
+                        comp = (left, tuple(sorted(heads + (w,))))
+                        branches.append(
+                            (m, w, state(in_used, bd_used + 1, out_used, divs, free,
+                                         others + (comp,)))
+                        )
+                if out_used < d_t:
+                    left = tuple(sorted(rest + (b - 1,))) if b > 1 else rest
+                    branches.append(
+                        (m, 1, state(in_used, bd_used, out_used + 1, divs, free,
+                                     others + ((left, heads),)))
+                    )
+        last = len(divs) == 1
+        if divs and not (last and (in_used < d_b or bd_used < total_bounded)):
+            # head groups: (component index or None for unbounded heads, weight, count)
+            groups = [(None, 1, free)] + [
+                (i, w, heads.count(w))
+                for i, (_, heads) in enumerate(comps)
+                for w in dict.fromkeys(heads)
+            ]
+            for takes in product(*(((m,) if last else range(m + 1)) for _, _, m in groups)):
+                ways = prod(comb(m, r) for (_, _, m), r in zip(groups, takes))
+                inflow = sum(w * r for (_, w, _), r in zip(groups, takes))
+                touched = {i for (i, _, _), r in zip(groups, takes) if r and i is not None}
+                budgets = [b for i in touched for b in comps[i][0]]
+                heads = tuple(sorted(
+                    w for (i, w, m), r in zip(groups, takes) if i in touched
+                    for _ in range(m - r)
+                ))
+                untouched = tuple(c for i, c in enumerate(comps) if i not in touched)
+                for div in dict.fromkeys(divs):
+                    budget = inflow - div
+                    if budget < 0:
+                        continue
+                    k = divs.index(div)
+                    left = tuple(sorted(budgets + [budget] if budget else budgets))
+                    branches.append(
+                        (ways, 1, state(in_used, bd_used, out_used, divs[:k] + divs[k + 1:],
+                                        free - takes[0], untouched + ((left, heads),)))
+                    )
+        total = zero
+        for ways, w, nxt in branches:
+            if nxt is None:
+                continue
+            part = future(nxt)
+            if part.is_zero():
+                continue
+            if w > 1:
+                part = part * squares[w]
+            total = total + (part * ways if ways > 1 else part)
+        memo[key] = total
+        return total
+
+    try:
+        return future((0, 0, 0, delta.divergences, 0, ()))
+    finally:
+        # ``future`` refers to itself through its closure; unbinding it breaks
+        # that cycle, so the memo table is freed on return.
+        future = None
 
 
 def classical_count(delta: HTransverseDegree, n: int) -> int:

@@ -12,7 +12,9 @@ the minimal genus n + 1 - |delta|, the series handled here are:
                 mu and incoming partition nu;
 * degeneration: the diagram-by-diagram sum
                 sum_D (prod_E w_E^2) (prod_V vertex(mu(V), nu(V))),
-                an evaluation path independent of the refined-count route;
+                an evaluation path independent of the refined-count route:
+                it lists the diagrams, while the refined count is summed
+                over sweep states without listing them;
 * log:          sum_g N_log(g) u^(2g-2+2h+d_b+d_t) = relative * S^(2h).
 
 Exponent audit.  Each diagram has g0 + h - 1 bounded edges, so the vertex
@@ -55,9 +57,6 @@ from .diagrams import (
 
 class GwError(ValueError):
     """Invalid request to the generating-series layer."""
-
-
-KINDS = ("relative", "log", "absolute_F0", "relative_F2_Dminus2", "vertex", "degeneration")
 
 
 @dataclass(frozen=True)
@@ -279,8 +278,10 @@ def degeneration_cross_check(
     Route one is the diagram sum of ``degeneration_series`` (sine products
     per floor); route two reconstructs the same series as
     relative * S^(2h), where the relative series comes from the refined
-    count through the cosine substitution.  The two routes share only the
-    elementary series arithmetic.
+    count through the cosine substitution.  Route one lists the diagrams
+    with ``enumerate_marked``; route two's refined count is summed over
+    sweep states without listing any diagram.  The two routes share only
+    the elementary series arithmetic.
     """
     diagram_sum = degeneration_series(delta, n, order).series
     from_refined = log_series(delta, n, order).series

@@ -136,6 +136,16 @@ def test_usage_error_exits_2(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("flag,text", [("--mu", "a"), ("--nu", "1,x"), ("--mu", "0")])
+def test_malformed_partition_exits_2(capsys, flag, text):
+    with pytest.raises(SystemExit) as exc:
+        main(["vertex", flag, text])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines()[-1].startswith(f"floorgw: error: {flag} ")
+
+
 def test_byte_identical_reruns(capsys):
     args = ["gw", "--surface", "fk", "--k", "1", "--h", "2", "--d", "1",
             "--genus", "1", "--order", "14", "--format", "json"]

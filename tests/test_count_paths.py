@@ -1,0 +1,102 @@
+"""The state-sweep count against the listing sweep and independent pins.
+
+``refined_count`` sums over canonical sweep states without listing any
+diagram.  Within the listing sweep's reach it must equal the sum of refined
+multiplicities over ``enumerate_marked`` exactly; beyond it, it is pinned by
+Kontsevich's recursion, the one- and two-node polynomials and the counts at
+and above maximal genus, none of which shares code with the sweep.
+"""
+
+import gc
+from math import comb
+
+import pytest
+
+from floorgw import (
+    LaurentPolyS,
+    classical_count,
+    degree_hirzebruch,
+    degree_p2,
+    enumerate_marked,
+    points_for_genus,
+    refined_count,
+    refined_multiplicity,
+)
+from helpers import acceptance_grid
+
+
+def listing_sum(delta, n):
+    total = LaurentPolyS.zero()
+    for diagram in enumerate_marked(delta, n):
+        total = total + refined_multiplicity(diagram)
+    return total
+
+
+def genus_range(delta, genera):
+    return [(delta, points_for_genus(delta, g)) for g in genera]
+
+
+def test_refined_count_equals_listing_sum_on_acceptance_grid():
+    for delta, n in acceptance_grid():
+        assert refined_count(delta, n) == listing_sum(delta, n), (delta, n)
+
+
+BEYOND_GRID = (
+    genus_range(degree_p2(4), range(5))
+    + genus_range(degree_hirzebruch(1, 3, 1), range(4))
+    + genus_range(degree_hirzebruch(2, 3, 0), range(4))
+)
+
+
+@pytest.mark.parametrize(
+    "delta,n", BEYOND_GRID, ids=[f"{delta.label}-n{n}" for delta, n in BEYOND_GRID]
+)
+def test_refined_count_equals_listing_sum_beyond_grid(delta, n):
+    assert refined_count(delta, n) == listing_sum(delta, n)
+
+
+def kontsevich(d_max):
+    """Genus-0 plane counts N_1..N_d_max from Kontsevich's recursion."""
+    N = {1: 1}
+    for d in range(2, d_max + 1):
+        N[d] = sum(
+            N[a] * N[d - a] * a * a * (d - a)
+            * ((d - a) * comb(3 * d - 4, 3 * a - 2) - a * comb(3 * d - 4, 3 * a - 1))
+            for a in range(1, d)
+        )
+    return [N[d] for d in range(1, d_max + 1)]
+
+
+def test_genus_zero_plane_counts_follow_kontsevich():
+    expected = kontsevich(7)
+    assert expected == [1, 1, 12, 620, 87304, 26312976, 14616808192]
+    assert [classical_count(degree_p2(d), 3 * d - 1) for d in range(1, 8)] == expected
+
+
+@pytest.mark.parametrize("d", [4, 5, 6, 7])
+def test_one_and_two_node_counts_follow_node_polynomials(d):
+    delta = degree_p2(d)
+    top = (d - 1) * (d - 2) // 2
+    one_node = classical_count(delta, points_for_genus(delta, top - 1))
+    two_nodes = classical_count(delta, points_for_genus(delta, top - 2))
+    assert one_node == 3 * (d - 1) ** 2
+    assert 2 * two_nodes == 3 * (d - 1) * (d - 2) * (3 * d * d - 3 * d - 11)
+
+
+@pytest.mark.parametrize("d", [3, 4, 5, 6, 7])
+def test_plane_count_is_one_at_maximal_genus_and_zero_above(d):
+    delta = degree_p2(d)
+    top = (d - 1) * (d - 2) // 2
+    assert classical_count(delta, points_for_genus(delta, top)) == 1
+    assert refined_count(delta, points_for_genus(delta, top + 1)).is_zero()
+
+
+def test_refined_count_leaves_no_cyclic_garbage():
+    """The memo table is freed on return by reference counting alone."""
+    gc.collect()
+    gc.disable()
+    try:
+        refined_count(degree_p2(4), 11)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

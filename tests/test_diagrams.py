@@ -1,5 +1,8 @@
 """Degree data, sweep enumeration and diagram invariants."""
 
+import gc
+import weakref
+
 import pytest
 
 from floorgw import (
@@ -127,6 +130,18 @@ def test_enumeration_is_deterministic():
     a = enumerate_marked(degree_p2(3), 8)
     b = enumerate_marked(degree_p2(3), 8)
     assert a == b
+
+
+def test_dropped_listing_is_freed_without_the_cycle_collector():
+    gc.collect()
+    gc.disable()
+    try:
+        diagrams = enumerate_marked(degree_p2(3), 8)
+        first = weakref.ref(diagrams[0])
+        del diagrams
+        assert first() is None
+    finally:
+        gc.enable()
 
 
 def test_every_enumerated_diagram_validates():
