@@ -4,7 +4,9 @@ Subcommands: ``enumerate``, ``count``, ``gw``, ``log-gw``, ``vertex`` and
 ``verify`` (with targets ``degeneration``, ``ab`` and ``oracle``).  Surfaces
 are selected with ``--surface p2 --degree D`` or
 ``--surface fk --k K --h H --d D``; the point count comes from exactly one
-of ``--points N`` or ``--genus G``.  Output formats: ``text`` (default),
+of ``--points N`` or ``--genus G``.  ``--order`` is the u-truncation of the
+reported series and must exceed the series' lowest exponent; a smaller order
+is a domain error naming the minimum.  Output formats: ``text`` (default),
 ``json``, ``csv``.  Exit codes: 0 success (and, for ``verify``, identity
 holds), 1 domain error, 2 usage error.  Rationals are serialized as strings
 ("num/den") so no JSON consumer can lose precision; identical invocations

@@ -2,20 +2,29 @@
 
 The engine turns refined floor-diagram counts into invariant tables through
 the substitution q = e^(iu).  Writing S for the series 2 sin(u/2) and g0 for
-the minimal genus n + 1 - |delta|, the series handled here are:
+the minimal genus n + 1 - |delta|, every series built from a refined count
+is (refined count)|_{q=e^(iu)} * S^(2*g0 + offset), with the genus-g
+invariant at u^(2g + offset).  Only the offset (``exponent_offset``) differs:
+d_b + d_t - 2 for the relative series, 2h + d_b + d_t - 2 for the log series
+(relative * S^(2h)), -2 for the F0 absolute series and d - 2 for the F2
+series relative to D_(-2).  Two series do not start from the count:
 
-* relative:     sum_g N_rel(g) u^(2g-2+d_b+d_t)
-                = (refined count)|_{q=e^(iu)} * S^(2*g0-2+d_b+d_t);
 * vertex:       sum_g N(g) u^(2g+len(mu)+len(nu))
                 = prod_l ((1/l) 2 sin(l*u/2))^(mu_l + nu_l),
                 the contribution of a single floor with outgoing partition
                 mu and incoming partition nu;
-* degeneration: the diagram-by-diagram sum
+* degeneration: the diagram sum
                 sum_D (prod_E w_E^2) (prod_V vertex(mu(V), nu(V))),
                 an evaluation path independent of the refined-count route:
                 it lists the diagrams, while the refined count is summed
-                over sweep states without listing them;
-* log:          sum_g N_log(g) u^(2g-2+2h+d_b+d_t) = relative * S^(2h).
+                over sweep states without listing them.  A term depends only
+                on the diagram's bounded edge weights, so the sum is taken
+                over weight profiles, one sine product per profile.
+
+Order rule.  ``order`` is the u-truncation order of the reported series and
+must exceed its valuation 2*g0 + offset.  A smaller order is rejected with
+one message naming the minimum, before any counting or listing, whether or
+not the count is zero.
 
 Exponent audit.  Each diagram has g0 + h - 1 bounded edges, so the vertex
 products carry total valuation 2*(g0+h-1) + d_b + d_t, which exceeds the
@@ -24,18 +33,17 @@ the relative series only after dividing by S^(2h), i.e. it *is* the log
 series.  ``degeneration_cross_check`` therefore compares the diagram sum
 against relative * S^(2h), term by term; the plane-degree-1 case (relative
 valuation -1, diagram sum valuation +1) pins the convention.
-
-The F0 absolute and F2/D_(-2) relative series divide further powers of S out
-of the relative series, and ``ab_identity_check`` verifies the
-Abramovich-Bertram relation between F0 and F2 counts at both the polynomial
-and the series level.
+``ab_identity_check`` verifies the Abramovich-Bertram relation between F0
+and F2 counts at both the polynomial and the series level.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from typing import Callable
 
 from .algebra import (
     LaurentPolyS,
@@ -49,9 +57,7 @@ from .diagrams import (
     HTransverseDegree,
     degree_hirzebruch,
     enumerate_marked,
-    multiplicity,
     refined_count,
-    vertex_partitions,
 )
 
 
@@ -114,6 +120,15 @@ def extract_invariant(series: GwSeries, g: int) -> Fraction:
     return series.series.coefficient(exponent)
 
 
+def _order_check(order: int, valuation: int) -> None:
+    """Reject a truncation order that leaves no coefficient of the series."""
+    if order <= valuation:
+        raise GwError(
+            f"order {order} is too small: the series starts at u^{valuation}, "
+            f"so the order must be at least {valuation + 1}"
+        )
+
+
 def _check_series_delta(delta: HTransverseDegree, n: int) -> int:
     if delta.family == "general":
         raise GwError(
@@ -126,6 +141,43 @@ def _check_series_delta(delta: HTransverseDegree, n: int) -> int:
     return g
 
 
+def _check_f_class(h: int, d: int, n: int) -> int:
+    """Minimal genus n + 1 - 4h - 2d shared by the F0 and F2 series and AB."""
+    if h < 0 or d < 0 or n < 0:
+        raise GwError(f"parameters must be nonnegative, got {(h, d, n)}")
+    g0 = n + 1 - 4 * h - 2 * d
+    if g0 < 0:
+        raise GwError(f"n + 1 - 4*{h} - 2*{d} = {g0} must be nonnegative")
+    return g0
+
+
+def _count_or_zero(delta: HTransverseDegree | None, n: int) -> LaurentPolyS:
+    return LaurentPolyS.zero() if delta is None else refined_count(delta, n)
+
+
+def _from_count(
+    counts: Callable[[], LaurentPolyS], kind: str, delta: HTransverseDegree | None,
+    n: int, offset: int, g0: int, order: int,
+) -> GwSeries:
+    """The count-derived series counts()|_{q=e^(iu)} * S^(2*g0 + offset).
+
+    ``counts`` is called only after the order check, so a too-small order
+    is rejected before any counting.
+    """
+    e = 2 * g0 + offset
+    _order_check(order, e)
+    count = counts()
+    if count.is_zero():
+        series = USeries.zero(order)
+    else:
+        series = lp_substitute_exponential(count, order - e) * sin_factor_series(
+            1, e, order
+        )
+        if series.order != order:
+            raise AssertionError("truncation bookkeeping drift")
+    return GwSeries(series, kind, delta, n, exponent_offset=offset, g_min=g0)
+
+
 def _sin_product(specs: list[tuple[int, int]], order: int) -> USeries:
     """prod (2 sin(a*u/2))^e over (a, e) in specs, truncated at ``order``.
 
@@ -133,8 +185,7 @@ def _sin_product(specs: list[tuple[int, int]], order: int) -> USeries:
     ``order``; requires order > sum of exponents (the product's valuation).
     """
     total = sum(e for _, e in specs)
-    if order <= total:
-        raise GwError(f"order {order} does not reach the product valuation {total}")
+    _order_check(order, total)
     acc = None
     for a, e in specs:
         factor = sin_factor_series(a, e, order - (total - e))
@@ -182,44 +233,35 @@ def gw_relative_series(delta: HTransverseDegree, n: int, order: int = 16) -> GwS
     """
     g0 = _check_series_delta(delta, n)
     offset = delta.d_b + delta.d_t - 2
-    e0 = 2 * g0 + offset
-    counts = refined_count(delta, n)
-    if counts.is_zero():
-        series = USeries.zero(order)
-    else:
-        if order <= e0:
-            raise GwError(f"order {order} does not reach the series valuation {e0}")
-        series = lp_substitute_exponential(counts, order - e0) * sin_factor_series(
-            1, e0, order
-        )
-        if series.order != order:
-            raise AssertionError("truncation bookkeeping drift")
-    return GwSeries(series, "relative", delta, n, exponent_offset=offset, g_min=g0)
+    return _from_count(lambda: refined_count(delta, n), "relative", delta, n, offset, g0, order)
 
 
 def degeneration_series(delta: HTransverseDegree, n: int, order: int = 16) -> GwSeries:
     """The diagram sum: sum_D (prod_E w_E^2) (prod_V vertex contribution).
 
-    Computed purely from sine-series products per floor, never touching the
+    Computed purely from sine-series products, never touching the
     refined-count polynomial or the cosine substitution, so it is an
-    independent route.  Its genus-g coefficient sits at
-    u^(2g - 2 + 2h + d_b + d_t): the sum equals relative * S^(2h), i.e. the
-    log series (see the module docstring's exponent audit).
+    independent route.  The vertex partitions hold each bounded weight w
+    twice and each of the d_b + d_t unbounded edges as a part 1, so the
+    vertex factors' 1/prod(parts) is 1/prod_E w_E^2 and cancels the prod w^2
+    exactly: each diagram adds prod_w (2 sin(w*u/2))^(2*#w) * S^(d_b + d_t),
+    which depends only on its sorted bounded weights.  The sum is therefore
+    one sine product per weight profile times the number of diagrams with
+    it.  Its genus-g coefficient sits at u^(2g - 2 + 2h + d_b + d_t): the
+    sum equals relative * S^(2h), i.e. the log series (see the module
+    docstring's exponent audit).
     """
     g0 = _check_series_delta(delta, n)
     offset = 2 * delta.height + delta.d_b + delta.d_t - 2
+    _order_check(order, 2 * g0 + offset)
+    profiles = Counter(
+        tuple(sorted(e.weight for e in diagram.bounded_edges()))
+        for diagram in enumerate_marked(delta, n)
+    )
     total = USeries.zero(order)
-    for diagram in enumerate_marked(delta, n):
-        mults: dict[int, int] = {}
-        for v in diagram.vertex_positions:
-            mu, nu = vertex_partitions(diagram, v)
-            for part in list(mu) + list(nu):
-                mults[part] = mults.get(part, 0) + 1
-        specs = sorted(mults.items())
-        scalar = Fraction(multiplicity(diagram))
-        for part, m in specs:
-            scalar /= Fraction(part) ** m
-        total = total + _sin_product(specs, order) * scalar
+    for weights, count in profiles.items():
+        specs = Counter(weights * 2) + Counter({1: delta.d_b + delta.d_t})
+        total = total + _sin_product(sorted(specs.items()), order) * count
     if total.order != order:
         raise AssertionError("truncation bookkeeping drift")
     return GwSeries(total, "degeneration", delta, n, exponent_offset=offset, g_min=g0)
@@ -234,19 +276,7 @@ def log_series(delta: HTransverseDegree, n: int, order: int = 16) -> GwSeries:
     """
     g0 = _check_series_delta(delta, n)
     offset = 2 * delta.height + delta.d_b + delta.d_t - 2
-    relative = gw_relative_series(delta, n, order)
-    if relative.series.is_zero():
-        series = USeries.zero(order)
-    else:
-        e0 = 2 * g0 + delta.d_b + delta.d_t - 2
-        if order <= 2 * g0 + offset:
-            raise GwError(
-                f"order {order} does not reach the log valuation {2 * g0 + offset}"
-            )
-        series = relative.series * sin_factor_series(1, 2 * delta.height, order - e0)
-        if series.order != order:
-            raise AssertionError("truncation bookkeeping drift")
-    return GwSeries(series, "log", delta, n, exponent_offset=offset, g_min=g0)
+    return _from_count(lambda: refined_count(delta, n), "log", delta, n, offset, g0, order)
 
 
 @dataclass(frozen=True)
@@ -276,7 +306,7 @@ def degeneration_cross_check(
     """Compare the two evaluation routes term by term.
 
     Route one is the diagram sum of ``degeneration_series`` (sine products
-    per floor); route two reconstructs the same series as
+    per weight profile); route two reconstructs the same series as
     relative * S^(2h), where the relative series comes from the refined
     count through the cosine substitution.  Route one lists the diagrams
     with ``enumerate_marked``; route two's refined count is summed over
@@ -295,26 +325,11 @@ def f0_absolute_series(a: int, b: int, n: int, order: int = 16) -> GwSeries:
     S^(2(a+b)), one factor of S for each of the d_b + d_t = 2(a+b) boundary
     contacts traded away.  Requires n + 1 - 4a - 2b >= 0.
     """
-    if a < 0 or b < 0 or n < 0:
-        raise GwError(f"parameters must be nonnegative, got {(a, b, n)}")
-    g0 = n + 1 - 4 * a - 2 * b
-    if g0 < 0:
-        raise GwError(f"n + 1 - 4a - 2b = {g0} must be nonnegative")
-    if a + b == 0:
-        return GwSeries(USeries.zero(order), "absolute_F0", None, n, -2, g0)
-    delta = degree_hirzebruch(0, a, a + b)
-    m = 2 * (a + b)
-    relative = gw_relative_series(delta, n, order + m)
-    if relative.series.is_zero():
-        series = USeries.zero(order)
-    else:
-        e0 = 2 * g0 - 2 + m
-        if order <= 2 * g0 - 2:
-            raise GwError(f"order {order} does not reach the valuation {2 * g0 - 2}")
-        series = relative.series * sin_factor_series(1, -m, order - e0)
-        if series.order != order:
-            raise AssertionError("truncation bookkeeping drift")
-    return GwSeries(series, "absolute_F0", delta, n, exponent_offset=-2, g_min=g0)
+    g0 = _check_f_class(a, b, n)
+    delta = degree_hirzebruch(0, a, a + b) if a + b else None
+    return _from_count(
+        lambda: _count_or_zero(delta, n), "absolute_F0", delta, n, -2, g0, order
+    )
 
 
 def f2_relative_dminus2_series(h: int, d: int, n: int, order: int = 16) -> GwSeries:
@@ -324,36 +339,11 @@ def f2_relative_dminus2_series(h: int, d: int, n: int, order: int = 16) -> GwSer
     S^(2h + d), one factor for each contact with D_2 traded away.
     Requires n + 1 - 4h - 2d >= 0.
     """
-    if h < 0 or d < 0 or n < 0:
-        raise GwError(f"parameters must be nonnegative, got {(h, d, n)}")
-    g0 = n + 1 - 4 * h - 2 * d
-    if g0 < 0:
-        raise GwError(f"n + 1 - 4h - 2d = {g0} must be nonnegative")
-    if h + d == 0:
-        return GwSeries(USeries.zero(order), "relative_F2_Dminus2", None, n, d - 2, g0)
-    delta = degree_hirzebruch(2, h, d)
-    m = 2 * h + d
-    relative = gw_relative_series(delta, n, order + m)
-    if relative.series.is_zero():
-        series = USeries.zero(order)
-    else:
-        e0 = 2 * g0 - 2 + 2 * h + 2 * d
-        if order <= 2 * g0 - 2 + d:
-            raise GwError(
-                f"order {order} does not reach the valuation {2 * g0 - 2 + d}"
-            )
-        series = relative.series * sin_factor_series(1, -m, order - e0)
-        if series.order != order:
-            raise AssertionError("truncation bookkeeping drift")
-    return GwSeries(
-        series, "relative_F2_Dminus2", delta, n, exponent_offset=d - 2, g_min=g0
+    g0 = _check_f_class(h, d, n)
+    delta = degree_hirzebruch(2, h, d) if h + d else None
+    return _from_count(
+        lambda: _count_or_zero(delta, n), "relative_F2_Dminus2", delta, n, d - 2, g0, order
     )
-
-
-def _refined_count_or_zero(k: int, h: int, d: int, n: int) -> LaurentPolyS:
-    if h + d == 0:
-        return LaurentPolyS.zero()
-    return refined_count(degree_hirzebruch(k, h, d), n)
 
 
 @dataclass(frozen=True)
@@ -397,31 +387,26 @@ def ab_identity_check(a: int, b: int, n: int, order: int = 16) -> AbIdentityRepo
     sum_{j=0..a} C(b+2j, j) * refined F2 (a-j, b+2j) count.  Series level:
     the F0 absolute series must equal
     sum_j C(b+2j, j) * (F2/D_(-2) series) * S^-(b+2j) to the truncation
-    order.  Returns both sides of both levels.
+    order.  Each refined count is computed once and feeds both levels.
+    Returns both sides of both levels.
     """
-    if a < 0 or b < 0 or n < 0:
-        raise GwError(f"parameters must be nonnegative, got {(a, b, n)}")
-    g0 = n + 1 - 4 * a - 2 * b
-    if g0 < 0:
-        raise GwError(f"n + 1 - 4a - 2b = {g0} must be nonnegative")
-    if order <= max(2 * g0 - 2, 0):
-        raise GwError(f"order {order} is too small for minimal genus {g0}")
-
-    lhs_poly = _refined_count_or_zero(0, a, a + b, n)
+    g0 = _check_f_class(a, b, n)
+    _order_check(order, 2 * g0 - 2)
+    f0 = degree_hirzebruch(0, a, a + b) if a + b else None
+    lhs_poly = _count_or_zero(f0, n)
+    lhs_series = _from_count(lambda: lhs_poly, "absolute_F0", f0, n, -2, g0, order).series
     rhs_poly = LaurentPolyS.zero()
-    for j in range(a + 1):
-        rhs_poly = rhs_poly + comb(b + 2 * j, j) * _refined_count_or_zero(
-            2, a - j, b + 2 * j, n
-        )
-
-    lhs_series = f0_absolute_series(a, b, n, order).series
     rhs_series = USeries.zero(order)
     for j in range(a + 1):
         d = b + 2 * j
-        term = f2_relative_dminus2_series(a - j, d, n, order + d).series
+        f2 = degree_hirzebruch(2, a - j, d) if a - j + d else None
+        count = _count_or_zero(f2, n)
+        rhs_poly = rhs_poly + comb(d, j) * count
+        term = _from_count(
+            lambda: count, "relative_F2_Dminus2", f2, n, d - 2, g0, order + d
+        ).series
         prefactor = sin_factor_series(1, -d, order - (2 * g0 - 2))
-        term = (term * prefactor * comb(d, j)).truncate(order)
-        rhs_series = rhs_series + term
+        rhs_series = rhs_series + (term * prefactor * comb(d, j)).truncate(order)
 
     return AbIdentityReport(
         a,

@@ -153,3 +153,23 @@ def test_byte_identical_reruns(capsys):
     code2, out2, _ = run_cli(capsys, *args)
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+def test_too_small_order_is_one_line_domain_error(capsys):
+    code, out, err = run_cli(
+        capsys, "verify", "degeneration", "--surface", "p2", "--degree", "2",
+        "--points", "5", "--order", "2",
+    )
+    assert code == 1 and out == ""
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1 and "at least 5" in err
+
+
+def test_order_may_end_below_zero_for_a_laurent_series(capsys):
+    # P2 degree 1 starts at u^-1, so order 0 still carries the genus-0 term
+    code, out, err = run_cli(
+        capsys, "gw", "--surface", "p2", "--degree", "1", "--points", "2",
+        "--order", "0",
+    )
+    assert code == 0 and err == ""
+    assert "g=0 -> 1" in out

@@ -1,11 +1,15 @@
 """Generating series: relative, vertex, degeneration, log, F0/F2 identities."""
 
+import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+import floorgw.gw
 from floorgw import (
     GwError,
+    GwSeries,
     Partition,
     USeries,
     ab_identity_check,
@@ -14,13 +18,17 @@ from floorgw import (
     degeneration_series,
     degree_hirzebruch,
     degree_p2,
+    enumerate_marked,
     extract_invariant,
     f0_absolute_series,
     f2_relative_dminus2_series,
     general_degree,
     gw_relative_series,
     log_series,
+    multiplicity,
+    points_for_genus,
     sin_factor_series,
+    vertex_partitions,
     vertex_series,
 )
 from helpers import acceptance_grid
@@ -163,6 +171,25 @@ def test_degeneration_cross_check_grid():
         assert degeneration_cross_check(delta, n, 16).equal, (delta.label, n)
 
 
+@pytest.mark.parametrize(
+    "delta,g",
+    [(degree_p2(3), 0), (degree_p2(4), 1), (degree_hirzebruch(1, 2, 1), 0),
+     (degree_hirzebruch(1, 2, 1), 1)],
+    ids=["P2d3g0", "P2d4g1", "F1(2,1)g0", "F1(2,1)g1"],
+)
+def test_degeneration_series_equals_literal_diagram_sum(delta, g):
+    """The per-profile sum equals sum_D mult(D) prod_V vertex(mu(V), nu(V))."""
+    n, order = points_for_genus(delta, g), 16
+    literal = USeries.zero(order)
+    for diagram in enumerate_marked(delta, n):
+        product = USeries.one(order)
+        for v in diagram.vertex_positions:
+            product = product * vertex_series(*vertex_partitions(diagram, v), order).series
+        literal = literal + product.truncate(order) * multiplicity(diagram)
+    assert not literal.is_zero()
+    assert degeneration_series(delta, n, order).series == literal
+
+
 def test_degeneration_matches_log_series_invariants():
     delta = degree_p2(3)
     deg = degeneration_series(delta, 8, 16)
@@ -278,6 +305,69 @@ def test_ab_identity_grid():
                 report = ab_identity_check(a, b, n, 16)
                 assert report.polynomial_equal, (a, b, n)
                 assert report.series_equal, (a, b, n)
+
+
+def test_ab_identity_counts_each_class_once(monkeypatch):
+    calls = Counter()
+    real = floorgw.gw.refined_count
+
+    def counting(delta, n):
+        calls[(delta, n)] += 1
+        return real(delta, n)
+
+    monkeypatch.setattr(floorgw.gw, "refined_count", counting)
+    for a, b, n in [(2, 0, 7), (1, 1, 6), (2, 1, 10)]:
+        calls.clear()
+        assert ab_identity_check(a, b, n, 12).equal
+        assert calls and max(calls.values()) == 1, (a, b, n, calls)
+
+
+# ------------------------------------------------------------ the order rule
+
+# (kind, build(order), valuation 2*g_min + exponent_offset); the zero cases
+# have a zero refined count, which once let any order through.
+ORDER_CASES = [
+    ("relative", lambda o: gw_relative_series(degree_p2(3), 8, o), 1),
+    ("relative_zero", lambda o: gw_relative_series(degree_p2(1), 3, o), 1),
+    ("log", lambda o: log_series(degree_hirzebruch(1, 2, 1), 7, o), 6),
+    ("degeneration", lambda o: degeneration_series(degree_p2(2), 5, o), 4),
+    ("degeneration_zero", lambda o: degeneration_series(degree_p2(2), 8, o), 10),
+    ("absolute_F0", lambda o: f0_absolute_series(1, 0, 3, o), -2),
+    ("absolute_F0_zero", lambda o: f0_absolute_series(0, 1, 1, o), -2),
+    ("relative_F2_Dminus2", lambda o: f2_relative_dminus2_series(1, 1, 6, o), 1),
+    ("vertex", lambda o: vertex_series(Partition([2, 1]), Partition([1]), o), 3),
+    ("AB", lambda o: ab_identity_check(1, 0, 4, o), 0),
+]
+
+
+@pytest.mark.parametrize("build,valuation", [c[1:] for c in ORDER_CASES],
+                         ids=[c[0] for c in ORDER_CASES])
+def test_order_one_past_the_valuation_is_accepted(build, valuation):
+    result = build(valuation + 1)
+    if isinstance(result, GwSeries):
+        assert result.series.order == valuation + 1
+        assert 2 * result.g_min + result.exponent_offset == valuation
+    else:
+        assert result.equal
+        assert result.lhs_series.order == valuation + 1
+
+
+@pytest.mark.parametrize("build,valuation", [c[1:] for c in ORDER_CASES],
+                         ids=[c[0] for c in ORDER_CASES])
+def test_order_at_the_valuation_is_rejected_before_counting(
+    monkeypatch, build, valuation
+):
+    def forbidden(*args):
+        raise AssertionError("counted or listed before the order check")
+
+    monkeypatch.setattr(floorgw.gw, "refined_count", forbidden)
+    monkeypatch.setattr(floorgw.gw, "enumerate_marked", forbidden)
+    message = (
+        f"order {valuation} is too small: the series starts at u^{valuation}, "
+        f"so the order must be at least {valuation + 1}"
+    )
+    with pytest.raises(GwError, match=re.escape(message)):
+        build(valuation)
 
 
 # ---------------------------------------------------------------- GwSeries IO
