@@ -6,7 +6,11 @@ different algorithm: it first lists every admissible weighted digraph shape
 attachments), filters by the divergence and connectivity requirements, and
 then realizes each shape as marked diagrams by generating all of its linear
 extensions, treating indistinguishable parallel edges as a single class so
-each position-labelled structure appears exactly once.  Every produced
+each position-labelled structure appears exactly once.  The search stays
+exhaustive: every connected bounded edge multiset is tried, and the
+unbounded attachments are found for it by an indexed flow match (a table
+from net flow to attachment pairs, built once per call) instead of a loop
+over every attachment pair, which yields the same shapes.  Every produced
 diagram is passed through the full invariant validator before being
 returned.  Correctness over speed; nothing here is shared with the sweep's
 pruning logic.
@@ -71,6 +75,11 @@ def _shapes(delta: HTransverseDegree, n: int, max_weight: int):
     Ranks 0..h-1 stand for the vertices in marking order.  ``bounded`` is a
     multiset of (source_rank, target_rank, weight) with source < target;
     ``incoming`` / ``outgoing`` are multisets of target / source ranks.
+
+    Every connected bounded multiset is tried.  The unbounded attachments
+    are matched to it by flow: the attachment pairs are indexed once by
+    their net flow per rank, and a bounded multiset with flow f under the
+    divergence assignment divs takes exactly the pairs indexed at divs - f.
     """
     h = delta.height
     n_bounded = n - h - delta.d_b - delta.d_t
@@ -83,22 +92,26 @@ def _shapes(delta: HTransverseDegree, n: int, max_weight: int):
         for w in range(1, max_weight + 1)
     ]
     div_assignments = sorted(set(permutations(delta.divergences)))
+    attachments: dict[tuple[int, ...], list] = {}
+    for incoming in combinations_with_replacement(range(h), delta.d_b):
+        for outgoing in combinations_with_replacement(range(h), delta.d_t):
+            net = [0] * h
+            for t in incoming:
+                net[t] += 1
+            for s in outgoing:
+                net[s] -= 1
+            attachments.setdefault(tuple(net), []).append((incoming, outgoing))
     for bounded in combinations_with_replacement(edge_types, n_bounded):
         if not _connected(h, bounded):
             continue
-        for incoming in combinations_with_replacement(range(h), delta.d_b):
-            for outgoing in combinations_with_replacement(range(h), delta.d_t):
-                flow = [0] * h
-                for i, j, w in bounded:
-                    flow[i] -= w
-                    flow[j] += w
-                for t in incoming:
-                    flow[t] += 1
-                for s in outgoing:
-                    flow[s] -= 1
-                for divs in div_assignments:
-                    if tuple(flow) == divs:
-                        yield divs, bounded, incoming, outgoing
+        flow = [0] * h
+        for i, j, w in bounded:
+            flow[i] -= w
+            flow[j] += w
+        for divs in div_assignments:
+            need = tuple(d - f for d, f in zip(divs, flow))
+            for incoming, outgoing in attachments.get(need, ()):
+                yield divs, bounded, incoming, outgoing
 
 
 def _extensions(h: int, classes: dict):

@@ -1,9 +1,15 @@
 """Command-line behavior: payloads, exit codes, determinism."""
 
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import floorgw.cli as cli
+import floorgw.oracle as oracle
 from floorgw.cli import main
 
 
@@ -173,3 +179,102 @@ def test_order_may_end_below_zero_for_a_laurent_series(capsys):
     )
     assert code == 0 and err == ""
     assert "g=0 -> 1" in out
+
+
+def test_verify_oracle_lists_once_with_each_enumerator(capsys, monkeypatch):
+    calls = {"brute": 0, "sweep": 0}
+    brute, sweep = oracle.brute_force_enumerate, cli.enumerate_marked
+
+    def counted_brute(*args, **kwargs):
+        calls["brute"] += 1
+        return brute(*args, **kwargs)
+
+    def counted_sweep(*args, **kwargs):
+        calls["sweep"] += 1
+        return sweep(*args, **kwargs)
+
+    # both names: brute_force_refined_count would reach the oracle's own
+    monkeypatch.setattr(cli, "brute_force_enumerate", counted_brute)
+    monkeypatch.setattr(oracle, "brute_force_enumerate", counted_brute)
+    monkeypatch.setattr(cli, "enumerate_marked", counted_sweep)
+    code, out, _ = run_cli(
+        capsys, "verify", "oracle", "--surface", "p2", "--degree", "3", "--points", "8",
+        "--format", "json",
+    )
+    assert code == 0 and json.loads(out)["equal"] is True
+    assert json.loads(out)["brute_force"] == {
+        "valuation": -2, "coefficients": ["1", "0", "10", "0", "1"],
+    }
+    assert calls == {"brute": 1, "sweep": 1}
+
+
+def test_verify_oracle_checks_the_cap_before_the_sweep_lists(capsys, monkeypatch):
+    def no_listing(*args, **kwargs):
+        raise AssertionError("the sweep listed before the cap was checked")
+
+    monkeypatch.setattr(cli, "enumerate_marked", no_listing)
+    code, out, err = run_cli(
+        capsys, "verify", "oracle", "--surface", "p2", "--degree", "5", "--genus", "3",
+    )
+    assert code == 1 and out == ""
+    assert err == "error: n = 17 exceeds the brute-force cap 16\n"
+
+
+COMMANDS = ("enumerate", "count", "gw", "log-gw", "vertex",
+            "verify degeneration", "verify ab", "verify oracle")
+
+
+@st.composite
+def small_argv(draw):
+    """argv for one subcommand with small, zero or negative values.  A flag
+    the subcommand requires is left out now and then, and --points and
+    --genus sometimes come together."""
+
+    def flag(name, values, present=st.integers(0, 9).map(bool)):
+        return [name, str(draw(values))] if draw(present) else []
+
+    def optional(name, values):
+        return flag(name, values, st.booleans())
+
+    small = st.integers(-1, 3)
+    points = st.integers(-2, 10)
+    partition = st.lists(st.integers(-1, 3), max_size=3).map(
+        lambda parts: ",".join(map(str, parts))
+    )
+    command = draw(st.sampled_from(COMMANDS))
+    argv = command.split()
+    if command == "vertex":
+        argv += optional("--mu", partition) + optional("--nu", partition)
+    elif command == "verify ab":
+        argv += flag("--a", small) + flag("--b", small) + flag("--points", points)
+    else:
+        if draw(st.booleans()):
+            argv += ["--surface", "p2", *flag("--degree", small)]
+        else:
+            argv += ["--surface", "fk", *flag("--k", small), *flag("--h", small),
+                     *flag("--d", small)]
+        which = draw(st.sampled_from(("points", "points", "genus", "genus", "both", "none")))
+        if which in ("points", "both"):
+            argv += ["--points", str(draw(points))]
+        if which in ("genus", "both"):
+            argv += ["--genus", str(draw(st.integers(-2, 3)))]
+    if command in ("gw", "log-gw", "vertex", "verify degeneration", "verify ab"):
+        argv += optional("--order", st.integers(-3, 12))
+    if command == "count" and draw(st.booleans()):
+        argv.append("--refined")
+    if command == "verify oracle":
+        argv += optional("--max-weight", small) + optional("--max-elements", st.integers(-1, 16))
+    return argv + optional("--format", st.sampled_from(("text", "json", "csv")))
+
+
+@given(small_argv())
+@settings(max_examples=250, deadline=None)
+def test_cli_fuzz_exits_with_a_code_and_no_traceback(argv):
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue(), argv

@@ -1,5 +1,8 @@
 """Brute-force oracle: fixtures and exact agreement with the sweep."""
 
+from collections import Counter
+from itertools import combinations_with_replacement, permutations
+
 import pytest
 
 from floorgw import (
@@ -11,11 +14,14 @@ from floorgw import (
     degree_hirzebruch,
     degree_p2,
     enumerate_marked,
+    general_degree,
     lp_eval_at_one,
     multiplicity,
+    points_for_genus,
     refined_count,
     validate_diagram,
 )
+from floorgw.oracle import _connected, _shapes
 from helpers import acceptance_grid, diagram_key
 
 
@@ -69,14 +75,64 @@ def test_sweep_matches_oracle_everywhere():
         assert refined_count(delta, n) == brute_force_refined_count(delta, n)
 
 
+MIXED_COLLECTION = [(-1, 1), (-1, 0), (1, 0), (1, 1), (0, -1), (0, -1)]
+
+
 def test_sweep_matches_oracle_on_small_general_collections():
     # the divergence-only semantics for general collections, exercised once
-    delta_mixed = [(-1, 1), (-1, 0), (1, 0), (1, 1), (0, -1), (0, -1)]
-    from floorgw import general_degree
-
-    delta = general_degree(delta_mixed)
+    delta = general_degree(MIXED_COLLECTION)
     assert delta.divergences == (0, 2)
     n = delta.size - 1
     sweep = sorted(map(diagram_key, enumerate_marked(delta, n)))
     brute = sorted(map(diagram_key, brute_force_enumerate(delta, n)))
     assert sweep == brute
+
+
+def _reference_shapes(delta, n, max_weight):
+    """Reference shape search by nested loops: every bounded multiset against
+    every incoming x outgoing attachment pair, the flow rebuilt each time."""
+    h = delta.height
+    n_bounded = n - h - delta.d_b - delta.d_t
+    if n_bounded < 0:
+        return
+    edge_types = [
+        (i, j, w)
+        for i in range(h)
+        for j in range(i + 1, h)
+        for w in range(1, max_weight + 1)
+    ]
+    div_assignments = sorted(set(permutations(delta.divergences)))
+    for bounded in combinations_with_replacement(edge_types, n_bounded):
+        if not _connected(h, bounded):
+            continue
+        for incoming in combinations_with_replacement(range(h), delta.d_b):
+            for outgoing in combinations_with_replacement(range(h), delta.d_t):
+                flow = [0] * h
+                for i, j, w in bounded:
+                    flow[i] -= w
+                    flow[j] += w
+                for t in incoming:
+                    flow[t] += 1
+                for s in outgoing:
+                    flow[s] -= 1
+                for divs in div_assignments:
+                    if tuple(flow) == divs:
+                        yield divs, bounded, incoming, outgoing
+
+
+def test_indexed_shapes_equal_the_nested_loop_reference():
+    delta_f1 = degree_hirzebruch(1, 3, 1)
+    mixed = general_degree(MIXED_COLLECTION)
+    # divergences (-1, 1): unlike (0, 2), both assignments have shapes
+    both_ways = general_degree(
+        [(-1, 0), (-1, 0), (1, -1), (1, 1), (0, -1), (0, -1), (0, 1), (0, 1)]
+    )
+    cases = acceptance_grid()
+    cases += [(delta_f1, points_for_genus(delta_f1, g)) for g in (0, 1)]
+    cases += [(mixed, mixed.size - 1), (both_ways, both_ways.size - 1)]
+    for delta, n in cases:
+        w = delta.max_bounded_weight()
+        expected = Counter(_reference_shapes(delta, n, w))
+        assert Counter(_shapes(delta, n, w)) == expected, (delta.label, n)
+    shapes = _shapes(both_ways, both_ways.size - 1, both_ways.max_bounded_weight())
+    assert {divs for divs, *_ in shapes} == {(-1, 1), (1, -1)}
