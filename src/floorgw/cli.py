@@ -89,7 +89,7 @@ def _series_rows(gw) -> list[tuple[int, str]]:
     return [(g, rational_to_str(v)) for g, v in gw.invariants()]
 
 
-def _print_gw(gw, fmt: str) -> None:
+def _print_gw(gw, fmt: str, header: str) -> None:
     if fmt == "json":
         _emit(json.dumps(gw.to_json()))
     elif fmt == "csv":
@@ -97,8 +97,7 @@ def _print_gw(gw, fmt: str) -> None:
         for g, v in _series_rows(gw):
             _emit(f"{g},{v}")
     else:
-        label = gw.delta.label if gw.delta is not None else gw.kind
-        _emit(f"{gw.kind} series for {label}, n = {gw.n}")
+        _emit(header)
         _emit(f"  series: {gw.series}")
         for g, v in _series_rows(gw):
             _emit(f"  g={g} -> {v}")
@@ -153,11 +152,12 @@ def _cmd_count(args, parser) -> int:
     return 0
 
 
-def _cmd_gw(args, parser, log: bool) -> int:
+def _cmd_gw(args, parser) -> int:
     delta = _parse_surface(args, parser)
     n = _parse_points(delta, args)
-    series = (log_series if log else gw_relative_series)(delta, n, args.order)
-    _print_gw(series, args.format)
+    make = log_series if args.command == "log-gw" else gw_relative_series
+    series = make(delta, n, args.order)
+    _print_gw(series, args.format, f"{series.kind} series for {delta.label}, n = {n}")
     return 0
 
 
@@ -165,13 +165,7 @@ def _cmd_vertex(args, parser) -> int:
     mu = _parse_partition(args.mu, "--mu", parser)
     nu = _parse_partition(args.nu, "--nu", parser)
     series = vertex_series(mu, nu, args.order)
-    if args.format == "text":
-        _emit(f"vertex series for mu={tuple(mu)}, nu={tuple(nu)}")
-        _emit(f"  series: {series.series}")
-        for g, v in _series_rows(series):
-            _emit(f"  g={g} -> {v}")
-        return 0
-    _print_gw(series, args.format)
+    _print_gw(series, args.format, f"vertex series for mu={tuple(mu)}, nu={tuple(nu)}")
     return 0
 
 
@@ -190,8 +184,6 @@ def _cmd_verify_degeneration(args, parser) -> int:
 
 
 def _cmd_verify_ab(args, parser) -> int:
-    if args.points is None:
-        parser.error("verify ab requires --points")
     report = ab_identity_check(args.a, args.b, args.points, args.order)
     if args.format == "json":
         _emit(json.dumps(report.to_json()))
@@ -243,48 +235,50 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, points=True, order=True):
-        _add_surface_args(p)
+    def common(p, run, surface=True, points=True, order=True):
+        p.set_defaults(run=run)
+        if surface:
+            _add_surface_args(p)
         if points:
             _add_points_args(p)
         if order:
-            p.add_argument("--order", type=int, default=16, help="u-truncation order")
+            # vertex and verify ab have always listed --order without help text
+            p.add_argument("--order", type=int, default=16,
+                           help="u-truncation order" if surface else None)
         p.add_argument("--format", choices=("json", "csv", "text"), default="text")
 
     p = sub.add_parser("enumerate", help="list all marked floor diagrams")
-    common(p, order=False)
+    common(p, _cmd_enumerate, order=False)
 
     p = sub.add_parser("count", help="classical (and refined) diagram counts")
-    common(p, order=False)
+    common(p, _cmd_count, order=False)
     p.add_argument("--refined", action="store_true", help="include the refined count")
 
     p = sub.add_parser("gw", help="relative invariant series")
-    common(p)
+    common(p, _cmd_gw)
 
     p = sub.add_parser("log-gw", help="log invariant series")
-    common(p)
+    common(p, _cmd_gw)
 
     p = sub.add_parser("vertex", help="vertex contribution series")
     p.add_argument("--mu", default="", help="outgoing partition, e.g. 2,1")
     p.add_argument("--nu", default="", help="incoming partition, e.g. 1")
-    p.add_argument("--order", type=int, default=16)
-    p.add_argument("--format", choices=("json", "csv", "text"), default="text")
+    common(p, _cmd_vertex, surface=False, points=False)
 
     verify = sub.add_parser("verify", help="identity checkers (exit 0 iff equal)")
     vsub = verify.add_subparsers(dest="target", required=True)
 
     p = vsub.add_parser("degeneration", help="diagram sum vs refined-count route")
-    common(p)
+    common(p, _cmd_verify_degeneration)
 
     p = vsub.add_parser("ab", help="Abramovich-Bertram F0/F2 identity")
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--b", type=int, required=True)
     p.add_argument("--points", type=int, required=True)
-    p.add_argument("--order", type=int, default=16)
-    p.add_argument("--format", choices=("json", "csv", "text"), default="text")
+    common(p, _cmd_verify_ab, surface=False, points=False)
 
     p = vsub.add_parser("oracle", help="sweep vs brute-force enumeration")
-    common(p, order=False)
+    common(p, _cmd_verify_oracle, order=False)
     p.add_argument("--max-weight", type=int, default=None)
     p.add_argument("--max-elements", type=int, default=16)
 
@@ -295,27 +289,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "enumerate":
-            return _cmd_enumerate(args, parser)
-        if args.command == "count":
-            return _cmd_count(args, parser)
-        if args.command == "gw":
-            return _cmd_gw(args, parser, log=False)
-        if args.command == "log-gw":
-            return _cmd_gw(args, parser, log=True)
-        if args.command == "vertex":
-            return _cmd_vertex(args, parser)
-        if args.command == "verify":
-            if args.target == "degeneration":
-                return _cmd_verify_degeneration(args, parser)
-            if args.target == "ab":
-                return _cmd_verify_ab(args, parser)
-            return _cmd_verify_oracle(args, parser)
-        parser.error(f"unknown command {args.command}")
+        return args.run(args, parser)
     except (AlgebraError, DiagramError, GwError, OracleLimitError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
-    return 2
 
 
 if __name__ == "__main__":

@@ -358,156 +358,110 @@ def enumerate_marked(delta: HTransverseDegree, n: int) -> list[MarkedFloorDiagra
     """All isomorphism classes of marked floor diagrams on n points.
 
     Sweep enumeration: positions 1..n are processed in increasing order,
-    maintaining the placed vertices with their remaining outgoing-weight
-    budgets and the multiset of pending edge heads (positioned edges whose
-    target vertex comes later).  At each position the branches are, in this
-    fixed order:
+    keeping the placed vertices with their remaining outgoing-weight budgets
+    and the pending edge heads (positioned edges whose target vertex comes
+    later).  At each position the branches are, in this fixed order:
 
     * edge roles first -- a new incoming unbounded head (while fewer than
       d_b are used), then a bounded edge for each placed source vertex in
       ascending position and each weight from 1 to that vertex's remaining
       budget, then an outgoing unbounded edge for each placed source vertex
       in ascending position with budget >= 1 (while fewer than d_t are
-      used);
+      used); incoming and bounded edges are placed only while a vertex
+      remains to take their heads;
     * then a vertex -- for each distinct remaining divergence value in
-      ascending order, and for each subset of pending heads (by ascending
-      subset size, each size in lexicographic order of head positions),
-      attach the subset as incoming edges and open an outgoing budget of
-      (attached weight sum) - divergence, pruning negative budgets.
+      ascending order, and for each subset of pending heads, attach the
+      subset as incoming edges and open an outgoing budget of (attached
+      weight sum) - divergence, pruning negative budgets.  Subsets come in
+      plain lexicographic order of their head-position tuples, all sizes
+      together: (), (a,), (a, b), (a, b, c), (a, c), (b,), (b, c), (c,) for
+      heads at a < b < c.  The last vertex takes every pending head and is
+      placed only once all d_b incoming and all bounded edges are used.
 
-    A completed sweep must use every unbounded edge, attach every head,
-    exhaust every budget and yield a connected graph.  Each surviving trace
-    is a distinct isomorphism class (markings rigidify), so no deduplication
-    is performed; selecting between equal-weight pending heads by position
-    produces genuinely distinct marked diagrams.
+    A completed sweep must exhaust every budget and yield a connected graph
+    (the element counts then force every unbounded edge used and every head
+    attached).  Each surviving trace is a distinct isomorphism class
+    (markings rigidify), so no deduplication is performed; selecting between
+    equal-weight pending heads by position produces genuinely distinct
+    marked diagrams.
     """
     total_bounded = _bounded_edge_count(delta, n)
-    h = delta.height
-    if h == 0:
+    if delta.height == 0:
         return []
-    d_b, d_t = delta.d_b, delta.d_t
+    found: list[MarkedFloorDiagram] = []
+    limits = (n, delta.height, delta.d_b, total_bounded, delta.d_t)
+    _sweep(found, limits, (), (), (), (), (), 0, 0, 0, delta.divergences)
+    return found
 
-    div_remaining: dict[int, int] = {}
-    for d in delta.divergences:
-        div_remaining[d] = div_remaining.get(d, 0) + 1
 
-    results: list[MarkedFloorDiagram] = []
-    vertices: list[int] = []  # placed vertex positions, ascending
-    divs: list[int] = []  # chosen divergences, aligned with vertices
-    budgets: dict[int, int] = {}
-    edges: list[list] = []  # [position, source, target, weight]
-    pending: list[int] = []  # indices into edges lacking a target
-    counts = {"in": 0, "out": 0, "bd": 0}
+def _sweep(found, limits, vertices, divs, budgets, edges, pending, in_used, bd_used, out_used,
+           divs_left) -> None:
+    """Append to ``found`` every completed diagram below one sweep state.
 
-    def finish() -> None:
-        if any(budgets[v] for v in vertices):
-            return
-        # connectivity over vertices through bounded edges
-        if len(vertices) > 1:
-            adj = {v: [] for v in vertices}
-            for e in edges:
-                if e[1] is not None and e[2] is not None:
-                    adj[e[1]].append(e[2])
-                    adj[e[2]].append(e[1])
-            seen = {vertices[0]}
-            stack = [vertices[0]]
-            while stack:
-                for w in adj[stack.pop()]:
-                    if w not in seen:
-                        seen.add(w)
-                        stack.append(w)
-            if len(seen) != len(vertices):
-                return
-        results.append(
-            MarkedFloorDiagram(
-                n,
-                tuple(vertices),
-                tuple(divs),
-                tuple(Edge(e[0], e[1], e[2], e[3]) for e in edges),
-            )
-        )
+    The state is immutable and each branch hands its child new tuples:
+    ``vertices``, ``divs`` and ``budgets`` are the placed vertex positions,
+    their divergences and their remaining outgoing budgets; ``edges`` the
+    placed edges as (position, source, target, weight), target None while
+    unattached; ``pending`` the indices in ``edges`` of the heads awaiting a
+    vertex; ``in_used``, ``bd_used`` and ``out_used`` the numbers of
+    incoming, bounded and outgoing edges placed; ``divs_left`` the sorted
+    divergences not yet given to a vertex.
+    """
+    n, h, d_b, total_bounded, d_t = limits
+    pos = len(vertices) + len(edges) + 1
+    if pos > n:
+        if not any(budgets) and _connected(vertices, edges):
+            found.append(MarkedFloorDiagram(n, vertices, divs, tuple(Edge(*e) for e in edges)))
+        return
+    open_vertex = len(vertices) < h
+    if open_vertex and in_used < d_b:
+        _sweep(found, limits, vertices, divs, budgets, edges + ((pos, None, None, 1),),
+               pending + (len(edges),), in_used + 1, bd_used, out_used, divs_left)
+    if open_vertex and bd_used < total_bounded:
+        for i, b in enumerate(budgets):
+            for w in range(1, b + 1):
+                _sweep(found, limits, vertices, divs, budgets[:i] + (b - w,) + budgets[i + 1:],
+                       edges + ((pos, vertices[i], None, w),), pending + (len(edges),),
+                       in_used, bd_used + 1, out_used, divs_left)
+    if out_used < d_t:
+        for i, b in enumerate(budgets):
+            if b >= 1:
+                _sweep(found, limits, vertices, divs, budgets[:i] + (b - 1,) + budgets[i + 1:],
+                       edges + ((pos, vertices[i], None, 1),), pending,
+                       in_used, bd_used, out_used + 1, divs_left)
+    if len(vertices) < h - 1:
+        head_choices = sorted(s for r in range(len(pending) + 1) for s in combinations(pending, r))
+    elif open_vertex and in_used == d_b and bd_used == total_bounded:
+        head_choices = [pending]
+    else:
+        return
+    for div in dict.fromkeys(divs_left):
+        k = divs_left.index(div)
+        rest = divs_left[:k] + divs_left[k + 1:]
+        for subset in head_choices:
+            budget = sum(edges[i][3] for i in subset) - div
+            if budget < 0:
+                continue
+            attached = list(edges)
+            for i in subset:
+                p, source, _, w = edges[i]
+                attached[i] = (p, source, pos, w)
+            _sweep(found, limits, vertices + (pos,), divs + (div,), budgets + (budget,),
+                   tuple(attached), tuple([i for i in pending if i not in subset]),
+                   in_used, bd_used, out_used, rest)
 
-    def place(pos: int) -> None:
-        if pos > n:
-            finish()
-            return
-        placed = len(vertices)
-        # --- edge branches ---
-        if placed < h and counts["in"] < d_b:
-            edges.append([pos, None, None, 1])
-            pending.append(len(edges) - 1)
-            counts["in"] += 1
-            place(pos + 1)
-            counts["in"] -= 1
-            pending.pop()
-            edges.pop()
-        if placed < h and counts["bd"] < total_bounded:
-            for v in vertices:
-                for w in range(1, budgets[v] + 1):
-                    edges.append([pos, v, None, w])
-                    pending.append(len(edges) - 1)
-                    budgets[v] -= w
-                    counts["bd"] += 1
-                    place(pos + 1)
-                    counts["bd"] -= 1
-                    budgets[v] += w
-                    pending.pop()
-                    edges.pop()
-        if counts["out"] < d_t:
-            for v in vertices:
-                if budgets[v] >= 1:
-                    edges.append([pos, v, None, 1])
-                    budgets[v] -= 1
-                    counts["out"] += 1
-                    place(pos + 1)
-                    counts["out"] -= 1
-                    budgets[v] += 1
-                    edges.pop()
-        # --- vertex branch ---
-        if placed < h:
-            last = placed == h - 1
-            if last and (counts["in"] < d_b or counts["bd"] < total_bounded):
-                return
-            if last:
-                head_choices = [tuple(sorted(pending))]
-            else:
-                # lexicographic order of head-position tuples (edge indices
-                # increase with position, so index order is position order)
-                head_choices = sorted(
-                    subset
-                    for r in range(len(pending) + 1)
-                    for subset in combinations(sorted(pending), r)
-                )
-            for div in sorted(k for k, c in div_remaining.items() if c > 0):
-                for subset in head_choices:
-                    budget = sum(edges[i][3] for i in subset) - div
-                    if budget < 0:
-                        continue
-                    vertices.append(pos)
-                    divs.append(div)
-                    budgets[pos] = budget
-                    div_remaining[div] -= 1
-                    removed = list(subset)
-                    for i in removed:
-                        edges[i][2] = pos
-                        pending.remove(i)
-                    place(pos + 1)
-                    for i in removed:
-                        edges[i][2] = None
-                    pending.extend(removed)
-                    pending.sort()
-                    div_remaining[div] += 1
-                    del budgets[pos]
-                    divs.pop()
-                    vertices.pop()
 
-    try:
-        place(1)
-    finally:
-        # ``place`` refers to itself through its closure; unbinding it breaks
-        # that cycle, so a dropped listing is freed by reference counting.
-        place = None
-    return results
+def _connected(vertices: tuple[int, ...], edges: tuple[tuple, ...]) -> bool:
+    """Whether the bounded edges join every vertex to the first one."""
+    links = [(s, t) for _, s, t, _ in edges if s is not None and t is not None]
+    reached, grew = {vertices[0]}, True
+    while grew:
+        grew = False
+        for s, t in links:
+            if (s in reached) != (t in reached):
+                reached.update((s, t))
+                grew = True
+    return len(reached) == len(vertices)
 
 
 def _bounded_edge_count(delta: HTransverseDegree, n: int) -> int:

@@ -1,5 +1,6 @@
 """Exact-arithmetic layer: Laurent polynomials in s, truncated series in u."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -283,6 +284,98 @@ def test_referential_transparency():
     assert lp_substitute_exponential(q_integer(5), 10) == lp_substitute_exponential(
         q_integer(5), 10
     )
+
+
+# ------------------------------------------- property tests against sympy
+
+# Small Laurent polynomials in s and truncated series in u: short windows
+# keep the sympy side (expansion and ``series``) fast.
+laurent_polys = st.builds(
+    LaurentPolyS, st.integers(-4, 4), st.lists(st.integers(-5, 5), max_size=5)
+)
+
+
+@st.composite
+def useries(draw, max_len=4):
+    valuation = draw(st.integers(-3, 3))
+    coeffs = draw(st.lists(
+        st.fractions(min_value=-3, max_value=3, max_denominator=5), max_size=max_len
+    ))
+    return USeries(valuation, coeffs, valuation + len(coeffs) + draw(st.integers(0, 2)))
+
+
+def to_sympy(x, var):
+    """The polynomial a LaurentPolyS or a USeries' known window stands for."""
+    import sympy
+
+    return sum(
+        (sympy.Rational(c.numerator, c.denominator) * var ** (x.valuation + i)
+         for i, c in enumerate(map(F, x.coefficients))),
+        sympy.Integer(0),
+    )
+
+
+def sympy_coefficient(expr, var, k):
+    c = expr.coeff(var, k)
+    return F(int(c.p), int(c.q))
+
+
+@given(laurent_polys, laurent_polys, laurent_polys)
+@settings(max_examples=60, deadline=None)
+def test_laurent_ring_laws_against_sympy_expansion(p, q, r):
+    sympy = pytest.importorskip("sympy")
+    s = sympy.symbols("s")
+    zero, one = LaurentPolyS.zero(), LaurentPolyS.one()
+    assert p + q == q + p and p * q == q * p
+    assert (p + q) + r == p + (q + r) and (p * q) * r == p * (q * r)
+    assert p * (q + r) == p * q + p * r
+    assert p + zero == p and p * one == p and (p - p).is_zero()
+    ps, qs = to_sympy(p, s), to_sympy(q, s)
+    assert sympy.expand(to_sympy(p + q, s) - (ps + qs)) == 0
+    assert sympy.expand(to_sympy(p - q, s) - (ps - qs)) == 0
+    assert sympy.expand(to_sympy(p * q, s) - ps * qs) == 0
+    assert sympy.expand(to_sympy(p**3, s) - ps**3) == 0
+
+
+@given(useries(), useries())
+@settings(max_examples=60, deadline=None)
+def test_useries_add_and_mul_against_sympy(x, y):
+    """Sum and product know exactly the coefficients both inputs determine:
+    order min(ox, oy) for the sum, min(ox + vy, oy + vx) for the product."""
+    sympy = pytest.importorskip("sympy")
+    u = sympy.symbols("u")
+    xs, ys = to_sympy(x, u), to_sympy(y, u)
+    total, added = x + y, sympy.expand(xs + ys)
+    assert total.order == min(x.order, y.order)
+    for k in range(min(x.valuation, y.valuation), total.order):
+        assert total.coefficient(k) == sympy_coefficient(added, u, k)
+    product, multiplied = x * y, sympy.expand(xs * ys)
+    assert product.order == min(x.order + y.valuation, y.order + x.valuation)
+    for k in range(x.valuation + y.valuation, product.order):
+        assert product.coefficient(k) == sympy_coefficient(multiplied, u, k)
+
+
+@given(useries().filter(lambda x: not x.is_zero()))
+@settings(max_examples=20, deadline=None)
+def test_useries_inverse_against_sympy_series(x):
+    """The inverse of valuation v and order o has valuation -v and order o - 2v."""
+    sympy = pytest.importorskip("sympy")
+    u = sympy.symbols("u")
+    v = x.valuation
+    inv = x.inverse()
+    assert inv.valuation == -v and inv.order == x.order - 2 * v
+    # 1/x = u^-v / (x u^-v), and x u^-v has a nonzero constant term
+    unit = sympy.expand(to_sympy(x, u) * u**-v)
+    expansion = sympy.series(1 / unit, u, 0, x.order - v).removeO()
+    for k in range(inv.valuation, inv.order):
+        assert inv.coefficient(k) == sympy_coefficient(expansion, u, k + v)
+
+
+@given(laurent_polys, useries())
+@settings(max_examples=60, deadline=None)
+def test_json_round_trips(p, x):
+    assert LaurentPolyS.from_json(json.loads(json.dumps(p.to_json()))) == p
+    assert USeries.from_json(json.loads(json.dumps(x.to_json()))) == x
 
 
 # ----------------------------------------------------------------- Partition

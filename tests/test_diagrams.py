@@ -1,9 +1,13 @@
 """Degree data, sweep enumeration and diagram invariants."""
 
 import gc
+import hashlib
+import json
 import weakref
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from floorgw import (
     DiagramError,
@@ -132,6 +136,35 @@ def test_enumeration_is_deterministic():
     assert a == b
 
 
+# SHA-256 of json.dumps([d.to_json() for d in enumerate_marked(delta, n)]):
+# the listing's order and content are part of the output contract
+# (``enumerate`` prints them), so any change to the sweep must keep these.
+LISTING_DIGESTS = [
+    (degree_p2(3), 0, 9, "1613c02abdf15fdf58a5c2bf53872b2cf42067eb5e7e3b739fb504dc4667642a"),
+    (degree_p2(3), 1, 1, "cec5e0de484ebd578c10999dcc954a84a2e0430a466f69024d93b2c249675b7a"),
+    (degree_p2(3), 2, 0, "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
+    (degree_p2(4), 0, 303, "4f90dd7fbd61c7b3ec51170a15d2161062bdc1287b0cd1667c885d4a1f1d7473"),
+    (degree_p2(4), 1, 118, "4fde1c6d56e7903c4adca7f47d3f2557627270843bf9d7ab94effd51df88a9ba"),
+    (degree_hirzebruch(1, 3, 1), 0, 303,
+     "1e8097253895667abf2c091bc677d5a6ce5ef786446b488f74fc7809e8ff3d17"),
+    (degree_hirzebruch(2, 3, 0), 1, 536,
+     "612ff94ce9e18ec1f84b3ecd8ae3610a877dbf75b3d489edef9a3c96a87d01f6"),
+    (degree_hirzebruch(0, 2, 2), 0, 9,
+     "eb800a32760a6f0e479f793b8d6a68007a44b6648aebeeb42096b1fc82ec4c66"),
+]
+
+
+@pytest.mark.parametrize(
+    "delta,g,count,digest", LISTING_DIGESTS,
+    ids=[f"{delta.label}-g{g}" for delta, g, _, _ in LISTING_DIGESTS],
+)
+def test_listing_order_is_pinned(delta, g, count, digest):
+    diagrams = enumerate_marked(delta, points_for_genus(delta, g))
+    assert len(diagrams) == count
+    text = json.dumps([d.to_json() for d in diagrams])
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 def test_dropped_listing_is_freed_without_the_cycle_collector():
     gc.collect()
     gc.disable()
@@ -248,6 +281,27 @@ def test_diagram_json_round_trip():
         back = MarkedFloorDiagram.from_json(data)
         assert back == diagram
         validate_diagram(back, degree_p2(3))
+
+
+# Listings with incoming, bounded and outgoing edges and with several
+# divergence values, so every kind of edge endpoint is serialized.
+ROUND_TRIP_POOL = [
+    (delta, diagram)
+    for delta, g in [
+        (degree_p2(3), 0), (degree_hirzebruch(1, 2, 1), 1), (degree_hirzebruch(0, 2, 2), 0),
+        (general_degree([(-1, 0), (-1, 0), (0, -1), (0, 1), (1, -1), (1, 1)]), 0),
+    ]
+    for diagram in enumerate_marked(delta, points_for_genus(delta, g))
+]
+
+
+@given(st.sampled_from(ROUND_TRIP_POOL))
+@settings(max_examples=60, deadline=None)
+def test_diagram_json_text_round_trip(pair):
+    delta, diagram = pair
+    back = MarkedFloorDiagram.from_json(json.loads(json.dumps(diagram.to_json())))
+    assert back == diagram
+    validate_diagram(back, delta)
 
 
 def test_validator_rejects_externally_supplied_junk():
