@@ -13,7 +13,9 @@ coefficients and an explicit truncation order: the coefficient of u^k is
 known for valuation <= k < truncation_order and *undefined* (not zero) at or
 beyond the order.  Every operation propagates the narrowest reliable
 truncation order of its inputs, so an equality of two USeries asserts all
-coefficients that both sides actually know.
+coefficients that both sides actually know.  A product scales each operand to
+integer numerators over one common denominator, convolves the numerators as
+plain integers and reduces one fraction per output coefficient.
 
 The bridge between the two worlds is the substitution q = e^(iu), performed
 purely over the rationals:
@@ -33,7 +35,7 @@ such input always signals a bug upstream.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 from typing import Iterable
 
 
@@ -267,6 +269,12 @@ def lp_eval_at_one(p: LaurentPolyS) -> int:
     return sum(p.coefficients)
 
 
+def _over_common_denominator(coeffs) -> tuple[list[int], int]:
+    """Integer numerators of ``coeffs`` over their least common denominator."""
+    d = lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (d // c.denominator) for c in coeffs], d
+
+
 class USeries:
     """Truncated Laurent series in u with exact rational coefficients.
 
@@ -369,16 +377,18 @@ class USeries:
         order = min(self.order + other.valuation, other.order + self.valuation)
         if self.is_zero() or other.is_zero():
             return USeries.zero(order)
-        n = order - (self.valuation + other.valuation)
-        out = [Fraction(0)] * n
-        for i, a in enumerate(self.coefficients):
-            if a and i < n:
-                for j, b in enumerate(other.coefficients):
-                    if i + j >= n:
-                        break
-                    if b:
-                        out[i + j] += a * b
-        return USeries(self.valuation + other.valuation, out, order)
+        v = self.valuation + other.valuation
+        n = order - v
+        xs, dx = _over_common_denominator(self.coefficients[:n])
+        ys, dy = _over_common_denominator(other.coefficients[:n])
+        out = [0] * n
+        for i, x in enumerate(xs):
+            if x:
+                for k, y in enumerate(ys[: n - i], i):
+                    if y:
+                        out[k] += x * y
+        d = dx * dy
+        return USeries(v, [Fraction(c, d) for c in out], order)
 
     __rmul__ = __mul__
 
@@ -389,7 +399,8 @@ class USeries:
         return USeries(self.valuation + k, self.coefficients, self.order + k)
 
     def inverse(self) -> "USeries":
-        """Multiplicative inverse; the unit part is inverted term by term.
+        """Multiplicative inverse; the unit part is inverted by Newton
+        iteration y <- y * (2 - unit * y), which doubles the known terms.
 
         Input with window length L and valuation v yields valuation -v and
         window length L again, i.e. truncation order (order - 2v).
@@ -397,16 +408,13 @@ class USeries:
         if self.is_zero():
             raise AlgebraError("inversion of the zero series is rejected")
         n = self.order - self.valuation
-        c = self.coefficients
-        inv = [Fraction(0)] * n
-        inv[0] = Fraction(1) / c[0]
-        for k in range(1, n):
-            acc = Fraction(0)
-            for i in range(1, k + 1):
-                if c[i]:
-                    acc += c[i] * inv[k - i]
-            inv[k] = -acc / c[0]
-        return USeries(-self.valuation, inv, -self.valuation + n)
+        unit = USeries(0, self.coefficients, n)
+        inv = USeries(0, (1 / self.coefficients[0],), 1)
+        while inv.order < n:
+            m = min(2 * inv.order, n)
+            guess = USeries(0, inv.coefficients, m)  # inv padded with zeros
+            inv = guess * (USeries(0, (2,), m) - unit.truncate(m) * guess)
+        return inv.shift(-self.valuation)
 
     def __pow__(self, k: int) -> "USeries":
         if k < 0:

@@ -23,6 +23,7 @@ from collections import Counter
 from .algebra import AlgebraError, LaurentPolyS, Partition, rational_to_str
 from .diagrams import (
     DiagramError,
+    classical_count,
     degree_hirzebruch,
     degree_p2,
     enumerate_marked,
@@ -39,6 +40,8 @@ from .gw import (
     vertex_series,
 )
 from .oracle import OracleConfig, OracleLimitError, brute_force_enumerate
+
+LISTING_CAP = 100_000
 
 
 def _add_surface_args(parser: argparse.ArgumentParser) -> None:
@@ -103,9 +106,19 @@ def _print_gw(gw, fmt: str, header: str) -> None:
             _emit(f"  g={g} -> {v}")
 
 
+def _check_listing_cap(delta, n: int) -> None:
+    """Every diagram's multiplicity prod w^2 is at least 1, so the classical
+    count, summed without listing, bounds the number of diagrams."""
+    bound = classical_count(delta, n)
+    if bound > LISTING_CAP:
+        raise DiagramError(f"{delta.label}, n = {n} has classical count {bound}, "
+                           f"over the listing cap LISTING_CAP = {LISTING_CAP}")
+
+
 def _cmd_enumerate(args, parser) -> int:
     delta = _parse_surface(args, parser)
     n = _parse_points(delta, args)
+    _check_listing_cap(delta, n)
     diagrams = enumerate_marked(delta, n)
     if args.format == "json":
         # one diagram's dict at a time, byte-identical to dumping the whole payload
@@ -172,6 +185,7 @@ def _cmd_vertex(args, parser) -> int:
 def _cmd_verify_degeneration(args, parser) -> int:
     delta = _parse_surface(args, parser)
     n = _parse_points(delta, args)
+    _check_listing_cap(delta, n)
     report = degeneration_cross_check(delta, n, args.order)
     if args.format == "json":
         _emit(json.dumps(report.to_json()))

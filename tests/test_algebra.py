@@ -371,6 +371,70 @@ def test_useries_inverse_against_sympy_series(x):
         assert inv.coefficient(k) == sympy_coefficient(expansion, u, k + v)
 
 
+# ------------------------------------- the integer kernel against references
+
+
+def schoolbook_mul(x, y):
+    """The per-term Fraction product that ``USeries.__mul__`` replaced."""
+    order = min(x.order + y.valuation, y.order + x.valuation)
+    if x.is_zero() or y.is_zero():
+        return USeries.zero(order)
+    n = order - (x.valuation + y.valuation)
+    out = [F(0)] * n
+    for i, a in enumerate(x.coefficients):
+        if a and i < n:
+            for j, b in enumerate(y.coefficients):
+                if i + j >= n:
+                    break
+                if b:
+                    out[i + j] += a * b
+    return USeries(x.valuation + y.valuation, out, order)
+
+
+def recurrence_inverse(x):
+    """The term-by-term inverse that ``USeries.inverse`` replaced."""
+    n = x.order - x.valuation
+    c = x.coefficients
+    inv = [1 / c[0]] + [F(0)] * (n - 1)
+    for k in range(1, n):
+        inv[k] = -sum((c[i] * inv[k - i] for i in range(1, k + 1) if c[i]), F(0)) / c[0]
+    return USeries(-x.valuation, inv, -x.valuation + n)
+
+
+@st.composite
+def kernel_operands(draw, max_len=24):
+    """Series with mixed small and huge denominators, negative valuations,
+    and often only even or only odd slots filled.  Two independent lengths
+    make one operand longer than the product's window most of the time."""
+    valuation = draw(st.integers(-6, 4))
+    length = draw(st.integers(0, max_len))
+    denominator = st.one_of(st.integers(1, 12), st.integers(1, 10**30))
+    numerator = st.one_of(st.integers(-9, 9), st.integers(-(10**20), 10**20))
+    coeffs = draw(st.lists(
+        st.builds(F, numerator, denominator), min_size=length, max_size=length
+    ))
+    parity = draw(st.sampled_from((None, 0, 1)))
+    if parity is not None:
+        coeffs = [c if i % 2 == parity else 0 for i, c in enumerate(coeffs)]
+    return USeries(valuation, coeffs, valuation + length + draw(st.integers(0, 3)))
+
+
+@given(kernel_operands(), kernel_operands())
+@settings(max_examples=100, deadline=None)
+def test_useries_mul_matches_the_fraction_schoolbook(x, y):
+    expected = schoolbook_mul(x, y)
+    for product in (x * y, y * x):
+        assert product.order == expected.order
+        assert product.valuation == expected.valuation
+        assert product.coefficients == expected.coefficients
+
+
+@given(kernel_operands(max_len=16).filter(lambda x: not x.is_zero()))
+@settings(max_examples=60, deadline=None)
+def test_useries_inverse_matches_the_term_by_term_recurrence(x):
+    assert x.inverse() == recurrence_inverse(x)
+
+
 @given(laurent_polys, useries())
 @settings(max_examples=60, deadline=None)
 def test_json_round_trips(p, x):

@@ -1,7 +1,9 @@
 """Command-line behavior: payloads, exit codes, determinism."""
 
+import hashlib
 import io
 import json
+import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import floorgw.cli as cli
+import floorgw.gw as gw
 import floorgw.oracle as oracle
 from floorgw.cli import main
 
@@ -218,6 +221,48 @@ def test_verify_oracle_checks_the_cap_before_the_sweep_lists(capsys, monkeypatch
     )
     assert code == 1 and out == ""
     assert err == "error: n = 17 exceeds the brute-force cap 16\n"
+
+
+@pytest.mark.parametrize("command,count", [
+    ("enumerate --surface fk --k 3 --h 3 --d 3 --genus 0", 1816655772),
+    ("verify degeneration --surface fk --k 3 --h 3 --d 1 --genus 0", 5606580),
+])
+def test_listing_over_the_cap_exits_1_without_listing(capsys, monkeypatch, command, count):
+    def no_listing(*args, **kwargs):
+        raise AssertionError("listed past the cap")
+
+    monkeypatch.setattr(cli, "enumerate_marked", no_listing)
+    monkeypatch.setattr(gw, "enumerate_marked", no_listing)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *command.split())
+    assert time.perf_counter() - start < 1
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert f"classical count {count}," in err and f"LISTING_CAP = {cli.LISTING_CAP}" in err
+
+
+# SHA-256 of the JSON stdout of high-order series jobs, whose coefficients
+# have large denominators; the digests were taken before the integer
+# convolution kernel replaced the per-term Fraction product.
+SERIES_DIGESTS = {
+    "gw --surface p2 --degree 3 --genus 0 --order 120":
+        "1d5e1a4fd1abf26bad1e808b30181507e75e8a44a3eb7a70be5b5a713e9d4db2",
+    "log-gw --surface fk --k 1 --h 2 --d 1 --genus 1 --order 60":
+        "482a10d78b6c92fd48538193de807e06d1b50f5ad29a342273e30880aa6c25c3",
+    "vertex --mu 3,2,1 --nu 1,1 --order 120":
+        "e0215d97e94462b0d5e5d3ccc10a0ab605198156f19938a5cd5f9120b168ad4f",
+    "verify ab --a 2 --b 1 --points 9 --order 40":
+        "3b52a8c2a01db47c85ee346b0c4671cea6ec3fa44029bbc70231316fe769da33",
+    "verify degeneration --surface p2 --degree 3 --genus 1 --order 48":
+        "a0b8ea244629fb6a1f016c4f3a24c34518880ae214223d93fcb4236a70dbc60c",
+}
+
+
+@pytest.mark.parametrize("command", SERIES_DIGESTS)
+def test_series_json_output_is_pinned(capsys, command):
+    code, out, err = run_cli(capsys, *command.split(), "--format", "json")
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == SERIES_DIGESTS[command]
 
 
 COMMANDS = ("enumerate", "count", "gw", "log-gw", "vertex",
