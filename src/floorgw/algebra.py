@@ -401,6 +401,8 @@ class USeries:
     def inverse(self) -> "USeries":
         """Multiplicative inverse; the unit part is inverted by Newton
         iteration y <- y * (2 - unit * y), which doubles the known terms.
+        Of the window length L, the steps know ceil(L / 2^s) terms for
+        s = ..., 1, 0, so the last, costliest step never adds only a few.
 
         Input with window length L and valuation v yields valuation -v and
         window length L again, i.e. truncation order (order - 2v).
@@ -410,8 +412,8 @@ class USeries:
         n = self.order - self.valuation
         unit = USeries(0, self.coefficients, n)
         inv = USeries(0, (1 / self.coefficients[0],), 1)
-        while inv.order < n:
-            m = min(2 * inv.order, n)
+        for s in reversed(range((n - 1).bit_length())):
+            m = ((n - 1) >> s) + 1
             guess = USeries(0, inv.coefficients, m)  # inv padded with zeros
             inv = guess * (USeries(0, (2,), m) - unit.truncate(m) * guess)
         return inv.shift(-self.valuation)

@@ -20,10 +20,9 @@ import json
 import sys
 from collections import Counter
 
-from .algebra import AlgebraError, LaurentPolyS, Partition, rational_to_str
+from .algebra import AlgebraError, LaurentPolyS, Partition, lp_eval_at_one, rational_to_str
 from .diagrams import (
     DiagramError,
-    classical_count,
     degree_hirzebruch,
     degree_p2,
     enumerate_marked,
@@ -106,13 +105,16 @@ def _print_gw(gw, fmt: str, header: str) -> None:
             _emit(f"  g={g} -> {v}")
 
 
-def _check_listing_cap(delta, n: int) -> None:
-    """Every diagram's multiplicity prod w^2 is at least 1, so the classical
-    count, summed without listing, bounds the number of diagrams."""
-    bound = classical_count(delta, n)
+def _check_listing_cap(delta, n: int) -> LaurentPolyS:
+    """The refined count of (delta, n), once its classical count is within
+    the cap.  Every diagram's multiplicity prod w^2 is at least 1, so the
+    classical count, summed without listing, bounds the number of diagrams."""
+    refined = refined_count(delta, n)
+    bound = lp_eval_at_one(refined)
     if bound > LISTING_CAP:
         raise DiagramError(f"{delta.label}, n = {n} has classical count {bound}, "
                            f"over the listing cap LISTING_CAP = {LISTING_CAP}")
+    return refined
 
 
 def _cmd_enumerate(args, parser) -> int:
@@ -185,8 +187,8 @@ def _cmd_vertex(args, parser) -> int:
 def _cmd_verify_degeneration(args, parser) -> int:
     delta = _parse_surface(args, parser)
     n = _parse_points(delta, args)
-    _check_listing_cap(delta, n)
-    report = degeneration_cross_check(delta, n, args.order)
+    refined = _check_listing_cap(delta, n)
+    report = degeneration_cross_check(delta, n, args.order, refined)
     if args.format == "json":
         _emit(json.dumps(report.to_json()))
     else:
@@ -213,11 +215,11 @@ def _cmd_verify_oracle(args, parser) -> int:
     delta = _parse_surface(args, parser)
     n = _parse_points(delta, args)
     cfg = OracleConfig(max_weight=args.max_weight, max_elements=args.max_elements)
+    sweep = _check_listing_cap(delta, n)
     # the oracle lists first: it rejects n over its cap before any listing
     brute_diagrams = brute_force_enumerate(delta, n, cfg)
     sweep_diagrams = enumerate_marked(delta, n)
     diagrams_equal = Counter(sweep_diagrams) == Counter(brute_diagrams)
-    sweep = refined_count(delta, n)
     brute = sum(map(refined_multiplicity, brute_diagrams), LaurentPolyS.zero())
     equal = diagrams_equal and sweep == brute
     if args.format == "json":
