@@ -19,9 +19,6 @@ from .algebra import (
     rational_from_str,
     rational_to_str,
     sin_factor_series,
-    useries_mul,
-    useries_pow,
-    useries_shift,
 )
 from .diagrams import (
     DiagramError,
@@ -32,6 +29,7 @@ from .diagrams import (
     classical_count,
     degree_hirzebruch,
     degree_p2,
+    diagram_count,
     enumerate_marked,
     general_degree,
     multiplicity,
@@ -89,6 +87,7 @@ __all__ = [
     "degeneration_series",
     "degree_hirzebruch",
     "degree_p2",
+    "diagram_count",
     "enumerate_marked",
     "extract_invariant",
     "f0_absolute_series",
@@ -106,9 +105,6 @@ __all__ = [
     "refined_count",
     "refined_multiplicity",
     "sin_factor_series",
-    "useries_mul",
-    "useries_pow",
-    "useries_shift",
     "validate_diagram",
     "vertex_partitions",
     "vertex_series",

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial, lcm
+from operator import add
 from typing import Iterable
 
 
@@ -170,10 +171,11 @@ class LaurentPolyS:
         if other.is_zero():
             return self
         lo = min(self.valuation, other.valuation)
-        hi = max(self.degree, other.degree)
-        return LaurentPolyS(
-            lo, [self.coefficient(k) + other.coefficient(k) for k in range(lo, hi + 1)]
-        )
+        out = [0] * (max(self.degree, other.degree) + 1 - lo)
+        for p in (self, other):
+            i = p.valuation - lo
+            out[i:i + len(p.coefficients)] = map(add, out[i:], p.coefficients)
+        return LaurentPolyS(lo, out)
 
     def __neg__(self) -> "LaurentPolyS":
         return LaurentPolyS(self.valuation, [-c for c in self.coefficients])
@@ -352,11 +354,13 @@ class USeries:
             return NotImplemented
         order = min(self.order, other.order)
         lo = min(self.valuation, other.valuation, order)
-        vals = [
-            (self.coefficient(k) if k < self.order else 0)
-            + (other.coefficient(k) if k < other.order else 0)
-            for k in range(lo, order)
-        ]
+        vals = [0] * (order - lo)
+        for x in (self, other):
+            window = x.coefficients[: max(order - x.valuation, 0)]
+            i = x.valuation - lo
+            # a Fraction sum costs gcds even with a zero term, so skip those
+            vals[i:i + len(window)] = [a + b if a and b else a or b
+                                       for a, b in zip(vals[i:], window)]
         return USeries(lo, vals, order)
 
     def __neg__(self) -> "USeries":
@@ -484,18 +488,6 @@ class USeries:
             [rational_from_str(c) for c in data["coefficients"]],
             int(data["order"]),
         )
-
-
-def useries_mul(x: USeries, y: USeries) -> USeries:
-    return x * y
-
-
-def useries_pow(x: USeries, k: int) -> USeries:
-    return x**k
-
-
-def useries_shift(x: USeries, k: int) -> USeries:
-    return x.shift(k)
 
 
 def _two_cos_half(a: int, order: int) -> USeries:

@@ -25,6 +25,7 @@ from .diagrams import (
     DiagramError,
     degree_hirzebruch,
     degree_p2,
+    diagram_count,
     enumerate_marked,
     points_for_genus,
     refined_count,
@@ -105,16 +106,13 @@ def _print_gw(gw, fmt: str, header: str) -> None:
             _emit(f"  g={g} -> {v}")
 
 
-def _check_listing_cap(delta, n: int) -> LaurentPolyS:
-    """The refined count of (delta, n), once its classical count is within
-    the cap.  Every diagram's multiplicity prod w^2 is at least 1, so the
-    classical count, summed without listing, bounds the number of diagrams."""
-    refined = refined_count(delta, n)
-    bound = lp_eval_at_one(refined)
-    if bound > LISTING_CAP:
-        raise DiagramError(f"{delta.label}, n = {n} has classical count {bound}, "
+def _check_listing_cap(delta, n: int) -> None:
+    """Refuse to list (delta, n) when it has more than LISTING_CAP diagrams,
+    counted without listing them."""
+    count = diagram_count(delta, n)
+    if count > LISTING_CAP:
+        raise DiagramError(f"{delta.label}, n = {n} has {count} diagrams, "
                            f"over the listing cap LISTING_CAP = {LISTING_CAP}")
-    return refined
 
 
 def _cmd_enumerate(args, parser) -> int:
@@ -147,7 +145,7 @@ def _cmd_count(args, parser) -> int:
     delta = _parse_surface(args, parser)
     n = _parse_points(delta, args)
     refined = refined_count(delta, n)
-    classical = sum(refined.coefficients)
+    classical = lp_eval_at_one(refined)
     if args.format == "json":
         payload: dict = {"classical": classical}
         if args.refined:
@@ -187,8 +185,8 @@ def _cmd_vertex(args, parser) -> int:
 def _cmd_verify_degeneration(args, parser) -> int:
     delta = _parse_surface(args, parser)
     n = _parse_points(delta, args)
-    refined = _check_listing_cap(delta, n)
-    report = degeneration_cross_check(delta, n, args.order, refined)
+    _check_listing_cap(delta, n)
+    report = degeneration_cross_check(delta, n, args.order)
     if args.format == "json":
         _emit(json.dumps(report.to_json()))
     else:
@@ -215,11 +213,12 @@ def _cmd_verify_oracle(args, parser) -> int:
     delta = _parse_surface(args, parser)
     n = _parse_points(delta, args)
     cfg = OracleConfig(max_weight=args.max_weight, max_elements=args.max_elements)
-    sweep = _check_listing_cap(delta, n)
+    _check_listing_cap(delta, n)
     # the oracle lists first: it rejects n over its cap before any listing
     brute_diagrams = brute_force_enumerate(delta, n, cfg)
     sweep_diagrams = enumerate_marked(delta, n)
     diagrams_equal = Counter(sweep_diagrams) == Counter(brute_diagrams)
+    sweep = refined_count(delta, n)
     brute = sum(map(refined_multiplicity, brute_diagrams), LaurentPolyS.zero())
     equal = diagrams_equal and sweep == brute
     if args.format == "json":

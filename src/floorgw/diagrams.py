@@ -22,9 +22,10 @@ edges onto the positions 1..n; marking rigidifies the diagram, so
 isomorphism classes are exactly the distinct position-labelled structures.
 ``enumerate_marked`` produces one representative per class by a left-to-right
 sweep over positions, branching at each position over the element placed
-there; see its docstring for the exact branching order.  ``refined_count``
-takes the same branches without listing any diagram, memoizing the sum over
-each canonical sweep state.
+there; see its docstring for the exact branching order.  One memoized
+recursion over canonical sweep states takes the same branches without
+listing any diagram; ``refined_count``, ``classical_count`` and
+``diagram_count`` are its instances, differing only in the ring they sum in.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from itertools import combinations, product
 from math import comb, prod
 from typing import Iterable
 
-from .algebra import LaurentPolyS, Partition, lp_eval_at_one, q_integer
+from .algebra import LaurentPolyS, Partition, q_integer
 
 
 class DiagramError(ValueError):
@@ -477,8 +478,9 @@ def _bounded_edge_count(delta: HTransverseDegree, n: int) -> int:
     return total_bounded
 
 
-def refined_count(delta: HTransverseDegree, n: int) -> LaurentPolyS:
-    """Sum of refined multiplicities over all marked diagrams on n points.
+def _sweep_sum(delta: HTransverseDegree, n: int, factor, one, zero):
+    """Sum over all marked diagrams on n points of the product of
+    ``factor(w)`` over their bounded edges of weight w >= 2.
 
     Counts without listing: a memoized recursion over the states of the
     sweep of :func:`enumerate_marked`, taking exactly its branches.  As in
@@ -493,108 +495,109 @@ def refined_count(delta: HTransverseDegree, n: int) -> LaurentPolyS:
       a pair (sorted positive outgoing budgets, sorted weights of the
       pending bounded heads leaving it).
 
-    A bounded edge of weight w contributes [w]_q^2 when it is placed.
-    Vertices of equal budget in one component give equal states, so their
-    branch is taken once and weighted by their number; a vertex taking r of
-    the m pending heads of one weight in one component is weighted by
-    C(m, r).  A closed component (no budget, no pending head) can never be
-    joined again, so a state holding one beside another component or an
-    unplaced vertex is dead.  The memo table lives for one call.
+    A bounded edge of weight w >= 2 multiplies by ``factor(w)`` when it is
+    placed.  Vertices of equal budget in one component give equal states,
+    so their branch is taken once and weighted by their number; a vertex
+    taking r of the m pending heads of one weight in one component is
+    weighted by C(m, r).  A closed component (no budget, no pending head)
+    can never be joined again, so a state holding one beside another
+    component or an unplaced vertex is dead.  The values may be ints or any
+    ring elements with ``+``, ``*``, ``==`` and an integer scale, given with
+    their ``one`` and ``zero``: the semiring dynamic programming of Goodman,
+    "Semiring Parsing" (1999).  The memo table lives for one call.
     """
     total_bounded = _bounded_edge_count(delta, n)
-    h, d_b, d_t = delta.height, delta.d_b, delta.d_t
-    one, zero = LaurentPolyS.one(), LaurentPolyS.zero()
-    if h == 0:
+    factors = {w: factor(w) for w in range(2, delta.max_bounded_weight() + 1)}
+    fixed = (delta.d_b, total_bounded, delta.d_t, factors, one, zero)
+    return _state_sum((0, 0, 0, delta.divergences, 0, ()), fixed, {})
+
+
+def _state_sum(state: tuple, fixed: tuple, memo: dict):
+    """The :func:`_sweep_sum` over all completions of one sweep state, whose
+    components need not be sorted yet.  ``fixed`` holds d_b, the number of
+    bounded edges, d_t, the factor table, one and zero."""
+    in_used, bd_used, out_used, divs, free, comps = state
+    d_b, total_bounded, d_t, factors, one, zero = fixed
+    comps = tuple(sorted(comps))
+    if ((), ()) in comps and (len(comps) > 1 or divs):
         return zero
-    squares = {w: q_integer(w) ** 2 for w in range(2, delta.max_bounded_weight() + 1)}
-    memo: dict[tuple, LaurentPolyS] = {}
+    if not divs and (in_used, bd_used, out_used) == (d_b, total_bounded, d_t):
+        return one if comps == (((), ()),) else zero
+    key = (in_used, bd_used, out_used, divs, free, comps)
+    if key in memo:
+        return memo[key]
+    branches = []  # (number of sweep branches, bounded edge weight, next state)
+    if divs and in_used < d_b:
+        branches.append((1, 1, (in_used + 1, bd_used, out_used, divs, free + 1, comps)))
+    for i, (budgets, heads) in enumerate(comps):
+        others = comps[:i] + comps[i + 1:]
+        for b in dict.fromkeys(budgets):
+            m = budgets.count(b)
+            k = budgets.index(b)
+            rest = budgets[:k] + budgets[k + 1:]
+            if divs and bd_used < total_bounded:
+                for w in range(1, b + 1):
+                    left = tuple(sorted(rest + (b - w,))) if w < b else rest
+                    comp = (left, tuple(sorted(heads + (w,))))
+                    branches.append((m, w, (in_used, bd_used + 1, out_used, divs, free,
+                                            others + (comp,))))
+            if out_used < d_t:
+                left = tuple(sorted(rest + (b - 1,))) if b > 1 else rest
+                branches.append((m, 1, (in_used, bd_used, out_used + 1, divs, free,
+                                        others + ((left, heads),))))
+    last = len(divs) == 1
+    if divs and not (last and (in_used < d_b or bd_used < total_bounded)):
+        # head groups: (component index or None for unbounded heads, weight, count)
+        groups = [(None, 1, free)] + [
+            (i, w, heads.count(w))
+            for i, (_, heads) in enumerate(comps)
+            for w in dict.fromkeys(heads)
+        ]
+        for takes in product(*(((m,) if last else range(m + 1)) for _, _, m in groups)):
+            ways = prod(comb(m, r) for (_, _, m), r in zip(groups, takes))
+            inflow = sum(w * r for (_, w, _), r in zip(groups, takes))
+            touched = {i for (i, _, _), r in zip(groups, takes) if r and i is not None}
+            budgets = [b for i in touched for b in comps[i][0]]
+            heads = tuple(sorted(
+                w for (i, w, m), r in zip(groups, takes) if i in touched
+                for _ in range(m - r)
+            ))
+            untouched = tuple(c for i, c in enumerate(comps) if i not in touched)
+            for div in dict.fromkeys(divs):
+                budget = inflow - div
+                if budget < 0:
+                    continue
+                k = divs.index(div)
+                left = tuple(sorted(budgets + [budget] if budget else budgets))
+                branches.append((ways, 1, (in_used, bd_used, out_used, divs[:k] + divs[k + 1:],
+                                           free - takes[0], untouched + ((left, heads),))))
+    total = zero
+    for ways, w, nxt in branches:
+        part = _state_sum(nxt, fixed, memo)
+        if part == zero:
+            continue
+        if w > 1:
+            part = part * factors[w]
+        total = total + (part * ways if ways > 1 else part)
+    memo[key] = total
+    return total
 
-    def state(in_used, bd_used, out_used, divs, free, comps):
-        """The canonical state, or None when a closed component kills it."""
-        comps = tuple(sorted(comps))
-        if ((), ()) in comps and (len(comps) > 1 or divs):
-            return None
-        return (in_used, bd_used, out_used, divs, free, comps)
 
-    def future(key) -> LaurentPolyS:
-        """Sum of refined multiplicity factors over all completions of key."""
-        if key in memo:
-            return memo[key]
-        in_used, bd_used, out_used, divs, free, comps = key
-        if not divs and (in_used, bd_used, out_used) == (d_b, total_bounded, d_t):
-            return one if comps == (((), ()),) else zero
-        branches = []  # (number of sweep branches, bounded edge weight, state)
-        if divs and in_used < d_b:
-            branches.append((1, 1, state(in_used + 1, bd_used, out_used, divs, free + 1, comps)))
-        for i, (budgets, heads) in enumerate(comps):
-            others = comps[:i] + comps[i + 1:]
-            for b in dict.fromkeys(budgets):
-                m = budgets.count(b)
-                k = budgets.index(b)
-                rest = budgets[:k] + budgets[k + 1:]
-                if divs and bd_used < total_bounded:
-                    for w in range(1, b + 1):
-                        left = tuple(sorted(rest + (b - w,))) if w < b else rest
-                        comp = (left, tuple(sorted(heads + (w,))))
-                        branches.append(
-                            (m, w, state(in_used, bd_used + 1, out_used, divs, free,
-                                         others + (comp,)))
-                        )
-                if out_used < d_t:
-                    left = tuple(sorted(rest + (b - 1,))) if b > 1 else rest
-                    branches.append(
-                        (m, 1, state(in_used, bd_used, out_used + 1, divs, free,
-                                     others + ((left, heads),)))
-                    )
-        last = len(divs) == 1
-        if divs and not (last and (in_used < d_b or bd_used < total_bounded)):
-            # head groups: (component index or None for unbounded heads, weight, count)
-            groups = [(None, 1, free)] + [
-                (i, w, heads.count(w))
-                for i, (_, heads) in enumerate(comps)
-                for w in dict.fromkeys(heads)
-            ]
-            for takes in product(*(((m,) if last else range(m + 1)) for _, _, m in groups)):
-                ways = prod(comb(m, r) for (_, _, m), r in zip(groups, takes))
-                inflow = sum(w * r for (_, w, _), r in zip(groups, takes))
-                touched = {i for (i, _, _), r in zip(groups, takes) if r and i is not None}
-                budgets = [b for i in touched for b in comps[i][0]]
-                heads = tuple(sorted(
-                    w for (i, w, m), r in zip(groups, takes) if i in touched
-                    for _ in range(m - r)
-                ))
-                untouched = tuple(c for i, c in enumerate(comps) if i not in touched)
-                for div in dict.fromkeys(divs):
-                    budget = inflow - div
-                    if budget < 0:
-                        continue
-                    k = divs.index(div)
-                    left = tuple(sorted(budgets + [budget] if budget else budgets))
-                    branches.append(
-                        (ways, 1, state(in_used, bd_used, out_used, divs[:k] + divs[k + 1:],
-                                        free - takes[0], untouched + ((left, heads),)))
-                    )
-        total = zero
-        for ways, w, nxt in branches:
-            if nxt is None:
-                continue
-            part = future(nxt)
-            if part.is_zero():
-                continue
-            if w > 1:
-                part = part * squares[w]
-            total = total + (part * ways if ways > 1 else part)
-        memo[key] = total
-        return total
-
-    try:
-        return future((0, 0, 0, delta.divergences, 0, ()))
-    finally:
-        # ``future`` refers to itself through its closure; unbinding it breaks
-        # that cycle, so the memo table is freed on return.
-        future = None
+def refined_count(delta: HTransverseDegree, n: int) -> LaurentPolyS:
+    """Sum of refined multiplicities over all marked diagrams on n points,
+    counted without listing them: the sweep-state recursion :func:`_sweep_sum`
+    with [w]_q^2 per bounded edge of weight w."""
+    return _sweep_sum(delta, n, lambda w: q_integer(w) ** 2, LaurentPolyS.one(),
+                      LaurentPolyS.zero())
 
 
 def classical_count(delta: HTransverseDegree, n: int) -> int:
-    """The refined count at q = 1, i.e. the plain count with multiplicity."""
-    return lp_eval_at_one(refined_count(delta, n))
+    """The refined count at q = 1, i.e. the plain count with multiplicity:
+    the same recursion with w^2 per bounded edge of weight w."""
+    return _sweep_sum(delta, n, lambda w: w * w, 1, 0)
+
+
+def diagram_count(delta: HTransverseDegree, n: int) -> int:
+    """The number of marked diagrams on n points, len(enumerate_marked(delta,
+    n)), without listing them: the same recursion with 1 per edge."""
+    return _sweep_sum(delta, n, lambda w: 1, 1, 0)

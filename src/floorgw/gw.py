@@ -267,22 +267,16 @@ def degeneration_series(delta: HTransverseDegree, n: int, order: int = 16) -> Gw
     return GwSeries(total, "degeneration", delta, n, exponent_offset=offset, g_min=g0)
 
 
-def log_series(
-    delta: HTransverseDegree, n: int, order: int = 16, refined: LaurentPolyS | None = None
-) -> GwSeries:
+def log_series(delta: HTransverseDegree, n: int, order: int = 16) -> GwSeries:
     """Log invariants: sum_g N_log(g) u^(2g-2+2h+d_b+d_t) = relative * S^(2h).
 
     The conversion factor S^(2h) accounts for the 2h contact points with the
     non-horizontal toric divisors.  At minimal genus N_log = N_rel equals
-    the classical count.  ``refined``, if given, is taken as the refined
-    count of (delta, n) instead of summing it again.
+    the classical count.
     """
     g0 = _check_series_delta(delta, n)
     offset = 2 * delta.height + delta.d_b + delta.d_t - 2
-    return _from_count(
-        lambda: refined_count(delta, n) if refined is None else refined,
-        "log", delta, n, offset, g0, order,
-    )
+    return _from_count(lambda: refined_count(delta, n), "log", delta, n, offset, g0, order)
 
 
 @dataclass(frozen=True)
@@ -307,7 +301,7 @@ class CrossCheckReport:
 
 
 def degeneration_cross_check(
-    delta: HTransverseDegree, n: int, order: int = 16, refined: LaurentPolyS | None = None
+    delta: HTransverseDegree, n: int, order: int = 16
 ) -> CrossCheckReport:
     """Compare the two evaluation routes term by term.
 
@@ -317,11 +311,10 @@ def degeneration_cross_check(
     count through the cosine substitution.  Route one lists the diagrams
     with ``enumerate_marked``; route two's refined count is summed over
     sweep states without listing any diagram.  The two routes share only
-    the elementary series arithmetic.  ``refined`` is handed to
-    ``log_series``.
+    the elementary series arithmetic.
     """
     diagram_sum = degeneration_series(delta, n, order).series
-    from_refined = log_series(delta, n, order, refined).series
+    from_refined = log_series(delta, n, order).series
     return CrossCheckReport(delta, n, diagram_sum, from_refined, diagram_sum == from_refined)
 
 

@@ -25,7 +25,6 @@ from floorgw import (
     q_integer,
     refined_count,
     sin_factor_series,
-    useries_mul,
 )
 from helpers import acceptance_grid, diagram_key
 
@@ -174,9 +173,7 @@ def test_criterion_7_log_conversion():
 def test_criterion_8_q_integer_suite():
     ok = True
     for m in range(1, 9):
-        lhs = useries_mul(
-            lp_substitute_exponential(q_integer(m), 16), sin_factor_series(1, 1, 16)
-        )
+        lhs = lp_substitute_exponential(q_integer(m), 16) * sin_factor_series(1, 1, 16)
         if lhs != sin_factor_series(m, 1, 16):
             ok = False
     for m in range(1, 13):

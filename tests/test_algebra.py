@@ -18,9 +18,6 @@ from floorgw import (
     rational_from_str,
     rational_to_str,
     sin_factor_series,
-    useries_mul,
-    useries_pow,
-    useries_shift,
 )
 
 F = Fraction
@@ -126,12 +123,12 @@ def test_useries_mul_examples():
     # u^-1 * u = 1
     x = USeries.monomial(-1, 6)
     y = USeries.monomial(1, 6)
-    prod = useries_mul(x, y)
+    prod = x * y
     assert prod.coefficient(0) == 1
     assert prod.nonzero_exponents() == [0]
     # (1 + u)^2 = 1 + 2u + u^2
     one_plus_u = USeries(0, [1, 1], 6)
-    sq = useries_pow(one_plus_u, 2)
+    sq = one_plus_u**2
     assert [sq.coefficient(k) for k in range(3)] == [1, 2, 1]
 
 
@@ -139,7 +136,7 @@ def test_useries_mul_fixture_cos_times_sin():
     # (2 cos u + 10) * 2 sin(u/2) = 12u - 3/2 u^3 + 21/160 u^5 + ...
     lhs = lp_substitute_exponential(LaurentPolyS(-2, [1, 0, 10, 0, 1]), 6)
     rhs = sin_factor_series(1, 1, 7)
-    prod = useries_mul(lhs, rhs)
+    prod = lhs * rhs
     assert prod.coefficient(1) == 12
     assert prod.coefficient(3) == F(-3, 2)
     assert prod.coefficient(5) == F(21, 160)
@@ -148,23 +145,23 @@ def test_useries_mul_fixture_cos_times_sin():
 def test_useries_truncation_propagation():
     x = USeries(0, [1] * 8, 8)
     y = USeries(2, [1] * 3, 5)
-    assert useries_mul(x, y).order == min(8 + 2, 5 + 0)
+    assert (x * y).order == min(8 + 2, 5 + 0)
     assert (x + y).order == 5
-    assert useries_shift(y, -2).order == 3
+    assert y.shift(-2).order == 3
     z = USeries(1, [1, 1], 3)
     assert z.inverse().order == 3 - 2 * 1
 
 
 def test_useries_shift_and_pow():
     x = USeries(0, [1, 1], 8)
-    assert useries_shift(x, 3).valuation == 3
-    assert useries_pow(x, 3).coefficient(2) == 3
-    inv = useries_pow(USeries(0, [1, 1], 8), -1)
+    assert x.shift(3).valuation == 3
+    assert (x**3).coefficient(2) == 3
+    inv = USeries(0, [1, 1], 8) ** -1
     assert [inv.coefficient(k) for k in range(4)] == [1, -1, 1, -1]
     with pytest.raises(AlgebraError):
         USeries.zero(5).inverse()
     with pytest.raises(AlgebraError):
-        useries_pow(USeries.zero(5), -2)
+        USeries.zero(5) ** -2
 
 
 def test_useries_equality_and_zero():
@@ -249,18 +246,14 @@ def test_q_integer_sine_identity():
     # [m]_q * 2 sin(u/2) = 2 sin(m u / 2) as series, to order 16
     N = 16
     for m in range(1, 9):
-        lhs = useries_mul(
-            lp_substitute_exponential(q_integer(m), N), sin_factor_series(1, 1, N)
-        )
+        lhs = lp_substitute_exponential(q_integer(m), N) * sin_factor_series(1, 1, N)
         rhs = sin_factor_series(m, 1, N)
         assert lhs == rhs, m
 
 
 def test_sin_factor_inverse_pairs():
     for k in range(1, 7):
-        prod = useries_mul(
-            sin_factor_series(1, k, 16), sin_factor_series(1, -k, 16)
-        )
+        prod = sin_factor_series(1, k, 16) * sin_factor_series(1, -k, 16)
         assert prod == USeries.one(prod.order)
         assert prod.order == 16 - k
 

@@ -224,10 +224,10 @@ def test_verify_oracle_checks_the_cap_before_the_sweep_lists(capsys, monkeypatch
 
 
 @pytest.mark.parametrize("command,count", [
-    ("enumerate --surface fk --k 3 --h 3 --d 3 --genus 0", 1816655772),
-    ("verify degeneration --surface fk --k 3 --h 3 --d 1 --genus 0", 5606580),
+    ("enumerate --surface fk --k 3 --h 3 --d 3 --genus 0", 243320417),
+    ("verify degeneration --surface fk --k 3 --h 3 --d 1 --genus 0", 1020699),
     # n = 16 is within the oracle's own cap
-    ("verify oracle --surface fk --k 3 --h 3 --d 1 --genus 0", 5606580),
+    ("verify oracle --surface fk --k 3 --h 3 --d 1 --genus 0", 1020699),
 ])
 def test_listing_over_the_cap_exits_1_without_listing(capsys, monkeypatch, command, count):
     def no_listing(*args, **kwargs):
@@ -239,7 +239,21 @@ def test_listing_over_the_cap_exits_1_without_listing(capsys, monkeypatch, comma
     code, out, err = run_cli(capsys, *command.split())
     assert code == 1 and out == ""
     assert len(err.splitlines()) == 1 and "Traceback" not in err
-    assert f"classical count {count}," in err and f"LISTING_CAP = {cli.LISTING_CAP}" in err
+    assert f"has {count} diagrams," in err and f"LISTING_CAP = {cli.LISTING_CAP}" in err
+
+
+def test_listing_cap_counts_diagrams_not_multiplicities(capsys, monkeypatch):
+    """P2 d=3 g=0 has 9 diagrams and classical count 12."""
+    command = "enumerate --surface p2 --degree 3 --genus 0".split()
+    monkeypatch.setattr(cli, "LISTING_CAP", 9)
+    code, out, err = run_cli(capsys, *command)
+    assert code == 0 and err == ""
+    assert out.startswith("9 marked diagram(s) for P2(d=3), n = 8\n")
+    monkeypatch.setattr(cli, "LISTING_CAP", 8)
+    code, out, err = run_cli(capsys, *command)
+    assert code == 1 and out == ""
+    assert err == ("error: P2(d=3), n = 8 has 9 diagrams, "
+                   "over the listing cap LISTING_CAP = 8\n")
 
 
 @pytest.mark.parametrize("command", [

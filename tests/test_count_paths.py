@@ -1,10 +1,12 @@
 """The state-sweep count against the listing sweep and independent pins.
 
-``refined_count`` sums over canonical sweep states without listing any
-diagram.  Within the listing sweep's reach it must equal the sum of refined
-multiplicities over ``enumerate_marked`` exactly; beyond it, it is pinned by
-Kontsevich's recursion, the one- and two-node polynomials and the counts at
-and above maximal genus, none of which shares code with the sweep.
+``refined_count``, ``classical_count`` and ``diagram_count`` sum over
+canonical sweep states without listing any diagram.  Within the listing
+sweep's reach they must equal, exactly, the sum of refined multiplicities
+over ``enumerate_marked``, its value at q = 1 and the number of diagrams
+listed; beyond it, the counts are pinned by Kontsevich's recursion, the one-
+and two-node polynomials and the counts at and above maximal genus, none of
+which shares code with the sweep.
 """
 
 import gc
@@ -17,7 +19,9 @@ from floorgw import (
     classical_count,
     degree_hirzebruch,
     degree_p2,
+    diagram_count,
     enumerate_marked,
+    lp_eval_at_one,
     points_for_genus,
     refined_count,
     refined_multiplicity,
@@ -25,11 +29,17 @@ from floorgw import (
 from helpers import acceptance_grid
 
 
-def listing_sum(delta, n):
+def assert_counts_match_listing(delta, n):
+    """The three sweep sums against one listing: the refined multiplicity
+    sum, the number of diagrams, and the refined count at q = 1."""
+    diagrams = enumerate_marked(delta, n)
     total = LaurentPolyS.zero()
-    for diagram in enumerate_marked(delta, n):
+    for diagram in diagrams:
         total = total + refined_multiplicity(diagram)
-    return total
+    refined = refined_count(delta, n)
+    assert refined == total, (delta, n)
+    assert diagram_count(delta, n) == len(diagrams), (delta, n)
+    assert classical_count(delta, n) == lp_eval_at_one(refined), (delta, n)
 
 
 def genus_range(delta, genera):
@@ -38,7 +48,7 @@ def genus_range(delta, genera):
 
 def test_refined_count_equals_listing_sum_on_acceptance_grid():
     for delta, n in acceptance_grid():
-        assert refined_count(delta, n) == listing_sum(delta, n), (delta, n)
+        assert_counts_match_listing(delta, n)
 
 
 BEYOND_GRID = (
@@ -52,7 +62,7 @@ BEYOND_GRID = (
     "delta,n", BEYOND_GRID, ids=[f"{delta.label}-n{n}" for delta, n in BEYOND_GRID]
 )
 def test_refined_count_equals_listing_sum_beyond_grid(delta, n):
-    assert refined_count(delta, n) == listing_sum(delta, n)
+    assert_counts_match_listing(delta, n)
 
 
 def kontsevich(d_max):
