@@ -1,11 +1,15 @@
-"""Two independent routes to one series, and the exponent audit.
+"""Two routes to one series, and the exponent audit.
 
 Route one substitutes q = e^(iu) into the refined count and multiplies by
 (2 sin(u/2))^(2*g0 - 2 + d_b + d_t + 2h).  Route two never sees the refined
-polynomial: it sums, over marked diagrams, the product of squared edge
-weights with one sine-product contribution per floor.  The two routes agree
-term by term; a per-edge cancellation (w^2 * ((1/w)[w]_q)^2 = [w]_q^2) is
-what makes the diagram sum reproduce the refined count.
+polynomial: it sums, over weight profiles (the multisets of bounded edge
+weights, each with its number of marked diagrams), the product of squared
+edge weights with one sine-product contribution per floor.  The two routes
+agree term by term; a per-edge cancellation (w^2 * ((1/w)[w]_q)^2 =
+[w]_q^2) is what makes the diagram sum reproduce the refined count.  Both
+read the same profile counts, so the agreement checks the series side of
+the degeneration theorem; the profiles themselves are checked against
+listed diagrams by the test suite and by ``floorgw verify oracle``.
 
 The plane degree-1 case pins the exponent bookkeeping: the relative series
 starts at u^(-1) while the diagram sum starts at u^(+1); the gap is exactly

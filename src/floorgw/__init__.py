@@ -38,6 +38,7 @@ from .diagrams import (
     refined_multiplicity,
     validate_diagram,
     vertex_partitions,
+    weight_profiles,
 )
 from .gw import (
     AbIdentityReport,
@@ -108,4 +109,5 @@ __all__ = [
     "validate_diagram",
     "vertex_partitions",
     "vertex_series",
+    "weight_profiles",
 ]

@@ -185,7 +185,6 @@ def _cmd_vertex(args, parser) -> int:
 def _cmd_verify_degeneration(args, parser) -> int:
     delta = _parse_surface(args, parser)
     n = _parse_points(delta, args)
-    _check_listing_cap(delta, n)
     report = degeneration_cross_check(delta, n, args.order)
     if args.format == "json":
         _emit(json.dumps(report.to_json()))

@@ -23,9 +23,9 @@ isomorphism classes are exactly the distinct position-labelled structures.
 ``enumerate_marked`` produces one representative per class by a left-to-right
 sweep over positions, branching at each position over the element placed
 there; see its docstring for the exact branching order.  One memoized
-recursion over canonical sweep states takes the same branches without
-listing any diagram; ``refined_count``, ``classical_count`` and
-``diagram_count`` are its instances, differing only in the ring they sum in.
+recursion over canonical sweep states, ``weight_profiles``, takes the same
+branches without listing any diagram and counts the diagrams per multiset
+of bounded edge weights; every count is a fold of its result.
 """
 
 from __future__ import annotations
@@ -478,13 +478,13 @@ def _bounded_edge_count(delta: HTransverseDegree, n: int) -> int:
     return total_bounded
 
 
-def _sweep_sum(delta: HTransverseDegree, n: int, factor, one, zero):
-    """Sum over all marked diagrams on n points of the product of
-    ``factor(w)`` over their bounded edges of weight w >= 2.
+def weight_profiles(delta: HTransverseDegree, n: int) -> dict[tuple[int, ...], int]:
+    """Map the sorted weights of the bounded edges to the number of marked
+    diagrams on n points that have them, without listing any diagram.
 
-    Counts without listing: a memoized recursion over the states of the
-    sweep of :func:`enumerate_marked`, taking exactly its branches.  As in
-    the floor-diagram recursions of Fomin-Mikhalkin and Block-Goettsche, the
+    A memoized recursion over the states of the sweep of
+    :func:`enumerate_marked`, taking exactly its branches.  As in the
+    floor-diagram recursions of Fomin-Mikhalkin and Block-Goettsche, the
     future of the sweep depends only on a small canonical state:
 
     * the numbers of incoming, bounded and outgoing edges placed so far (the
@@ -495,40 +495,36 @@ def _sweep_sum(delta: HTransverseDegree, n: int, factor, one, zero):
       a pair (sorted positive outgoing budgets, sorted weights of the
       pending bounded heads leaving it).
 
-    A bounded edge of weight w >= 2 multiplies by ``factor(w)`` when it is
-    placed.  Vertices of equal budget in one component give equal states,
-    so their branch is taken once and weighted by their number; a vertex
-    taking r of the m pending heads of one weight in one component is
-    weighted by C(m, r).  A closed component (no budget, no pending head)
-    can never be joined again, so a state holding one beside another
-    component or an unplaced vertex is dead.  The values may be ints or any
-    ring elements with ``+``, ``*``, ``==`` and an integer scale, given with
-    their ``one`` and ``zero``: the semiring dynamic programming of Goodman,
-    "Semiring Parsing" (1999).  The memo table lives for one call.
+    Vertices of equal budget in one component give equal states, so their
+    branch is taken once and weighted by their number; a vertex taking r of
+    the m pending heads of one weight in one component is weighted by
+    C(m, r).  A closed component (no budget, no pending head) can never be
+    joined again, so a state holding one beside another component or an
+    unplaced vertex is dead.  Every count is a fold of the result, as are
+    the degeneration vertex products.  The memo table lives for one call.
     """
     total_bounded = _bounded_edge_count(delta, n)
-    factors = {w: factor(w) for w in range(2, delta.max_bounded_weight() + 1)}
-    fixed = (delta.d_b, total_bounded, delta.d_t, factors, one, zero)
+    fixed = (delta.d_b, total_bounded, delta.d_t)
     return _state_sum((0, 0, 0, delta.divergences, 0, ()), fixed, {})
 
 
-def _state_sum(state: tuple, fixed: tuple, memo: dict):
-    """The :func:`_sweep_sum` over all completions of one sweep state, whose
-    components need not be sorted yet.  ``fixed`` holds d_b, the number of
-    bounded edges, d_t, the factor table, one and zero."""
+def _state_sum(state: tuple, fixed: tuple, memo: dict) -> dict[tuple[int, ...], int]:
+    """The :func:`weight_profiles` of the completions of one sweep state, whose
+    components need not be sorted yet, over the bounded edges still to be
+    placed.  ``fixed`` holds d_b, the number of bounded edges and d_t."""
     in_used, bd_used, out_used, divs, free, comps = state
-    d_b, total_bounded, d_t, factors, one, zero = fixed
+    d_b, total_bounded, d_t = fixed
     comps = tuple(sorted(comps))
     if ((), ()) in comps and (len(comps) > 1 or divs):
-        return zero
+        return {}
     if not divs and (in_used, bd_used, out_used) == (d_b, total_bounded, d_t):
-        return one if comps == (((), ()),) else zero
+        return {(): 1} if comps == (((), ()),) else {}
     key = (in_used, bd_used, out_used, divs, free, comps)
     if key in memo:
         return memo[key]
-    branches = []  # (number of sweep branches, bounded edge weight, next state)
+    branches = []  # (number of sweep branches, bounded edge weight or 0, next state)
     if divs and in_used < d_b:
-        branches.append((1, 1, (in_used + 1, bd_used, out_used, divs, free + 1, comps)))
+        branches.append((1, 0, (in_used + 1, bd_used, out_used, divs, free + 1, comps)))
     for i, (budgets, heads) in enumerate(comps):
         others = comps[:i] + comps[i + 1:]
         for b in dict.fromkeys(budgets):
@@ -543,7 +539,7 @@ def _state_sum(state: tuple, fixed: tuple, memo: dict):
                                             others + (comp,))))
             if out_used < d_t:
                 left = tuple(sorted(rest + (b - 1,))) if b > 1 else rest
-                branches.append((m, 1, (in_used, bd_used, out_used + 1, divs, free,
+                branches.append((m, 0, (in_used, bd_used, out_used + 1, divs, free,
                                         others + ((left, heads),))))
     last = len(divs) == 1
     if divs and not (last and (in_used < d_b or bd_used < total_bounded)):
@@ -569,35 +565,35 @@ def _state_sum(state: tuple, fixed: tuple, memo: dict):
                     continue
                 k = divs.index(div)
                 left = tuple(sorted(budgets + [budget] if budget else budgets))
-                branches.append((ways, 1, (in_used, bd_used, out_used, divs[:k] + divs[k + 1:],
+                branches.append((ways, 0, (in_used, bd_used, out_used, divs[:k] + divs[k + 1:],
                                            free - takes[0], untouched + ((left, heads),))))
-    total = zero
+    total: dict[tuple[int, ...], int] = {}
     for ways, w, nxt in branches:
-        part = _state_sum(nxt, fixed, memo)
-        if part == zero:
-            continue
-        if w > 1:
-            part = part * factors[w]
-        total = total + (part * ways if ways > 1 else part)
+        for profile, count in _state_sum(nxt, fixed, memo).items():
+            if w:
+                profile = tuple(sorted(profile + (w,)))
+            total[profile] = total.get(profile, 0) + count * ways
     memo[key] = total
     return total
 
 
 def refined_count(delta: HTransverseDegree, n: int) -> LaurentPolyS:
     """Sum of refined multiplicities over all marked diagrams on n points,
-    counted without listing them: the sweep-state recursion :func:`_sweep_sum`
-    with [w]_q^2 per bounded edge of weight w."""
-    return _sweep_sum(delta, n, lambda w: q_integer(w) ** 2, LaurentPolyS.one(),
-                      LaurentPolyS.zero())
+    counted without listing them: the fold of :func:`weight_profiles` with
+    [w]_q^2 per bounded edge of weight w."""
+    profiles = weight_profiles(delta, n)
+    squares = {w: q_integer(w) ** 2 for w in set().union(*profiles)}
+    return sum((prod(map(squares.get, weights), start=LaurentPolyS.one()) * count
+                for weights, count in profiles.items()), LaurentPolyS.zero())
 
 
 def classical_count(delta: HTransverseDegree, n: int) -> int:
     """The refined count at q = 1, i.e. the plain count with multiplicity:
-    the same recursion with w^2 per bounded edge of weight w."""
-    return _sweep_sum(delta, n, lambda w: w * w, 1, 0)
+    the fold of :func:`weight_profiles` with w^2 per bounded edge."""
+    return sum(c * prod(weights) ** 2 for weights, c in weight_profiles(delta, n).items())
 
 
 def diagram_count(delta: HTransverseDegree, n: int) -> int:
     """The number of marked diagrams on n points, len(enumerate_marked(delta,
-    n)), without listing them: the same recursion with 1 per edge."""
-    return _sweep_sum(delta, n, lambda w: 1, 1, 0)
+    n)), without listing them: the sum of :func:`weight_profiles`."""
+    return sum(weight_profiles(delta, n).values())

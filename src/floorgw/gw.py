@@ -14,12 +14,13 @@ series relative to D_(-2).  Two series do not start from the count:
                 the contribution of a single floor with outgoing partition
                 mu and incoming partition nu;
 * degeneration: the diagram sum
-                sum_D (prod_E w_E^2) (prod_V vertex(mu(V), nu(V))),
-                an evaluation path independent of the refined-count route:
-                it lists the diagrams, while the refined count is summed
-                over sweep states without listing them.  A term depends only
-                on the diagram's bounded edge weights, so the sum is taken
-                over weight profiles, one sine product per profile.
+                sum_D (prod_E w_E^2) (prod_V vertex(mu(V), nu(V))).
+                A term depends only on the diagram's bounded edge weights,
+                so the sum takes one sine product per ``weight_profiles``
+                entry.  The refined count folds the same profiles, so the
+                two routes check the series side of the degeneration
+                theorem; the tests and ``verify oracle`` check the profiles
+                against listed diagrams.
 
 Order rule.  ``order`` is the u-truncation order of the reported series and
 must exceed its valuation 2*g0 + offset.  A smaller order is rejected with
@@ -56,8 +57,8 @@ from .algebra import (
 from .diagrams import (
     HTransverseDegree,
     degree_hirzebruch,
-    enumerate_marked,
     refined_count,
+    weight_profiles,
 )
 
 
@@ -239,27 +240,24 @@ def gw_relative_series(delta: HTransverseDegree, n: int, order: int = 16) -> GwS
 def degeneration_series(delta: HTransverseDegree, n: int, order: int = 16) -> GwSeries:
     """The diagram sum: sum_D (prod_E w_E^2) (prod_V vertex contribution).
 
-    Computed purely from sine-series products, never touching the
-    refined-count polynomial or the cosine substitution, so it is an
-    independent route.  The vertex partitions hold each bounded weight w
-    twice and each of the d_b + d_t unbounded edges as a part 1, so the
-    vertex factors' 1/prod(parts) is 1/prod_E w_E^2 and cancels the prod w^2
-    exactly: each diagram adds prod_w (2 sin(w*u/2))^(2*#w) * S^(d_b + d_t),
-    which depends only on its sorted bounded weights.  The sum is therefore
-    one sine product per weight profile times the number of diagrams with
-    it.  Its genus-g coefficient sits at u^(2g - 2 + 2h + d_b + d_t): the
-    sum equals relative * S^(2h), i.e. the log series (see the module
-    docstring's exponent audit).
+    Computed purely from sine-series products over the counts of
+    ``weight_profiles``, never touching the refined-count polynomial or the
+    cosine substitution, and without listing any diagram.  The vertex
+    partitions hold each bounded weight w twice and each of the d_b + d_t
+    unbounded edges as a part 1, so the vertex factors' 1/prod(parts) is
+    1/prod_E w_E^2 and cancels the prod w^2 exactly: each diagram adds
+    prod_w (2 sin(w*u/2))^(2*#w) * S^(d_b + d_t), which depends only on its
+    sorted bounded weights.  The sum is therefore one sine product per
+    weight profile times the number of diagrams with it.  Its genus-g
+    coefficient sits at u^(2g - 2 + 2h + d_b + d_t): the sum equals
+    relative * S^(2h), i.e. the log series (see the module docstring's
+    exponent audit).
     """
     g0 = _check_series_delta(delta, n)
     offset = 2 * delta.height + delta.d_b + delta.d_t - 2
     _order_check(order, 2 * g0 + offset)
-    profiles = Counter(
-        tuple(sorted(e.weight for e in diagram.bounded_edges()))
-        for diagram in enumerate_marked(delta, n)
-    )
     total = USeries.zero(order)
-    for weights, count in profiles.items():
+    for weights, count in weight_profiles(delta, n).items():
         specs = Counter(weights * 2) + Counter({1: delta.d_b + delta.d_t})
         total = total + _sin_product(sorted(specs.items()), order) * count
     if total.order != order:
@@ -308,10 +306,11 @@ def degeneration_cross_check(
     Route one is the diagram sum of ``degeneration_series`` (sine products
     per weight profile); route two reconstructs the same series as
     relative * S^(2h), where the relative series comes from the refined
-    count through the cosine substitution.  Route one lists the diagrams
-    with ``enumerate_marked``; route two's refined count is summed over
-    sweep states without listing any diagram.  The two routes share only
-    the elementary series arithmetic.
+    count through the cosine substitution.  Both routes read
+    ``weight_profiles`` (route two through ``refined_count``, its fold),
+    so the check covers the series side of the degeneration theorem: sine
+    products per profile against the cosine substitution of the folded
+    count.  Neither route lists a diagram.
     """
     diagram_sum = degeneration_series(delta, n, order).series
     from_refined = log_series(delta, n, order).series

@@ -225,7 +225,6 @@ def test_verify_oracle_checks_the_cap_before_the_sweep_lists(capsys, monkeypatch
 
 @pytest.mark.parametrize("command,count", [
     ("enumerate --surface fk --k 3 --h 3 --d 3 --genus 0", 243320417),
-    ("verify degeneration --surface fk --k 3 --h 3 --d 1 --genus 0", 1020699),
     # n = 16 is within the oracle's own cap
     ("verify oracle --surface fk --k 3 --h 3 --d 1 --genus 0", 1020699),
 ])
@@ -234,12 +233,33 @@ def test_listing_over_the_cap_exits_1_without_listing(capsys, monkeypatch, comma
         raise AssertionError("listed past the cap")
 
     monkeypatch.setattr(cli, "enumerate_marked", no_listing)
-    monkeypatch.setattr(gw, "enumerate_marked", no_listing)
+    monkeypatch.setattr(diagrams, "_sweep", no_listing)
     monkeypatch.setattr(cli, "brute_force_enumerate", no_listing)
     code, out, err = run_cli(capsys, *command.split())
     assert code == 1 and out == ""
     assert len(err.splitlines()) == 1 and "Traceback" not in err
     assert f"has {count} diagrams," in err and f"LISTING_CAP = {cli.LISTING_CAP}" in err
+
+
+@pytest.mark.parametrize("command", [
+    # 1,020,699 diagrams, over the listing cap
+    "--surface fk --k 3 --h 3 --d 1 --genus 0 --order 23",
+    "--surface p2 --degree 6 --genus 0 --order 24",
+    "--surface p2 --degree 6 --genus 10 --order 44",
+    "--surface p2 --degree 7 --genus 0 --order 27",
+])
+def test_verify_degeneration_lists_nothing(capsys, monkeypatch, command):
+    """Both routes read the weight profiles, so classes far past the listing
+    cap are checked at order 2g + offset + 8 without listing a diagram."""
+    def no_listing(*args, **kwargs):
+        raise AssertionError("verify degeneration listed a diagram")
+
+    monkeypatch.setattr(diagrams, "_sweep", no_listing)
+    monkeypatch.setattr(diagrams, "enumerate_marked", no_listing)
+    code, out, err = run_cli(capsys, "verify", "degeneration", *command.split(),
+                             "--format", "json")
+    assert code == 0 and err == ""
+    assert json.loads(out)["equal"] is True
 
 
 def test_listing_cap_counts_diagrams_not_multiplicities(capsys, monkeypatch):

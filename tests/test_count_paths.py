@@ -1,15 +1,18 @@
 """The state-sweep count against the listing sweep and independent pins.
 
-``refined_count``, ``classical_count`` and ``diagram_count`` sum over
-canonical sweep states without listing any diagram.  Within the listing
-sweep's reach they must equal, exactly, the sum of refined multiplicities
-over ``enumerate_marked``, its value at q = 1 and the number of diagrams
-listed; beyond it, the counts are pinned by Kontsevich's recursion, the one-
+``weight_profiles`` counts the diagrams per multiset of bounded edge
+weights over canonical sweep states, without listing any diagram, and
+``refined_count``, ``classical_count`` and ``diagram_count`` are folds of
+it.  Within the listing sweep's reach the profiles must equal, exactly, the
+grouping of ``enumerate_marked`` by sorted bounded weights, and the counts
+the sum of refined multiplicities over it, its value at q = 1 and the
+number of diagrams listed; beyond it, the counts are pinned by Kontsevich's recursion, the one-
 and two-node polynomials and the counts at and above maximal genus, none of
 which shares code with the sweep.
 """
 
 import gc
+from collections import Counter
 from math import comb
 
 import pytest
@@ -25,14 +28,19 @@ from floorgw import (
     points_for_genus,
     refined_count,
     refined_multiplicity,
+    weight_profiles,
 )
 from helpers import acceptance_grid
 
 
 def assert_counts_match_listing(delta, n):
-    """The three sweep sums against one listing: the refined multiplicity
-    sum, the number of diagrams, and the refined count at q = 1."""
+    """The profile recursion and its three folds against one listing: the
+    grouping by sorted bounded weights, the refined multiplicity sum, the
+    number of diagrams, and the refined count at q = 1."""
     diagrams = enumerate_marked(delta, n)
+    assert weight_profiles(delta, n) == Counter(
+        tuple(sorted(e.weight for e in d.bounded_edges())) for d in diagrams
+    ), (delta, n)
     total = LaurentPolyS.zero()
     for diagram in diagrams:
         total = total + refined_multiplicity(diagram)
@@ -53,6 +61,7 @@ def test_refined_count_equals_listing_sum_on_acceptance_grid():
 
 BEYOND_GRID = (
     genus_range(degree_p2(4), range(5))
+    + genus_range(degree_p2(5), [4])
     + genus_range(degree_hirzebruch(1, 3, 1), range(4))
     + genus_range(degree_hirzebruch(2, 3, 0), range(4))
 )
@@ -106,6 +115,7 @@ def test_refined_count_leaves_no_cyclic_garbage():
     gc.collect()
     gc.disable()
     try:
+        weight_profiles(degree_p2(4), 11)
         refined_count(degree_p2(4), 11)
         assert gc.collect() == 0
     finally:

@@ -361,7 +361,7 @@ def test_order_at_the_valuation_is_rejected_before_counting(
         raise AssertionError("counted or listed before the order check")
 
     monkeypatch.setattr(floorgw.gw, "refined_count", forbidden)
-    monkeypatch.setattr(floorgw.gw, "enumerate_marked", forbidden)
+    monkeypatch.setattr(floorgw.gw, "weight_profiles", forbidden)
     message = (
         f"order {valuation} is too small: the series starts at u^{valuation}, "
         f"so the order must be at least {valuation + 1}"
