@@ -20,7 +20,7 @@ import json
 import sys
 from collections import Counter
 
-from .algebra import AlgebraError, LaurentPolyS, Partition, lp_eval_at_one, rational_to_str
+from .algebra import AlgebraError, Partition, lp_eval_at_one, rational_to_str
 from .diagrams import (
     DiagramError,
     degree_hirzebruch,
@@ -29,7 +29,6 @@ from .diagrams import (
     enumerate_marked,
     points_for_genus,
     refined_count,
-    refined_multiplicity,
 )
 from .gw import (
     GwError,
@@ -39,7 +38,7 @@ from .gw import (
     log_series,
     vertex_series,
 )
-from .oracle import OracleConfig, OracleLimitError, brute_force_enumerate
+from .oracle import OracleConfig, OracleLimitError, brute_force_enumerate, refined_sum
 
 LISTING_CAP = 100_000
 
@@ -218,7 +217,7 @@ def _cmd_verify_oracle(args, parser) -> int:
     sweep_diagrams = enumerate_marked(delta, n)
     diagrams_equal = Counter(sweep_diagrams) == Counter(brute_diagrams)
     sweep = refined_count(delta, n)
-    brute = sum(map(refined_multiplicity, brute_diagrams), LaurentPolyS.zero())
+    brute = refined_sum(brute_diagrams)
     equal = diagrams_equal and sweep == brute
     if args.format == "json":
         _emit(json.dumps({

@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, product
 from math import comb, prod
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .algebra import LaurentPolyS, Partition, q_integer
 
@@ -176,13 +176,13 @@ def points_for_genus(delta: HTransverseDegree, g: int) -> int:
     return g - 1 + delta.size
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     """One edge of a marked diagram.
 
     ``source is None`` marks an incoming unbounded edge, ``target is None``
     an outgoing unbounded one; bounded edges carry both endpoints.  Endpoints
-    are marking positions of vertices.
+    are marking positions of vertices.  A tuple, so it equals and hashes
+    like the plain tuple (position, source, target, weight).
     """
 
     position: int
@@ -218,13 +218,8 @@ class MarkedFloorDiagram:
             "vertices": list(self.vertex_positions),
             "divergences": {str(p): d for p, d in zip(self.vertex_positions, self.divergences)},
             "edges": [
-                {
-                    "position": e.position,
-                    "source": e.source,
-                    "target": e.target,
-                    "weight": e.weight,
-                }
-                for e in self.edges
+                {"position": position, "source": source, "target": target, "weight": weight}
+                for position, source, target, weight in self.edges
             ],
         }
 
@@ -282,7 +277,8 @@ def validate_diagram(diagram: MarkedFloorDiagram, delta: HTransverseDegree) -> N
     """
     n = diagram.n
     vset = set(diagram.vertex_positions)
-    positions = sorted(list(vset) + [e.position for e in diagram.edges])
+    edges = diagram.edges  # unpacked, not read by field name: this runs on every listed diagram
+    positions = sorted(list(vset) + [position for position, _, _, _ in edges])
     if positions != list(range(1, n + 1)):
         raise InvalidDiagram("positions do not partition 1..n into vertices and edges")
     if len(diagram.vertex_positions) != delta.height:
@@ -293,31 +289,31 @@ def validate_diagram(diagram: MarkedFloorDiagram, delta: HTransverseDegree) -> N
         raise InvalidDiagram("vertex divergences do not match the degree's multiset")
 
     incoming_unbounded = outgoing_unbounded = 0
-    for e in diagram.edges:
-        if e.weight < 1:
-            raise InvalidDiagram(f"edge at position {e.position} has weight {e.weight}")
-        if e.source is None and e.target is None:
+    for position, source, target, weight in edges:
+        if weight < 1:
+            raise InvalidDiagram(f"edge at position {position} has weight {weight}")
+        if source is None and target is None:
             raise InvalidDiagram("edge with no endpoint")
-        if e.source is not None and e.source not in vset:
-            raise InvalidDiagram(f"edge source {e.source} is not a vertex")
-        if e.target is not None and e.target not in vset:
-            raise InvalidDiagram(f"edge target {e.target} is not a vertex")
-        if e.source is None:
+        if source is not None and source not in vset:
+            raise InvalidDiagram(f"edge source {source} is not a vertex")
+        if target is not None and target not in vset:
+            raise InvalidDiagram(f"edge target {target} is not a vertex")
+        if source is None:
             incoming_unbounded += 1
-            if e.weight != 1:
+            if weight != 1:
                 raise InvalidDiagram("incoming unbounded edge of weight != 1")
-            if not e.position < e.target:
+            if not position < target:
                 raise InvalidDiagram("incoming unbounded edge not before its target")
-        elif e.target is None:
+        elif target is None:
             outgoing_unbounded += 1
-            if e.weight != 1:
+            if weight != 1:
                 raise InvalidDiagram("outgoing unbounded edge of weight != 1")
-            if not e.source < e.position:
+            if not source < position:
                 raise InvalidDiagram("outgoing unbounded edge not after its source")
         else:
-            if not e.source < e.position < e.target:
+            if not source < position < target:
                 raise InvalidDiagram(
-                    f"bounded edge at {e.position} violates source < position < target"
+                    f"bounded edge at {position} violates source < position < target"
                 )
     if incoming_unbounded != delta.d_b:
         raise InvalidDiagram(f"expected {delta.d_b} incoming unbounded edges")
@@ -326,23 +322,23 @@ def validate_diagram(diagram: MarkedFloorDiagram, delta: HTransverseDegree) -> N
 
     for p in diagram.vertex_positions:
         flow = 0
-        for e in diagram.edges:
-            if e.target == p:
-                flow += e.weight
-            if e.source == p:
-                flow -= e.weight
+        for _, source, target, weight in edges:
+            if target == p:
+                flow += weight
+            if source == p:
+                flow -= weight
         if flow != diagram.divergence_at(p):
             raise InvalidDiagram(f"divergence mismatch at vertex {p}")
 
-    bounded = diagram.bounded_edges()
+    links = [(s, t) for _, s, t, _ in edges if s is not None and t is not None]
     if vset:
         reached = {diagram.vertex_positions[0]}
         frontier = [diagram.vertex_positions[0]]
         while frontier:
             v = frontier.pop()
-            for e in bounded:
-                for w in (e.source, e.target):
-                    if w not in reached and v in (e.source, e.target):
+            for link in links:
+                for w in link:
+                    if w not in reached and v in link:
                         reached.add(w)
                         frontier.append(w)
         if reached != vset:
@@ -412,7 +408,7 @@ def _sweep(found, limits, vertices, divs, budgets, edges, pending, in_used, bd_u
     pos = len(vertices) + len(edges) + 1
     if pos > n:
         if not any(budgets) and _connected(vertices, edges):
-            found.append(MarkedFloorDiagram(n, vertices, divs, tuple(Edge(*e) for e in edges)))
+            found.append(MarkedFloorDiagram(n, vertices, divs, tuple(map(Edge._make, edges))))
         return
     open_vertex = len(vertices) < h
     if open_vertex and in_used < d_b:

@@ -7,10 +7,11 @@ attachments), filters by the divergence and connectivity requirements, and
 then realizes each shape as marked diagrams by generating all of its linear
 extensions, treating indistinguishable parallel edges as a single class so
 each position-labelled structure appears exactly once.  The search stays
-exhaustive: every connected bounded edge multiset is tried, and the
-unbounded attachments are found for it by an indexed flow match (a table
-from net flow to attachment pairs, built once per call) instead of a loop
-over every attachment pair, which yields the same shapes.  Every produced
+exhaustive: every bounded edge multiset is tried.  Its flows are matched
+first: the unbounded attachments are found for it by an indexed flow match
+(a table from net flow to attachment pairs, built once per call) instead of
+a loop over every attachment pair, and only a multiset with a match is then
+checked for connectivity, which yields the same shapes.  Every produced
 diagram is passed through the full invariant validator before being
 returned.  Correctness over speed; nothing here is shared with the sweep's
 pruning logic.
@@ -76,10 +77,11 @@ def _shapes(delta: HTransverseDegree, n: int, max_weight: int):
     multiset of (source_rank, target_rank, weight) with source < target;
     ``incoming`` / ``outgoing`` are multisets of target / source ranks.
 
-    Every connected bounded multiset is tried.  The unbounded attachments
-    are matched to it by flow: the attachment pairs are indexed once by
-    their net flow per rank, and a bounded multiset with flow f under the
-    divergence assignment divs takes exactly the pairs indexed at divs - f.
+    Every bounded multiset is tried.  The unbounded attachments are matched
+    to it by flow: the attachment pairs are indexed once by their net flow
+    per rank, and a bounded multiset with flow f under the divergence
+    assignment divs takes exactly the pairs indexed at divs - f.  Only a
+    multiset with at least one match is checked for connectivity.
     """
     h = delta.height
     n_bounded = n - h - delta.d_b - delta.d_t
@@ -102,15 +104,17 @@ def _shapes(delta: HTransverseDegree, n: int, max_weight: int):
                 net[s] -= 1
             attachments.setdefault(tuple(net), []).append((incoming, outgoing))
     for bounded in combinations_with_replacement(edge_types, n_bounded):
-        if not _connected(h, bounded):
-            continue
         flow = [0] * h
         for i, j, w in bounded:
             flow[i] -= w
             flow[j] += w
-        for divs in div_assignments:
-            need = tuple(d - f for d, f in zip(divs, flow))
-            for incoming, outgoing in attachments.get(need, ()):
+        matches = [
+            (divs, pair)
+            for divs in div_assignments
+            for pair in attachments.get(tuple(d - f for d, f in zip(divs, flow)), ())
+        ]
+        if matches and _connected(h, bounded):
+            for divs, (incoming, outgoing) in matches:
                 yield divs, bounded, incoming, outgoing
 
 
@@ -210,11 +214,19 @@ def brute_force_enumerate(
     return results
 
 
+def refined_sum(diagrams) -> LaurentPolyS:
+    """The sum of the refined multiplicities of ``diagrams``, taking one
+    multiplicity per class of diagrams with the same sorted edge weights, on
+    which it depends."""
+    classes: dict[tuple[int, ...], list] = {}
+    for d in diagrams:
+        classes.setdefault(tuple(sorted(w for _, _, _, w in d.edges)), []).append(d)
+    return sum((refined_multiplicity(ds[0]) * len(ds) for ds in classes.values()),
+               LaurentPolyS.zero())
+
+
 def brute_force_refined_count(
     delta: HTransverseDegree, n: int, cfg: OracleConfig | None = None
 ) -> LaurentPolyS:
     """Refined count through the brute-force path."""
-    total = LaurentPolyS.zero()
-    for diagram in brute_force_enumerate(delta, n, cfg):
-        total = total + refined_multiplicity(diagram)
-    return total
+    return refined_sum(brute_force_enumerate(delta, n, cfg))

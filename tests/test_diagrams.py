@@ -272,6 +272,23 @@ def test_refined_counts_palindromic_and_match_classical():
         )
 
 
+def test_edge_is_a_named_tuple_with_the_old_repr_and_fields():
+    edge = Edge(2, 1, 4, 3)
+    assert repr(edge) == "Edge(position=2, source=1, target=4, weight=3)"
+    assert (edge.position, edge.source, edge.target, edge.weight) == (2, 1, 4, 3)
+    position, source, target, weight = Edge(1, None, 2, 1)
+    assert (position, source, target, weight) == (1, None, 2, 1)
+    # equal to the plain 4-tuple, so hash must agree with it too
+    assert edge == (2, 1, 4, 3) and hash(edge) == hash((2, 1, 4, 3))
+    assert edge == Edge(2, 1, 4, 3) and hash(edge) == hash(Edge(2, 1, 4, 3))
+    assert edge != Edge(2, 1, 4, 2) and edge != Edge(3, 1, 4, 3)
+    assert len({edge, Edge(2, 1, 4, 3), (2, 1, 4, 3)}) == 1
+    diagram = MarkedFloorDiagram(4, (1, 4), (0, 0), (edge,))
+    back = MarkedFloorDiagram.from_json(json.loads(json.dumps(diagram.to_json())))
+    assert back == diagram and hash(back) == hash(diagram)
+    assert all(type(e) is Edge for e in back.edges)
+
+
 # ---------------------------------------------------------- JSON + validator
 
 

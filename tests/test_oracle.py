@@ -19,9 +19,10 @@ from floorgw import (
     multiplicity,
     points_for_genus,
     refined_count,
+    refined_multiplicity,
     validate_diagram,
 )
-from floorgw.oracle import _connected, _shapes
+from floorgw.oracle import _connected, _shapes, refined_sum
 from helpers import acceptance_grid, diagram_key
 
 
@@ -76,6 +77,8 @@ def test_sweep_matches_oracle_everywhere():
 
 
 MIXED_COLLECTION = [(-1, 1), (-1, 0), (1, 0), (1, 1), (0, -1), (0, -1)]
+# divergences (-1, 1): unlike (0, 2), both assignments have shapes
+BOTH_WAYS_COLLECTION = [(-1, 0), (-1, 0), (1, -1), (1, 1), (0, -1), (0, -1), (0, 1), (0, 1)]
 
 
 def test_sweep_matches_oracle_on_small_general_collections():
@@ -120,15 +123,24 @@ def _reference_shapes(delta, n, max_weight):
                         yield divs, bounded, incoming, outgoing
 
 
-def test_indexed_shapes_equal_the_nested_loop_reference():
-    delta_f1 = degree_hirzebruch(1, 3, 1)
-    mixed = general_degree(MIXED_COLLECTION)
-    # divergences (-1, 1): unlike (0, 2), both assignments have shapes
-    both_ways = general_degree(
-        [(-1, 0), (-1, 0), (1, -1), (1, 1), (0, -1), (0, -1), (0, 1), (0, 1)]
+# The larger F_k classes of the benchmark's oracle grid, all within n <= 16.
+LARGER_ORACLE_PAIRS = [
+    (degree_hirzebruch(k, h, d), g)
+    for (k, h, d), genera in (
+        ((1, 3, 1), range(4)),
+        ((1, 3, 2), range(3)),
+        ((2, 3, 0), range(4)),
+        ((2, 2, 2), [3]),
     )
+    for g in genera
+]
+
+
+def test_indexed_shapes_equal_the_nested_loop_reference():
+    mixed = general_degree(MIXED_COLLECTION)
+    both_ways = general_degree(BOTH_WAYS_COLLECTION)
     cases = acceptance_grid()
-    cases += [(delta_f1, points_for_genus(delta_f1, g)) for g in (0, 1)]
+    cases += [(delta, points_for_genus(delta, g)) for delta, g in LARGER_ORACLE_PAIRS]
     cases += [(mixed, mixed.size - 1), (both_ways, both_ways.size - 1)]
     for delta, n in cases:
         w = delta.max_bounded_weight()
@@ -136,3 +148,12 @@ def test_indexed_shapes_equal_the_nested_loop_reference():
         assert Counter(_shapes(delta, n, w)) == expected, (delta.label, n)
     shapes = _shapes(both_ways, both_ways.size - 1, both_ways.max_bounded_weight())
     assert {divs for divs, *_ in shapes} == {(-1, 1), (1, -1)}
+
+
+def test_per_class_brute_sum_equals_the_per_diagram_sum_on_the_grid():
+    # each weight class stands for its diagrams: a coarser grouping key
+    # (say, the bounded edge count) merges classes of unequal multiplicity
+    for delta, n in acceptance_grid():
+        brute = brute_force_enumerate(delta, n)
+        expected = sum(map(refined_multiplicity, brute), LaurentPolyS.zero())
+        assert refined_sum(brute) == expected, (delta.label, n)
