@@ -56,7 +56,6 @@ from .gw import (
     vertex_series,
 )
 from .oracle import (
-    OracleConfig,
     OracleLimitError,
     brute_force_enumerate,
     brute_force_refined_count,
@@ -76,7 +75,6 @@ __all__ = [
     "InvalidDiagram",
     "LaurentPolyS",
     "MarkedFloorDiagram",
-    "OracleConfig",
     "OracleLimitError",
     "Partition",
     "USeries",

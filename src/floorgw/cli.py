@@ -38,7 +38,7 @@ from .gw import (
     log_series,
     vertex_series,
 )
-from .oracle import OracleConfig, OracleLimitError, brute_force_enumerate, refined_sum
+from .oracle import OracleLimitError, brute_force_enumerate, check_cap, refined_sum
 
 LISTING_CAP = 100_000
 
@@ -210,10 +210,10 @@ def _cmd_verify_ab(args, parser) -> int:
 def _cmd_verify_oracle(args, parser) -> int:
     delta = _parse_surface(args, parser)
     n = _parse_points(delta, args)
-    cfg = OracleConfig(max_weight=args.max_weight, max_elements=args.max_elements)
+    # the oracle's cap on n first: it needs no count
+    check_cap(n)
     _check_listing_cap(delta, n)
-    # the oracle lists first: it rejects n over its cap before any listing
-    brute_diagrams = brute_force_enumerate(delta, n, cfg)
+    brute_diagrams = brute_force_enumerate(delta, n)
     sweep_diagrams = enumerate_marked(delta, n)
     diagrams_equal = Counter(sweep_diagrams) == Counter(brute_diagrams)
     sweep = refined_count(delta, n)
@@ -292,8 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = vsub.add_parser("oracle", help="sweep vs brute-force enumeration")
     common(p, _cmd_verify_oracle, order=False)
-    p.add_argument("--max-weight", type=int, default=None)
-    p.add_argument("--max-elements", type=int, default=16)
 
     return parser
 

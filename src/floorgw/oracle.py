@@ -1,25 +1,18 @@
 """Independent brute-force enumeration of marked floor diagrams.
 
-This module exists to cross-check the sweep enumerator through a structurally
-different algorithm: it first lists every admissible weighted digraph shape
-(vertices in a fixed rank order, bounded edge multisets, unbounded edge
-attachments), filters by the divergence and connectivity requirements, and
-then realizes each shape as marked diagrams by generating all of its linear
-extensions, treating indistinguishable parallel edges as a single class so
-each position-labelled structure appears exactly once.  The search stays
-exhaustive: every bounded edge multiset is tried.  Its flows are matched
-first: the unbounded attachments are found for it by an indexed flow match
-(a table from net flow to attachment pairs, built once per call) instead of
-a loop over every attachment pair, and only a multiset with a match is then
-checked for connectivity, which yields the same shapes.  Every produced
-diagram is passed through the full invariant validator before being
-returned.  Correctness over speed; nothing here is shared with the sweep's
-pruning logic.
+It cross-checks the sweep enumerator by a structurally different algorithm,
+after Fomin-Mikhalkin: list every weighted digraph shape (vertices in rank
+order, bounded edges with weights up to the flow bound, unbounded edge
+attachments) that meets the divergence and connectivity requirements, then
+realize each shape as marked diagrams through its linear extensions, with
+indistinguishable parallel edges as one class so that each diagram appears
+exactly once.  Every diagram passes the full invariant validator.  There are
+no options; n is capped by ``MAX_N``.  Nothing here is shared with the sweep.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter
 from itertools import combinations_with_replacement, permutations
 
 from .algebra import LaurentPolyS
@@ -33,24 +26,11 @@ from .diagrams import (
 
 
 class OracleLimitError(ValueError):
-    """The request exceeds the configured brute-force caps."""
+    """The request exceeds the brute-force cap on n."""
 
 
-@dataclass(frozen=True)
-class OracleConfig:
-    """Caps for the brute-force search.
-
-    ``max_weight``: bound for bounded edge weights; ``None`` means the flow
-    bound d_b + sum(max(-divergence, 0)).  ``max_elements``: cap on n, sized
-    to keep a run under a minute.
-    """
-
-    max_weight: int | None = None
-    max_elements: int = 16
-
-    def __post_init__(self):
-        if self.max_weight is not None and self.max_weight < 1:
-            raise OracleLimitError("max_weight must be >= 1")
+# the cap on n, sized to keep a run under a minute
+MAX_N = 16
 
 
 def _connected(h: int, bounded: tuple) -> bool:
@@ -70,12 +50,13 @@ def _connected(h: int, bounded: tuple) -> bool:
     return len(seen) == h
 
 
-def _shapes(delta: HTransverseDegree, n: int, max_weight: int):
+def _shapes(delta: HTransverseDegree, n: int):
     """Yield (divergences_by_rank, bounded, incoming, outgoing) shapes.
 
     Ranks 0..h-1 stand for the vertices in marking order.  ``bounded`` is a
-    multiset of (source_rank, target_rank, weight) with source < target;
-    ``incoming`` / ``outgoing`` are multisets of target / source ranks.
+    multiset of (source_rank, target_rank, weight) with source < target and
+    weight up to the flow bound ``delta.max_bounded_weight()``; ``incoming``
+    / ``outgoing`` are multisets of target / source ranks.
 
     Every bounded multiset is tried.  The unbounded attachments are matched
     to it by flow: the attachment pairs are indexed once by their net flow
@@ -91,7 +72,7 @@ def _shapes(delta: HTransverseDegree, n: int, max_weight: int):
         (i, j, w)
         for i in range(h)
         for j in range(i + 1, h)
-        for w in range(1, max_weight + 1)
+        for w in range(1, delta.max_bounded_weight() + 1)
     ]
     div_assignments = sorted(set(permutations(delta.divergences)))
     attachments: dict[tuple[int, ...], list] = {}
@@ -121,94 +102,64 @@ def _shapes(delta: HTransverseDegree, n: int, max_weight: int):
 def _extensions(h: int, classes: dict):
     """All orderings of vertices 0..h-1 and edge classes.
 
-    ``classes`` maps an edge-class key to its remaining count, where the key
-    is ("in", target), ("out", source) or ("bd", source, target, weight) in
-    vertex ranks.  Vertices appear in rank order; an edge must come after
-    its source vertex and before its target vertex.  Copies of one class are
-    indistinguishable, so each distinct sequence is produced exactly once.
-    Yields sequences of items: ("V", rank) or a class key.
+    ``classes`` maps an edge class (source_rank, target_rank, weight) to its
+    count; an incoming unbounded edge has source rank -1 and an outgoing one
+    target rank h.  Vertices appear in rank order.  Vertex ``placed`` may go
+    next iff no live class has target ``placed``, and a class may go next iff
+    its source is below ``placed``.  So an edge comes after its source and
+    before its target, and no class can outlive its window: a vertex is
+    placed only after every edge into it, so every branch ends in an
+    ordering.  Copies of one class are indistinguishable, so each distinct
+    sequence is produced exactly once.  Yields sequences of items: a vertex
+    rank or a class key.
     """
+    keys = sorted(classes)
     sequence = []
 
-    def rec(next_rank: int):
-        if next_rank == h and all(c == 0 for c in classes.values()):
+    def rec(placed: int, left: int):
+        if placed == h and not left:
             yield tuple(sequence)
             return
-        # a class whose placement window has closed kills the branch
-        for key, c in classes.items():
-            if c and key[0] != "out":
-                target = key[1] if key[0] == "in" else key[2]
-                if target < next_rank:
-                    return
-        if next_rank < h:
-            blocked = any(
-                c and key[0] != "out" and (key[1] if key[0] == "in" else key[2]) == next_rank
-                for key, c in classes.items()
-            )
-            if not blocked:
-                sequence.append(("V", next_rank))
-                yield from rec(next_rank + 1)
-                sequence.pop()
-        for key in sorted(k for k, c in classes.items() if c):
-            kind = key[0]
-            if kind == "in":
-                ok = key[1] >= next_rank
-            elif kind == "out":
-                ok = key[1] < next_rank
-            else:
-                ok = key[1] < next_rank <= key[2]
-            if ok:
+        if placed < h and not any(classes[k] and k[1] == placed for k in keys):
+            sequence.append(placed)
+            yield from rec(placed + 1, left)
+            sequence.pop()
+        for key in keys:
+            if classes[key] and key[0] < placed:
                 classes[key] -= 1
                 sequence.append(key)
-                yield from rec(next_rank)
+                yield from rec(placed, left - 1)
                 sequence.pop()
                 classes[key] += 1
 
-    yield from rec(0)
+    yield from rec(0, sum(classes.values()))
 
 
-def brute_force_enumerate(
-    delta: HTransverseDegree, n: int, cfg: OracleConfig | None = None
-) -> list[MarkedFloorDiagram]:
+def check_cap(n: int) -> None:
+    """Refuse n over ``MAX_N``, before any work."""
+    if n > MAX_N:
+        raise OracleLimitError(f"n = {n} exceeds the brute-force cap {MAX_N}")
+
+
+def brute_force_enumerate(delta: HTransverseDegree, n: int) -> list[MarkedFloorDiagram]:
     """Every valid marked diagram on n points, by exhaustive generation."""
-    cfg = cfg or OracleConfig()
-    if n > cfg.max_elements:
-        raise OracleLimitError(
-            f"n = {n} exceeds the brute-force cap {cfg.max_elements}"
-        )
-    if delta.genus_for_points(n) < 0 or delta.height == 0:
+    check_cap(n)
+    h = delta.height
+    if delta.genus_for_points(n) < 0 or h == 0:
         return []
-    max_weight = cfg.max_weight or delta.max_bounded_weight()
 
     results = []
-    for divs, bounded, incoming, outgoing in _shapes(delta, n, max_weight):
-        classes: dict = {}
-        for i, j, w in bounded:
-            classes[("bd", i, j, w)] = classes.get(("bd", i, j, w), 0) + 1
-        for t in incoming:
-            classes[("in", t)] = classes.get(("in", t), 0) + 1
-        for s in outgoing:
-            classes[("out", s)] = classes.get(("out", s), 0) + 1
-        for seq in _extensions(delta.height, classes):
-            rank_pos = {
-                item[1]: pos
-                for pos, item in enumerate(seq, start=1)
-                if item[0] == "V"
-            }
-            edges = []
-            for pos, item in enumerate(seq, start=1):
-                if item[0] == "in":
-                    edges.append(Edge(pos, None, rank_pos[item[1]], 1))
-                elif item[0] == "out":
-                    edges.append(Edge(pos, rank_pos[item[1]], None, 1))
-                elif item[0] == "bd":
-                    edges.append(Edge(pos, rank_pos[item[1]], rank_pos[item[2]], item[3]))
-            diagram = MarkedFloorDiagram(
-                n,
-                tuple(sorted(rank_pos.values())),
-                tuple(divs),
-                tuple(edges),
+    for divs, bounded, incoming, outgoing in _shapes(delta, n):
+        classes = Counter([*bounded, *((-1, t, 1) for t in incoming),
+                           *((s, h, 1) for s in outgoing)])
+        for seq in _extensions(h, classes):
+            rank_pos = {item: pos for pos, item in enumerate(seq, 1) if type(item) is int}
+            edges = tuple(
+                Edge(pos, rank_pos.get(item[0]), rank_pos.get(item[1]), item[2])
+                for pos, item in enumerate(seq, 1)
+                if type(item) is tuple
             )
+            diagram = MarkedFloorDiagram(n, tuple(rank_pos.values()), divs, edges)
             validate_diagram(diagram, delta)
             results.append(diagram)
     return results
@@ -225,8 +176,6 @@ def refined_sum(diagrams) -> LaurentPolyS:
                LaurentPolyS.zero())
 
 
-def brute_force_refined_count(
-    delta: HTransverseDegree, n: int, cfg: OracleConfig | None = None
-) -> LaurentPolyS:
+def brute_force_refined_count(delta: HTransverseDegree, n: int) -> LaurentPolyS:
     """Refined count through the brute-force path."""
-    return refined_sum(brute_force_enumerate(delta, n, cfg))
+    return refined_sum(brute_force_enumerate(delta, n))

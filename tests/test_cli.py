@@ -212,15 +212,28 @@ def test_verify_oracle_lists_once_with_each_enumerator(capsys, monkeypatch):
 
 
 def test_verify_oracle_checks_the_cap_before_the_sweep_lists(capsys, monkeypatch):
-    def no_listing(*args, **kwargs):
-        raise AssertionError("the sweep listed before the cap was checked")
+    def no_work(*args, **kwargs):
+        raise AssertionError("counted or listed before the oracle's cap was checked")
 
-    monkeypatch.setattr(cli, "enumerate_marked", no_listing)
-    code, out, err = run_cli(
-        capsys, "verify", "oracle", "--surface", "p2", "--degree", "5", "--genus", "3",
-    )
-    assert code == 1 and out == ""
-    assert err == "error: n = 17 exceeds the brute-force cap 16\n"
+    # P2 d=10 g=0 has 628,328,131,956,250,729 diagrams: counting them takes seconds
+    monkeypatch.setattr(cli, "diagram_count", no_work)
+    monkeypatch.setattr(cli, "enumerate_marked", no_work)
+    for degree, genus, n in (("5", "3", 17), ("10", "0", 29)):
+        code, out, err = run_cli(
+            capsys, "verify", "oracle", "--surface", "p2", "--degree", degree, "--genus", genus,
+        )
+        assert code == 1 and out == ""
+        assert err == f"error: n = {n} exceeds the brute-force cap 16\n"
+
+
+@pytest.mark.parametrize("flag,value", [("--max-weight", "1"), ("--max-elements", "17")])
+def test_verify_oracle_has_no_options(capsys, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "oracle", "--surface", "p2", "--degree", "3", "--points", "8",
+              flag, value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == f"floorgw: error: unrecognized arguments: {flag} {value}"
 
 
 @pytest.mark.parametrize("command,count", [
@@ -360,8 +373,6 @@ def small_argv(draw):
         argv += optional("--order", st.integers(-3, 12))
     if command == "count" and draw(st.booleans()):
         argv.append("--refined")
-    if command == "verify oracle":
-        argv += optional("--max-weight", small) + optional("--max-elements", st.integers(-1, 16))
     return argv + optional("--format", st.sampled_from(("text", "json", "csv")))
 
 

@@ -5,9 +5,9 @@ from itertools import combinations_with_replacement, permutations
 
 import pytest
 
+import floorgw.oracle as oracle
 from floorgw import (
     LaurentPolyS,
-    OracleConfig,
     OracleLimitError,
     brute_force_enumerate,
     brute_force_refined_count,
@@ -54,26 +54,38 @@ def test_oracle_outputs_validate():
         validate_diagram(diagram, degree_hirzebruch(1, 2, 1))
 
 
-def test_oracle_element_cap():
-    with pytest.raises(OracleLimitError):
-        brute_force_enumerate(degree_p2(3), 9, OracleConfig(max_elements=8))
-    with pytest.raises(OracleLimitError):
-        OracleConfig(max_weight=0)
+def test_oracle_element_cap(monkeypatch):
+    def no_shapes(*args, **kwargs):
+        raise AssertionError("the oracle searched shapes before the cap was checked")
+
+    monkeypatch.setattr(oracle, "_shapes", no_shapes)
+    with pytest.raises(OracleLimitError, match=r"^n = 17 exceeds the brute-force cap 16$"):
+        brute_force_enumerate(degree_p2(5), 17)
 
 
-def test_oracle_weight_cap_can_truncate():
-    # with the weight cap below the flow bound, the weight-2 cubic diagram is lost
-    capped = brute_force_refined_count(degree_p2(3), 8, OracleConfig(max_weight=1))
-    assert lp_eval_at_one(capped) == 8
+# The larger F_k classes of the benchmark's oracle grid, all within n <= 16.
+LARGER_ORACLE_PAIRS = [
+    (degree_hirzebruch(k, h, d), g)
+    for (k, h, d), genera in (
+        ((1, 3, 1), range(4)),
+        ((1, 3, 2), range(3)),
+        ((2, 3, 0), range(4)),
+        ((2, 2, 2), [3]),
+    )
+    for g in genera
+]
 
 
 def test_sweep_matches_oracle_everywhere():
-    """Exact agreement of diagram multisets and refined counts on the grid."""
-    for delta, n in acceptance_grid():
+    """Exact agreement of diagram multisets and refined counts on the grid and
+    on the larger F_k classes, whose shapes give the marking generator longer
+    windows."""
+    larger = [(delta, points_for_genus(delta, g)) for delta, g in LARGER_ORACLE_PAIRS]
+    for delta, n in acceptance_grid() + larger:
+        listing = brute_force_enumerate(delta, n)
         sweep = sorted(map(diagram_key, enumerate_marked(delta, n)))
-        brute = sorted(map(diagram_key, brute_force_enumerate(delta, n)))
-        assert sweep == brute, (delta.label, n)
-        assert refined_count(delta, n) == brute_force_refined_count(delta, n)
+        assert sweep == sorted(map(diagram_key, listing)), (delta.label, n)
+        assert refined_count(delta, n) == refined_sum(listing)
 
 
 MIXED_COLLECTION = [(-1, 1), (-1, 0), (1, 0), (1, 1), (0, -1), (0, -1)]
@@ -123,19 +135,6 @@ def _reference_shapes(delta, n, max_weight):
                         yield divs, bounded, incoming, outgoing
 
 
-# The larger F_k classes of the benchmark's oracle grid, all within n <= 16.
-LARGER_ORACLE_PAIRS = [
-    (degree_hirzebruch(k, h, d), g)
-    for (k, h, d), genera in (
-        ((1, 3, 1), range(4)),
-        ((1, 3, 2), range(3)),
-        ((2, 3, 0), range(4)),
-        ((2, 2, 2), [3]),
-    )
-    for g in genera
-]
-
-
 def test_indexed_shapes_equal_the_nested_loop_reference():
     mixed = general_degree(MIXED_COLLECTION)
     both_ways = general_degree(BOTH_WAYS_COLLECTION)
@@ -143,11 +142,17 @@ def test_indexed_shapes_equal_the_nested_loop_reference():
     cases += [(delta, points_for_genus(delta, g)) for delta, g in LARGER_ORACLE_PAIRS]
     cases += [(mixed, mixed.size - 1), (both_ways, both_ways.size - 1)]
     for delta, n in cases:
-        w = delta.max_bounded_weight()
-        expected = Counter(_reference_shapes(delta, n, w))
-        assert Counter(_shapes(delta, n, w)) == expected, (delta.label, n)
-    shapes = _shapes(both_ways, both_ways.size - 1, both_ways.max_bounded_weight())
+        expected = Counter(_reference_shapes(delta, n, delta.max_bounded_weight()))
+        assert Counter(_shapes(delta, n)) == expected, (delta.label, n)
+    shapes = _shapes(both_ways, both_ways.size - 1)
     assert {divs for divs, *_ in shapes} == {(-1, 1), (1, -1)}
+
+
+def test_the_flow_bound_loses_no_shape():
+    # weights one past the flow bound add no shape, so the bound loses nothing
+    for delta, n in acceptance_grid():
+        expected = Counter(_reference_shapes(delta, n, delta.max_bounded_weight() + 1))
+        assert Counter(_shapes(delta, n)) == expected, (delta.label, n)
 
 
 def test_per_class_brute_sum_equals_the_per_diagram_sum_on_the_grid():
