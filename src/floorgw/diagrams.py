@@ -405,6 +405,10 @@ def _sweep(found, limits, vertices, divs, budgets, edges, pending, in_used, bd_u
     divergences not yet given to a vertex.
     """
     n, h, d_b, total_bounded, d_t = limits
+    if len(vertices) == h - 1 and sum(budgets) < total_bounded - bd_used:
+        # each bounded edge still to come takes at least 1 from the budget of
+        # a placed vertex: the last vertex has no later vertex to point to
+        return
     pos = len(vertices) + len(edges) + 1
     if pos > n:
         if not any(budgets) and _connected(vertices, edges):
@@ -575,9 +579,14 @@ def _state_sum(state: tuple, fixed: tuple, memo: dict) -> dict[tuple[int, ...], 
 
 def refined_count(delta: HTransverseDegree, n: int) -> LaurentPolyS:
     """Sum of refined multiplicities over all marked diagrams on n points,
-    counted without listing them: the fold of :func:`weight_profiles` with
-    [w]_q^2 per bounded edge of weight w."""
-    profiles = weight_profiles(delta, n)
+    counted without listing them: :func:`fold_refined` of
+    :func:`weight_profiles`."""
+    return fold_refined(weight_profiles(delta, n))
+
+
+def fold_refined(profiles: dict[tuple[int, ...], int]) -> LaurentPolyS:
+    """The refined count of the diagrams that ``profiles`` (a result of
+    :func:`weight_profiles`) counts: [w]_q^2 per bounded edge of weight w."""
     squares = {w: q_integer(w) ** 2 for w in set().union(*profiles)}
     return sum((prod(map(squares.get, weights), start=LaurentPolyS.one()) * count
                 for weights, count in profiles.items()), LaurentPolyS.zero())

@@ -3,6 +3,7 @@
 import hashlib
 import io
 import json
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -143,6 +144,72 @@ def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+def run_usage(capsys, monkeypatch, argv):
+    """(exit code, stdout, stderr) of a call that argparse ends, at 80 columns."""
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+# SHA-256 of the -h output at 80 columns, taken when build_parser still built
+# every subcommand on every call (Python 3.10.13, 3.11.7 and 3.12.1; 3.13.0
+# wraps the usage of `verify degeneration` after "[--d D]" instead).
+HELP_DIGESTS = {
+    "-h": "f475704fc0b00708c9d990280779a0cff68122d4a54e7ae64476ccab0b90b93b",
+    "enumerate -h": "ec41661b4385612b29cc28d363ebfe696de788d9e44def6c0e7558e7d3880215",
+    "count -h": "8de745c00b492fb5c8e56181adf7ca4c79e2bea8437273cb306192398d146169",
+    "gw -h": "e83abf34ee623be089f6c995e1225473fffc009f55469e809466072c01f76a11",
+    "log-gw -h": "f6ecb297209fdc51b4b9be4dab158715dfacd6cd6369060cfc296130ff29cfe2",
+    "vertex -h": "4be5ad0f4be40fc75a5835dc55674c12e712e9d2d0b0c198325385cb9a112bec",
+    "verify -h": "a4f1e74f11cbc1ad5f6cf289100289fcfc4a27d336e98686ecb91238f9ea4225",
+    "verify degeneration -h":
+        "572aec895336e0a4860c9311dd626f6ef7e9f8fb9d3a4e0b377c69612c0dc6f9"
+        if sys.version_info >= (3, 13) else
+        "c3017625ad169c865c48abdb743d85f05a478b86d75862a567072168645a895c",
+    "verify ab -h": "0a7701f44c605f0d4f553a4e9319d6a4157436b41452cac28ce2cbde79006567",
+    "verify oracle -h": "3ad7e1f4f6512f78c6c37c67607beb93cac8ce8691ee20fe1f0f7ed54d4a02bc",
+}
+
+
+@pytest.mark.parametrize("command", HELP_DIGESTS)
+def test_help_output_is_pinned(capsys, monkeypatch, command):
+    code, out, err = run_usage(capsys, monkeypatch, command.split())
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == HELP_DIGESTS[command]
+
+
+TOP_USAGE = "usage: floorgw [-h] {enumerate,count,gw,log-gw,vertex,verify} ...\n"
+VERIFY_USAGE = "usage: floorgw verify [-h] {degeneration,ab,oracle} ...\n"
+
+# stderr of usage errors, taken with the parser of every subcommand built
+USAGE_ERRORS = {
+    "frobnicate": TOP_USAGE + (
+        "floorgw: error: argument command: invalid choice: 'frobnicate' (choose from "
+        "'enumerate', 'count', 'gw', 'log-gw', 'vertex', 'verify')\n"),
+    "": TOP_USAGE + "floorgw: error: the following arguments are required: command\n",
+    "verify": VERIFY_USAGE
+    + "floorgw verify: error: the following arguments are required: target\n",
+    "verify bogus": VERIFY_USAGE + (
+        "floorgw verify: error: argument target: invalid choice: 'bogus' (choose from "
+        "'degeneration', 'ab', 'oracle')\n"),
+    "count --surface p2 --degree 3 --genus 0 extra":
+        TOP_USAGE + "floorgw: error: unrecognized arguments: extra\n",
+    "verify oracle --surface p2 --degree 2 --genus 0 extra":
+        TOP_USAGE + "floorgw: error: unrecognized arguments: extra\n",
+    # parser.error from a subcommand reports through the top-level parser
+    "count --surface p2 --points 2": TOP_USAGE + "floorgw: error: --surface p2 requires --degree\n",
+}
+
+
+@pytest.mark.parametrize("command", USAGE_ERRORS)
+def test_usage_error_text_is_pinned(capsys, monkeypatch, command):
+    code, out, err = run_usage(capsys, monkeypatch, command.split())
+    assert code == 2 and out == ""
+    assert err == USAGE_ERRORS[command]
 
 
 @pytest.mark.parametrize("flag,text", [("--mu", "a"), ("--nu", "1,x"), ("--mu", "0")])
@@ -294,15 +361,18 @@ def test_listing_cap_counts_diagrams_not_multiplicities(capsys, monkeypatch):
     "verify oracle --surface p2 --degree 3 --genus 1",
 ])
 def test_verify_sums_the_refined_count_once(capsys, monkeypatch, command):
+    # verify oracle takes the listing cap's count and the sweep's refined sum
+    # from one weight_profiles call, which refined_count would repeat
+    name = "weight_profiles" if "oracle" in command else "refined_count"
     calls = []
-    counted = cli.refined_count
+    counted = getattr(diagrams, name)
 
     def counting(*args, **kwargs):
         calls.append(args)
         return counted(*args, **kwargs)
 
     for module in (cli, gw, diagrams):
-        monkeypatch.setattr(module, "refined_count", counting)
+        monkeypatch.setattr(module, name, counting)
     code, _, _ = run_cli(capsys, *command.split())
     assert code == 0 and len(calls) == 1
 
@@ -333,6 +403,27 @@ def test_series_json_output_is_pinned(capsys, command):
 
 COMMANDS = ("enumerate", "count", "gw", "log-gw", "vertex",
             "verify degeneration", "verify ab", "verify oracle")
+
+
+@pytest.mark.parametrize("command,built", [(c, 1) for c in COMMANDS] + [
+    # no name, or an option before it: every subcommand, as argparse needs them all
+    ("", len(COMMANDS)),
+    ("verify", 3),
+    ("--surface count", len(COMMANDS)),
+])
+def test_main_builds_only_the_named_subcommand(capsys, monkeypatch, command, built):
+    runs = []
+    common = cli._common
+
+    def recording(p, run, **kwargs):
+        runs.append(run)
+        common(p, run, **kwargs)
+
+    monkeypatch.setattr(cli, "_common", recording)
+    with pytest.raises(SystemExit):
+        main(command.split() + ["-h"])
+    capsys.readouterr()
+    assert len(runs) == built
 
 
 @st.composite

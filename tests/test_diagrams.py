@@ -151,6 +151,10 @@ LISTING_DIGESTS = [
      "612ff94ce9e18ec1f84b3ecd8ae3610a877dbf75b3d489edef9a3c96a87d01f6"),
     (degree_hirzebruch(0, 2, 2), 0, 9,
      "eb800a32760a6f0e479f793b8d6a68007a44b6648aebeeb42096b1fc82ec4c66"),
+    # the sweep's last-floor budget prune cuts branches in these two
+    (degree_p2(4), 3, 1, "942f94be47fec112e617b26ae595f3a5264d5f88c712a13583a0b0b0b673c4c7"),
+    (degree_hirzebruch(1, 3, 2), 2, 1495,
+     "3bd671eaed65d345fb47886c58aa2234b47eac50086214f2a7fd6821b145772e"),
 ]
 
 
