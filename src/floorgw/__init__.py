@@ -31,7 +31,6 @@ from .diagrams import (
     degree_p2,
     diagram_count,
     enumerate_marked,
-    general_degree,
     multiplicity,
     points_for_genus,
     refined_count,
@@ -91,7 +90,6 @@ __all__ = [
     "extract_invariant",
     "f0_absolute_series",
     "f2_relative_dminus2_series",
-    "general_degree",
     "gw_relative_series",
     "log_series",
     "lp_eval_at_one",

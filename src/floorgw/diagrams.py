@@ -1,20 +1,17 @@
 """Marked floor diagrams for the plane and for Hirzebruch surfaces.
 
-A degree datum is a balanced, h-transverse collection of integer vectors:
-every vector is (0, +-1) or has horizontal component +-1, and the collection
-sums to zero.  Only three derived quantities matter combinatorially:
+A degree datum is the plane's ``degree_p2(d)`` or the Hirzebruch surface's
+``degree_hirzebruch(k, h, d)``.  Only four derived quantities matter
+combinatorially:
 
-* ``d_b`` / ``d_t`` -- the numbers of (0,-1) / (0,1) vectors, i.e. of bottom
-  incoming / top outgoing unbounded edges;
-* the height ``h`` -- the common cardinality of the left and right vector
-  subsets, i.e. the number of floors (vertices);
-* the multiset of per-floor divergences, where the divergence of a floor is
-  (sum of incoming edge weights) - (sum of outgoing edge weights).
+* ``d_b`` / ``d_t`` -- the numbers of bottom incoming / top outgoing
+  unbounded edges;
+* the height ``h`` -- the number of floors (vertices);
+* the divergence shared by every floor, (sum of incoming edge weights) -
+  (sum of outgoing edge weights): 1 on P2 and k on F_k.
 
-The two families of interest are ``degree_p2(d)`` (d copies each of (-1,0),
-(0,-1), (1,1); every divergence 1) and ``degree_hirzebruch(k, h, d)``
-(d + k*h copies of (0,-1), d of (0,1), h of (-1,0), h of (1,k); every
-divergence k).
+P2 of degree d has d_b = d, d_t = 0, height d; the class h*D_k + d*F on
+F_k has d_b = d + k*h, d_t = d, height h.
 
 A *marked* floor diagram on n points is a connected weighted acyclic digraph
 together with an order-preserving bijection of its h vertices and n - h
@@ -33,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, product
 from math import comb, prod
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from .algebra import LaurentPolyS, Partition, q_integer
 
@@ -47,44 +44,29 @@ class InvalidDiagram(DiagramError):
 
 
 class HTransverseDegree:
-    """Degree datum: the balanced h-transverse vector collection.
+    """Degree datum of the plane or of a Hirzebruch surface.
 
-    Exposes the derived quantities ``d_b``, ``d_t``, ``height``, ``size``
-    (= d_b + d_t + 2*height) and the sorted divergence multiset.  Build
-    instances through :func:`degree_p2`, :func:`degree_hirzebruch` or
-    :func:`general_degree`.
+    ``family`` is "p2" with ``params`` (d,) or "hirzebruch" with ``params``
+    (k, h, d).  Exposes the derived quantities ``d_b``, ``d_t``, ``height``,
+    ``size`` (= d_b + d_t + 2*height), the ``divergence`` of every floor and
+    the balanced h-transverse ``vectors``; two degrees are equal when their
+    vector multisets are.  Build instances through :func:`degree_p2` or
+    :func:`degree_hirzebruch`, which check the parameters.
     """
 
-    __slots__ = ("family", "params", "vectors", "d_b", "d_t", "height", "divergences")
+    __slots__ = ("family", "params", "d_b", "d_t", "height", "divergence")
 
-    def __init__(self, family: str, params: tuple, vectors: tuple):
-        vectors = tuple((int(x), int(y)) for x, y in vectors)
-        sx = sum(v[0] for v in vectors)
-        sy = sum(v[1] for v in vectors)
-        if (sx, sy) != (0, 0):
-            raise DiagramError(f"vector collection is not balanced: sums to {(sx, sy)}")
-        for v in vectors:
-            if v == (0, 0):
-                raise DiagramError("zero vector is not allowed")
-            if v[0] not in (-1, 0, 1) or (v[0] == 0 and v[1] not in (-1, 1)):
-                raise DiagramError(f"vector {v} is not h-transverse")
-        left = sorted(v[1] for v in vectors if v[0] == -1)
-        right = sorted(v[1] for v in vectors if v[0] == 1)
-        if len(left) != len(right):
-            raise DiagramError("left and right vector counts differ")
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "params", params)
-        object.__setattr__(self, "vectors", vectors)
-        object.__setattr__(self, "d_b", sum(1 for v in vectors if v == (0, -1)))
-        object.__setattr__(self, "d_t", sum(1 for v in vectors if v == (0, 1)))
-        object.__setattr__(self, "height", len(left))
-        # Divergence multiset from the canonical sorted pairing of left and
-        # right vectors.  For the named families all left vectors (and all
-        # right vectors) coincide, so the pairing is immaterial; for general
-        # collections this is a documented convention.
-        object.__setattr__(
-            self, "divergences", tuple(sorted(l + r for l, r in zip(left, right)))
-        )
+    def __init__(self, family: str, params: tuple):
+        if family == "p2":
+            (d,) = params
+            derived = (d, 0, d, 1)
+        elif family == "hirzebruch":
+            k, h, d = params
+            derived = (d + k * h, d, h, k)
+        else:
+            raise DiagramError(f"unknown degree family {family!r}")
+        for name, value in zip(self.__slots__, (family, tuple(params), *derived)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("HTransverseDegree is immutable")
@@ -93,29 +75,29 @@ class HTransverseDegree:
     def size(self) -> int:
         return self.d_b + self.d_t + 2 * self.height
 
+    @property
+    def vectors(self) -> tuple[tuple[int, int], ...]:
+        """The sorted vector collection: height copies of (-1, 0), d_b of
+        (0, -1), d_t of (0, 1) and height of (1, divergence)."""
+        h = self.height
+        return (((-1, 0),) * h + ((0, -1),) * self.d_b + ((0, 1),) * self.d_t
+                + ((1, self.divergence),) * h)
+
     def genus_for_points(self, n: int) -> int:
         return n + 1 - self.size
-
-    def max_bounded_weight(self) -> int:
-        """Flow bound on bounded edge weights: d_b plus total negative divergence."""
-        return self.d_b + sum(max(-d, 0) for d in self.divergences)
 
     @property
     def label(self) -> str:
         if self.family == "p2":
             return f"P2(d={self.params[0]})"
-        if self.family == "hirzebruch":
-            k, h, d = self.params
-            return f"F{k}(h={h},d={d})"
-        return f"general{self.vectors}"
+        k, h, d = self.params
+        return f"F{k}(h={h},d={d})"
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, HTransverseDegree) and sorted(self.vectors) == sorted(
-            other.vectors
-        )
+        return isinstance(other, HTransverseDegree) and self.vectors == other.vectors
 
     def __hash__(self) -> int:
-        return hash(tuple(sorted(self.vectors)))
+        return hash(self.vectors)
 
     def __repr__(self) -> str:
         return f"HTransverseDegree<{self.label}>"
@@ -124,10 +106,8 @@ class HTransverseDegree:
         out: dict = {"family": self.family}
         if self.family == "p2":
             out["degree"] = self.params[0]
-        elif self.family == "hirzebruch":
-            out["k"], out["h"], out["d"] = self.params
         else:
-            out["vectors"] = [list(v) for v in self.vectors]
+            out["k"], out["h"], out["d"] = self.params
         out["d_b"] = self.d_b
         out["d_t"] = self.d_t
         out["height"] = self.height
@@ -135,38 +115,23 @@ class HTransverseDegree:
 
 
 def degree_p2(d: int) -> HTransverseDegree:
-    """Degree-d curves in the plane: d_b = d, d_t = 0, height = d."""
+    """Degree-d curves in the plane: d_b = d, d_t = 0, height = d, divergence 1."""
     if d <= 0:
         raise DiagramError(f"plane degree must be positive, got {d}")
-    vectors = [(-1, 0)] * d + [(0, -1)] * d + [(1, 1)] * d
-    return HTransverseDegree("p2", (d,), tuple(vectors))
+    return HTransverseDegree("p2", (d,))
 
 
 def degree_hirzebruch(k: int, h: int, d: int) -> HTransverseDegree:
     """Class h*D_k + d*F on the Hirzebruch surface F_k.
 
-    Requires k >= 0, h >= 0, d >= 0, d + k*h >= 0 and h + d >= 1.  Derived:
-    d_b = d + k*h, d_t = d, height = h, every divergence = k.
+    Requires k >= 0, h >= 0, d >= 0 and h + d >= 1.  Derived:
+    d_b = d + k*h, d_t = d, height = h, divergence = k.
     """
     if k < 0 or h < 0 or d < 0:
         raise DiagramError(f"Hirzebruch parameters must be nonnegative, got {(k, h, d)}")
-    if d + k * h < 0:
-        raise DiagramError("d + k*h must be nonnegative")
     if h + d < 1:
         raise DiagramError("h + d must be at least 1")
-    vectors = [(0, -1)] * (d + k * h) + [(0, 1)] * d + [(-1, 0)] * h + [(1, k)] * h
-    return HTransverseDegree("hirzebruch", (k, h, d), tuple(vectors))
-
-
-def general_degree(vectors: Iterable[tuple[int, int]]) -> HTransverseDegree:
-    """Any balanced h-transverse collection.
-
-    Refined counts for general collections are an extension beyond the two
-    named families: the per-floor data is reduced to divergence values (via
-    the canonical sorted pairing of left and right vectors), which is the
-    only information the named families carry.
-    """
-    return HTransverseDegree("general", (), tuple(vectors))
+    return HTransverseDegree("hirzebruch", (k, h, d))
 
 
 def points_for_genus(delta: HTransverseDegree, g: int) -> int:
@@ -271,8 +236,8 @@ def validate_diagram(diagram: MarkedFloorDiagram, delta: HTransverseDegree) -> N
     """Check every marked-floor-diagram invariant; raise InvalidDiagram on failure.
 
     Checks: positions partition {1..n}; unbounded edge counts and weights;
-    order compatibility of the marking; per-vertex divergence against the
-    degree's divergence multiset; connectivity; first Betti number equal to
+    order compatibility of the marking; every vertex divergence equal to the
+    degree's and to the vertex's net flow; connectivity; first Betti number equal to
     n + 1 - |delta| >= 0.
     """
     n = diagram.n
@@ -285,8 +250,8 @@ def validate_diagram(diagram: MarkedFloorDiagram, delta: HTransverseDegree) -> N
         raise InvalidDiagram(
             f"expected {delta.height} vertices, found {len(diagram.vertex_positions)}"
         )
-    if sorted(diagram.divergences) != list(delta.divergences):
-        raise InvalidDiagram("vertex divergences do not match the degree's multiset")
+    if any(div != delta.divergence for div in diagram.divergences):
+        raise InvalidDiagram(f"vertex divergences differ from the degree's {delta.divergence}")
 
     incoming_unbounded = outgoing_unbounded = 0
     for position, source, target, weight in edges:
@@ -366,10 +331,9 @@ def enumerate_marked(delta: HTransverseDegree, n: int) -> list[MarkedFloorDiagra
       in ascending position with budget >= 1 (while fewer than d_t are
       used); incoming and bounded edges are placed only while a vertex
       remains to take their heads;
-    * then a vertex -- for each distinct remaining divergence value in
-      ascending order, and for each subset of pending heads, attach the
-      subset as incoming edges and open an outgoing budget of (attached
-      weight sum) - divergence, pruning negative budgets.  Subsets come in
+    * then a vertex -- for each subset of pending heads, attach the subset
+      as incoming edges and open an outgoing budget of the attached weight
+      sum minus the divergence, pruning negative budgets.  Subsets come in
       plain lexicographic order of their head-position tuples, all sizes
       together: (), (a,), (a, b), (a, b, c), (a, c), (b,), (b, c), (c,) for
       heads at a < b < c.  The last vertex takes every pending head and is
@@ -386,25 +350,24 @@ def enumerate_marked(delta: HTransverseDegree, n: int) -> list[MarkedFloorDiagra
     if delta.height == 0:
         return []
     found: list[MarkedFloorDiagram] = []
-    limits = (n, delta.height, delta.d_b, total_bounded, delta.d_t)
-    _sweep(found, limits, (), (), (), (), (), 0, 0, 0, delta.divergences)
+    limits = (n, delta.height, delta.d_b, total_bounded, delta.d_t, delta.divergence)
+    _sweep(found, limits, (), (), (), (), 0, 0, 0)
     return found
 
 
-def _sweep(found, limits, vertices, divs, budgets, edges, pending, in_used, bd_used, out_used,
-           divs_left) -> None:
+def _sweep(found, limits, vertices, budgets, edges, pending, in_used, bd_used, out_used) -> None:
     """Append to ``found`` every completed diagram below one sweep state.
 
-    The state is immutable and each branch hands its child new tuples:
-    ``vertices``, ``divs`` and ``budgets`` are the placed vertex positions,
-    their divergences and their remaining outgoing budgets; ``edges`` the
+    ``limits`` holds n, h, d_b, the number of bounded edges, d_t and the
+    divergence of every vertex.  The state is immutable and each branch
+    hands its child new tuples: ``vertices`` and ``budgets`` are the placed
+    vertex positions and their remaining outgoing budgets; ``edges`` the
     placed edges as (position, source, target, weight), target None while
     unattached; ``pending`` the indices in ``edges`` of the heads awaiting a
     vertex; ``in_used``, ``bd_used`` and ``out_used`` the numbers of
-    incoming, bounded and outgoing edges placed; ``divs_left`` the sorted
-    divergences not yet given to a vertex.
+    incoming, bounded and outgoing edges placed.
     """
-    n, h, d_b, total_bounded, d_t = limits
+    n, h, d_b, total_bounded, d_t, div = limits
     if len(vertices) == h - 1 and sum(budgets) < total_bounded - bd_used:
         # each bounded edge still to come takes at least 1 from the budget of
         # a placed vertex: the last vertex has no later vertex to point to
@@ -412,44 +375,41 @@ def _sweep(found, limits, vertices, divs, budgets, edges, pending, in_used, bd_u
     pos = len(vertices) + len(edges) + 1
     if pos > n:
         if not any(budgets) and _connected(vertices, edges):
-            found.append(MarkedFloorDiagram(n, vertices, divs, tuple(map(Edge._make, edges))))
+            edges = tuple(map(Edge._make, edges))
+            found.append(MarkedFloorDiagram(n, vertices, (div,) * h, edges))
         return
     open_vertex = len(vertices) < h
     if open_vertex and in_used < d_b:
-        _sweep(found, limits, vertices, divs, budgets, edges + ((pos, None, None, 1),),
-               pending + (len(edges),), in_used + 1, bd_used, out_used, divs_left)
+        _sweep(found, limits, vertices, budgets, edges + ((pos, None, None, 1),),
+               pending + (len(edges),), in_used + 1, bd_used, out_used)
     if open_vertex and bd_used < total_bounded:
         for i, b in enumerate(budgets):
             for w in range(1, b + 1):
-                _sweep(found, limits, vertices, divs, budgets[:i] + (b - w,) + budgets[i + 1:],
+                _sweep(found, limits, vertices, budgets[:i] + (b - w,) + budgets[i + 1:],
                        edges + ((pos, vertices[i], None, w),), pending + (len(edges),),
-                       in_used, bd_used + 1, out_used, divs_left)
+                       in_used, bd_used + 1, out_used)
     if out_used < d_t:
         for i, b in enumerate(budgets):
             if b >= 1:
-                _sweep(found, limits, vertices, divs, budgets[:i] + (b - 1,) + budgets[i + 1:],
+                _sweep(found, limits, vertices, budgets[:i] + (b - 1,) + budgets[i + 1:],
                        edges + ((pos, vertices[i], None, 1),), pending,
-                       in_used, bd_used, out_used + 1, divs_left)
+                       in_used, bd_used, out_used + 1)
     if len(vertices) < h - 1:
         head_choices = sorted(s for r in range(len(pending) + 1) for s in combinations(pending, r))
     elif open_vertex and in_used == d_b and bd_used == total_bounded:
         head_choices = [pending]
     else:
         return
-    for div in dict.fromkeys(divs_left):
-        k = divs_left.index(div)
-        rest = divs_left[:k] + divs_left[k + 1:]
-        for subset in head_choices:
-            budget = sum(edges[i][3] for i in subset) - div
-            if budget < 0:
-                continue
-            attached = list(edges)
-            for i in subset:
-                p, source, _, w = edges[i]
-                attached[i] = (p, source, pos, w)
-            _sweep(found, limits, vertices + (pos,), divs + (div,), budgets + (budget,),
-                   tuple(attached), tuple([i for i in pending if i not in subset]),
-                   in_used, bd_used, out_used, rest)
+    for subset in head_choices:
+        budget = sum(edges[i][3] for i in subset) - div
+        if budget < 0:
+            continue
+        attached = list(edges)
+        for i in subset:
+            p, source, _, w = edges[i]
+            attached[i] = (p, source, pos, w)
+        _sweep(found, limits, vertices + (pos,), budgets + (budget,), tuple(attached),
+               tuple([i for i in pending if i not in subset]), in_used, bd_used, out_used)
 
 
 def _connected(vertices: tuple[int, ...], edges: tuple[tuple, ...]) -> bool:
@@ -489,7 +449,7 @@ def weight_profiles(delta: HTransverseDegree, n: int) -> dict[tuple[int, ...], i
 
     * the numbers of incoming, bounded and outgoing edges placed so far (the
       position is their sum plus the number of placed vertices);
-    * the remaining divergences, as a sorted tuple;
+    * the number of floors still to place;
     * the number of pending incoming unbounded heads;
     * the sorted tuple of connected components of the placed vertices, each
       a pair (sorted positive outgoing budgets, sorted weights of the
@@ -504,45 +464,46 @@ def weight_profiles(delta: HTransverseDegree, n: int) -> dict[tuple[int, ...], i
     the degeneration vertex products.  The memo table lives for one call.
     """
     total_bounded = _bounded_edge_count(delta, n)
-    fixed = (delta.d_b, total_bounded, delta.d_t)
-    return _state_sum((0, 0, 0, delta.divergences, 0, ()), fixed, {})
+    fixed = (delta.d_b, total_bounded, delta.d_t, delta.divergence)
+    return _state_sum((0, 0, 0, delta.height, 0, ()), fixed, {})
 
 
 def _state_sum(state: tuple, fixed: tuple, memo: dict) -> dict[tuple[int, ...], int]:
     """The :func:`weight_profiles` of the completions of one sweep state, whose
     components need not be sorted yet, over the bounded edges still to be
-    placed.  ``fixed`` holds d_b, the number of bounded edges and d_t."""
-    in_used, bd_used, out_used, divs, free, comps = state
-    d_b, total_bounded, d_t = fixed
+    placed.  ``fixed`` holds d_b, the number of bounded edges, d_t and the
+    divergence of every floor."""
+    in_used, bd_used, out_used, floors, free, comps = state
+    d_b, total_bounded, d_t, div = fixed
     comps = tuple(sorted(comps))
-    if ((), ()) in comps and (len(comps) > 1 or divs):
+    if ((), ()) in comps and (len(comps) > 1 or floors):
         return {}
-    if not divs and (in_used, bd_used, out_used) == (d_b, total_bounded, d_t):
+    if not floors and (in_used, bd_used, out_used) == (d_b, total_bounded, d_t):
         return {(): 1} if comps == (((), ()),) else {}
-    key = (in_used, bd_used, out_used, divs, free, comps)
+    key = (in_used, bd_used, out_used, floors, free, comps)
     if key in memo:
         return memo[key]
     branches = []  # (number of sweep branches, bounded edge weight or 0, next state)
-    if divs and in_used < d_b:
-        branches.append((1, 0, (in_used + 1, bd_used, out_used, divs, free + 1, comps)))
+    if floors and in_used < d_b:
+        branches.append((1, 0, (in_used + 1, bd_used, out_used, floors, free + 1, comps)))
     for i, (budgets, heads) in enumerate(comps):
         others = comps[:i] + comps[i + 1:]
         for b in dict.fromkeys(budgets):
             m = budgets.count(b)
             k = budgets.index(b)
             rest = budgets[:k] + budgets[k + 1:]
-            if divs and bd_used < total_bounded:
+            if floors and bd_used < total_bounded:
                 for w in range(1, b + 1):
                     left = tuple(sorted(rest + (b - w,))) if w < b else rest
                     comp = (left, tuple(sorted(heads + (w,))))
-                    branches.append((m, w, (in_used, bd_used + 1, out_used, divs, free,
+                    branches.append((m, w, (in_used, bd_used + 1, out_used, floors, free,
                                             others + (comp,))))
             if out_used < d_t:
                 left = tuple(sorted(rest + (b - 1,))) if b > 1 else rest
-                branches.append((m, 0, (in_used, bd_used, out_used + 1, divs, free,
+                branches.append((m, 0, (in_used, bd_used, out_used + 1, floors, free,
                                         others + ((left, heads),))))
-    last = len(divs) == 1
-    if divs and not (last and (in_used < d_b or bd_used < total_bounded)):
+    last = floors == 1
+    if floors and not (last and (in_used < d_b or bd_used < total_bounded)):
         # head groups: (component index or None for unbounded heads, weight, count)
         groups = [(None, 1, free)] + [
             (i, w, heads.count(w))
@@ -551,7 +512,9 @@ def _state_sum(state: tuple, fixed: tuple, memo: dict) -> dict[tuple[int, ...], 
         ]
         for takes in product(*(((m,) if last else range(m + 1)) for _, _, m in groups)):
             ways = prod(comb(m, r) for (_, _, m), r in zip(groups, takes))
-            inflow = sum(w * r for (_, w, _), r in zip(groups, takes))
+            budget = sum(w * r for (_, w, _), r in zip(groups, takes)) - div
+            if budget < 0:
+                continue
             touched = {i for (i, _, _), r in zip(groups, takes) if r and i is not None}
             budgets = [b for i in touched for b in comps[i][0]]
             heads = tuple(sorted(
@@ -559,14 +522,9 @@ def _state_sum(state: tuple, fixed: tuple, memo: dict) -> dict[tuple[int, ...], 
                 for _ in range(m - r)
             ))
             untouched = tuple(c for i, c in enumerate(comps) if i not in touched)
-            for div in dict.fromkeys(divs):
-                budget = inflow - div
-                if budget < 0:
-                    continue
-                k = divs.index(div)
-                left = tuple(sorted(budgets + [budget] if budget else budgets))
-                branches.append((ways, 0, (in_used, bd_used, out_used, divs[:k] + divs[k + 1:],
-                                           free - takes[0], untouched + ((left, heads),))))
+            left = tuple(sorted(budgets + [budget] if budget else budgets))
+            branches.append((ways, 0, (in_used, bd_used, out_used, floors - 1,
+                                       free - takes[0], untouched + ((left, heads),))))
     total: dict[tuple[int, ...], int] = {}
     for ways, w, nxt in branches:
         for profile, count in _state_sum(nxt, fixed, memo).items():

@@ -131,11 +131,6 @@ def _order_check(order: int, valuation: int) -> None:
 
 
 def _check_series_delta(delta: HTransverseDegree, n: int) -> int:
-    if delta.family == "general":
-        raise GwError(
-            "generating series are established for the plane and Hirzebruch "
-            "families only"
-        )
     g = delta.genus_for_points(n)
     if g < 0:
         raise GwError(f"n = {n} gives negative genus for {delta.label}")

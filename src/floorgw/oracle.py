@@ -13,7 +13,7 @@ no options; n is capped by ``MAX_N``.  Nothing here is shared with the sweep.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import combinations_with_replacement, permutations
+from itertools import combinations_with_replacement
 
 from .algebra import LaurentPolyS
 from .diagrams import (
@@ -51,18 +51,19 @@ def _connected(h: int, bounded: tuple) -> bool:
 
 
 def _shapes(delta: HTransverseDegree, n: int):
-    """Yield (divergences_by_rank, bounded, incoming, outgoing) shapes.
+    """Yield (bounded, incoming, outgoing) shapes.
 
     Ranks 0..h-1 stand for the vertices in marking order.  ``bounded`` is a
     multiset of (source_rank, target_rank, weight) with source < target and
-    weight up to the flow bound ``delta.max_bounded_weight()``; ``incoming``
-    / ``outgoing`` are multisets of target / source ranks.
+    weight up to the flow bound d_b (no divergence is negative, so no edge
+    carries more than all incoming unbounded edges); ``incoming`` /
+    ``outgoing`` are multisets of target / source ranks.
 
     Every bounded multiset is tried.  The unbounded attachments are matched
     to it by flow: the attachment pairs are indexed once by their net flow
-    per rank, and a bounded multiset with flow f under the divergence
-    assignment divs takes exactly the pairs indexed at divs - f.  Only a
-    multiset with at least one match is checked for connectivity.
+    per rank, and a bounded multiset with flow f takes exactly the pairs
+    indexed at (divergence - f per rank).  Only a multiset with at least one
+    match is checked for connectivity.
     """
     h = delta.height
     n_bounded = n - h - delta.d_b - delta.d_t
@@ -72,9 +73,8 @@ def _shapes(delta: HTransverseDegree, n: int):
         (i, j, w)
         for i in range(h)
         for j in range(i + 1, h)
-        for w in range(1, delta.max_bounded_weight() + 1)
+        for w in range(1, delta.d_b + 1)
     ]
-    div_assignments = sorted(set(permutations(delta.divergences)))
     attachments: dict[tuple[int, ...], list] = {}
     for incoming in combinations_with_replacement(range(h), delta.d_b):
         for outgoing in combinations_with_replacement(range(h), delta.d_t):
@@ -89,14 +89,10 @@ def _shapes(delta: HTransverseDegree, n: int):
         for i, j, w in bounded:
             flow[i] -= w
             flow[j] += w
-        matches = [
-            (divs, pair)
-            for divs in div_assignments
-            for pair in attachments.get(tuple(d - f for d, f in zip(divs, flow)), ())
-        ]
+        matches = attachments.get(tuple([delta.divergence - f for f in flow]))
         if matches and _connected(h, bounded):
-            for divs, (incoming, outgoing) in matches:
-                yield divs, bounded, incoming, outgoing
+            for incoming, outgoing in matches:
+                yield bounded, incoming, outgoing
 
 
 def _extensions(h: int, classes: dict):
@@ -148,8 +144,9 @@ def brute_force_enumerate(delta: HTransverseDegree, n: int) -> list[MarkedFloorD
     if delta.genus_for_points(n) < 0 or h == 0:
         return []
 
+    divs = (delta.divergence,) * h
     results = []
-    for divs, bounded, incoming, outgoing in _shapes(delta, n):
+    for bounded, incoming, outgoing in _shapes(delta, n):
         classes = Counter([*bounded, *((-1, t, 1) for t in incoming),
                            *((s, h, 1) for s in outgoing)])
         for seq in _extensions(h, classes):

@@ -19,7 +19,6 @@ from floorgw import (
     degree_hirzebruch,
     degree_p2,
     enumerate_marked,
-    general_degree,
     lp_eval_at_one,
     multiplicity,
     points_for_genus,
@@ -39,7 +38,7 @@ def test_degree_p2(d, db, dt, h):
     delta = degree_p2(d)
     assert (delta.d_b, delta.d_t, delta.height) == (db, dt, h)
     assert delta.size == 3 * d
-    assert delta.divergences == (1,) * d
+    assert delta.divergence == 1
 
 
 def test_degree_p2_rejects():
@@ -54,7 +53,7 @@ def test_degree_p2_rejects():
 def test_degree_hirzebruch(k, h, d, db, dt):
     delta = degree_hirzebruch(k, h, d)
     assert (delta.d_b, delta.d_t, delta.height) == (db, dt, h)
-    assert delta.divergences == (k,) * h
+    assert delta.divergence == k
 
 
 def test_degree_hirzebruch_rejects():
@@ -66,15 +65,20 @@ def test_degree_hirzebruch_rejects():
         degree_hirzebruch(1, -1, 2)
 
 
-def test_general_degree_balancing():
-    delta = general_degree([(-1, 0), (1, 1), (0, -1)])
-    assert (delta.d_b, delta.d_t, delta.height) == (1, 0, 1)
-    with pytest.raises(DiagramError):
-        general_degree([(-1, 0), (1, 1)])  # not balanced
-    with pytest.raises(DiagramError):
-        general_degree([(-2, 0), (2, 0)])  # not h-transverse
-    with pytest.raises(DiagramError):
-        general_degree([(0, 2), (0, -2)])  # vertical but not unit
+def test_degree_identity():
+    # a degree equals and hashes as its sorted vector multiset, which is how
+    # callers key their inputs: F1 of height h with no fiber class is P2(h)
+    for h in (1, 2, 3):
+        assert degree_hirzebruch(1, h, 0) == degree_p2(h)
+        assert hash(degree_hirzebruch(1, h, 0)) == hash(degree_p2(h))
+    assert degree_hirzebruch(0, 0, 1) == degree_hirzebruch(3, 0, 1)
+    assert degree_p2(2) != degree_hirzebruch(1, 2, 1)
+    for d in (1, 2, 3):
+        expected = [(-1, 0)] * d + [(0, -1)] * d + [(1, 1)] * d
+        assert sorted(degree_p2(d).vectors) == sorted(expected)
+    for k, h, d in [(0, 1, 1), (2, 0, 2), (2, 1, 0), (1, 2, 1), (3, 2, 2)]:
+        expected = [(0, -1)] * (d + k * h) + [(0, 1)] * d + [(-1, 0)] * h + [(1, k)] * h
+        assert sorted(degree_hirzebruch(k, h, d).vectors) == sorted(expected)
 
 
 def test_points_for_genus():
@@ -192,7 +196,7 @@ def test_divergence_sum_and_weight_bound():
         for diagram in enumerate_marked(delta, n):
             assert sum(diagram.divergences) == delta.d_b - delta.d_t
             for e in diagram.edges:
-                assert e.weight <= delta.max_bounded_weight()
+                assert e.weight <= delta.d_b
 
 
 # ------------------------------------------------------------ multiplicities
@@ -304,13 +308,13 @@ def test_diagram_json_round_trip():
         validate_diagram(back, degree_p2(3))
 
 
-# Listings with incoming, bounded and outgoing edges and with several
-# divergence values, so every kind of edge endpoint is serialized.
+# Listings with incoming, bounded and outgoing edges and with divergences
+# 0, 1 and 2, so every kind of edge endpoint is serialized.
 ROUND_TRIP_POOL = [
     (delta, diagram)
     for delta, g in [
         (degree_p2(3), 0), (degree_hirzebruch(1, 2, 1), 1), (degree_hirzebruch(0, 2, 2), 0),
-        (general_degree([(-1, 0), (-1, 0), (0, -1), (0, 1), (1, -1), (1, 1)]), 0),
+        (degree_hirzebruch(2, 2, 1), 0),
     ]
     for diagram in enumerate_marked(delta, points_for_genus(delta, g))
 ]
@@ -344,6 +348,18 @@ def test_validator_rejects_externally_supplied_junk():
     with pytest.raises(InvalidDiagram):
         validate_diagram(
             MarkedFloorDiagram(2, (2,), (0,), (Edge(1, None, 2, 1),)), delta
+        )
+    # two floors whose edge flows match their divergences (0, 2), which are
+    # not the plane's 1
+    with pytest.raises(InvalidDiagram, match="vertex divergences"):
+        validate_diagram(
+            MarkedFloorDiagram(
+                5,
+                (2, 5),
+                (0, 2),
+                (Edge(1, None, 2, 1), Edge(3, 2, 5, 1), Edge(4, None, 5, 1)),
+            ),
+            degree_p2(2),
         )
     # two floors with no bounded edge between them: disconnected
     f0 = degree_hirzebruch(0, 2, 2)

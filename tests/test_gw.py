@@ -22,7 +22,6 @@ from floorgw import (
     extract_invariant,
     f0_absolute_series,
     f2_relative_dminus2_series,
-    general_degree,
     gw_relative_series,
     log_series,
     multiplicity,
@@ -54,12 +53,6 @@ def test_relative_series_f0_trivial_prefactor():
     # one floor, one contact on each horizontal divisor: exponent 0, count 1
     gw = gw_relative_series(degree_hirzebruch(0, 1, 1), 3, 6)
     assert gw.series == USeries.one(6)
-
-
-def test_relative_series_rejects_general_family():
-    delta = general_degree([(-1, 0), (0, -1), (1, 1)])
-    with pytest.raises(GwError):
-        gw_relative_series(delta, 2, 8)
 
 
 def test_extract_invariant_values_and_errors():
