@@ -17,15 +17,16 @@ coefficients that both sides actually know.  A product scales each operand to
 integer numerators over one common denominator, convolves the numerators as
 plain integers and reduces one fraction per output coefficient.
 
-The bridge between the two worlds is the substitution q = e^(iu), performed
-purely over the rationals:
+The bridge between the two worlds is the substitution s = e^(iu/2), i.e.
+q = e^(iu), performed purely over the rationals by one formula: s^k puts
+i^m k^m / (2^m m!) at u^m, so (-i)^t * p(e^(iu/2)) has coefficient
+(-1)^((m - t)/2) * sum_k p_k k^m / (2^m m!) at u^m when m - t is even, and
+0 otherwise.  Both public builders are this formula:
 
-* a palindromic Laurent polynomial (invariant under s -> 1/s) decomposes in
-  the basis {1, s^a + s^(-a)} and maps through s^a + s^(-a) -> 2 cos(a*u/2)
-  (``lp_substitute_exponential``);
-* the antisymmetric combination (-i)(s^a - s^(-a)) maps to 2 sin(a*u/2),
-  whose integer powers, including negative ones, are produced directly by
-  ``sin_factor_series``.
+* a palindromic Laurent polynomial (invariant under s -> 1/s) with t = 0,
+  where each s^a + s^(-a) becomes 2 cos(a*u/2) (``lp_substitute_exponential``);
+* (s^a - s^(-a))^e with t = e, since 2 sin(a*u/2) = -i (s^a - s^(-a)); a
+  negative power inverts the positive one (``sin_factor_series``).
 
 Non-palindromic input to the substitution is rejected: its image would have
 a non-cancelling imaginary part, and every refined count is palindromic, so
@@ -35,7 +36,7 @@ such input always signals a bug upstream.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, lcm
+from math import lcm
 from operator import add
 from typing import Iterable
 
@@ -490,23 +491,33 @@ class USeries:
         )
 
 
-def _two_cos_half(a: int, order: int) -> USeries:
-    # 2 cos(a*u/2) = sum_j (-1)^j * 2 * a^(2j) / (4^j * (2j)!) * u^(2j)
-    coeffs = []
-    j = 0
-    while 2 * j < order:
-        coeffs.append(Fraction((-1) ** j * 2 * a ** (2 * j), 4**j * factorial(2 * j)))
-        coeffs.append(Fraction(0))
-        j += 1
-    return USeries(0, coeffs[:order], order)
+def _substitute(p: LaurentPolyS, turns: int, order: int) -> USeries:
+    """(-i)^turns * p(e^(iu/2)) to ``order``, by the module docstring's formula.
+
+    The callers' p has a real image, p(1/s) = (-1)^turns p(s), so the
+    coefficients at u^m with m - turns odd are 0 and are not summed.
+    """
+    parity = turns % 2
+    sums = [0] * order
+    for k, c in enumerate(p.coefficients, p.valuation):
+        if c:
+            power, step = c * k**parity, k * k  # 0 ** 0 == 1 keeps the constant term
+            for m in range(parity, order, 2):
+                sums[m] += power
+                power *= step
+    coeffs, scale = [], 1  # scale = 2^m m!
+    for m in range(order):
+        coeffs.append(Fraction((-1) ** ((m - turns) // 2 % 2) * sums[m], scale))
+        scale *= 2 * (m + 1)
+    return USeries(0, coeffs, order)
 
 
 def lp_substitute_exponential(p: LaurentPolyS, order: int) -> USeries:
     """Substitute s = e^(iu/2) into a palindromic Laurent polynomial.
 
-    The polynomial is decomposed in the basis {1, s^a + s^(-a)} and each
-    symmetric pair becomes 2 cos(a*u/2), expanded to the requested
-    truncation order.  The result is a real series of valuation >= 0.
+    The coefficient of u^m is (-1)^(m/2) * sum_k p_k k^m / (2^m m!) for even
+    m and 0 for odd m: each pair s^a + s^(-a) becomes 2 cos(a*u/2).  The
+    result is a real series of valuation >= 0, truncated at ``order``.
     Non-palindromic input is rejected.
     """
     if order < 1:
@@ -516,22 +527,16 @@ def lp_substitute_exponential(p: LaurentPolyS, order: int) -> USeries:
             "substitution requires a palindromic polynomial (imaginary parts "
             "would not cancel)"
         )
-    if p.is_zero():
-        return USeries.zero(order)
-    result = USeries(0, (p.coefficient(0),), order)
-    for a in range(1, p.degree + 1):
-        c = p.coefficient(a)
-        if c:
-            result = result + _two_cos_half(a, order) * c
-    return result
+    return _substitute(p, 0, order)
 
 
 def sin_factor_series(a: int, exponent: int, order: int) -> USeries:
     """(2 sin(a*u/2))^exponent as a truncated Laurent series in u.
 
-    Each factor 2 sin(a*u/2) = a*u - (a^3/24) u^3 + ... has valuation 1, so
-    the result has valuation = exponent; negative exponents invert the unit
-    part.  Requires order > exponent so at least one coefficient exists.
+    2 sin(a*u/2) = -i (s^a - s^(-a)) at s = e^(iu/2), so a power e >= 0 is
+    (-i)^e (s^a - s^(-a))^e substituted, of valuation e.  A negative power
+    inverts the positive one, built with a window of order - exponent
+    terms.  Requires order > exponent so at least one coefficient exists.
     """
     if a < 1:
         raise AlgebraError(f"sine frequency must be a positive integer, got {a}")
@@ -539,18 +544,8 @@ def sin_factor_series(a: int, exponent: int, order: int) -> USeries:
         raise AlgebraError(
             f"order {order} leaves no coefficients for valuation {exponent}"
         )
-    n = order - exponent
-    if exponent == 0:
-        return USeries.one(order)
-    # unit part of 2 sin(a*u/2) / u: coefficient of u^(2j) is
-    # (-1)^j * a^(2j+1) / (4^j * (2j+1)!)
-    coeffs = []
-    j = 0
-    while 2 * j < n:
-        coeffs.append(
-            Fraction((-1) ** j * a ** (2 * j + 1), 4**j * factorial(2 * j + 1))
-        )
-        coeffs.append(Fraction(0))
-        j += 1
-    unit = USeries(0, coeffs[:n], n)
-    return (unit**exponent).shift(exponent)
+    e = abs(exponent)
+    power = LaurentPolyS(-a, [-1] + [0] * (2 * a - 1) + [1]) ** e
+    if exponent >= 0:
+        return _substitute(power, e, order)
+    return _substitute(power, e, order + 2 * e).inverse()

@@ -235,9 +235,9 @@ def gw_relative_series(delta: HTransverseDegree, n: int, order: int = 16) -> GwS
 def degeneration_series(delta: HTransverseDegree, n: int, order: int = 16) -> GwSeries:
     """The diagram sum: sum_D (prod_E w_E^2) (prod_V vertex contribution).
 
-    Computed purely from sine-series products over the counts of
-    ``weight_profiles``, never touching the refined-count polynomial or the
-    cosine substitution, and without listing any diagram.  The vertex
+    Computed from sine-series products over the counts of
+    ``weight_profiles``, never touching the refined-count polynomial, and
+    without listing any diagram.  The vertex
     partitions hold each bounded weight w twice and each of the d_b + d_t
     unbounded edges as a part 1, so the vertex factors' 1/prod(parts) is
     1/prod_E w_E^2 and cancels the prod w^2 exactly: each diagram adds
@@ -305,7 +305,10 @@ def degeneration_cross_check(
     ``weight_profiles`` (route two through ``refined_count``, its fold),
     so the check covers the series side of the degeneration theorem: sine
     products per profile against the cosine substitution of the folded
-    count.  Neither route lists a diagram.
+    count.  Neither route lists a diagram.  Both substitute s = e^(iu/2)
+    through ``algebra._substitute`` (route one into sine powers, route two
+    into the folded count), so an error that hits every polynomial alike,
+    such as a wrong u-scale, passes here; the tests' sympy pins catch it.
     """
     diagram_sum = degeneration_series(delta, n, order).series
     from_refined = log_series(delta, n, order).series

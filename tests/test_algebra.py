@@ -2,6 +2,7 @@
 
 import json
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -12,11 +13,14 @@ from floorgw import (
     LaurentPolyS,
     Partition,
     USeries,
+    degree_p2,
     lp_eval_at_one,
     lp_substitute_exponential,
+    points_for_genus,
     q_integer,
     rational_from_str,
     rational_to_str,
+    refined_count,
     sin_factor_series,
 )
 
@@ -209,13 +213,15 @@ def test_substitution_rejects_non_palindromic():
         lp_substitute_exponential(q_integer(2), 0)
 
 
+def palindrome(half):
+    """The palindromic polynomial with coefficient half[a] at s^a and s^-a."""
+    return LaurentPolyS(1 - len(half), half[::-1] + half[1:])
+
+
 @given(st.lists(st.integers(min_value=-9, max_value=9), min_size=1, max_size=6))
 @settings(max_examples=60, deadline=None)
 def test_substitution_at_u0_is_eval_at_one(half_coeffs):
-    # build a palindromic polynomial from arbitrary data
-    p = LaurentPolyS(0, [half_coeffs[0]])
-    for a, c in enumerate(half_coeffs[1:], start=1):
-        p = p + LaurentPolyS(-a, [c] + [0] * (2 * a - 1) + [c])
+    p = palindrome(half_coeffs)
     assert p.is_palindromic()
     series = lp_substitute_exponential(p, 5)
     if p.is_zero():
@@ -261,14 +267,38 @@ def test_sin_factor_inverse_pairs():
 def test_sin_factor_against_independent_symbolic_expansion():
     sympy = pytest.importorskip("sympy")
     u = sympy.symbols("u")
-    for a, e in [(1, 1), (2, 1), (1, -1), (1, -2), (3, 2)]:
-        ours = sin_factor_series(a, e, 9)
+    for a, e in [(1, 1), (2, 1), (1, -1), (1, -2), (3, 2), (4, 3), (2, -3)]:
         expansion = sympy.series(
-            (2 * sympy.sin(a * u / 2)) ** e, u, 0, 10
+            (2 * sympy.sin(a * u / 2)) ** e, u, 0, 16
         ).removeO()
-        for k in range(ours.valuation, ours.order):
-            expected = sympy.nsimplify(expansion.coeff(u, k))
-            assert F(ours.coefficient(k)) == F(str(expected)), (a, e, k)
+        for order in (9, 15):
+            ours = sin_factor_series(a, e, order)
+            for k in range(ours.valuation, ours.order):
+                expected = sympy.nsimplify(expansion.coeff(u, k))
+                assert F(ours.coefficient(k)) == F(str(expected)), (a, e, order, k)
+
+
+def assert_substitution_matches_sympy(p, order=15):
+    """p(e^(iu/2)) against sympy's own series of the exponentials, to u^14."""
+    sympy = pytest.importorskip("sympy")
+    u = sympy.symbols("u")
+    expr = sum((c * sympy.exp(sympy.I * k * u / 2)
+                for k, c in enumerate(p.coefficients, p.valuation)), sympy.Integer(0))
+    expansion = sympy.expand(sympy.series(expr, u, 0, order).removeO())
+    ours = lp_substitute_exponential(p, order)
+    for k in range(order):
+        assert ours.coefficient(k) == sympy_coefficient(expansion, u, k), (p, k)
+
+
+@given(st.lists(st.integers(-30, 30), min_size=1, max_size=4))
+@settings(max_examples=6, deadline=None)
+def test_substitution_against_sympy_series(half_coeffs):
+    assert_substitution_matches_sympy(palindrome(half_coeffs))
+
+
+def test_substitution_of_the_plane_cubic_count_against_sympy_series():
+    assert_substitution_matches_sympy(
+        refined_count(degree_p2(3), points_for_genus(degree_p2(3), 0)))
 
 
 def test_referential_transparency():
@@ -426,6 +456,69 @@ def test_useries_mul_matches_the_fraction_schoolbook(x, y):
 @settings(max_examples=60, deadline=None)
 def test_useries_inverse_matches_the_term_by_term_recurrence(x):
     assert x.inverse() == recurrence_inverse(x)
+
+
+# ------------------------- the substitution against the builders it replaced
+
+
+def two_cos_half(a, order):
+    # 2 cos(a*u/2) = sum_j (-1)^j * 2 * a^(2j) / (4^j * (2j)!) * u^(2j)
+    coeffs = []
+    j = 0
+    while 2 * j < order:
+        coeffs.append(F((-1) ** j * 2 * a ** (2 * j), 4**j * factorial(2 * j)))
+        coeffs.append(F(0))
+        j += 1
+    return USeries(0, coeffs[:order], order)
+
+
+def cosine_basis_substitution(p, order):
+    """The sum over the basis {1, s^a + s^(-a)} that ``lp_substitute_exponential``
+    replaced."""
+    if p.is_zero():
+        return USeries.zero(order)
+    result = USeries(0, (p.coefficient(0),), order)
+    for a in range(1, p.degree + 1):
+        c = p.coefficient(a)
+        if c:
+            result = result + two_cos_half(a, order) * c
+    return result
+
+
+def taylor_sin_factor(a, exponent, order):
+    """The sin(x)/x unit raised to a power that ``sin_factor_series`` replaced."""
+    n = order - exponent
+    if exponent == 0:
+        return USeries.one(order)
+    # unit part of 2 sin(a*u/2) / u: coefficient of u^(2j) is
+    # (-1)^j * a^(2j+1) / (4^j * (2j+1)!)
+    coeffs = []
+    j = 0
+    while 2 * j < n:
+        coeffs.append(F((-1) ** j * a ** (2 * j + 1), 4**j * factorial(2 * j + 1)))
+        coeffs.append(F(0))
+        j += 1
+    return (USeries(0, coeffs[:n], n) ** exponent).shift(exponent)
+
+
+def assert_same_series(x, y):
+    assert (x.valuation, x.order, x.coefficients) == (y.valuation, y.order, y.coefficients)
+
+
+@given(st.integers(1, 6), st.integers(-8, 30), st.integers(1, 60))
+@settings(max_examples=80, deadline=None)
+def test_sin_factor_matches_the_taylor_unit_power(a, exponent, window):
+    order = exponent + window
+    assert_same_series(sin_factor_series(a, exponent, order),
+                       taylor_sin_factor(a, exponent, order))
+
+
+@given(st.lists(st.integers(-(10**6), 10**6), min_size=1, max_size=13), st.integers(1, 80))
+@settings(max_examples=80, deadline=None)
+def test_substitution_matches_the_cosine_basis(half_coeffs, order):
+    p = palindrome(half_coeffs)
+    assert_same_series(lp_substitute_exponential(p, order),
+                       cosine_basis_substitution(p, order))
 
 
 @given(laurent_polys, useries())

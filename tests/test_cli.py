@@ -391,6 +391,15 @@ SERIES_DIGESTS = {
         "3b52a8c2a01db47c85ee346b0c4671cea6ec3fa44029bbc70231316fe769da33",
     "verify degeneration --surface p2 --degree 3 --genus 1 --order 48":
         "a0b8ea244629fb6a1f016c4f3a24c34518880ae214223d93fcb4236a70dbc60c",
+    # high orders, and sine powers S^-6 (AB) and S^-1 (plane lines)
+    "verify degeneration --surface p2 --degree 4 --genus 0 --order 160":
+        "0ae3ab289dd36ec18a652f0168b49beb379ccb8d5a11a54faf8e03168df159b8",
+    "verify ab --a 3 --b 0 --points 11 --order 120":
+        "f607d62e79e1cfac93eb1caa6aca5cef2a12a8a37ff7127c57b26fcda2a2b943",
+    "vertex --mu 5,4,3 --nu 6,6 --order 200":
+        "c4fdc394f565b524d27319c4afa943495aa2383cce60fcc508fd058228f90a6b",
+    "gw --surface p2 --degree 1 --points 2 --order 40":
+        "691c9a4b5a75afdbf6edaf6a81a6d8a89343b42f561b5f89fb45f558b4fc617f",
 }
 
 
