@@ -27,8 +27,10 @@ of bounded edge weights; every count is a fold of its result.
 
 from __future__ import annotations
 
+import sys
+from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import product
 from math import comb, prod
 from typing import NamedTuple
 
@@ -336,8 +338,10 @@ def enumerate_marked(delta: HTransverseDegree, n: int) -> list[MarkedFloorDiagra
       sum minus the divergence, pruning negative budgets.  Subsets come in
       plain lexicographic order of their head-position tuples, all sizes
       together: (), (a,), (a, b), (a, b, c), (a, c), (b,), (b, c), (c,) for
-      heads at a < b < c.  The last vertex takes every pending head and is
-      placed only once all d_b incoming and all bounded edges are used.
+      heads at a < b < c.  Subsets too light to give a nonnegative budget
+      and a state that the window-capacity prune below keeps alive are
+      never built.  The last vertex takes every pending head and is placed
+      only once all d_b incoming and all bounded edges are used.
 
     A completed sweep must exhaust every budget and yield a connected graph
     (the element counts then force every unbounded edge used and every head
@@ -345,12 +349,35 @@ def enumerate_marked(delta: HTransverseDegree, n: int) -> list[MarkedFloorDiagra
     (markings rigidify), so no deduplication is performed; selecting between
     equal-weight pending heads by position produces genuinely distinct
     marked diagrams.
+
+    The sweep stops at every state that cannot place its remaining bounded
+    edges (a flow bound in the sense of Fomin-Mikhalkin).  Call window j the
+    positions between floor j and floor j + 1.  While window j is open, the
+    budgets of floors 1..j sum to at most d_b - j * divergence: a budget is
+    the floor's inflow less the divergence and its outflow so far, the
+    bounded edges among these floors add to one budget what they take from
+    another, their unbounded inflow is at most d_b, and edges leaving them
+    only subtract.  Each bounded or outgoing edge placed in window j takes at
+    least 1 from that sum and nothing placed there adds to it, so window j
+    takes at most max(0, d_b - j * divergence) bounded edges, and the window
+    after the last floor takes none.  A state with r floors placed is
+    therefore dead when
+
+        bounded edges still to place > sum(budgets) + room,
+        room = sum of max(0, d_b - j * divergence) over j = r + 1 .. h - 1.
+
+    :func:`weight_profiles` refuses the same states, so a wrong bound would
+    drop the same diagrams from both the count and the listing.  The
+    brute-force oracle catches that for n <= 16, where the acceptance grid
+    exercises the prune; beyond it the Kontsevich, node-polynomial and
+    maximal-genus pins of the counts do.
     """
     total_bounded = _bounded_edge_count(delta, n)
     if delta.height == 0:
         return []
     found: list[MarkedFloorDiagram] = []
-    limits = (n, delta.height, delta.d_b, total_bounded, delta.d_t, delta.divergence)
+    limits = (n, delta.height, delta.d_b, total_bounded, delta.d_t, delta.divergence,
+              _window_room(delta))
     _sweep(found, limits, (), (), (), (), 0, 0, 0)
     return found
 
@@ -358,19 +385,19 @@ def enumerate_marked(delta: HTransverseDegree, n: int) -> list[MarkedFloorDiagra
 def _sweep(found, limits, vertices, budgets, edges, pending, in_used, bd_used, out_used) -> None:
     """Append to ``found`` every completed diagram below one sweep state.
 
-    ``limits`` holds n, h, d_b, the number of bounded edges, d_t and the
-    divergence of every vertex.  The state is immutable and each branch
-    hands its child new tuples: ``vertices`` and ``budgets`` are the placed
-    vertex positions and their remaining outgoing budgets; ``edges`` the
-    placed edges as (position, source, target, weight), target None while
-    unattached; ``pending`` the indices in ``edges`` of the heads awaiting a
-    vertex; ``in_used``, ``bd_used`` and ``out_used`` the numbers of
-    incoming, bounded and outgoing edges placed.
+    ``limits`` holds n, h, d_b, the number of bounded edges, d_t, the
+    divergence of every vertex and the :func:`_window_room` of the degree.
+    The state is immutable and each branch hands its child new tuples:
+    ``vertices`` and ``budgets`` are the placed vertex positions and their
+    remaining outgoing budgets; ``edges`` the placed edges as (position,
+    source, target, weight), target None while unattached; ``pending`` the
+    indices in ``edges`` of the heads awaiting a vertex; ``in_used``,
+    ``bd_used`` and ``out_used`` the numbers of incoming, bounded and
+    outgoing edges placed.
     """
-    n, h, d_b, total_bounded, d_t, div = limits
-    if len(vertices) == h - 1 and sum(budgets) < total_bounded - bd_used:
-        # each bounded edge still to come takes at least 1 from the budget of
-        # a placed vertex: the last vertex has no later vertex to point to
+    n, h, d_b, total_bounded, d_t, div, room = limits
+    need = total_bounded - bd_used - room[h - len(vertices)]
+    if need > 0 and sum(budgets) < need:
         return
     pos = len(vertices) + len(edges) + 1
     if pos > n:
@@ -395,7 +422,10 @@ def _sweep(found, limits, vertices, budgets, edges, pending, in_used, bd_used, o
                        edges + ((pos, vertices[i], None, 1),), pending,
                        in_used, bd_used, out_used + 1)
     if len(vertices) < h - 1:
-        head_choices = sorted(s for r in range(len(pending) + 1) for s in combinations(pending, r))
+        # heads weighing less than div + max(0, short) leave the new floor a
+        # negative budget or a state that the window-capacity prune refuses
+        short = total_bounded - bd_used - room[h - len(vertices) - 1] - sum(budgets)
+        head_choices = _head_subsets(pending, [edges[i][3] for i in pending], div + max(0, short))
     elif open_vertex and in_used == d_b and bd_used == total_bounded:
         head_choices = [pending]
     else:
@@ -412,6 +442,26 @@ def _sweep(found, limits, vertices, budgets, edges, pending, in_used, bd_used, o
                tuple([i for i in pending if i not in subset]), in_used, bd_used, out_used)
 
 
+def _head_subsets(heads: tuple[int, ...], weights: list[int],
+                  least: int) -> Iterator[tuple[int, ...]]:
+    """The subsets of ``heads`` whose ``weights`` sum to at least ``least``, as
+    tuples in plain lexicographic order (all sizes together), generated one
+    at a time without building the lighter ones: a depth-first walk that
+    drops a branch once the heads after it cannot make up the weight."""
+    last = len(heads) - 1
+    tails = [0] * (last + 2)  # tails[i]: the weight of heads[i:]
+    for i in range(last, -1, -1):
+        tails[i] = tails[i + 1] + weights[i]
+    stack = [(0, (), 0)]
+    while stack:
+        start, chosen, total = stack.pop()
+        if total >= least:
+            yield chosen
+        for i in range(last, start - 1, -1):  # pushed last first, so popped in order
+            if total + tails[i] >= least:
+                stack.append((i + 1, chosen + (heads[i],), total + weights[i]))
+
+
 def _connected(vertices: tuple[int, ...], edges: tuple[tuple, ...]) -> bool:
     """Whether the bounded edges join every vertex to the first one."""
     links = [(s, t) for _, s, t, _ in edges if s is not None and t is not None]
@@ -425,17 +475,41 @@ def _connected(vertices: tuple[int, ...], edges: tuple[tuple, ...]) -> bool:
     return len(reached) == len(vertices)
 
 
+# frames of the interpreter's recursion limit left to the callers of a recursion
+_CALLER_FRAMES = 100
+
+
 def _bounded_edge_count(delta: HTransverseDegree, n: int) -> int:
-    """Bounded edges of every diagram on n points, g + h - 1; rejects g < 0."""
+    """Bounded edges of every diagram on n points, g + h - 1.
+
+    Rejects g < 0, and n over the interpreter's recursion limit less
+    _CALLER_FRAMES: both recursions place one element per call, so they go
+    n + 1 calls deep."""
     g = delta.genus_for_points(n)
     if g < 0:
         raise DiagramError(
             f"no diagrams: n = {n} gives negative genus {g} for {delta.label}"
         )
+    depth_cap = sys.getrecursionlimit() - _CALLER_FRAMES
+    if n > depth_cap:
+        raise DiagramError(
+            f"n = {n} for {delta.label} is over the depth cap: the sweep and the count "
+            f"recurse once per point, and the recursion limit allows n <= {depth_cap}"
+        )
     total_bounded = n - delta.height - delta.d_b - delta.d_t
     if total_bounded != g + delta.height - 1:
         raise AssertionError("element count bookkeeping is inconsistent")
     return total_bounded
+
+
+def _window_room(delta: HTransverseDegree) -> tuple[int, ...]:
+    """room[f] = sum of max(0, d_b - j * divergence) over j = h - f + 1 .. h - 1:
+    the most bounded edges the windows after the next floor can take while f
+    floors are still to place."""
+    room = [0, 0]
+    for j in range(delta.height - 1, 0, -1):
+        room.append(room[-1] + max(0, delta.d_b - j * delta.divergence))
+    return tuple(room)
 
 
 def weight_profiles(delta: HTransverseDegree, n: int) -> dict[tuple[int, ...], int]:
@@ -460,21 +534,26 @@ def weight_profiles(delta: HTransverseDegree, n: int) -> dict[tuple[int, ...], i
     the m pending heads of one weight in one component is weighted by
     C(m, r).  A closed component (no budget, no pending head) can never be
     joined again, so a state holding one beside another component or an
-    unplaced vertex is dead.  Every count is a fold of the result, as are
-    the degeneration vertex products.  The memo table lives for one call.
+    unplaced vertex is dead.  So is a state whose bounded edges still to
+    place exceed its components' budgets plus the room of the windows after
+    its next floor: the window-capacity prune of :func:`enumerate_marked`,
+    proved there.  A wrong bound would drop the same diagrams from both
+    recursions; that docstring says what catches it.  Every count is a fold
+    of the result, as are the degeneration vertex products.  The memo table
+    lives for one call.
     """
     total_bounded = _bounded_edge_count(delta, n)
-    fixed = (delta.d_b, total_bounded, delta.d_t, delta.divergence)
+    fixed = (delta.d_b, total_bounded, delta.d_t, delta.divergence, _window_room(delta))
     return _state_sum((0, 0, 0, delta.height, 0, ()), fixed, {})
 
 
 def _state_sum(state: tuple, fixed: tuple, memo: dict) -> dict[tuple[int, ...], int]:
     """The :func:`weight_profiles` of the completions of one sweep state, whose
     components need not be sorted yet, over the bounded edges still to be
-    placed.  ``fixed`` holds d_b, the number of bounded edges, d_t and the
-    divergence of every floor."""
+    placed.  ``fixed`` holds d_b, the number of bounded edges, d_t, the
+    divergence of every floor and the :func:`_window_room` of the degree."""
     in_used, bd_used, out_used, floors, free, comps = state
-    d_b, total_bounded, d_t, div = fixed
+    d_b, total_bounded, d_t, div, room = fixed
     comps = tuple(sorted(comps))
     if ((), ()) in comps and (len(comps) > 1 or floors):
         return {}
@@ -482,6 +561,10 @@ def _state_sum(state: tuple, fixed: tuple, memo: dict) -> dict[tuple[int, ...], 
         return {(): 1} if comps == (((), ()),) else {}
     key = (in_used, bd_used, out_used, floors, free, comps)
     if key in memo:
+        return memo[key]
+    need = total_bounded - bd_used - room[floors]
+    if need > 0 and sum(sum(budgets) for budgets, _ in comps) < need:
+        memo[key] = {}
         return memo[key]
     branches = []  # (number of sweep branches, bounded edge weight or 0, next state)
     if floors and in_used < d_b:

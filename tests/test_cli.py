@@ -134,6 +134,32 @@ def test_domain_error_exits_1(capsys):
     assert code == 1 and "genus" in err
 
 
+@pytest.mark.parametrize("command,n", [
+    ("count --surface p2 --degree 99999 --genus 0", 299996),
+    # the maximal genus of degree 60, which the window-capacity prune reaches
+    ("count --surface p2 --degree 60 --genus 1711", 1890),
+    ("enumerate --surface p2 --degree 60 --genus 1711", 1890),
+])
+def test_class_deeper_than_the_recursion_limit_is_refused(capsys, monkeypatch, command, n):
+    def no_work(*args, **kwargs):
+        raise AssertionError("recursed before the depth cap was checked")
+
+    monkeypatch.setattr(diagrams, "_sweep", no_work)
+    monkeypatch.setattr(diagrams, "_state_sum", no_work)
+    code, out, err = run_cli(capsys, *command.split())
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert err.startswith(f"error: n = {n} for P2(d=") and "over the depth cap" in err
+
+
+def test_maximal_genus_of_a_high_degree_counts_one(capsys):
+    # n = 860: within the depth cap, and one floor chain the prune walks at once
+    code, out, err = run_cli(capsys, "count", "--surface", "p2", "--degree", "40",
+                             "--genus", "741")
+    assert code == 0 and err == ""
+    assert out == "classical count for P2(d=40), n = 860: 1\n"
+
+
 def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["count", "--surface", "p2", "--degree", "3"])  # missing --points/--genus

@@ -30,6 +30,7 @@ from floorgw import (
     refined_multiplicity,
     weight_profiles,
 )
+import floorgw.diagrams as diagrams
 from helpers import acceptance_grid
 
 
@@ -61,7 +62,9 @@ def test_refined_count_equals_listing_sum_on_acceptance_grid():
 
 BEYOND_GRID = (
     genus_range(degree_p2(4), range(5))
-    + genus_range(degree_p2(5), [4])
+    # the window-capacity prune cuts most of the sweep in the next two
+    + genus_range(degree_p2(5), [4, 5, 6])
+    + genus_range(degree_p2(6), [8, 9, 10])
     + genus_range(degree_hirzebruch(1, 3, 1), range(4))
     + genus_range(degree_hirzebruch(2, 3, 0), range(4))
 )
@@ -72,6 +75,42 @@ BEYOND_GRID = (
 )
 def test_refined_count_equals_listing_sum_beyond_grid(delta, n):
     assert_counts_match_listing(delta, n)
+
+
+def counted(monkeypatch, name):
+    """Count the calls of the recursion ``diagrams.<name>``, itself included."""
+    calls = []
+    recursion = getattr(diagrams, name)
+
+    def counting(*args):
+        calls.append(None)
+        return recursion(*args)
+
+    monkeypatch.setattr(diagrams, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("d,g", [(5, 6), (10, 36)])
+def test_sweep_stops_where_bounded_edges_cannot_be_placed(monkeypatch, d, g):
+    """Both classes have 1 diagram.  Before the window-capacity prune the
+    sweep visited 231,323 states for P2 d=5 g=6; with it, 31.  Without
+    dropping the head subsets too light for a live floor, the first floor of
+    P2 d=10 g=36 alone tried every subset of its 10 heads (4,193 states)."""
+    calls = counted(monkeypatch, "_sweep")
+    delta = degree_p2(d)
+    assert len(enumerate_marked(delta, points_for_genus(delta, g))) == 1
+    assert len(calls) <= 1000
+
+
+@pytest.mark.parametrize("d,g", [(5, 7), (40, 742)])
+def test_count_refuses_the_root_above_maximal_genus(monkeypatch, d, g):
+    """One above the maximal genus, the windows cannot take the bounded edges
+    at all: (d - 1)(d - 2)/2 + d bounded edges against room for
+    (d - 1)(d - 2)/2 + d - 1."""
+    calls = counted(monkeypatch, "_state_sum")
+    delta = degree_p2(d)
+    assert weight_profiles(delta, points_for_genus(delta, g)) == {}
+    assert len(calls) == 1
 
 
 def kontsevich(d_max):

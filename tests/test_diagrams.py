@@ -4,6 +4,7 @@ import gc
 import hashlib
 import json
 import weakref
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +28,7 @@ from floorgw import (
     validate_diagram,
     vertex_partitions,
 )
+from floorgw.diagrams import _head_subsets
 from helpers import acceptance_grid
 
 
@@ -155,10 +157,14 @@ LISTING_DIGESTS = [
      "612ff94ce9e18ec1f84b3ecd8ae3610a877dbf75b3d489edef9a3c96a87d01f6"),
     (degree_hirzebruch(0, 2, 2), 0, 9,
      "eb800a32760a6f0e479f793b8d6a68007a44b6648aebeeb42096b1fc82ec4c66"),
-    # the sweep's last-floor budget prune cuts branches in these two
+    # the last-floor case of the window-capacity prune cuts branches in these two
     (degree_p2(4), 3, 1, "942f94be47fec112e617b26ae595f3a5264d5f88c712a13583a0b0b0b673c4c7"),
     (degree_hirzebruch(1, 3, 2), 2, 1495,
      "3bd671eaed65d345fb47886c58aa2234b47eac50086214f2a7fd6821b145772e"),
+    # the window-capacity prune cuts most of the sweep in these two; their
+    # digests were taken with the sweep before it
+    (degree_p2(5), 6, 1, "f082a087c549e1015706016b3b74a534d538e729d9657f45f4f3a6d6ebb18cdd"),
+    (degree_p2(6), 8, 891, "d734dd2f4c48c1e2d58964c286a0470f9a26a7b4a6333995c59ea6e816224e42"),
 ]
 
 
@@ -171,6 +177,25 @@ def test_listing_order_is_pinned(delta, g, count, digest):
     assert len(diagrams) == count
     text = json.dumps([d.to_json() for d in diagrams])
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(1, 4), max_size=8), st.integers(-1, 20))
+def test_head_subsets_are_the_sorted_heavy_combinations(weights, least):
+    """The reference is the sweep's former head-choice list: every
+    combination of the heads, sorted, here kept only when heavy enough."""
+    heads = tuple(range(2, 2 + 3 * len(weights), 3))
+    weight = dict(zip(heads, weights))
+    every = sorted(s for r in range(len(heads) + 1) for s in combinations(heads, r))
+    expected = [s for s in every if sum(weight[i] for i in s) >= least]
+    assert list(_head_subsets(heads, weights, least)) == expected
+
+
+def test_head_subsets_do_not_build_the_lighter_ones():
+    heads = tuple(range(40))
+    assert list(_head_subsets(heads, [1] * 40, 40)) == [heads]
+    every = _head_subsets(heads, [1] * 40, 0)  # 2^40 of them: taken one at a time
+    assert [next(every) for _ in range(3)] == [(), (0,), (0, 1)]
 
 
 def test_dropped_listing_is_freed_without_the_cycle_collector():
