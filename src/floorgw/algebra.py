@@ -21,12 +21,14 @@ The bridge between the two worlds is the substitution s = e^(iu/2), i.e.
 q = e^(iu), performed purely over the rationals by one formula: s^k puts
 i^m k^m / (2^m m!) at u^m, so (-i)^t * p(e^(iu/2)) has coefficient
 (-1)^((m - t)/2) * sum_k p_k k^m / (2^m m!) at u^m when m - t is even, and
-0 otherwise.  Both public builders are this formula:
-
-* a palindromic Laurent polynomial (invariant under s -> 1/s) with t = 0,
-  where each s^a + s^(-a) becomes 2 cos(a*u/2) (``lp_substitute_exponential``);
-* (s^a - s^(-a))^e with t = e, since 2 sin(a*u/2) = -i (s^a - s^(-a)); a
-  negative power inverts the positive one (``sin_factor_series``).
+0 otherwise.  One builder, ``_sine_series``, makes every u-series of the
+package with it: a palindromic Laurent polynomial p (invariant under
+s -> 1/s) times prod (2 sin(a*u/2))^e.  Since 2 sin(a*u/2) = -i (s^a - s^(-a)),
+the powers e >= 0 are multiplied into p and the product is substituted
+once with t = the sum of those e; the negative powers are substituted
+together and inverted once.  ``lp_substitute_exponential`` (p alone, where
+each s^a + s^(-a) becomes 2 cos(a*u/2)) and ``sin_factor_series`` (one sine
+power) are its two public cases.
 
 Non-palindromic input to the substitution is rejected: its image would have
 a non-cancelling imaginary part, and every refined count is palindromic, so
@@ -54,11 +56,19 @@ def _as_fraction(x) -> Fraction:
 
 
 def rational_to_str(x: Fraction | int) -> str:
-    """Serialize a rational as ``"num/den"``, or ``"num"`` when den = 1."""
+    """Serialize a rational as ``"num/den"``, or ``"num"`` when den = 1.
+
+    An integer past the interpreter's int-to-str digit limit is an
+    AlgebraError; the limit itself is left as it is.
+    """
     x = _as_fraction(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+    try:
+        if x.denominator == 1:
+            return str(x.numerator)
+        return f"{x.numerator}/{x.denominator}"
+    except ValueError:
+        raise AlgebraError("a coefficient has more digits than the interpreter's "
+                           "int-to-str limit allows") from None
 
 
 def rational_from_str(text: str) -> Fraction:
@@ -512,6 +522,34 @@ def _substitute(p: LaurentPolyS, turns: int, order: int) -> USeries:
     return USeries(0, coeffs, order)
 
 
+def _sine_series(p: LaurentPolyS, sines: Iterable[tuple[int, int]], order: int) -> USeries:
+    """p(e^(iu/2)) * prod (2 sin(a*u/2))^e over (a, e) in ``sines``, to ``order``,
+    as the module docstring says; requires order > the sum of all e."""
+    if not p.is_palindromic():
+        raise AlgebraError(
+            "substitution requires a palindromic polynomial (imaginary parts "
+            "would not cancel)"
+        )
+    num, den, up, down = p, LaurentPolyS.one(), 0, 0
+    for a, e in sines:
+        power = LaurentPolyS(-a, [-1] + [0] * (2 * a - 1) + [1]) ** abs(e)
+        if e >= 0:
+            num, up = power * num, up + e
+        else:
+            den, down = power * den, down - e
+    if not down:
+        series = _substitute(num, up, order)
+    else:
+        # window order + down - up: the inverse ends at order - up, and the
+        # numerator's series starts at u^up or later
+        series = _substitute(den, down, order + 2 * down - up).inverse()
+        if num != LaurentPolyS.one():
+            series = _substitute(num, up, order + down) * series
+    if series.order != order:
+        raise AssertionError("truncation bookkeeping drift")
+    return series
+
+
 def lp_substitute_exponential(p: LaurentPolyS, order: int) -> USeries:
     """Substitute s = e^(iu/2) into a palindromic Laurent polynomial.
 
@@ -522,12 +560,7 @@ def lp_substitute_exponential(p: LaurentPolyS, order: int) -> USeries:
     """
     if order < 1:
         raise AlgebraError("substitution order must be >= 1")
-    if not p.is_palindromic():
-        raise AlgebraError(
-            "substitution requires a palindromic polynomial (imaginary parts "
-            "would not cancel)"
-        )
-    return _substitute(p, 0, order)
+    return _sine_series(p, (), order)
 
 
 def sin_factor_series(a: int, exponent: int, order: int) -> USeries:
@@ -544,8 +577,4 @@ def sin_factor_series(a: int, exponent: int, order: int) -> USeries:
         raise AlgebraError(
             f"order {order} leaves no coefficients for valuation {exponent}"
         )
-    e = abs(exponent)
-    power = LaurentPolyS(-a, [-1] + [0] * (2 * a - 1) + [1]) ** e
-    if exponent >= 0:
-        return _substitute(power, e, order)
-    return _substitute(power, e, order + 2 * e).inverse()
+    return _sine_series(LaurentPolyS.one(), [(a, exponent)], order)

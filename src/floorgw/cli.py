@@ -6,11 +6,11 @@ are selected with ``--surface p2 --degree D`` or
 ``--surface fk --k K --h H --d D``; the point count comes from exactly one
 of ``--points N`` or ``--genus G``.  ``--order`` is the u-truncation of the
 reported series and must exceed the series' lowest exponent; a smaller order
-is a domain error naming the minimum.  Output formats: ``text`` (default),
-``json``, ``csv``.  Exit codes: 0 success (and, for ``verify``, identity
-holds), 1 domain error, 2 usage error.  Rationals are serialized as strings
-("num/den") so no JSON consumer can lose precision; identical invocations
-produce byte-identical output.
+is a domain error naming the minimum, and so is an order over 500.  Output
+formats: ``text`` (default), ``json``, ``csv``.  Exit codes: 0 success (and,
+for ``verify``, identity holds), 1 domain error, 2 usage error.  Rationals
+are serialized as strings ("num/den") so no JSON consumer can lose
+precision; identical invocations produce byte-identical output.
 
 ``build_parser(argv)`` gives arguments only to the subcommand that argv
 names: argparse makes a help formatter for every ``add_argument``, and the
@@ -93,26 +93,21 @@ def _parse_partition(text: str, flag: str, parser: argparse.ArgumentParser) -> P
         parser.error(f"{flag} must be a comma-separated list of positive integers, got {text!r}")
 
 
-def _emit(text: str) -> None:
-    sys.stdout.write(text + "\n")
-
-
-def _series_rows(gw) -> list[tuple[int, str]]:
-    return [(g, rational_to_str(v)) for g, v in gw.invariants()]
+def _emit(*lines: str) -> None:
+    """Write ``lines``, all rendered before the call, so that a rendering
+    error leaves stdout empty."""
+    sys.stdout.write("".join(line + "\n" for line in lines))
 
 
 def _print_gw(gw, fmt: str, header: str) -> None:
     if fmt == "json":
         _emit(json.dumps(gw.to_json()))
-    elif fmt == "csv":
-        _emit("g,value")
-        for g, v in _series_rows(gw):
-            _emit(f"{g},{v}")
+        return
+    rows = [(g, rational_to_str(v)) for g, v in gw.invariants()]
+    if fmt == "csv":
+        _emit("g,value", *(f"{g},{v}" for g, v in rows))
     else:
-        _emit(header)
-        _emit(f"  series: {gw.series}")
-        for g, v in _series_rows(gw):
-            _emit(f"  g={g} -> {v}")
+        _emit(header, f"  series: {gw.series}", *(f"  g={g} -> {v}" for g, v in rows))
 
 
 def _check_listing_cap(delta, n: int, count: int) -> None:
@@ -197,10 +192,10 @@ def _cmd_verify_degeneration(args, parser) -> int:
     if args.format == "json":
         _emit(json.dumps(report.to_json()))
     else:
-        _emit(f"degeneration cross-check for {delta.label}, n = {n}, order {args.order}")
-        _emit(f"  diagram sum : {report.diagram_sum}")
-        _emit(f"  from refined: {report.from_refined}")
-        _emit(f"  equal: {report.equal}")
+        _emit(f"degeneration cross-check for {delta.label}, n = {n}, order {args.order}",
+              f"  diagram sum : {report.diagram_sum}",
+              f"  from refined: {report.from_refined}",
+              f"  equal: {report.equal}")
     return 0 if report.equal else 1
 
 
@@ -209,10 +204,10 @@ def _cmd_verify_ab(args, parser) -> int:
     if args.format == "json":
         _emit(json.dumps(report.to_json()))
     else:
-        _emit(f"Abramovich-Bertram check for a={args.a}, b={args.b}, n={args.points}")
-        _emit(f"  polynomial: {report.lhs_polynomial} vs {report.rhs_polynomial}"
-              f" -> {report.polynomial_equal}")
-        _emit(f"  series    : equal -> {report.series_equal}")
+        _emit(f"Abramovich-Bertram check for a={args.a}, b={args.b}, n={args.points}",
+              f"  polynomial: {report.lhs_polynomial} vs {report.rhs_polynomial}"
+              f" -> {report.polynomial_equal}",
+              f"  series    : equal -> {report.series_equal}")
     return 0 if report.equal else 1
 
 

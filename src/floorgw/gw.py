@@ -7,7 +7,10 @@ is (refined count)|_{q=e^(iu)} * S^(2*g0 + offset), with the genus-g
 invariant at u^(2g + offset).  Only the offset (``exponent_offset``) differs:
 d_b + d_t - 2 for the relative series, 2h + d_b + d_t - 2 for the log series
 (relative * S^(2h)), -2 for the F0 absolute series and d - 2 for the F2
-series relative to D_(-2).  Two series do not start from the count:
+series relative to D_(-2).  ``algebra._sine_series`` builds every series
+here, a Laurent polynomial times sine powers substituted once: the count
+series, the vertex, and each weight profile's term of the diagram sum.
+Two series do not start from the count:
 
 * vertex:       sum_g N(g) u^(2g+len(mu)+len(nu))
                 = prod_l ((1/l) 2 sin(l*u/2))^(mu_l + nu_l),
@@ -16,16 +19,18 @@ series relative to D_(-2).  Two series do not start from the count:
 * degeneration: the diagram sum
                 sum_D (prod_E w_E^2) (prod_V vertex(mu(V), nu(V))).
                 A term depends only on the diagram's bounded edge weights,
-                so the sum takes one sine product per ``weight_profiles``
-                entry.  The refined count folds the same profiles, so the
-                two routes check the series side of the degeneration
-                theorem; the tests and ``verify oracle`` check the profiles
-                against listed diagrams.
+                so the sum takes one sine-product series per
+                ``weight_profiles`` entry and adds them as series.  The
+                refined count folds the same profiles, so the two routes
+                check the series side of the degeneration theorem; the
+                tests and ``verify oracle`` check the profiles against
+                listed diagrams.
 
 Order rule.  ``order`` is the u-truncation order of the reported series and
 must exceed its valuation 2*g0 + offset.  A smaller order is rejected with
 one message naming the minimum, before any counting or listing, whether or
-not the count is zero.
+not the count is zero; so is an order over ``_ORDER_CAP``, and a vertex
+with |mu| + |nu| over ``_VERTEX_SIZE_CAP``.
 
 Exponent audit.  Each diagram has g0 + h - 1 bounded edges, so the vertex
 products carry total valuation 2*(g0+h-1) + d_b + d_t, which exceeds the
@@ -50,7 +55,7 @@ from .algebra import (
     LaurentPolyS,
     Partition,
     USeries,
-    lp_substitute_exponential,
+    _sine_series,
     rational_to_str,
     sin_factor_series,
 )
@@ -64,6 +69,15 @@ from .diagrams import (
 
 class GwError(ValueError):
     """Invalid request to the generating-series layer."""
+
+
+# Caps on the work of one request, sized on a 2-vCPU x86-64 host.  At order
+# 500 the slowest series known, the S^-6 inverse of ``ab_identity_check(3, 0,
+# 11)``, takes 2.5 s (12.5 s at order 750, 39 s at 1000).  A vertex's sine
+# product is a Laurent polynomial of 2 * (|mu| + |nu|) + 1 coefficients; with
+# distinct parts 1..140, |mu| = 9870, it takes 1.6 s at order 500.
+_ORDER_CAP = 500
+_VERTEX_SIZE_CAP = 10_000
 
 
 @dataclass(frozen=True)
@@ -122,7 +136,9 @@ def extract_invariant(series: GwSeries, g: int) -> Fraction:
 
 
 def _order_check(order: int, valuation: int) -> None:
-    """Reject a truncation order that leaves no coefficient of the series."""
+    """Reject a truncation order over the cap or leaving no coefficient."""
+    if order > _ORDER_CAP:
+        raise GwError(f"order {order} is over the order cap {_ORDER_CAP}")
     if order <= valuation:
         raise GwError(
             f"order {order} is too small: the series starts at u^{valuation}, "
@@ -162,35 +178,8 @@ def _from_count(
     """
     e = 2 * g0 + offset
     _order_check(order, e)
-    count = counts()
-    if count.is_zero():
-        series = USeries.zero(order)
-    else:
-        series = lp_substitute_exponential(count, order - e) * sin_factor_series(
-            1, e, order
-        )
-        if series.order != order:
-            raise AssertionError("truncation bookkeeping drift")
+    series = _sine_series(counts(), [(1, e)], order)
     return GwSeries(series, kind, delta, n, exponent_offset=offset, g_min=g0)
-
-
-def _sin_product(specs: list[tuple[int, int]], order: int) -> USeries:
-    """prod (2 sin(a*u/2))^e over (a, e) in specs, truncated at ``order``.
-
-    Factor orders are padded so the product's truncation order is exactly
-    ``order``; requires order > sum of exponents (the product's valuation).
-    """
-    total = sum(e for _, e in specs)
-    _order_check(order, total)
-    acc = None
-    for a, e in specs:
-        factor = sin_factor_series(a, e, order - (total - e))
-        acc = factor if acc is None else acc * factor
-    if acc is None:
-        acc = USeries.one(order)
-    if acc.order != order:
-        raise AssertionError("truncation bookkeeping drift")
-    return acc
 
 
 def vertex_series(mu: Partition, nu: Partition, order: int) -> GwSeries:
@@ -200,11 +189,12 @@ def vertex_series(mu: Partition, nu: Partition, order: int) -> GwSeries:
     u^(2g + len(mu) + len(nu)).  Requires order >= len(mu) + len(nu) + 1.
     """
     mu, nu = Partition(mu), Partition(nu)
-    mults: dict[int, int] = mu.part_multiplicities()
-    for part, m in nu.part_multiplicities().items():
-        mults[part] = mults.get(part, 0) + m
-    specs = sorted(mults.items())
-    series = _sin_product(specs, order)
+    _order_check(order, len(mu) + len(nu))
+    if mu.size + nu.size > _VERTEX_SIZE_CAP:
+        raise GwError(f"|mu| + |nu| = {mu.size + nu.size} is over the vertex "
+                      f"size cap {_VERTEX_SIZE_CAP}")
+    specs = sorted(Counter(mu + nu).items())
+    series = _sine_series(LaurentPolyS.one(), specs, order)
     scalar = Fraction(1)
     for part, m in specs:
         scalar /= Fraction(part) ** m
@@ -254,7 +244,9 @@ def degeneration_series(delta: HTransverseDegree, n: int, order: int = 16) -> Gw
     total = USeries.zero(order)
     for weights, count in weight_profiles(delta, n).items():
         specs = Counter(weights * 2) + Counter({1: delta.d_b + delta.d_t})
-        total = total + _sin_product(sorted(specs.items()), order) * count
+        total = total + _sine_series(
+            LaurentPolyS.monomial(0, count), sorted(specs.items()), order
+        )
     if total.order != order:
         raise AssertionError("truncation bookkeeping drift")
     return GwSeries(total, "degeneration", delta, n, exponent_offset=offset, g_min=g0)
@@ -298,17 +290,18 @@ def degeneration_cross_check(
 ) -> CrossCheckReport:
     """Compare the two evaluation routes term by term.
 
-    Route one is the diagram sum of ``degeneration_series`` (sine products
-    per weight profile); route two reconstructs the same series as
-    relative * S^(2h), where the relative series comes from the refined
-    count through the cosine substitution.  Both routes read
+    Route one is the diagram sum of ``degeneration_series``: one
+    substituted sine product per weight profile, summed as series.  Route
+    two is the log series, relative * S^(2h): the folded refined count
+    times its sine power, substituted once.  Both routes read
     ``weight_profiles`` (route two through ``refined_count``, its fold),
-    so the check covers the series side of the degeneration theorem: sine
-    products per profile against the cosine substitution of the folded
-    count.  Neither route lists a diagram.  Both substitute s = e^(iu/2)
-    through ``algebra._substitute`` (route one into sine powers, route two
-    into the folded count), so an error that hits every polynomial alike,
-    such as a wrong u-scale, passes here; the tests' sympy pins catch it.
+    so the check covers the series side of the degeneration theorem, and
+    neither lists a diagram.  Both build their series with
+    ``algebra._sine_series`` from nonnegative sine powers, so neither
+    multiplies two series.  The check catches an error in the count's
+    q-integers, but an error that hits every polynomial alike, such as a
+    wrong u-scale, or one in ``USeries`` multiplication passes here; the
+    tests' sympy and schoolbook pins catch those.
     """
     diagram_sum = degeneration_series(delta, n, order).series
     from_refined = log_series(delta, n, order).series
@@ -391,7 +384,7 @@ def ab_identity_check(a: int, b: int, n: int, order: int = 16) -> AbIdentityRepo
     _order_check(order, 2 * g0 - 2)
     f0 = degree_hirzebruch(0, a, a + b) if a + b else None
     lhs_poly = _count_or_zero(f0, n)
-    lhs_series = _from_count(lambda: lhs_poly, "absolute_F0", f0, n, -2, g0, order).series
+    lhs_series = _sine_series(lhs_poly, [(1, 2 * g0 - 2)], order)
     rhs_poly = LaurentPolyS.zero()
     rhs_series = USeries.zero(order)
     for j in range(a + 1):
@@ -399,9 +392,8 @@ def ab_identity_check(a: int, b: int, n: int, order: int = 16) -> AbIdentityRepo
         f2 = degree_hirzebruch(2, a - j, d) if a - j + d else None
         count = _count_or_zero(f2, n)
         rhs_poly = rhs_poly + comb(d, j) * count
-        term = _from_count(
-            lambda: count, "relative_F2_Dminus2", f2, n, d - 2, g0, order + d
-        ).series
+        # the F2/D_(-2) series, computed d terms further than the sum needs
+        term = _sine_series(count, [(1, 2 * g0 + d - 2)], order + d)
         prefactor = sin_factor_series(1, -d, order - (2 * g0 - 2))
         rhs_series = rhs_series + (term * prefactor * comb(d, j)).truncate(order)
 

@@ -13,7 +13,10 @@ from floorgw import (
     LaurentPolyS,
     Partition,
     USeries,
+    degree_hirzebruch,
     degree_p2,
+    f0_absolute_series,
+    gw_relative_series,
     lp_eval_at_one,
     lp_substitute_exponential,
     points_for_genus,
@@ -23,6 +26,7 @@ from floorgw import (
     refined_count,
     sin_factor_series,
 )
+from floorgw.algebra import _sine_series
 
 F = Fraction
 
@@ -519,6 +523,40 @@ def test_substitution_matches_the_cosine_basis(half_coeffs, order):
     p = palindrome(half_coeffs)
     assert_same_series(lp_substitute_exponential(p, order),
                        cosine_basis_substitution(p, order))
+
+
+def product_route(p, sines, order):
+    """The route ``_sine_series`` replaced: substitute p and each sine power
+    apart, pad each window so that the product ends at ``order``, and
+    multiply the truncated series."""
+    total = sum(e for _, e in sines)
+    result = lp_substitute_exponential(p, order - total)
+    for a, e in sines:
+        result = result * sin_factor_series(a, e, order - (total - e))
+    return result
+
+
+@given(st.lists(st.integers(-9, 9), min_size=1, max_size=5),
+       st.lists(st.tuples(st.integers(1, 5), st.integers(-3, 4)), max_size=4),
+       st.integers(1, 120))
+@settings(max_examples=60, deadline=None)
+def test_sine_series_matches_the_product_route(half_coeffs, sines, window):
+    p = palindrome(half_coeffs)
+    order = sum(e for _, e in sines) + window
+    assert_same_series(_sine_series(p, sines, order), product_route(p, sines, order))
+
+
+@pytest.mark.parametrize("series,delta,n,e", [
+    # plane lines through 2 points: count * S^-1
+    (lambda order: gw_relative_series(degree_p2(1), 2, order), degree_p2(1), 2, -1),
+    # F0 absolute at g0 = 0: count * S^-2
+    (lambda order: f0_absolute_series(1, 0, 3, order), degree_hirzebruch(0, 1, 1), 3, -2),
+    (lambda order: f0_absolute_series(1, 1, 5, order), degree_hirzebruch(0, 1, 2), 5, -2),
+], ids=["p2-d1", "f0-a1-b0", "f0-a1-b1"])
+def test_count_times_a_negative_sine_power_matches_the_product_route(series, delta, n, e):
+    count = refined_count(delta, n)
+    for order in (e + 1, 9, 80):
+        assert_same_series(series(order).series, product_route(count, [(1, e)], order))
 
 
 @given(laurent_polys, useries())

@@ -267,6 +267,58 @@ def test_too_small_order_is_one_line_domain_error(capsys):
     assert len(err.splitlines()) == 1 and "at least 5" in err
 
 
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="the interpreter has no int-to-str digit limit")
+@pytest.mark.parametrize("command", [
+    "vertex --mu 1 --order 320",
+    "vertex --mu 1 --order 320 --format json",
+    "vertex --mu 1 --order 320 --format csv",
+    "gw --surface p2 --degree 1 --points 2 --order 320 --format csv",
+    "verify degeneration --surface p2 --degree 1 --points 2 --order 320",
+])
+def test_coefficient_past_the_int_to_str_limit_is_one_line_domain_error(capsys, command):
+    # 2^m m! passes 640 digits below u^320, so these cheap jobs hit the limit
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, out, err = run_cli(capsys, *command.split())
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "int-to-str limit" in err
+
+
+@pytest.mark.parametrize("command,message", [
+    ("gw --surface p2 --degree 4 --genus 0 --order 501", "order 501 is over the order cap 500"),
+    ("log-gw --surface p2 --degree 3 --genus 0 --order 9999", "order 9999 is over the order cap"),
+    ("verify degeneration --surface p2 --degree 4 --genus 0 --order 501", "order cap 500"),
+    ("verify ab --a 3 --b 0 --points 11 --order 501", "order cap 500"),
+    ("vertex --mu 5,4,3 --nu 6,6 --order 3000", "order 3000 is over the order cap 500"),
+    ("vertex --mu 1000000000 --order 16", "|mu| + |nu| = 1000000000 is over the vertex size cap"),
+    ("vertex --mu 5000,4999 --nu 2 --order 16", "|mu| + |nu| = 10001 is over the vertex size cap 10000"),
+])
+def test_series_request_over_a_cap_exits_1_before_any_work(capsys, monkeypatch, command, message):
+    def no_work(*args, **kwargs):
+        raise AssertionError("built a polynomial or a series past a cap")
+
+    monkeypatch.setattr(diagrams, "_state_sum", no_work)
+    monkeypatch.setattr(gw, "_sine_series", no_work)
+    monkeypatch.setattr(gw.LaurentPolyS, "__init__", no_work)
+    monkeypatch.setattr(gw.USeries, "__init__", no_work)
+    code, out, err = run_cli(capsys, *command.split())
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert message in err
+
+
+def test_order_and_vertex_at_their_caps_are_accepted(capsys):
+    code, out, err = run_cli(capsys, "vertex", "--mu", "5000,4998", "--nu", "2",
+                             "--order", "500", "--format", "csv")
+    assert code == 0 and err == ""
+    assert out.splitlines()[-1].startswith("248,")
+
+
 def test_order_may_end_below_zero_for_a_laurent_series(capsys):
     # P2 degree 1 starts at u^-1, so order 0 still carries the genus-0 term
     code, out, err = run_cli(
