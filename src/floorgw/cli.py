@@ -216,7 +216,6 @@ def _cmd_verify_oracle(args, parser) -> int:
     n = _parse_points(delta, args)
     # the oracle's cap on n first: it needs no count
     check_cap(n)
-    # one profile recursion gives the listing cap its count and the sweep its sum
     profiles = weight_profiles(delta, n)
     _check_listing_cap(delta, n, sum(profiles.values()))
     brute_diagrams = brute_force_enumerate(delta, n)

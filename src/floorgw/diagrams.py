@@ -19,15 +19,14 @@ edges onto the positions 1..n; marking rigidifies the diagram, so
 isomorphism classes are exactly the distinct position-labelled structures.
 ``enumerate_marked`` produces one representative per class by a left-to-right
 sweep over positions, branching at each position over the element placed
-there; see its docstring for the exact branching order.  One memoized
-recursion over canonical sweep states, ``weight_profiles``, takes the same
-branches without listing any diagram and counts the diagrams per multiset
-of bounded edge weights; every count is a fold of its result.
+there; see its docstring for the exact branching order.  One forward pass
+over the positions, ``weight_profiles``, takes the same branches on
+canonical sweep states without listing any diagram and counts the diagrams
+per multiset of bounded edge weights; every count is a fold of its result.
 """
 
 from __future__ import annotations
 
-import sys
 from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import product
@@ -370,20 +369,26 @@ def enumerate_marked(delta: HTransverseDegree, n: int) -> list[MarkedFloorDiagra
     drop the same diagrams from both the count and the listing.  The
     brute-force oracle catches that for n <= 16, where the acceptance grid
     exercises the prune; beyond it the Kontsevich, node-polynomial and
-    maximal-genus pins of the counts do.
+    maximal-genus pins of the counts do.  The count also refuses states
+    whose attached edges hold more cycles than the genus, which the listing
+    does not, so the tests comparing the two check that bound.
     """
     total_bounded = _bounded_edge_count(delta, n)
-    if delta.height == 0:
-        return []
     found: list[MarkedFloorDiagram] = []
     limits = (n, delta.height, delta.d_b, total_bounded, delta.d_t, delta.divergence,
               _window_room(delta))
-    _sweep(found, limits, (), (), (), (), 0, 0, 0)
+    stack = [_sweep(found, limits, (), (), (), (), 0, 0, 0)]
+    while stack:
+        for child in stack[-1]:
+            stack.append(_sweep(found, limits, *child))
+            break
+        else:
+            stack.pop()
     return found
 
 
-def _sweep(found, limits, vertices, budgets, edges, pending, in_used, bd_used, out_used) -> None:
-    """Append to ``found`` every completed diagram below one sweep state.
+def _sweep(found, limits, vertices, budgets, edges, pending, in_used, bd_used, out_used):
+    """Yield the children of a sweep state in branch order, or list it in ``found``.
 
     ``limits`` holds n, h, d_b, the number of bounded edges, d_t, the
     divergence of every vertex and the :func:`_window_room` of the degree.
@@ -393,7 +398,7 @@ def _sweep(found, limits, vertices, budgets, edges, pending, in_used, bd_used, o
     source, target, weight), target None while unattached; ``pending`` the
     indices in ``edges`` of the heads awaiting a vertex; ``in_used``,
     ``bd_used`` and ``out_used`` the numbers of incoming, bounded and
-    outgoing edges placed.
+    outgoing edges placed.  A child is the tuple of these seven arguments.
     """
     n, h, d_b, total_bounded, d_t, div, room = limits
     need = total_bounded - bd_used - room[h - len(vertices)]
@@ -407,18 +412,18 @@ def _sweep(found, limits, vertices, budgets, edges, pending, in_used, bd_used, o
         return
     open_vertex = len(vertices) < h
     if open_vertex and in_used < d_b:
-        _sweep(found, limits, vertices, budgets, edges + ((pos, None, None, 1),),
+        yield (vertices, budgets, edges + ((pos, None, None, 1),),
                pending + (len(edges),), in_used + 1, bd_used, out_used)
     if open_vertex and bd_used < total_bounded:
         for i, b in enumerate(budgets):
             for w in range(1, b + 1):
-                _sweep(found, limits, vertices, budgets[:i] + (b - w,) + budgets[i + 1:],
+                yield (vertices, budgets[:i] + (b - w,) + budgets[i + 1:],
                        edges + ((pos, vertices[i], None, w),), pending + (len(edges),),
                        in_used, bd_used + 1, out_used)
     if out_used < d_t:
         for i, b in enumerate(budgets):
             if b >= 1:
-                _sweep(found, limits, vertices, budgets[:i] + (b - 1,) + budgets[i + 1:],
+                yield (vertices, budgets[:i] + (b - 1,) + budgets[i + 1:],
                        edges + ((pos, vertices[i], None, 1),), pending,
                        in_used, bd_used, out_used + 1)
     if len(vertices) < h - 1:
@@ -438,7 +443,7 @@ def _sweep(found, limits, vertices, budgets, edges, pending, in_used, bd_used, o
         for i in subset:
             p, source, _, w = edges[i]
             attached[i] = (p, source, pos, w)
-        _sweep(found, limits, vertices + (pos,), budgets + (budget,), tuple(attached),
+        yield (vertices + (pos,), budgets + (budget,), tuple(attached),
                tuple([i for i in pending if i not in subset]), in_used, bd_used, out_used)
 
 
@@ -475,26 +480,20 @@ def _connected(vertices: tuple[int, ...], edges: tuple[tuple, ...]) -> bool:
     return len(reached) == len(vertices)
 
 
-# frames of the interpreter's recursion limit left to the callers of a recursion
-_CALLER_FRAMES = 100
+# the most points accepted: without a cap on work, P2 d=400 at genus 0 runs without bound
+_MAX_POINTS = 900
 
 
 def _bounded_edge_count(delta: HTransverseDegree, n: int) -> int:
-    """Bounded edges of every diagram on n points, g + h - 1.
-
-    Rejects g < 0, and n over the interpreter's recursion limit less
-    _CALLER_FRAMES: both recursions place one element per call, so they go
-    n + 1 calls deep."""
+    """Bounded edges of every diagram on n points, g + h - 1; refuses g < 0 and n > _MAX_POINTS."""
     g = delta.genus_for_points(n)
     if g < 0:
         raise DiagramError(
             f"no diagrams: n = {n} gives negative genus {g} for {delta.label}"
         )
-    depth_cap = sys.getrecursionlimit() - _CALLER_FRAMES
-    if n > depth_cap:
+    if n > _MAX_POINTS:
         raise DiagramError(
-            f"n = {n} for {delta.label} is over the depth cap: the sweep and the count "
-            f"recurse once per point, and the recursion limit allows n <= {depth_cap}"
+            f"n = {n} for {delta.label} is over the point cap _MAX_POINTS = {_MAX_POINTS}"
         )
     total_bounded = n - delta.height - delta.d_b - delta.d_t
     if total_bounded != g + delta.height - 1:
@@ -516,57 +515,57 @@ def weight_profiles(delta: HTransverseDegree, n: int) -> dict[tuple[int, ...], i
     """Map the sorted weights of the bounded edges to the number of marked
     diagrams on n points that have them, without listing any diagram.
 
-    A memoized recursion over the states of the sweep of
-    :func:`enumerate_marked`, taking exactly its branches.  As in the
+    A forward pass over the positions 1..n, taking exactly the branches of
+    the sweep of :func:`enumerate_marked` on canonical states.  As in the
     floor-diagram recursions of Fomin-Mikhalkin and Block-Goettsche, the
-    future of the sweep depends only on a small canonical state:
-
-    * the numbers of incoming, bounded and outgoing edges placed so far (the
-      position is their sum plus the number of placed vertices);
-    * the number of floors still to place;
-    * the number of pending incoming unbounded heads;
-    * the sorted tuple of connected components of the placed vertices, each
-      a pair (sorted positive outgoing budgets, sorted weights of the
-      pending bounded heads leaving it).
+    future of the sweep depends only on the numbers of incoming, bounded and
+    outgoing edges placed, the number of floors still to place, the number
+    of pending incoming unbounded heads, and the sorted tuple of connected
+    components of the placed vertices, each a pair (sorted positive outgoing
+    budgets, sorted weights of the pending bounded heads leaving it).  Each
+    branch places one element, so layer j holds the states at position j,
+    each with its number of sweep traces per profile placed so far.
 
     Vertices of equal budget in one component give equal states, so their
     branch is taken once and weighted by their number; a vertex taking r of
     the m pending heads of one weight in one component is weighted by
-    C(m, r).  A closed component (no budget, no pending head) can never be
-    joined again, so a state holding one beside another component or an
-    unplaced vertex is dead.  So is a state whose bounded edges still to
-    place exceed its components' budgets plus the room of the windows after
-    its next floor: the window-capacity prune of :func:`enumerate_marked`,
-    proved there.  A wrong bound would drop the same diagrams from both
-    recursions; that docstring says what catches it.  Every count is a fold
-    of the result, as are the degeneration vertex products.  The memo table
-    lives for one call.
+    C(m, r).  No dead state enters a layer: one holding a closed component
+    (no budget, no pending head) beside another component or an unplaced
+    vertex, which nothing can join again; one whose bounded edges still to
+    place exceed its budgets plus the room of the windows after its next
+    floor (the window-capacity prune of :func:`enumerate_marked`, proved
+    there); and one whose attached bounded edges hold more cycles than the
+    genus, since they form a subgraph of every completion and no subgraph
+    has a larger first Betti number.  A wrong bound would drop diagrams from
+    the count; the :func:`enumerate_marked` docstring says what catches it.
+    Every count and every degeneration vertex product is a fold of the result.
     """
     total_bounded = _bounded_edge_count(delta, n)
     fixed = (delta.d_b, total_bounded, delta.d_t, delta.divergence, _window_room(delta))
-    return _state_sum((0, 0, 0, delta.height, 0, ()), fixed, {})
+    layer = {(0, 0, 0, delta.height, 0, ()): {(): 1}}
+    for _ in range(n):
+        following: dict[tuple, dict[tuple[int, ...], int]] = {}
+        for state, profiles in layer.items():
+            for ways, w, child in _state_sum(state, fixed):
+                total = following.setdefault(child, {})
+                for profile, count in profiles.items():
+                    if w:
+                        profile = tuple(sorted(profile + (w,)))
+                    total[profile] = total.get(profile, 0) + count * ways
+        if not following:
+            return {}
+        layer = following
+    return layer.get((delta.d_b, total_bounded, delta.d_t, 0, 0, (((), ()),)), {})
 
 
-def _state_sum(state: tuple, fixed: tuple, memo: dict) -> dict[tuple[int, ...], int]:
-    """The :func:`weight_profiles` of the completions of one sweep state, whose
-    components need not be sorted yet, over the bounded edges still to be
-    placed.  ``fixed`` holds d_b, the number of bounded edges, d_t, the
-    divergence of every floor and the :func:`_window_room` of the degree."""
+def _state_sum(state: tuple, fixed: tuple) -> list[tuple[int, int, tuple]]:
+    """The live branches of a canonical :func:`weight_profiles` state, as
+    (sweep branches, bounded edge weight or 0, canonical child).  ``fixed``
+    holds d_b, the number of bounded edges, d_t, the divergence of every
+    floor and the :func:`_window_room` of the degree."""
     in_used, bd_used, out_used, floors, free, comps = state
     d_b, total_bounded, d_t, div, room = fixed
-    comps = tuple(sorted(comps))
-    if ((), ()) in comps and (len(comps) > 1 or floors):
-        return {}
-    if not floors and (in_used, bd_used, out_used) == (d_b, total_bounded, d_t):
-        return {(): 1} if comps == (((), ()),) else {}
-    key = (in_used, bd_used, out_used, floors, free, comps)
-    if key in memo:
-        return memo[key]
-    need = total_bounded - bd_used - room[floors]
-    if need > 0 and sum(sum(budgets) for budgets, _ in comps) < need:
-        memo[key] = {}
-        return memo[key]
-    branches = []  # (number of sweep branches, bounded edge weight or 0, next state)
+    branches = []
     if floors and in_used < d_b:
         branches.append((1, 0, (in_used + 1, bd_used, out_used, floors, free + 1, comps)))
     for i, (budgets, heads) in enumerate(comps):
@@ -608,14 +607,18 @@ def _state_sum(state: tuple, fixed: tuple, memo: dict) -> dict[tuple[int, ...], 
             left = tuple(sorted(budgets + [budget] if budget else budgets))
             branches.append((ways, 0, (in_used, bd_used, out_used, floors - 1,
                                        free - takes[0], untouched + ((left, heads),))))
-    total: dict[tuple[int, ...], int] = {}
-    for ways, w, nxt in branches:
-        for profile, count in _state_sum(nxt, fixed, memo).items():
-            if w:
-                profile = tuple(sorted(profile + (w,)))
-            total[profile] = total.get(profile, 0) + count * ways
-    memo[key] = total
-    return total
+    live = []
+    for ways, w, (in_used, bd_used, out_used, floors, free, comps) in branches:
+        comps = tuple(sorted(comps))
+        spare = sum(sum(budgets) for budgets, _ in comps)
+        pending = sum(len(heads) for _, heads in comps)
+        # the cycle test is bd_used - pending - (h - floors) + len(comps) >
+        # total_bounded - h + 1, the genus, with h taken off both sides
+        if not (((), ()) in comps and (len(comps) > 1 or floors)
+                or spare < total_bounded - bd_used - room[floors]
+                or bd_used - pending + floors + len(comps) > total_bounded + 1):
+            live.append((ways, w, (in_used, bd_used, out_used, floors, free, comps)))
+    return live
 
 
 def refined_count(delta: HTransverseDegree, n: int) -> LaurentPolyS:

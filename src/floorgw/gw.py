@@ -57,7 +57,6 @@ from .algebra import (
     USeries,
     _sine_series,
     rational_to_str,
-    sin_factor_series,
 )
 from .diagrams import (
     HTransverseDegree,
@@ -392,10 +391,8 @@ def ab_identity_check(a: int, b: int, n: int, order: int = 16) -> AbIdentityRepo
         f2 = degree_hirzebruch(2, a - j, d) if a - j + d else None
         count = _count_or_zero(f2, n)
         rhs_poly = rhs_poly + comb(d, j) * count
-        # the F2/D_(-2) series, computed d terms further than the sum needs
-        term = _sine_series(count, [(1, 2 * g0 + d - 2)], order + d)
-        prefactor = sin_factor_series(1, -d, order - (2 * g0 - 2))
-        rhs_series = rhs_series + (term * prefactor * comb(d, j)).truncate(order)
+        rhs_series = rhs_series + _sine_series(count, [(1, 2 * g0 + d - 2), (1, -d)],
+                                               order) * comb(d, j)
 
     return AbIdentityReport(
         a,

@@ -142,18 +142,19 @@ def test_domain_error_exits_1(capsys):
 ])
 def test_class_deeper_than_the_recursion_limit_is_refused(capsys, monkeypatch, command, n):
     def no_work(*args, **kwargs):
-        raise AssertionError("recursed before the depth cap was checked")
+        raise AssertionError("counted or listed before the point cap was checked")
 
     monkeypatch.setattr(diagrams, "_sweep", no_work)
     monkeypatch.setattr(diagrams, "_state_sum", no_work)
     code, out, err = run_cli(capsys, *command.split())
     assert code == 1 and out == ""
     assert len(err.splitlines()) == 1 and "Traceback" not in err
-    assert err.startswith(f"error: n = {n} for P2(d=") and "over the depth cap" in err
+    assert err.startswith(f"error: n = {n} for P2(d=") and "over the point cap" in err
+    assert f"_MAX_POINTS = {diagrams._MAX_POINTS}" in err
 
 
 def test_maximal_genus_of_a_high_degree_counts_one(capsys):
-    # n = 860: within the depth cap, and one floor chain the prune walks at once
+    # n = 860: within the point cap, and one floor chain the prune walks at once
     code, out, err = run_cli(capsys, "count", "--surface", "p2", "--degree", "40",
                              "--genus", "741")
     assert code == 0 and err == ""

@@ -35,7 +35,7 @@ from helpers import acceptance_grid
 
 
 def assert_counts_match_listing(delta, n):
-    """The profile recursion and its three folds against one listing: the
+    """The profile count and its three folds against one listing: the
     grouping by sorted bounded weights, the refined multiplicity sum, the
     number of diagrams, and the refined count at q = 1."""
     diagrams = enumerate_marked(delta, n)
@@ -78,13 +78,13 @@ def test_refined_count_equals_listing_sum_beyond_grid(delta, n):
 
 
 def counted(monkeypatch, name):
-    """Count the calls of the recursion ``diagrams.<name>``, itself included."""
+    """Count the calls of ``diagrams.<name>``."""
     calls = []
-    recursion = getattr(diagrams, name)
+    function = getattr(diagrams, name)
 
     def counting(*args):
         calls.append(None)
-        return recursion(*args)
+        return function(*args)
 
     monkeypatch.setattr(diagrams, name, counting)
     return calls
@@ -111,6 +111,30 @@ def test_count_refuses_the_root_above_maximal_genus(monkeypatch, d, g):
     delta = degree_p2(d)
     assert weight_profiles(delta, points_for_genus(delta, g)) == {}
     assert len(calls) == 1
+
+
+def test_count_drops_a_child_with_more_cycles_than_the_genus():
+    """P2 d=3 at genus 0: the first floor sent two bounded edges of weight 1
+    up.  The second floor may take one of them (two ways) or neither, which
+    leaves it a negative budget; taking both closes a cycle."""
+    delta = degree_p2(3)
+    fixed = (3, 2, 0, 1, diagrams._window_room(delta))
+    state = (3, 2, 0, 2, 0, (((), (1, 1)),))
+    assert diagrams._state_sum(state, fixed) == [(2, 0, (3, 2, 0, 1, 0, (((), (1,)),)))]
+
+
+def test_count_and_listing_run_from_deep_callers():
+    """Neither the count nor the listing takes a stack frame per point: P2
+    d=40 at its maximal genus (n = 860) counts and lists from 500 frames
+    down."""
+    delta = degree_p2(40)
+
+    def nested(depth):
+        if depth:
+            return nested(depth - 1)
+        return classical_count(delta, 860), len(enumerate_marked(delta, 860))
+
+    assert nested(500) == (1, 1)
 
 
 def kontsevich(d_max):
@@ -141,6 +165,41 @@ def test_one_and_two_node_counts_follow_node_polynomials(d):
     assert 2 * two_nodes == 3 * (d - 1) * (d - 2) * (3 * d * d - 3 * d - 11)
 
 
+def test_three_node_counts_follow_kleiman_piene():
+    """N_3(d) of Kleiman-Piene for d = 5..12.  The 3-nodal class of d = 5
+    (n = 17) is the first past the oracle's cap, and from d = 9 on a floor
+    takes a group of 9 or more equal heads, more than in any class on which
+    the count is compared with a listing (at most 6)."""
+    for d in range(5, 13):
+        n3 = (9 * d**6 - 54 * d**5 + 9 * d**4 + 423 * d**3 - 458 * d**2 - 829 * d + 1050) // 2
+        assert classical_count(degree_p2(d), d * (d + 3) // 2 - 3) == n3, d
+
+
+F_CLASSES = [(k, h, delta) for k in range(4) for h in (2, 3) for delta in (1, 2)]
+
+
+@pytest.mark.parametrize("k,h,delta", F_CLASSES, ids=[f"F{k}-h{h}-delta{delta}"
+                                                      for k, h, delta in F_CLASSES])
+def test_refined_counts_of_f_k_are_polynomial_in_d(k, h, delta):
+    """With delta nodes, each s-coefficient of the refined count of
+    h*D_k + d*F is a polynomial of degree delta in d (Ardila-Block;
+    Block-Goettsche), so its (delta + 1)-th difference in d vanishes.  Every
+    case here is polynomial from d = delta + 1 on; d = delta + 2 ..
+    2 * delta + 7 gives five differences per case.  h = 1 has no nodal
+    class (arithmetic genus 0), and k, h <= 3 keep the cases near a second
+    in all."""
+    counts = []
+    for d in range(delta + 2, 2 * delta + 8):
+        surface = degree_hirzebruch(k, h, d)
+        arithmetic_genus = (h - 1) * (k * h + 2 * d - 2) // 2
+        counts.append(refined_count(surface, points_for_genus(surface, arithmetic_genus - delta)))
+    for exponent in set().union(*(c.exponents() for c in counts)):
+        values = [c.coefficient(exponent) for c in counts]
+        for _ in range(delta + 1):
+            values = [b - a for a, b in zip(values, values[1:])]
+        assert values == [0] * 5, exponent
+
+
 @pytest.mark.parametrize("d", [3, 4, 5, 6, 7])
 def test_plane_count_is_one_at_maximal_genus_and_zero_above(d):
     delta = degree_p2(d)
@@ -150,12 +209,14 @@ def test_plane_count_is_one_at_maximal_genus_and_zero_above(d):
 
 
 def test_refined_count_leaves_no_cyclic_garbage():
-    """The memo table is freed on return by reference counting alone."""
+    """The layers of the count and the generators of the listing are freed
+    on return by reference counting alone."""
     gc.collect()
     gc.disable()
     try:
         weight_profiles(degree_p2(4), 11)
         refined_count(degree_p2(4), 11)
+        enumerate_marked(degree_p2(4), 11)
         assert gc.collect() == 0
     finally:
         gc.enable()
