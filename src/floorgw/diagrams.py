@@ -254,7 +254,9 @@ def validate_diagram(diagram: MarkedFloorDiagram, delta: HTransverseDegree) -> N
     if any(div != delta.divergence for div in diagram.divergences):
         raise InvalidDiagram(f"vertex divergences differ from the degree's {delta.divergence}")
 
-    incoming_unbounded = outgoing_unbounded = 0
+    incoming_unbounded = outgoing_unbounded = bounded = 0
+    flow = dict.fromkeys(vset, 0)
+    adjacent: dict[int, list[int]] = {p: [] for p in vset}
     for position, source, target, weight in edges:
         if weight < 1:
             raise InvalidDiagram(f"edge at position {position} has weight {weight}")
@@ -270,51 +272,50 @@ def validate_diagram(diagram: MarkedFloorDiagram, delta: HTransverseDegree) -> N
                 raise InvalidDiagram("incoming unbounded edge of weight != 1")
             if not position < target:
                 raise InvalidDiagram("incoming unbounded edge not before its target")
+            flow[target] += weight
         elif target is None:
             outgoing_unbounded += 1
             if weight != 1:
                 raise InvalidDiagram("outgoing unbounded edge of weight != 1")
             if not source < position:
                 raise InvalidDiagram("outgoing unbounded edge not after its source")
+            flow[source] -= weight
         else:
             if not source < position < target:
                 raise InvalidDiagram(
                     f"bounded edge at {position} violates source < position < target"
                 )
+            bounded += 1
+            flow[target] += weight
+            flow[source] -= weight
+            adjacent[source].append(target)
+            adjacent[target].append(source)
     if incoming_unbounded != delta.d_b:
         raise InvalidDiagram(f"expected {delta.d_b} incoming unbounded edges")
     if outgoing_unbounded != delta.d_t:
         raise InvalidDiagram(f"expected {delta.d_t} outgoing unbounded edges")
 
     for p in diagram.vertex_positions:
-        flow = 0
-        for _, source, target, weight in edges:
-            if target == p:
-                flow += weight
-            if source == p:
-                flow -= weight
-        if flow != diagram.divergence_at(p):
+        if flow[p] != diagram.divergence_at(p):
             raise InvalidDiagram(f"divergence mismatch at vertex {p}")
 
-    links = [(s, t) for _, s, t, _ in edges if s is not None and t is not None]
     if vset:
         reached = {diagram.vertex_positions[0]}
         frontier = [diagram.vertex_positions[0]]
         while frontier:
-            v = frontier.pop()
-            for link in links:
-                for w in link:
-                    if w not in reached and v in link:
-                        reached.add(w)
-                        frontier.append(w)
+            for w in adjacent[frontier.pop()]:
+                if w not in reached:
+                    reached.add(w)
+                    frontier.append(w)
         if reached != vset:
             raise InvalidDiagram("underlying graph is disconnected")
 
     g = delta.genus_for_points(n)
     if g < 0:
         raise InvalidDiagram(f"genus {g} is negative")
-    if diagram.betti() != g:
-        raise InvalidDiagram(f"first Betti number {diagram.betti()} != genus {g}")
+    betti = bounded - len(diagram.vertex_positions) + 1
+    if betti != g:
+        raise InvalidDiagram(f"first Betti number {betti} != genus {g}")
 
 
 def enumerate_marked(delta: HTransverseDegree, n: int) -> list[MarkedFloorDiagram]:

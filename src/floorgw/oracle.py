@@ -6,12 +6,17 @@ order, bounded edges with weights up to the flow bound, unbounded edge
 attachments) that meets the divergence and connectivity requirements, then
 realize each shape as marked diagrams through its linear extensions, with
 indistinguishable parallel edges as one class so that each diagram appears
-exactly once.  Every diagram passes the full invariant validator.  There are
-no options; n is capped by ``MAX_N``.  Nothing here is shared with the sweep.
+exactly once.  The shapes are found by a depth-first search over the ranks,
+cut by two lower bounds on the unbounded edges a partial shape already needs
+(see ``_shapes``), and each linear extension builds its diagram as its
+positions are chosen (see ``_extensions``).  Every diagram passes the full
+invariant validator.  There are no options; n is capped by ``MAX_N``.
+Nothing here is shared with the sweep.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from itertools import combinations_with_replacement
 
@@ -29,7 +34,9 @@ class OracleLimitError(ValueError):
     """The request exceeds the brute-force cap on n."""
 
 
-# the cap on n, sized to keep a run under a minute
+# The cap on n.  At n = 16 the oracle lists P2 d=5 g=2 (9,864 diagrams) in
+# about 0.4 s and F1 (h=3, d=3) g=2 (59,782) in about 3 s on a 2-vCPU x86-64
+# host; n = 16 classes with more diagrams are refused by the CLI's listing cap.
 MAX_N = 16
 
 
@@ -50,85 +57,149 @@ def _connected(h: int, bounded: tuple) -> bool:
     return len(seen) == h
 
 
-def _shapes(delta: HTransverseDegree, n: int):
-    """Yield (bounded, incoming, outgoing) shapes.
+def _shapes(delta: HTransverseDegree, n: int) -> list:
+    """The (bounded, incoming, outgoing) shapes, in a fixed order.
 
     Ranks 0..h-1 stand for the vertices in marking order.  ``bounded`` is a
-    multiset of (source_rank, target_rank, weight) with source < target and
-    weight up to the flow bound d_b (no divergence is negative, so no edge
-    carries more than all incoming unbounded edges); ``incoming`` /
-    ``outgoing`` are multisets of target / source ranks.
+    sorted tuple of the (source_rank, target_rank, weight) of the bounded
+    edges, source < target and weight up to the flow bound d_b (no
+    divergence is negative, so no edge carries more than all incoming
+    unbounded edges); ``incoming`` / ``outgoing`` are sorted tuples of the
+    target / source ranks of the unbounded edges.
 
-    Every bounded multiset is tried.  The unbounded attachments are matched
-    to it by flow: the attachment pairs are indexed once by their net flow
-    per rank, and a bounded multiset with flow f takes exactly the pairs
-    indexed at (divergence - f per rank).  Only a multiset with at least one
-    match is checked for connectivity.
+    The bounded edges are chosen rank by rank, depth first.  When rank r is
+    reached, its inflow from lower ranks is final; the search then chooses
+    the multiplicities of the types (r, j, w), j > r, in sorted order, each
+    from the largest possible down to 0, so the bounded tuples come in
+    lexicographic order, the order of ``combinations_with_replacement``
+    over the sorted types.  Write in_r / out_r for the incoming / outgoing
+    unbounded edges at rank r; its balance reads
+
+        inflow_r + in_r - outflow_r - out_r = divergence.
+
+    Two bounds cut the search.  Both follow from the balance, so neither
+    loses a shape.
+
+    * Once rank r is chosen, x = divergence - (inflow_r - outflow_r) equals
+      in_r - out_r, so in_r >= max(x, 0) and out_r >= max(-x, 0).
+      ``used_in`` / ``used_out`` sum these lower bounds over the ranks
+      chosen; a branch where either exceeds d_b / d_t has no attachment.
+    * The outflow of rank r is at most inflow_r + (d_b - used_in) -
+      divergence, with ``used_in`` summed over the ranks below r: the
+      balance gives outflow_r <= inflow_r + in_r - divergence, and in_r <=
+      d_b - used_in, because the ranks below r take at least ``used_in``
+      of the d_b incoming edges.
+
+    With every bounded edge chosen, the unbounded attachments are matched
+    by flow: the attachment pairs are indexed once by their net flow per
+    rank, and the bounded edges with net flow f take exactly the pairs
+    indexed at (divergence - f per rank).  Only a choice with at least one
+    match is checked for connectivity.  The search takes one frame per
+    type and rank, at most 65 under ``MAX_N``.
     """
     h = delta.height
-    n_bounded = n - h - delta.d_b - delta.d_t
-    if n_bounded < 0:
-        return
-    edge_types = [
-        (i, j, w)
-        for i in range(h)
-        for j in range(i + 1, h)
-        for w in range(1, delta.d_b + 1)
-    ]
+    d_b, d_t, divergence = delta.d_b, delta.d_t, delta.divergence
+    n_bounded = n - h - d_b - d_t
+    if n_bounded < 0 or h == 0:  # with no vertex, the d_b + d_t >= 1 unbounded edges have no end
+        return []
     attachments: dict[tuple[int, ...], list] = {}
-    for incoming in combinations_with_replacement(range(h), delta.d_b):
-        for outgoing in combinations_with_replacement(range(h), delta.d_t):
+    for incoming in combinations_with_replacement(range(h), d_b):
+        for outgoing in combinations_with_replacement(range(h), d_t):
             net = [0] * h
             for t in incoming:
                 net[t] += 1
             for s in outgoing:
                 net[s] -= 1
             attachments.setdefault(tuple(net), []).append((incoming, outgoing))
-    for bounded in combinations_with_replacement(edge_types, n_bounded):
-        flow = [0] * h
-        for i, j, w in bounded:
-            flow[i] -= w
-            flow[j] += w
-        matches = attachments.get(tuple([delta.divergence - f for f in flow]))
-        if matches and _connected(h, bounded):
-            for incoming, outgoing in matches:
-                yield bounded, incoming, outgoing
+    types = [[(r, j, w) for j in range(r + 1, h) for w in range(1, d_b + 1)]
+             for r in range(h)]
+    flow = [0] * h  # net bounded flow into each rank so far
+    bounded: list = []
+    shapes: list = []
+
+    def choose(r: int, t: int, cap: int, used_in: int, used_out: int, left: int) -> None:
+        # types[r][t:] are open; ``cap`` is what rank r may still send out
+        if t < len(types[r]):
+            edge = types[r][t]
+            _, j, w = edge
+            for m in range(min(left, cap // w), -1, -1):
+                bounded.extend((edge,) * m)
+                flow[r] -= m * w
+                flow[j] += m * w
+                choose(r, t + 1, cap - m * w, used_in, used_out, left - m)
+                flow[r] += m * w
+                flow[j] -= m * w
+                del bounded[len(bounded) - m:]
+        elif r == h - 1:
+            if left:
+                return
+            matches = attachments.get(tuple([divergence - f for f in flow]))
+            if matches and _connected(h, bounded):
+                key = tuple(bounded)
+                shapes.extend((key, incoming, outgoing) for incoming, outgoing in matches)
+        else:
+            x = divergence - flow[r]
+            used_in += max(x, 0)
+            used_out += max(-x, 0)
+            if used_in <= d_b and used_out <= d_t:
+                choose(r + 1, 0, flow[r + 1] + (d_b - used_in) - divergence,
+                       used_in, used_out, left)
+
+    choose(0, 0, d_b - divergence, 0, 0, n_bounded)
+    return shapes
 
 
-def _extensions(h: int, classes: dict):
-    """All orderings of vertices 0..h-1 and edge classes.
+def _extensions(h: int, classes: dict, divergences: tuple) -> list[MarkedFloorDiagram]:
+    """Every marked diagram of one shape, one per ordering of its vertices
+    0..h-1 and edge classes.
 
     ``classes`` maps an edge class (source_rank, target_rank, weight) to its
     count; an incoming unbounded edge has source rank -1 and an outgoing one
     target rank h.  Vertices appear in rank order.  Vertex ``placed`` may go
-    next iff no live class has target ``placed``, and a class may go next iff
-    its source is below ``placed``.  So an edge comes after its source and
-    before its target, and no class can outlive its window: a vertex is
-    placed only after every edge into it, so every branch ends in an
-    ordering.  Copies of one class are indistinguishable, so each distinct
-    sequence is produced exactly once.  Yields sequences of items: a vertex
-    rank or a class key.
+    next iff no live copy targets it (a count per rank), and a class may go
+    next iff its source is below ``placed`` (a prefix of the sorted
+    classes).  So an edge comes after its source and before its target, and
+    no class can outlive its window: a vertex is placed only after every
+    edge into it, so every branch ends in an ordering.  Copies of one class
+    are indistinguishable, so each distinct ordering is produced exactly
+    once.  The position of each vertex rank and of each placed edge copy is
+    recorded as it is chosen, and each leaf builds its diagram; the
+    recursion is at most n + 1 deep.
     """
     keys = sorted(classes)
-    sequence = []
+    counts = [classes[key] for key in keys]
+    n = h + sum(counts)
+    # endpoints shifted by one, so that at[0] and at[h + 1] stand for no vertex
+    ends = [(s + 1, t + 1, w) for s, t, w in keys]
+    into = [0] * (h + 2)  # live copies per target, shifted like ``ends``
+    for (_, t, _), count in zip(ends, counts):
+        into[t] += count
+    eligible = [bisect_left(keys, (placed,)) for placed in range(h + 1)]
+    at: list = [None] * (h + 2)
+    placed_edges: list = []  # (position, shifted class) of each placed copy
+    diagrams: list = []
 
-    def rec(placed: int, left: int):
-        if placed == h and not left:
-            yield tuple(sequence)
+    def extend(placed: int, position: int) -> None:
+        if position > n:
+            edges = tuple(Edge(pos, at[s], at[t], w) for pos, (s, t, w) in placed_edges)
+            diagrams.append(MarkedFloorDiagram(n, tuple(at[1:h + 1]), divergences, edges))
             return
-        if placed < h and not any(classes[k] and k[1] == placed for k in keys):
-            sequence.append(placed)
-            yield from rec(placed + 1, left)
-            sequence.pop()
-        for key in keys:
-            if classes[key] and key[0] < placed:
-                classes[key] -= 1
-                sequence.append(key)
-                yield from rec(placed, left - 1)
-                sequence.pop()
-                classes[key] += 1
+        if placed < h and not into[placed + 1]:
+            at[placed + 1] = position
+            extend(placed + 1, position + 1)
+        for k in range(eligible[placed]):
+            if counts[k]:
+                end = ends[k]
+                counts[k] -= 1
+                into[end[1]] -= 1
+                placed_edges.append((position, end))
+                extend(placed, position + 1)
+                placed_edges.pop()
+                into[end[1]] += 1
+                counts[k] += 1
 
-    yield from rec(0, sum(classes.values()))
+    extend(0, 1)
+    return diagrams
 
 
 def check_cap(n: int) -> None:
@@ -144,19 +215,12 @@ def brute_force_enumerate(delta: HTransverseDegree, n: int) -> list[MarkedFloorD
     if delta.genus_for_points(n) < 0 or h == 0:
         return []
 
-    divs = (delta.divergence,) * h
+    divergences = (delta.divergence,) * h
     results = []
     for bounded, incoming, outgoing in _shapes(delta, n):
         classes = Counter([*bounded, *((-1, t, 1) for t in incoming),
                            *((s, h, 1) for s in outgoing)])
-        for seq in _extensions(h, classes):
-            rank_pos = {item: pos for pos, item in enumerate(seq, 1) if type(item) is int}
-            edges = tuple(
-                Edge(pos, rank_pos.get(item[0]), rank_pos.get(item[1]), item[2])
-                for pos, item in enumerate(seq, 1)
-                if type(item) is tuple
-            )
-            diagram = MarkedFloorDiagram(n, tuple(rank_pos.values()), divs, edges)
+        for diagram in _extensions(h, classes, divergences):
             validate_diagram(diagram, delta)
             results.append(diagram)
     return results

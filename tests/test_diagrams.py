@@ -354,55 +354,72 @@ def test_diagram_json_text_round_trip(pair):
     validate_diagram(back, delta)
 
 
-def test_validator_rejects_externally_supplied_junk():
-    delta = degree_p2(1)
-    # wrong unbounded count
-    with pytest.raises(InvalidDiagram):
-        validate_diagram(MarkedFloorDiagram(1, (1,), (1,), ()), delta)
-    # marking order violated: edge after its target
-    with pytest.raises(InvalidDiagram):
-        validate_diagram(
-            MarkedFloorDiagram(2, (1,), (1,), (Edge(2, None, 1, 1),)), delta
-        )
-    # weight on an unbounded edge
-    with pytest.raises(InvalidDiagram):
-        validate_diagram(
-            MarkedFloorDiagram(2, (2,), (1,), (Edge(1, None, 2, 2),)), delta
-        )
-    # divergence mismatch
-    with pytest.raises(InvalidDiagram):
-        validate_diagram(
-            MarkedFloorDiagram(2, (2,), (0,), (Edge(1, None, 2, 1),)), delta
-        )
-    # two floors whose edge flows match their divergences (0, 2), which are
-    # not the plane's 1
-    with pytest.raises(InvalidDiagram, match="vertex divergences"):
-        validate_diagram(
-            MarkedFloorDiagram(
-                5,
-                (2, 5),
-                (0, 2),
-                (Edge(1, None, 2, 1), Edge(3, 2, 5, 1), Edge(4, None, 5, 1)),
-            ),
-            degree_p2(2),
-        )
-    # two floors with no bounded edge between them: disconnected
-    f0 = degree_hirzebruch(0, 2, 2)
-    with pytest.raises(InvalidDiagram, match="disconnected"):
-        validate_diagram(
-            MarkedFloorDiagram(
-                6,
-                (2, 5),
-                (0, 0),
-                (
-                    Edge(1, None, 2, 1),
-                    Edge(3, 2, None, 1),
-                    Edge(4, None, 5, 1),
-                    Edge(6, 5, None, 1),
-                ),
-            ),
-            f0,
-        )
+def _incoming(position, target):
+    return Edge(position, None, target, 1)
+
+
+# One row per check of validate_diagram, in the order it runs them; each
+# diagram passes every earlier check.  P2 d=1 has one floor and one incoming
+# edge; the last two rows repeat a vertex position, the only way to reach
+# the genus and Betti checks past the connectivity check.
+INVALID_DIAGRAMS = [
+    ("partition", degree_p2(1), MarkedFloorDiagram(3, (2,), (1,), (_incoming(1, 2),)),
+     r"^positions do not partition 1\.\.n into vertices and edges$"),
+    ("vertex-count", degree_p2(2), MarkedFloorDiagram(2, (2,), (1,), (_incoming(1, 2),)),
+     r"^expected 2 vertices, found 1$"),
+    ("divergences", degree_p2(1), MarkedFloorDiagram(2, (2,), (0,), (_incoming(1, 2),)),
+     r"^vertex divergences differ from the degree's 1$"),
+    ("weight", degree_p2(1), MarkedFloorDiagram(2, (2,), (1,), (Edge(1, None, 2, 0),)),
+     r"^edge at position 1 has weight 0$"),
+    ("no-endpoint", degree_p2(1), MarkedFloorDiagram(2, (2,), (1,), (Edge(1, None, None, 1),)),
+     r"^edge with no endpoint$"),
+    ("unknown-source", degree_p2(1), MarkedFloorDiagram(2, (2,), (1,), (Edge(1, 3, 2, 1),)),
+     r"^edge source 3 is not a vertex$"),
+    ("unknown-target", degree_p2(1), MarkedFloorDiagram(2, (2,), (1,), (_incoming(1, 3),)),
+     r"^edge target 3 is not a vertex$"),
+    ("incoming-weight", degree_p2(1), MarkedFloorDiagram(2, (2,), (1,), (Edge(1, None, 2, 2),)),
+     r"^incoming unbounded edge of weight != 1$"),
+    ("incoming-order", degree_p2(1), MarkedFloorDiagram(2, (1,), (1,), (_incoming(2, 1),)),
+     r"^incoming unbounded edge not before its target$"),
+    ("outgoing-weight", degree_p2(1),
+     MarkedFloorDiagram(3, (2,), (1,), (_incoming(1, 2), Edge(3, 2, None, 2))),
+     r"^outgoing unbounded edge of weight != 1$"),
+    ("outgoing-order", degree_p2(1),
+     MarkedFloorDiagram(3, (3,), (1,), (_incoming(1, 3), Edge(2, 3, None, 1))),
+     r"^outgoing unbounded edge not after its source$"),
+    ("bounded-order", degree_p2(2),
+     MarkedFloorDiagram(4, (2, 3), (1, 1), (_incoming(1, 2), Edge(4, 2, 3, 1))),
+     r"^bounded edge at 4 violates source < position < target$"),
+    ("incoming-count", degree_p2(1), MarkedFloorDiagram(1, (1,), (1,), ()),
+     r"^expected 1 incoming unbounded edges$"),
+    ("outgoing-count", degree_p2(1),
+     MarkedFloorDiagram(3, (2,), (1,), (_incoming(1, 2), Edge(3, 2, None, 1))),
+     r"^expected 0 outgoing unbounded edges$"),
+    # two floors of the plane's divergence 1 whose edge flows are 0 and 2
+    ("flow", degree_p2(2),
+     MarkedFloorDiagram(5, (2, 5), (1, 1), (_incoming(1, 2), Edge(3, 2, 5, 1), _incoming(4, 5))),
+     r"^divergence mismatch at vertex 2$"),
+    # two floors of F0 with no bounded edge between them
+    ("disconnected", degree_hirzebruch(0, 2, 2),
+     MarkedFloorDiagram(6, (2, 5), (0, 0), (_incoming(1, 2), Edge(3, 2, None, 1),
+                                            _incoming(4, 5), Edge(6, 5, None, 1))),
+     r"^underlying graph is disconnected$"),
+    ("negative-genus", degree_hirzebruch(0, 2, 1),
+     MarkedFloorDiagram(3, (2, 2), (0, 0), (_incoming(1, 2), Edge(3, 2, None, 1))),
+     r"^genus -2 is negative$"),
+    ("betti", degree_hirzebruch(0, 3, 3),
+     MarkedFloorDiagram(11, (4, 4, 8), (0, 0, 0), (
+         *(_incoming(p, 4) for p in (1, 2, 3)), *(Edge(p, 4, 8, 1) for p in (5, 6, 7)),
+         *(Edge(p, 8, None, 1) for p in (9, 10, 11)))),
+     r"^first Betti number 1 != genus 0$"),
+]
+
+
+@pytest.mark.parametrize("delta,diagram,message", [row[1:] for row in INVALID_DIAGRAMS],
+                         ids=[row[0] for row in INVALID_DIAGRAMS])
+def test_validator_names_each_failure(delta, diagram, message):
+    with pytest.raises(InvalidDiagram, match=message):
+        validate_diagram(diagram, delta)
 
 
 def test_validator_accepts_valid_external_json():

@@ -76,10 +76,11 @@ LARGER_ORACLE_PAIRS = [
 
 
 def test_sweep_matches_oracle_everywhere():
-    """Exact agreement of diagram multisets and refined counts on the grid and
-    on the larger F_k classes, whose shapes give the marking generator longer
-    windows."""
-    larger = [(delta, points_for_genus(delta, g)) for delta, g in LARGER_ORACLE_PAIRS]
+    """Exact agreement of diagram multisets and refined counts on the grid, on
+    the larger F_k classes, whose shapes give the marking generator longer
+    windows, and on P2 d=5 g=2, where n = 16 is the oracle's cap."""
+    larger = [(delta, points_for_genus(delta, g))
+              for delta, g in LARGER_ORACLE_PAIRS + [(degree_p2(5), 2)]]
     for delta, n in acceptance_grid() + larger:
         listing = brute_force_enumerate(delta, n)
         sweep = sorted(map(diagram_key, enumerate_marked(delta, n)))
@@ -120,8 +121,11 @@ def _reference_shapes(delta, n, max_weight):
 
 
 def test_indexed_shapes_equal_the_nested_loop_reference():
+    # the rank search with its two bounds against every bounded multiset;
+    # the reference's nested loops take minutes at P2 d=5
+    extra = [(degree_p2(4), 0), (degree_p2(4), 1), (degree_hirzebruch(3, 3, 0), 0)]
     cases = acceptance_grid()
-    cases += [(delta, points_for_genus(delta, g)) for delta, g in LARGER_ORACLE_PAIRS]
+    cases += [(delta, points_for_genus(delta, g)) for delta, g in LARGER_ORACLE_PAIRS + extra]
     for delta, n in cases:
         expected = Counter(_reference_shapes(delta, n, delta.d_b))
         assert Counter(_shapes(delta, n)) == expected, (delta.label, n)
