@@ -28,8 +28,9 @@ per multiset of bounded edge weights; every count is a fold of its result.
 from __future__ import annotations
 
 from collections.abc import Iterator
+from contextlib import suppress
 from dataclasses import dataclass
-from itertools import product
+from itertools import accumulate, product
 from math import comb, prod
 from typing import NamedTuple
 
@@ -104,15 +105,9 @@ class HTransverseDegree:
         return f"HTransverseDegree<{self.label}>"
 
     def to_json(self) -> dict:
-        out: dict = {"family": self.family}
-        if self.family == "p2":
-            out["degree"] = self.params[0]
-        else:
-            out["k"], out["h"], out["d"] = self.params
-        out["d_b"] = self.d_b
-        out["d_t"] = self.d_t
-        out["height"] = self.height
-        return out
+        names = ("degree",) if self.family == "p2" else ("k", "h", "d")
+        return {"family": self.family, **dict(zip(names, self.params)),
+                "d_b": self.d_b, "d_t": self.d_t, "height": self.height}
 
 
 def degree_p2(d: int) -> HTransverseDegree:
@@ -159,30 +154,22 @@ class Edge(NamedTuple):
 
 @dataclass(frozen=True)
 class MarkedFloorDiagram:
-    """A marked floor diagram, identified with its position-labelled structure."""
+    """A marked floor diagram, identified with its position-labelled structure;
+    ``divergence`` is the one divergence of every floor."""
 
     n: int
     vertex_positions: tuple[int, ...]
-    divergences: tuple[int, ...]  # aligned with vertex_positions
+    divergence: int
     edges: tuple[Edge, ...]
-
-    def divergence_at(self, position: int) -> int:
-        for p, d in zip(self.vertex_positions, self.divergences):
-            if p == position:
-                return d
-        raise DiagramError(f"position {position} is not a vertex")
 
     def bounded_edges(self) -> list[Edge]:
         return [e for e in self.edges if e.source is not None and e.target is not None]
-
-    def betti(self) -> int:
-        return len(self.bounded_edges()) - len(self.vertex_positions) + 1
 
     def to_json(self) -> dict:
         return {
             "n": self.n,
             "vertices": list(self.vertex_positions),
-            "divergences": {str(p): d for p, d in zip(self.vertex_positions, self.divergences)},
+            "divergences": {str(p): self.divergence for p in self.vertex_positions},
             "edges": [
                 {"position": position, "source": source, "target": target, "weight": weight}
                 for position, source, target, weight in self.edges
@@ -191,37 +178,46 @@ class MarkedFloorDiagram:
 
     @classmethod
     def from_json(cls, data: dict) -> "MarkedFloorDiagram":
-        vertices = tuple(int(p) for p in data["vertices"])
-        div_map = {int(p): int(d) for p, d in data["divergences"].items()}
+        """The diagram that :meth:`to_json` wrote.  InvalidDiagram names a missing key, a
+        non-integer field, no vertex, divergence keys not the vertices or unequal values."""
+        try:
+            n = _integer(data["n"], "n")
+            vertices = tuple(_integer(p, "vertex") for p in data["vertices"])
+            div_map = {_integer(p, "vertex"): _integer(d, "divergence")
+                       for p, d in data["divergences"].items()}
+            edges = tuple(Edge(*(_integer(e[f], f, f in ("source", "target"))
+                                 for f in Edge._fields)) for e in data["edges"])
+        except KeyError as missing:
+            raise InvalidDiagram(f"diagram JSON has no key {missing}") from None
+        if not vertices:
+            raise InvalidDiagram("diagram JSON has no vertex")
         if set(div_map) != set(vertices):
             raise InvalidDiagram("divergence keys do not match the vertex list")
-        edges = tuple(
-            Edge(
-                int(e["position"]),
-                None if e["source"] is None else int(e["source"]),
-                None if e["target"] is None else int(e["target"]),
-                int(e["weight"]),
-            )
-            for e in data["edges"]
-        )
-        return cls(int(data["n"]), vertices, tuple(div_map[p] for p in vertices), edges)
+        if len(set(div_map.values())) > 1:
+            raise InvalidDiagram(f"divergence values {sorted(set(div_map.values()))} differ")
+        return cls(n, vertices, div_map[vertices[0]], edges)
+
+
+def _integer(value, field: str, optional: bool = False) -> int | None:
+    """An integer field of diagram JSON: an int, or a string of one (object
+    keys are strings); None too when ``optional``."""
+    if value is None and optional:
+        return None
+    if type(value) in (int, str):
+        with suppress(ValueError):
+            return int(value)
+    raise InvalidDiagram(f"{field} {value!r} is not an integer")
 
 
 def multiplicity(diagram: MarkedFloorDiagram) -> int:
     """Product of squared edge weights over all edges (unbounded ones weigh 1)."""
-    m = 1
-    for e in diagram.edges:
-        m *= e.weight * e.weight
-    return m
+    return prod(e.weight for e in diagram.edges) ** 2
 
 
 def refined_multiplicity(diagram: MarkedFloorDiagram) -> LaurentPolyS:
     """Product of squared q-integers of the edge weights; palindromic."""
-    m = LaurentPolyS.one()
-    for e in diagram.edges:
-        if e.weight != 1:
-            m = m * (q_integer(e.weight) ** 2)
-    return m
+    return prod((q_integer(e.weight) ** 2 for e in diagram.edges if e.weight != 1),
+                start=LaurentPolyS.one())
 
 
 def vertex_partitions(diagram: MarkedFloorDiagram, position: int) -> tuple[Partition, Partition]:
@@ -236,35 +232,39 @@ def vertex_partitions(diagram: MarkedFloorDiagram, position: int) -> tuple[Parti
 def validate_diagram(diagram: MarkedFloorDiagram, delta: HTransverseDegree) -> None:
     """Check every marked-floor-diagram invariant; raise InvalidDiagram on failure.
 
-    Checks: positions partition {1..n}; unbounded edge counts and weights;
-    order compatibility of the marking; every vertex divergence equal to the
-    degree's and to the vertex's net flow; connectivity; first Betti number equal to
-    n + 1 - |delta| >= 0.
+    Checks: vertex and edge positions partition {1..n}, so no vertex
+    position repeats; h vertices; the degree's divergence; edge weights,
+    endpoints and marking order; the unbounded edge counts; every vertex's
+    net flow equal to the divergence; connectivity.
+
+    The genus needs no check.  With h vertices and d_b + d_t unbounded
+    edges among the n positions, n - h - d_b - d_t edges are bounded, so
+    the first Betti number, bounded - h + 1, is n + 1 - |delta|: the genus.
+    The bounded edges connect the h >= 1 vertices, so there are at least
+    h - 1 of them and the genus is >= 0.  (With h = 0 no edge has an end,
+    so the counts refuse every height-0 degree, whose d_b + d_t >= 1.)
     """
-    n = diagram.n
-    vset = set(diagram.vertex_positions)
-    edges = diagram.edges  # unpacked, not read by field name: this runs on every listed diagram
-    positions = sorted(list(vset) + [position for position, _, _, _ in edges])
+    n, vertices, edges = diagram.n, diagram.vertex_positions, diagram.edges
+    # edges unpacked, not read by field name: this runs on every listed diagram
+    positions = sorted([*vertices, *(position for position, _, _, _ in edges)])
     if positions != list(range(1, n + 1)):
         raise InvalidDiagram("positions do not partition 1..n into vertices and edges")
-    if len(diagram.vertex_positions) != delta.height:
+    if len(vertices) != delta.height:
+        raise InvalidDiagram(f"expected {delta.height} vertices, found {len(vertices)}")
+    if diagram.divergence != delta.divergence:
         raise InvalidDiagram(
-            f"expected {delta.height} vertices, found {len(diagram.vertex_positions)}"
-        )
-    if any(div != delta.divergence for div in diagram.divergences):
-        raise InvalidDiagram(f"vertex divergences differ from the degree's {delta.divergence}")
+            f"divergence {diagram.divergence} differs from the degree's {delta.divergence}")
 
-    incoming_unbounded = outgoing_unbounded = bounded = 0
-    flow = dict.fromkeys(vset, 0)
-    adjacent: dict[int, list[int]] = {p: [] for p in vset}
+    incoming_unbounded = outgoing_unbounded = 0
+    flow = dict.fromkeys(vertices, 0)
     for position, source, target, weight in edges:
         if weight < 1:
             raise InvalidDiagram(f"edge at position {position} has weight {weight}")
         if source is None and target is None:
             raise InvalidDiagram("edge with no endpoint")
-        if source is not None and source not in vset:
+        if source is not None and source not in flow:
             raise InvalidDiagram(f"edge source {source} is not a vertex")
-        if target is not None and target not in vset:
+        if target is not None and target not in flow:
             raise InvalidDiagram(f"edge target {target} is not a vertex")
         if source is None:
             incoming_unbounded += 1
@@ -283,39 +283,18 @@ def validate_diagram(diagram: MarkedFloorDiagram, delta: HTransverseDegree) -> N
         else:
             if not source < position < target:
                 raise InvalidDiagram(
-                    f"bounded edge at {position} violates source < position < target"
-                )
-            bounded += 1
+                    f"bounded edge at {position} violates source < position < target")
             flow[target] += weight
             flow[source] -= weight
-            adjacent[source].append(target)
-            adjacent[target].append(source)
     if incoming_unbounded != delta.d_b:
         raise InvalidDiagram(f"expected {delta.d_b} incoming unbounded edges")
     if outgoing_unbounded != delta.d_t:
         raise InvalidDiagram(f"expected {delta.d_t} outgoing unbounded edges")
-
-    for p in diagram.vertex_positions:
-        if flow[p] != diagram.divergence_at(p):
+    for p in vertices:
+        if flow[p] != delta.divergence:
             raise InvalidDiagram(f"divergence mismatch at vertex {p}")
-
-    if vset:
-        reached = {diagram.vertex_positions[0]}
-        frontier = [diagram.vertex_positions[0]]
-        while frontier:
-            for w in adjacent[frontier.pop()]:
-                if w not in reached:
-                    reached.add(w)
-                    frontier.append(w)
-        if reached != vset:
-            raise InvalidDiagram("underlying graph is disconnected")
-
-    g = delta.genus_for_points(n)
-    if g < 0:
-        raise InvalidDiagram(f"genus {g} is negative")
-    betti = bounded - len(diagram.vertex_positions) + 1
-    if betti != g:
-        raise InvalidDiagram(f"first Betti number {betti} != genus {g}")
+    if not _connected(vertices, edges):
+        raise InvalidDiagram("underlying graph is disconnected")
 
 
 def enumerate_marked(delta: HTransverseDegree, n: int) -> list[MarkedFloorDiagram]:
@@ -343,12 +322,15 @@ def enumerate_marked(delta: HTransverseDegree, n: int) -> list[MarkedFloorDiagra
       never built.  The last vertex takes every pending head and is placed
       only once all d_b incoming and all bounded edges are used.
 
-    A completed sweep must exhaust every budget and yield a connected graph
-    (the element counts then force every unbounded edge used and every head
-    attached).  Each surviving trace is a distinct isomorphism class
-    (markings rigidify), so no deduplication is performed; selecting between
-    equal-weight pending heads by position produces genuinely distinct
-    marked diagrams.
+    A completed sweep is listed when its graph is connected; its budgets
+    need no test.  The element counts are each capped and add up to n, so
+    every floor and edge is placed and the last floor took every pending
+    head.  The budgets, each >= 0, then sum to d_b - d_t - h * divergence,
+    the inflow less the outflow and divergence of every floor: d - 0 - d on
+    P2, (d + kh) - d - hk on F_k, so every one is spent.  Each completed
+    trace is a distinct isomorphism class (markings rigidify), so no
+    deduplication is performed; selecting between equal-weight pending heads
+    by position produces genuinely distinct marked diagrams.
 
     The sweep stops at every state that cannot place its remaining bounded
     edges (a flow bound in the sense of Fomin-Mikhalkin).  Call window j the
@@ -378,18 +360,15 @@ def enumerate_marked(delta: HTransverseDegree, n: int) -> list[MarkedFloorDiagra
     found: list[MarkedFloorDiagram] = []
     limits = (n, delta.height, delta.d_b, total_bounded, delta.d_t, delta.divergence,
               _window_room(delta))
-    stack = [_sweep(found, limits, (), (), (), (), 0, 0, 0)]
+    stack = [((), (), (), (), 0, 0, 0)]
     while stack:
-        for child in stack[-1]:
-            stack.append(_sweep(found, limits, *child))
-            break
-        else:
-            stack.pop()
+        stack.extend(reversed(_sweep(found, limits, *stack.pop())))
     return found
 
 
 def _sweep(found, limits, vertices, budgets, edges, pending, in_used, bd_used, out_used):
-    """Yield the children of a sweep state in branch order, or list it in ``found``.
+    """The children of a sweep state in branch order, or none when it is a
+    leaf, which is listed in ``found`` if connected, or dead.
 
     ``limits`` holds n, h, d_b, the number of bounded edges, d_t, the
     divergence of every vertex and the :func:`_window_room` of the degree.
@@ -404,29 +383,29 @@ def _sweep(found, limits, vertices, budgets, edges, pending, in_used, bd_used, o
     n, h, d_b, total_bounded, d_t, div, room = limits
     need = total_bounded - bd_used - room[h - len(vertices)]
     if need > 0 and sum(budgets) < need:
-        return
+        return []
     pos = len(vertices) + len(edges) + 1
     if pos > n:
-        if not any(budgets) and _connected(vertices, edges):
-            edges = tuple(map(Edge._make, edges))
-            found.append(MarkedFloorDiagram(n, vertices, (div,) * h, edges))
-        return
+        if _connected(vertices, edges):
+            found.append(MarkedFloorDiagram(n, vertices, div, tuple(map(Edge._make, edges))))
+        return []
+    children = []
     open_vertex = len(vertices) < h
     if open_vertex and in_used < d_b:
-        yield (vertices, budgets, edges + ((pos, None, None, 1),),
-               pending + (len(edges),), in_used + 1, bd_used, out_used)
+        children.append((vertices, budgets, edges + ((pos, None, None, 1),),
+                         pending + (len(edges),), in_used + 1, bd_used, out_used))
     if open_vertex and bd_used < total_bounded:
         for i, b in enumerate(budgets):
             for w in range(1, b + 1):
-                yield (vertices, budgets[:i] + (b - w,) + budgets[i + 1:],
-                       edges + ((pos, vertices[i], None, w),), pending + (len(edges),),
-                       in_used, bd_used + 1, out_used)
+                children.append((vertices, budgets[:i] + (b - w,) + budgets[i + 1:],
+                                 edges + ((pos, vertices[i], None, w),), pending + (len(edges),),
+                                 in_used, bd_used + 1, out_used))
     if out_used < d_t:
         for i, b in enumerate(budgets):
             if b >= 1:
-                yield (vertices, budgets[:i] + (b - 1,) + budgets[i + 1:],
-                       edges + ((pos, vertices[i], None, 1),), pending,
-                       in_used, bd_used, out_used + 1)
+                children.append((vertices, budgets[:i] + (b - 1,) + budgets[i + 1:],
+                                 edges + ((pos, vertices[i], None, 1),), pending,
+                                 in_used, bd_used, out_used + 1))
     if len(vertices) < h - 1:
         # heads weighing less than div + max(0, short) leave the new floor a
         # negative budget or a state that the window-capacity prune refuses
@@ -435,7 +414,7 @@ def _sweep(found, limits, vertices, budgets, edges, pending, in_used, bd_used, o
     elif open_vertex and in_used == d_b and bd_used == total_bounded:
         head_choices = [pending]
     else:
-        return
+        return children
     for subset in head_choices:
         budget = sum(edges[i][3] for i in subset) - div
         if budget < 0:
@@ -444,28 +423,33 @@ def _sweep(found, limits, vertices, budgets, edges, pending, in_used, bd_used, o
         for i in subset:
             p, source, _, w = edges[i]
             attached[i] = (p, source, pos, w)
-        yield (vertices + (pos,), budgets + (budget,), tuple(attached),
-               tuple([i for i in pending if i not in subset]), in_used, bd_used, out_used)
+        children.append((vertices + (pos,), budgets + (budget,), tuple(attached),
+                         tuple([i for i in pending if i not in subset]),
+                         in_used, bd_used, out_used))
+    return children
 
 
 def _head_subsets(heads: tuple[int, ...], weights: list[int],
                   least: int) -> Iterator[tuple[int, ...]]:
     """The subsets of ``heads`` whose ``weights`` sum to at least ``least``, as
-    tuples in plain lexicographic order (all sizes together), generated one
+    tuples in plain lexicographic order (all sizes together), produced one
     at a time without building the lighter ones: a depth-first walk that
     drops a branch once the heads after it cannot make up the weight."""
     last = len(heads) - 1
-    tails = [0] * (last + 2)  # tails[i]: the weight of heads[i:]
-    for i in range(last, -1, -1):
-        tails[i] = tails[i + 1] + weights[i]
+    tails = list(accumulate(reversed(weights), initial=0))[::-1]  # tails[i]: weight of heads[i:]
     stack = [(0, (), 0)]
-    while stack:
-        start, chosen, total = stack.pop()
-        if total >= least:
-            yield chosen
-        for i in range(last, start - 1, -1):  # pushed last first, so popped in order
-            if total + tails[i] >= least:
-                stack.append((i + 1, chosen + (heads[i],), total + weights[i]))
+
+    def walk() -> tuple[int, ...] | None:
+        while stack:
+            start, chosen, total = stack.pop()
+            for i in range(last, start - 1, -1):  # pushed last first, so popped in order
+                if total + tails[i] >= least:
+                    stack.append((i + 1, chosen + (heads[i],), total + weights[i]))
+            if total >= least:
+                return chosen
+        return None  # the sentinel: every subset is out
+
+    return iter(walk, None)
 
 
 def _connected(vertices: tuple[int, ...], edges: tuple[tuple, ...]) -> bool:
@@ -486,20 +470,16 @@ _MAX_POINTS = 900
 
 
 def _bounded_edge_count(delta: HTransverseDegree, n: int) -> int:
-    """Bounded edges of every diagram on n points, g + h - 1; refuses g < 0 and n > _MAX_POINTS."""
+    """Bounded edges of every diagram on n points, n - h - d_b - d_t = g + h - 1;
+    refuses g < 0 and n > _MAX_POINTS."""
     g = delta.genus_for_points(n)
     if g < 0:
-        raise DiagramError(
-            f"no diagrams: n = {n} gives negative genus {g} for {delta.label}"
-        )
+        raise DiagramError(f"no diagrams: n = {n} gives negative genus {g} for {delta.label}")
     if n > _MAX_POINTS:
         raise DiagramError(
             f"n = {n} for {delta.label} is over the point cap _MAX_POINTS = {_MAX_POINTS}"
         )
-    total_bounded = n - delta.height - delta.d_b - delta.d_t
-    if total_bounded != g + delta.height - 1:
-        raise AssertionError("element count bookkeeping is inconsistent")
-    return total_bounded
+    return n - delta.height - delta.d_b - delta.d_t
 
 
 def _window_room(delta: HTransverseDegree) -> tuple[int, ...]:

@@ -149,7 +149,7 @@ def _shapes(delta: HTransverseDegree, n: int) -> list:
     return shapes
 
 
-def _extensions(h: int, classes: dict, divergences: tuple) -> list[MarkedFloorDiagram]:
+def _extensions(h: int, classes: dict, divergence: int) -> list[MarkedFloorDiagram]:
     """Every marked diagram of one shape, one per ordering of its vertices
     0..h-1 and edge classes.
 
@@ -182,7 +182,7 @@ def _extensions(h: int, classes: dict, divergences: tuple) -> list[MarkedFloorDi
     def extend(placed: int, position: int) -> None:
         if position > n:
             edges = tuple(Edge(pos, at[s], at[t], w) for pos, (s, t, w) in placed_edges)
-            diagrams.append(MarkedFloorDiagram(n, tuple(at[1:h + 1]), divergences, edges))
+            diagrams.append(MarkedFloorDiagram(n, tuple(at[1:h + 1]), divergence, edges))
             return
         if placed < h and not into[placed + 1]:
             at[placed + 1] = position
@@ -215,12 +215,11 @@ def brute_force_enumerate(delta: HTransverseDegree, n: int) -> list[MarkedFloorD
     if delta.genus_for_points(n) < 0 or h == 0:
         return []
 
-    divergences = (delta.divergence,) * h
     results = []
     for bounded, incoming, outgoing in _shapes(delta, n):
         classes = Counter([*bounded, *((-1, t, 1) for t in incoming),
                            *((s, h, 1) for s in outgoing)])
-        for diagram in _extensions(h, classes, divergences):
+        for diagram in _extensions(h, classes, delta.divergence):
             validate_diagram(diagram, delta)
             results.append(diagram)
     return results

@@ -27,7 +27,7 @@ def diagram_key(diagram):
     return (
         diagram.n,
         diagram.vertex_positions,
-        diagram.divergences,
+        diagram.divergence,
         tuple(
             sorted(
                 (e.position, e.source or 0, e.target or 0, e.weight)

@@ -200,6 +200,28 @@ def test_refined_counts_of_f_k_are_polynomial_in_d(k, h, delta):
         assert values == [0] * 5, exponent
 
 
+def assert_plane_counts_polynomial_in_d(delta):
+    """With delta nodes, each s-coefficient of the refined count of plane
+    curves of degree d is a polynomial of degree exactly 2 * delta in d, from
+    d = delta on (Fomin-Mikhalkin, Block; refined: Block-Goettsche).  Over
+    d = delta + 2 .. 3 * delta + 3 its 2 * delta-th difference is therefore
+    two equal values, not 0: the next difference vanishes, this one does
+    not.  At delta = 5 this takes about 7 s, so tier-1 stops at 4 and CI
+    runs 5."""
+    counts = [refined_count(degree_p2(d), d * (d + 3) // 2 - delta)
+              for d in range(delta + 2, 3 * delta + 4)]
+    for exponent in set().union(*(c.exponents() for c in counts)):
+        values = [c.coefficient(exponent) for c in counts]
+        for _ in range(2 * delta):
+            values = [b - a for a, b in zip(values, values[1:])]
+        assert values[1] - values[0] == 0 != values[0], (delta, exponent, values)
+
+
+@pytest.mark.parametrize("delta", range(5), ids=[f"delta{delta}" for delta in range(5)])
+def test_refined_plane_counts_are_polynomial_in_d(delta):
+    assert_plane_counts_polynomial_in_d(delta)
+
+
 @pytest.mark.parametrize("d", [3, 4, 5, 6, 7])
 def test_plane_count_is_one_at_maximal_genus_and_zero_above(d):
     delta = degree_p2(d)

@@ -120,7 +120,7 @@ def test_f2_height1_unique_diagram():
     assert len(diagrams) == 1
     (d,) = diagrams
     assert d.vertex_positions == (3,)
-    assert d.divergences == (2,)
+    assert d.divergence == 2
     assert set(d.edges) == {Edge(1, None, 3, 1), Edge(2, None, 3, 1)}
 
 
@@ -219,7 +219,7 @@ def test_every_enumerated_diagram_validates():
 def test_divergence_sum_and_weight_bound():
     for delta, n in acceptance_grid():
         for diagram in enumerate_marked(delta, n):
-            assert sum(diagram.divergences) == delta.d_b - delta.d_t
+            assert len(diagram.vertex_positions) * diagram.divergence == delta.d_b - delta.d_t
             for e in diagram.edges:
                 assert e.weight <= delta.d_b
 
@@ -235,7 +235,7 @@ def test_multiplicity_examples():
     weighted = MarkedFloorDiagram(
         3,
         (1, 3),
-        (2, 2),
+        2,
         (Edge(2, 1, 3, 2),),
     )
     assert multiplicity(weighted) == 4
@@ -244,7 +244,7 @@ def test_multiplicity_examples():
     two_weights = MarkedFloorDiagram(
         4,
         (1, 4),
-        (5, 5),
+        5,
         (Edge(2, 1, 4, 2), Edge(3, 1, 4, 3)),
     )
     assert multiplicity(two_weights) == 36
@@ -263,7 +263,7 @@ def test_vertex_partitions_examples():
     (df2,) = enumerate_marked(degree_hirzebruch(2, 1, 0), 3)
     mu, nu = vertex_partitions(df2, 3)
     assert (tuple(mu), tuple(nu)) == ((), (1, 1))
-    assert nu.size - mu.size == df2.divergence_at(3)
+    assert nu.size - mu.size == df2.divergence
 
     with pytest.raises(DiagramError):
         vertex_partitions(d1, 1)
@@ -274,7 +274,7 @@ def test_vertex_partition_divergence_relation():
         for diagram in enumerate_marked(delta, n):
             for v in diagram.vertex_positions:
                 mu, nu = vertex_partitions(diagram, v)
-                assert nu.size - mu.size == diagram.divergence_at(v)
+                assert nu.size - mu.size == diagram.divergence
 
 
 # -------------------------------------------------------------------- counts
@@ -316,7 +316,7 @@ def test_edge_is_a_named_tuple_with_the_old_repr_and_fields():
     assert edge == Edge(2, 1, 4, 3) and hash(edge) == hash(Edge(2, 1, 4, 3))
     assert edge != Edge(2, 1, 4, 2) and edge != Edge(3, 1, 4, 3)
     assert len({edge, Edge(2, 1, 4, 3), (2, 1, 4, 3)}) == 1
-    diagram = MarkedFloorDiagram(4, (1, 4), (0, 0), (edge,))
+    diagram = MarkedFloorDiagram(4, (1, 4), 0, (edge,))
     back = MarkedFloorDiagram.from_json(json.loads(json.dumps(diagram.to_json())))
     assert back == diagram and hash(back) == hash(diagram)
     assert all(type(e) is Edge for e in back.edges)
@@ -360,58 +360,55 @@ def _incoming(position, target):
 
 # One row per check of validate_diagram, in the order it runs them; each
 # diagram passes every earlier check.  P2 d=1 has one floor and one incoming
-# edge; the last two rows repeat a vertex position, the only way to reach
-# the genus and Betti checks past the connectivity check.
+# edge.  The last row repeats a vertex position, which the partition check
+# refuses.
 INVALID_DIAGRAMS = [
-    ("partition", degree_p2(1), MarkedFloorDiagram(3, (2,), (1,), (_incoming(1, 2),)),
+    ("partition", degree_p2(1), MarkedFloorDiagram(3, (2,), 1, (_incoming(1, 2),)),
      r"^positions do not partition 1\.\.n into vertices and edges$"),
-    ("vertex-count", degree_p2(2), MarkedFloorDiagram(2, (2,), (1,), (_incoming(1, 2),)),
+    ("vertex-count", degree_p2(2), MarkedFloorDiagram(2, (2,), 1, (_incoming(1, 2),)),
      r"^expected 2 vertices, found 1$"),
-    ("divergences", degree_p2(1), MarkedFloorDiagram(2, (2,), (0,), (_incoming(1, 2),)),
-     r"^vertex divergences differ from the degree's 1$"),
-    ("weight", degree_p2(1), MarkedFloorDiagram(2, (2,), (1,), (Edge(1, None, 2, 0),)),
+    ("divergences", degree_p2(1), MarkedFloorDiagram(2, (2,), 0, (_incoming(1, 2),)),
+     r"^divergence 0 differs from the degree's 1$"),
+    ("weight", degree_p2(1), MarkedFloorDiagram(2, (2,), 1, (Edge(1, None, 2, 0),)),
      r"^edge at position 1 has weight 0$"),
-    ("no-endpoint", degree_p2(1), MarkedFloorDiagram(2, (2,), (1,), (Edge(1, None, None, 1),)),
+    ("no-endpoint", degree_p2(1), MarkedFloorDiagram(2, (2,), 1, (Edge(1, None, None, 1),)),
      r"^edge with no endpoint$"),
-    ("unknown-source", degree_p2(1), MarkedFloorDiagram(2, (2,), (1,), (Edge(1, 3, 2, 1),)),
+    ("unknown-source", degree_p2(1), MarkedFloorDiagram(2, (2,), 1, (Edge(1, 3, 2, 1),)),
      r"^edge source 3 is not a vertex$"),
-    ("unknown-target", degree_p2(1), MarkedFloorDiagram(2, (2,), (1,), (_incoming(1, 3),)),
+    ("unknown-target", degree_p2(1), MarkedFloorDiagram(2, (2,), 1, (_incoming(1, 3),)),
      r"^edge target 3 is not a vertex$"),
-    ("incoming-weight", degree_p2(1), MarkedFloorDiagram(2, (2,), (1,), (Edge(1, None, 2, 2),)),
+    ("incoming-weight", degree_p2(1), MarkedFloorDiagram(2, (2,), 1, (Edge(1, None, 2, 2),)),
      r"^incoming unbounded edge of weight != 1$"),
-    ("incoming-order", degree_p2(1), MarkedFloorDiagram(2, (1,), (1,), (_incoming(2, 1),)),
+    ("incoming-order", degree_p2(1), MarkedFloorDiagram(2, (1,), 1, (_incoming(2, 1),)),
      r"^incoming unbounded edge not before its target$"),
     ("outgoing-weight", degree_p2(1),
-     MarkedFloorDiagram(3, (2,), (1,), (_incoming(1, 2), Edge(3, 2, None, 2))),
+     MarkedFloorDiagram(3, (2,), 1, (_incoming(1, 2), Edge(3, 2, None, 2))),
      r"^outgoing unbounded edge of weight != 1$"),
     ("outgoing-order", degree_p2(1),
-     MarkedFloorDiagram(3, (3,), (1,), (_incoming(1, 3), Edge(2, 3, None, 1))),
+     MarkedFloorDiagram(3, (3,), 1, (_incoming(1, 3), Edge(2, 3, None, 1))),
      r"^outgoing unbounded edge not after its source$"),
     ("bounded-order", degree_p2(2),
-     MarkedFloorDiagram(4, (2, 3), (1, 1), (_incoming(1, 2), Edge(4, 2, 3, 1))),
+     MarkedFloorDiagram(4, (2, 3), 1, (_incoming(1, 2), Edge(4, 2, 3, 1))),
      r"^bounded edge at 4 violates source < position < target$"),
-    ("incoming-count", degree_p2(1), MarkedFloorDiagram(1, (1,), (1,), ()),
+    ("incoming-count", degree_p2(1), MarkedFloorDiagram(1, (1,), 1, ()),
      r"^expected 1 incoming unbounded edges$"),
     ("outgoing-count", degree_p2(1),
-     MarkedFloorDiagram(3, (2,), (1,), (_incoming(1, 2), Edge(3, 2, None, 1))),
+     MarkedFloorDiagram(3, (2,), 1, (_incoming(1, 2), Edge(3, 2, None, 1))),
      r"^expected 0 outgoing unbounded edges$"),
     # two floors of the plane's divergence 1 whose edge flows are 0 and 2
     ("flow", degree_p2(2),
-     MarkedFloorDiagram(5, (2, 5), (1, 1), (_incoming(1, 2), Edge(3, 2, 5, 1), _incoming(4, 5))),
+     MarkedFloorDiagram(5, (2, 5), 1, (_incoming(1, 2), Edge(3, 2, 5, 1), _incoming(4, 5))),
      r"^divergence mismatch at vertex 2$"),
     # two floors of F0 with no bounded edge between them
     ("disconnected", degree_hirzebruch(0, 2, 2),
-     MarkedFloorDiagram(6, (2, 5), (0, 0), (_incoming(1, 2), Edge(3, 2, None, 1),
-                                            _incoming(4, 5), Edge(6, 5, None, 1))),
+     MarkedFloorDiagram(6, (2, 5), 0, (_incoming(1, 2), Edge(3, 2, None, 1),
+                                       _incoming(4, 5), Edge(6, 5, None, 1))),
      r"^underlying graph is disconnected$"),
-    ("negative-genus", degree_hirzebruch(0, 2, 1),
-     MarkedFloorDiagram(3, (2, 2), (0, 0), (_incoming(1, 2), Edge(3, 2, None, 1))),
-     r"^genus -2 is negative$"),
-    ("betti", degree_hirzebruch(0, 3, 3),
-     MarkedFloorDiagram(11, (4, 4, 8), (0, 0, 0), (
-         *(_incoming(p, 4) for p in (1, 2, 3)), *(Edge(p, 4, 8, 1) for p in (5, 6, 7)),
-         *(Edge(p, 8, None, 1) for p in (9, 10, 11)))),
-     r"^first Betti number 1 != genus 0$"),
+    # once a genus -2 and a Betti number 1 against genus 0, before the
+    # partition check saw the vertex tuple
+    ("repeated-vertex", degree_hirzebruch(0, 2, 1),
+     MarkedFloorDiagram(3, (2, 2), 0, (_incoming(1, 2), Edge(3, 2, None, 1))),
+     r"^positions do not partition 1\.\.n into vertices and edges$"),
 ]
 
 
@@ -431,3 +428,90 @@ def test_validator_accepts_valid_external_json():
     }
     diagram = MarkedFloorDiagram.from_json(data)
     validate_diagram(diagram, degree_p2(1))
+
+
+def _diagram_json(**changes):
+    """The JSON of P2 d=1's one diagram, with ``changes`` applied (None drops a key)."""
+    data = {"n": 2, "vertices": [2], "divergences": {"2": 1},
+            "edges": [{"position": 1, "source": None, "target": 2, "weight": 1}]}
+    data.update(changes)
+    return {key: value for key, value in data.items() if value is not None}
+
+
+# One row per refusal of MarkedFloorDiagram.from_json; the last two once
+# built a diagram whose JSON did not read back as it.
+INVALID_JSON = [
+    ("missing-vertices", _diagram_json(vertices=None), r"^diagram JSON has no key 'vertices'$"),
+    ("missing-divergences", _diagram_json(divergences=None),
+     r"^diagram JSON has no key 'divergences'$"),
+    ("missing-source", _diagram_json(edges=[{"position": 1, "target": 2, "weight": 1}]),
+     r"^diagram JSON has no key 'source'$"),
+    ("non-integer-n", _diagram_json(n="two"), r"^n 'two' is not an integer$"),
+    ("non-integer-weight",
+     _diagram_json(edges=[{"position": 1, "source": None, "target": 2, "weight": 1.5}]),
+     r"^weight 1\.5 is not an integer$"),
+    ("non-integer-divergence", _diagram_json(divergences={"2": "x"}),
+     r"^divergence 'x' is not an integer$"),
+    ("empty-vertices", _diagram_json(vertices=[], divergences={}),
+     r"^diagram JSON has no vertex$"),
+    ("divergence-keys", _diagram_json(divergences={"3": 1}),
+     r"^divergence keys do not match the vertex list$"),
+    ("different-divergences",
+     _diagram_json(n=3, vertices=[2, 3], divergences={"2": 1, "3": 0}),
+     r"^divergence values \[0, 1\] differ$"),
+]
+
+
+@pytest.mark.parametrize("data,message", [row[1:] for row in INVALID_JSON],
+                         ids=[row[0] for row in INVALID_JSON])
+def test_from_json_names_each_failure(data, message):
+    with pytest.raises(InvalidDiagram, match=message):
+        MarkedFloorDiagram.from_json(data)
+
+
+# classes with a few to a few dozen diagrams
+SMALL_CLASSES = [(degree_p2(3), 0), (degree_p2(3), 1), (degree_p2(4), 2), (degree_p2(4), 3),
+                 (degree_hirzebruch(0, 2, 2), 1), (degree_hirzebruch(1, 2, 1), 1),
+                 (degree_hirzebruch(2, 2, 1), 0), (degree_hirzebruch(2, 1, 0), 0)]
+
+
+@st.composite
+def small_diagrams(draw):
+    """A small degree and a diagram on its number of points for some genus,
+    or one more or less: a listed diagram, as it is or with one vertex
+    position (possibly repeated) or one edge's endpoints and weight redrawn,
+    or a random one."""
+    delta, g = draw(st.sampled_from(SMALL_CLASSES))
+    n = points_for_genus(delta, g) + draw(st.sampled_from([0, 0, 0, -1, 1]))
+    change = draw(st.sampled_from(["none", "vertex", "edge", "random"]))
+    if change != "random":
+        diagram = draw(st.sampled_from(enumerate_marked(delta, points_for_genus(delta, g))))
+        n, vertices, edges = diagram.n, list(diagram.vertex_positions), list(diagram.edges)
+        ends = st.sampled_from([None, *vertices])
+        if change == "vertex":
+            vertices[draw(st.integers(0, len(vertices) - 1))] = draw(st.integers(1, n))
+        elif change == "edge":
+            i = draw(st.integers(0, len(edges) - 1))
+            edges[i] = Edge(edges[i].position, draw(ends), draw(ends), draw(st.integers(1, 3)))
+    else:
+        vertices = sorted(draw(st.lists(st.integers(1, n), min_size=1, max_size=4)))
+        ends = st.sampled_from([None, *vertices])
+        edges = [Edge(p, draw(ends), draw(ends), draw(st.integers(1, 3)))
+                 for p in range(1, n + 1) if p not in vertices]
+    return delta, MarkedFloorDiagram(n, tuple(vertices), delta.divergence, tuple(edges))
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_diagrams())
+def test_a_valid_diagram_has_its_genus_as_betti_number(pair):
+    """validate_diagram checks neither the genus nor the first Betti number;
+    its docstring proves both follow from what it checks.  A diagram it
+    passes is also one the sweep lists."""
+    delta, diagram = pair
+    try:
+        validate_diagram(diagram, delta)
+    except InvalidDiagram:
+        return
+    betti = len(diagram.bounded_edges()) - len(diagram.vertex_positions) + 1
+    assert betti == delta.genus_for_points(diagram.n) >= 0
+    assert diagram in enumerate_marked(delta, diagram.n)
