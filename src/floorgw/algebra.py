@@ -15,7 +15,10 @@ beyond the order.  Every operation propagates the narrowest reliable
 truncation order of its inputs, so an equality of two USeries asserts all
 coefficients that both sides actually know.  A product scales each operand to
 integer numerators over one common denominator, convolves the numerators as
-plain integers and reduces one fraction per output coefficient.
+plain integers and reduces one fraction per output coefficient.  Both
+types share one square-and-multiply loop (``_power``) and one term printer
+(``_terms_str``), so ``s^-2 + 10 + s^2`` and ``u - 1/24*u^3 + O(u^5)`` are
+written by the same rules.
 
 The bridge between the two worlds is the substitution s = e^(iu/2), i.e.
 q = e^(iu), performed purely over the rationals by one formula: s^k puts
@@ -79,9 +82,9 @@ def rational_from_str(text: str) -> Fraction:
 class Partition(tuple):
     """A partition: weakly decreasing tuple of positive integers.
 
-    ``mult(l)`` is the number of parts equal to l, ``size`` the sum of the
-    parts and ``len()`` the number of parts.  Construction sorts the parts,
-    so ``Partition([1, 3, 1])`` and ``Partition([3, 1, 1])`` coincide.
+    ``size`` is the sum of the parts and ``len()`` the number of parts.
+    Construction sorts the parts, so ``Partition([1, 3, 1])`` and
+    ``Partition([3, 1, 1])`` coincide.
     """
 
     def __new__(cls, parts: Iterable[int] = ()):
@@ -94,17 +97,39 @@ class Partition(tuple):
     def size(self) -> int:
         return sum(self)
 
-    def mult(self, part: int) -> int:
-        return sum(1 for p in self if p == part)
-
-    def part_multiplicities(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for p in self:
-            out[p] = out.get(p, 0) + 1
-        return out
-
     def __repr__(self) -> str:
         return f"Partition({tuple(self)})"
+
+
+def _power(base, k: int, one):
+    """base ** k for k >= 0 by square-and-multiply; squares no further than
+    k's top bit."""
+    result = one
+    while k:
+        if k & 1:
+            result = result * base
+        k >>= 1
+        if k:
+            base = base * base
+    return result
+
+
+def _terms_str(valuation: int, coefficients, var: str) -> str:
+    """The nonzero terms ``c*var^k`` of a coefficient window starting at
+    ``var^valuation``, joined by signs: ``c`` alone at k = 0, ``var`` for
+    k = 1, no ``1*`` or ``-1*``, and "0" when no term is nonzero."""
+    terms = []
+    for k, c in enumerate(coefficients, valuation):
+        if not c:
+            continue
+        power = var if k == 1 else f"{var}^{k}"
+        if k == 0:
+            terms.append(rational_to_str(c))
+        elif c in (1, -1):
+            terms.append(power if c == 1 else f"-{power}")
+        else:
+            terms.append(f"{rational_to_str(c)}*{power}")
+    return " + ".join(terms).replace("+ -", "- ") if terms else "0"
 
 
 class LaurentPolyS:
@@ -213,14 +238,7 @@ class LaurentPolyS:
     def __pow__(self, k: int) -> "LaurentPolyS":
         if k < 0:
             raise AlgebraError("negative powers of Laurent polynomials are not defined here")
-        result = LaurentPolyS.one()
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return _power(self, k, LaurentPolyS.one())
 
     def __eq__(self, other) -> bool:
         return (
@@ -233,22 +251,7 @@ class LaurentPolyS:
         return hash(("LaurentPolyS", self.valuation, self.coefficients))
 
     def __str__(self) -> str:
-        if self.is_zero():
-            return "0"
-        terms = []
-        for k in self.exponents():
-            c = self.coefficient(k)
-            if k == 0:
-                terms.append(str(c))
-            else:
-                var = "s" if k == 1 else f"s^{k}"
-                if c == 1:
-                    terms.append(var)
-                elif c == -1:
-                    terms.append(f"-{var}")
-                else:
-                    terms.append(f"{c}*{var}")
-        return " + ".join(terms).replace("+ -", "- ")
+        return _terms_str(self.valuation, self.coefficients, "s")
 
     def __repr__(self) -> str:
         return f"LaurentPolyS({self.valuation}, {self.coefficients})"
@@ -443,16 +446,7 @@ class USeries:
         if self.is_zero():
             return USeries.zero(k * self.order)
         unit = USeries(0, self.coefficients, self.order - self.valuation)
-        result = USeries.one(unit.order)
-        base = unit
-        e = k
-        while e:
-            if e & 1:
-                result = result * base
-            if e > 1:
-                base = base * base
-            e >>= 1
-        return result.shift(k * self.valuation)
+        return _power(unit, k, USeries.one(unit.order)).shift(k * self.valuation)
 
     def __eq__(self, other) -> bool:
         return (
@@ -466,21 +460,7 @@ class USeries:
         return hash(("USeries", self.valuation, self.coefficients, self.order))
 
     def __str__(self) -> str:
-        terms = []
-        for k in self.nonzero_exponents():
-            c = self.coefficient(k)
-            if k == 0:
-                terms.append(rational_to_str(c))
-            else:
-                var = "u" if k == 1 else f"u^{k}"
-                if c == 1:
-                    terms.append(var)
-                elif c == -1:
-                    terms.append(f"-{var}")
-                else:
-                    terms.append(f"{rational_to_str(c)}*{var}")
-        body = " + ".join(terms).replace("+ -", "- ") if terms else "0"
-        return f"{body} + O(u^{self.order})"
+        return f"{_terms_str(self.valuation, self.coefficients, 'u')} + O(u^{self.order})"
 
     def __repr__(self) -> str:
         return f"USeries({self.valuation}, {self.coefficients}, order={self.order})"

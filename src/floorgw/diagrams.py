@@ -179,14 +179,18 @@ class MarkedFloorDiagram:
     @classmethod
     def from_json(cls, data: dict) -> "MarkedFloorDiagram":
         """The diagram that :meth:`to_json` wrote.  InvalidDiagram names a missing key, a
-        non-integer field, no vertex, divergence keys not the vertices or unequal values."""
+        field that is not a JSON object or array as it should be, a non-integer field,
+        no vertex, divergence keys not the vertices or unequal values."""
         try:
+            data = _json(data, dict, "the diagram")
             n = _integer(data["n"], "n")
-            vertices = tuple(_integer(p, "vertex") for p in data["vertices"])
+            vertices = tuple(_integer(p, "vertex")
+                             for p in _json(data["vertices"], list, "vertices"))
             div_map = {_integer(p, "vertex"): _integer(d, "divergence")
-                       for p, d in data["divergences"].items()}
+                       for p, d in _json(data["divergences"], dict, "divergences").items()}
+            objects = [_json(e, dict, "an edge") for e in _json(data["edges"], list, "edges")]
             edges = tuple(Edge(*(_integer(e[f], f, f in ("source", "target"))
-                                 for f in Edge._fields)) for e in data["edges"])
+                                 for f in Edge._fields)) for e in objects)
         except KeyError as missing:
             raise InvalidDiagram(f"diagram JSON has no key {missing}") from None
         if not vertices:
@@ -196,6 +200,13 @@ class MarkedFloorDiagram:
         if len(set(div_map.values())) > 1:
             raise InvalidDiagram(f"divergence values {sorted(set(div_map.values()))} differ")
         return cls(n, vertices, div_map[vertices[0]], edges)
+
+
+def _json(value, kind: type, field: str):
+    """``value``, which diagram JSON holds as a ``kind``: dict or list."""
+    if not isinstance(value, kind):
+        raise InvalidDiagram(f"{field} is not a JSON {'object' if kind is dict else 'array'}")
+    return value
 
 
 def _integer(value, field: str, optional: bool = False) -> int | None:

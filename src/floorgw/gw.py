@@ -7,9 +7,11 @@ is (refined count)|_{q=e^(iu)} * S^(2*g0 + offset), with the genus-g
 invariant at u^(2g + offset).  Only the offset (``exponent_offset``) differs:
 d_b + d_t - 2 for the relative series, 2h + d_b + d_t - 2 for the log series
 (relative * S^(2h)), -2 for the F0 absolute series and d - 2 for the F2
-series relative to D_(-2).  ``algebra._sine_series`` builds every series
-here, a Laurent polynomial times sine powers substituted once: the count
-series, the vertex, and each weight profile's term of the diagram sum.
+series relative to D_(-2).  One builder, ``_count_series``, makes all four:
+it checks the order, then takes the count, the empty F_k class h = d = 0
+counting 0.  ``algebra._sine_series`` builds every series here, a Laurent
+polynomial times sine powers substituted once: the count series, the
+vertex, and each weight profile's term of the diagram sum.
 Two series do not start from the count:
 
 * vertex:       sum_g N(g) u^(2g+len(mu)+len(nu))
@@ -46,10 +48,9 @@ and F2 counts at both the polynomial and the series level.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from math import comb
-from typing import Callable
 
 from .algebra import (
     LaurentPolyS,
@@ -145,11 +146,17 @@ def _order_check(order: int, valuation: int) -> None:
         )
 
 
-def _check_series_delta(delta: HTransverseDegree, n: int) -> int:
+def _genus(delta: HTransverseDegree, n: int) -> int:
+    """The minimal genus n + 1 - |delta|; a negative one is refused."""
     g = delta.genus_for_points(n)
     if g < 0:
         raise GwError(f"n = {n} gives negative genus for {delta.label}")
     return g
+
+
+def _log_offset(delta: HTransverseDegree) -> int:
+    """The offset of the log series and of the diagram sum (relative * S^(2h))."""
+    return 2 * delta.height + delta.d_b + delta.d_t - 2
 
 
 def _check_f_class(h: int, d: int, n: int) -> int:
@@ -162,22 +169,26 @@ def _check_f_class(h: int, d: int, n: int) -> int:
     return g0
 
 
-def _count_or_zero(delta: HTransverseDegree | None, n: int) -> LaurentPolyS:
+def _f_class(k: int, h: int, d: int) -> HTransverseDegree | None:
+    """The class h*D_k + d*F, or None for the empty class h = d = 0."""
+    return degree_hirzebruch(k, h, d) if h + d else None
+
+
+def _count(delta: HTransverseDegree | None, n: int) -> LaurentPolyS:
+    """The refined count; the empty class (None) counts 0."""
     return LaurentPolyS.zero() if delta is None else refined_count(delta, n)
 
 
-def _from_count(
-    counts: Callable[[], LaurentPolyS], kind: str, delta: HTransverseDegree | None,
-    n: int, offset: int, g0: int, order: int,
-) -> GwSeries:
-    """The count-derived series counts()|_{q=e^(iu)} * S^(2*g0 + offset).
+def _count_series(kind: str, delta: HTransverseDegree | None, n: int, g0: int,
+                  offset: int, order: int) -> GwSeries:
+    """The count series (refined count)|_{q=e^(iu)} * S^(2*g0 + offset).
 
-    ``counts`` is called only after the order check, so a too-small order
+    The order is checked before the count is taken, so a too-small order
     is rejected before any counting.
     """
     e = 2 * g0 + offset
     _order_check(order, e)
-    series = _sine_series(counts(), [(1, e)], order)
+    series = _sine_series(_count(delta, n), [(1, e)], order)
     return GwSeries(series, kind, delta, n, exponent_offset=offset, g_min=g0)
 
 
@@ -197,14 +208,8 @@ def vertex_series(mu: Partition, nu: Partition, order: int) -> GwSeries:
     scalar = Fraction(1)
     for part, m in specs:
         scalar /= Fraction(part) ** m
-    return GwSeries(
-        series * scalar,
-        "vertex",
-        None,
-        None,
-        exponent_offset=len(mu) + len(nu),
-        g_min=0,
-    )
+    return GwSeries(series * scalar, "vertex", None, None,
+                    exponent_offset=len(mu) + len(nu), g_min=0)
 
 
 def gw_relative_series(delta: HTransverseDegree, n: int, order: int = 16) -> GwSeries:
@@ -216,9 +221,8 @@ def gw_relative_series(delta: HTransverseDegree, n: int, order: int = 16) -> GwS
     at u^(2g - 2 + d_b + d_t) and the leading one equals the classical
     count.
     """
-    g0 = _check_series_delta(delta, n)
-    offset = delta.d_b + delta.d_t - 2
-    return _from_count(lambda: refined_count(delta, n), "relative", delta, n, offset, g0, order)
+    return _count_series("relative", delta, n, _genus(delta, n), delta.d_b + delta.d_t - 2,
+                         order)
 
 
 def degeneration_series(delta: HTransverseDegree, n: int, order: int = 16) -> GwSeries:
@@ -237,8 +241,7 @@ def degeneration_series(delta: HTransverseDegree, n: int, order: int = 16) -> Gw
     relative * S^(2h), i.e. the log series (see the module docstring's
     exponent audit).
     """
-    g0 = _check_series_delta(delta, n)
-    offset = 2 * delta.height + delta.d_b + delta.d_t - 2
+    g0, offset = _genus(delta, n), _log_offset(delta)
     _order_check(order, 2 * g0 + offset)
     total = USeries.zero(order)
     for weights, count in weight_profiles(delta, n).items():
@@ -246,8 +249,6 @@ def degeneration_series(delta: HTransverseDegree, n: int, order: int = 16) -> Gw
         total = total + _sine_series(
             LaurentPolyS.monomial(0, count), sorted(specs.items()), order
         )
-    if total.order != order:
-        raise AssertionError("truncation bookkeeping drift")
     return GwSeries(total, "degeneration", delta, n, exponent_offset=offset, g_min=g0)
 
 
@@ -258,9 +259,17 @@ def log_series(delta: HTransverseDegree, n: int, order: int = 16) -> GwSeries:
     non-horizontal toric divisors.  At minimal genus N_log = N_rel equals
     the classical count.
     """
-    g0 = _check_series_delta(delta, n)
-    offset = 2 * delta.height + delta.d_b + delta.d_t - 2
-    return _from_count(lambda: refined_count(delta, n), "log", delta, n, offset, g0, order)
+    return _count_series("log", delta, n, _genus(delta, n), _log_offset(delta), order)
+
+
+def _report_json(target: str, report) -> dict:
+    """``{"target": target}``, then each field of the report dataclass in
+    order, a series, polynomial or degree by its ``to_json``."""
+    out = {"target": target}
+    for field in fields(report):
+        value = getattr(report, field.name)
+        out[field.name] = value.to_json() if hasattr(value, "to_json") else value
+    return out
 
 
 @dataclass(frozen=True)
@@ -274,14 +283,7 @@ class CrossCheckReport:
     equal: bool
 
     def to_json(self) -> dict:
-        return {
-            "target": "degeneration",
-            "delta": self.delta.to_json(),
-            "n": self.n,
-            "diagram_sum": self.diagram_sum.to_json(),
-            "from_refined": self.from_refined.to_json(),
-            "equal": self.equal,
-        }
+        return _report_json("degeneration", self)
 
 
 def degeneration_cross_check(
@@ -315,10 +317,7 @@ def f0_absolute_series(a: int, b: int, n: int, order: int = 16) -> GwSeries:
     contacts traded away.  Requires n + 1 - 4a - 2b >= 0.
     """
     g0 = _check_f_class(a, b, n)
-    delta = degree_hirzebruch(0, a, a + b) if a + b else None
-    return _from_count(
-        lambda: _count_or_zero(delta, n), "absolute_F0", delta, n, -2, g0, order
-    )
+    return _count_series("absolute_F0", _f_class(0, a, a + b), n, g0, -2, order)
 
 
 def f2_relative_dminus2_series(h: int, d: int, n: int, order: int = 16) -> GwSeries:
@@ -329,10 +328,7 @@ def f2_relative_dminus2_series(h: int, d: int, n: int, order: int = 16) -> GwSer
     Requires n + 1 - 4h - 2d >= 0.
     """
     g0 = _check_f_class(h, d, n)
-    delta = degree_hirzebruch(2, h, d) if h + d else None
-    return _from_count(
-        lambda: _count_or_zero(delta, n), "relative_F2_Dminus2", delta, n, d - 2, g0, order
-    )
+    return _count_series("relative_F2_Dminus2", _f_class(2, h, d), n, g0, d - 2, order)
 
 
 @dataclass(frozen=True)
@@ -354,19 +350,7 @@ class AbIdentityReport:
         return self.polynomial_equal and self.series_equal
 
     def to_json(self) -> dict:
-        return {
-            "target": "ab",
-            "a": self.a,
-            "b": self.b,
-            "n": self.n,
-            "lhs_polynomial": self.lhs_polynomial.to_json(),
-            "rhs_polynomial": self.rhs_polynomial.to_json(),
-            "polynomial_equal": self.polynomial_equal,
-            "lhs_series": self.lhs_series.to_json(),
-            "rhs_series": self.rhs_series.to_json(),
-            "series_equal": self.series_equal,
-            "equal": self.equal,
-        }
+        return {**_report_json("ab", self), "equal": self.equal}
 
 
 def ab_identity_check(a: int, b: int, n: int, order: int = 16) -> AbIdentityReport:
@@ -381,27 +365,15 @@ def ab_identity_check(a: int, b: int, n: int, order: int = 16) -> AbIdentityRepo
     """
     g0 = _check_f_class(a, b, n)
     _order_check(order, 2 * g0 - 2)
-    f0 = degree_hirzebruch(0, a, a + b) if a + b else None
-    lhs_poly = _count_or_zero(f0, n)
+    lhs_poly = _count(_f_class(0, a, a + b), n)
     lhs_series = _sine_series(lhs_poly, [(1, 2 * g0 - 2)], order)
     rhs_poly = LaurentPolyS.zero()
     rhs_series = USeries.zero(order)
     for j in range(a + 1):
         d = b + 2 * j
-        f2 = degree_hirzebruch(2, a - j, d) if a - j + d else None
-        count = _count_or_zero(f2, n)
+        count = _count(_f_class(2, a - j, d), n)
         rhs_poly = rhs_poly + comb(d, j) * count
         rhs_series = rhs_series + _sine_series(count, [(1, 2 * g0 + d - 2), (1, -d)],
                                                order) * comb(d, j)
-
-    return AbIdentityReport(
-        a,
-        b,
-        n,
-        lhs_poly,
-        rhs_poly,
-        lhs_poly == rhs_poly,
-        lhs_series,
-        rhs_series,
-        lhs_series == rhs_series,
-    )
+    return AbIdentityReport(a, b, n, lhs_poly, rhs_poly, lhs_poly == rhs_poly,
+                            lhs_series, rhs_series, lhs_series == rhs_series)

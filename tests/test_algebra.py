@@ -2,7 +2,9 @@
 
 import json
 from fractions import Fraction
+from functools import reduce
 from math import factorial
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -566,6 +568,65 @@ def test_json_round_trips(p, x):
     assert USeries.from_json(json.loads(json.dumps(x.to_json()))) == x
 
 
+# ------------------------------------------------- text rendering and powers
+
+
+@pytest.mark.parametrize("p,text", [
+    (LaurentPolyS.zero(), "0"),
+    (LaurentPolyS.monomial(0, 7), "7"),
+    (LaurentPolyS.monomial(0, -7), "-7"),
+    (LaurentPolyS.monomial(1), "s"),
+    (LaurentPolyS.monomial(1, -1), "-s"),
+    (LaurentPolyS.monomial(-1), "s^-1"),
+    (LaurentPolyS.monomial(-1, -1), "-s^-1"),
+    (LaurentPolyS(-2, [1, 0, 10, 0, 1]), "s^-2 + 10 + s^2"),
+    (LaurentPolyS(-2, [-3, 1, -1, -1, 2]), "-3*s^-2 + s^-1 - 1 - s + 2*s^2"),
+])
+def test_laurent_text(p, text):
+    assert str(p) == text
+
+
+@pytest.mark.parametrize("x,text", [
+    (USeries.zero(5), "0 + O(u^5)"),
+    (USeries(-1, [1, 0, F(1, 24)], 2), "u^-1 + 1/24*u + O(u^2)"),
+    (USeries(0, [F(1, 2), F(-3, 4), 0, F(5, 3)], 6), "1/2 - 3/4*u + 5/3*u^3 + O(u^6)"),
+    (USeries(1, [-1, 0, 1], 4), "-u + u^3 + O(u^4)"),
+    (USeries(0, [-1, 0, -1], 3), "-1 - u^2 + O(u^3)"),
+])
+def test_useries_text(x, text):
+    assert str(x) == text
+
+
+@given(laurent_polys, useries(), st.integers(0, 12))
+@settings(max_examples=60, deadline=None)
+def test_powers_are_repeated_products(p, x, k):
+    assert p**k == reduce(mul, [p] * k, LaurentPolyS.one())
+    if k:
+        assert x**k == reduce(mul, [x] * k)
+    elif x.is_zero():
+        with pytest.raises(AlgebraError):
+            x**k
+    else:
+        assert x**k == USeries.one(x.order - x.valuation)
+
+
+def test_power_squares_no_further_than_the_top_bit(monkeypatch):
+    """k = 2 takes one squaring and the multiply into 1; k = 64 six
+    squarings and that multiply."""
+    products = []
+    multiply = LaurentPolyS.__mul__
+
+    def counting(a, b):
+        products.append(None)
+        return multiply(a, b)
+
+    monkeypatch.setattr(LaurentPolyS, "__mul__", counting)
+    for k, expected in ((2, 2), (64, 7)):
+        products.clear()
+        q_integer(3) ** k
+        assert len(products) == expected
+
+
 # ----------------------------------------------------------------- Partition
 
 
@@ -574,9 +635,6 @@ def test_partition_accessors():
     assert tuple(mu) == (3, 1, 1)
     assert mu.size == 5
     assert len(mu) == 3
-    assert mu.mult(1) == 2
-    assert mu.mult(2) == 0
-    assert mu.part_multiplicities() == {3: 1, 1: 2}
     assert Partition().size == 0
     with pytest.raises(AlgebraError):
         Partition([2, 0])

@@ -438,8 +438,8 @@ def _diagram_json(**changes):
     return {key: value for key, value in data.items() if value is not None}
 
 
-# One row per refusal of MarkedFloorDiagram.from_json; the last two once
-# built a diagram whose JSON did not read back as it.
+# One row per refusal of MarkedFloorDiagram.from_json; the divergence-keys and
+# different-divergences rows once built a diagram whose JSON did not read back as it.
 INVALID_JSON = [
     ("missing-vertices", _diagram_json(vertices=None), r"^diagram JSON has no key 'vertices'$"),
     ("missing-divergences", _diagram_json(divergences=None),
@@ -459,6 +459,13 @@ INVALID_JSON = [
     ("different-divergences",
      _diagram_json(n=3, vertices=[2, 3], divergences={"2": 1, "3": 0}),
      r"^divergence values \[0, 1\] differ$"),
+    # a container of the wrong JSON type once raised AttributeError or TypeError
+    ("divergences-array", _diagram_json(divergences=[1]), r"^divergences is not a JSON object$"),
+    ("edge-integer", _diagram_json(edges=[5]), r"^an edge is not a JSON object$"),
+    ("vertices-integer", _diagram_json(vertices=2), r"^vertices is not a JSON array$"),
+    ("edges-object", _diagram_json(edges={"1": {"position": 1}}), r"^edges is not a JSON array$"),
+    ("payload-array", [_diagram_json()], r"^the diagram is not a JSON object$"),
+    ("payload-null", None, r"^the diagram is not a JSON object$"),
 ]
 
 
