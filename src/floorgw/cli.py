@@ -96,7 +96,7 @@ def _parse_partition(text: str, flag: str, parser: argparse.ArgumentParser) -> P
 def _emit(*lines: str) -> None:
     """Write ``lines``, all rendered before the call, so that a rendering
     error leaves stdout empty."""
-    sys.stdout.write("".join(line + "\n" for line in lines))
+    sys.stdout.write("\n".join(lines) + "\n")
 
 
 def _print_gw(gw, fmt: str, header: str) -> None:
@@ -124,23 +124,20 @@ def _cmd_enumerate(args, parser) -> int:
     _check_listing_cap(delta, n, diagram_count(delta, n))
     diagrams = enumerate_marked(delta, n)
     if args.format == "json":
-        # one diagram's dict at a time, byte-identical to dumping the whole payload
-        body = ", ".join(json.dumps(d.to_json()) for d in diagrams)
+        # json.dumps of the whole payload, written one diagram's text at a time
+        body = ", ".join([d.json_text() for d in diagrams])
         _emit(f'{{"count": {len(diagrams)}, "diagrams": [{body}]}}')
     elif args.format == "csv":
-        _emit("index,n,vertices,edges")
-        for i, d in enumerate(diagrams):
-            vs = ";".join(str(p) for p in d.vertex_positions)
-            es = ";".join(
-                f"{e.position}:{e.source}->{e.target}*{e.weight}" for e in d.edges
-            )
-            _emit(f"{i},{d.n},{vs},{es}")
+        rows = (f"{i},{d.n},{';'.join(map(str, d.vertex_positions))},"
+                + ";".join(f"{p}:{s}->{t}*{w}" for p, s, t, w in d.edges)
+                for i, d in enumerate(diagrams))
+        _emit("index,n,vertices,edges", *rows)
     else:
-        _emit(f"{len(diagrams)} marked diagram(s) for {delta.label}, n = {n}")
+        lines = [f"{len(diagrams)} marked diagram(s) for {delta.label}, n = {n}"]
         for i, d in enumerate(diagrams):
-            _emit(f"  #{i}: vertices {list(d.vertex_positions)}")
-            for e in d.edges:
-                _emit(f"      edge@{e.position}: {e.source} -> {e.target}, weight {e.weight}")
+            lines.append(f"  #{i}: vertices {list(d.vertex_positions)}")
+            lines.extend(f"      edge@{p}: {s} -> {t}, weight {w}" for p, s, t, w in d.edges)
+        _emit(*lines)
     return 0
 
 
@@ -156,15 +153,12 @@ def _cmd_count(args, parser) -> int:
         _emit(json.dumps(payload))
     elif args.format == "csv":
         if args.refined:
-            _emit("classical,refined")
-            _emit(f"{classical},{refined}")
+            _emit("classical,refined", f"{classical},{refined}")
         else:
-            _emit("classical")
-            _emit(str(classical))
+            _emit("classical", str(classical))
     else:
-        _emit(f"classical count for {delta.label}, n = {n}: {classical}")
-        if args.refined:
-            _emit(f"refined count: {refined}")
+        _emit(f"classical count for {delta.label}, n = {n}: {classical}",
+              *([f"refined count: {refined}"] if args.refined else []))
     return 0
 
 
@@ -237,12 +231,12 @@ def _cmd_verify_oracle(args, parser) -> int:
             "equal": equal,
         }))
     else:
-        _emit(f"oracle check for {delta.label}, n = {n}")
-        _emit(f"  diagrams   : sweep {len(sweep_diagrams)}, "
-              f"brute force {len(brute_diagrams)}, equal {diagrams_equal}")
-        _emit(f"  sweep      : {sweep}")
-        _emit(f"  brute force: {brute}")
-        _emit(f"  equal: {equal}")
+        _emit(f"oracle check for {delta.label}, n = {n}",
+              f"  diagrams   : sweep {len(sweep_diagrams)}, "
+              f"brute force {len(brute_diagrams)}, equal {diagrams_equal}",
+              f"  sweep      : {sweep}",
+              f"  brute force: {brute}",
+              f"  equal: {equal}")
     return 0 if equal else 1
 
 

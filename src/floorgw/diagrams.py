@@ -29,7 +29,6 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from contextlib import suppress
-from dataclasses import dataclass
 from itertools import accumulate, product
 from math import comb, prod
 from typing import NamedTuple
@@ -152,10 +151,15 @@ class Edge(NamedTuple):
     weight: int
 
 
-@dataclass(frozen=True)
-class MarkedFloorDiagram:
+_EDGE_JSON = '{"position": %s, "source": %s, "target": %s, "weight": %s}'
+
+
+class MarkedFloorDiagram(NamedTuple):
     """A marked floor diagram, identified with its position-labelled structure;
-    ``divergence`` is the one divergence of every floor."""
+    ``divergence`` is the one divergence of every floor.  A tuple, like
+    ``Edge``, so it equals and hashes like the plain tuple (n,
+    vertex_positions, divergence, edges), in C.
+    """
 
     n: int
     vertex_positions: tuple[int, ...]
@@ -175,6 +179,17 @@ class MarkedFloorDiagram:
                 for position, source, target, weight in self.edges
             ],
         }
+
+    def json_text(self) -> str:
+        """``json.dumps(self.to_json())``, written without the dict, for a
+        diagram whose floors have distinct positions (every valid one): all
+        fields are ints, and the missing end of an unbounded edge, None,
+        reads null."""
+        n, vertices, divergence, edges = self
+        floors = ", ".join([f'"{p}": {divergence}' for p in vertices])
+        arrows = ", ".join([_EDGE_JSON % e for e in edges]).replace("None", "null")
+        return (f'{{"n": {n}, "vertices": [{", ".join(map(str, vertices))}], '
+                f'"divergences": {{{floors}}}, "edges": [{arrows}]}}')
 
     @classmethod
     def from_json(cls, data: dict) -> "MarkedFloorDiagram":

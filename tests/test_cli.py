@@ -5,6 +5,7 @@ import io
 import json
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -103,6 +104,36 @@ def test_enumerate_csv(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "index,n,vertices,edges"
     assert lines[1] == "0,2,2,1:None->2*1"
+
+
+@pytest.mark.parametrize("delta,surface,g", [
+    (diagrams.degree_p2(3), ["--surface", "p2", "--degree", "3"], 0),
+    (diagrams.degree_p2(4), ["--surface", "p2", "--degree", "4"], 1),
+    (diagrams.degree_hirzebruch(2, 3, 0), ["--surface", "fk", "--k", "2", "--h", "3", "--d", "0"], 1),
+    (diagrams.degree_p2(3), ["--surface", "p2", "--degree", "3"], 2),
+])
+def test_enumerate_json_is_the_dumped_payload(capsys, delta, surface, g):
+    code, out, _ = run_cli(capsys, "enumerate", *surface, "--genus", str(g), "--format", "json")
+    listing = diagrams.enumerate_marked(delta, diagrams.points_for_genus(delta, g))
+    payload = {"count": len(listing), "diagrams": [d.to_json() for d in listing]}
+    assert code == 0 and out == json.dumps(payload) + "\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "--surface", "p2", "--degree", "3", "--genus", "0", "--format", fmt]
+    for fmt in ("json", "csv", "text")
+] + [
+    ["verify", "oracle", "--surface", "p2", "--degree", "3", "--genus", "0", "--format", fmt]
+    for fmt in ("json", "text")
+] + [
+    ["count", "--surface", "p2", "--degree", "3", "--genus", "0", *refined, "--format", fmt]
+    for fmt in ("json", "csv", "text") for refined in ([], ["--refined"])
+], ids=" ".join)
+def test_each_command_writes_stdout_once(monkeypatch, argv):
+    writes = []
+    monkeypatch.setattr(sys, "stdout", SimpleNamespace(write=writes.append))
+    assert main(argv) == 0
+    assert len(writes) == 1 and writes[0].endswith("\n")
 
 
 def test_verify_exit_codes(capsys):

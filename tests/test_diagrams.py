@@ -3,7 +3,7 @@
 import gc
 import hashlib
 import json
-import weakref
+import sys
 from itertools import combinations
 
 import pytest
@@ -177,6 +177,7 @@ def test_listing_order_is_pinned(delta, g, count, digest):
     assert len(diagrams) == count
     text = json.dumps([d.to_json() for d in diagrams])
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+    assert [d.json_text() for d in diagrams] == [json.dumps(d.to_json()) for d in diagrams]
 
 
 @settings(max_examples=200, deadline=None)
@@ -199,13 +200,16 @@ def test_head_subsets_do_not_build_the_lighter_ones():
 
 
 def test_dropped_listing_is_freed_without_the_cycle_collector():
+    # a diagram is a tuple, which takes no weak reference: the probe is the
+    # reference count of one held diagram, which loses exactly the list's
     gc.collect()
     gc.disable()
     try:
         diagrams = enumerate_marked(degree_p2(3), 8)
-        first = weakref.ref(diagrams[0])
+        first = diagrams[0]
+        held = sys.getrefcount(first)
         del diagrams
-        assert first() is None
+        assert sys.getrefcount(first) == held - 1
     finally:
         gc.enable()
 
@@ -322,7 +326,40 @@ def test_edge_is_a_named_tuple_with_the_old_repr_and_fields():
     assert all(type(e) is Edge for e in back.edges)
 
 
+def test_diagram_is_a_named_tuple_like_edge():
+    diagram = MarkedFloorDiagram(3, (2,), 1, (Edge(1, None, 2, 1), Edge(3, 2, None, 1)))
+    plain = (3, (2,), 1, ((1, None, 2, 1), (3, 2, None, 1)))
+    assert diagram == plain and hash(diagram) == hash(plain)
+    assert len({diagram, plain, MarkedFloorDiagram(*plain)}) == 1
+    assert diagram != MarkedFloorDiagram(3, (2,), 0, diagram.edges)
+    assert repr(diagram) == (
+        "MarkedFloorDiagram(n=3, vertex_positions=(2,), divergence=1, "
+        "edges=(Edge(position=1, source=None, target=2, weight=1), "
+        "Edge(position=3, source=2, target=None, weight=1)))")
+    n, vertex_positions, divergence, edges = diagram
+    assert (n, vertex_positions, divergence, edges) == (3, (2,), 1, diagram.edges)
+
+
 # ---------------------------------------------------------- JSON + validator
+
+
+def test_json_text_is_the_dumped_dict_and_reads_back():
+    for delta, n in acceptance_grid():
+        for diagram in enumerate_marked(delta, n):
+            text = diagram.json_text()
+            assert text == json.dumps(diagram.to_json())
+            assert MarkedFloorDiagram.from_json(json.loads(text)) == diagram
+
+
+_FIELD = st.integers(-10**6, 10**6)
+
+
+@given(_FIELD, st.lists(_FIELD, max_size=5, unique=True), _FIELD,
+       st.lists(st.tuples(_FIELD, st.none() | _FIELD, st.none() | _FIELD, _FIELD), max_size=6))
+@settings(max_examples=200, deadline=None)
+def test_json_text_is_the_dumped_dict_for_any_fields(n, vertices, divergence, edges):
+    diagram = MarkedFloorDiagram(n, tuple(vertices), divergence, tuple(map(Edge._make, edges)))
+    assert diagram.json_text() == json.dumps(diagram.to_json())
 
 
 def test_diagram_json_round_trip():
