@@ -6,10 +6,10 @@ are selected with ``--surface p2 --degree D`` or
 ``--surface fk --k K --h H --d D``; the point count comes from exactly one
 of ``--points N`` or ``--genus G``.  ``--order`` is the u-truncation of the
 reported series and must exceed the series' lowest exponent; a smaller order
-is a domain error naming the minimum, and so is an order over 500.  Output
-formats: ``text`` (default), ``json``, ``csv``.  Exit codes: 0 success (and,
-for ``verify``, identity holds), 1 domain error, 2 usage error.  Rationals
-are serialized as strings ("num/den") so no JSON consumer can lose
+is a domain error naming the minimum, and so is an order over 500.  Formats:
+``text`` (default), ``json``, ``csv`` (not for ``verify``).  Exit codes: 0
+success (and, for ``verify``, identity holds), 1 domain error, 2 usage
+error.  Rationals are strings ("num/den") so no JSON consumer can lose
 precision; identical invocations produce byte-identical output.
 
 ``build_parser(argv)`` gives arguments only to the subcommand that argv
@@ -95,8 +95,8 @@ def _parse_partition(text: str, flag: str, parser: argparse.ArgumentParser) -> P
 
 def _emit(*lines: str) -> None:
     """Write ``lines``, all rendered before the call, so that a rendering
-    error leaves stdout empty."""
-    sys.stdout.write("\n".join(lines) + "\n")
+    error leaves stdout empty: one join, one write."""
+    sys.stdout.write("\n".join([*lines, ""]))
 
 
 def _print_gw(gw, fmt: str, header: str) -> None:
@@ -124,9 +124,11 @@ def _cmd_enumerate(args, parser) -> int:
     _check_listing_cap(delta, n, diagram_count(delta, n))
     diagrams = enumerate_marked(delta, n)
     if args.format == "json":
-        # json.dumps of the whole payload, written one diagram's text at a time
-        body = ", ".join([d.json_text() for d in diagrams])
-        _emit(f'{{"count": {len(diagrams)}, "diagrams": [{body}]}}')
+        # json.dumps of the payload, joined once: head and tail ride the end texts
+        texts = [d.json_text() for d in diagrams] or [""]
+        texts[0] = f'{{"count": {len(diagrams)}, "diagrams": [' + texts[0]
+        texts[-1] += "]}\n"
+        sys.stdout.write(", ".join(texts))
     elif args.format == "csv":
         rows = (f"{i},{d.n},{';'.join(map(str, d.vertex_positions))},"
                 + ";".join(f"{p}:{s}->{t}*{w}" for p, s, t, w in d.edges)
@@ -240,7 +242,7 @@ def _cmd_verify_oracle(args, parser) -> int:
     return 0 if equal else 1
 
 
-def _common(p, run, surface=True, points=True, order=True):
+def _common(p, run, surface=True, points=True, order=True, csv=True):
     p.set_defaults(run=run)
     if surface:
         _add_surface_args(p)
@@ -250,7 +252,8 @@ def _common(p, run, surface=True, points=True, order=True):
         # vertex and verify ab have always listed --order without help text
         p.add_argument("--order", type=int, default=16,
                        help="u-truncation order" if surface else None)
-    p.add_argument("--format", choices=("json", "csv", "text"), default="text")
+    p.add_argument("--format", default="text",
+                   choices=("json", "csv", "text") if csv else ("json", "text"))
 
 
 def _add_count_args(p):
@@ -268,16 +271,16 @@ def _add_ab_args(p):
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--b", type=int, required=True)
     p.add_argument("--points", type=int, required=True)
-    _common(p, _cmd_verify_ab, surface=False, points=False)
+    _common(p, _cmd_verify_ab, surface=False, points=False, csv=False)
 
 
 # name -> (help, function adding its arguments); verify's entry is a table of targets
 _TARGETS = {
     "degeneration": ("diagram sum vs refined-count route",
-                     lambda p: _common(p, _cmd_verify_degeneration)),
+                     lambda p: _common(p, _cmd_verify_degeneration, csv=False)),
     "ab": ("Abramovich-Bertram F0/F2 identity", _add_ab_args),
     "oracle": ("sweep vs brute-force enumeration",
-               lambda p: _common(p, _cmd_verify_oracle, order=False)),
+               lambda p: _common(p, _cmd_verify_oracle, order=False, csv=False)),
 }
 _COMMANDS = {
     "enumerate": ("list all marked floor diagrams",

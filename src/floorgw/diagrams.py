@@ -27,7 +27,6 @@ per multiset of bounded edge weights; every count is a fold of its result.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from contextlib import suppress
 from itertools import accumulate, product
 from math import comb, prod
@@ -327,9 +326,9 @@ def enumerate_marked(delta: HTransverseDegree, n: int) -> list[MarkedFloorDiagra
     """All isomorphism classes of marked floor diagrams on n points.
 
     Sweep enumeration: positions 1..n are processed in increasing order,
-    keeping the placed vertices with their remaining outgoing-weight budgets
-    and the pending edge heads (positioned edges whose target vertex comes
-    later).  At each position the branches are, in this fixed order:
+    keeping the placed vertices with their remaining outgoing-weight budgets,
+    the finished edges and the pending heads (edges whose floor comes later),
+    as Fomin-Mikhalkin do.  At each position the branches are, in this order:
 
     * edge roles first -- a new incoming unbounded head (while fewer than
       d_b are used), then a bounded edge for each placed source vertex in
@@ -341,7 +340,7 @@ def enumerate_marked(delta: HTransverseDegree, n: int) -> list[MarkedFloorDiagra
     * then a vertex -- for each subset of pending heads, attach the subset
       as incoming edges and open an outgoing budget of the attached weight
       sum minus the divergence, pruning negative budgets.  Subsets come in
-      plain lexicographic order of their head-position tuples, all sizes
+      plain lexicographic order of their head positions, all sizes
       together: (), (a,), (a, b), (a, b, c), (a, c), (b,), (b, c), (c,) for
       heads at a < b < c.  Subsets too light to give a nonnegative budget
       and a state that the window-capacity prune below keeps alive are
@@ -392,17 +391,17 @@ def enumerate_marked(delta: HTransverseDegree, n: int) -> list[MarkedFloorDiagra
     return found
 
 
-def _sweep(found, limits, vertices, budgets, edges, pending, in_used, bd_used, out_used):
+def _sweep(found, limits, vertices, budgets, edges, heads, in_used, bd_used, out_used):
     """The children of a sweep state in branch order, or none when it is a
-    leaf, which is listed in ``found`` if connected, or dead.
+    leaf, which is listed in ``found`` (edges sorted) if connected, or dead.
 
     ``limits`` holds n, h, d_b, the number of bounded edges, d_t, the
     divergence of every vertex and the :func:`_window_room` of the degree.
     The state is immutable and each branch hands its child new tuples:
     ``vertices`` and ``budgets`` are the placed vertex positions and their
-    remaining outgoing budgets; ``edges`` the placed edges as (position,
-    source, target, weight), target None while unattached; ``pending`` the
-    indices in ``edges`` of the heads awaiting a vertex; ``in_used``,
+    remaining outgoing budgets; ``edges`` the finished edges, each made an
+    :class:`Edge` once its last end is placed; ``heads`` the pending heads
+    as (position, source or None, weight), in position order; ``in_used``,
     ``bd_used`` and ``out_used`` the numbers of incoming, bounded and
     outgoing edges placed.  A child is the tuple of these seven arguments.
     """
@@ -410,72 +409,62 @@ def _sweep(found, limits, vertices, budgets, edges, pending, in_used, bd_used, o
     need = total_bounded - bd_used - room[h - len(vertices)]
     if need > 0 and sum(budgets) < need:
         return []
-    pos = len(vertices) + len(edges) + 1
+    pos = len(vertices) + len(edges) + len(heads) + 1
     if pos > n:
         if _connected(vertices, edges):
-            found.append(MarkedFloorDiagram(n, vertices, div, tuple(map(Edge._make, edges))))
+            found.append(MarkedFloorDiagram(n, vertices, div, tuple(sorted(edges))))
         return []
     children = []
     open_vertex = len(vertices) < h
     if open_vertex and in_used < d_b:
-        children.append((vertices, budgets, edges + ((pos, None, None, 1),),
-                         pending + (len(edges),), in_used + 1, bd_used, out_used))
+        children.append((vertices, budgets, edges, heads + ((pos, None, 1),),
+                         in_used + 1, bd_used, out_used))
     if open_vertex and bd_used < total_bounded:
         for i, b in enumerate(budgets):
             for w in range(1, b + 1):
-                children.append((vertices, budgets[:i] + (b - w,) + budgets[i + 1:],
-                                 edges + ((pos, vertices[i], None, w),), pending + (len(edges),),
-                                 in_used, bd_used + 1, out_used))
+                children.append((vertices, budgets[:i] + (b - w,) + budgets[i + 1:], edges,
+                                 heads + ((pos, vertices[i], w),), in_used, bd_used + 1, out_used))
     if out_used < d_t:
         for i, b in enumerate(budgets):
             if b >= 1:
                 children.append((vertices, budgets[:i] + (b - 1,) + budgets[i + 1:],
-                                 edges + ((pos, vertices[i], None, 1),), pending,
+                                 edges + (Edge(pos, vertices[i], None, 1),), heads,
                                  in_used, bd_used, out_used + 1))
     if len(vertices) < h - 1:
         # heads weighing less than div + max(0, short) leave the new floor a
         # negative budget or a state that the window-capacity prune refuses
         short = total_bounded - bd_used - room[h - len(vertices) - 1] - sum(budgets)
-        head_choices = _head_subsets(pending, [edges[i][3] for i in pending], div + max(0, short))
+        head_choices = _head_subsets(heads, div + max(0, short))
     elif open_vertex and in_used == d_b and bd_used == total_bounded:
-        head_choices = [pending]
+        head_choices = [heads]
     else:
         return children
     for subset in head_choices:
-        budget = sum(edges[i][3] for i in subset) - div
+        budget = sum([w for _, _, w in subset]) - div
         if budget < 0:
             continue
-        attached = list(edges)
-        for i in subset:
-            p, source, _, w = edges[i]
-            attached[i] = (p, source, pos, w)
-        children.append((vertices + (pos,), budgets + (budget,), tuple(attached),
-                         tuple([i for i in pending if i not in subset]),
+        children.append((vertices + (pos,), budgets + (budget,),
+                         edges + tuple([Edge(p, source, pos, w) for p, source, w in subset]),
+                         tuple([head for head in heads if head not in subset]),
                          in_used, bd_used, out_used))
     return children
 
 
-def _head_subsets(heads: tuple[int, ...], weights: list[int],
-                  least: int) -> Iterator[tuple[int, ...]]:
-    """The subsets of ``heads`` whose ``weights`` sum to at least ``least``, as
-    tuples in plain lexicographic order (all sizes together), produced one
-    at a time without building the lighter ones: a depth-first walk that
-    drops a branch once the heads after it cannot make up the weight."""
-    last = len(heads) - 1
-    tails = list(accumulate(reversed(weights), initial=0))[::-1]  # tails[i]: weight of heads[i:]
-    stack = [(0, (), 0)]
-
-    def walk() -> tuple[int, ...] | None:
-        while stack:
-            start, chosen, total = stack.pop()
-            for i in range(last, start - 1, -1):  # pushed last first, so popped in order
-                if total + tails[i] >= least:
-                    stack.append((i + 1, chosen + (heads[i],), total + weights[i]))
-            if total >= least:
-                return chosen
-        return None  # the sentinel: every subset is out
-
-    return iter(walk, None)
+def _head_subsets(heads: tuple[tuple, ...], least: int) -> list[tuple[tuple, ...]]:
+    """The subsets of the pending ``heads`` whose weights sum to at least
+    ``least``, as tuples in plain lexicographic order (all sizes together),
+    without building the lighter ones: a depth-first walk that drops a
+    branch once the heads after it cannot make up the weight."""
+    tails = list(accumulate([w for _, _, w in reversed(heads)], initial=0))[::-1]
+    subsets, stack = [], [(0, (), 0)]  # tails[i]: the weight of heads[i:]
+    while stack:
+        start, chosen, total = stack.pop()
+        if total >= least:
+            subsets.append(chosen)
+        for i in range(len(heads) - 1, start - 1, -1):  # pushed last first, so popped in order
+            if total + tails[i] >= least:
+                stack.append((i + 1, chosen + (heads[i],), total + heads[i][2]))
+    return subsets
 
 
 def _connected(vertices: tuple[int, ...], edges: tuple[tuple, ...]) -> bool:

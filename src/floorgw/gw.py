@@ -62,6 +62,7 @@ from .algebra import (
 from .diagrams import (
     HTransverseDegree,
     degree_hirzebruch,
+    fold_refined,
     refined_count,
     weight_profiles,
 )
@@ -228,28 +229,32 @@ def gw_relative_series(delta: HTransverseDegree, n: int, order: int = 16) -> GwS
 def degeneration_series(delta: HTransverseDegree, n: int, order: int = 16) -> GwSeries:
     """The diagram sum: sum_D (prod_E w_E^2) (prod_V vertex contribution).
 
-    Computed from sine-series products over the counts of
-    ``weight_profiles``, never touching the refined-count polynomial, and
-    without listing any diagram.  The vertex
-    partitions hold each bounded weight w twice and each of the d_b + d_t
-    unbounded edges as a part 1, so the vertex factors' 1/prod(parts) is
-    1/prod_E w_E^2 and cancels the prod w^2 exactly: each diagram adds
-    prod_w (2 sin(w*u/2))^(2*#w) * S^(d_b + d_t), which depends only on its
-    sorted bounded weights.  The sum is therefore one sine product per
-    weight profile times the number of diagrams with it.  Its genus-g
-    coefficient sits at u^(2g - 2 + 2h + d_b + d_t): the sum equals
-    relative * S^(2h), i.e. the log series (see the module docstring's
-    exponent audit).
+    Computed from sine-series products over the counts of ``weight_profiles``,
+    never touching the refined-count polynomial, and without listing any
+    diagram.  The vertex partitions hold each bounded weight w twice and each
+    of the d_b + d_t unbounded edges as a part 1, so the vertex factors'
+    1/prod(parts) is 1/prod_E w_E^2 and cancels the prod w^2 exactly: each
+    diagram adds prod_w (2 sin(w*u/2))^(2*#w) * S^(d_b + d_t), which depends
+    only on its sorted bounded weights.  The sum is therefore one sine product
+    per weight profile times the number of diagrams with it.  Its genus-g
+    coefficient sits at u^(2g - 2 + 2h + d_b + d_t): the sum equals relative *
+    S^(2h), i.e. the log series (see the module docstring's exponent audit).
     """
+    return _degeneration(delta, n, order)[0]
+
+
+def _degeneration(delta: HTransverseDegree, n: int, order: int) -> tuple[GwSeries, dict]:
+    """:func:`degeneration_series` with the ``weight_profiles`` it sums."""
     g0, offset = _genus(delta, n), _log_offset(delta)
     _order_check(order, 2 * g0 + offset)
+    profiles = weight_profiles(delta, n)
     total = USeries.zero(order)
-    for weights, count in weight_profiles(delta, n).items():
+    for weights, count in profiles.items():
         specs = Counter(weights * 2) + Counter({1: delta.d_b + delta.d_t})
         total = total + _sine_series(
             LaurentPolyS.monomial(0, count), sorted(specs.items()), order
         )
-    return GwSeries(total, "degeneration", delta, n, exponent_offset=offset, g_min=g0)
+    return GwSeries(total, "degeneration", delta, n, exponent_offset=offset, g_min=g0), profiles
 
 
 def log_series(delta: HTransverseDegree, n: int, order: int = 16) -> GwSeries:
@@ -291,21 +296,21 @@ def degeneration_cross_check(
 ) -> CrossCheckReport:
     """Compare the two evaluation routes term by term.
 
-    Route one is the diagram sum of ``degeneration_series``: one
-    substituted sine product per weight profile, summed as series.  Route
-    two is the log series, relative * S^(2h): the folded refined count
-    times its sine power, substituted once.  Both routes read
-    ``weight_profiles`` (route two through ``refined_count``, its fold),
-    so the check covers the series side of the degeneration theorem, and
-    neither lists a diagram.  Both build their series with
-    ``algebra._sine_series`` from nonnegative sine powers, so neither
-    multiplies two series.  The check catches an error in the count's
-    q-integers, but an error that hits every polynomial alike, such as a
-    wrong u-scale, or one in ``USeries`` multiplication passes here; the
-    tests' sympy and schoolbook pins catch those.
+    Route one is the diagram sum of ``degeneration_series``: one substituted
+    sine product per weight profile, summed as series.  Route two is the log
+    series, relative * S^(2h): the folded refined count times its sine power,
+    substituted once.  Both routes read one ``weight_profiles`` pass (route
+    two through ``fold_refined``), so the check covers the series side of the
+    degeneration theorem, and neither lists a diagram.  Both build their
+    series with ``algebra._sine_series`` from nonnegative sine powers, so
+    neither multiplies two series.  The check catches an error in the count's
+    q-integers, but an error that hits every polynomial alike, such as a wrong
+    u-scale, or one in ``USeries`` multiplication passes here; the tests'
+    sympy and schoolbook pins catch those.
     """
-    diagram_sum = degeneration_series(delta, n, order).series
-    from_refined = log_series(delta, n, order).series
+    degeneration, profiles = _degeneration(delta, n, order)
+    diagram_sum, e = degeneration.series, 2 * degeneration.g_min + degeneration.exponent_offset
+    from_refined = _sine_series(fold_refined(profiles), [(1, e)], order)
     return CrossCheckReport(delta, n, diagram_sum, from_refined, diagram_sum == from_refined)
 
 

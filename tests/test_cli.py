@@ -215,7 +215,9 @@ def run_usage(capsys, monkeypatch, argv):
 
 # SHA-256 of the -h output at 80 columns, taken when build_parser still built
 # every subcommand on every call (Python 3.10.13, 3.11.7 and 3.12.1; 3.13.0
-# wraps the usage of `verify degeneration` after "[--d D]" instead).
+# wraps the usage of `verify degeneration` after "[--d D]" instead).  The
+# verify targets' digests were retaken when their --format lost csv, the only
+# change to their text.
 HELP_DIGESTS = {
     "-h": "f475704fc0b00708c9d990280779a0cff68122d4a54e7ae64476ccab0b90b93b",
     "enumerate -h": "ec41661b4385612b29cc28d363ebfe696de788d9e44def6c0e7558e7d3880215",
@@ -225,11 +227,11 @@ HELP_DIGESTS = {
     "vertex -h": "4be5ad0f4be40fc75a5835dc55674c12e712e9d2d0b0c198325385cb9a112bec",
     "verify -h": "a4f1e74f11cbc1ad5f6cf289100289fcfc4a27d336e98686ecb91238f9ea4225",
     "verify degeneration -h":
-        "572aec895336e0a4860c9311dd626f6ef7e9f8fb9d3a4e0b377c69612c0dc6f9"
+        "7f3c209c22cc139c7d136ef8937bc18c229ee7291530447032f0b30acbd85bec"
         if sys.version_info >= (3, 13) else
-        "c3017625ad169c865c48abdb743d85f05a478b86d75862a567072168645a895c",
-    "verify ab -h": "0a7701f44c605f0d4f553a4e9319d6a4157436b41452cac28ce2cbde79006567",
-    "verify oracle -h": "3ad7e1f4f6512f78c6c37c67607beb93cac8ce8691ee20fe1f0f7ed54d4a02bc",
+        "d6231fa3b45a5201062d09414abc20e9320da2fea556cc5db376b026c57089e2",
+    "verify ab -h": "412f2d1b03bbe72510f962cc379e112b659f8f9f182c31e5e178e1ddbe96e4ed",
+    "verify oracle -h": "b1ad770b0f6b588dc8dd397a64106d4ca41c175f2929144b3257a949225d7527",
 }
 
 
@@ -268,6 +270,26 @@ def test_usage_error_text_is_pinned(capsys, monkeypatch, command):
     code, out, err = run_usage(capsys, monkeypatch, command.split())
     assert code == 2 and out == ""
     assert err == USAGE_ERRORS[command]
+
+
+@pytest.mark.parametrize("target", [
+    "degeneration --surface p2 --degree 3 --genus 0",
+    "ab --a 1 --b 0 --points 3",
+    "oracle --surface p2 --degree 3 --genus 0",
+])
+def test_verify_has_no_csv_format(capsys, monkeypatch, target):
+    """A verify report has a json and a text form only: csv is a usage
+    error, not the text report."""
+    monkeypatch.setenv("COLUMNS", "1000")  # the usage on one line
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", *target.split(), "--format", "csv"])
+    captured = capsys.readouterr()
+    name = "floorgw verify " + target.split()[0]
+    assert exc.value.code == 2 and captured.out == ""
+    usage, error = captured.err.splitlines()
+    assert usage.startswith(f"usage: {name} ") and usage.endswith("[--format {json,text}]")
+    assert error == (f"{name}: error: argument --format: invalid choice: 'csv' "
+                     "(choose from 'json', 'text')")
 
 
 @pytest.mark.parametrize("flag,text", [("--mu", "a"), ("--nu", "1,x"), ("--mu", "0")])
@@ -471,18 +493,17 @@ def test_listing_cap_counts_diagrams_not_multiplicities(capsys, monkeypatch):
     "verify oracle --surface p2 --degree 3 --genus 1",
 ])
 def test_verify_sums_the_refined_count_once(capsys, monkeypatch, command):
-    # verify oracle takes the listing cap's count and the sweep's refined sum
-    # from one weight_profiles call, which refined_count would repeat
-    name = "weight_profiles" if "oracle" in command else "refined_count"
+    # verify oracle takes the listing cap's count and the sweep's refined sum,
+    # verify degeneration both its routes, from one weight_profiles call
     calls = []
-    counted = getattr(diagrams, name)
+    counted = diagrams.weight_profiles
 
     def counting(*args, **kwargs):
         calls.append(args)
         return counted(*args, **kwargs)
 
     for module in (cli, gw, diagrams):
-        monkeypatch.setattr(module, name, counting)
+        monkeypatch.setattr(module, "weight_profiles", counting)
     code, _, _ = run_cli(capsys, *command.split())
     assert code == 0 and len(calls) == 1
 

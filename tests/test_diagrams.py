@@ -185,18 +185,19 @@ def test_listing_order_is_pinned(delta, g, count, digest):
 def test_head_subsets_are_the_sorted_heavy_combinations(weights, least):
     """The reference is the sweep's former head-choice list: every
     combination of the heads, sorted, here kept only when heavy enough."""
-    heads = tuple(range(2, 2 + 3 * len(weights), 3))
-    weight = dict(zip(heads, weights))
+    heads = tuple((p, None if w == 1 else p - 1, w)
+                  for p, w in zip(range(2, 2 + 3 * len(weights), 3), weights))
     every = sorted(s for r in range(len(heads) + 1) for s in combinations(heads, r))
-    expected = [s for s in every if sum(weight[i] for i in s) >= least]
-    assert list(_head_subsets(heads, weights, least)) == expected
+    expected = [s for s in every if sum(w for _, _, w in s) >= least]
+    assert _head_subsets(heads, least) == expected
 
 
 def test_head_subsets_do_not_build_the_lighter_ones():
-    heads = tuple(range(40))
-    assert list(_head_subsets(heads, [1] * 40, 40)) == [heads]
-    every = _head_subsets(heads, [1] * 40, 0)  # 2^40 of them: taken one at a time
-    assert [next(every) for _ in range(3)] == [(), (0,), (0, 1)]
+    heads = tuple((p, None, 1) for p in range(40))
+    assert _head_subsets(heads, 40) == [heads]
+    # 41 of the 2^40 subsets weigh 39 or more: all heads, and each but one
+    heavy = [heads] + [heads[:i] + heads[i + 1:] for i in range(40)]
+    assert _head_subsets(heads, 39) == sorted(heavy)
 
 
 def test_dropped_listing_is_freed_without_the_cycle_collector():
@@ -324,6 +325,21 @@ def test_edge_is_a_named_tuple_with_the_old_repr_and_fields():
     back = MarkedFloorDiagram.from_json(json.loads(json.dumps(diagram.to_json())))
     assert back == diagram and hash(back) == hash(diagram)
     assert all(type(e) is Edge for e in back.edges)
+
+
+@pytest.mark.parametrize("delta,g", [
+    (degree_p2(3), 0), (degree_p2(4), 1), (degree_hirzebruch(1, 3, 1), 0),
+    (degree_hirzebruch(2, 3, 0), 1), (degree_hirzebruch(2, 2, 1), 0),
+])
+def test_listed_edges_are_edges_in_position_order(delta, g):
+    """multiplicity and vertex_partitions read edge fields by name, and
+    the JSON output writes the edges in their listed order."""
+    diagrams = enumerate_marked(delta, points_for_genus(delta, g))
+    assert diagrams
+    for diagram in diagrams:
+        assert all(type(e) is Edge for e in diagram.edges)
+        positions = [e.position for e in diagram.edges]
+        assert all(a < b for a, b in zip(positions, positions[1:]))
 
 
 def test_diagram_is_a_named_tuple_like_edge():

@@ -315,6 +315,25 @@ def test_ab_identity_counts_each_class_once(monkeypatch):
         assert calls and max(calls.values()) == 1, (a, b, n, calls)
 
 
+def test_degeneration_cross_check_takes_one_forward_pass(monkeypatch):
+    """Both routes read one weight_profiles pass: the diagram sum sums its
+    profiles and the refined count folds them."""
+    calls = Counter()
+    real = floorgw.diagrams.weight_profiles
+
+    def counting(delta, n):
+        calls[(delta, n)] += 1
+        return real(delta, n)
+
+    # refined_count reaches the pass through the diagrams module's own name
+    monkeypatch.setattr(floorgw.gw, "weight_profiles", counting)
+    monkeypatch.setattr(floorgw.diagrams, "weight_profiles", counting)
+    for delta, n in [(degree_p2(3), 9), (degree_hirzebruch(1, 2, 1), 7), (degree_p2(1), 2)]:
+        calls.clear()
+        assert degeneration_cross_check(delta, n, 16).equal
+        assert calls == {(delta, n): 1}, (delta, n, calls)
+
+
 # ------------------------------------------------------------ the order rule
 
 # (kind, build(order), valuation 2*g_min + exponent_offset); the zero cases
