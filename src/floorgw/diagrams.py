@@ -27,6 +27,7 @@ per multiset of bounded edge weights; every count is a fold of its result.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from contextlib import suppress
 from itertools import accumulate, product
 from math import comb, prod
@@ -342,10 +343,8 @@ def enumerate_marked(delta: HTransverseDegree, n: int) -> list[MarkedFloorDiagra
       sum minus the divergence, pruning negative budgets.  Subsets come in
       plain lexicographic order of their head positions, all sizes
       together: (), (a,), (a, b), (a, b, c), (a, c), (b,), (b, c), (c,) for
-      heads at a < b < c.  Subsets too light to give a nonnegative budget
-      and a state that the window-capacity prune below keeps alive are
-      never built.  The last vertex takes every pending head and is placed
-      only once all d_b incoming and all bounded edges are used.
+      heads at a < b < c.  The last vertex takes every pending head and is
+      placed only once all d_b incoming and all bounded edges are used.
 
     A completed sweep is listed when its graph is connected; its budgets
     need no test.  The element counts are each capped and add up to n, so
@@ -373,6 +372,11 @@ def enumerate_marked(delta: HTransverseDegree, n: int) -> list[MarkedFloorDiagra
         bounded edges still to place > sum(budgets) + room,
         room = sum of max(0, d_b - j * divergence) over j = r + 1 .. h - 1.
 
+    No dead child is built.  An incoming head moves neither side, so its
+    child is tested as the parent would be, which refuses a dead root; a
+    bounded edge of weight w takes 1 from the left and w from the right,
+    which caps w; an outgoing end takes 1 from the right; a floor adds its
+    budget and loses room, which gives its head subsets a least weight.
     :func:`weight_profiles` refuses the same states, so a wrong bound would
     drop the same diagrams from both the count and the listing.  The
     brute-force oracle catches that for n <= 16, where the acceptance grid
@@ -406,9 +410,8 @@ def _sweep(found, limits, vertices, budgets, edges, heads, in_used, bd_used, out
     outgoing edges placed.  A child is the tuple of these seven arguments.
     """
     n, h, d_b, total_bounded, d_t, div, room = limits
-    need = total_bounded - bd_used - room[h - len(vertices)]
-    if need > 0 and sum(budgets) < need:
-        return []
+    spare = sum(budgets)
+    need = total_bounded - bd_used - room[h - len(vertices)]  # the window test is spare >= need
     pos = len(vertices) + len(edges) + len(heads) + 1
     if pos > n:
         if _connected(vertices, edges):
@@ -416,15 +419,15 @@ def _sweep(found, limits, vertices, budgets, edges, heads, in_used, bd_used, out
         return []
     children = []
     open_vertex = len(vertices) < h
-    if open_vertex and in_used < d_b:
+    if open_vertex and in_used < d_b and spare >= need:
         children.append((vertices, budgets, edges, heads + ((pos, None, 1),),
                          in_used + 1, bd_used, out_used))
-    if open_vertex and bd_used < total_bounded:
+    if open_vertex and bd_used < total_bounded:  # weight w leaves spare - w for need - 1
         for i, b in enumerate(budgets):
-            for w in range(1, b + 1):
+            for w in range(1, min(b, spare - need + 1) + 1):
                 children.append((vertices, budgets[:i] + (b - w,) + budgets[i + 1:], edges,
                                  heads + ((pos, vertices[i], w),), in_used, bd_used + 1, out_used))
-    if out_used < d_t:
+    if out_used < d_t and spare > need:  # an outgoing end leaves spare - 1 for need
         for i, b in enumerate(budgets):
             if b >= 1:
                 children.append((vertices, budgets[:i] + (b - 1,) + budgets[i + 1:],
@@ -433,7 +436,7 @@ def _sweep(found, limits, vertices, budgets, edges, heads, in_used, bd_used, out
     if len(vertices) < h - 1:
         # heads weighing less than div + max(0, short) leave the new floor a
         # negative budget or a state that the window-capacity prune refuses
-        short = total_bounded - bd_used - room[h - len(vertices) - 1] - sum(budgets)
+        short = total_bounded - bd_used - room[h - len(vertices) - 1] - spare
         head_choices = _head_subsets(heads, div + max(0, short))
     elif open_vertex and in_used == d_b and bd_used == total_bounded:
         head_choices = [heads]
@@ -525,16 +528,23 @@ def weight_profiles(delta: HTransverseDegree, n: int) -> dict[tuple[int, ...], i
     Vertices of equal budget in one component give equal states, so their
     branch is taken once and weighted by their number; a vertex taking r of
     the m pending heads of one weight in one component is weighted by
-    C(m, r).  No dead state enters a layer: one holding a closed component
-    (no budget, no pending head) beside another component or an unplaced
-    vertex, which nothing can join again; one whose bounded edges still to
-    place exceed its budgets plus the room of the windows after its next
-    floor (the window-capacity prune of :func:`enumerate_marked`, proved
-    there); and one whose attached bounded edges hold more cycles than the
-    genus, since they form a subgraph of every completion and no subgraph
-    has a larger first Betti number.  A wrong bound would drop diagrams from
-    the count; the :func:`enumerate_marked` docstring says what catches it.
-    Every count and every degeneration vertex product is a fold of the result.
+    C(m, r).  No dead child is built; each prune is tested, before the
+    child exists, on the branches that can change what it reads:
+
+    * a closed component (no budget, no pending head) beside another
+      component or an unplaced floor, which nothing can join again: only an
+      outgoing end or a floor can close one, as a bounded edge leaves its
+      component a pending head and an incoming head joins none;
+    * the window-capacity prune of :func:`enumerate_marked`, tested on each
+      branch as there (the incoming head too, which refuses the root);
+    * more cycles among the attached bounded edges than the genus, since
+      they form a subgraph of every completion and no subgraph has a larger
+      first Betti number: only a floor adds cycles, r - 1 for r heads taken
+      from one component, as an edge or an end attaches nothing.
+
+    A wrong bound would drop diagrams from the count; the
+    :func:`enumerate_marked` docstring says what catches it.  Every count and
+    every degeneration vertex product is a fold of the result.
     """
     total_bounded = _bounded_edge_count(delta, n)
     fixed = (delta.d_b, total_bounded, delta.d_t, delta.divergence, _window_room(delta))
@@ -556,65 +566,67 @@ def weight_profiles(delta: HTransverseDegree, n: int) -> dict[tuple[int, ...], i
 
 def _state_sum(state: tuple, fixed: tuple) -> list[tuple[int, int, tuple]]:
     """The live branches of a canonical :func:`weight_profiles` state, as
-    (sweep branches, bounded edge weight or 0, canonical child).  ``fixed``
-    holds d_b, the number of bounded edges, d_t, the divergence of every
-    floor and the :func:`_window_room` of the degree."""
+    (sweep branches, bounded edge weight or 0, canonical child), in branch
+    order.  ``fixed`` holds d_b, the number of bounded edges, d_t, the
+    divergence of every floor and the :func:`_window_room` of the degree.
+    Each prune is tested before the child is built, as :func:`weight_profiles` says."""
     in_used, bd_used, out_used, floors, free, comps = state
     d_b, total_bounded, d_t, div, room = fixed
+    spare = sum([sum(budgets) for budgets, _ in comps])
+    need = total_bounded - bd_used - room[floors]  # the window test is spare >= need
     branches = []
-    if floors and in_used < d_b:
+    if floors and in_used < d_b and spare >= need:
         branches.append((1, 0, (in_used + 1, bd_used, out_used, floors, free + 1, comps)))
+    # a bounded edge of weight w leaves spare - w for need - 1, an outgoing end spare - 1
+    cap = spare - need + 1 if floors and bd_used < total_bounded else 0
+    ends = out_used < d_t and spare > need
     for i, (budgets, heads) in enumerate(comps):
         others = comps[:i] + comps[i + 1:]
         for b in dict.fromkeys(budgets):
-            m = budgets.count(b)
-            k = budgets.index(b)
+            m, k = budgets.count(b), budgets.index(b)
             rest = budgets[:k] + budgets[k + 1:]
-            if floors and bd_used < total_bounded:
-                for w in range(1, b + 1):
-                    left = tuple(sorted(rest + (b - w,))) if w < b else rest
-                    comp = (left, tuple(sorted(heads + (w,))))
-                    branches.append((m, w, (in_used, bd_used + 1, out_used, floors, free,
-                                            others + (comp,))))
-            if out_used < d_t:
+            for w in range(1, min(b, cap) + 1):
+                left = tuple(sorted(rest + (b - w,))) if w < b else rest
+                branches.append((m, w, (in_used, bd_used + 1, out_used, floors, free,
+                                        _inserted(others, (left, tuple(sorted(heads + (w,))))))))
+            # an outgoing end that leaves its component nothing closes it
+            if ends and (b > 1 or rest or heads or not (others or floors)):
                 left = tuple(sorted(rest + (b - 1,))) if b > 1 else rest
                 branches.append((m, 0, (in_used, bd_used, out_used + 1, floors, free,
-                                        others + ((left, heads),))))
+                                        _inserted(others, (left, heads)))))
     last = floors == 1
     if floors and not (last and (in_used < d_b or bd_used < total_bounded)):
         # head groups: (component index or None for unbounded heads, weight, count)
-        groups = [(None, 1, free)] + [
-            (i, w, heads.count(w))
-            for i, (_, heads) in enumerate(comps)
-            for w in dict.fromkeys(heads)
-        ]
+        groups = [(None, 1, free)] + [(i, w, heads.count(w)) for i, (_, heads) in enumerate(comps)
+                                      for w in dict.fromkeys(heads)]
+        # the new floor's budget keeps the window test; r heads taken from one
+        # component close r - 1 cycles, of the ``cycles`` the genus leaves
+        least = max(0, total_bounded - bd_used - room[floors - 1] - spare)
+        cycles = total_bounded + 1 - bd_used - floors + sum([len(h) - 1 for _, h in comps])
         for takes in product(*(((m,) if last else range(m + 1)) for _, _, m in groups)):
-            ways = prod(comb(m, r) for (_, _, m), r in zip(groups, takes))
             budget = sum(w * r for (_, w, _), r in zip(groups, takes)) - div
-            if budget < 0:
+            if budget < least:
                 continue
             touched = {i for (i, _, _), r in zip(groups, takes) if r and i is not None}
+            if sum(takes) - takes[0] - len(touched) > cycles:
+                continue
             budgets = [b for i in touched for b in comps[i][0]]
-            heads = tuple(sorted(
-                w for (i, w, m), r in zip(groups, takes) if i in touched
-                for _ in range(m - r)
-            ))
+            heads = tuple(sorted(w for (i, w, m), r in zip(groups, takes) if i in touched
+                                 for _ in range(m - r)))
+            if not (budget or budgets or heads) and (len(touched) < len(comps) or not last):
+                continue  # a closed component beside another or an unplaced floor
+            ways = prod(comb(m, r) for (_, _, m), r in zip(groups, takes))
             untouched = tuple(c for i, c in enumerate(comps) if i not in touched)
             left = tuple(sorted(budgets + [budget] if budget else budgets))
             branches.append((ways, 0, (in_used, bd_used, out_used, floors - 1,
-                                       free - takes[0], untouched + ((left, heads),))))
-    live = []
-    for ways, w, (in_used, bd_used, out_used, floors, free, comps) in branches:
-        comps = tuple(sorted(comps))
-        spare = sum(sum(budgets) for budgets, _ in comps)
-        pending = sum(len(heads) for _, heads in comps)
-        # the cycle test is bd_used - pending - (h - floors) + len(comps) >
-        # total_bounded - h + 1, the genus, with h taken off both sides
-        if not (((), ()) in comps and (len(comps) > 1 or floors)
-                or spare < total_bounded - bd_used - room[floors]
-                or bd_used - pending + floors + len(comps) > total_bounded + 1):
-            live.append((ways, w, (in_used, bd_used, out_used, floors, free, comps)))
-    return live
+                                       free - takes[0], _inserted(untouched, (left, heads)))))
+    return branches
+
+
+def _inserted(items: tuple, item) -> tuple:
+    """The sorted tuple ``items`` with ``item`` put in its place."""
+    i = bisect_left(items, item)
+    return items[:i] + (item,) + items[i:]
 
 
 def refined_count(delta: HTransverseDegree, n: int) -> LaurentPolyS:

@@ -73,9 +73,9 @@ class GwError(ValueError):
 
 
 # Caps on the work of one request, sized on a 2-vCPU x86-64 host.  At order
-# 500 the slowest series known, the S^-6 inverse of ``ab_identity_check(3, 0,
-# 11)``, takes 2.5 s (12.5 s at order 750, 39 s at 1000).  A vertex's sine
-# product is a Laurent polynomial of 2 * (|mu| + |nu|) + 1 coefficients; with
+# 500 the slowest series known, ``ab_identity_check(3, 0, 11)``, takes about
+# 2.5 s (9.8 s at order 750, 29 s at 1000).  A vertex's sine product is a
+# Laurent polynomial of 2 * (|mu| + |nu|) + 1 coefficients; with
 # distinct parts 1..140, |mu| = 9870, it takes 1.6 s at order 500.
 _ORDER_CAP = 500
 _VERTEX_SIZE_CAP = 10_000
@@ -372,13 +372,23 @@ def ab_identity_check(a: int, b: int, n: int, order: int = 16) -> AbIdentityRepo
     _order_check(order, 2 * g0 - 2)
     lhs_poly = _count(_f_class(0, a, a + b), n)
     lhs_series = _sine_series(lhs_poly, [(1, 2 * g0 - 2)], order)
+    # One Newton inverse, S^-2 over the terms' window, serves every j by Horner's
+    # rule: S^-b * sum_j C(d, j) * D_j * (S^-2)^j, D_j = count * S^e the F2
+    # series relative to D_(-2).  D_0 with e < 0 (g0 = 0, b < 2) lends its S^-2.
+    window = order - 2 * g0 + 2
+    minus2 = _sine_series(LaurentPolyS.one(), [(1, -2)], window - 2)
     rhs_poly = LaurentPolyS.zero()
-    rhs_series = USeries.zero(order)
-    for j in range(a + 1):
-        d = b + 2 * j
+    for j in reversed(range(a + 1)):
+        d, e = b + 2 * j, 2 * g0 + b + 2 * j - 2
         count = _count(_f_class(2, a - j, d), n)
         rhs_poly = rhs_poly + comb(d, j) * count
-        rhs_series = rhs_series + _sine_series(count, [(1, 2 * g0 + d - 2), (1, -d)],
-                                               order) * comb(d, j)
+        lift = 2 if e < 0 else 0
+        term = _sine_series(count, [(1, e + lift)], order + d + lift) * comb(d, j)
+        if j < a:
+            term = term + (rhs_series if lift else rhs_series * minus2)
+        rhs_series = term * minus2 if lift else term
+    if b:  # S^-b = (S^-2)^ceil(b / 2) * S^(b % 2)
+        rhs_series = (rhs_series * minus2 ** ((b + 1) // 2)
+                      * _sine_series(LaurentPolyS.one(), [(1, b % 2)], window + b % 2))
     return AbIdentityReport(a, b, n, lhs_poly, rhs_poly, lhs_poly == rhs_poly,
                             lhs_series, rhs_series, lhs_series == rhs_series)

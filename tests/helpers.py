@@ -1,5 +1,8 @@
 """Shared grids and small utilities for the test suite."""
 
+from itertools import product
+from math import comb, prod
+
 from floorgw import degree_hirzebruch, degree_p2, points_for_genus
 
 
@@ -35,3 +38,69 @@ def diagram_key(diagram):
             )
         ),
     )
+
+
+def frozen_state_sum(state: tuple, fixed: tuple) -> list[tuple[int, int, tuple]]:
+    """A frozen copy of ``diagrams._state_sum`` as it was before it tested
+    its prunes from what each branch changes: it builds every raw child,
+    sorts its components and then drops the dead ones, by the three tests at
+    its end.  The live branches of a canonical ``weight_profiles`` state, as
+    (sweep branches, bounded edge weight or 0, canonical child).  ``fixed``
+    holds d_b, the number of bounded edges, d_t, the divergence of every
+    floor and the ``_window_room`` of the degree."""
+    in_used, bd_used, out_used, floors, free, comps = state
+    d_b, total_bounded, d_t, div, room = fixed
+    branches = []
+    if floors and in_used < d_b:
+        branches.append((1, 0, (in_used + 1, bd_used, out_used, floors, free + 1, comps)))
+    for i, (budgets, heads) in enumerate(comps):
+        others = comps[:i] + comps[i + 1:]
+        for b in dict.fromkeys(budgets):
+            m = budgets.count(b)
+            k = budgets.index(b)
+            rest = budgets[:k] + budgets[k + 1:]
+            if floors and bd_used < total_bounded:
+                for w in range(1, b + 1):
+                    left = tuple(sorted(rest + (b - w,))) if w < b else rest
+                    comp = (left, tuple(sorted(heads + (w,))))
+                    branches.append((m, w, (in_used, bd_used + 1, out_used, floors, free,
+                                            others + (comp,))))
+            if out_used < d_t:
+                left = tuple(sorted(rest + (b - 1,))) if b > 1 else rest
+                branches.append((m, 0, (in_used, bd_used, out_used + 1, floors, free,
+                                        others + ((left, heads),))))
+    last = floors == 1
+    if floors and not (last and (in_used < d_b or bd_used < total_bounded)):
+        # head groups: (component index or None for unbounded heads, weight, count)
+        groups = [(None, 1, free)] + [
+            (i, w, heads.count(w))
+            for i, (_, heads) in enumerate(comps)
+            for w in dict.fromkeys(heads)
+        ]
+        for takes in product(*(((m,) if last else range(m + 1)) for _, _, m in groups)):
+            ways = prod(comb(m, r) for (_, _, m), r in zip(groups, takes))
+            budget = sum(w * r for (_, w, _), r in zip(groups, takes)) - div
+            if budget < 0:
+                continue
+            touched = {i for (i, _, _), r in zip(groups, takes) if r and i is not None}
+            budgets = [b for i in touched for b in comps[i][0]]
+            heads = tuple(sorted(
+                w for (i, w, m), r in zip(groups, takes) if i in touched
+                for _ in range(m - r)
+            ))
+            untouched = tuple(c for i, c in enumerate(comps) if i not in touched)
+            left = tuple(sorted(budgets + [budget] if budget else budgets))
+            branches.append((ways, 0, (in_used, bd_used, out_used, floors - 1,
+                                       free - takes[0], untouched + ((left, heads),))))
+    live = []
+    for ways, w, (in_used, bd_used, out_used, floors, free, comps) in branches:
+        comps = tuple(sorted(comps))
+        spare = sum(sum(budgets) for budgets, _ in comps)
+        pending = sum(len(heads) for _, heads in comps)
+        # the cycle test is bd_used - pending - (h - floors) + len(comps) >
+        # total_bounded - h + 1, the genus, with h taken off both sides
+        if not (((), ()) in comps and (len(comps) > 1 or floors)
+                or spare < total_bounded - bd_used - room[floors]
+                or bd_used - pending + floors + len(comps) > total_bounded + 1):
+            live.append((ways, w, (in_used, bd_used, out_used, floors, free, comps)))
+    return live

@@ -33,7 +33,7 @@ from floorgw import (
     weight_profiles,
 )
 import floorgw.diagrams as diagrams
-from helpers import acceptance_grid
+from helpers import acceptance_grid, frozen_state_sum, hirzebruch_family_grid
 
 
 def assert_counts_match_listing(delta, n):
@@ -123,6 +123,87 @@ def test_count_drops_a_child_with_more_cycles_than_the_genus():
     fixed = (3, 2, 0, 1, diagrams._window_room(delta))
     state = (3, 2, 0, 2, 0, (((), (1, 1)),))
     assert diagrams._state_sum(state, fixed) == [(2, 0, (3, 2, 0, 1, 0, (((), (1,)),)))]
+
+
+def passes_the_three_prunes(child, fixed):
+    """Whether a child is canonical and passes the three tests that the
+    frozen copy runs on every raw child: no closed component beside another
+    component or an unplaced floor, the window-capacity test, no more cycles
+    than the genus."""
+    _, bd_used, _, floors, _, comps = child
+    _, total_bounded, _, _, room = fixed
+    spare = sum(sum(budgets) for budgets, _ in comps)
+    pending = sum(len(heads) for _, heads in comps)
+    return (comps == tuple(sorted(comps))
+            and not (((), ()) in comps and (len(comps) > 1 or floors))
+            and spare >= total_bounded - bd_used - room[floors]
+            and bd_used - pending + floors + len(comps) <= total_bounded + 1)
+
+
+def assert_state_sums_match_frozen_copy(pairs):
+    """On every state the forward pass reaches for each (delta, n), the
+    branches of ``_state_sum`` are those of the frozen build-then-filter copy
+    in ``helpers``, in the same order, and every child passes the three
+    prunes.  Returns the number of states compared."""
+    states = 0
+    for delta, n in pairs:
+        if delta.genus_for_points(n) < 0:
+            continue
+        fixed = (delta.d_b, diagrams._bounded_edge_count(delta, n), delta.d_t,
+                 delta.divergence, diagrams._window_room(delta))
+        layer = {(0, 0, 0, delta.height, 0, ())}
+        for _ in range(n):
+            following = set()
+            for state in layer:
+                branches = diagrams._state_sum(state, fixed)
+                assert branches == frozen_state_sum(state, fixed), (delta, n, state)
+                for _, _, child in branches:
+                    assert passes_the_three_prunes(child, fixed), (delta, n, state, child)
+                    following.add(child)
+            states += len(layer)
+            layer = following
+    return states
+
+
+def plane_every_genus(d_max):
+    """P2 of degree 1..d_max at every genus up to one above the maximal."""
+    return [pair for d in range(1, d_max + 1)
+            for pair in genus_range(degree_p2(d), range((d - 1) * (d - 2) // 2 + 2))]
+
+
+def test_state_sum_builds_the_branches_of_the_frozen_copy():
+    """Under a second.  CI runs :func:`larger_frozen_copy_pairs` (about 8 s)."""
+    pairs = acceptance_grid() + plane_every_genus(6)
+    assert assert_state_sums_match_frozen_copy(pairs) == 4201
+
+
+def larger_frozen_copy_pairs():
+    """P2 d <= 7 at every genus and F_k with k, h, d <= 3 at genus <= 5: 409
+    classes, 56,383 states."""
+    return plane_every_genus(7) + [pair for delta in hirzebruch_family_grid(3, 3, 3)
+                                   for pair in genus_range(delta, range(6))]
+
+
+SWEEP_CLASSES = [(degree_p2(4), 0), (degree_p2(4), 2), (degree_hirzebruch(1, 3, 1), 0),
+                 (degree_hirzebruch(2, 3, 0), 1)]
+
+
+@pytest.mark.parametrize("delta,g", SWEEP_CLASSES,
+                         ids=[f"{delta.label}-g{g}" for delta, g in SWEEP_CLASSES])
+def test_sweep_builds_only_children_that_pass_the_window_test(monkeypatch, delta, g):
+    n = points_for_genus(delta, g)
+    sweep, children = diagrams._sweep, []
+
+    def checked(found, limits, *state):
+        out = sweep(found, limits, *state)
+        _, h, _, total_bounded, _, _, room = limits
+        for vertices, budgets, _, _, _, bd_used, _ in out:
+            assert sum(budgets) >= total_bounded - bd_used - room[h - len(vertices)]
+        children.extend(out)
+        return out
+
+    monkeypatch.setattr(diagrams, "_sweep", checked)
+    assert enumerate_marked(delta, n) and children
 
 
 def test_count_and_listing_run_from_deep_callers():

@@ -315,6 +315,22 @@ def test_ab_identity_counts_each_class_once(monkeypatch):
         assert calls and max(calls.values()) == 1, (a, b, n, calls)
 
 
+@pytest.mark.parametrize("a,b,n,g0", [(3, 0, 11, 0), (2, 1, 9, 0), (3, 2, 16, 1), (2, 3, 14, 1)])
+def test_ab_identity_builds_one_inverse_for_every_j(monkeypatch, a, b, n, g0):
+    """One Newton inverse, S^-2, serves every j of the F2 side; the F0
+    side's S^(2*g0 - 2) takes one more when g0 = 0."""
+    calls = []
+    real = floorgw.algebra.USeries.inverse
+
+    def counting(self):
+        calls.append(None)
+        return real(self)
+
+    monkeypatch.setattr(floorgw.algebra.USeries, "inverse", counting)
+    assert ab_identity_check(a, b, n, 24).equal
+    assert len(calls) == 1 + (g0 == 0)
+
+
 def test_degeneration_cross_check_takes_one_forward_pass(monkeypatch):
     """Both routes read one weight_profiles pass: the diagram sum sums its
     profiles and the refined count folds them."""
