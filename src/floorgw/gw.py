@@ -48,9 +48,9 @@ and F2 counts at both the polynomial and the series level.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, fields
 from fractions import Fraction
-from math import comb
+from math import comb, prod
+from typing import NamedTuple
 
 from .algebra import (
     LaurentPolyS,
@@ -81,13 +81,13 @@ _ORDER_CAP = 500
 _VERTEX_SIZE_CAP = 10_000
 
 
-@dataclass(frozen=True)
-class GwSeries:
+class GwSeries(NamedTuple):
     """A generating series with its genus-indexing convention.
 
     The genus-g invariant sits at u^(2g + exponent_offset); ``g_min`` is the
     lowest genus the series carries.  ``delta``/``n`` record the geometric
-    input when there is one (the vertex kind has neither).
+    input when there is one (the vertex kind has neither).  A named tuple,
+    like the two reports below.
     """
 
     series: USeries
@@ -206,9 +206,7 @@ def vertex_series(mu: Partition, nu: Partition, order: int) -> GwSeries:
                       f"size cap {_VERTEX_SIZE_CAP}")
     specs = sorted(Counter(mu + nu).items())
     series = _sine_series(LaurentPolyS.one(), specs, order)
-    scalar = Fraction(1)
-    for part, m in specs:
-        scalar /= Fraction(part) ** m
+    scalar = Fraction(1, prod(part ** m for part, m in specs))
     return GwSeries(series * scalar, "vertex", None, None,
                     exponent_offset=len(mu) + len(nu), g_min=0)
 
@@ -268,17 +266,15 @@ def log_series(delta: HTransverseDegree, n: int, order: int = 16) -> GwSeries:
 
 
 def _report_json(target: str, report) -> dict:
-    """``{"target": target}``, then each field of the report dataclass in
-    order, a series, polynomial or degree by its ``to_json``."""
+    """``{"target": target}``, then each field of the report in order, a
+    series, polynomial or degree by its ``to_json``."""
     out = {"target": target}
-    for field in fields(report):
-        value = getattr(report, field.name)
-        out[field.name] = value.to_json() if hasattr(value, "to_json") else value
+    for name, value in zip(report._fields, report):
+        out[name] = value.to_json() if hasattr(value, "to_json") else value
     return out
 
 
-@dataclass(frozen=True)
-class CrossCheckReport:
+class CrossCheckReport(NamedTuple):
     """Outcome of the degeneration cross-check for one (delta, n)."""
 
     delta: HTransverseDegree
@@ -336,8 +332,7 @@ def f2_relative_dminus2_series(h: int, d: int, n: int, order: int = 16) -> GwSer
     return _count_series("relative_F2_Dminus2", _f_class(2, h, d), n, g0, d - 2, order)
 
 
-@dataclass(frozen=True)
-class AbIdentityReport:
+class AbIdentityReport(NamedTuple):
     """Both levels of the Abramovich-Bertram comparison for (a, b, n)."""
 
     a: int

@@ -3,8 +3,10 @@
 import hashlib
 import io
 import json
+import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -564,6 +566,18 @@ def test_main_builds_only_the_named_subcommand(capsys, monkeypatch, command, bui
         main(command.split() + ["-h"])
     capsys.readouterr()
     assert len(runs) == built
+
+
+def test_import_loads_no_introspection_modules():
+    # dataclasses would load inspect, ast, dis and tokenize into every floorgw
+    # process, most of the package's own import time; -S keeps site hooks out
+    src = str(Path(cli.__file__).parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r}); import floorgw.cli; "
+            "print(sorted({'dataclasses', 'inspect', 'ast', 'dis', 'tokenize'}"
+            " & set(sys.modules)))")
+    run = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                         check=True)
+    assert run.stdout == "[]\n"
 
 
 @st.composite

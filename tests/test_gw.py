@@ -398,11 +398,22 @@ def test_order_at_the_valuation_is_rejected_before_counting(
         build(valuation)
 
 
-# ---------------------------------------------------------------- GwSeries IO
+# ------------------------------------------------------ records: shape and IO
 
 
 def test_gw_series_json():
     gw = gw_relative_series(degree_p2(1), 2, 6)
+    # the three records are named tuples with these fields, in this order
+    for record, names in [
+        (gw, ("series", "kind", "delta", "n", "exponent_offset", "g_min")),
+        (degeneration_cross_check(degree_p2(1), 2, 6),
+         ("delta", "n", "diagram_sum", "from_refined", "equal")),
+        (ab_identity_check(1, 0, 4, 8),
+         ("a", "b", "n", "lhs_polynomial", "rhs_polynomial", "polynomial_equal",
+          "lhs_series", "rhs_series", "series_equal")),
+    ]:
+        assert isinstance(record, tuple) and record._fields == names
+    assert gw == (gw.series, "relative", degree_p2(1), 2, -1, 0)
     data = gw.to_json()
     assert data["kind"] == "relative"
     assert data["delta"]["family"] == "p2"
