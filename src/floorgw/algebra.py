@@ -42,7 +42,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from operator import add
+from operator import add, index
 from typing import Iterable
 
 
@@ -56,6 +56,14 @@ def _as_fraction(x) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     raise AlgebraError(f"expected an exact rational, got {type(x).__name__}")
+
+
+def _integers(values: Iterable, what: str) -> list[int]:
+    """``values`` as ints, refusing a float or a Fraction instead of truncating it."""
+    try:
+        return list(map(index, values))
+    except TypeError as error:
+        raise AlgebraError(f"{what} must be integers: {error}") from None
 
 
 def rational_to_str(x: Fraction | int) -> str:
@@ -88,7 +96,7 @@ class Partition(tuple):
     """
 
     def __new__(cls, parts: Iterable[int] = ()):
-        normalized = tuple(sorted((int(p) for p in parts), reverse=True))
+        normalized = tuple(sorted(_integers(parts, "partition parts"), reverse=True))
         if any(p <= 0 for p in normalized):
             raise AlgebraError(f"partition parts must be positive, got {normalized}")
         return super().__new__(cls, normalized)
@@ -144,7 +152,7 @@ class LaurentPolyS:
     __slots__ = ("valuation", "coefficients")
 
     def __init__(self, valuation: int, coefficients: Iterable[int]):
-        coeffs = [int(c) for c in coefficients]
+        coeffs = _integers(coefficients, "coefficients")
         lo, hi = 0, len(coeffs)
         while lo < hi and coeffs[lo] == 0:
             lo += 1

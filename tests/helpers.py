@@ -40,16 +40,17 @@ def diagram_key(diagram):
     )
 
 
-def frozen_state_sum(state: tuple, fixed: tuple) -> list[tuple[int, int, tuple]]:
+def frozen_state_sum(state: tuple, limits: tuple) -> list[tuple[int, int, tuple]]:
     """A frozen copy of ``diagrams._state_sum`` as it was before it tested
     its prunes from what each branch changes: it builds every raw child,
     sorts its components and then drops the dead ones, by the three tests at
     its end.  The live branches of a canonical ``weight_profiles`` state, as
-    (sweep branches, bounded edge weight or 0, canonical child).  ``fixed``
-    holds d_b, the number of bounded edges, d_t, the divergence of every
-    floor and the ``_window_room`` of the degree."""
+    (sweep branches, bounded edge weight or 0, canonical child).
+    ``limits`` is the record of ``diagrams._limits``: n, h, d_b, the number
+    of bounded edges, d_t, the divergence of every floor and the room of
+    the later windows."""
     in_used, bd_used, out_used, floors, free, comps = state
-    d_b, total_bounded, d_t, div, room = fixed
+    _, _, d_b, total_bounded, d_t, div, room = limits
     branches = []
     if floors and in_used < d_b:
         branches.append((1, 0, (in_used + 1, bd_used, out_used, floors, free + 1, comps)))

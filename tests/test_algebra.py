@@ -27,6 +27,7 @@ from floorgw import (
     rational_to_str,
     refined_count,
     sin_factor_series,
+    vertex_series,
 )
 from floorgw.algebra import _sine_series
 
@@ -127,6 +128,21 @@ def test_useries_rejects_overlong_window():
 def test_useries_rejects_floats():
     with pytest.raises(AlgebraError):
         USeries(0, [0.5], 2)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: LaurentPolyS(0, [1.7, 0.5]),
+    lambda: LaurentPolyS(0, [F(3, 2)]),
+    lambda: LaurentPolyS(0, [1, F(2)]),
+    lambda: Partition([2.7, 1.2]),
+    lambda: Partition([F(2)]),
+    lambda: vertex_series([2.5], [], 6),
+], ids=["poly-float", "poly-fraction", "poly-whole-fraction", "partition-float",
+        "partition-fraction", "vertex-float"])
+def test_exact_constructors_refuse_non_integers(build):
+    """A float or a Fraction is refused, not truncated to an int."""
+    with pytest.raises(AlgebraError, match="must be integers"):
+        build()
 
 
 def test_useries_mul_examples():

@@ -119,19 +119,18 @@ def test_count_drops_a_child_with_more_cycles_than_the_genus():
     """P2 d=3 at genus 0: the first floor sent two bounded edges of weight 1
     up.  The second floor may take one of them (two ways) or neither, which
     leaves it a negative budget; taking both closes a cycle."""
-    delta = degree_p2(3)
-    fixed = (3, 2, 0, 1, diagrams._window_room(delta))
+    limits = diagrams._limits(degree_p2(3), 8)
     state = (3, 2, 0, 2, 0, (((), (1, 1)),))
-    assert diagrams._state_sum(state, fixed) == [(2, 0, (3, 2, 0, 1, 0, (((), (1,)),)))]
+    assert diagrams._state_sum(state, limits) == [(2, 0, (3, 2, 0, 1, 0, (((), (1,)),)))]
 
 
-def passes_the_three_prunes(child, fixed):
+def passes_the_three_prunes(child, limits):
     """Whether a child is canonical and passes the three tests that the
     frozen copy runs on every raw child: no closed component beside another
     component or an unplaced floor, the window-capacity test, no more cycles
     than the genus."""
     _, bd_used, _, floors, _, comps = child
-    _, total_bounded, _, _, room = fixed
+    _, _, _, total_bounded, _, _, room = limits
     spare = sum(sum(budgets) for budgets, _ in comps)
     pending = sum(len(heads) for _, heads in comps)
     return (comps == tuple(sorted(comps))
@@ -149,16 +148,15 @@ def assert_state_sums_match_frozen_copy(pairs):
     for delta, n in pairs:
         if delta.genus_for_points(n) < 0:
             continue
-        fixed = (delta.d_b, diagrams._bounded_edge_count(delta, n), delta.d_t,
-                 delta.divergence, diagrams._window_room(delta))
+        limits = diagrams._limits(delta, n)
         layer = {(0, 0, 0, delta.height, 0, ())}
         for _ in range(n):
             following = set()
             for state in layer:
-                branches = diagrams._state_sum(state, fixed)
-                assert branches == frozen_state_sum(state, fixed), (delta, n, state)
+                branches = diagrams._state_sum(state, limits)
+                assert branches == frozen_state_sum(state, limits), (delta, n, state)
                 for _, _, child in branches:
-                    assert passes_the_three_prunes(child, fixed), (delta, n, state, child)
+                    assert passes_the_three_prunes(child, limits), (delta, n, state, child)
                     following.add(child)
             states += len(layer)
             layer = following

@@ -27,6 +27,7 @@ from floorgw import (
     refined_multiplicity,
     validate_diagram,
     vertex_partitions,
+    weight_profiles,
 )
 from floorgw.diagrams import _head_subsets
 from helpers import acceptance_grid
@@ -46,6 +47,8 @@ def test_degree_p2(d, db, dt, h):
 def test_degree_p2_rejects():
     with pytest.raises(DiagramError):
         degree_p2(0)
+    with pytest.raises(DiagramError, match="integer, got 2.5"):
+        degree_p2(2.5)
 
 
 @pytest.mark.parametrize(
@@ -65,6 +68,8 @@ def test_degree_hirzebruch_rejects():
         degree_hirzebruch(0, 0, 0)
     with pytest.raises(DiagramError):
         degree_hirzebruch(1, -1, 2)
+    with pytest.raises(DiagramError, match=r"integers, got \(1, 1\.5, 1\)"):
+        degree_hirzebruch(1, 1.5, 1)
 
 
 def test_degree_identity():
@@ -127,6 +132,23 @@ def test_f2_height1_unique_diagram():
 def test_enumerate_rejects_negative_genus():
     with pytest.raises(DiagramError):
         enumerate_marked(degree_p2(1), 1)
+
+
+@pytest.mark.parametrize("delta,n,message", [
+    (degree_p2(1), 1, "no diagrams: n = 1 gives negative genus -1 for P2(d=1)"),
+    (degree_p2(40), 901, "n = 901 for P2(d=40) is over the point cap _MAX_POINTS = 900"),
+])
+def test_listing_and_count_refuse_a_class_alike_before_any_branch(monkeypatch, delta, n,
+                                                                   message):
+    def no_work(*args):
+        raise AssertionError("branched before the class was checked")
+
+    monkeypatch.setattr("floorgw.diagrams._sweep", no_work)
+    monkeypatch.setattr("floorgw.diagrams._state_sum", no_work)
+    for run in (enumerate_marked, weight_profiles, refined_count):
+        with pytest.raises(DiagramError) as refused:
+            run(delta, n)
+        assert str(refused.value) == message, run
 
 
 def test_height_zero_collections_have_no_diagrams():
