@@ -152,7 +152,10 @@ class LaurentPolyS:
     __slots__ = ("valuation", "coefficients")
 
     def __init__(self, valuation: int, coefficients: Iterable[int]):
-        coeffs = _integers(coefficients, "coefficients")
+        try:  # _integers inline, with one index call for the valuation: every operation builds one
+            valuation, coeffs = index(valuation), list(map(index, coefficients))
+        except TypeError as error:
+            raise AlgebraError(f"valuation and coefficients must be integers: {error}") from None
         lo, hi = 0, len(coeffs)
         while lo < hi and coeffs[lo] == 0:
             lo += 1
@@ -312,6 +315,7 @@ class USeries:
     __slots__ = ("valuation", "coefficients", "order")
 
     def __init__(self, valuation: int, coefficients: Iterable, order: int):
+        valuation, order = _integers((valuation, order), "valuation and order")
         coeffs = [_as_fraction(c) for c in coefficients]
         if valuation + len(coeffs) > order:
             raise AlgebraError(

@@ -77,12 +77,6 @@ def _parse_surface(args: argparse.Namespace, parser: argparse.ArgumentParser):
     return degree_hirzebruch(args.k, args.h, args.d)
 
 
-def _parse_points(delta, args: argparse.Namespace) -> int:
-    if args.points is not None:
-        return args.points
-    return points_for_genus(delta, args.genus)
-
-
 def _parse_partition(text: str, flag: str, parser: argparse.ArgumentParser) -> Partition:
     text = text.strip()
     if not text:
@@ -119,16 +113,19 @@ def _check_listing_cap(delta, n: int, count: int) -> None:
 
 
 def _cmd_enumerate(args, parser) -> int:
-    delta = _parse_surface(args, parser)
-    n = _parse_points(delta, args)
+    delta, n = args.delta, args.n
     _check_listing_cap(delta, n, diagram_count(delta, n))
     diagrams = enumerate_marked(delta, n)
     if args.format == "json":
-        # json.dumps of the payload, joined once: head and tail ride the end texts
+        # json.dumps of the payload, joined once: head and tail ride the end texts;
+        # the diagrams go once their texts exist, and the texts once joined
         texts = [d.json_text() for d in diagrams] or [""]
         texts[0] = f'{{"count": {len(diagrams)}, "diagrams": [' + texts[0]
         texts[-1] += "]}\n"
-        sys.stdout.write(", ".join(texts))
+        diagrams.clear()
+        text = ", ".join(texts)
+        del texts
+        sys.stdout.write(text)
     elif args.format == "csv":
         rows = (f"{i},{d.n},{';'.join(map(str, d.vertex_positions))},"
                 + ";".join(f"{p}:{s}->{t}*{w}" for p, s, t, w in d.edges)
@@ -144,8 +141,7 @@ def _cmd_enumerate(args, parser) -> int:
 
 
 def _cmd_count(args, parser) -> int:
-    delta = _parse_surface(args, parser)
-    n = _parse_points(delta, args)
+    delta, n = args.delta, args.n
     refined = refined_count(delta, n)
     classical = lp_eval_at_one(refined)
     if args.format == "json":
@@ -165,11 +161,9 @@ def _cmd_count(args, parser) -> int:
 
 
 def _cmd_gw(args, parser) -> int:
-    delta = _parse_surface(args, parser)
-    n = _parse_points(delta, args)
     make = log_series if args.command == "log-gw" else gw_relative_series
-    series = make(delta, n, args.order)
-    _print_gw(series, args.format, f"{series.kind} series for {delta.label}, n = {n}")
+    series = make(args.delta, args.n, args.order)
+    _print_gw(series, args.format, f"{series.kind} series for {args.delta.label}, n = {args.n}")
     return 0
 
 
@@ -182,8 +176,7 @@ def _cmd_vertex(args, parser) -> int:
 
 
 def _cmd_verify_degeneration(args, parser) -> int:
-    delta = _parse_surface(args, parser)
-    n = _parse_points(delta, args)
+    delta, n = args.delta, args.n
     report = degeneration_cross_check(delta, n, args.order)
     if args.format == "json":
         _emit(json.dumps(report.to_json()))
@@ -208,8 +201,7 @@ def _cmd_verify_ab(args, parser) -> int:
 
 
 def _cmd_verify_oracle(args, parser) -> int:
-    delta = _parse_surface(args, parser)
-    n = _parse_points(delta, args)
+    delta, n = args.delta, args.n
     # the oracle's cap on n first: it needs no count
     check_cap(n)
     profiles = weight_profiles(delta, n)
@@ -330,6 +322,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser(argv)
     args = parser.parse_args(argv)
     try:
+        if "surface" in args:  # the one place a request's class is built
+            delta = args.delta = _parse_surface(args, parser)
+            args.n = points_for_genus(delta, args.genus) if args.points is None else args.points
         return args.run(args, parser)
     except (AlgebraError, DiagramError, GwError, OracleLimitError) as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -27,7 +27,6 @@ per multiset of bounded edge weights; every count is a fold of its result.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from contextlib import suppress
 from itertools import accumulate, product
 from math import comb, prod
@@ -55,15 +54,15 @@ class HTransverseDegree:
     :func:`degree_hirzebruch`, which check the parameters.
     """
 
-    __slots__ = ("family", "params", "d_b", "d_t", "height", "divergence")
+    __slots__ = ("family", "params", "d_b", "d_t", "height", "divergence", "label")
 
     def __init__(self, family: str, params: tuple):
         if family == "p2":
             (d,) = params
-            derived = (d, 0, d, 1)
+            derived = (d, 0, d, 1, f"P2(d={d})")
         elif family == "hirzebruch":
             k, h, d = params
-            derived = (d + k * h, d, h, k)
+            derived = (d + k * h, d, h, k, f"F{k}(h={h},d={d})")
         else:
             raise DiagramError(f"unknown degree family {family!r}")
         for name, value in zip(self.__slots__, (family, tuple(params), *derived)):
@@ -87,13 +86,6 @@ class HTransverseDegree:
     def genus_for_points(self, n: int) -> int:
         return n + 1 - self.size
 
-    @property
-    def label(self) -> str:
-        if self.family == "p2":
-            return f"P2(d={self.params[0]})"
-        k, h, d = self.params
-        return f"F{k}(h={h},d={d})"
-
     def __eq__(self, other) -> bool:
         return isinstance(other, HTransverseDegree) and self.vectors == other.vectors
 
@@ -111,7 +103,7 @@ class HTransverseDegree:
 
 def degree_p2(d: int) -> HTransverseDegree:
     """Degree-d curves in the plane: d_b = d, d_t = 0, height = d, divergence 1."""
-    if not isinstance(d, int) or d <= 0:
+    if type(d) is not int or d <= 0:  # not isinstance: a bool is an int
         raise DiagramError(f"plane degree must be a positive integer, got {d!r}")
     return HTransverseDegree("p2", (d,))
 
@@ -122,7 +114,7 @@ def degree_hirzebruch(k: int, h: int, d: int) -> HTransverseDegree:
     Requires integers k >= 0, h >= 0, d >= 0 and h + d >= 1.  Derived:
     d_b = d + k*h, d_t = d, height = h, divergence = k.
     """
-    if not all(isinstance(x, int) and x >= 0 for x in (k, h, d)):
+    if not all(type(x) is int and x >= 0 for x in (k, h, d)):
         raise DiagramError(f"Hirzebruch parameters must be nonnegative integers, got {(k, h, d)}")
     if h + d < 1:
         raise DiagramError("h + d must be at least 1")
@@ -549,8 +541,6 @@ def weight_profiles(delta: HTransverseDegree, n: int) -> dict[tuple[int, ...], i
                     if w:
                         profile = tuple(sorted(profile + (w,)))
                     total[profile] = total.get(profile, 0) + count * ways
-        if not following:
-            return {}
         layer = following
     return layer.get((d_b, total_bounded, d_t, 0, 0, (((), ()),)), {})
 
@@ -578,13 +568,14 @@ def _state_sum(state: tuple, limits: tuple) -> list[tuple[int, int, tuple]]:
             rest = budgets[:k] + budgets[k + 1:]
             for w in range(1, min(b, cap) + 1):
                 left = tuple(sorted(rest + (b - w,))) if w < b else rest
+                grown = (left, tuple(sorted(heads + (w,))))
                 branches.append((m, w, (in_used, bd_used + 1, out_used, floors, free,
-                                        _inserted(others, (left, tuple(sorted(heads + (w,))))))))
+                                        tuple(sorted([*others, grown])))))
             # an outgoing end that leaves its component nothing closes it
             if ends and (b > 1 or rest or heads or not (others or floors)):
                 left = tuple(sorted(rest + (b - 1,))) if b > 1 else rest
                 branches.append((m, 0, (in_used, bd_used, out_used + 1, floors, free,
-                                        _inserted(others, (left, heads)))))
+                                        tuple(sorted([*others, (left, heads)])))))
     last = floors == 1
     if floors and not (last and (in_used < d_b or bd_used < total_bounded)):
         # head groups: (component index or None for unbounded heads, weight, count)
@@ -607,17 +598,11 @@ def _state_sum(state: tuple, limits: tuple) -> list[tuple[int, int, tuple]]:
             if not (budget or budgets or heads) and (len(touched) < len(comps) or not last):
                 continue  # a closed component beside another or an unplaced floor
             ways = prod(comb(m, r) for (_, _, m), r in zip(groups, takes))
-            untouched = tuple(c for i, c in enumerate(comps) if i not in touched)
+            kept = [c for i, c in enumerate(comps) if i not in touched]
             left = tuple(sorted(budgets + [budget] if budget else budgets))
             branches.append((ways, 0, (in_used, bd_used, out_used, floors - 1,
-                                       free - takes[0], _inserted(untouched, (left, heads)))))
+                                       free - takes[0], tuple(sorted([*kept, (left, heads)])))))
     return branches
-
-
-def _inserted(items: tuple, item) -> tuple:
-    """The sorted tuple ``items`` with ``item`` put in its place."""
-    i = bisect_left(items, item)
-    return items[:i] + (item,) + items[i:]
 
 
 def refined_count(delta: HTransverseDegree, n: int) -> LaurentPolyS:

@@ -137,10 +137,16 @@ def test_useries_rejects_floats():
     lambda: Partition([2.7, 1.2]),
     lambda: Partition([F(2)]),
     lambda: vertex_series([2.5], [], 6),
+    lambda: LaurentPolyS(0.5, [1, 2]),
+    lambda: LaurentPolyS(F(1, 2), [1]),
+    lambda: USeries(0, [1], 2.5),
+    lambda: USeries(0.5, [1], 3),
 ], ids=["poly-float", "poly-fraction", "poly-whole-fraction", "partition-float",
-        "partition-fraction", "vertex-float"])
+        "partition-fraction", "vertex-float", "poly-float-valuation",
+        "poly-fraction-valuation", "series-float-order", "series-float-valuation"])
 def test_exact_constructors_refuse_non_integers(build):
-    """A float or a Fraction is refused, not truncated to an int."""
+    """A float or a Fraction is refused, not truncated to an int or carried on
+    as an exponent."""
     with pytest.raises(AlgebraError, match="must be integers"):
         build()
 

@@ -236,6 +236,26 @@ def test_genus_zero_plane_counts_follow_kontsevich():
     assert [classical_count(degree_p2(d), 3 * d - 1) for d in range(1, 8)] == expected
 
 
+def test_genus_zero_plane_counts_at_q_minus_one_are_welschinger_invariants():
+    """At s = i, [w]_q^2 is 1 for odd w and 0 for even w, so a genus-0 plane
+    count there is the number of diagrams with only odd bounded weights: the
+    Welschinger invariant W_d (Itenberg-Kharlamov-Shustin, math/0303378;
+    Arroyo-Brugalle-Lopez de Medrano, 0809.1541).  This pins counts past the
+    oracle's reach at a point other than q = 1."""
+    expected = [1, 1, 8, 240, 18264, 2845440, 792731520]
+    at_i, all_odd = [], []
+    for d in range(1, 8):
+        delta, n = degree_p2(d), 3 * d - 1
+        refined = refined_count(delta, n)
+        assert all(k % 2 == 0 for k in refined.exponents())
+        # s^k at s = i for even k, by k % 4: (-1) ** (k // 2) is a float for k < 0
+        at_i.append(sum(refined.coefficient(k) * (1 if k % 4 == 0 else -1)
+                        for k in refined.exponents()))
+        all_odd.append(sum(c for weights, c in weight_profiles(delta, n).items()
+                           if all(w % 2 for w in weights)))
+    assert at_i == all_odd == expected
+
+
 @pytest.mark.parametrize("d", [4, 5, 6, 7])
 def test_one_and_two_node_counts_follow_node_polynomials(d):
     delta = degree_p2(d)

@@ -49,6 +49,8 @@ def test_degree_p2_rejects():
         degree_p2(0)
     with pytest.raises(DiagramError, match="integer, got 2.5"):
         degree_p2(2.5)
+    with pytest.raises(DiagramError, match="integer, got True"):
+        degree_p2(True)
 
 
 @pytest.mark.parametrize(
@@ -70,6 +72,8 @@ def test_degree_hirzebruch_rejects():
         degree_hirzebruch(1, -1, 2)
     with pytest.raises(DiagramError, match=r"integers, got \(1, 1\.5, 1\)"):
         degree_hirzebruch(1, 1.5, 1)
+    with pytest.raises(DiagramError, match=r"integers, got \(True, 1, 0\)"):
+        degree_hirzebruch(True, 1, 0)
 
 
 def test_degree_identity():

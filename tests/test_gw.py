@@ -3,6 +3,7 @@
 import re
 from collections import Counter
 from fractions import Fraction
+from math import comb, factorial
 
 import pytest
 
@@ -42,6 +43,24 @@ def test_relative_series_p2_degree1():
     gw = gw_relative_series(degree_p2(1), 2, 6)
     assert gw.series.valuation == -1
     assert [gw.series.coefficient(k) for k in (-1, 1, 3)] == [1, F(1, 24), F(7, 5760)]
+
+
+def bernoulli(m_max):
+    """B_0..B_m_max from sum_{k <= m} C(m + 1, k) B_k = 0 for m >= 1."""
+    b = [F(1)]
+    for m in range(1, m_max + 1):
+        b.append(-sum(comb(m + 1, k) * b[k] for k in range(m)) / (m + 1))
+    return b
+
+
+def test_relative_series_of_the_line_is_the_lambda_g_integral():
+    """The line through 2 points: the invariants are 1 at g = 0 and, from
+    g = 1 on, the lambda_g integral (2^(2g-1) - 1) / 2^(2g-1) * |B_2g| / (2g)!
+    (Faber-Pandharipande, math/9810173), which shares no code with floorgw."""
+    b = bernoulli(40)  # order 40 knows u^(2g - 1) up to g = 20
+    expected = [F(1)] + [F(2 ** (2 * g - 1) - 1, 2 ** (2 * g - 1)) * abs(b[2 * g])
+                         / factorial(2 * g) for g in range(1, 21)]
+    assert gw_relative_series(degree_p2(1), 2, 40).invariants() == list(enumerate(expected))
 
 
 def test_relative_series_p2_cubics():
