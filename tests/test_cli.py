@@ -555,13 +555,13 @@ COMMANDS = ("enumerate", "count", "gw", "log-gw", "vertex",
 ])
 def test_main_builds_only_the_named_subcommand(capsys, monkeypatch, command, built):
     runs = []
-    common = cli._common
+    add_leaf = cli._add_leaf
 
-    def recording(p, run, **kwargs):
-        runs.append(run)
-        common(p, run, **kwargs)
+    def recording(p, leaf):
+        runs.append(leaf[1])
+        add_leaf(p, leaf)
 
-    monkeypatch.setattr(cli, "_common", recording)
+    monkeypatch.setattr(cli, "_add_leaf", recording)
     with pytest.raises(SystemExit):
         main(command.split() + ["-h"])
     capsys.readouterr()
@@ -580,14 +580,48 @@ def test_import_loads_no_introspection_modules():
     assert run.stdout == "[]\n"
 
 
+# one well-formed request per leaf command, in the shapes of the floorbench jobs
+WELL_FORMED = [
+    "enumerate --surface p2 --degree 2 --genus 1 --format json",
+    "count --surface fk --k 2 --h 3 --d 1 --genus 0 --refined --format json",
+    "gw --surface p2 --degree 3 --genus 1 --order 24 --format json",
+    "log-gw --surface fk --k 1 --h 3 --d 1 --genus 0 --order 24 --format json",
+    "vertex --mu 3,2,1 --nu 1,1 --order 24 --format json",
+    "verify degeneration --surface p2 --degree 3 --genus 1 --order 48 --format json",
+    "verify ab --a 2 --b 1 --points 9 --order 40 --format json",
+    "verify oracle --surface p2 --degree 2 --genus 1 --format json",
+    "count --surface p2 --degree 3 --points 8",
+]
+
+
+@pytest.mark.parametrize("command", WELL_FORMED)
+def test_well_formed_request_is_read_as_argparse_reads_it(command):
+    argv = command.split()
+    args = cli._read(argv)
+    assert args is not None
+    assert vars(args) == vars(cli.build_parser(argv).parse_args(argv))
+
+
+@pytest.mark.parametrize("command", WELL_FORMED)
+def test_well_formed_request_builds_no_parser(capsys, monkeypatch, command):
+    def no_parser(*args, **kwargs):
+        raise AssertionError("built the argparse tree for a well-formed request")
+
+    monkeypatch.setattr(cli, "build_parser", no_parser)
+    code, out, err = run_cli(capsys, *command.split())
+    assert code == 0 and out and err == ""
+
+
 @st.composite
 def small_argv(draw):
     """argv for one subcommand with small, zero or negative values.  A flag
     the subcommand requires is left out now and then, and --points and
-    --genus sometimes come together."""
+    --genus sometimes come together.  Now and then one flag is spelled as
+    only argparse reads it: as --flag=value, as a unique prefix (--gen) or
+    twice; or -h joins the flags."""
 
     def flag(name, values, present=st.integers(0, 9).map(bool)):
-        return [name, str(draw(values))] if draw(present) else []
+        return [[name, str(draw(values))]] if draw(present) else []
 
     def optional(name, values):
         return flag(name, values, st.booleans())
@@ -598,27 +632,49 @@ def small_argv(draw):
         lambda parts: ",".join(map(str, parts))
     )
     command = draw(st.sampled_from(COMMANDS))
-    argv = command.split()
+    flags = []
     if command == "vertex":
-        argv += optional("--mu", partition) + optional("--nu", partition)
+        flags += optional("--mu", partition) + optional("--nu", partition)
     elif command == "verify ab":
-        argv += flag("--a", small) + flag("--b", small) + flag("--points", points)
+        flags += flag("--a", small) + flag("--b", small) + flag("--points", points)
     else:
         if draw(st.booleans()):
-            argv += ["--surface", "p2", *flag("--degree", small)]
+            flags += [["--surface", "p2"], *flag("--degree", small)]
         else:
-            argv += ["--surface", "fk", *flag("--k", small), *flag("--h", small),
-                     *flag("--d", small)]
+            flags += [["--surface", "fk"], *flag("--k", small), *flag("--h", small),
+                      *flag("--d", small)]
         which = draw(st.sampled_from(("points", "points", "genus", "genus", "both", "none")))
         if which in ("points", "both"):
-            argv += ["--points", str(draw(points))]
+            flags.append(["--points", str(draw(points))])
         if which in ("genus", "both"):
-            argv += ["--genus", str(draw(st.integers(-2, 3)))]
+            flags.append(["--genus", str(draw(st.integers(-2, 3)))])
     if command in ("gw", "log-gw", "vertex", "verify degeneration", "verify ab"):
-        argv += optional("--order", st.integers(-3, 12))
+        flags += optional("--order", st.integers(-3, 12))
     if command == "count" and draw(st.booleans()):
-        argv.append("--refined")
-    return argv + optional("--format", st.sampled_from(("text", "json", "csv")))
+        flags.append(["--refined"])
+    flags += optional("--format", st.sampled_from(("text", "json", "csv")))
+    spelling = draw(st.sampled_from(("plain",) * 4 + ("=", "prefix", "twice", "-h")))
+    if flags and spelling != "plain":
+        i = draw(st.integers(0, len(flags) - 1))
+        if spelling == "=" and len(flags[i]) == 2:
+            flags[i] = ["=".join(flags[i])]
+        elif spelling == "prefix" and len(flags[i][0]) > 5:
+            flags[i] = [flags[i][0][:5], *flags[i][1:]]
+        elif spelling == "twice":
+            flags.append(list(flags[i]))
+        elif spelling == "-h":
+            flags.insert(i, ["-h"])
+    return command.split() + [token for pair in flags for token in pair]
+
+
+@given(small_argv())
+@settings(max_examples=400, deadline=None)
+def test_read_agrees_with_argparse(argv):
+    """Wherever ``_read`` answers, it answers as argparse does."""
+    args = cli._read(argv)
+    if args is not None:
+        parsed = cli.build_parser(argv).parse_args(argv)
+        assert vars(args) == vars(parsed) and args.run is parsed.run, argv
 
 
 @given(small_argv())
