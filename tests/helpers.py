@@ -1,5 +1,6 @@
 """Shared grids and small utilities for the test suite."""
 
+from fractions import Fraction
 from itertools import product
 from math import comb, prod
 
@@ -105,3 +106,14 @@ def frozen_state_sum(state: tuple, limits: tuple) -> list[tuple[int, int, tuple]
                 or bd_used - pending + floors + len(comps) > total_bounded + 1):
             live.append((ways, w, (in_used, bd_used, out_used, floors, free, comps)))
     return live
+
+
+def bernoulli(m_max):
+    """B_0..B_m_max (with B_1 = +1/2) by the Akiyama-Tanigawa algorithm."""
+    row, b = [], []
+    for m in range(m_max + 1):
+        row.append(Fraction(1, m + 1))
+        for j in range(m, 0, -1):
+            row[j - 1] = j * (row[j - 1] - row[j])
+        b.append(row[0])
+    return b

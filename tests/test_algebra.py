@@ -30,6 +30,7 @@ from floorgw import (
     vertex_series,
 )
 from floorgw.algebra import _sine_series
+from helpers import bernoulli
 
 F = Fraction
 
@@ -304,6 +305,31 @@ def test_sin_factor_against_independent_symbolic_expansion():
             for k in range(ours.valuation, ours.order):
                 expected = sympy.nsimplify(expansion.coeff(u, k))
                 assert F(ours.coefficient(k)) == F(str(expected)), (a, e, order, k)
+
+
+def sine_power_reference(a, e, order):
+    """(2 sin(a*u/2))^e to ``order`` from Bernoulli numbers, sharing no code
+    with floorgw: (a*u)^e * exp(e * log(sin x / x)) at x = a*u/2, where
+    log(sin x / x) = sum_k>=1 (-1)^k 2^(2k-1) B_2k x^(2k) / (k (2k)!), and
+    exp by the recurrence n * E_n = sum_k k * c_k * E_(n-k)."""
+    size = order - e
+    b = bernoulli(size)
+    c = [F(0)] * size  # e * log(sin x / x) in powers of u
+    for k in range(1, (size + 1) // 2):
+        c[2 * k] = F(e * (-1) ** k * a ** (2 * k), 2 * k * factorial(2 * k)) * b[2 * k]
+    exp = [F(1)]
+    for n in range(1, size):
+        exp.append(sum((k * c[k] * exp[n - k] for k in range(2, n + 1, 2)), F(0)) / n)
+    return USeries(e, [F(a) ** e * x for x in exp], order)
+
+
+@pytest.mark.parametrize("a,e,order", [(1, -1, 40), (1, 1, 120), (3, -6, 120)] + [
+    # the sympy test's sine powers and orders
+    (a, e, order) for a, e in [(1, 1), (2, 1), (1, -1), (1, -2), (3, 2), (4, 3), (2, -3)]
+    for order in (9, 15)
+])
+def test_sin_factor_against_bernoulli_reference(a, e, order):
+    assert sin_factor_series(a, e, order) == sine_power_reference(a, e, order)
 
 
 def assert_substitution_matches_sympy(p, order=15):

@@ -17,6 +17,7 @@ import floorgw.cli as cli
 import floorgw.diagrams as diagrams
 import floorgw.gw as gw
 import floorgw.oracle as oracle
+from floorgw.algebra import LaurentPolyS
 from floorgw.cli import main
 
 
@@ -153,6 +154,25 @@ def test_verify_exit_codes(capsys):
     )
     assert code == 0
     assert json.loads(out)["equal"] is True
+
+
+@pytest.mark.parametrize("command,module,route", [
+    ("verify degeneration --surface p2 --degree 3 --genus 1 --order 12", gw, "fold_refined"),
+    ("verify ab --a 1 --b 0 --points 3", gw, "_count"),
+    ("verify oracle --surface p2 --degree 2 --points 5", cli, "refined_sum"),
+])
+def test_verify_reports_a_failing_identity_with_exit_1(capsys, monkeypatch, command,
+                                                       module, route):
+    """A route that adds 1 to every refined count it gives makes each identity
+    fail: the report says so in both formats, with exit code 1."""
+    right = getattr(module, route)
+    monkeypatch.setattr(module, route, lambda *args: right(*args) + LaurentPolyS.one())
+    code, out, err = run_cli(capsys, *command.split(), "--format", "json")
+    assert (code, err) == (1, "") and json.loads(out)["equal"] is False
+    code, out, err = run_cli(capsys, *command.split())
+    # verify ab's text report gives the two levels of its identity, the series level last
+    last = "  series    : equal -> False\n" if "ab" in command else "  equal: False\n"
+    assert (code, err) == (1, "") and out.endswith(last)
 
 
 def test_domain_error_exits_1(capsys):
@@ -547,27 +567,6 @@ COMMANDS = ("enumerate", "count", "gw", "log-gw", "vertex",
             "verify degeneration", "verify ab", "verify oracle")
 
 
-@pytest.mark.parametrize("command,built", [(c, 1) for c in COMMANDS] + [
-    # no name, or an option before it: every subcommand, as argparse needs them all
-    ("", len(COMMANDS)),
-    ("verify", 3),
-    ("--surface count", len(COMMANDS)),
-])
-def test_main_builds_only_the_named_subcommand(capsys, monkeypatch, command, built):
-    runs = []
-    add_leaf = cli._add_leaf
-
-    def recording(p, leaf):
-        runs.append(leaf[1])
-        add_leaf(p, leaf)
-
-    monkeypatch.setattr(cli, "_add_leaf", recording)
-    with pytest.raises(SystemExit):
-        main(command.split() + ["-h"])
-    capsys.readouterr()
-    assert len(runs) == built
-
-
 def test_import_loads_no_introspection_modules():
     # dataclasses would load inspect, ast, dis and tokenize into every floorgw
     # process, most of the package's own import time; -S keeps site hooks out
@@ -594,12 +593,16 @@ WELL_FORMED = [
 ]
 
 
+# the whole tree, built once for every request compared with it
+PARSER = cli.build_parser()
+
+
 @pytest.mark.parametrize("command", WELL_FORMED)
 def test_well_formed_request_is_read_as_argparse_reads_it(command):
     argv = command.split()
     args = cli._read(argv)
     assert args is not None
-    assert vars(args) == vars(cli.build_parser(argv).parse_args(argv))
+    assert vars(args) == vars(PARSER.parse_args(argv))
 
 
 @pytest.mark.parametrize("command", WELL_FORMED)
@@ -673,7 +676,7 @@ def test_read_agrees_with_argparse(argv):
     """Wherever ``_read`` answers, it answers as argparse does."""
     args = cli._read(argv)
     if args is not None:
-        parsed = cli.build_parser(argv).parse_args(argv)
+        parsed = PARSER.parse_args(argv)
         assert vars(args) == vars(parsed) and args.run is parsed.run, argv
 
 

@@ -3,7 +3,7 @@
 import re
 from collections import Counter
 from fractions import Fraction
-from math import comb, factorial
+from math import factorial
 
 import pytest
 
@@ -31,7 +31,7 @@ from floorgw import (
     vertex_partitions,
     vertex_series,
 )
-from helpers import acceptance_grid
+from helpers import acceptance_grid, bernoulli
 
 F = Fraction
 
@@ -43,14 +43,6 @@ def test_relative_series_p2_degree1():
     gw = gw_relative_series(degree_p2(1), 2, 6)
     assert gw.series.valuation == -1
     assert [gw.series.coefficient(k) for k in (-1, 1, 3)] == [1, F(1, 24), F(7, 5760)]
-
-
-def bernoulli(m_max):
-    """B_0..B_m_max from sum_{k <= m} C(m + 1, k) B_k = 0 for m >= 1."""
-    b = [F(1)]
-    for m in range(1, m_max + 1):
-        b.append(-sum(comb(m + 1, k) * b[k] for k in range(m)) / (m + 1))
-    return b
 
 
 def test_relative_series_of_the_line_is_the_lambda_g_integral():
