@@ -41,6 +41,7 @@ from .diagrams import (
     diagram_count,
     enumerate_marked,
     fold_refined,
+    json_pieces,
     points_for_genus,
     refined_count,
     weight_profiles,
@@ -114,14 +115,13 @@ def _cmd_enumerate(args) -> int:
     _check_listing_cap(delta, n, diagram_count(delta, n))
     diagrams = enumerate_marked(delta, n)
     if args.format == "json":
-        # json.dumps of the payload, joined once: head and tail ride the end texts;
-        # the diagrams go once their texts exist, and the texts once joined
-        texts = [d.json_text() for d in diagrams] or [""]
-        texts[0] = f'{{"count": {len(diagrams)}, "diagrams": [' + texts[0]
-        texts[-1] += "]}\n"
+        # json.dumps of the payload as one join of shared pieces, written once (the peak)
+        pieces = json_pieces(diagrams)
+        pieces.insert(0, f'{{"count": {len(diagrams)}, "diagrams": [')
+        pieces.append("]}\n")
         diagrams.clear()
-        text = ", ".join(texts)
-        del texts
+        text = "".join(pieces)
+        del pieces
         sys.stdout.write(text)
     elif args.format == "csv":
         rows = (f"{i},{d.n},{';'.join(map(str, d.vertex_positions))},"

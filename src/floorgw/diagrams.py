@@ -146,6 +146,13 @@ class Edge(NamedTuple):
 _EDGE_JSON = '{"position": %s, "source": %s, "target": %s, "weight": %s}'
 
 
+class _Edges(dict):
+    """The one :class:`Edge` of each (position, source, target, weight), made when first asked."""
+
+    def __missing__(self, key):
+        return self.setdefault(key, Edge._make(key))
+
+
 class MarkedFloorDiagram(NamedTuple):
     """A marked floor diagram, identified with its position-labelled structure;
     ``divergence`` is the one divergence of every floor.  A tuple, like
@@ -173,15 +180,8 @@ class MarkedFloorDiagram(NamedTuple):
         }
 
     def json_text(self) -> str:
-        """``json.dumps(self.to_json())``, written without the dict, for a
-        diagram whose floors have distinct positions (every valid one): all
-        fields are ints, and the missing end of an unbounded edge, None,
-        reads null."""
-        n, vertices, divergence, edges = self
-        floors = ", ".join([f'"{p}": {divergence}' for p in vertices])
-        arrows = ", ".join([_EDGE_JSON % e for e in edges]).replace("None", "null")
-        return (f'{{"n": {n}, "vertices": [{", ".join(map(str, vertices))}], '
-                f'"divergences": {{{floors}}}, "edges": [{arrows}]}}')
+        """``json.dumps(self.to_json())``: the one-diagram case of :func:`json_pieces`."""
+        return "".join(json_pieces([self]))
 
     @classmethod
     def from_json(cls, data: dict) -> "MarkedFloorDiagram":
@@ -207,6 +207,25 @@ class MarkedFloorDiagram(NamedTuple):
         if len(set(div_map.values())) > 1:
             raise InvalidDiagram(f"divergence values {sorted(set(div_map.values()))} differ")
         return cls(n, vertices, div_map[vertices[0]], edges)
+
+
+def json_pieces(diagrams) -> list[str]:
+    """Texts joining to ``", ".join(json.dumps(d.to_json()) for d in diagrams)`` when
+    floors are distinct and fields are ints or None: each distinct head (n, vertices,
+    divergence) and distinct edge with its ``, `` or ``]}`` is rendered once, and shared."""
+    heads, inner, last, pieces = {}, {}, {}, []
+    for n, floors, div, edges in diagrams:
+        if (head := heads.get(key := (n, floors, div))) is None:
+            head = heads[key] = '{"n": %s, "vertices": [%s], "divergences": {%s}, "edges": [' % (
+                n, ", ".join(map(str, floors)), ", ".join(['"%s": %s' % (p, div) for p in floors]))
+        pieces.append(head)
+        for i, e in enumerate(edges, 1 - len(edges)):  # i is 0 at the last edge
+            table, end = (inner, ", ") if i else (last, "]}")
+            pieces.append(table.get(e) or table.setdefault(
+                e, (_EDGE_JSON % e).replace("None", "null") + end))
+        pieces += [", "] if edges else ["]}", ", "]
+    del pieces[-1:]  # the separator after the last diagram
+    return pieces
 
 
 def _json(value, kind: type, field: str):
@@ -349,23 +368,23 @@ def enumerate_marked(delta: HTransverseDegree, n: int) -> list[MarkedFloorDiagra
     by position produces genuinely distinct marked diagrams.  No child is
     built that the window-capacity prune of :func:`_limits` refuses.
     """
-    limits = _limits(delta, n)
+    limits, made = _limits(delta, n), _Edges()
     found: list[MarkedFloorDiagram] = []
     stack = [((), (), (), (), 0, 0, 0)]
     while stack:
-        stack.extend(reversed(_sweep(found, limits, *stack.pop())))
+        stack.extend(reversed(_sweep(found, limits, made, *stack.pop())))
     return found
 
 
-def _sweep(found, limits, vertices, budgets, edges, heads, in_used, bd_used, out_used):
+def _sweep(found, limits, made, vertices, budgets, edges, heads, in_used, bd_used, out_used):
     """The children of a sweep state in branch order, or none when it is a
     leaf, which is listed in ``found`` (edges sorted) if connected, or dead.
 
     ``limits`` is the record of :func:`_limits`.  The state is immutable
     and each branch hands its child new tuples: ``vertices`` and
     ``budgets`` are the placed vertex positions and their remaining
-    outgoing budgets; ``edges`` the finished edges, each made an
-    :class:`Edge` once its last end is placed; ``heads`` the pending heads
+    outgoing budgets; ``edges`` the finished edges, each taken from
+    ``made`` (:class:`_Edges`) once its last end is placed; ``heads`` the pending heads
     as (position, source or None, weight), in position order; ``in_used``,
     ``bd_used`` and ``out_used`` the numbers of incoming, bounded and
     outgoing edges placed.  A child is the tuple of these seven arguments.
@@ -393,7 +412,7 @@ def _sweep(found, limits, vertices, budgets, edges, heads, in_used, bd_used, out
         for i, b in enumerate(budgets):
             if b >= 1:
                 children.append((vertices, budgets[:i] + (b - 1,) + budgets[i + 1:],
-                                 edges + (Edge(pos, vertices[i], None, 1),), heads,
+                                 edges + (made[pos, vertices[i], None, 1],), heads,
                                  in_used, bd_used, out_used + 1))
     if len(vertices) < h - 1:
         # heads weighing less than div + max(0, short) leave the new floor a
@@ -409,7 +428,7 @@ def _sweep(found, limits, vertices, budgets, edges, heads, in_used, bd_used, out
         if budget < 0:
             continue
         children.append((vertices + (pos,), budgets + (budget,),
-                         edges + tuple([Edge(p, source, pos, w) for p, source, w in subset]),
+                         edges + tuple([made[p, source, pos, w] for p, source, w in subset]),
                          tuple([head for head in heads if head not in subset]),
                          in_used, bd_used, out_used))
     return children

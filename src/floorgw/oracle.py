@@ -149,7 +149,7 @@ def _shapes(delta: HTransverseDegree, n: int) -> list:
     return shapes
 
 
-def _extensions(h: int, classes: dict, divergence: int) -> list[MarkedFloorDiagram]:
+def _extensions(h: int, classes: dict, divergence: int, made: dict) -> list[MarkedFloorDiagram]:
     """Every marked diagram of one shape, one per ordering of its vertices
     0..h-1 and edge classes.
 
@@ -163,8 +163,8 @@ def _extensions(h: int, classes: dict, divergence: int) -> list[MarkedFloorDiagr
     edge into it, so every branch ends in an ordering.  Copies of one class
     are indistinguishable, so each distinct ordering is produced exactly
     once.  The position of each vertex rank and of each placed edge copy is
-    recorded as it is chosen, and each leaf builds its diagram; the
-    recursion is at most n + 1 deep.
+    recorded as it is chosen, and each leaf builds its diagram from ``made``,
+    the listing's one Edge per distinct edge; the recursion is at most n + 1 deep.
     """
     keys = sorted(classes)
     counts = [classes[key] for key in keys]
@@ -181,7 +181,8 @@ def _extensions(h: int, classes: dict, divergence: int) -> list[MarkedFloorDiagr
 
     def extend(placed: int, position: int) -> None:
         if position > n:
-            edges = tuple(Edge(pos, at[s], at[t], w) for pos, (s, t, w) in placed_edges)
+            fields = [(pos, at[s], at[t], w) for pos, (s, t, w) in placed_edges]
+            edges = tuple([made.get(e) or made.setdefault(e, Edge._make(e)) for e in fields])
             diagrams.append(MarkedFloorDiagram(n, tuple(at[1:h + 1]), divergence, edges))
             return
         if placed < h and not into[placed + 1]:
@@ -215,11 +216,11 @@ def brute_force_enumerate(delta: HTransverseDegree, n: int) -> list[MarkedFloorD
     if delta.genus_for_points(n) < 0 or h == 0:
         return []
 
-    results = []
+    results, made = [], {}
     for bounded, incoming, outgoing in _shapes(delta, n):
         classes = Counter([*bounded, *((-1, t, 1) for t in incoming),
                            *((s, h, 1) for s in outgoing)])
-        for diagram in _extensions(h, classes, delta.divergence):
+        for diagram in _extensions(h, classes, delta.divergence, made):
             validate_diagram(diagram, delta)
             results.append(diagram)
     return results

@@ -114,6 +114,9 @@ def test_enumerate_csv(capsys):
     (diagrams.degree_p2(4), ["--surface", "p2", "--degree", "4"], 1),
     (diagrams.degree_hirzebruch(2, 3, 0), ["--surface", "fk", "--k", "2", "--h", "3", "--d", "0"], 1),
     (diagrams.degree_p2(3), ["--surface", "p2", "--degree", "3"], 2),
+    # one diagram, with one floor and no edge: {"n": 1, ..., "edges": []}; then no diagram
+    (diagrams.degree_hirzebruch(0, 1, 0), ["--surface", "fk", "--k", "0", "--h", "1", "--d", "0"], 0),
+    (diagrams.degree_p2(1), ["--surface", "p2", "--degree", "1"], 1),
 ])
 def test_enumerate_json_is_the_dumped_payload(capsys, delta, surface, g):
     code, out, _ = run_cli(capsys, "enumerate", *surface, "--genus", str(g), "--format", "json")

@@ -192,8 +192,8 @@ def test_sweep_builds_only_children_that_pass_the_window_test(monkeypatch, delta
     n = points_for_genus(delta, g)
     sweep, children = diagrams._sweep, []
 
-    def checked(found, limits, *state):
-        out = sweep(found, limits, *state)
+    def checked(found, limits, made, *state):
+        out = sweep(found, limits, made, *state)
         _, h, _, total_bounded, _, _, room = limits
         for vertices, budgets, _, _, _, bd_used, _ in out:
             assert sum(budgets) >= total_bounded - bd_used - room[h - len(vertices)]

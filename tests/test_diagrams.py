@@ -29,7 +29,7 @@ from floorgw import (
     vertex_partitions,
     weight_profiles,
 )
-from floorgw.diagrams import _head_subsets
+from floorgw.diagrams import _head_subsets, json_pieces
 from helpers import acceptance_grid
 
 
@@ -402,6 +402,25 @@ _FIELD = st.integers(-10**6, 10**6)
 def test_json_text_is_the_dumped_dict_for_any_fields(n, vertices, divergence, edges):
     diagram = MarkedFloorDiagram(n, tuple(vertices), divergence, tuple(map(Edge._make, edges)))
     assert diagram.json_text() == json.dumps(diagram.to_json())
+
+
+_SMALL = st.integers(-2, 3)  # a small range, so that heads and edges repeat
+_DIAGRAMS = st.builds(
+    lambda n, vertices, divergence, edges: MarkedFloorDiagram(
+        n, tuple(vertices), divergence, tuple(map(Edge._make, edges))),
+    _SMALL, st.lists(_SMALL, max_size=3, unique=True), _SMALL,
+    st.lists(st.tuples(_SMALL, st.none() | _SMALL, st.none() | _SMALL, _SMALL), max_size=4))
+
+
+@given(st.lists(_DIAGRAMS, max_size=6))
+@settings(max_examples=300, deadline=None)
+def test_json_pieces_join_to_the_dumped_dicts_and_are_shared(listing):
+    pieces = json_pieces(listing)
+    assert "".join(pieces) == ", ".join(json.dumps(d.to_json()) for d in listing)
+    # one text per distinct head, two per distinct edge (followed by ", " or "]}"),
+    # and the two constants ", " and "]}"
+    distinct = len({d[:3] for d in listing}) + 2 * len({e for d in listing for e in d.edges})
+    assert len({id(p) for p in pieces}) <= distinct + 2
 
 
 def test_diagram_json_round_trip():

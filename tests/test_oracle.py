@@ -7,6 +7,7 @@ import pytest
 
 import floorgw.oracle as oracle
 from floorgw import (
+    Edge,
     LaurentPolyS,
     OracleLimitError,
     brute_force_enumerate,
@@ -86,6 +87,14 @@ def test_sweep_matches_oracle_everywhere():
         sweep = sorted(map(diagram_key, enumerate_marked(delta, n)))
         assert sweep == sorted(map(diagram_key, listing)), (delta.label, n)
         assert refined_count(delta, n) == refined_sum(listing)
+
+
+@pytest.mark.parametrize("listed", [enumerate_marked, brute_force_enumerate])
+def test_a_listing_holds_one_edge_object_per_distinct_edge(listed):
+    delta = degree_hirzebruch(1, 3, 1)
+    edges = [e for d in listed(delta, points_for_genus(delta, 0)) for e in d.edges]
+    assert len(edges) == 2121 and {type(e) for e in edges} == {Edge}
+    assert len({id(e) for e in edges}) == len(set(edges)) == 104
 
 
 def _reference_shapes(delta, n, max_weight):
