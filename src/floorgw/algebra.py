@@ -40,6 +40,7 @@ such input always signals a bug upstream.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from fractions import Fraction
 from math import lcm
 from operator import add, index
@@ -83,8 +84,36 @@ def rational_to_str(x: Fraction | int) -> str:
 
 
 def rational_from_str(text: str) -> Fraction:
-    num, _, den = text.partition("/")
-    return Fraction(int(num), int(den) if den else 1)
+    """The rational "num/den" or "num" of :func:`rational_to_str`, else an AlgebraError."""
+    num, slash, den = text.partition("/") if type(text) is str else ("", "", "")
+    with suppress(ValueError, ZeroDivisionError):
+        return Fraction(int(num), int(den) if slash else 1)
+    raise AlgebraError(f"{text!r} is not a rational 'num' or 'num/den' with den != 0")
+
+
+def _integer(value, field: str) -> int:
+    """An int or a string of one (JSON keys are strings); never a float or a bool."""
+    if type(value) in (int, str):
+        with suppress(ValueError):
+            return int(value)
+    raise AlgebraError(f"{field} {value!r} is not an integer")
+
+
+def _json(value, kind: type, field: str):
+    """``value``, which JSON holds as a ``kind``: dict or list."""
+    if not isinstance(value, kind):
+        raise AlgebraError(f"{field} is not a JSON {'object' if kind is dict else 'array'}")
+    return value
+
+
+def _read_series(cls, data: dict, coefficient, *keys):
+    """``cls(valuation, coefficients, *rest)`` from series JSON, the integers at ``keys``."""
+    try:
+        valuation, *rest = [_integer(_json(data, dict, "the series")[key], key) for key in keys]
+        coefficients = _json(data["coefficients"], list, "coefficients")
+    except KeyError as missing:
+        raise AlgebraError(f"series JSON has no key {missing}") from None
+    return cls(valuation, [coefficient(c) for c in coefficients], *rest)
 
 
 class Partition(tuple):
@@ -275,7 +304,7 @@ class LaurentPolyS:
 
     @classmethod
     def from_json(cls, data: dict) -> "LaurentPolyS":
-        return cls(int(data["valuation"]), [int(c) for c in data["coefficients"]])
+        return _read_series(cls, data, lambda c: _integer(c, "coefficient"), "valuation")
 
 
 def q_integer(m: int) -> LaurentPolyS:
@@ -486,11 +515,7 @@ class USeries:
 
     @classmethod
     def from_json(cls, data: dict) -> "USeries":
-        return cls(
-            int(data["valuation"]),
-            [rational_from_str(c) for c in data["coefficients"]],
-            int(data["order"]),
-        )
+        return _read_series(cls, data, rational_from_str, "valuation", "order")
 
 
 def _substitute(p: LaurentPolyS, turns: int, order: int) -> USeries:

@@ -27,12 +27,11 @@ per multiset of bounded edge weights; every count is a fold of its result.
 
 from __future__ import annotations
 
-from contextlib import suppress
 from itertools import accumulate, product
 from math import comb, prod
 from typing import NamedTuple
 
-from .algebra import LaurentPolyS, Partition, q_integer
+from .algebra import AlgebraError, LaurentPolyS, Partition, _integer, _json, q_integer
 
 
 class DiagramError(ValueError):
@@ -50,22 +49,15 @@ class HTransverseDegree:
     (k, h, d).  Exposes the derived quantities ``d_b``, ``d_t``, ``height``,
     ``size`` (= d_b + d_t + 2*height), the ``divergence`` of every floor and
     the balanced h-transverse ``vectors``; two degrees are equal when their
-    vector multisets are.  Build instances through :func:`degree_p2` or
-    :func:`degree_hirzebruch`, which check the parameters.
+    vector multisets are.  Only :func:`degree_p2` and :func:`degree_hirzebruch`
+    build instances: they check the parameters and derive every field.
     """
 
     __slots__ = ("family", "params", "d_b", "d_t", "height", "divergence", "label")
 
-    def __init__(self, family: str, params: tuple):
-        if family == "p2":
-            (d,) = params
-            derived = (d, 0, d, 1, f"P2(d={d})")
-        elif family == "hirzebruch":
-            k, h, d = params
-            derived = (d + k * h, d, h, k, f"F{k}(h={h},d={d})")
-        else:
-            raise DiagramError(f"unknown degree family {family!r}")
-        for name, value in zip(self.__slots__, (family, tuple(params), *derived)):
+    def __init__(self, family, params, d_b, d_t, height, divergence, label):
+        fields = family, params, d_b, d_t, height, divergence, label
+        for name, value in zip(self.__slots__, fields):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -105,7 +97,7 @@ def degree_p2(d: int) -> HTransverseDegree:
     """Degree-d curves in the plane: d_b = d, d_t = 0, height = d, divergence 1."""
     if type(d) is not int or d <= 0:  # not isinstance: a bool is an int
         raise DiagramError(f"plane degree must be a positive integer, got {d!r}")
-    return HTransverseDegree("p2", (d,))
+    return HTransverseDegree("p2", (d,), d, 0, d, 1, f"P2(d={d})")
 
 
 def degree_hirzebruch(k: int, h: int, d: int) -> HTransverseDegree:
@@ -118,7 +110,7 @@ def degree_hirzebruch(k: int, h: int, d: int) -> HTransverseDegree:
         raise DiagramError(f"Hirzebruch parameters must be nonnegative integers, got {(k, h, d)}")
     if h + d < 1:
         raise DiagramError("h + d must be at least 1")
-    return HTransverseDegree("hirzebruch", (k, h, d))
+    return HTransverseDegree("hirzebruch", (k, h, d), d + k * h, d, h, k, f"F{k}(h={h},d={d})")
 
 
 def points_for_genus(delta: HTransverseDegree, g: int) -> int:
@@ -126,6 +118,14 @@ def points_for_genus(delta: HTransverseDegree, g: int) -> int:
     if g < 0:
         raise DiagramError(f"genus must be nonnegative, got {g}")
     return g - 1 + delta.size
+
+
+def _genus(delta: HTransverseDegree, n: int) -> int:
+    """The genus n + 1 - |delta|; the listing, counts, series and oracle refuse g < 0 here."""
+    g = delta.genus_for_points(n)
+    if g < 0:
+        raise DiagramError(f"no diagrams: n = {n} gives negative genus {g} for {delta.label}")
+    return g
 
 
 class Edge(NamedTuple):
@@ -196,10 +196,12 @@ class MarkedFloorDiagram(NamedTuple):
             div_map = {_integer(p, "vertex"): _integer(d, "divergence")
                        for p, d in _json(data["divergences"], dict, "divergences").items()}
             objects = [_json(e, dict, "an edge") for e in _json(data["edges"], list, "edges")]
-            edges = tuple(Edge(*(_integer(e[f], f, f in ("source", "target"))
-                                 for f in Edge._fields)) for e in objects)
+            edges = tuple(Edge(*(None if e[f] is None and f in ("source", "target")
+                                 else _integer(e[f], f) for f in Edge._fields)) for e in objects)
         except KeyError as missing:
             raise InvalidDiagram(f"diagram JSON has no key {missing}") from None
+        except AlgebraError as field:  # a non-integer field or a wrong JSON type
+            raise InvalidDiagram(str(field)) from None
         if not vertices:
             raise InvalidDiagram("diagram JSON has no vertex")
         if set(div_map) != set(vertices):
@@ -226,24 +228,6 @@ def json_pieces(diagrams) -> list[str]:
         pieces += [", "] if edges else ["]}", ", "]
     del pieces[-1:]  # the separator after the last diagram
     return pieces
-
-
-def _json(value, kind: type, field: str):
-    """``value``, which diagram JSON holds as a ``kind``: dict or list."""
-    if not isinstance(value, kind):
-        raise InvalidDiagram(f"{field} is not a JSON {'object' if kind is dict else 'array'}")
-    return value
-
-
-def _integer(value, field: str, optional: bool = False) -> int | None:
-    """An integer field of diagram JSON: an int, or a string of one (object
-    keys are strings); None too when ``optional``."""
-    if value is None and optional:
-        return None
-    if type(value) in (int, str):
-        with suppress(ValueError):
-            return int(value)
-    raise InvalidDiagram(f"{field} {value!r} is not an integer")
 
 
 def multiplicity(diagram: MarkedFloorDiagram) -> int:
@@ -278,8 +262,8 @@ def validate_diagram(diagram: MarkedFloorDiagram, delta: HTransverseDegree) -> N
     edges among the n positions, n - h - d_b - d_t edges are bounded, so
     the first Betti number, bounded - h + 1, is n + 1 - |delta|: the genus.
     The bounded edges connect the h >= 1 vertices, so there are at least
-    h - 1 of them and the genus is >= 0.  (With h = 0 no edge has an end,
-    so the counts refuse every height-0 degree, whose d_b + d_t >= 1.)
+    h - 1 of them and the genus is >= 0.  (With h = 0 no edge has an end, so a height-0
+    degree has no diagram; the counts return 0, not a refusal: see ROADMAP item 5.)
     """
     n, vertices, edges = diagram.n, diagram.vertex_positions, diagram.edges
     # edges unpacked, not read by field name: this runs on every listed diagram
@@ -470,7 +454,7 @@ _MAX_POINTS = 900
 
 def _limits(delta: HTransverseDegree, n: int) -> tuple:
     """The record (n, h, d_b, bounded, d_t, divergence, room) that both
-    passes over the sweep read; refuses g < 0, then n > _MAX_POINTS.  Every
+    passes over the sweep read; refuses g < 0 (:func:`_genus`), then n > _MAX_POINTS.  Every
     diagram on n points has ``bounded`` = n - h - d_b - d_t = g + h - 1
     bounded edges, and room[f] = sum of max(0, d_b - j * divergence) over
     j = h - f + 1 .. h - 1 is the most bounded edges the windows after the
@@ -503,9 +487,7 @@ def _limits(delta: HTransverseDegree, n: int) -> tuple:
     cycles than the genus, which the listing does not, so the tests
     comparing the two check that bound.
     """
-    g = delta.genus_for_points(n)
-    if g < 0:
-        raise DiagramError(f"no diagrams: n = {n} gives negative genus {g} for {delta.label}")
+    _genus(delta, n)
     if n > _MAX_POINTS:
         raise DiagramError(f"n = {n} for {delta.label} is over the point cap "
                            f"_MAX_POINTS = {_MAX_POINTS}")

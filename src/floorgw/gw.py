@@ -61,6 +61,7 @@ from .algebra import (
 )
 from .diagrams import (
     HTransverseDegree,
+    _genus,
     degree_hirzebruch,
     fold_refined,
     refined_count,
@@ -145,14 +146,6 @@ def _order_check(order: int, valuation: int) -> None:
             f"order {order} is too small: the series starts at u^{valuation}, "
             f"so the order must be at least {valuation + 1}"
         )
-
-
-def _genus(delta: HTransverseDegree, n: int) -> int:
-    """The minimal genus n + 1 - |delta|; a negative one is refused."""
-    g = delta.genus_for_points(n)
-    if g < 0:
-        raise GwError(f"n = {n} gives negative genus for {delta.label}")
-    return g
 
 
 def _log_offset(delta: HTransverseDegree) -> int:

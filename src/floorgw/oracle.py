@@ -11,7 +11,7 @@ cut by two lower bounds on the unbounded edges a partial shape already needs
 (see ``_shapes``), and each linear extension builds its diagram as its
 positions are chosen (see ``_extensions``).  Every diagram passes the full
 invariant validator.  There are no options; n is capped by ``MAX_N``.
-Nothing here is shared with the sweep.
+Nothing here is shared with the sweep but the negative-genus refusal.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from .diagrams import (
     Edge,
     HTransverseDegree,
     MarkedFloorDiagram,
+    _genus,
     refined_multiplicity,
     validate_diagram,
 )
@@ -210,13 +211,10 @@ def check_cap(n: int) -> None:
 
 
 def brute_force_enumerate(delta: HTransverseDegree, n: int) -> list[MarkedFloorDiagram]:
-    """Every valid marked diagram on n points, by exhaustive generation."""
+    """Every valid marked diagram on n points, by exhaustive generation, once the checks pass."""
     check_cap(n)
-    h = delta.height
-    if delta.genus_for_points(n) < 0 or h == 0:
-        return []
-
-    results, made = [], {}
+    _genus(delta, n)
+    h, results, made = delta.height, [], {}
     for bounded, incoming, outgoing in _shapes(delta, n):
         classes = Counter([*bounded, *((-1, t, 1) for t in incoming),
                            *((s, h, 1) for s in outgoing)])

@@ -217,6 +217,46 @@ def test_rational_string_round_trip():
     assert rational_from_str("-3") == F(-3)
 
 
+# Fields that a reader once truncated or misread (the first row read as 1 + 2*s, an order
+# of 3.9 as 3, coefficients "12" as 1 + 2*s) or refused with another exception (a missing
+# key, "1/0", a payload or coefficients of the wrong JSON type).
+BAD_SERIES_JSON = [
+    (LaurentPolyS, {"valuation": 0.5, "coefficients": [1.7, "2"]}, r"^valuation 0\.5 is"),
+    (LaurentPolyS, {"valuation": 0, "coefficients": [1.7, "2"]}, r"^coefficient 1\.7 is"),
+    (LaurentPolyS, {"valuation": 0, "coefficients": ["1", "2.5"]}, r"^coefficient '2\.5' is"),
+    (LaurentPolyS, {"valuation": True, "coefficients": ["1"]}, r"^valuation True is"),
+    (LaurentPolyS, {"valuation": 0, "coefficients": [False]}, r"^coefficient False is"),
+    (LaurentPolyS, {"coefficients": ["1"]}, r"^series JSON has no key 'valuation'$"),
+    (USeries, {"valuation": 0, "order": 3.9, "coefficients": ["1"]}, r"^order 3\.9 is"),
+    (USeries, {"valuation": "0.5", "order": 3, "coefficients": ["1"]}, r"^valuation '0\.5' is"),
+    (USeries, {"valuation": 0, "order": True, "coefficients": []}, r"^order True is"),
+    (USeries, {"valuation": 0, "order": 3, "coefficients": [1.5]}, r"^1\.5 is not a rational"),
+    (USeries, {"valuation": 0, "order": 3, "coefficients": ["1/2.5"]}, r"^'1/2\.5' is not"),
+    (USeries, {"valuation": 0, "order": 3, "coefficients": ["1/"]}, r"^'1/' is not"),
+    (USeries, {"valuation": 0, "order": 3, "coefficients": ["1/0"]}, r"with den != 0$"),
+    (USeries, {"valuation": 0, "coefficients": ["1"]}, r"^series JSON has no key 'order'$"),
+    (USeries, {"valuation": 0, "order": 3}, r"^series JSON has no key 'coefficients'$"),
+    (LaurentPolyS, {"valuation": 0, "coefficients": "12"}, r"^coefficients is not a JSON array$"),
+    (USeries, {"valuation": 0, "order": 3, "coefficients": 5}, r"^coefficients is not a JSON"),
+    (LaurentPolyS, [0, ["1"]], r"^the series is not a JSON object$"),
+    (USeries, None, r"^the series is not a JSON object$"),
+]
+
+
+@pytest.mark.parametrize("cls,data,message", BAD_SERIES_JSON,
+                         ids=[f"{row[0].__name__}-{i}" for i, row in enumerate(BAD_SERIES_JSON)])
+def test_json_readers_refuse_what_they_cannot_read_exactly(cls, data, message):
+    with pytest.raises(AlgebraError, match=message):
+        cls.from_json(data)
+
+
+def test_json_readers_take_integer_strings():
+    assert LaurentPolyS.from_json({"valuation": "-1", "coefficients": ["1", 0, "1"]}) == \
+        LaurentPolyS(-1, [1, 0, 1])
+    assert USeries.from_json({"valuation": 1, "order": "3", "coefficients": ["-1/2", "3"]}) == \
+        USeries(1, [F(-1, 2), 3], 3)
+
+
 # ------------------------------------------------------ cosine substitution
 
 

@@ -190,6 +190,15 @@ def test_domain_error_exits_1(capsys):
     assert code == 1 and "genus" in err
 
 
+@pytest.mark.parametrize("command", ["count", "enumerate", "gw", "log-gw", "verify degeneration",
+                                     "verify oracle"])
+def test_every_route_refuses_a_negative_genus_with_one_line(capsys, command):
+    code, out, err = run_cli(capsys, *command.split(), "--surface", "p2", "--degree", "3",
+                             "--points", "5")
+    assert (code, out) == (1, "")
+    assert err == "error: no diagrams: n = 5 gives negative genus -3 for P2(d=3)\n"
+
+
 @pytest.mark.parametrize("command,n", [
     ("count --surface p2 --degree 99999 --genus 0", 299996),
     # the maximal genus of degree 60, which the window-capacity prune reaches

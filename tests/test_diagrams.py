@@ -16,10 +16,17 @@ from floorgw import (
     InvalidDiagram,
     LaurentPolyS,
     MarkedFloorDiagram,
+    brute_force_enumerate,
+    brute_force_refined_count,
     classical_count,
+    degeneration_cross_check,
+    degeneration_series,
     degree_hirzebruch,
     degree_p2,
+    diagram_count,
     enumerate_marked,
+    gw_relative_series,
+    log_series,
     lp_eval_at_one,
     multiplicity,
     points_for_genus,
@@ -149,7 +156,13 @@ def test_listing_and_count_refuse_a_class_alike_before_any_branch(monkeypatch, d
 
     monkeypatch.setattr("floorgw.diagrams._sweep", no_work)
     monkeypatch.setattr("floorgw.diagrams._state_sum", no_work)
-    for run in (enumerate_marked, weight_profiles, refined_count):
+    monkeypatch.setattr("floorgw.oracle._shapes", no_work)
+    # a negative genus is refused alike by every entry point of a (delta, n) request: the
+    # counts, the oracle and the series too (n = 901 meets the oracle's and the order's caps)
+    others = (classical_count, diagram_count, brute_force_enumerate, brute_force_refined_count,
+              gw_relative_series, log_series, degeneration_series, degeneration_cross_check)
+    for run in (enumerate_marked, weight_profiles, refined_count,
+                *(others if delta.genus_for_points(n) < 0 else ())):
         with pytest.raises(DiagramError) as refused:
             run(delta, n)
         assert str(refused.value) == message, run
