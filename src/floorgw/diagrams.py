@@ -45,20 +45,21 @@ class InvalidDiagram(DiagramError):
 class HTransverseDegree:
     """Degree datum of the plane or of a Hirzebruch surface.
 
-    ``family`` is "p2" with ``params`` (d,) or "hirzebruch" with ``params``
-    (k, h, d).  Exposes the derived quantities ``d_b``, ``d_t``, ``height``,
-    ``size`` (= d_b + d_t + 2*height), the ``divergence`` of every floor and
-    the balanced h-transverse ``vectors``; two degrees are equal when their
-    vector multisets are.  Only :func:`degree_p2` and :func:`degree_hirzebruch`
-    build instances: they check the parameters and derive every field.
+    ``name`` holds the JSON fields that name the degree: "family" and
+    "degree", or "family", "k", "h" and "d".  Exposes the derived quantities
+    ``d_b``, ``d_t``, ``height``, ``size`` (= d_b + d_t + 2*height), the
+    ``divergence`` of every floor and the balanced h-transverse ``vectors``;
+    two degrees are equal when their vector multisets are.  Only
+    :func:`degree_p2` and :func:`degree_hirzebruch` build instances: they
+    check the parameters and derive every field.
     """
 
-    __slots__ = ("family", "params", "d_b", "d_t", "height", "divergence", "label")
+    __slots__ = ("name", "d_b", "d_t", "height", "divergence", "label")
 
-    def __init__(self, family, params, d_b, d_t, height, divergence, label):
-        fields = family, params, d_b, d_t, height, divergence, label
-        for name, value in zip(self.__slots__, fields):
-            object.__setattr__(self, name, value)
+    def __init__(self, name, d_b, d_t, height, divergence, label):
+        fields = name, d_b, d_t, height, divergence, label
+        for slot, value in zip(self.__slots__, fields):
+            object.__setattr__(self, slot, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("HTransverseDegree is immutable")
@@ -88,16 +89,14 @@ class HTransverseDegree:
         return f"HTransverseDegree<{self.label}>"
 
     def to_json(self) -> dict:
-        names = ("degree",) if self.family == "p2" else ("k", "h", "d")
-        return {"family": self.family, **dict(zip(names, self.params)),
-                "d_b": self.d_b, "d_t": self.d_t, "height": self.height}
+        return {**dict(self.name), "d_b": self.d_b, "d_t": self.d_t, "height": self.height}
 
 
 def degree_p2(d: int) -> HTransverseDegree:
     """Degree-d curves in the plane: d_b = d, d_t = 0, height = d, divergence 1."""
     if type(d) is not int or d <= 0:  # not isinstance: a bool is an int
         raise DiagramError(f"plane degree must be a positive integer, got {d!r}")
-    return HTransverseDegree("p2", (d,), d, 0, d, 1, f"P2(d={d})")
+    return HTransverseDegree((("family", "p2"), ("degree", d)), d, 0, d, 1, f"P2(d={d})")
 
 
 def degree_hirzebruch(k: int, h: int, d: int) -> HTransverseDegree:
@@ -110,18 +109,19 @@ def degree_hirzebruch(k: int, h: int, d: int) -> HTransverseDegree:
         raise DiagramError(f"Hirzebruch parameters must be nonnegative integers, got {(k, h, d)}")
     if h + d < 1:
         raise DiagramError("h + d must be at least 1")
-    return HTransverseDegree("hirzebruch", (k, h, d), d + k * h, d, h, k, f"F{k}(h={h},d={d})")
+    name = ("family", "hirzebruch"), ("k", k), ("h", h), ("d", d)
+    return HTransverseDegree(name, d + k * h, d, h, k, f"F{k}(h={h},d={d})")
 
 
 def points_for_genus(delta: HTransverseDegree, g: int) -> int:
-    """The point count n with genus(delta, n) = g, i.e. n = g - 1 + |delta|."""
-    if g < 0:
-        raise DiagramError(f"genus must be nonnegative, got {g}")
-    return g - 1 + delta.size
+    """The point count n = g - 1 + |delta| of genus g; :func:`_genus` refuses g < 0."""
+    n = g - 1 + delta.size
+    _genus(delta, n)
+    return n
 
 
 def _genus(delta: HTransverseDegree, n: int) -> int:
-    """The genus n + 1 - |delta|; the listing, counts, series and oracle refuse g < 0 here."""
+    """The genus n + 1 - |delta|; every entry point of a class refuses g < 0 here."""
     g = delta.genus_for_points(n)
     if g < 0:
         raise DiagramError(f"no diagrams: n = {n} gives negative genus {g} for {delta.label}")

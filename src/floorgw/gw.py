@@ -8,10 +8,11 @@ invariant at u^(2g + offset).  Only the offset (``exponent_offset``) differs:
 d_b + d_t - 2 for the relative series, 2h + d_b + d_t - 2 for the log series
 (relative * S^(2h)), -2 for the F0 absolute series and d - 2 for the F2
 series relative to D_(-2).  One builder, ``_count_series``, makes all four:
-it checks the order, then takes the count, the empty F_k class h = d = 0
-counting 0.  ``algebra._sine_series`` builds every series here, a Laurent
-polynomial times sine powers substituted once: the count series, the
-vertex, and each weight profile's term of the diagram sum.
+it checks the order, then takes the count.  ``_f_class`` builds the F0 and
+F2 classes, the empty class h = d = 0 counting 0 at genus n + 1.
+``algebra._sine_series`` builds every series here, a Laurent polynomial
+times sine powers substituted once: the count series, the vertex, and each
+weight profile's term of the diagram sum.
 Two series do not start from the count:
 
 * vertex:       sum_g N(g) u^(2g+len(mu)+len(nu))
@@ -60,6 +61,7 @@ from .algebra import (
     rational_to_str,
 )
 from .diagrams import (
+    DiagramError,
     HTransverseDegree,
     _genus,
     degree_hirzebruch,
@@ -153,19 +155,15 @@ def _log_offset(delta: HTransverseDegree) -> int:
     return 2 * delta.height + delta.d_b + delta.d_t - 2
 
 
-def _check_f_class(h: int, d: int, n: int) -> int:
-    """Minimal genus n + 1 - 4h - 2d shared by the F0 and F2 series and AB."""
-    if h < 0 or d < 0 or n < 0:
-        raise GwError(f"parameters must be nonnegative, got {(h, d, n)}")
-    g0 = n + 1 - 4 * h - 2 * d
-    if g0 < 0:
-        raise GwError(f"n + 1 - 4*{h} - 2*{d} = {g0} must be nonnegative")
-    return g0
-
-
-def _f_class(k: int, h: int, d: int) -> HTransverseDegree | None:
-    """The class h*D_k + d*F, or None for the empty class h = d = 0."""
-    return degree_hirzebruch(k, h, d) if h + d else None
+def _f_class(k: int, h: int, d: int, n: int) -> tuple[HTransverseDegree | None, int]:
+    """The class h*D_k + d*F and its genus on n points (:func:`_genus`); the
+    empty class h = d = 0 is None, of genus n + 1 for n >= 0, counting 0."""
+    if h or d:
+        delta = degree_hirzebruch(k, h, d)
+        return delta, _genus(delta, n)
+    if n < 0:
+        raise DiagramError(f"n must be nonnegative, got {n}")
+    return None, n + 1
 
 
 def _count(delta: HTransverseDegree | None, n: int) -> LaurentPolyS:
@@ -308,10 +306,10 @@ def f0_absolute_series(a: int, b: int, n: int, order: int = 16) -> GwSeries:
 
     Equals the relative series of the F0 degree (a, a+b) divided by
     S^(2(a+b)), one factor of S for each of the d_b + d_t = 2(a+b) boundary
-    contacts traded away.  Requires n + 1 - 4a - 2b >= 0.
+    contacts traded away.  A negative b with a + b >= 0 is a class too.
     """
-    g0 = _check_f_class(a, b, n)
-    return _count_series("absolute_F0", _f_class(0, a, a + b), n, g0, -2, order)
+    delta, g0 = _f_class(0, a, a + b, n)
+    return _count_series("absolute_F0", delta, n, g0, -2, order)
 
 
 def f2_relative_dminus2_series(h: int, d: int, n: int, order: int = 16) -> GwSeries:
@@ -319,10 +317,9 @@ def f2_relative_dminus2_series(h: int, d: int, n: int, order: int = 16) -> GwSer
 
     Equals the relative series of the F2 degree (h, d) divided by
     S^(2h + d), one factor for each contact with D_2 traded away.
-    Requires n + 1 - 4h - 2d >= 0.
     """
-    g0 = _check_f_class(h, d, n)
-    return _count_series("relative_F2_Dminus2", _f_class(2, h, d), n, g0, d - 2, order)
+    delta, g0 = _f_class(2, h, d, n)
+    return _count_series("relative_F2_Dminus2", delta, n, g0, d - 2, order)
 
 
 class AbIdentityReport(NamedTuple):
@@ -353,12 +350,14 @@ def ab_identity_check(a: int, b: int, n: int, order: int = 16) -> AbIdentityRepo
     sum_{j=0..a} C(b+2j, j) * refined F2 (a-j, b+2j) count.  Series level:
     the F0 absolute series must equal
     sum_j C(b+2j, j) * (F2/D_(-2) series) * S^-(b+2j) to the truncation
-    order.  Each refined count is computed once and feeds both levels.
+    order.  Every class is built (the F2 class (a, b) refuses b < 0) before
+    the order check, and each refined count is taken once for both levels.
     Returns both sides of both levels.
     """
-    g0 = _check_f_class(a, b, n)
+    f0, g0 = _f_class(0, a, a + b, n)
+    f2 = [_f_class(2, a - j, b + 2 * j, n)[0] for j in range(a + 1)]
     _order_check(order, 2 * g0 - 2)
-    lhs_poly = _count(_f_class(0, a, a + b), n)
+    lhs_poly = _count(f0, n)
     lhs_series = _sine_series(lhs_poly, [(1, 2 * g0 - 2)], order)
     # One Newton inverse, S^-2 over the terms' window, serves every j by Horner's
     # rule: S^-b * sum_j C(d, j) * D_j * (S^-2)^j, D_j = count * S^e the F2
@@ -368,7 +367,7 @@ def ab_identity_check(a: int, b: int, n: int, order: int = 16) -> AbIdentityRepo
     rhs_poly = LaurentPolyS.zero()
     for j in reversed(range(a + 1)):
         d, e = b + 2 * j, 2 * g0 + b + 2 * j - 2
-        count = _count(_f_class(2, a - j, d), n)
+        count = _count(f2[j], n)
         rhs_poly = rhs_poly + comb(d, j) * count
         lift = 2 if e < 0 else 0
         term = _sine_series(count, [(1, e + lift)], order + d + lift) * comb(d, j)

@@ -199,6 +199,18 @@ def test_every_route_refuses_a_negative_genus_with_one_line(capsys, command):
     assert err == "error: no diagrams: n = 5 gives negative genus -3 for P2(d=3)\n"
 
 
+@pytest.mark.parametrize("command,line", [
+    ("verify ab --a 1 --b 0 --points 2", "n = 2 gives negative genus -1 for F0(h=1,d=1)"),
+    ("gw --surface fk --k 0 --h 1 --d 1 --points 2",
+     "n = 2 gives negative genus -1 for F0(h=1,d=1)"),
+    ("count --surface p2 --degree 3 --genus -1", "n = 7 gives negative genus -1 for P2(d=3)"),
+])
+def test_verify_ab_and_a_negative_genus_refuse_with_the_one_line(capsys, command, line):
+    code, out, err = run_cli(capsys, *command.split())
+    assert (code, out) == (1, "")
+    assert err == f"error: no diagrams: {line}\n"
+
+
 @pytest.mark.parametrize("command,n", [
     ("count --surface p2 --degree 99999 --genus 0", 299996),
     # the maximal genus of degree 60, which the window-capacity prune reaches

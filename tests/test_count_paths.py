@@ -6,15 +6,17 @@ weights over canonical sweep states, without listing any diagram, and
 it.  Within the listing sweep's reach the profiles must equal, exactly, the
 grouping of ``enumerate_marked`` by sorted bounded weights, and the counts
 the sum of refined multiplicities over it, its value at q = 1 and the
-number of diagrams listed; beyond it, the counts are pinned by Kontsevich's recursion, the one-
-and two-node polynomials and the counts at and above maximal genus, none of
-which shares code with the sweep, and by polynomiality in the degree and
-refined universality across surfaces.
+number of diagrams listed; beyond it, the counts are pinned by Kontsevich's recursion, the
+WDVV recursion of F0 and F1 (and of F2 through the Abramovich-Bertram
+relation), the one- and two-node polynomials and the counts at and above
+maximal genus, none of which shares code with the sweep, and by
+polynomiality in the degree and refined universality across surfaces.
 """
 
 import gc
 from collections import Counter
 from fractions import Fraction
+from functools import cache
 from math import comb
 
 import pytest
@@ -254,6 +256,83 @@ def test_genus_zero_plane_counts_at_q_minus_one_are_welschinger_invariants():
         all_odd.append(sum(c for weights, c in weight_profiles(delta, n).items()
                            if all(w % 2 for w in weights)))
     assert at_i == all_odd == expected
+
+
+def _binomial(m, j):
+    return comb(m, j) if 0 <= j <= m else 0
+
+
+def wdvv(k):
+    """The genus-0 count N(h, d) of the class h*D_k + d*F on F0 or F1 (k = 0
+    or 1), from the WDVV equation with insertions (D_k, F | pt, pt) of
+    quantum cohomology (Kontsevich-Manin, hep-th/9402147;
+    Goettsche-Pandharipande, alg-geom/9611012).  It shares no code with
+    floor diagrams.
+
+    D_k^2 = k, D_k.F = 1 and F^2 = 0; the effective classes are h >= 0,
+    d >= -k*h, and a class passes through n = 2d + k*h + 2h - 1 points.  The
+    seeds, all with n < 3, are the fiber F, D_0 on F0, and E = D_1 - F and
+    D_1 on F1, each counting 1; every other class with n < 3 counts 0.  The
+    (D, F | D, F) equation divides by beta^2, so it fails on the fibers."""
+    def points(h, d):
+        return 2 * d + k * h + 2 * h - 1
+
+    @cache
+    def count(h, d):
+        n = points(h, d)
+        if n < 3:
+            return int((h, d) in ((0, 1), (1, 0), (1, -k)))
+        total = 0
+        for h1 in range(h + 1):
+            for d1 in range(-k * h1, d + k * (h - h1) + 1):
+                h2, d2 = h - h1, d - d1
+                n1, n2 = points(h1, d1), points(h2, d2)
+                if 0 in (h1 + d1, h2 + d2) or n1 < 0 or n2 < 0:
+                    continue
+                total += (count(h1, d1) * count(h2, d2) * (k * h1 * h2 + h1 * d2 + d1 * h2)
+                          * (k * h1 + d1)
+                          * (h1 * _binomial(n - 3, n1) - h2 * _binomial(n - 3, n1 - 1)))
+        return -total
+
+    return count
+
+
+def f2_from_ab(f0):
+    """The genus-0 count of F2 (h, d), from the F0 counts ``f0`` by the
+    Abramovich-Bertram relation F0 (h, h + d) = sum_j C(d + 2j, j) F2 (h - j,
+    d + 2j), triangular in h; of the height-0 classes d*F, only the fiber
+    counts 1."""
+    @cache
+    def count(h, d):
+        if h == 0:
+            return int(d == 1)
+        return f0(h, h + d) - sum(comb(d + 2 * j, j) * count(h - j, d + 2 * j)
+                                  for j in range(1, h + 1))
+
+    return count
+
+
+def assert_genus_zero_counts_follow_wdvv(ks, top):
+    """``classical_count`` at genus 0 on F_k (h, d) for h = 1..top and
+    d = 0..top: WDVV for k = 0 and 1, and F0's WDVV counts through the AB
+    relation for k = 2."""
+    for k in ks:
+        expected = f2_from_ab(wdvv(0)) if k == 2 else wdvv(k)
+        for h in range(1, top + 1):
+            for d in range(top + 1):
+                delta = degree_hirzebruch(k, h, d)
+                assert classical_count(delta, points_for_genus(delta, 0)) == expected(h, d), \
+                    (k, h, d)
+
+
+def test_genus_zero_hirzebruch_counts_follow_wdvv():
+    """60 classes, F1 (4,4) at n = 19 and F2 (4,4) at n = 23 past the oracle's
+    n <= 16; F1's classes (d, 0) = d*H are the plane's, so WDVV on F1 gives
+    Kontsevich's numbers.  CI runs F0 and F1 up to (6,6)."""
+    f0, f1 = wdvv(0), wdvv(1)
+    assert [f1(d, 0) for d in range(1, 8)] == kontsevich(7)
+    assert [f0(2, 2), f0(2, 3), f0(3, 3), f0(4, 4)] == [12, 96, 3510, 6508640]
+    assert_genus_zero_counts_follow_wdvv([0, 1, 2], 4)
 
 
 @pytest.mark.parametrize("d", [4, 5, 6, 7])

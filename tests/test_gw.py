@@ -9,6 +9,7 @@ import pytest
 
 import floorgw.gw
 from floorgw import (
+    DiagramError,
     GwError,
     GwSeries,
     Partition,
@@ -266,12 +267,31 @@ def test_f0_series_examples():
 
 
 def test_f0_f2_preconditions():
-    with pytest.raises(GwError):
+    with pytest.raises(DiagramError, match=re.escape(
+            "no diagrams: n = 2 gives negative genus -1 for F0(h=1,d=1)")):
         f0_absolute_series(1, 0, 2, 8)  # n + 1 - 4a - 2b < 0
-    with pytest.raises(GwError):
+    with pytest.raises(DiagramError, match=re.escape(
+            "no diagrams: n = 4 gives negative genus -1 for F2(h=1,d=1)")):
         f2_relative_dminus2_series(1, 1, 4, 8)
-    with pytest.raises(GwError):
+    with pytest.raises(DiagramError, match=re.escape(
+            "Hirzebruch parameters must be nonnegative integers, got (0, -1, -1)")):
         f0_absolute_series(-1, 0, 3, 8)
+
+
+@pytest.mark.parametrize("order", [8, 16])
+def test_f0_series_serves_a_negative_b(order):
+    """a*D + (a+b)*F is a class when a + b >= 0, b < 0 included: 2D + F is
+    D + 2F with the two rulings of P1 x P1 swapped."""
+    assert (f0_absolute_series(2, -1, 5, order).series
+            == f0_absolute_series(1, 1, 5, order).series)
+
+
+def test_empty_f_class_counts_zero_at_genus_n_plus_one():
+    for make in (f0_absolute_series, f2_relative_dminus2_series):
+        gw = make(0, 0, 2, 12)
+        assert gw.delta is None and gw.g_min == 3 and gw.series.is_zero()
+        with pytest.raises(DiagramError, match=re.escape("n must be nonnegative, got -1")):
+            make(0, 0, -1, 12)
 
 
 # ------------------------------------------------------ Abramovich-Bertram
@@ -293,10 +313,28 @@ def test_ab_identity_fixtures():
 
 
 def test_ab_identity_rejects_bad_parameters():
-    with pytest.raises(GwError):
+    with pytest.raises(DiagramError, match=re.escape(
+            "no diagrams: n = 2 gives negative genus -1 for F0(h=1,d=1)")):
         ab_identity_check(1, 0, 2, 12)
-    with pytest.raises(GwError):
+    with pytest.raises(DiagramError, match=re.escape(
+            "Hirzebruch parameters must be nonnegative integers, got (0, -1, -1)")):
         ab_identity_check(-1, 0, 3, 12)
+
+
+@pytest.mark.parametrize("a,b,n,order,message", [
+    # F0 (1, 0) is a class, but the F2 class (a, b) at j = 0 is not
+    (1, -1, 5, 12, "Hirzebruch parameters must be nonnegative integers, got (2, 1, -1)"),
+    (0, 0, -1, 12, "n must be nonnegative, got -1"),
+    # the classes are refused before the order is checked
+    (1, 0, 2, 501, "no diagrams: n = 2 gives negative genus -1 for F0(h=1,d=1)"),
+])
+def test_ab_identity_refuses_a_class_before_counting(monkeypatch, a, b, n, order, message):
+    def no_count(delta, n):
+        raise AssertionError("counted before every class was built")
+
+    monkeypatch.setattr(floorgw.gw, "refined_count", no_count)
+    with pytest.raises(DiagramError, match=re.escape(message)):
+        ab_identity_check(a, b, n, order)
 
 
 def test_ab_identity_grid():
