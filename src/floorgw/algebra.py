@@ -200,6 +200,9 @@ class LaurentPolyS:
     def __setattr__(self, name, value):  # immutable after __init__
         raise AttributeError("LaurentPolyS is immutable")
 
+    def __reduce__(self):  # for pickle and copy, which would set the slots one by one
+        return LaurentPolyS, (self.valuation, self.coefficients)
+
     @classmethod
     def zero(cls) -> "LaurentPolyS":
         return cls(0, ())
@@ -361,6 +364,9 @@ class USeries:
 
     def __setattr__(self, name, value):
         raise AttributeError("USeries is immutable")
+
+    def __reduce__(self):  # for pickle and copy, which would set the slots one by one
+        return USeries, (self.valuation, self.coefficients, self.order)
 
     @classmethod
     def zero(cls, order: int) -> "USeries":

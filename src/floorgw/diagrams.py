@@ -64,6 +64,9 @@ class HTransverseDegree:
     def __setattr__(self, name, value):
         raise AttributeError("HTransverseDegree is immutable")
 
+    def __reduce__(self):  # for pickle and copy, which would set the slots one by one
+        return HTransverseDegree, tuple([getattr(self, slot) for slot in self.__slots__])
+
     @property
     def size(self) -> int:
         return self.d_b + self.d_t + 2 * self.height
@@ -147,10 +150,12 @@ _EDGE_JSON = '{"position": %s, "source": %s, "target": %s, "weight": %s}'
 
 
 class _Edges(dict):
-    """The one :class:`Edge` of each (position, source, target, weight), made when first asked."""
+    """The one :class:`Edge` of each (position, source, target, weight), and
+    the one list of outgoing-end orderings (:func:`_ends`) of each (floors,
+    budgets) that a last floor leaves, made when first asked."""
 
     def __missing__(self, key):
-        return self.setdefault(key, Edge._make(key))
+        return self.setdefault(key, Edge._make(key) if len(key) == 4 else _ends(*key, self))
 
 
 class MarkedFloorDiagram(NamedTuple):
@@ -341,28 +346,40 @@ def enumerate_marked(delta: HTransverseDegree, n: int) -> list[MarkedFloorDiagra
       heads at a < b < c.  The last vertex takes every pending head and is
       placed only once all d_b incoming and all bounded edges are used.
 
-    A completed sweep is listed when its graph is connected; its budgets
-    need no test.  The element counts are each capped and add up to n, so
-    every floor and edge is placed and the last floor took every pending
-    head.  The budgets, each >= 0, then sum to d_b - d_t - h * divergence,
-    the inflow less the outflow and divergence of every floor: d - 0 - d on
-    P2, (d + kh) - d - hk on F_k, so every one is spent.  Each completed
-    trace is a distinct isomorphism class (markings rigidify), so no
-    deduplication is performed; selecting between equal-weight pending heads
-    by position produces genuinely distinct marked diagrams.  No child is
-    built that the window-capacity prune of :func:`_limits` refuses.
+    The sweep lists diagrams where it places the last floor.  Only outgoing
+    ends are left then, and they change no connectivity, so the graph is
+    tested once there.  The budgets, each >= 0, sum to the ends still to
+    place plus d_b - d_t - h * divergence (the inflow less the outflow and
+    divergence of every floor), which is d - 0 - d on P2 and (d + kh) - d -
+    hk on F_k.  So the ends fill the positions after the last floor, and
+    each ordering of them, a multiset permutation of the floors by budget
+    (:func:`_ends`), is one diagram.  These diagrams form one block, put on
+    the stack where the last floor's child would go, so the listing order
+    is that of a sweep that walks each end.  Each completed trace is a
+    distinct isomorphism class (markings rigidify), so no deduplication is
+    performed; selecting between equal-weight pending heads by position
+    produces genuinely distinct marked diagrams.  No child is built that
+    the window-capacity prune of :func:`_limits` refuses.  A height-0
+    degree has no floor for its unbounded edges to end on, so no diagram.
     """
     limits, made = _limits(delta, n), _Edges()
+    if not delta.height:
+        return []
     found: list[MarkedFloorDiagram] = []
     stack = [((), (), (), (), 0, 0, 0)]
     while stack:
-        stack.extend(reversed(_sweep(found, limits, made, *stack.pop())))
+        top = stack.pop()
+        if type(top) is list:  # a finished block of diagrams
+            found += top
+        else:
+            stack.extend(reversed(_sweep(limits, made, *top)))
     return found
 
 
-def _sweep(found, limits, made, vertices, budgets, edges, heads, in_used, bd_used, out_used):
-    """The children of a sweep state in branch order, or none when it is a
-    leaf, which is listed in ``found`` (edges sorted) if connected, or dead.
+def _sweep(limits, made, vertices, budgets, edges, heads, in_used, bd_used, out_used):
+    """The children of a sweep state with a floor still to place, in branch
+    order: each a state, or the block of finished diagrams, edges sorted,
+    that placing the last floor lists (none when its graph is disconnected).
 
     ``limits`` is the record of :func:`_limits`.  The state is immutable
     and each branch hands its child new tuples: ``vertices`` and
@@ -371,23 +388,19 @@ def _sweep(found, limits, made, vertices, budgets, edges, heads, in_used, bd_use
     ``made`` (:class:`_Edges`) once its last end is placed; ``heads`` the pending heads
     as (position, source or None, weight), in position order; ``in_used``,
     ``bd_used`` and ``out_used`` the numbers of incoming, bounded and
-    outgoing edges placed.  A child is the tuple of these seven arguments.
+    outgoing edges placed.  A child state is the tuple of these seven
+    arguments, a block a list.
     """
     n, h, d_b, total_bounded, d_t, div, room = limits
     # not shared with the count: a shared gate measured ~1 % slower, plus a head walker 7-15 %
     spare = sum(budgets)
     need = total_bounded - bd_used - room[h - len(vertices)]  # the window test is spare >= need
     pos = len(vertices) + len(edges) + len(heads) + 1
-    if pos > n:
-        if _connected(vertices, edges):
-            found.append(MarkedFloorDiagram(n, vertices, div, tuple(sorted(edges))))
-        return []
     children = []
-    open_vertex = len(vertices) < h
-    if open_vertex and in_used < d_b and spare >= need:
+    if in_used < d_b and spare >= need:
         children.append((vertices, budgets, edges, heads + ((pos, None, 1),),
                          in_used + 1, bd_used, out_used))
-    if open_vertex and bd_used < total_bounded:  # weight w leaves spare - w for need - 1
+    if bd_used < total_bounded:  # weight w leaves spare - w for need - 1
         for i, b in enumerate(budgets):
             for w in range(1, min(b, spare - need + 1) + 1):
                 children.append((vertices, budgets[:i] + (b - w,) + budgets[i + 1:], edges,
@@ -402,20 +415,37 @@ def _sweep(found, limits, made, vertices, budgets, edges, heads, in_used, bd_use
         # heads weighing less than div + max(0, short) leave the new floor a
         # negative budget or a state that the window-capacity prune refuses
         short = total_bounded - bd_used - room[h - len(vertices) - 1] - spare
-        head_choices = _head_subsets(heads, div + max(0, short))
-    elif open_vertex and in_used == d_b and bd_used == total_bounded:
-        head_choices = [heads]
-    else:
-        return children
-    for subset in head_choices:
-        budget = sum([w for _, _, w in subset]) - div
-        if budget < 0:
-            continue
-        children.append((vertices + (pos,), budgets + (budget,),
-                         edges + tuple([made[p, source, pos, w] for p, source, w in subset]),
-                         tuple([head for head in heads if head not in subset]),
-                         in_used, bd_used, out_used))
+        for subset in _head_subsets(heads, div + max(0, short)):
+            budget = sum([w for _, _, w in subset]) - div
+            if budget < 0:
+                continue
+            children.append((vertices + (pos,), budgets + (budget,),
+                             edges + tuple([made[p, source, pos, w] for p, source, w in subset]),
+                             tuple([head for head in heads if head not in subset]),
+                             in_used, bd_used, out_used))
+    elif in_used == d_b and bd_used == total_bounded:  # the last floor takes every head
+        budget = sum([w for _, _, w in heads]) - div
+        floors = vertices + (pos,)
+        edges += tuple([made[p, source, pos, w] for p, source, w in heads])
+        if budget >= 0 and _connected(floors, edges):
+            edges = tuple(sorted(edges))  # the ends come after every edge placed
+            children.append([MarkedFloorDiagram(n, floors, div, edges + tail)
+                             for tail in made[floors, budgets + (budget,)]])
     return children
+
+
+def _ends(floors: tuple[int, ...], budgets: tuple[int, ...],
+          made: _Edges) -> list[tuple[Edge, ...]]:
+    """Every ordering of the outgoing ends that ``budgets`` leave the
+    ``floors``, at the positions after the last floor: the multiset
+    permutations of the floors, each as often as its budget, in the sweep's
+    branch order, a floor before every later one."""
+    tails = [((), budgets)]
+    start = floors[-1] + 1
+    for p in range(start, start + sum(budgets)):
+        tails = [(tail + (made[p, floors[i], None, 1],), left[:i] + (b - 1,) + left[i + 1:])
+                 for tail, left in tails for i, b in enumerate(left) if b]
+    return [tail for tail, _ in tails]
 
 
 def _head_subsets(heads: tuple[tuple, ...], least: int) -> list[tuple[tuple, ...]]:

@@ -227,11 +227,15 @@ def brute_force_enumerate(delta: HTransverseDegree, n: int) -> list[MarkedFloorD
 def refined_sum(diagrams) -> LaurentPolyS:
     """The sum of the refined multiplicities of ``diagrams``, taking one
     multiplicity per class of diagrams with the same sorted edge weights, on
-    which it depends."""
+    which it depends: each class keeps its first diagram and a count."""
     classes: dict[tuple[int, ...], list] = {}
     for d in diagrams:
-        classes.setdefault(tuple(sorted(w for _, _, _, w in d.edges)), []).append(d)
-    return sum((refined_multiplicity(ds[0]) * len(ds) for ds in classes.values()),
+        key = tuple(sorted([e[3] for e in d.edges]))
+        if (entry := classes.get(key)) is None:
+            classes[key] = [d, 1]
+        else:
+            entry[1] += 1
+    return sum((refined_multiplicity(d) * count for d, count in classes.values()),
                LaurentPolyS.zero())
 
 

@@ -4,7 +4,8 @@ from fractions import Fraction
 from itertools import product
 from math import comb, prod
 
-from floorgw import degree_hirzebruch, degree_p2, points_for_genus
+from floorgw import MarkedFloorDiagram, degree_hirzebruch, degree_p2, points_for_genus
+from floorgw.diagrams import _connected, _Edges, _head_subsets, _limits
 
 
 def hirzebruch_family_grid(k_max=2, h_max=2, d_max=2):
@@ -106,6 +107,65 @@ def frozen_state_sum(state: tuple, limits: tuple) -> list[tuple[int, int, tuple]
                 or bd_used - pending + floors + len(comps) > total_bounded + 1):
             live.append((ways, w, (in_used, bd_used, out_used, floors, free, comps)))
     return live
+
+
+def frozen_enumerate_marked(delta, n):
+    """A frozen copy of ``diagrams.enumerate_marked`` as it was while the sweep
+    still walked each outgoing end after the last floor: every completed
+    sweep is a leaf state, listed when its graph is connected."""
+    limits, made = _limits(delta, n), _Edges()
+    found = []
+    stack = [((), (), (), (), 0, 0, 0)]
+    while stack:
+        stack.extend(reversed(frozen_sweep(found, limits, made, *stack.pop())))
+    return found
+
+
+def frozen_sweep(found, limits, made, vertices, budgets, edges, heads, in_used, bd_used,
+                 out_used):
+    """A frozen copy of the leaf-listing ``diagrams._sweep``: the children of
+    a sweep state in branch order, or none when it is a leaf, which is listed
+    in ``found`` (edges sorted) if connected, or dead."""
+    n, h, d_b, total_bounded, d_t, div, room = limits
+    spare = sum(budgets)
+    need = total_bounded - bd_used - room[h - len(vertices)]  # the window test is spare >= need
+    pos = len(vertices) + len(edges) + len(heads) + 1
+    if pos > n:
+        if _connected(vertices, edges):
+            found.append(MarkedFloorDiagram(n, vertices, div, tuple(sorted(edges))))
+        return []
+    children = []
+    open_vertex = len(vertices) < h
+    if open_vertex and in_used < d_b and spare >= need:
+        children.append((vertices, budgets, edges, heads + ((pos, None, 1),),
+                         in_used + 1, bd_used, out_used))
+    if open_vertex and bd_used < total_bounded:  # weight w leaves spare - w for need - 1
+        for i, b in enumerate(budgets):
+            for w in range(1, min(b, spare - need + 1) + 1):
+                children.append((vertices, budgets[:i] + (b - w,) + budgets[i + 1:], edges,
+                                 heads + ((pos, vertices[i], w),), in_used, bd_used + 1, out_used))
+    if out_used < d_t and spare > need:  # an outgoing end leaves spare - 1 for need
+        for i, b in enumerate(budgets):
+            if b >= 1:
+                children.append((vertices, budgets[:i] + (b - 1,) + budgets[i + 1:],
+                                 edges + (made[pos, vertices[i], None, 1],), heads,
+                                 in_used, bd_used, out_used + 1))
+    if len(vertices) < h - 1:
+        short = total_bounded - bd_used - room[h - len(vertices) - 1] - spare
+        head_choices = _head_subsets(heads, div + max(0, short))
+    elif open_vertex and in_used == d_b and bd_used == total_bounded:
+        head_choices = [heads]
+    else:
+        return children
+    for subset in head_choices:
+        budget = sum([w for _, _, w in subset]) - div
+        if budget < 0:
+            continue
+        children.append((vertices + (pos,), budgets + (budget,),
+                         edges + tuple([made[p, source, pos, w] for p, source, w in subset]),
+                         tuple([head for head in heads if head not in subset]),
+                         in_used, bd_used, out_used))
+    return children
 
 
 def bernoulli(m_max):

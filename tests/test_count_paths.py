@@ -194,12 +194,13 @@ def test_sweep_builds_only_children_that_pass_the_window_test(monkeypatch, delta
     n = points_for_genus(delta, g)
     sweep, children = diagrams._sweep, []
 
-    def checked(found, limits, made, *state):
-        out = sweep(found, limits, made, *state)
+    def checked(limits, made, *state):
+        out = sweep(limits, made, *state)
         _, h, _, total_bounded, _, _, room = limits
-        for vertices, budgets, _, _, _, bd_used, _ in out:
+        states = [child for child in out if type(child) is not list]  # not a finished block
+        for vertices, budgets, _, _, _, bd_used, _ in states:
             assert sum(budgets) >= total_bounded - bd_used - room[h - len(vertices)]
-        children.extend(out)
+        children.extend(states)
         return out
 
     monkeypatch.setattr(diagrams, "_sweep", checked)

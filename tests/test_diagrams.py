@@ -36,8 +36,10 @@ from floorgw import (
     vertex_partitions,
     weight_profiles,
 )
+import floorgw.diagrams as diagrams
 from floorgw.diagrams import _head_subsets, json_pieces
-from helpers import acceptance_grid
+import helpers
+from helpers import acceptance_grid, frozen_enumerate_marked
 
 
 # ------------------------------------------------------------------- degrees
@@ -204,6 +206,10 @@ LISTING_DIGESTS = [
     # digests were taken with the sweep before it
     (degree_p2(5), 6, 1, "f082a087c549e1015706016b3b74a534d538e729d9657f45f4f3a6d6ebb18cdd"),
     (degree_p2(6), 8, 891, "d734dd2f4c48c1e2d58964c286a0470f9a26a7b4a6333995c59ea6e816224e42"),
+    # three outgoing ends, whose orderings follow the last floor; taken with
+    # the sweep that walked each end
+    (degree_hirzebruch(1, 2, 3), 0, 325,
+     "2cbdd93e4ab4cd487d6392f48fdde2104676fe2dd0d0c4e5c07dbc3819ce9a0a"),
 ]
 
 
@@ -217,6 +223,57 @@ def test_listing_order_is_pinned(delta, g, count, digest):
     text = json.dumps([d.to_json() for d in diagrams])
     assert hashlib.sha256(text.encode()).hexdigest() == digest
     assert [d.json_text() for d in diagrams] == [json.dumps(d.to_json()) for d in diagrams]
+
+
+# the d_t = 3 classes: up to three orderings of the outgoing ends per last floor
+THREE_ENDS = [(degree_hirzebruch(k, 2, 3), g) for k, genera in ((0, range(3)), (1, range(3)),
+                                                                 (2, [0])) for g in genera]
+
+
+def test_listing_equals_the_frozen_leaf_listing():
+    """The sweep lists each diagram where it places the last floor; the
+    frozen copy walks every outgoing end after it to a leaf."""
+    pairs = acceptance_grid() + [(delta, points_for_genus(delta, g)) for delta, g in THREE_ENDS]
+    for delta, n in pairs:
+        assert enumerate_marked(delta, n) == frozen_enumerate_marked(delta, n), (delta, n)
+
+
+LAST_FLOOR_CLASSES = [(degree_p2(4), 0), (degree_hirzebruch(1, 3, 2), 0)]
+
+
+@pytest.mark.parametrize("delta,g", LAST_FLOOR_CLASSES,
+                         ids=[f"{delta.label}-g{g}" for delta, g in LAST_FLOOR_CLASSES])
+def test_sweep_enters_no_state_with_every_floor_placed(monkeypatch, delta, g):
+    """The frozen copy enters a state per last floor placed and per end after
+    it: for F1 (3,2) g=0, 28,475 states where the sweep enters 11,495.  The
+    sweep tests the graph once per last floor placed."""
+    n, h = points_for_genus(delta, g), delta.height
+    frozen_sweep, frozen_states, last_floors = helpers.frozen_sweep, [], []
+
+    def watched(found, limits, made, vertices, budgets, edges, heads, *used):
+        frozen_states.append(len(vertices))
+        if len(vertices) == h and vertices[-1] == len(vertices) + len(edges) + len(heads):
+            last_floors.append(vertices)
+        return frozen_sweep(found, limits, made, vertices, budgets, edges, heads, *used)
+
+    monkeypatch.setattr(helpers, "frozen_sweep", watched)
+    expected = frozen_enumerate_marked(delta, n)
+    sweep, connected, entered, tests = diagrams._sweep, diagrams._connected, [], []
+
+    def counted_sweep(limits, made, vertices, *state):
+        entered.append(len(vertices))
+        return sweep(limits, made, vertices, *state)
+
+    def counted_connected(*args):
+        tests.append(None)
+        return connected(*args)
+
+    monkeypatch.setattr(diagrams, "_sweep", counted_sweep)
+    monkeypatch.setattr(diagrams, "_connected", counted_connected)
+    assert enumerate_marked(delta, n) == expected
+    assert max(entered) < h
+    assert len(entered) == len(frozen_states) - frozen_states.count(h)
+    assert len(tests) == len(last_floors)
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,5 +1,7 @@
 """Generating series: relative, vertex, degeneration, log, F0/F2 identities."""
 
+import copy
+import pickle
 import re
 from collections import Counter
 from fractions import Fraction
@@ -35,6 +37,25 @@ from floorgw import (
 from helpers import acceptance_grid, bernoulli
 
 F = Fraction
+
+
+# ------------------------------------------------------ copies and pickles
+
+
+@pytest.mark.parametrize("make", [
+    lambda: degree_p2(3),
+    lambda: degree_hirzebruch(1, 2, 3),
+    lambda: gw_relative_series(degree_p2(3), 8),
+    lambda: log_series(degree_hirzebruch(1, 3, 1), 10),
+], ids=["p2", "hirzebruch", "relative-series", "log-series"])
+def test_pickle_and_copies_keep_a_degree_and_a_series(make):
+    """The immutable classes refuse the default rebuild, which sets each slot."""
+    value = make()
+    for twin in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
+        assert twin == value and hash(twin) == hash(value)
+        assert twin.to_json() == value.to_json()
+        # a series keeps its degree
+        assert getattr(twin, "delta", twin).label == getattr(value, "delta", value).label
 
 
 # ----------------------------------------------------------- relative series
