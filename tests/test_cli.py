@@ -222,6 +222,7 @@ def test_class_deeper_than_the_recursion_limit_is_refused(capsys, monkeypatch, c
         raise AssertionError("counted or listed before the point cap was checked")
 
     monkeypatch.setattr(diagrams, "_sweep", no_work)
+    monkeypatch.setattr(diagrams, "_walk", no_work)
     monkeypatch.setattr(diagrams, "_state_sum", no_work)
     code, out, err = run_cli(capsys, *command.split())
     assert code == 1 and out == ""

@@ -197,10 +197,9 @@ def test_sweep_builds_only_children_that_pass_the_window_test(monkeypatch, delta
     def checked(limits, made, *state):
         out = sweep(limits, made, *state)
         _, h, _, total_bounded, _, _, room = limits
-        states = [child for child in out if type(child) is not list]  # not a finished block
-        for vertices, budgets, _, _, _, bd_used, _ in states:
+        for vertices, budgets, _, _, _, bd_used, _ in out:
             assert sum(budgets) >= total_bounded - bd_used - room[h - len(vertices)]
-        children.extend(states)
+        children.extend(out)
         return out
 
     monkeypatch.setattr(diagrams, "_sweep", checked)

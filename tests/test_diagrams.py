@@ -38,7 +38,6 @@ from floorgw import (
 )
 import floorgw.diagrams as diagrams
 from floorgw.diagrams import _head_subsets, json_pieces
-import helpers
 from helpers import acceptance_grid, frozen_enumerate_marked
 
 
@@ -157,6 +156,7 @@ def test_listing_and_count_refuse_a_class_alike_before_any_branch(monkeypatch, d
         raise AssertionError("branched before the class was checked")
 
     monkeypatch.setattr("floorgw.diagrams._sweep", no_work)
+    monkeypatch.setattr("floorgw.diagrams._walk", no_work)
     monkeypatch.setattr("floorgw.diagrams._state_sum", no_work)
     monkeypatch.setattr("floorgw.oracle._shapes", no_work)
     # a negative genus is refused alike by every entry point of a (delta, n) request: the
@@ -238,42 +238,116 @@ def test_listing_equals_the_frozen_leaf_listing():
         assert enumerate_marked(delta, n) == frozen_enumerate_marked(delta, n), (delta, n)
 
 
-LAST_FLOOR_CLASSES = [(degree_p2(4), 0), (degree_hirzebruch(1, 3, 2), 0)]
+def assert_listings_match_frozen_copy(pairs, most):
+    """Compare the listing with the frozen leaf listing, list for list, on
+    each pair with at most ``most`` diagrams; the (classes, diagrams)
+    compared.  CI runs :func:`test_count_paths.larger_frozen_copy_pairs`."""
+    classes = listed = 0
+    for delta, n in pairs:
+        if diagram_count(delta, n) <= most:
+            listing = enumerate_marked(delta, n)
+            assert listing == frozen_enumerate_marked(delta, n), (delta, n)
+            classes, listed = classes + 1, listed + len(listing)
+    return classes, listed
 
 
-@pytest.mark.parametrize("delta,g", LAST_FLOOR_CLASSES,
-                         ids=[f"{delta.label}-g{g}" for delta, g in LAST_FLOOR_CLASSES])
-def test_sweep_enters_no_state_with_every_floor_placed(monkeypatch, delta, g):
-    """The frozen copy enters a state per last floor placed and per end after
-    it: for F1 (3,2) g=0, 28,475 states where the sweep enters 11,495.  The
-    sweep tests the graph once per last floor placed."""
+# (sweep states entered, states with one floor left, residues walked)
+LAST_FLOOR_CLASSES = [(degree_p2(4), 0, 599, 448, 56),
+                      (degree_hirzebruch(1, 3, 2), 0, 648, 2362, 228)]
+
+
+@pytest.mark.parametrize("delta,g,states,entries,walks", LAST_FLOOR_CLASSES,
+                         ids=[f"{delta.label}-g{g}" for delta, g, *_ in LAST_FLOOR_CLASSES])
+def test_sweep_enters_no_state_with_every_floor_placed(monkeypatch, delta, g, states, entries,
+                                                       walks):
+    """The sweep enters no state with one floor left: a walk per residue
+    completes those.  For F1 (3,2) g=0 it enters 648 states, where the sweep
+    that placed the last floor itself entered 11,495 and the frozen copy
+    28,475.  The listing never tests the graph: the walk keeps only
+    connected last floors."""
     n, h = points_for_genus(delta, g), delta.height
-    frozen_sweep, frozen_states, last_floors = helpers.frozen_sweep, [], []
-
-    def watched(found, limits, made, vertices, budgets, edges, heads, *used):
-        frozen_states.append(len(vertices))
-        if len(vertices) == h and vertices[-1] == len(vertices) + len(edges) + len(heads):
-            last_floors.append(vertices)
-        return frozen_sweep(found, limits, made, vertices, budgets, edges, heads, *used)
-
-    monkeypatch.setattr(helpers, "frozen_sweep", watched)
-    expected = frozen_enumerate_marked(delta, n)
-    sweep, connected, entered, tests = diagrams._sweep, diagrams._connected, [], []
+    sweep, walk, connected = diagrams._sweep, diagrams._walk, diagrams._connected
+    entered, last_stage, residues, tests = [], [], [], []
 
     def counted_sweep(limits, made, vertices, *state):
         entered.append(len(vertices))
-        return sweep(limits, made, vertices, *state)
+        children = sweep(limits, made, vertices, *state)
+        last_stage.extend(child for child in children if len(child[0]) == h - 1)
+        return children
+
+    def counted_walk(limits, made, *residue):
+        residues.append(residue)
+        return walk(limits, made, *residue)
 
     def counted_connected(*args):
         tests.append(None)
         return connected(*args)
 
     monkeypatch.setattr(diagrams, "_sweep", counted_sweep)
+    monkeypatch.setattr(diagrams, "_walk", counted_walk)
     monkeypatch.setattr(diagrams, "_connected", counted_connected)
-    assert enumerate_marked(delta, n) == expected
-    assert max(entered) < h
-    assert len(entered) == len(frozen_states) - frozen_states.count(h)
-    assert len(tests) == len(last_floors)
+    assert enumerate_marked(delta, n) == frozen_enumerate_marked(delta, n)
+    assert max(entered) < h - 1 and len(entered) == states
+    assert len(last_stage) == entries
+    assert len(residues) == len(set(residues)) == walks
+    assert tests == []
+
+
+# in each class, states with one floor left that share a walk differ in
+# their head positions and in their finished edges; a residue without the
+# components lists the plane classes wrongly, one without the head sources
+# all four
+SHARED_RESIDUE_CLASSES = [(degree_p2(4), 0), (degree_p2(5), 2), (degree_hirzebruch(1, 3, 1), 0),
+                          (degree_hirzebruch(2, 3, 0), 0)]
+
+
+@pytest.mark.parametrize("delta,g", SHARED_RESIDUE_CLASSES,
+                         ids=[f"{delta.label}-g{g}" for delta, g in SHARED_RESIDUE_CLASSES])
+def test_states_sharing_a_residue_list_as_the_frozen_copy(monkeypatch, delta, g):
+    """The walk's residue leaves out the positions of the pending heads and
+    the finished edges but for their components; states that differ only
+    there share one walk, and each keeps its own prefix."""
+    n, h = points_for_genus(delta, g), delta.height
+    sweep, shared = diagrams._sweep, {}
+
+    def watched(limits, made, *state):
+        children = sweep(limits, made, *state)
+        for vertices, budgets, edges, heads, *used in children:
+            if len(vertices) == h - 1:
+                residue = (vertices, budgets, tuple([(s, w) for _, s, w in heads]),
+                           diagrams._components(vertices, edges), *used)
+                shared.setdefault(residue, set()).add((edges, heads))
+        return children
+
+    monkeypatch.setattr(diagrams, "_sweep", watched)
+    assert enumerate_marked(delta, n) == frozen_enumerate_marked(delta, n)
+    assert any(len({heads for _, heads in states}) > 1 for states in shared.values())
+    assert any(len({edges for edges, _ in states}) > 1 for states in shared.values())
+
+
+def test_one_floor_lists_in_one_walk_under_a_low_recursion_limit(monkeypatch):
+    """F0 (1,449) g=0 (n = 899) has one floor, so its listing is one walk
+    over 899 positions; it runs within 50 frames of its caller."""
+    delta = degree_hirzebruch(0, 1, 449)
+    n, walk, walks = points_for_genus(delta, 0), diagrams._walk, []
+
+    def counted_walk(*args):
+        walks.append(None)
+        return walk(*args)
+
+    monkeypatch.setattr(diagrams, "_walk", counted_walk)
+    frame, depth = sys._getframe(), 0
+    while frame:
+        frame, depth = frame.f_back, depth + 1
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 50)
+    try:
+        listing = enumerate_marked(delta, n)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert n == 899 and len(walks) == 1
+    assert [d.vertex_positions for d in listing] == [(450,)]
+    validate_diagram(listing[0], delta)
 
 
 @settings(max_examples=200, deadline=None)
