@@ -87,15 +87,26 @@ def rational_from_str(text: str) -> Fraction:
     """The rational "num/den" or "num" of :func:`rational_to_str`, else an AlgebraError."""
     num, slash, den = text.partition("/") if type(text) is str else ("", "", "")
     with suppress(ValueError, ZeroDivisionError):
-        return Fraction(int(num), int(den) if slash else 1)
+        return Fraction(_int_text(num), _int_text(den) if slash else 1)
     raise AlgebraError(f"{text!r} is not a rational 'num' or 'num/den' with den != 0")
 
 
+def _int_text(text: str) -> int:
+    """The int that ``str`` writes as ``text``, else a ValueError: ``int`` also
+    reads "1_0" as 10 and " 2" as 2."""
+    if str(number := int(text)) != text:
+        raise ValueError(text)
+    return number
+
+
 def _integer(value, field: str) -> int:
-    """An int or a string of one (JSON keys are strings); never a float or a bool."""
-    if type(value) in (int, str):
+    """An int or the text ``str`` writes of one (JSON keys are strings); never a
+    float or a bool."""
+    if type(value) is int:
+        return value
+    if type(value) is str:
         with suppress(ValueError):
-            return int(value)
+            return _int_text(value)
     raise AlgebraError(f"{field} {value!r} is not an integer")
 
 

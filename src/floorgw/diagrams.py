@@ -153,7 +153,7 @@ class _Edges(dict):
     """The one :class:`Edge` of each (position, source, target, weight), and
     the one list of outgoing-end orderings (:func:`_ends`) of each (floors,
     budgets) that a last floor leaves, made when first asked: a listing's
-    diagrams and walks (:func:`_walk`) share them."""
+    walks (:func:`_walk`), their blocks and its diagrams share them."""
 
     def __missing__(self, key):
         return self.setdefault(key, Edge._make(key) if len(key) == 4 else _ends(*key, self))
@@ -347,147 +347,120 @@ def enumerate_marked(delta: HTransverseDegree, n: int) -> list[MarkedFloorDiagra
       heads at a < b < c.  The last vertex takes every pending head and is
       placed only once all d_b incoming and all bounded edges are used.
 
-    The sweep (:func:`_sweep`) stops at each state with one floor left.
-    One walk per residue of such states (:func:`_walk`), kept for the
-    listing, lists their (last floor, edge suffix) pairs, and each diagram
-    is the state's edges and pending heads, sorted once per last floor,
-    then a suffix.  The last floor is placed only where the graph is
-    connected, and only outgoing ends follow it.  The budgets, each >= 0,
-    sum to the ends still to place plus d_b - d_t - h * divergence (the
-    inflow less the outflow and divergence of every floor), which is
-    d - 0 - d on P2 and (d + kh) - d - hk on F_k.  So the ends fill the
-    positions after the last floor, and each ordering of them, a multiset
-    permutation of the floors by budget (:func:`_ends`), is one diagram, in
-    the order of a sweep that walks each end.  Each completed trace is a
-    distinct isomorphism class (markings rigidify), so no deduplication is
-    performed; selecting between equal-weight pending heads by position
-    produces genuinely distinct marked diagrams.  No child is built that
-    the window-capacity prune of :func:`_limits` refuses.  A height-0
-    degree has no floor for its unbounded edges to end on, so no diagram.
+    One walk per residue and listing (:func:`_walk`) lists what every
+    sweep state sharing that residue still lists.  A floor that is not the
+    last one starts, for each subset of heads it takes, a child residue,
+    whose block the walk splices into its own; the walks wait on an
+    explicit stack, so no frame is taken per floor.  Each diagram is built
+    once, from the root's block.  The last floor is placed only where the
+    graph is connected, and only outgoing ends follow it.  The budgets,
+    each >= 0, sum to the ends still to place plus d_b - d_t - h *
+    divergence (the inflow less the outflow and divergence of every
+    floor), which is d - 0 - d on P2 and (d + kh) - d - hk on F_k.  So the
+    ends fill the positions after the last floor, and each ordering of
+    them, a multiset permutation of the floors by budget (:func:`_ends`),
+    is one diagram, in the order of a sweep that walks each end.  Each
+    completed trace is a distinct isomorphism class (markings rigidify), so
+    no deduplication is performed; selecting between equal-weight pending
+    heads by position produces genuinely distinct marked diagrams.  No
+    child is built that the window-capacity prune of :func:`_limits`
+    refuses.  A height-0 degree has no floor for its unbounded edges to end
+    on, so no diagram.
     """
-    limits, made, blocks = _limits(delta, n), _Edges(), {}
-    h, div = delta.height, delta.divergence
-    if not h:
+    limits, made = _limits(delta, n), _Edges()
+    if not delta.height:
         return []
-    found: list[MarkedFloorDiagram] = []
-    stack = [((), (), (), (), 0, 0, 0)]
-    while stack:
-        vertices, budgets, edges, heads, *used = state = stack.pop()
-        if len(vertices) < h - 1:
-            stack.extend(reversed(_sweep(limits, made, *state)))
+    root = (1, (), (), (), (), 0, 0, 0)
+    blocks, walks, block = {}, [(root, _walk(limits, made, *root))], None
+    while walks:  # the top walk gets the block of the residue it last asked for
+        try:
+            key = walks[-1][1].send(block)
+        except StopIteration as done:
+            block = blocks[walks.pop()[0]] = done.value
             continue
-        key = (len(vertices) + len(edges) + len(heads) + 1, vertices, budgets,
-               tuple([(source, w) for _, source, w in heads]), _components(vertices, edges), *used)
         if (block := blocks.get(key)) is None:
-            block = blocks[key] = _walk(limits, made, *key)
-        prefixes = {}  # the edges before the walk, sorted, for each last floor
-        for floors, suffixes in block:
-            if (prefix := prefixes.get(last := floors[-1])) is None:
-                prefix = prefixes[last] = tuple(sorted(
-                    edges + tuple([made[p, source, last, w] for p, source, w in heads])))
-            found += [MarkedFloorDiagram(n, floors, div, prefix + suffix) for suffix in suffixes]
-    return found
-
-
-def _sweep(limits, made, vertices, budgets, edges, heads, in_used, bd_used, out_used):
-    """The children of a sweep state with two or more floors still to place,
-    in branch order; :func:`_walk` completes a state with one floor left.
-
-    ``limits`` is the record of :func:`_limits`.  The state is immutable
-    and each branch hands its child new tuples: ``vertices`` and
-    ``budgets`` are the placed vertex positions and their remaining
-    outgoing budgets; ``edges`` the finished edges, each taken from
-    ``made`` (:class:`_Edges`) once its last end is placed; ``heads`` the pending heads
-    as (position, source or None, weight), in position order; ``in_used``,
-    ``bd_used`` and ``out_used`` the numbers of incoming, bounded and
-    outgoing edges placed.  A child state is the tuple of these seven
-    arguments.
-    """
-    _, h, d_b, total_bounded, d_t, div, room = limits
-    # not shared with the count: a shared gate measured ~1 % slower, plus a head walker 7-15 %
-    spare = sum(budgets)
-    need = total_bounded - bd_used - room[h - len(vertices)]  # the window test is spare >= need
-    pos = len(vertices) + len(edges) + len(heads) + 1
-    children = []
-    if in_used < d_b and spare >= need:
-        children.append((vertices, budgets, edges, heads + ((pos, None, 1),),
-                         in_used + 1, bd_used, out_used))
-    if bd_used < total_bounded:  # weight w leaves spare - w for need - 1
-        for i, b in enumerate(budgets):
-            for w in range(1, min(b, spare - need + 1) + 1):
-                children.append((vertices, budgets[:i] + (b - w,) + budgets[i + 1:], edges,
-                                 heads + ((pos, vertices[i], w),), in_used, bd_used + 1, out_used))
-    if out_used < d_t and spare > need:  # an outgoing end leaves spare - 1 for need
-        for i, b in enumerate(budgets):
-            if b >= 1:
-                children.append((vertices, budgets[:i] + (b - 1,) + budgets[i + 1:],
-                                 edges + (made[pos, vertices[i], None, 1],), heads,
-                                 in_used, bd_used, out_used + 1))
-    # heads weighing less than div + max(0, short) leave the new floor a
-    # negative budget or a state that the window-capacity prune refuses
-    short = total_bounded - bd_used - room[h - len(vertices) - 1] - spare
-    for subset in _head_subsets(heads, div + max(0, short)):
-        budget = sum([w for _, _, w in subset]) - div
-        if budget < 0:
-            continue
-        children.append((vertices + (pos,), budgets + (budget,),
-                         edges + tuple([made[p, source, pos, w] for p, source, w in subset]),
-                         tuple([head for head in heads if head not in subset]),
-                         in_used, bd_used, out_used))
-    return children
-
-
-def _components(vertices: tuple[int, ...], edges: tuple[Edge, ...]) -> tuple[int, ...]:
-    """Each floor's component under the bounded ``edges``, named by its first floor."""
-    label = dict(zip(vertices, vertices))
-    for _, s, t, _ in edges:
-        if s is not None and t is not None and (a := label[s]) != (b := label[t]):
-            keep, drop = (a, b) if a < b else (b, a)
-            for v in vertices:
-                if label[v] == drop:
-                    label[v] = keep
-    return tuple(label.values())
+            walks.append((key, _walk(limits, made, *key)))
+    div = delta.divergence
+    return [MarkedFloorDiagram(n, floors, div, edges + tail)
+            for floors, _, edges, tails in block for tail in tails]
 
 
 def _walk(limits, made, pos, vertices, budgets, heads, components, in_used, bd_used, out_used):
-    """The completions of the sweep states with one floor left whose residue
-    is the arguments, in branch order: (floors, suffixes) per last floor, a
-    suffix being one diagram's edges at positions >= ``pos``.  The residue
-    keeps the (source or None, weight) of each pending head and the
-    ``components`` (:func:`_components`) of the finished edges.  The walk
-    places heads into the last floor and outgoing ends under the window
-    test of :func:`_limits` at room[1] = 0, then the last floor and the ends
-    after it (:func:`_ends`).  Its stack pops the reversed branch order: a
-    state's own last floor first.
+    """The block of a residue: what every sweep state sharing it still
+    lists, as (floors, the target floor of each pending head, the edges from
+    ``pos`` to the last floor, the :func:`_ends` tails after it), in branch
+    order.  A generator: it yields each child residue it needs and is sent
+    that residue's block.
+
+    A residue is a sweep state less what its future does not read: the
+    pending heads keep their (source or None, weight) in position order,
+    and the finished edges only the ``components`` they join the floors
+    into, each labelled by its first floor.  ``limits`` is the record of
+    :func:`_limits`; edges and tails come from ``made`` (:class:`_Edges`).
+    The edge branches pass the window test of :func:`_limits`.  A floor
+    before the last starts a child residue for each head subset of
+    :func:`_head_subsets` and resolves the heads' edges once per (floor,
+    subset, child targets).  The last floor takes every head once each
+    incoming and bounded edge is placed; a state is dropped once its
+    components with no head outnumber the bounded edges left, so no last
+    floor is disconnected.  The stack pops the reversed branch order (a
+    state's own floor before its children) and the block is reversed once.
     """
-    _, _, d_b, total_bounded, d_t, div, _ = limits
+    _, h, d_b, total_bounded, d_t, div, room = limits
+    last, later = len(vertices) == h - 1, room[h - len(vertices)]
     masks = [1 << components.index(c) for c in components]  # a bit per component
     lacking = sum(set(masks)) - sum({masks[vertices.index(s)] for s, _ in heads if s is not None})
-    block = []
+    # the residue's heads are named 0, 1, ..., below pos; a head placed here by its position
+    named, block = tuple([(i, *head) for i, head in enumerate(heads)]), []
+    label = dict(zip(vertices, components))
     stack = [(pos, budgets, (), sum([w for _, w in heads]), lacking, in_used, bd_used, out_used)]
     while stack:
-        p, budgets, suffix, weight, lacking, in_used, bd_used, out_used = stack.pop()
-        spare, need = sum(budgets), total_bounded - bd_used  # the window test is spare >= need
-        if lacking.bit_count() > need:  # each bounded edge left reaches one component
+        p, budgets, path, weight, lacking, in_used, bd_used, out_used = stack.pop()
+        spare, need = sum(budgets), total_bounded - bd_used - later  # window test: spare >= need
+        if not last:
+            pending, here = named + tuple([e for e in path if type(e) is not Edge]), []
+            # lighter heads leave the new floor a negative budget or a state the window test refuses
+            short = total_bounded - bd_used - room[h - len(vertices) - 1] - spare
+            for subset in _head_subsets(pending, div + max(0, short)):
+                rest = [head for head in pending if head not in subset]
+                joined = {label[s] for _, s, _ in subset if s is not None}
+                new = min(joined, default=p)
+                budget = sum([w for _, _, w in subset]) - div
+                child = yield (p + 1, vertices + (p,), budgets + (budget,),
+                               tuple([(s, w) for _, s, w in rest]),
+                               tuple([new if c in joined else c for c in components]) + (new,),
+                               in_used, bd_used, out_used)
+                resolved, ids = {}, [i for i, _, _ in rest]
+                for floors, targets, edges, tails in child:
+                    if (start := resolved.get(targets)) is None:
+                        ends = dict.fromkeys([i for i, _, _ in subset], p) | dict(zip(ids, targets))
+                        start = resolved[targets] = (
+                            tuple([ends[i] for i in range(len(named))]),
+                            tuple([e if type(e) is Edge else made[e[0], e[1], ends[e[0]], e[2]]
+                                   for e in path]))
+                    here.append((floors, start[0], start[1] + edges, tails))
+            block += reversed(here)
+        elif lacking.bit_count() > need:  # each bounded edge left reaches one component
             continue
-        if in_used == d_b and not need and weight >= div:  # so no component lacks a head
+        elif in_used == d_b and not need and weight >= div:  # so no component lacks a head
             floors = vertices + (p,)
-            start = tuple([e if type(e) is Edge else made[e[0], e[1], p, e[2]] for e in suffix])
-            block.append((floors, [start + t for t in made[floors, budgets + (weight - div,)]]))
+            prefix = tuple([e if type(e) is Edge else made[e[0], e[1], p, e[2]] for e in path])
+            tails = made[floors, budgets + (weight - div,)]
+            block.append((floors, (p,) * len(named), prefix, tails))
         if in_used < d_b and spare >= need:
-            stack.append((p + 1, budgets, suffix + ((p, None, 1),), weight + 1, lacking,
+            stack.append((p + 1, budgets, path + ((p, None, 1),), weight + 1, lacking,
                           in_used + 1, bd_used, out_used))
-        if need:  # weight w leaves spare - w for need - 1
+        if bd_used < total_bounded:  # weight w leaves spare - w for need - 1
             for i, b in enumerate(budgets):
                 for w in range(1, min(b, spare - need + 1) + 1):
                     stack.append((p + 1, budgets[:i] + (b - w,) + budgets[i + 1:],
-                                  suffix + ((p, vertices[i], w),), weight + w,
+                                  path + ((p, vertices[i], w),), weight + w,
                                   lacking & ~masks[i], in_used, bd_used + 1, out_used))
         if out_used < d_t and spare > need:  # an outgoing end leaves spare - 1 for need
             for i, b in enumerate(budgets):
                 if b >= 1:
                     stack.append((p + 1, budgets[:i] + (b - 1,) + budgets[i + 1:],
-                                  suffix + (made[p, vertices[i], None, 1],), weight, lacking,
+                                  path + (made[p, vertices[i], None, 1],), weight, lacking,
                                   in_used, bd_used, out_used + 1))
     block.reverse()
     return block
@@ -543,7 +516,7 @@ _MAX_POINTS = 900
 
 def _limits(delta: HTransverseDegree, n: int) -> tuple:
     """The record (n, h, d_b, bounded, d_t, divergence, room) that the
-    sweep, the last-stage walk and the count read; refuses g < 0
+    listing's walk (:func:`_walk`) and the count read; refuses g < 0
     (:func:`_genus`), then n > _MAX_POINTS.  Every diagram on n points has
     ``bounded`` = n - h - d_b - d_t = g + h - 1 bounded edges, and room[f] =
     sum of max(0, d_b - j * divergence) over j = h - f + 1 .. h - 1 is the
@@ -564,19 +537,18 @@ def _limits(delta: HTransverseDegree, n: int) -> tuple:
 
         bounded edges still to place > sum(budgets) + room[f].
 
-    The sweep, the walk (at room[1] = 0) and the count test it on each
-    branch, before the child is built.  An incoming head moves neither
-    side, so its child is tested as the parent would be, which refuses a
-    dead root; a bounded edge of weight w takes 1 from the left and w from
-    the right, which caps w; an outgoing end takes 1 from the right; a floor
-    adds its budget and loses room, which gives its head subsets a least
-    weight.  A wrong bound would drop the same diagrams from the count and
-    the listing: the brute-force oracle catches that for n <= 16, where the
-    acceptance grid exercises the prune, and beyond it the Kontsevich,
-    node-polynomial and maximal-genus pins of the counts do.  The count also
-    refuses states whose attached edges hold more cycles than the genus,
-    which the listing does not, so the tests comparing the two check that
-    bound.
+    The walk and the count test it on each branch, before the child is
+    built.  An incoming head moves neither side, so its child is tested as
+    the parent would be, which refuses a dead root; a bounded edge of
+    weight w takes 1 from the left and w from the right, which caps w; an
+    outgoing end takes 1 from the right; a floor adds its budget and loses
+    room, which gives its head subsets a least weight.  A wrong bound would
+    drop the same diagrams from the count and the listing: the brute-force
+    oracle catches that for n <= 16, where the acceptance grid exercises the
+    prune, and beyond it the Kontsevich, node-polynomial and maximal-genus
+    pins of the counts do.  The count also refuses states whose attached
+    edges hold more cycles than the genus, which the listing does not, so
+    the tests comparing the two check that bound.
     """
     _genus(delta, n)
     if n > _MAX_POINTS:

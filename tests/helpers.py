@@ -123,7 +123,7 @@ def frozen_enumerate_marked(delta, n):
 
 def frozen_sweep(found, limits, made, vertices, budgets, edges, heads, in_used, bd_used,
                  out_used):
-    """A frozen copy of the leaf-listing ``diagrams._sweep``: the children of
+    """A frozen copy of the sweep that once listed at its leaves: the children of
     a sweep state in branch order, or none when it is a leaf, which is listed
     in ``found`` (edges sorted) if connected, or dead."""
     n, h, d_b, total_bounded, d_t, div, room = limits

@@ -240,6 +240,16 @@ BAD_SERIES_JSON = [
     (USeries, {"valuation": 0, "order": 3, "coefficients": 5}, r"^coefficients is not a JSON"),
     (LaurentPolyS, [0, ["1"]], r"^the series is not a JSON object$"),
     (USeries, None, r"^the series is not a JSON object$"),
+    # texts that int() reads but str(int) never writes (the first row read as 10*s^-1 + 2)
+    (LaurentPolyS, {"valuation": "-1", "coefficients": ["1_0", " 2"]}, r"^coefficient '1_0' is"),
+    (LaurentPolyS, {"valuation": "-1", "coefficients": ["1", " 2"]}, r"^coefficient ' 2' is"),
+    (LaurentPolyS, {"valuation": "+1", "coefficients": ["1"]}, r"^valuation '\+1' is"),
+    (LaurentPolyS, {"valuation": "01", "coefficients": ["1"]}, r"^valuation '01' is"),
+    (USeries, {"valuation": "-0", "order": 3, "coefficients": ["1"]}, r"^valuation '-0' is"),
+    (USeries, {"valuation": 0, "order": "3\n", "coefficients": ["1"]}, r"^order '3\\n' is"),
+    (USeries, {"valuation": 0, "order": 3, "coefficients": ["1_0"]}, r"^'1_0' is not a rational"),
+    (USeries, {"valuation": 0, "order": 3, "coefficients": ["1/ 2"]}, r"^'1/ 2' is not a rational"),
+    (USeries, {"valuation": 0, "order": 3, "coefficients": ["\uff11"]}, r"^'\uff11' is not a"),
 ]
 
 

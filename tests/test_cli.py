@@ -221,7 +221,6 @@ def test_class_deeper_than_the_recursion_limit_is_refused(capsys, monkeypatch, c
     def no_work(*args, **kwargs):
         raise AssertionError("counted or listed before the point cap was checked")
 
-    monkeypatch.setattr(diagrams, "_sweep", no_work)
     monkeypatch.setattr(diagrams, "_walk", no_work)
     monkeypatch.setattr(diagrams, "_state_sum", no_work)
     code, out, err = run_cli(capsys, *command.split())
@@ -492,7 +491,7 @@ def test_listing_over_the_cap_exits_1_without_listing(capsys, monkeypatch, comma
         raise AssertionError("listed past the cap")
 
     monkeypatch.setattr(cli, "enumerate_marked", no_listing)
-    monkeypatch.setattr(diagrams, "_sweep", no_listing)
+    monkeypatch.setattr(diagrams, "_walk", no_listing)
     monkeypatch.setattr(cli, "brute_force_enumerate", no_listing)
     code, out, err = run_cli(capsys, *command.split())
     assert code == 1 and out == ""
@@ -513,7 +512,7 @@ def test_verify_degeneration_lists_nothing(capsys, monkeypatch, command):
     def no_listing(*args, **kwargs):
         raise AssertionError("verify degeneration listed a diagram")
 
-    monkeypatch.setattr(diagrams, "_sweep", no_listing)
+    monkeypatch.setattr(diagrams, "_walk", no_listing)
     monkeypatch.setattr(diagrams, "enumerate_marked", no_listing)
     code, out, err = run_cli(capsys, "verify", "degeneration", *command.split(),
                              "--format", "json")

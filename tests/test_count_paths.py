@@ -97,10 +97,12 @@ def counted(monkeypatch, name):
 @pytest.mark.parametrize("d,g", [(5, 6), (10, 36)])
 def test_sweep_stops_where_bounded_edges_cannot_be_placed(monkeypatch, d, g):
     """Both classes have 1 diagram.  Before the window-capacity prune the
-    sweep visited 231,323 states for P2 d=5 g=6; with it, 31.  Without
-    dropping the head subsets too light for a live floor, the first floor of
-    P2 d=10 g=36 alone tried every subset of its 10 heads (4,193 states)."""
-    calls = counted(monkeypatch, "_sweep")
+    sweep visited 231,323 states for P2 d=5 g=6; with it, the listing walks
+    5 residues, and 6,004 without the window test.  Without dropping the
+    head subsets too light for a live floor, the first floor of P2 d=10
+    g=36 alone tried every subset of its 10 heads (4,193 states); it walks
+    10 residues."""
+    calls = counted(monkeypatch, "_walk")
     delta = degree_p2(d)
     assert len(enumerate_marked(delta, points_for_genus(delta, g))) == 1
     assert len(calls) <= 1000
@@ -191,19 +193,20 @@ SWEEP_CLASSES = [(degree_p2(4), 0), (degree_p2(4), 2), (degree_hirzebruch(1, 3, 
 @pytest.mark.parametrize("delta,g", SWEEP_CLASSES,
                          ids=[f"{delta.label}-g{g}" for delta, g in SWEEP_CLASSES])
 def test_sweep_builds_only_children_that_pass_the_window_test(monkeypatch, delta, g):
+    """Every residue walked, the root and each child a floor starts, passes
+    the window test."""
     n = points_for_genus(delta, g)
-    sweep, children = diagrams._sweep, []
+    walk, residues = diagrams._walk, []
 
-    def checked(limits, made, *state):
-        out = sweep(limits, made, *state)
+    def checked(limits, made, *residue):
+        _, vertices, budgets, _, _, _, bd_used, _ = residue
         _, h, _, total_bounded, _, _, room = limits
-        for vertices, budgets, _, _, _, bd_used, _ in out:
-            assert sum(budgets) >= total_bounded - bd_used - room[h - len(vertices)]
-        children.extend(out)
-        return out
+        assert sum(budgets) >= total_bounded - bd_used - room[h - len(vertices)]
+        residues.append(residue)
+        return walk(limits, made, *residue)
 
-    monkeypatch.setattr(diagrams, "_sweep", checked)
-    assert enumerate_marked(delta, n) and children
+    monkeypatch.setattr(diagrams, "_walk", checked)
+    assert enumerate_marked(delta, n) and len(residues) > 1
 
 
 def test_count_and_listing_run_from_deep_callers():

@@ -38,7 +38,7 @@ from floorgw import (
 )
 import floorgw.diagrams as diagrams
 from floorgw.diagrams import _head_subsets, json_pieces
-from helpers import acceptance_grid, frozen_enumerate_marked
+from helpers import acceptance_grid, frozen_enumerate_marked, frozen_sweep
 
 
 # ------------------------------------------------------------------- degrees
@@ -155,7 +155,6 @@ def test_listing_and_count_refuse_a_class_alike_before_any_branch(monkeypatch, d
     def no_work(*args):
         raise AssertionError("branched before the class was checked")
 
-    monkeypatch.setattr("floorgw.diagrams._sweep", no_work)
     monkeypatch.setattr("floorgw.diagrams._walk", no_work)
     monkeypatch.setattr("floorgw.diagrams._state_sum", no_work)
     monkeypatch.setattr("floorgw.oracle._shapes", no_work)
@@ -251,52 +250,74 @@ def assert_listings_match_frozen_copy(pairs, most):
     return classes, listed
 
 
-# (sweep states entered, states with one floor left, residues walked)
-LAST_FLOOR_CLASSES = [(degree_p2(4), 0, 599, 448, 56),
-                      (degree_hirzebruch(1, 3, 2), 0, 648, 2362, 228)]
+def counted_walks(monkeypatch):
+    """The residues that ``diagrams._walk`` is called with, in call order."""
+    walk, residues = diagrams._walk, []
 
-
-@pytest.mark.parametrize("delta,g,states,entries,walks", LAST_FLOOR_CLASSES,
-                         ids=[f"{delta.label}-g{g}" for delta, g, *_ in LAST_FLOOR_CLASSES])
-def test_sweep_enters_no_state_with_every_floor_placed(monkeypatch, delta, g, states, entries,
-                                                       walks):
-    """The sweep enters no state with one floor left: a walk per residue
-    completes those.  For F1 (3,2) g=0 it enters 648 states, where the sweep
-    that placed the last floor itself entered 11,495 and the frozen copy
-    28,475.  The listing never tests the graph: the walk keeps only
-    connected last floors."""
-    n, h = points_for_genus(delta, g), delta.height
-    sweep, walk, connected = diagrams._sweep, diagrams._walk, diagrams._connected
-    entered, last_stage, residues, tests = [], [], [], []
-
-    def counted_sweep(limits, made, vertices, *state):
-        entered.append(len(vertices))
-        children = sweep(limits, made, vertices, *state)
-        last_stage.extend(child for child in children if len(child[0]) == h - 1)
-        return children
-
-    def counted_walk(limits, made, *residue):
+    def counted(limits, made, *residue):
         residues.append(residue)
         return walk(limits, made, *residue)
+
+    monkeypatch.setattr(diagrams, "_walk", counted)
+    return residues
+
+
+# (residues walked); the sweep that stopped at one floor left entered 599
+# and 648 states, and 56 and 228 walks completed those
+LAST_FLOOR_CLASSES = [(degree_p2(4), 0, 114), (degree_hirzebruch(1, 3, 2), 0, 244)]
+
+
+@pytest.mark.parametrize("delta,g,walks", LAST_FLOOR_CLASSES,
+                         ids=[f"{delta.label}-g{g}" for delta, g, _ in LAST_FLOOR_CLASSES])
+def test_sweep_enters_no_state_with_every_floor_placed(monkeypatch, delta, g, walks):
+    """The listing walks each residue once, and none with every floor
+    placed: a walk places the last floor and the ends after it at once.
+    The listing never tests the graph: the walk keeps only connected last
+    floors."""
+    n, h, connected = points_for_genus(delta, g), delta.height, diagrams._connected
+    residues, tests = counted_walks(monkeypatch), []
 
     def counted_connected(*args):
         tests.append(None)
         return connected(*args)
 
-    monkeypatch.setattr(diagrams, "_sweep", counted_sweep)
-    monkeypatch.setattr(diagrams, "_walk", counted_walk)
     monkeypatch.setattr(diagrams, "_connected", counted_connected)
     assert enumerate_marked(delta, n) == frozen_enumerate_marked(delta, n)
-    assert max(entered) < h - 1 and len(entered) == states
-    assert len(last_stage) == entries
+    assert max(len(vertices) for _, vertices, *_ in residues) == h - 1
     assert len(residues) == len(set(residues)) == walks
     assert tests == []
 
 
-# in each class, states with one floor left that share a walk differ in
-# their head positions and in their finished edges; a residue without the
-# components lists the plane classes wrongly, one without the head sources
-# all four
+def floor_components(vertices, edges):
+    """Each floor's component under the bounded ``edges``, named by its first floor."""
+    label = dict(zip(vertices, vertices))
+    for _, s, t, _ in edges:
+        if s is not None and t is not None:
+            keep, drop = sorted((label[s], label[t]))
+            label = {v: keep if c == drop else c for v, c in label.items()}
+    return tuple(label.values())
+
+
+def frozen_residues(delta, n):
+    """The residue of each state of the frozen sweep at the root or just
+    after a floor, with a floor still to place, mapped to the (finished
+    edges, pending heads) of the states that share it."""
+    limits, made, h = diagrams._limits(delta, n), diagrams._Edges(), delta.height
+    shared, stack = {}, [((), (), (), (), 0, 0, 0)]
+    while stack:
+        vertices, budgets, edges, heads, *used = state = stack.pop()
+        pos = len(vertices) + len(edges) + len(heads) + 1
+        if len(vertices) < h and (vertices or (0,))[-1] == pos - 1:
+            residue = (pos, vertices, budgets, tuple([(s, w) for _, s, w in heads]),
+                       floor_components(vertices, edges), *used)
+            shared.setdefault(residue, set()).add((edges, heads))
+        stack += frozen_sweep([], limits, made, *state)
+    return shared
+
+
+# in each class, states that share a residue differ in their head positions
+# and in their finished edges; in P2 d=5 g=2 also states with two or more
+# floors left
 SHARED_RESIDUE_CLASSES = [(degree_p2(4), 0), (degree_p2(5), 2), (degree_hirzebruch(1, 3, 1), 0),
                           (degree_hirzebruch(2, 3, 0), 0)]
 
@@ -304,49 +325,55 @@ SHARED_RESIDUE_CLASSES = [(degree_p2(4), 0), (degree_p2(5), 2), (degree_hirzebru
 @pytest.mark.parametrize("delta,g", SHARED_RESIDUE_CLASSES,
                          ids=[f"{delta.label}-g{g}" for delta, g in SHARED_RESIDUE_CLASSES])
 def test_states_sharing_a_residue_list_as_the_frozen_copy(monkeypatch, delta, g):
-    """The walk's residue leaves out the positions of the pending heads and
-    the finished edges but for their components; states that differ only
-    there share one walk, and each keeps its own prefix."""
+    """The residue leaves out the positions of the pending heads and the
+    finished edges but for their components; the frozen sweep's states
+    that differ only there share one walk, which lists what the frozen
+    copy lists from each of them."""
     n, h = points_for_genus(delta, g), delta.height
-    sweep, shared = diagrams._sweep, {}
-
-    def watched(limits, made, *state):
-        children = sweep(limits, made, *state)
-        for vertices, budgets, edges, heads, *used in children:
-            if len(vertices) == h - 1:
-                residue = (vertices, budgets, tuple([(s, w) for _, s, w in heads]),
-                           diagrams._components(vertices, edges), *used)
-                shared.setdefault(residue, set()).add((edges, heads))
-        return children
-
-    monkeypatch.setattr(diagrams, "_sweep", watched)
+    residues = counted_walks(monkeypatch)
     assert enumerate_marked(delta, n) == frozen_enumerate_marked(delta, n)
+    shared = frozen_residues(delta, n)
+    assert len(residues) == len(set(residues)) == len(shared) and set(residues) == set(shared)
     assert any(len({heads for _, heads in states}) > 1 for states in shared.values())
     assert any(len({edges for edges, _ in states}) > 1 for states in shared.values())
+    if (delta, g) == (degree_p2(5), 2):
+        assert any(len(states) > 1 for (_, vertices, *_), states in shared.items()
+                   if len(vertices) <= h - 2)
 
 
-def test_one_floor_lists_in_one_walk_under_a_low_recursion_limit(monkeypatch):
-    """F0 (1,449) g=0 (n = 899) has one floor, so its listing is one walk
-    over 899 positions; it runs within 50 frames of its caller."""
-    delta = degree_hirzebruch(0, 1, 449)
-    n, walk, walks = points_for_genus(delta, 0), diagrams._walk, []
-
-    def counted_walk(*args):
-        walks.append(None)
-        return walk(*args)
-
-    monkeypatch.setattr(diagrams, "_walk", counted_walk)
+def listed_within_50_frames(delta, n):
+    """``enumerate_marked(delta, n)`` with the recursion limit 50 frames
+    above the caller."""
     frame, depth = sys._getframe(), 0
     while frame:
         frame, depth = frame.f_back, depth + 1
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(depth + 50)
     try:
-        listing = enumerate_marked(delta, n)
+        return enumerate_marked(delta, n)
     finally:
         sys.setrecursionlimit(limit)
+
+
+def test_one_floor_lists_in_one_walk_under_a_low_recursion_limit(monkeypatch):
+    """F0 (1,449) g=0 (n = 899) has one floor, so its listing is one walk
+    over 899 positions; it runs within 50 frames of its caller."""
+    delta = degree_hirzebruch(0, 1, 449)
+    n, walks = points_for_genus(delta, 0), counted_walks(monkeypatch)
+    listing = listed_within_50_frames(delta, n)
     assert n == 899 and len(walks) == 1
     assert [d.vertex_positions for d in listing] == [(450,)]
+    validate_diagram(listing[0], delta)
+
+
+def test_many_floors_list_without_a_frame_per_floor(monkeypatch):
+    """F0 (449,1) g=0 (n = 899) has 449 floors, so its listing waits on
+    448 walks at once, on the listing's own stack: it runs within 50
+    frames of its caller."""
+    delta = degree_hirzebruch(0, 449, 1)
+    n, walks = points_for_genus(delta, 0), counted_walks(monkeypatch)
+    listing = listed_within_50_frames(delta, n)
+    assert n == 899 and len(listing) == 1 and len(walks) == 449
     validate_diagram(listing[0], delta)
 
 
