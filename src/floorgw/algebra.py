@@ -84,10 +84,11 @@ def rational_to_str(x: Fraction | int) -> str:
 
 
 def rational_from_str(text: str) -> Fraction:
-    """The rational "num/den" or "num" of :func:`rational_to_str`, else an AlgebraError."""
+    """The rational that :func:`rational_to_str` writes as ``text``, else an AlgebraError."""
     num, slash, den = text.partition("/") if type(text) is str else ("", "", "")
     with suppress(ValueError, ZeroDivisionError):
-        return Fraction(_int_text(num), _int_text(den) if slash else 1)
+        if rational_to_str(x := Fraction(int(num), int(den) if slash else 1)) == text:
+            return x
     raise AlgebraError(f"{text!r} is not a rational 'num' or 'num/den' with den != 0")
 
 

@@ -6,23 +6,26 @@ are selected with ``--surface p2 --degree D`` or
 ``--surface fk --k K --h H --d D``; the point count comes from exactly one
 of ``--points N`` or ``--genus G``.  ``--order`` is the u-truncation of the
 reported series and must exceed the series' lowest exponent; a smaller order
-is a domain error naming the minimum, and so is an order over 500.  Formats:
-``text`` (default), ``json``, ``csv`` (not for ``verify``).  Exit codes: 0
-success (and, for ``verify``, identity holds), 1 domain error, 2 usage
-error.  Rationals are strings ("num/den") so no JSON consumer can lose
-precision; identical invocations produce byte-identical output.
+is a domain error naming the minimum, and so is an order over 500.  An
+integer flag, like each part of ``--mu`` and ``--nu``, takes only the text
+that ``str`` writes of an int, as the JSON readers do (``algebra._int_text``):
+"12" or "-3", not "1_2", "+3", " 3", "012" or "-0".  Formats: ``text``
+(default), ``json``, ``csv`` (not for ``verify``).  Exit codes: 0 success
+(and, for ``verify``, identity holds), 1 domain error, 2 usage error.
+Rationals are strings ("num/den") so no JSON consumer can lose precision;
+identical invocations produce byte-identical output.  Each command renders
+its whole output and then hands the pieces to ``_emit``, the one writer of
+stdout, which writes them a slice at a time.
 
 A request is read from one table, ``_COMMANDS``, of each leaf command's
 flags and the keyword arguments of their ``add_argument``.  ``_read`` takes a
-well-formed request straight from it (exact long flags, each once, with values
-that do not start with "-" and that their type and choices accept): all 175
-floorbench jobs, the median ``oracle_grid`` one in 0.015 ms, against 0.13 ms
-for a whole-tree ``parse_args`` and 2-3 ms to build that tree (Python 3.11.7,
-2-vCPU x86-64).  Anything else (help, a usage error, ``--flag=value``, an
-abbreviation, a repeated flag, a negative value) and a ``UsageError`` (an
-incomplete surface, a malformed partition) go to the whole argparse tree
-that ``build_parser()`` builds from the same table, so help and usage errors
-read as they always have.  Nothing is cached across ``main`` calls.
+well-formed request (exact long flags, each once, with values that do not
+start with "-" and that their type and choices accept), such as every
+floorbench job, straight from it, with no parser built.  Anything else (help,
+a usage error, ``--flag=value``, an abbreviation, a repeated flag, a negative
+value) and a ``UsageError`` (an incomplete surface, a malformed partition) go
+to the whole argparse tree that ``build_parser()`` builds from the same table,
+so help and usage errors read as they always have.  Nothing is cached.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ import sys
 from collections import Counter
 from collections.abc import Sequence
 
-from .algebra import AlgebraError, Partition, lp_eval_at_one, rational_to_str
+from .algebra import AlgebraError, Partition, _int_text, lp_eval_at_one, rational_to_str
 from .diagrams import (
     DiagramError,
     degree_hirzebruch,
@@ -57,6 +60,7 @@ from .gw import (
 from .oracle import OracleLimitError, brute_force_enumerate, check_cap, refined_sum
 
 LISTING_CAP = 100_000
+_SLICE = 1 << 17  # pieces per write of ``_emit``
 
 
 class UsageError(Exception):
@@ -76,30 +80,27 @@ def _parse_surface(args: argparse.Namespace):
 
 def _parse_partition(text: str, flag: str) -> Partition:
     text = text.strip()
-    if not text:
-        return Partition()
     try:
-        return Partition(int(p) for p in text.split(","))
+        return Partition(_int_text(p.strip()) for p in (text.split(",") if text else ()))
     except ValueError:
         raise UsageError(f"{flag} must be a comma-separated list of positive integers, "
                          f"got {text!r}") from None
 
 
-def _emit(*lines: str) -> None:
-    """Write ``lines``, all rendered before the call, so that a rendering
-    error leaves stdout empty: one join, one write."""
-    sys.stdout.write("\n".join([*lines, ""]))
+def _int(text: str) -> int:
+    """An integer flag's value by ``_int_text``, refused in argparse's words."""
+    try:
+        return _int_text(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
 
-def _print_gw(gw, fmt: str, header: str) -> None:
-    if fmt == "json":
-        _emit(json.dumps(gw.to_json()))
-        return
-    rows = [(g, rational_to_str(v)) for g, v in gw.invariants()]
-    if fmt == "csv":
-        _emit("g,value", *(f"{g},{v}" for g, v in rows))
-    else:
-        _emit(header, f"  series: {gw.series}", *(f"  g={g} -> {v}" for g, v in rows))
+def _emit(pieces: Sequence[str], end: str = "\n") -> None:
+    """Write each piece followed by ``end``, ``_SLICE`` pieces a write (one for
+    a small output), so no output is held whole as text and as bytes.  The
+    pieces are rendered before the call: an error leaves stdout empty."""
+    for start in range(0, len(pieces), _SLICE):
+        sys.stdout.write(end.join([*pieces[start:start + _SLICE], ""]))
 
 
 def _check_listing_cap(delta, n: int, count: int) -> None:
@@ -110,30 +111,27 @@ def _check_listing_cap(delta, n: int, count: int) -> None:
                            f"over the listing cap LISTING_CAP = {LISTING_CAP}")
 
 
-def _cmd_enumerate(args) -> int:
-    delta, n = args.delta, args.n
+def _listing(delta, n: int, fmt: str) -> tuple[list[str], str]:
+    """``enumerate``'s pieces and their end; the diagrams go with this frame."""
     _check_listing_cap(delta, n, diagram_count(delta, n))
     diagrams = enumerate_marked(delta, n)
-    if args.format == "json":
-        # json.dumps of the payload as one join of shared pieces, written once (the peak)
-        pieces = json_pieces(diagrams)
-        pieces.insert(0, f'{{"count": {len(diagrams)}, "diagrams": [')
-        pieces.append("]}\n")
-        diagrams.clear()
-        text = "".join(pieces)
-        del pieces
-        sys.stdout.write(text)
-    elif args.format == "csv":
-        rows = (f"{i},{d.n},{';'.join(map(str, d.vertex_positions))},"
-                + ";".join(f"{p}:{s}->{t}*{w}" for p, s, t, w in d.edges)
-                for i, d in enumerate(diagrams))
-        _emit("index,n,vertices,edges", *rows)
-    else:
-        lines = [f"{len(diagrams)} marked diagram(s) for {delta.label}, n = {n}"]
-        for i, d in enumerate(diagrams):
-            lines.append(f"  #{i}: vertices {list(d.vertex_positions)}")
-            lines.extend(f"      edge@{p}: {s} -> {t}, weight {w}" for p, s, t, w in d.edges)
-        _emit(*lines)
+    if fmt == "json":
+        # json.dumps of the payload, from pieces shared between diagrams
+        return [f'{{"count": {len(diagrams)}, "diagrams": [', *json_pieces(diagrams), "]}\n"], ""
+    if fmt == "csv":
+        return ["index,n,vertices,edges", *(
+            f"{i},{d.n},{';'.join(map(str, d.vertex_positions))},"
+            + ";".join(f"{p}:{s}->{t}*{w}" for p, s, t, w in d.edges)
+            for i, d in enumerate(diagrams))], "\n"
+    lines = [f"{len(diagrams)} marked diagram(s) for {delta.label}, n = {n}"]
+    for i, d in enumerate(diagrams):
+        lines.append(f"  #{i}: vertices {list(d.vertex_positions)}")
+        lines.extend(f"      edge@{p}: {s} -> {t}, weight {w}" for p, s, t, w in d.edges)
+    return lines, "\n"
+
+
+def _cmd_enumerate(args) -> int:
+    _emit(*_listing(args.delta, args.n, args.format))
     return 0
 
 
@@ -145,40 +143,41 @@ def _cmd_count(args) -> int:
         payload: dict = {"classical": classical}
         if args.refined:
             payload["refined"] = refined.to_json()
-        _emit(json.dumps(payload))
+        _emit([json.dumps(payload)])
     elif args.format == "csv":
-        if args.refined:
-            _emit("classical,refined", f"{classical},{refined}")
-        else:
-            _emit("classical", str(classical))
+        _emit(["classical,refined", f"{classical},{refined}"] if args.refined
+              else ["classical", str(classical)])
     else:
-        _emit(f"classical count for {delta.label}, n = {n}: {classical}",
-              *([f"refined count: {refined}"] if args.refined else []))
+        _emit([f"classical count for {delta.label}, n = {n}: {classical}",
+               *([f"refined count: {refined}"] if args.refined else [])])
     return 0
 
 
-def _cmd_gw(args) -> int:
-    make = log_series if args.command == "log-gw" else gw_relative_series
-    series = make(args.delta, args.n, args.order)
-    _print_gw(series, args.format, f"{series.kind} series for {args.delta.label}, n = {args.n}")
-    return 0
-
-
-def _cmd_vertex(args) -> int:
-    mu = _parse_partition(args.mu, "--mu")
-    nu = _parse_partition(args.nu, "--nu")
-    series = vertex_series(mu, nu, args.order)
-    _print_gw(series, args.format, f"vertex series for mu={tuple(mu)}, nu={tuple(nu)}")
+def _cmd_series(args) -> int:
+    """gw, log-gw and vertex: a series and its invariants, in one of three formats."""
+    if args.command == "vertex":
+        mu, nu = _parse_partition(args.mu, "--mu"), _parse_partition(args.nu, "--nu")
+        gw = vertex_series(mu, nu, args.order)
+        header = f"vertex series for mu={tuple(mu)}, nu={tuple(nu)}"
+    else:
+        make = log_series if args.command == "log-gw" else gw_relative_series
+        gw = make(args.delta, args.n, args.order)
+        header = f"{gw.kind} series for {args.delta.label}, n = {args.n}"
+    if args.format == "json":
+        _emit([json.dumps(gw.to_json())])
+        return 0
+    rows = [(g, rational_to_str(v)) for g, v in gw.invariants()]
+    if args.format == "csv":
+        _emit(["g,value", *(f"{g},{v}" for g, v in rows)])
+    else:
+        _emit([header, f"  series: {gw.series}", *(f"  g={g} -> {v}" for g, v in rows)])
     return 0
 
 
 def _verdict(fmt: str, equal: bool, payload, lines) -> int:
     """Write a ``verify`` report, rendering only the format asked for: JSON of
     ``payload()`` or the text ``lines()``.  Exit code 0 iff ``equal``."""
-    if fmt == "json":
-        _emit(json.dumps(payload()))
-    else:
-        _emit(*lines())
+    _emit([json.dumps(payload())] if fmt == "json" else lines())
     return 0 if equal else 1
 
 
@@ -235,16 +234,16 @@ def _cmd_verify_oracle(args) -> int:
 
 _SURFACE = (
     ("--surface", {"choices": ("p2", "fk"), "required": True}),
-    ("--degree", {"type": int, "help": "degree for --surface p2"}),
-    ("--k", {"type": int, "help": "Hirzebruch index for --surface fk"}),
-    ("--h", {"type": int, "help": "height for --surface fk"}),
-    ("--d", {"type": int, "help": "fiber coefficient for --surface fk"}),
-    ("--points", {"type": int, "help": "number of point constraints n"}),
-    ("--genus", {"type": int, "help": "genus g (sets n = g - 1 + |delta|)"}),
+    ("--degree", {"type": _int, "help": "degree for --surface p2"}),
+    ("--k", {"type": _int, "help": "Hirzebruch index for --surface fk"}),
+    ("--h", {"type": _int, "help": "height for --surface fk"}),
+    ("--d", {"type": _int, "help": "fiber coefficient for --surface fk"}),
+    ("--points", {"type": _int, "help": "number of point constraints n"}),
+    ("--genus", {"type": _int, "help": "genus g (sets n = g - 1 + |delta|)"}),
 )
-_ORDER = ("--order", {"type": int, "default": 16, "help": "u-truncation order"})
+_ORDER = ("--order", {"type": _int, "default": 16, "help": "u-truncation order"})
 # vertex and verify ab have always listed --order without help text
-_BARE_ORDER = ("--order", {"type": int, "default": 16})
+_BARE_ORDER = ("--order", {"type": _int, "default": 16})
 _FORMAT = ("--format", {"default": "text", "choices": ("json", "csv", "text")})
 _REPORT_FORMAT = ("--format", {"default": "text", "choices": ("json", "text")})
 
@@ -260,9 +259,9 @@ _TARGETS = {
     "degeneration": _surface_leaf("diagram sum vs refined-count route",
                                   _cmd_verify_degeneration, _ORDER, _REPORT_FORMAT),
     "ab": ("Abramovich-Bertram F0/F2 identity", _cmd_verify_ab, (
-        ("--a", {"type": int, "required": True}),
-        ("--b", {"type": int, "required": True}),
-        ("--points", {"type": int, "required": True}),
+        ("--a", {"type": _int, "required": True}),
+        ("--b", {"type": _int, "required": True}),
+        ("--points", {"type": _int, "required": True}),
         _BARE_ORDER, _REPORT_FORMAT), ()),
     "oracle": _surface_leaf("sweep vs brute-force enumeration", _cmd_verify_oracle,
                             _REPORT_FORMAT),
@@ -272,9 +271,9 @@ _COMMANDS = {
     "count": _surface_leaf("classical (and refined) diagram counts", _cmd_count, _FORMAT,
                            ("--refined", {"action": "store_true",
                                           "help": "include the refined count"})),
-    "gw": _surface_leaf("relative invariant series", _cmd_gw, _ORDER, _FORMAT),
-    "log-gw": _surface_leaf("log invariant series", _cmd_gw, _ORDER, _FORMAT),
-    "vertex": ("vertex contribution series", _cmd_vertex, (
+    "gw": _surface_leaf("relative invariant series", _cmd_series, _ORDER, _FORMAT),
+    "log-gw": _surface_leaf("log invariant series", _cmd_series, _ORDER, _FORMAT),
+    "vertex": ("vertex contribution series", _cmd_series, (
         ("--mu", {"default": "", "help": "outgoing partition, e.g. 2,1"}),
         ("--nu", {"default": "", "help": "incoming partition, e.g. 1"}),
         _BARE_ORDER, _FORMAT), ()),
@@ -311,7 +310,7 @@ def _read(argv: Sequence[str]) -> argparse.Namespace | None:
             return None
         try:
             value = kwargs.get("type", str)(value)
-        except ValueError:
+        except argparse.ArgumentTypeError:
             return None
         if "choices" in kwargs and value not in kwargs["choices"]:
             return None
@@ -354,8 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
+    argv = sys.argv[1:] if argv is None else argv
     args = _read(argv) or build_parser().parse_args(argv)
     try:
         if "surface" in args:  # the one place a request's class is built

@@ -203,6 +203,30 @@ def test_useries_equality_and_zero():
     assert USeries(0, [1], 5) != USeries(0, [1], 6)
 
 
+def test_useries_truncate_scale_and_shift_edges():
+    x = USeries(2, [1, 1], 6)
+    with pytest.raises(AlgebraError, match="cannot increase the truncation order"):
+        x.truncate(7)
+    assert x.truncate(3) == USeries(2, [1], 3)
+    assert x.truncate(2) == USeries.zero(2) and x.truncate(-1) == USeries.zero(-1)
+    assert x * 0 == USeries.zero(6) and F(0) * x == USeries.zero(6)
+    assert USeries.zero(5).shift(2) == USeries.zero(7)
+    assert USeries.zero(5).shift(-3) == USeries.zero(2)
+
+
+@pytest.mark.parametrize("value", [LaurentPolyS(-1, [1, 0, 1]), USeries(0, [1], 3), degree_p2(3)],
+                         ids=["LaurentPolyS", "USeries", "HTransverseDegree"])
+def test_values_refuse_assignment(value):
+    with pytest.raises(AttributeError, match=f"^{type(value).__name__} is immutable$"):
+        value.valuation = 5
+
+
+def test_laurent_hash_agrees_with_equality():
+    p, q = LaurentPolyS(-1, [1, 0, 1]), LaurentPolyS(-2, [0, 1, 0, 1, 0])
+    assert p == q and hash(p) == hash(q)
+    assert len({p, q, LaurentPolyS.one(), LaurentPolyS(0, [1])}) == 2
+
+
 def test_useries_json_round_trip():
     x = USeries(-1, [F(1), F(0), F(1, 24)], 2)
     data = x.to_json()
@@ -215,6 +239,14 @@ def test_rational_string_round_trip():
     assert rational_to_str(F(-3)) == "-3"
     assert rational_from_str("7/5760") == F(7, 5760)
     assert rational_from_str("-3") == F(-3)
+
+
+def test_rational_from_str_reads_what_rational_to_str_writes():
+    for x in [F(0), F(-3), F(1, 2), F(-7, 5760), F(10**50, 3)]:
+        assert rational_from_str(rational_to_str(x)) == x
+    for text in ["1/1", "-0", "0/-1", "4/-6", "-4/6/1", "1/2 "]:
+        with pytest.raises(AlgebraError, match="with den != 0$"):
+            rational_from_str(text)
 
 
 # Fields that a reader once truncated or misread (the first row read as 1 + 2*s, an order
@@ -250,6 +282,11 @@ BAD_SERIES_JSON = [
     (USeries, {"valuation": 0, "order": 3, "coefficients": ["1_0"]}, r"^'1_0' is not a rational"),
     (USeries, {"valuation": 0, "order": 3, "coefficients": ["1/ 2"]}, r"^'1/ 2' is not a rational"),
     (USeries, {"valuation": 0, "order": 3, "coefficients": ["\uff11"]}, r"^'\uff11' is not a"),
+    # fractions that rational_to_str never writes (read once as -1/2, 1/2, 3 and 0)
+    (USeries, {"valuation": 0, "order": 3, "coefficients": ["1/-2"]}, r"^'1/-2' is not a rational"),
+    (USeries, {"valuation": 0, "order": 3, "coefficients": ["2/4"]}, r"^'2/4' is not a rational"),
+    (USeries, {"valuation": 0, "order": 3, "coefficients": ["3/1"]}, r"^'3/1' is not a rational"),
+    (USeries, {"valuation": 0, "order": 3, "coefficients": ["0/7"]}, r"with den != 0$"),
 ]
 
 

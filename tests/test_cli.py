@@ -142,6 +142,49 @@ def test_each_command_writes_stdout_once(monkeypatch, argv):
     assert len(writes) == 1 and writes[0].endswith("\n")
 
 
+# SHA-256 of enumerate's stdout, taken when the JSON listing was one join
+# written once and the other formats one "\n".join written once
+ENUMERATE_DIGESTS = {
+    ("p2 --degree 4", "json"): "acef1866ec97198cf5a2964de14f6199ff9cafd92b0b2418589e0ce60fac6bec",
+    ("p2 --degree 4", "csv"): "66a8512a7e5195ae9cd75d3f65fec650605dc96d4f1d1a072649dbcf2eb62ead",
+    ("p2 --degree 4", "text"): "51d82195a59a2d94af739384e6c526bef0b12ca69819feaad0e081ca73c7a7eb",
+    # F1 (h=2, d=3): three outgoing ends after the last floor
+    ("fk --k 1 --h 2 --d 3", "json"):
+        "a8c1002a677cf04109210aeab4d33b941f69a6e805e167cf7ac34da60afb49b3",
+    ("fk --k 1 --h 2 --d 3", "csv"):
+        "f38968da10c7ab4c560585fd29951c1368e3a90586e710917619775a848cc5af",
+    ("fk --k 1 --h 2 --d 3", "text"):
+        "05ee511620dc3afb49dc6d8481cf6ba7d0500edd4619137cfd64621a4f5bda94",
+}
+
+
+def enumerate_argv(surface, fmt):
+    return ["enumerate", "--surface", *surface.split(), "--genus", "0", "--format", fmt]
+
+
+ENUMERATE_IDS = [f"{surface.split()[0]}-{fmt}" for surface, fmt in ENUMERATE_DIGESTS]
+
+
+@pytest.mark.parametrize("surface,fmt", ENUMERATE_DIGESTS, ids=ENUMERATE_IDS)
+def test_enumerate_output_is_pinned(capsys, surface, fmt):
+    code, out, err = run_cli(capsys, *enumerate_argv(surface, fmt))
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == ENUMERATE_DIGESTS[surface, fmt]
+
+
+@pytest.mark.parametrize("surface,fmt", ENUMERATE_DIGESTS, ids=ENUMERATE_IDS)
+def test_output_is_written_a_slice_of_pieces_at_a_time(monkeypatch, surface, fmt):
+    """With slices of 3 pieces, a listing of 303 or 325 diagrams takes many
+    writes, each a str, and they join to the pinned bytes."""
+    writes = []
+    monkeypatch.setattr(cli, "_SLICE", 3)
+    monkeypatch.setattr(sys, "stdout", SimpleNamespace(write=writes.append))
+    assert main(enumerate_argv(surface, fmt)) == 0
+    assert len(writes) > 100 and all(type(w) is str for w in writes)
+    text = "".join(writes)
+    assert hashlib.sha256(text.encode()).hexdigest() == ENUMERATE_DIGESTS[surface, fmt]
+
+
 def test_verify_exit_codes(capsys):
     code, out, _ = run_cli(capsys, "verify", "ab", "--a", "1", "--b", "0", "--points", "3")
     assert code == 0
@@ -346,6 +389,44 @@ def test_malformed_partition_exits_2(capsys, flag, text):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.splitlines()[-1].startswith(f"floorgw: error: {flag} ")
+
+
+# texts that int() reads but str(int) never writes, the refusals of the JSON readers
+NOT_INT_TEXT = ["1_0", " 3", "+3", "\u0663", "-0", "016"]
+
+
+# each request, were the flag read as int() reads it, would end at once
+@pytest.mark.parametrize("template,flag", [
+    ("count --surface p2 --degree {} --points 2", "--degree"),
+    ("count --surface p2 --degree={} --points 2", "--degree"),
+    ("gw --surface p2 --degree 3 --genus 0 --order {}", "--order"),
+    ("verify ab --a 2 --b {} --points 9", "--b"),
+])
+@pytest.mark.parametrize("text", NOT_INT_TEXT)
+def test_integer_flag_takes_only_what_str_writes(capsys, monkeypatch, template, flag, text):
+    """`--degree 1_0` once counted P2(d=10); now `_read` and argparse both refuse it."""
+    argv = [token.replace("{}", text) for token in template.split()]
+    assert cli._read(argv) is None
+    code, out, err = run_usage(capsys, monkeypatch, argv)
+    assert code == 2 and out == ""
+    assert err.splitlines()[-1].endswith(f": error: argument {flag}: invalid int value: {text!r}")
+
+
+# a part is stripped of spaces first, so " 3" is a part 3
+@pytest.mark.parametrize("text", [text for text in NOT_INT_TEXT if text == text.strip()])
+def test_partition_part_takes_only_what_str_writes(capsys, text):
+    with pytest.raises(SystemExit) as exc:
+        main(["vertex", "--mu", f"2,{text}"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert captured.err.splitlines()[-1] == (
+        f"floorgw: error: --mu must be a comma-separated list of positive integers, "
+        f"got {f'2,{text}'!r}")
+
+
+def test_partition_parts_are_stripped_of_spaces(capsys):
+    assert run_cli(capsys, "vertex", "--mu", " 2, 1 ", "--order", "6") == \
+        run_cli(capsys, "vertex", "--mu", "2,1", "--order", "6")
 
 
 def test_byte_identical_reruns(capsys):
