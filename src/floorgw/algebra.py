@@ -89,7 +89,8 @@ def rational_from_str(text: str) -> Fraction:
     with suppress(ValueError, ZeroDivisionError):
         if rational_to_str(x := Fraction(int(num), int(den) if slash else 1)) == text:
             return x
-    raise AlgebraError(f"{text!r} is not a rational 'num' or 'num/den' with den != 0")
+    raise AlgebraError(f"{text!r} is not a rational as rational_to_str writes it: "
+                       "'num', or 'num/den' in lowest terms with den > 1")
 
 
 def _int_text(text: str) -> int:

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from itertools import accumulate, product
 from math import comb, prod
+from operator import itemgetter
 from typing import NamedTuple
 
 from .algebra import AlgebraError, LaurentPolyS, Partition, _integer, _json, q_integer
@@ -272,8 +273,8 @@ def validate_diagram(diagram: MarkedFloorDiagram, delta: HTransverseDegree) -> N
     degree has no diagram; the counts return 0, not a refusal: see ROADMAP item 5.)
     """
     n, vertices, edges = diagram.n, diagram.vertex_positions, diagram.edges
-    # edges unpacked, not read by field name: this runs on every listed diagram
-    positions = sorted([*vertices, *(position for position, _, _, _ in edges)])
+    # edges unpacked or read by index, not by field name: this runs on every listed diagram
+    positions = sorted([*vertices, *map(itemgetter(0), edges)])
     if positions != list(range(1, n + 1)):
         raise InvalidDiagram("positions do not partition 1..n into vertices and edges")
     if len(vertices) != delta.height:
@@ -284,35 +285,39 @@ def validate_diagram(diagram: MarkedFloorDiagram, delta: HTransverseDegree) -> N
 
     incoming_unbounded = outgoing_unbounded = 0
     flow = dict.fromkeys(vertices, 0)
+    links = []  # (source, target) of each bounded edge
     for position, source, target, weight in edges:
         if weight < 1:
             raise InvalidDiagram(f"edge at position {position} has weight {weight}")
-        if source is None and target is None:
-            raise InvalidDiagram("edge with no endpoint")
-        if source is not None and source not in flow:
-            raise InvalidDiagram(f"edge source {source} is not a vertex")
-        if target is not None and target not in flow:
-            raise InvalidDiagram(f"edge target {target} is not a vertex")
         if source is None:
-            incoming_unbounded += 1
+            if target is None:
+                raise InvalidDiagram("edge with no endpoint")
+            if target not in flow:
+                raise InvalidDiagram(f"edge target {target} is not a vertex")
             if weight != 1:
                 raise InvalidDiagram("incoming unbounded edge of weight != 1")
             if not position < target:
                 raise InvalidDiagram("incoming unbounded edge not before its target")
+            incoming_unbounded += 1
             flow[target] += weight
+        elif source not in flow:  # an outgoing or a bounded edge
+            raise InvalidDiagram(f"edge source {source} is not a vertex")
         elif target is None:
-            outgoing_unbounded += 1
             if weight != 1:
                 raise InvalidDiagram("outgoing unbounded edge of weight != 1")
             if not source < position:
                 raise InvalidDiagram("outgoing unbounded edge not after its source")
+            outgoing_unbounded += 1
             flow[source] -= weight
         else:
+            if target not in flow:
+                raise InvalidDiagram(f"edge target {target} is not a vertex")
             if not source < position < target:
                 raise InvalidDiagram(
                     f"bounded edge at {position} violates source < position < target")
             flow[target] += weight
             flow[source] -= weight
+            links.append((source, target))
     if incoming_unbounded != delta.d_b:
         raise InvalidDiagram(f"expected {delta.d_b} incoming unbounded edges")
     if outgoing_unbounded != delta.d_t:
@@ -320,7 +325,7 @@ def validate_diagram(diagram: MarkedFloorDiagram, delta: HTransverseDegree) -> N
     for p in vertices:
         if flow[p] != delta.divergence:
             raise InvalidDiagram(f"divergence mismatch at vertex {p}")
-    if not _connected(vertices, edges):
+    if not _connected(vertices, links):
         raise InvalidDiagram("underlying graph is disconnected")
 
 
@@ -497,16 +502,15 @@ def _head_subsets(heads: tuple[tuple, ...], least: int) -> list[tuple[tuple, ...
     return subsets
 
 
-def _connected(vertices: tuple[int, ...], edges: tuple[tuple, ...]) -> bool:
-    """Whether the bounded edges join every vertex to the first one."""
-    links = [(s, t) for _, s, t, _ in edges if s is not None and t is not None]
-    reached, grew = {vertices[0]}, True
-    while grew:
-        grew = False
+def _connected(vertices: tuple[int, ...], links: list[tuple[int, int]]) -> bool:
+    """Whether the (source, target) links join every vertex to the first one:
+    passes over the links until one reaches every vertex or none more."""
+    reached, size = {vertices[0]}, 0
+    while size < len(reached) < len(vertices):
+        size = len(reached)
         for s, t in links:
             if (s in reached) != (t in reached):
                 reached.update((s, t))
-                grew = True
     return len(reached) == len(vertices)
 
 

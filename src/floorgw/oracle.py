@@ -8,23 +8,24 @@ realize each shape as marked diagrams through its linear extensions, with
 indistinguishable parallel edges as one class so that each diagram appears
 exactly once.  The shapes are found by a depth-first search over the ranks,
 cut by two lower bounds on the unbounded edges a partial shape already needs
-(see ``_shapes``), and each linear extension builds its diagram as its
-positions are chosen (see ``_extensions``).  Every diagram passes the full
-invariant validator.  There are no options; n is capped by ``MAX_N``.
-Nothing here is shared with the sweep but the negative-genus refusal.
+(see ``_shapes``), and each shape's linear extensions are listed gap by gap
+(see ``_extensions``).  Every diagram passes the full invariant validator.
+There are no options; n is capped by ``MAX_N``.  Nothing here is shared with
+the sweep but the negative-genus refusal.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import Counter
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
+from operator import itemgetter
 
 from .algebra import LaurentPolyS
 from .diagrams import (
     Edge,
     HTransverseDegree,
     MarkedFloorDiagram,
+    _connected,
     _genus,
     refined_multiplicity,
     validate_diagram,
@@ -36,26 +37,9 @@ class OracleLimitError(ValueError):
 
 
 # The cap on n.  At n = 16 the oracle lists P2 d=5 g=2 (9,864 diagrams) in
-# about 0.4 s and F1 (h=3, d=3) g=2 (59,782) in about 3 s on a 2-vCPU x86-64
+# about 0.2 s and F1 (h=3, d=3) g=2 (59,782) in about 0.8 s on a 2-vCPU x86-64
 # host; n = 16 classes with more diagrams are refused by the CLI's listing cap.
 MAX_N = 16
-
-
-def _connected(h: int, bounded: tuple) -> bool:
-    if h <= 1:
-        return True
-    adj = {r: set() for r in range(h)}
-    for i, j, _ in bounded:
-        adj[i].add(j)
-        adj[j].add(i)
-    seen = {0}
-    stack = [0]
-    while stack:
-        for w in adj[stack.pop()]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == h
 
 
 def _shapes(delta: HTransverseDegree, n: int) -> list:
@@ -135,7 +119,7 @@ def _shapes(delta: HTransverseDegree, n: int) -> list:
             if left:
                 return
             matches = attachments.get(tuple([divergence - f for f in flow]))
-            if matches and _connected(h, bounded):
+            if matches and _connected(range(h), [(i, j) for i, j, _ in bounded]):
                 key = tuple(bounded)
                 shapes.extend((key, incoming, outgoing) for incoming, outgoing in matches)
         else:
@@ -150,58 +134,79 @@ def _shapes(delta: HTransverseDegree, n: int) -> list:
     return shapes
 
 
-def _extensions(h: int, classes: dict, divergence: int, made: dict) -> list[MarkedFloorDiagram]:
-    """Every marked diagram of one shape, one per ordering of its vertices
-    0..h-1 and edge classes.
+def _extensions(h: int, classes: dict, divergence: int, made: dict, orders: dict) -> list:
+    """Every marked diagram of one shape, once each, gap by gap.
 
     ``classes`` maps an edge class (source_rank, target_rank, weight) to its
     count; an incoming unbounded edge has source rank -1 and an outgoing one
-    target rank h.  Vertices appear in rank order.  Vertex ``placed`` may go
-    next iff no live copy targets it (a count per rank), and a class may go
-    next iff its source is below ``placed`` (a prefix of the sorted
-    classes).  So an edge comes after its source and before its target, and
-    no class can outlive its window: a vertex is placed only after every
-    edge into it, so every branch ends in an ordering.  Copies of one class
-    are indistinguishable, so each distinct ordering is produced exactly
-    once.  The position of each vertex rank and of each placed edge copy is
-    recorded as it is chosen, and each leaf builds its diagram from ``made``,
-    the listing's one Edge per distinct edge; the recursion is at most n + 1 deep.
+    target rank h.  The vertices take their positions in rank order; gap g
+    holds the edges just before vertex g, and gap h those after the last.
+    An edge lies between its ends, so a class (s, t, w) goes in gaps
+    s+1..t, and a linear extension of the shape is a distribution of each
+    class's copies over its gaps, then an ordering inside each gap.  The
+    walk chooses the copies that each gap takes, in turn, using up a class
+    with t = g in gap g; a full distribution fixes every position, and its
+    diagrams are one ordering per gap, concatenated.  Copies of a class are
+    indistinguishable, so a gap's orderings are the permutations of a
+    multiset and each diagram comes once.  Earlier gaps take more copies
+    first, and a gap's orderings come in sorted class order.  ``made`` and
+    ``orders`` hold the listing's one Edge per distinct edge and its
+    orderings (:func:`_orderings`) per tuple of copies that a gap takes.
     """
     keys = sorted(classes)
-    counts = [classes[key] for key in keys]
-    n = h + sum(counts)
-    # endpoints shifted by one, so that at[0] and at[h + 1] stand for no vertex
-    ends = [(s + 1, t + 1, w) for s, t, w in keys]
-    into = [0] * (h + 2)  # live copies per target, shifted like ``ends``
-    for (_, t, _), count in zip(ends, counts):
-        into[t] += count
-    eligible = [bisect_left(keys, (placed,)) for placed in range(h + 1)]
-    at: list = [None] * (h + 2)
-    placed_edges: list = []  # (position, shifted class) of each placed copy
+    n = h + sum(classes.values())
+    opens = [[k for k, (s, t, _) in enumerate(keys) if s < g <= t] for g in range(h + 1)]
+    gaps: list = []  # (first position, position after, class index and copies) of each gap
     diagrams: list = []
 
-    def extend(placed: int, position: int) -> None:
-        if position > n:
-            fields = [(pos, at[s], at[t], w) for pos, (s, t, w) in placed_edges]
-            edges = tuple([made.get(e) or made.setdefault(e, Edge._make(e)) for e in fields])
-            diagrams.append(MarkedFloorDiagram(n, tuple(at[1:h + 1]), divergence, edges))
+    def distribute(g: int, start: int, left: list) -> None:
+        if g > h:
+            diagrams.extend(_markings(n, divergence, keys, gaps, made, orders))
             return
-        if placed < h and not into[placed + 1]:
-            at[placed + 1] = position
-            extend(placed + 1, position + 1)
-        for k in range(eligible[placed]):
-            if counts[k]:
-                end = ends[k]
-                counts[k] -= 1
-                into[end[1]] -= 1
-                placed_edges.append((position, end))
-                extend(placed, position + 1)
-                placed_edges.pop()
-                into[end[1]] += 1
-                counts[k] += 1
+        live = [k for k in opens[g] if left[k]]
+        for takes in product(*[range(left[k], left[k] - 1 if keys[k][1] == g else -1, -1)
+                               for k in live]):
+            rest = left.copy()
+            for k, m in zip(live, takes):
+                rest[k] -= m
+            gaps.append((start, start + sum(takes), [(k, m) for k, m in zip(live, takes) if m]))
+            distribute(g + 1, start + sum(takes) + 1, rest)
+            gaps.pop()
 
-    extend(0, 1)
+    distribute(0, 1, [classes[key] for key in keys])
     return diagrams
+
+
+def _markings(n: int, divergence: int, keys: list, gaps: list, made: dict, orders: dict) -> list:
+    """The diagrams of one distribution: one ordering of each gap, concatenated."""
+    floors = tuple([stop for _, stop, _ in gaps[:-1]])
+    at = [None, *floors, None]  # at[r + 1] is the position of vertex rank r
+    edges = [()]
+    for start, stop, content in gaps:
+        if content:
+            fields = [(p, at[s + 1], at[t + 1], w)
+                      for s, t, w in [keys[k] for k, _ in content] for p in range(start, stop)]
+            table = tuple([made.get(e) or made.setdefault(e, Edge._make(e)) for e in fields])
+            if content[1:]:
+                counts = tuple([m for _, m in content])
+                if counts not in orders:
+                    orders[counts] = _orderings(counts)
+                edges = [e + take(table) for e in edges for take in orders[counts]]
+            else:  # one class: its Edges in turn
+                edges = [e + table for e in edges]
+    return [MarkedFloorDiagram(n, floors, divergence, e) for e in edges]
+
+
+def _orderings(counts: tuple) -> list:
+    """One itemgetter per ordering of a gap of two or more classes, with
+    counts[i] copies of class i: from a table of each class's Edges at the
+    gap's k positions in turn, it takes the ordering's Edge at each position."""
+    k = sum(counts)
+    sequences = [((), counts)]  # (classes so far, copies left)
+    for _ in range(k):
+        sequences = [((*seq, i), left[:i] + (c - 1,) + left[i + 1:])
+                     for seq, left in sequences for i, c in enumerate(left) if c]
+    return [itemgetter(*[i * k + j for j, i in enumerate(seq)]) for seq, _ in sequences]
 
 
 def check_cap(n: int) -> None:
@@ -214,11 +219,11 @@ def brute_force_enumerate(delta: HTransverseDegree, n: int) -> list[MarkedFloorD
     """Every valid marked diagram on n points, by exhaustive generation, once the checks pass."""
     check_cap(n)
     _genus(delta, n)
-    h, results, made = delta.height, [], {}
+    h, results, made, orders = delta.height, [], {}, {}
     for bounded, incoming, outgoing in _shapes(delta, n):
         classes = Counter([*bounded, *((-1, t, 1) for t in incoming),
                            *((s, h, 1) for s in outgoing)])
-        for diagram in _extensions(h, classes, delta.divergence, made):
+        for diagram in _extensions(h, classes, delta.divergence, made, orders):
             validate_diagram(diagram, delta)
             results.append(diagram)
     return results

@@ -1,11 +1,12 @@
 """Shared grids and small utilities for the test suite."""
 
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import product
 from math import comb, prod
 
-from floorgw import MarkedFloorDiagram, degree_hirzebruch, degree_p2, points_for_genus
-from floorgw.diagrams import _connected, _Edges, _head_subsets, _limits
+from floorgw import Edge, MarkedFloorDiagram, degree_hirzebruch, degree_p2, points_for_genus
+from floorgw.diagrams import InvalidDiagram, _Edges, _head_subsets, _limits
 
 
 def hirzebruch_family_grid(k_max=2, h_max=2, d_max=2):
@@ -131,7 +132,7 @@ def frozen_sweep(found, limits, made, vertices, budgets, edges, heads, in_used, 
     need = total_bounded - bd_used - room[h - len(vertices)]  # the window test is spare >= need
     pos = len(vertices) + len(edges) + len(heads) + 1
     if pos > n:
-        if _connected(vertices, edges):
+        if frozen_connected(vertices, edges):
             found.append(MarkedFloorDiagram(n, vertices, div, tuple(sorted(edges))))
         return []
     children = []
@@ -166,6 +167,120 @@ def frozen_sweep(found, limits, made, vertices, budgets, edges, heads, in_used, 
                          tuple([head for head in heads if head not in subset]),
                          in_used, bd_used, out_used))
     return children
+
+
+def frozen_connected(vertices, edges):
+    """A frozen copy of ``diagrams._connected`` as it was while it took the
+    edges and picked out the bounded ones itself."""
+    links = [(s, t) for _, s, t, _ in edges if s is not None and t is not None]
+    reached, grew = {vertices[0]}, True
+    while grew:
+        grew = False
+        for s, t in links:
+            if (s in reached) != (t in reached):
+                reached.update((s, t))
+                grew = True
+    return len(reached) == len(vertices)
+
+
+def frozen_validate_diagram(diagram, delta):
+    """A frozen copy of ``diagrams.validate_diagram`` as it was while every
+    edge went through the endpoint checks before its kind's branch and the
+    connectivity test picked the bounded edges out again."""
+    n, vertices, edges = diagram.n, diagram.vertex_positions, diagram.edges
+    positions = sorted([*vertices, *(position for position, _, _, _ in edges)])
+    if positions != list(range(1, n + 1)):
+        raise InvalidDiagram("positions do not partition 1..n into vertices and edges")
+    if len(vertices) != delta.height:
+        raise InvalidDiagram(f"expected {delta.height} vertices, found {len(vertices)}")
+    if diagram.divergence != delta.divergence:
+        raise InvalidDiagram(
+            f"divergence {diagram.divergence} differs from the degree's {delta.divergence}")
+
+    incoming_unbounded = outgoing_unbounded = 0
+    flow = dict.fromkeys(vertices, 0)
+    for position, source, target, weight in edges:
+        if weight < 1:
+            raise InvalidDiagram(f"edge at position {position} has weight {weight}")
+        if source is None and target is None:
+            raise InvalidDiagram("edge with no endpoint")
+        if source is not None and source not in flow:
+            raise InvalidDiagram(f"edge source {source} is not a vertex")
+        if target is not None and target not in flow:
+            raise InvalidDiagram(f"edge target {target} is not a vertex")
+        if source is None:
+            incoming_unbounded += 1
+            if weight != 1:
+                raise InvalidDiagram("incoming unbounded edge of weight != 1")
+            if not position < target:
+                raise InvalidDiagram("incoming unbounded edge not before its target")
+            flow[target] += weight
+        elif target is None:
+            outgoing_unbounded += 1
+            if weight != 1:
+                raise InvalidDiagram("outgoing unbounded edge of weight != 1")
+            if not source < position:
+                raise InvalidDiagram("outgoing unbounded edge not after its source")
+            flow[source] -= weight
+        else:
+            if not source < position < target:
+                raise InvalidDiagram(
+                    f"bounded edge at {position} violates source < position < target")
+            flow[target] += weight
+            flow[source] -= weight
+    if incoming_unbounded != delta.d_b:
+        raise InvalidDiagram(f"expected {delta.d_b} incoming unbounded edges")
+    if outgoing_unbounded != delta.d_t:
+        raise InvalidDiagram(f"expected {delta.d_t} outgoing unbounded edges")
+    for p in vertices:
+        if flow[p] != delta.divergence:
+            raise InvalidDiagram(f"divergence mismatch at vertex {p}")
+    if not frozen_connected(vertices, edges):
+        raise InvalidDiagram("underlying graph is disconnected")
+
+
+def frozen_extensions(h, classes, divergence, made):
+    """A frozen copy of ``oracle._extensions`` as it was while it placed one
+    vertex or edge copy per position, depth first, and built each diagram at
+    a leaf: every marked diagram of one shape, one per ordering of its
+    vertices 0..h-1 and edge classes.  ``classes`` maps an edge class
+    (source_rank, target_rank, weight) to its count, with source rank -1 for
+    an incoming and target rank h for an outgoing unbounded edge."""
+    keys = sorted(classes)
+    counts = [classes[key] for key in keys]
+    n = h + sum(counts)
+    # endpoints shifted by one, so that at[0] and at[h + 1] stand for no vertex
+    ends = [(s + 1, t + 1, w) for s, t, w in keys]
+    into = [0] * (h + 2)  # live copies per target, shifted like ``ends``
+    for (_, t, _), count in zip(ends, counts):
+        into[t] += count
+    eligible = [bisect_left(keys, (placed,)) for placed in range(h + 1)]
+    at = [None] * (h + 2)
+    placed_edges = []  # (position, shifted class) of each placed copy
+    diagrams = []
+
+    def extend(placed, position):
+        if position > n:
+            fields = [(pos, at[s], at[t], w) for pos, (s, t, w) in placed_edges]
+            edges = tuple([made.get(e) or made.setdefault(e, Edge._make(e)) for e in fields])
+            diagrams.append(MarkedFloorDiagram(n, tuple(at[1:h + 1]), divergence, edges))
+            return
+        if placed < h and not into[placed + 1]:
+            at[placed + 1] = position
+            extend(placed + 1, position + 1)
+        for k in range(eligible[placed]):
+            if counts[k]:
+                end = ends[k]
+                counts[k] -= 1
+                into[end[1]] -= 1
+                placed_edges.append((position, end))
+                extend(placed, position + 1)
+                placed_edges.pop()
+                into[end[1]] += 1
+                counts[k] += 1
+
+    extend(0, 1)
+    return diagrams
 
 
 def bernoulli(m_max):

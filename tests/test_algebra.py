@@ -245,7 +245,7 @@ def test_rational_from_str_reads_what_rational_to_str_writes():
     for x in [F(0), F(-3), F(1, 2), F(-7, 5760), F(10**50, 3)]:
         assert rational_from_str(rational_to_str(x)) == x
     for text in ["1/1", "-0", "0/-1", "4/-6", "-4/6/1", "1/2 "]:
-        with pytest.raises(AlgebraError, match="with den != 0$"):
+        with pytest.raises(AlgebraError, match="in lowest terms with den > 1$"):
             rational_from_str(text)
 
 
@@ -265,7 +265,7 @@ BAD_SERIES_JSON = [
     (USeries, {"valuation": 0, "order": 3, "coefficients": [1.5]}, r"^1\.5 is not a rational"),
     (USeries, {"valuation": 0, "order": 3, "coefficients": ["1/2.5"]}, r"^'1/2\.5' is not"),
     (USeries, {"valuation": 0, "order": 3, "coefficients": ["1/"]}, r"^'1/' is not"),
-    (USeries, {"valuation": 0, "order": 3, "coefficients": ["1/0"]}, r"with den != 0$"),
+    (USeries, {"valuation": 0, "order": 3, "coefficients": ["1/0"]}, r"terms with den > 1$"),
     (USeries, {"valuation": 0, "coefficients": ["1"]}, r"^series JSON has no key 'order'$"),
     (USeries, {"valuation": 0, "order": 3}, r"^series JSON has no key 'coefficients'$"),
     (LaurentPolyS, {"valuation": 0, "coefficients": "12"}, r"^coefficients is not a JSON array$"),
@@ -286,7 +286,7 @@ BAD_SERIES_JSON = [
     (USeries, {"valuation": 0, "order": 3, "coefficients": ["1/-2"]}, r"^'1/-2' is not a rational"),
     (USeries, {"valuation": 0, "order": 3, "coefficients": ["2/4"]}, r"^'2/4' is not a rational"),
     (USeries, {"valuation": 0, "order": 3, "coefficients": ["3/1"]}, r"^'3/1' is not a rational"),
-    (USeries, {"valuation": 0, "order": 3, "coefficients": ["0/7"]}, r"with den != 0$"),
+    (USeries, {"valuation": 0, "order": 3, "coefficients": ["0/7"]}, r"terms with den > 1$"),
 ]
 
 

@@ -7,7 +7,7 @@ import sys
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from floorgw import (
@@ -38,7 +38,12 @@ from floorgw import (
 )
 import floorgw.diagrams as diagrams
 from floorgw.diagrams import _head_subsets, json_pieces
-from helpers import acceptance_grid, frozen_enumerate_marked, frozen_sweep
+from helpers import (
+    acceptance_grid,
+    frozen_enumerate_marked,
+    frozen_sweep,
+    frozen_validate_diagram,
+)
 
 
 # ------------------------------------------------------------------- degrees
@@ -791,3 +796,47 @@ def test_a_valid_diagram_has_its_genus_as_betti_number(pair):
     betti = len(diagram.bounded_edges()) - len(diagram.vertex_positions) + 1
     assert betti == delta.genus_for_points(diagram.n) >= 0
     assert diagram in enumerate_marked(delta, diagram.n)
+
+
+def refusal(validate, delta, diagram):
+    """The message ``validate`` refuses ``diagram`` with, or None if it passes."""
+    try:
+        validate(diagram, delta)
+    except InvalidDiagram as error:
+        return str(error)
+    return None
+
+
+def _plane_conic(last_edge):
+    """P2 d=2 on 5 points: incoming edges at 1 and 2 into the floor at 3, a
+    floor at 5 and ``last_edge`` at 4."""
+    return degree_p2(2), MarkedFloorDiagram(5, (3, 5), 1, (_incoming(1, 3), _incoming(2, 3),
+                                                           last_edge))
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_diagrams())
+# small_diagrams draws ends among the floors, and a moved floor fails the
+# partition check: these fail two edge checks at once, where the order tells
+@example(_plane_conic(Edge(4, 6, 7, 1)))
+@example(_plane_conic(Edge(4, 6, 7, 0)))
+@example(_plane_conic(Edge(4, None, 7, 2)))
+@example(_plane_conic(Edge(4, 6, None, 2)))
+@example(_plane_conic(Edge(4, 3, 7, 2)))
+@example(_plane_conic(Edge(4, 5, 3, 1)))
+def test_validator_refuses_what_the_frozen_copy_refuses(pair):
+    """One branch per edge kind and the links gathered in the edge loop keep
+    every check: the validator passes and fails the diagrams that its frozen
+    copy does, with the same message."""
+    delta, diagram = pair
+    assert refusal(validate_diagram, delta, diagram) == refusal(
+        frozen_validate_diagram, delta, diagram)
+
+
+@pytest.mark.parametrize("delta,diagram", [row[1:3] for row in INVALID_DIAGRAMS],
+                         ids=[row[0] for row in INVALID_DIAGRAMS])
+def test_validator_refuses_each_row_as_the_frozen_copy(delta, diagram):
+    # the rows reach the checks that small_diagrams seldom draws: a weight
+    # below 1, an endpoint that is no vertex, a disconnected graph
+    assert refusal(validate_diagram, delta, diagram) == refusal(
+        frozen_validate_diagram, delta, diagram) is not None

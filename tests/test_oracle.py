@@ -1,7 +1,9 @@
 """Brute-force oracle: fixtures and exact agreement with the sweep."""
 
 from collections import Counter
-from itertools import combinations_with_replacement
+from functools import cache
+from itertools import combinations_with_replacement, product
+from math import factorial, prod
 
 import pytest
 
@@ -14,6 +16,7 @@ from floorgw import (
     brute_force_refined_count,
     degree_hirzebruch,
     degree_p2,
+    diagram_count,
     enumerate_marked,
     lp_eval_at_one,
     multiplicity,
@@ -22,8 +25,10 @@ from floorgw import (
     refined_multiplicity,
     validate_diagram,
 )
-from floorgw.oracle import _connected, _shapes, refined_sum
-from helpers import acceptance_grid, diagram_key
+from floorgw.cli import LISTING_CAP
+from floorgw.oracle import MAX_N, _extensions, _shapes, refined_sum
+from helpers import acceptance_grid, diagram_key, frozen_extensions
+from test_count_paths import genus_range, larger_frozen_copy_pairs
 
 
 def test_oracle_fixtures():
@@ -97,6 +102,23 @@ def test_a_listing_holds_one_edge_object_per_distinct_edge(listed):
     assert len({id(e) for e in edges}) == len(set(edges)) == 104
 
 
+def connected_ranks(h, bounded):
+    """Whether the bounded (source_rank, target_rank, weight) edges join the
+    ranks 0..h-1, by a depth-first search from rank 0."""
+    if h <= 1:
+        return True
+    adj = {r: set() for r in range(h)}
+    for i, j, _ in bounded:
+        adj[i].add(j)
+        adj[j].add(i)
+    seen, stack = {0}, [0]
+    while stack:
+        for r in adj[stack.pop()] - seen:
+            seen.add(r)
+            stack.append(r)
+    return len(seen) == h
+
+
 def _reference_shapes(delta, n, max_weight):
     """Reference shape search by nested loops: every bounded multiset against
     every incoming x outgoing attachment pair, with no index."""
@@ -112,7 +134,7 @@ def _reference_shapes(delta, n, max_weight):
     ]
     divs = [delta.divergence] * h
     for bounded in combinations_with_replacement(edge_types, n_bounded):
-        if not _connected(h, bounded):
+        if not connected_ranks(h, bounded):
             continue
         flow = [0] * h
         for i, j, w in bounded:
@@ -154,3 +176,95 @@ def test_per_class_brute_sum_equals_the_per_diagram_sum_on_the_grid():
         brute = brute_force_enumerate(delta, n)
         expected = sum(map(refined_multiplicity, brute), LaurentPolyS.zero())
         assert refined_sum(brute) == expected, (delta.label, n)
+
+
+def shape_classes(delta, n):
+    """The edge classes of each shape of (delta, n) as ``brute_force_enumerate``
+    builds them: (source_rank, target_rank, weight) -> count, with source rank
+    -1 for an incoming and target rank h for an outgoing unbounded edge."""
+    h = delta.height
+    return [Counter([*bounded, *((-1, t, 1) for t in incoming), *((s, h, 1) for s in outgoing)])
+            for bounded, incoming, outgoing in _shapes(delta, n)]
+
+
+def marking_count(h, classes):
+    """The number of markings of a shape, counted and not listed: a DP over
+    gaps 0..h (gap g just before vertex g, gap h after the last), whose state
+    is the copies left per class.  A class (s, t, w) may take gaps s+1..t and
+    must be used up by gap t; a gap of k edges holding m_c copies of class c
+    has k! / prod(m_c!) orderings."""
+    keys = sorted(classes)
+
+    @cache
+    def count(g, left):
+        if g > h:
+            return 1
+        choices = [range(c, c + 1) if t == g else range(c + 1) if s < g else range(1)
+                   for (s, t, _), c in zip(keys, left)]
+        return sum(factorial(sum(takes)) // prod(map(factorial, takes))
+                   * count(g + 1, tuple(c - m for c, m in zip(left, takes)))
+                   for takes in product(*choices))
+
+    return count(0, tuple(classes[key] for key in keys))
+
+
+def listed_shape(diagram, h):
+    """The shape of a listed diagram, as sorted (class, count) pairs."""
+    rank = {p: r for r, p in enumerate(diagram.vertex_positions)}
+    return tuple(sorted(Counter((rank.get(s, -1), rank.get(t, h), w)
+                                for _, s, t, w in diagram.edges).items()))
+
+
+def test_marking_count_equals_the_listing_per_shape_on_the_grid():
+    """Per shape, the sum over the distributions of the copies over the gaps
+    of the orderings inside each gap is the number of diagrams that
+    ``brute_force_enumerate`` lists of that shape."""
+    for delta, n in acceptance_grid():
+        h, expected = delta.height, Counter()
+        for classes in shape_classes(delta, n):
+            expected[tuple(sorted(classes.items()))] += marking_count(h, classes)
+        listed = Counter(listed_shape(d, h) for d in brute_force_enumerate(delta, n))
+        assert listed == expected, (delta.label, n)
+
+
+def test_marking_count_of_a_small_shape():
+    # P2 d=3 at genus 0: vertex 0 takes the three incoming edges and sends an
+    # edge to each other vertex; the edge to vertex 2 goes in gap 1 beside the
+    # edge to vertex 1 (two orderings) or alone in gap 2 (one)
+    delta, shape = degree_p2(3), {(-1, 0, 1): 3, (0, 1, 1): 1, (0, 2, 1): 1}
+    assert shape in shape_classes(delta, 8)
+    listed = [d for d in brute_force_enumerate(delta, 8)
+              if listed_shape(d, 3) == tuple(sorted(shape.items()))]
+    assert marking_count(3, shape) == len(listed) == 3
+
+
+def assert_extensions_match_frozen_copy(pairs):
+    """Per shape, the gap-by-gap listing equals the frozen per-position
+    recursion as a multiset, with no diagram twice.  Returns the classes and
+    the diagrams compared."""
+    total = 0
+    for delta, n in pairs:
+        h, div = delta.height, delta.divergence
+        for classes in shape_classes(delta, n):
+            listing = _extensions(h, classes, div, {}, {})
+            assert len(set(listing)) == len(listing), (delta.label, n, classes)
+            assert Counter(listing) == Counter(frozen_extensions(h, classes, div, {})), (
+                delta.label, n, classes)
+            total += len(listing)
+    return len(pairs), total
+
+
+def test_extensions_equal_the_frozen_recursion():
+    """The grid, F1 (3,2) at genus 0..2 and F2 (3,0) at genus 0..3.  CI runs
+    :func:`larger_extension_pairs`."""
+    pairs = acceptance_grid() + genus_range(degree_hirzebruch(1, 3, 2), range(3))
+    pairs += genus_range(degree_hirzebruch(2, 3, 0), range(4))
+    assert assert_extensions_match_frozen_copy(pairs) == (88, 14493)
+
+
+def larger_extension_pairs():
+    """The distinct classes of :func:`larger_frozen_copy_pairs` within the
+    oracle's cap on n and the CLI's listing cap: 265 classes, among them P2
+    d=5 at genus 0..2 and F1 (3,3) at genus 2 (n = 16, 59,782 diagrams)."""
+    return list(dict.fromkeys((delta, n) for delta, n in larger_frozen_copy_pairs()
+                              if n <= MAX_N and diagram_count(delta, n) <= LISTING_CAP))
