@@ -13,20 +13,28 @@ coefficients and an explicit truncation order: the coefficient of u^k is
 known for valuation <= k < truncation_order and *undefined* (not zero) at or
 beyond the order.  Every operation propagates the narrowest reliable
 truncation order of its inputs, so an equality of two USeries asserts all
-coefficients that both sides actually know.  A product scales each operand to
-integer numerators over one common denominator, convolves the numerators as
-plain integers and reduces one fraction per output coefficient.  Both
-types share one square-and-multiply loop (``_power``) and one term printer
-(``_terms_str``), so ``s^-2 + 10 + s^2`` and ``u - 1/24*u^3 + O(u^5)`` are
-written by the same rules.
+coefficients that both sides actually know.  A USeries holds one tuple of
+integer numerators over one positive denominator, and its arithmetic works
+on those integers: a sum brings both operands to the lcm of their
+denominators; a product takes the window of each operand that it reads in
+lowest terms, convolves the numerators as plain integers and reduces the
+result, each reduction one gcd over a denominator and its numerators, never
+one per coefficient, which keeps the sizes bounded through a Newton
+inverse.  Sums, scalar multiples, shifts and truncations are not reduced.  A coefficient becomes a
+``Fraction`` only where it is read: ``coefficient``, ``coefficients``, the
+text and the JSON.  Both types share one square-and-multiply loop
+(``_power``) and one term printer (``_terms_str``), so ``s^-2 + 10 + s^2``
+and ``u - 1/24*u^3 + O(u^5)`` are written by the same rules.
 
 The bridge between the two worlds is the substitution s = e^(iu/2), i.e.
 q = e^(iu), performed purely over the rationals by one formula: s^k puts
 i^m k^m / (2^m m!) at u^m, so (-i)^t * p(e^(iu/2)) has coefficient
 (-1)^((m - t)/2) * sum_k p_k k^m / (2^m m!) at u^m when m - t is even, and
-0 otherwise.  One builder, ``_sine_series``, makes every u-series of the
-package with it: a palindromic Laurent polynomial p (invariant under
-s -> 1/s) times prod (2 sin(a*u/2))^e.  Since 2 sin(a*u/2) = -i (s^a - s^(-a)),
+0 otherwise; ``_substitute`` writes these sums over one denominator 2^M M!,
+M the last such m below the order, and makes no ``Fraction``.  One
+builder, ``_sine_series``, makes every u-series of the package with it: a
+palindromic Laurent polynomial p (invariant under s -> 1/s) times
+prod (2 sin(a*u/2))^e.  Since 2 sin(a*u/2) = -i (s^a - s^(-a)),
 the powers e >= 0 are multiplied into p and the product is substituted
 once with t = the sum of those e; the negative powers are substituted
 together and inverted once.  ``lp_substitute_exponential`` (p alone, where
@@ -42,7 +50,7 @@ from __future__ import annotations
 
 from contextlib import suppress
 from fractions import Fraction
-from math import lcm
+from math import factorial, gcd, lcm
 from operator import add, index
 from typing import Iterable
 
@@ -341,25 +349,31 @@ def lp_eval_at_one(p: LaurentPolyS) -> int:
     return sum(p.coefficients)
 
 
-def _over_common_denominator(coeffs) -> tuple[list[int], int]:
-    """Integer numerators of ``coeffs`` over their least common denominator."""
-    d = lcm(*(c.denominator for c in coeffs))
-    return [c.numerator * (d // c.denominator) for c in coeffs], d
+_ZERO = Fraction(0)
 
 
 class USeries:
     """Truncated Laurent series in u with exact rational coefficients.
 
-    ``coefficients[i]`` is the coefficient of u^(valuation + i); the window
+    The coefficient of u^(valuation + i) is ``coefficients[i]``; the window
     covers exactly [valuation, order).  Coefficients below the valuation are
     known to vanish; coefficients at or beyond ``order`` are *unknown* and
-    requesting one raises.  The zero-to-its-order series is stored with an
-    empty coefficient tuple and valuation == order.
+    requesting one raises.  The zero-to-its-order series has an empty window
+    and valuation == order.
+
+    Stored as one tuple of integer numerators, the whole window, over one
+    positive denominator; the window's first numerator is nonzero.  The pair
+    need not be in lowest terms: a product reads each operand's window in
+    lowest terms and reduces its result, each by one gcd over the denominator
+    and the numerators, and sums, negations, scalar multiples, shifts and
+    truncations keep what they get.  ``coefficients`` is the window as
+    ``Fraction``s, built on first read and kept; equality and the hash
+    compare the lowest-terms pair.  Instances are immutable.
     """
 
-    __slots__ = ("valuation", "coefficients", "order")
+    __slots__ = ("valuation", "order", "_nums", "_den", "_fractions")
 
-    def __init__(self, valuation: int, coefficients: Iterable, order: int):
+    def __new__(cls, valuation: int, coefficients: Iterable, order: int):
         valuation, order = _integers((valuation, order), "valuation and order")
         coeffs = [_as_fraction(c) for c in coefficients]
         if valuation + len(coeffs) > order:
@@ -367,19 +381,23 @@ class USeries:
                 f"coefficient window [{valuation}, {valuation + len(coeffs)}) "
                 f"exceeds truncation order {order}"
             )
-        coeffs.extend([Fraction(0)] * (order - valuation - len(coeffs)))
-        lo = 0
-        while lo < len(coeffs) and coeffs[lo] == 0:
-            lo += 1
-        object.__setattr__(self, "valuation", valuation + lo)
-        object.__setattr__(self, "coefficients", tuple(coeffs[lo:]))
-        object.__setattr__(self, "order", order)
+        den = lcm(*(c.denominator for c in coeffs))
+        return _series(valuation, [c.numerator * (den // c.denominator) for c in coeffs], den,
+                       order)
 
     def __setattr__(self, name, value):
         raise AttributeError("USeries is immutable")
 
     def __reduce__(self):  # for pickle and copy, which would set the slots one by one
         return USeries, (self.valuation, self.coefficients, self.order)
+
+    @property
+    def coefficients(self) -> tuple[Fraction, ...]:
+        if self._fractions is None:
+            den = self._den
+            object.__setattr__(self, "_fractions",
+                               tuple([Fraction(c, den) if c else _ZERO for c in self._nums]))
+        return self._fractions
 
     @classmethod
     def zero(cls, order: int) -> "USeries":
@@ -398,7 +416,7 @@ class USeries:
         return cls(exponent, (coefficient,), order)
 
     def is_zero(self) -> bool:
-        return not self.coefficients
+        return not self._nums
 
     def coefficient(self, exponent: int) -> Fraction:
         if exponent >= self.order:
@@ -407,11 +425,13 @@ class USeries:
             )
         i = exponent - self.valuation
         if i < 0:
-            return Fraction(0)
-        return self.coefficients[i]
+            return _ZERO
+        if self._fractions is None:
+            return Fraction(self._nums[i], self._den) if self._nums[i] else _ZERO
+        return self._fractions[i]
 
     def nonzero_exponents(self) -> list[int]:
-        return [self.valuation + i for i, c in enumerate(self.coefficients) if c]
+        return [self.valuation + i for i, c in enumerate(self._nums) if c]
 
     def truncate(self, new_order: int) -> "USeries":
         """Forget coefficients at or beyond ``new_order`` (never extends)."""
@@ -419,26 +439,27 @@ class USeries:
             raise AlgebraError("truncate cannot increase the truncation order")
         if new_order <= self.valuation:
             return USeries.zero(new_order)
-        return USeries(
-            self.valuation, self.coefficients[: new_order - self.valuation], new_order
-        )
+        return _series(self.valuation, self._nums[: new_order - self.valuation], self._den,
+                       new_order)
 
     def __add__(self, other: "USeries") -> "USeries":
         if not isinstance(other, USeries):
             return NotImplemented
         order = min(self.order, other.order)
         lo = min(self.valuation, other.valuation, order)
+        den = lcm(self._den, other._den)
         vals = [0] * (order - lo)
         for x in (self, other):
-            window = x.coefficients[: max(order - x.valuation, 0)]
+            window = x._nums[: max(order - x.valuation, 0)]
+            if x._den != den:
+                scale = den // x._den
+                window = [c * scale for c in window]
             i = x.valuation - lo
-            # a Fraction sum costs gcds even with a zero term, so skip those
-            vals[i:i + len(window)] = [a + b if a and b else a or b
-                                       for a, b in zip(vals[i:], window)]
-        return USeries(lo, vals, order)
+            vals[i:i + len(window)] = map(add, vals[i:], window)
+        return _series(lo, vals, den, order)
 
     def __neg__(self) -> "USeries":
-        return USeries(self.valuation, [-c for c in self.coefficients], self.order)
+        return _series(self.valuation, [-c for c in self._nums], self._den, self.order)
 
     def __sub__(self, other: "USeries") -> "USeries":
         return self + (-other)
@@ -447,9 +468,9 @@ class USeries:
         if isinstance(other, (int, Fraction)):
             if other == 0:
                 return USeries.zero(self.order)
-            return USeries(
-                self.valuation, [c * other for c in self.coefficients], self.order
-            )
+            num = other.numerator
+            return _series(self.valuation, [c * num for c in self._nums],
+                           self._den * other.denominator, self.order)
         if not isinstance(other, USeries):
             return NotImplemented
         order = min(self.order + other.valuation, other.order + self.valuation)
@@ -457,16 +478,17 @@ class USeries:
             return USeries.zero(order)
         v = self.valuation + other.valuation
         n = order - v
-        xs, dx = _over_common_denominator(self.coefficients[:n])
-        ys, dy = _over_common_denominator(other.coefficients[:n])
+        # each operand's window in lowest terms: a truncated or longer operand
+        # needs less than its whole denominator
+        xs, dx = _lowest_terms(self._nums[:n], self._den)
+        ys, dy = _lowest_terms(other._nums[:n], other._den)
         out = [0] * n
         for i, x in enumerate(xs):
             if x:
                 for k, y in enumerate(ys[: n - i], i):
                     if y:
                         out[k] += x * y
-        d = dx * dy
-        return USeries(v, [Fraction(c, d) for c in out], order)
+        return _series(v, *_lowest_terms(out, dx * dy), order)
 
     __rmul__ = __mul__
 
@@ -474,7 +496,7 @@ class USeries:
         """Multiply by u^k."""
         if self.is_zero():
             return USeries.zero(self.order + k)
-        return USeries(self.valuation + k, self.coefficients, self.order + k)
+        return _series(self.valuation + k, self._nums, self._den, self.order + k)
 
     def inverse(self) -> "USeries":
         """Multiplicative inverse; the unit part is inverted by Newton
@@ -488,12 +510,13 @@ class USeries:
         if self.is_zero():
             raise AlgebraError("inversion of the zero series is rejected")
         n = self.order - self.valuation
-        unit = USeries(0, self.coefficients, n)
-        inv = USeries(0, (1 / self.coefficients[0],), 1)
+        unit = _series(0, self._nums, self._den, n)
+        lead = self._nums[0]
+        inv = _series(0, [self._den if lead > 0 else -self._den], abs(lead), 1)
         for s in reversed(range((n - 1).bit_length())):
             m = ((n - 1) >> s) + 1
-            guess = USeries(0, inv.coefficients, m)  # inv padded with zeros
-            inv = guess * (USeries(0, (2,), m) - unit.truncate(m) * guess)
+            guess = _series(0, inv._nums, inv._den, m)  # inv padded with zeros
+            inv = guess * (_series(0, [2], 1, m) - unit.truncate(m) * guess)
         return inv.shift(-self.valuation)
 
     def __pow__(self, k: int) -> "USeries":
@@ -505,7 +528,7 @@ class USeries:
             return USeries.one(self.order - self.valuation)
         if self.is_zero():
             return USeries.zero(k * self.order)
-        unit = USeries(0, self.coefficients, self.order - self.valuation)
+        unit = _series(0, self._nums, self._den, self.order - self.valuation)
         return _power(unit, k, USeries.one(unit.order)).shift(k * self.valuation)
 
     def __eq__(self, other) -> bool:
@@ -513,11 +536,11 @@ class USeries:
             isinstance(other, USeries)
             and self.order == other.order
             and self.valuation == other.valuation
-            and self.coefficients == other.coefficients
+            and _lowest_terms(self._nums, self._den) == _lowest_terms(other._nums, other._den)
         )
 
     def __hash__(self) -> int:
-        return hash(("USeries", self.valuation, self.coefficients, self.order))
+        return hash(("USeries", self.valuation, _lowest_terms(self._nums, self._den), self.order))
 
     def __str__(self) -> str:
         return f"{_terms_str(self.valuation, self.coefficients, 'u')} + O(u^{self.order})"
@@ -537,25 +560,60 @@ class USeries:
         return _read_series(cls, data, rational_from_str, "valuation", "order")
 
 
+def _lowest_terms(nums, den: int) -> tuple:
+    """nums[i] / den as (numerators, denominator) in lowest terms, by one gcd
+    over ``den`` and every numerator; ``nums`` itself when it is already."""
+    common = gcd(den, *nums)
+    return (nums, den) if common == 1 else (tuple([c // common for c in nums]), den // common)
+
+
+def _series(valuation: int, nums, den: int, order: int) -> USeries:
+    """The series nums[i] / den at u^(valuation + i) over [valuation, order):
+    ``nums`` holds at most order - valuation ints, padded here with zeros,
+    and ``den`` is positive."""
+    lo = 0
+    while lo < len(nums) and not nums[lo]:
+        lo += 1
+    if lo == len(nums):
+        nums, den, valuation = (), 1, order
+    else:
+        nums = (*nums[lo:], *[0] * (order - valuation - len(nums)))
+        valuation += lo
+    series = object.__new__(USeries)
+    for slot, value in (("valuation", valuation), ("order", order), ("_nums", nums),
+                        ("_den", den), ("_fractions", None)):
+        object.__setattr__(series, slot, value)
+    return series
+
+
 def _substitute(p: LaurentPolyS, turns: int, order: int) -> USeries:
     """(-i)^turns * p(e^(iu/2)) to ``order``, by the module docstring's formula.
 
     The callers' p has a real image, p(1/s) = (-1)^turns p(s), so the
-    coefficients at u^m with m - turns odd are 0 and are not summed.
+    coefficients at u^m with m - turns odd are 0 and are not summed.  For
+    the others (-k)^m = (-1)^turns k^m, so s^k and s^-k are summed as one
+    term.  The sums[m] / (2^m m!) are written over one denominator
+    2^top top!, top the last such m below the order.
     """
     parity = turns % 2
-    sums = [0] * order
+    folded: dict[int, int] = {}
     for k, c in enumerate(p.coefficients, p.valuation):
+        folded[abs(k)] = folded.get(abs(k), 0) + (-c if k < 0 and parity else c)
+    sums = [0] * order
+    for k, c in folded.items():
         if c:
             power, step = c * k**parity, k * k  # 0 ** 0 == 1 keeps the constant term
             for m in range(parity, order, 2):
                 sums[m] += power
                 power *= step
-    coeffs, scale = [], 1  # scale = 2^m m!
-    for m in range(order):
-        coeffs.append(Fraction((-1) ** ((m - turns) // 2 % 2) * sums[m], scale))
-        scale *= 2 * (m + 1)
-    return USeries(0, coeffs, order)
+    top = order - 1 - (order - 1 - parity) % 2
+    if top < 0:
+        return USeries.zero(order)
+    scale = 1  # 2^top top! / (2^m m!)
+    for m in range(top, -1, -2):
+        sums[m] *= scale if (m - turns) // 2 % 2 == 0 else -scale
+        scale *= 4 * m * (m - 1)
+    return _series(0, sums, factorial(top) << top, order)
 
 
 def _sine_series(p: LaurentPolyS, sines: Iterable[tuple[int, int]], order: int) -> USeries:

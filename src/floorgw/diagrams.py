@@ -682,10 +682,37 @@ def refined_count(delta: HTransverseDegree, n: int) -> LaurentPolyS:
 
 def fold_refined(profiles: dict[tuple[int, ...], int]) -> LaurentPolyS:
     """The refined count of the diagrams that ``profiles`` (a result of
-    :func:`weight_profiles`) counts: [w]_q^2 per bounded edge of weight w."""
-    squares = {w: q_integer(w) ** 2 for w in set().union(*profiles)}
-    return sum((prod(map(squares.get, weights), start=LaurentPolyS.one()) * count
-                for weights, count in profiles.items()), LaurentPolyS.zero())
+    :func:`weight_profiles`) counts: [w]_q^2 per bounded edge of weight w.
+
+    Folded in one integer (Kronecker substitution).  Every [w]_q^2 has only
+    even s-exponents, so its coefficients 1, 2, ..., w, ..., 2, 1 at
+    s^-2(w-1), ..., s^2(w-1) go into one int at B bits per q-step.  A
+    profile's product, times its count, is shifted up by
+    B * (E - sum 2(w - 1)) / 2, E the largest sum 2(w - 1) over the profiles,
+    so that every product's slot j holds s^(-E + 2j); the sum is unpacked
+    once.
+
+    B is one more than the bit length of T = sum count * prod w^2, the value
+    at s = 1.  Every polynomial here, each factor, partial product, scaled
+    product and partial sum, has coefficients >= 0, so each of its
+    coefficients is at most its value at s = 1, and that value is at most T
+    < 2^(B-1).  So no slot of any packed int reaches 2^B, no carry crosses
+    a slot, and each int operation is the polynomial operation.
+    """
+    if not profiles:
+        return LaurentPolyS.zero()
+    bits = sum(c * prod(weights) ** 2 for weights, c in profiles.items()).bit_length() + 1
+    squares = {w: sum(min(j + 1, 2 * w - 1 - j) << bits * j for j in range(2 * w - 1))
+               for w in set().union(*profiles)}
+    top = max(sum(weights) - len(weights) for weights in profiles)  # E / 2
+    total = sum(count * prod(map(squares.__getitem__, weights))
+                << bits * (top - sum(weights) + len(weights))
+                for weights, count in profiles.items())
+    mask, coeffs = (1 << bits) - 1, []
+    for _ in range(2 * top + 1):
+        coeffs += (total & mask, 0)
+        total >>= bits
+    return LaurentPolyS(-2 * top, coeffs[:-1])
 
 
 def classical_count(delta: HTransverseDegree, n: int) -> int:

@@ -77,9 +77,9 @@ class GwError(ValueError):
 
 # Caps on the work of one request, sized on a 2-vCPU x86-64 host.  At order
 # 500 the slowest series known, ``ab_identity_check(3, 0, 11)``, takes about
-# 1.2 s (5.9 s at order 750, 19 s at 1000).  A vertex's sine product is a
-# Laurent polynomial of 2 * (|mu| + |nu|) + 1 coefficients; with
-# distinct parts 1..140, |mu| = 9870, it takes 1.6 s at order 500.
+# 1.6-2.0 s (8.4-9.8 s at order 750, 27-32 s at 1000).  A vertex's sine
+# product is a Laurent polynomial of 2 * (|mu| + |nu|) + 1 coefficients;
+# with distinct parts 1..140, |mu| = 9870, it takes about 0.9 s at order 500.
 _ORDER_CAP = 500
 _VERTEX_SIZE_CAP = 10_000
 

@@ -3,9 +3,20 @@
 from bisect import bisect_left
 from fractions import Fraction
 from itertools import product
-from math import comb, prod
+from math import comb, lcm, prod
 
 from floorgw import Edge, MarkedFloorDiagram, degree_hirzebruch, degree_p2, points_for_genus
+from floorgw.algebra import (
+    AlgebraError,
+    LaurentPolyS,
+    _integers,
+    _power,
+    _read_series,
+    _terms_str,
+    q_integer,
+    rational_from_str,
+    rational_to_str,
+)
 from floorgw.diagrams import InvalidDiagram, _Edges, _head_subsets, _limits
 
 
@@ -292,3 +303,213 @@ def bernoulli(m_max):
             row[j - 1] = j * (row[j - 1] - row[j])
         b.append(row[0])
     return b
+
+
+def frozen_fold_refined(profiles):
+    """A frozen copy of ``diagrams.fold_refined`` as it was before the fold
+    was packed into one integer: the sum over the profiles of count times
+    the product of [w]_q^2, as ``LaurentPolyS`` arithmetic."""
+    squares = {w: q_integer(w) ** 2 for w in set().union(*profiles)}
+    return sum((prod(map(squares.get, weights), start=LaurentPolyS.one()) * count
+                for weights, count in profiles.items()), LaurentPolyS.zero())
+
+
+def _frozen_as_fraction(x):
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, int):
+        return Fraction(x)
+    raise AlgebraError(f"expected an exact rational, got {type(x).__name__}")
+
+
+class FrozenUSeries:
+    """A frozen copy of ``algebra.USeries`` as it was when it stored one
+    ``Fraction`` per coefficient, the reference for the integer series:
+    the same constructor, window, truncation orders, refusals, text and
+    JSON.  Its product scales both operands to integers over their least
+    common denominators and reduces one ``Fraction`` per coefficient."""
+
+    __slots__ = ("valuation", "coefficients", "order")
+
+    def __init__(self, valuation, coefficients, order):
+        valuation, order = _integers((valuation, order), "valuation and order")
+        coeffs = [_frozen_as_fraction(c) for c in coefficients]
+        if valuation + len(coeffs) > order:
+            raise AlgebraError(
+                f"coefficient window [{valuation}, {valuation + len(coeffs)}) "
+                f"exceeds truncation order {order}"
+            )
+        coeffs.extend([Fraction(0)] * (order - valuation - len(coeffs)))
+        lo = 0
+        while lo < len(coeffs) and coeffs[lo] == 0:
+            lo += 1
+        object.__setattr__(self, "valuation", valuation + lo)
+        object.__setattr__(self, "coefficients", tuple(coeffs[lo:]))
+        object.__setattr__(self, "order", order)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("USeries is immutable")
+
+    @classmethod
+    def zero(cls, order):
+        return cls(order, (), order)
+
+    @classmethod
+    def one(cls, order):
+        if order < 1:
+            raise AlgebraError("order must be >= 1 to represent the constant 1")
+        return cls(0, (1,), order)
+
+    @classmethod
+    def monomial(cls, exponent, order, coefficient=1):
+        if order <= exponent:
+            raise AlgebraError("monomial exponent at or beyond truncation order")
+        return cls(exponent, (coefficient,), order)
+
+    def is_zero(self):
+        return not self.coefficients
+
+    def coefficient(self, exponent):
+        if exponent >= self.order:
+            raise AlgebraError(
+                f"coefficient of u^{exponent} is beyond truncation order {self.order}"
+            )
+        i = exponent - self.valuation
+        if i < 0:
+            return Fraction(0)
+        return self.coefficients[i]
+
+    def nonzero_exponents(self):
+        return [self.valuation + i for i, c in enumerate(self.coefficients) if c]
+
+    def truncate(self, new_order):
+        if new_order > self.order:
+            raise AlgebraError("truncate cannot increase the truncation order")
+        if new_order <= self.valuation:
+            return FrozenUSeries.zero(new_order)
+        return FrozenUSeries(
+            self.valuation, self.coefficients[: new_order - self.valuation], new_order
+        )
+
+    def __add__(self, other):
+        if not isinstance(other, FrozenUSeries):
+            return NotImplemented
+        order = min(self.order, other.order)
+        lo = min(self.valuation, other.valuation, order)
+        vals = [0] * (order - lo)
+        for x in (self, other):
+            window = x.coefficients[: max(order - x.valuation, 0)]
+            i = x.valuation - lo
+            vals[i:i + len(window)] = [a + b if a and b else a or b
+                                       for a, b in zip(vals[i:], window)]
+        return FrozenUSeries(lo, vals, order)
+
+    def __neg__(self):
+        return FrozenUSeries(self.valuation, [-c for c in self.coefficients], self.order)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            if other == 0:
+                return FrozenUSeries.zero(self.order)
+            return FrozenUSeries(
+                self.valuation, [c * other for c in self.coefficients], self.order
+            )
+        if not isinstance(other, FrozenUSeries):
+            return NotImplemented
+        order = min(self.order + other.valuation, other.order + self.valuation)
+        if self.is_zero() or other.is_zero():
+            return FrozenUSeries.zero(order)
+        v = self.valuation + other.valuation
+        n = order - v
+        xs, dx = _frozen_over_common_denominator(self.coefficients[:n])
+        ys, dy = _frozen_over_common_denominator(other.coefficients[:n])
+        out = [0] * n
+        for i, x in enumerate(xs):
+            if x:
+                for k, y in enumerate(ys[: n - i], i):
+                    if y:
+                        out[k] += x * y
+        d = dx * dy
+        return FrozenUSeries(v, [Fraction(c, d) for c in out], order)
+
+    __rmul__ = __mul__
+
+    def shift(self, k):
+        if self.is_zero():
+            return FrozenUSeries.zero(self.order + k)
+        return FrozenUSeries(self.valuation + k, self.coefficients, self.order + k)
+
+    def inverse(self):
+        if self.is_zero():
+            raise AlgebraError("inversion of the zero series is rejected")
+        n = self.order - self.valuation
+        unit = FrozenUSeries(0, self.coefficients, n)
+        inv = FrozenUSeries(0, (1 / self.coefficients[0],), 1)
+        for s in reversed(range((n - 1).bit_length())):
+            m = ((n - 1) >> s) + 1
+            guess = FrozenUSeries(0, inv.coefficients, m)
+            inv = guess * (FrozenUSeries(0, (2,), m) - unit.truncate(m) * guess)
+        return inv.shift(-self.valuation)
+
+    def __pow__(self, k):
+        if k < 0:
+            return self.inverse() ** (-k)
+        if k == 0:
+            if self.is_zero():
+                raise AlgebraError("0**0 of series is undefined")
+            return FrozenUSeries.one(self.order - self.valuation)
+        if self.is_zero():
+            return FrozenUSeries.zero(k * self.order)
+        unit = FrozenUSeries(0, self.coefficients, self.order - self.valuation)
+        return _power(unit, k, FrozenUSeries.one(unit.order)).shift(k * self.valuation)
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, FrozenUSeries)
+            and self.order == other.order
+            and self.valuation == other.valuation
+            and self.coefficients == other.coefficients
+        )
+
+    def __hash__(self):
+        return hash(("USeries", self.valuation, self.coefficients, self.order))
+
+    def __str__(self):
+        return f"{_terms_str(self.valuation, self.coefficients, 'u')} + O(u^{self.order})"
+
+    def to_json(self):
+        return {
+            "valuation": self.valuation,
+            "order": self.order,
+            "coefficients": [rational_to_str(c) for c in self.coefficients],
+        }
+
+    @classmethod
+    def from_json(cls, data):
+        return _read_series(cls, data, rational_from_str, "valuation", "order")
+
+
+def _frozen_over_common_denominator(coeffs):
+    d = lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (d // c.denominator) for c in coeffs], d
+
+
+def frozen_substitute(p, turns, order):
+    """A frozen copy of ``algebra._substitute`` as it was when it made one
+    ``Fraction`` per coefficient: (-i)^turns * p(e^(iu/2)) to ``order``."""
+    parity = turns % 2
+    sums = [0] * order
+    for k, c in enumerate(p.coefficients, p.valuation):
+        if c:
+            power, step = c * k**parity, k * k
+            for m in range(parity, order, 2):
+                sums[m] += power
+                power *= step
+    coeffs, scale = [], 1
+    for m in range(order):
+        coeffs.append(Fraction((-1) ** ((m - turns) // 2 % 2) * sums[m], scale))
+        scale *= 2 * (m + 1)
+    return FrozenUSeries(0, coeffs, order)

@@ -29,8 +29,8 @@ from floorgw import (
     sin_factor_series,
     vertex_series,
 )
-from floorgw.algebra import _sine_series
-from helpers import bernoulli
+from floorgw.algebra import _sine_series, _substitute
+from helpers import FrozenUSeries, bernoulli, frozen_substitute
 
 F = Fraction
 
@@ -533,6 +533,118 @@ def test_useries_inverse_against_sympy_series(x):
     expansion = sympy.series(1 / unit, u, 0, x.order - v).removeO()
     for k in range(inv.valuation, inv.order):
         assert inv.coefficient(k) == sympy_coefficient(expansion, u, k + v)
+
+
+# --------------------------- the integer series against the Fraction reference
+
+# Numerators and denominators: small, huge, pairwise coprime (primes) and sharing factors.
+_denominators = st.one_of(st.integers(1, 12), st.sampled_from([7, 11, 13, 101, 2**61 - 1]),
+                          st.integers(1, 10**25))
+_exact = st.one_of(st.just(0), st.integers(-9, 9), st.integers(-(10**20), 10**20),
+                   st.builds(F, st.integers(-(10**12), 10**12), _denominators))
+
+
+@st.composite
+def series_args(draw, max_len=12):
+    """(valuation, coefficients, order) for both series types: ints and Fractions,
+    negative valuations, all-zero windows and windows shorter than the order."""
+    valuation = draw(st.integers(-6, 4))
+    coeffs = draw(st.lists(_exact, max_size=max_len))
+    return valuation, coeffs, valuation + len(coeffs) + draw(st.integers(0, 3))
+
+
+def outcome(build):
+    """The value ``build()`` returns, or ("refused", message) for an AlgebraError."""
+    try:
+        return build()
+    except AlgebraError as error:
+        return ("refused", str(error))
+
+
+def assert_matches(ours, frozen):
+    """The integer series carries the reference's window, order and Fractions,
+    or both refused with one message."""
+    if isinstance(frozen, tuple):
+        assert ours == frozen
+        return
+    assert (ours.valuation, ours.order) == (frozen.valuation, frozen.order)
+    assert ours.coefficients == frozen.coefficients
+    assert all(type(c) is F for c in ours.coefficients)
+    assert ours.nonzero_exponents() == frozen.nonzero_exponents()
+    assert str(ours) == str(frozen) and ours.to_json() == frozen.to_json()
+
+
+@given(series_args(), series_args(), st.one_of(_exact, st.just(F(0))), st.integers(-4, 4),
+       st.integers(-8, 16))
+@settings(max_examples=150, deadline=None)
+def test_useries_matches_the_fraction_reference(x_args, y_args, scalar, k, cut):
+    x, fx = USeries(*x_args), FrozenUSeries(*x_args)
+    y, fy = USeries(*y_args), FrozenUSeries(*y_args)
+    assert_matches(x, fx)
+    assert_matches(y, fy)
+    assert_matches(x + y, fx + fy)
+    assert_matches(x - y, fx - fy)
+    assert_matches(-x, -fx)
+    assert_matches(x * y, fx * fy)
+    assert_matches(y * x, fy * fx)
+    assert_matches(x * scalar, fx * scalar)
+    assert_matches(scalar * x, scalar * fx)
+    assert_matches(x.shift(k), fx.shift(k))
+    assert_matches(outcome(lambda: x.truncate(cut)), outcome(lambda: fx.truncate(cut)))
+    assert_matches(outcome(x.inverse), outcome(fx.inverse))
+    for power in (-2, -1, 0, 1, 2, 3):
+        assert_matches(outcome(lambda: x ** power), outcome(lambda: fx ** power))
+    for exponent in range(x.valuation - 2, x.order + 2):
+        assert outcome(lambda: x.coefficient(exponent)) == \
+            outcome(lambda: fx.coefficient(exponent))
+    assert (x == y) == (fx == fy)
+    read = USeries.from_json(json.loads(json.dumps(x.to_json())))
+    assert read == x and hash(read) == hash(x)
+    assert_matches(read, FrozenUSeries.from_json(fx.to_json()))
+
+
+@given(series_args(), st.integers(2, 10**6))
+@settings(max_examples=60, deadline=None)
+def test_equal_integer_series_have_equal_hashes(args, factor):
+    """Equal series built over different denominators (a scalar that cancels,
+    a sum with zero, a product with one) are equal and hash alike."""
+    x = USeries(*args)
+    same = [(x * factor) * F(1, factor), x + USeries.zero(x.order),
+            x * USeries.one(max(x.order - x.valuation, 1))]
+    for y in same:
+        assert y == x and hash(y) == hash(x)
+    assert len({x, *same}) == 1
+
+
+REFUSALS = [
+    lambda S: S(0, [0.5], 2),
+    lambda S: S(0, [1, 2, 3], 2),
+    lambda S: S(0, [1], 2.5),
+    lambda S: S(F(1, 2), [1], 3),
+    lambda S: S(0, ["1"], 3),
+    lambda S: S.one(0),
+    lambda S: S.monomial(3, 3),
+    lambda S: S(2, [1, 1], 6).truncate(7),
+    lambda S: S(2, [1, 1], 6).coefficient(6),
+    lambda S: S.zero(5).inverse(),
+    lambda S: S.zero(5) ** 0,
+    lambda S: S.zero(5) ** -2,
+]
+
+
+@pytest.mark.parametrize("build", REFUSALS, ids=[
+    "float-coefficient", "overlong-window", "float-order", "fraction-valuation",
+    "text-coefficient", "one-at-order-0", "monomial-at-order", "truncate-up",
+    "coefficient-at-order", "zero-inverse", "zero-to-the-0", "zero-to-a-negative-power"])
+def test_useries_refusals_match_the_fraction_reference(build):
+    ours = outcome(lambda: build(USeries))
+    assert ours[0] == "refused" and ours == outcome(lambda: build(FrozenUSeries))
+
+
+@given(laurent_polys, st.integers(0, 5), st.integers(1, 70))
+@settings(max_examples=80, deadline=None)
+def test_substitution_matches_the_fraction_reference(p, turns, order):
+    assert_matches(_substitute(p, turns, order), frozen_substitute(p, turns, order))
 
 
 # ------------------------------------- the integer kernel against references

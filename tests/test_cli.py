@@ -668,6 +668,58 @@ def test_series_json_output_is_pinned(capsys, command):
     assert hashlib.sha256(out.encode()).hexdigest() == SERIES_DIGESTS[command]
 
 
+# SHA-256 of the text and CSV stdout of series jobs, and of all three formats at the
+# order cap; the digests were taken while every USeries held one Fraction per
+# coefficient, before the integer numerators over one denominator.
+SERIES_FORMAT_DIGESTS = {
+    "gw --surface p2 --degree 3 --genus 0 --order 120 --format text":
+        "45dbc4fedcaa21fbd7149ca2bd35b3a22455774bd8522aba5252eb91e98557d1",
+    "gw --surface p2 --degree 3 --genus 0 --order 120 --format csv":
+        "63920b7848120fd64b79150578645e0472656e056691a1c34052edad0733a478",
+    "log-gw --surface fk --k 1 --h 2 --d 1 --genus 1 --order 60 --format text":
+        "8ee823fb5b6b51537013ff336d32a328471cebc4832fb43016a4d413ec80854d",
+    "log-gw --surface fk --k 1 --h 2 --d 1 --genus 1 --order 60 --format csv":
+        "a2bd9a492333a1b2e9a3db12d66380d0bf1645ef870f5b47bca4aab4661c9125",
+    "vertex --mu 3,2,1 --nu 1,1 --order 120 --format text":
+        "6a06c679b86732fa579d36023e8136a7b6ce4e197b3d10e417cac6b9918c6311",
+    "vertex --mu 3,2,1 --nu 1,1 --order 120 --format csv":
+        "6e7b803ffed824bc6677d5c69c0616a7ec97cbb2fd9a08fe8d3e1bd87e8cf1cc",
+    "gw --surface p2 --degree 1 --points 2 --order 40 --format text":
+        "66937502a887d7e15515e9def5299ec91fb7d70e3cbf48f58fbce3da1feb8483",
+    "gw --surface p2 --degree 1 --points 2 --order 40 --format csv":
+        "a6875ff20429d0ca939c02117120c34c7ae5240946bd07de9f444d134fe04106",
+    "verify ab --a 2 --b 1 --points 9 --order 40 --format text":
+        "c71ba90002012a27a572443e833e1bccac33c586ba7e69088efcabb7e7ea5a2e",
+    "verify degeneration --surface p2 --degree 3 --genus 1 --order 48 --format text":
+        "1cf30d27685e57916770d424964ecdbc7279d2d2c845b89382805f6114393023",
+    "gw --surface p2 --degree 4 --genus 0 --order 500 --format json":
+        "01d93a74937cdee057d1ae77bab61eac78449bf1792119743c9cbede9b24a7f7",
+    "gw --surface p2 --degree 4 --genus 0 --order 500 --format text":
+        "577769a5ae8b9c3021b35d548be3e0f5084c8b11155129108aa01e1b51f940b8",
+    "gw --surface p2 --degree 4 --genus 0 --order 500 --format csv":
+        "fc8d9bfdbbba50f93b452358cda968a2f64b43fc136e0de158edfe8981c82aa7",
+    "log-gw --surface fk --k 1 --h 3 --d 1 --genus 0 --order 500 --format json":
+        "ac45b2a6516356583cb56a5b8e353e807a1c838fabeb6733a2b7c154aa37b867",
+    "log-gw --surface fk --k 1 --h 3 --d 1 --genus 0 --order 500 --format text":
+        "d3491b92f81dad224d060fc0b058ef01ed092c408fcfcc9eb54f7387dbc8d954",
+    "log-gw --surface fk --k 1 --h 3 --d 1 --genus 0 --order 500 --format csv":
+        "85e1f71020f33e94db2e37c7558b85d3b050992ea3b0639c1fa0371ffe851151",
+    "vertex --mu 5,4,3,2,1 --nu 3,3 --order 500 --format json":
+        "2a3683c202c4968276b435fb77803d5ab843515ee8c42a7b778d9b9363b57ea1",
+    "vertex --mu 5,4,3,2,1 --nu 3,3 --order 500 --format text":
+        "04243390c07e215ccfad4d505207866b4ef3750b3e783320a3002ca791805964",
+    "vertex --mu 5,4,3,2,1 --nu 3,3 --order 500 --format csv":
+        "c15e97bd5c46344d69626da4bc65f96171a90f39d8001cd6f9ee7f285a1da3b1",
+}
+
+
+@pytest.mark.parametrize("command", SERIES_FORMAT_DIGESTS)
+def test_series_text_csv_and_order_cap_output_is_pinned(capsys, command):
+    code, out, err = run_cli(capsys, *command.split())
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == SERIES_FORMAT_DIGESTS[command]
+
+
 COMMANDS = ("enumerate", "count", "gw", "log-gw", "vertex",
             "verify degeneration", "verify ab", "verify oracle")
 

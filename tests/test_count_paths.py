@@ -35,7 +35,8 @@ from floorgw import (
     weight_profiles,
 )
 import floorgw.diagrams as diagrams
-from helpers import acceptance_grid, frozen_state_sum, hirzebruch_family_grid
+from helpers import (acceptance_grid, frozen_fold_refined, frozen_state_sum,
+                     hirzebruch_family_grid)
 
 
 def assert_counts_match_listing(delta, n):
@@ -180,10 +181,28 @@ def test_state_sum_builds_the_branches_of_the_frozen_copy():
 
 
 def larger_frozen_copy_pairs():
-    """P2 d <= 7 at every genus and F_k with k, h, d <= 3 at genus <= 5: 409
-    classes, 56,383 states."""
-    return plane_every_genus(7) + [pair for delta in hirzebruch_family_grid(3, 3, 3)
-                                   for pair in genus_range(delta, range(6))]
+    """The distinct classes of P2 d <= 7 at every genus and F_k with k, h, d
+    <= 3 at genus <= 5: a height-0 F_k degree is the same for every k, and
+    F1 (h, 0) is P2 degree h, so 348 of the 409 pairs, with 56,296 states."""
+    return list(dict.fromkeys(plane_every_genus(7) + [
+        pair for delta in hirzebruch_family_grid(3, 3, 3) for pair in genus_range(delta, range(6))]))
+
+
+def test_packed_fold_equals_the_frozen_polynomial_fold():
+    """On the acceptance grid and on P2 d <= 7 at every genus."""
+    for delta, n in acceptance_grid() + plane_every_genus(7):
+        profiles = weight_profiles(delta, n)
+        assert diagrams.fold_refined(profiles) == frozen_fold_refined(profiles), (delta.label, n)
+
+
+def test_packed_fold_of_a_count_past_64_bits():
+    """F0 (14, 4) at genus 0: its largest coefficient has 71 bits, so the
+    packed fold's slots are wider than a machine word."""
+    delta = degree_hirzebruch(0, 14, 4)
+    profiles = weight_profiles(delta, points_for_genus(delta, 0))
+    refined = diagrams.fold_refined(profiles)
+    assert refined == frozen_fold_refined(profiles)
+    assert max(refined.coefficients).bit_length() == 71
 
 
 SWEEP_CLASSES = [(degree_p2(4), 0), (degree_p2(4), 2), (degree_hirzebruch(1, 3, 1), 0),

@@ -263,8 +263,8 @@ def test_extensions_equal_the_frozen_recursion():
 
 
 def larger_extension_pairs():
-    """The distinct classes of :func:`larger_frozen_copy_pairs` within the
-    oracle's cap on n and the CLI's listing cap: 265 classes, among them P2
-    d=5 at genus 0..2 and F1 (3,3) at genus 2 (n = 16, 59,782 diagrams)."""
-    return list(dict.fromkeys((delta, n) for delta, n in larger_frozen_copy_pairs()
-                              if n <= MAX_N and diagram_count(delta, n) <= LISTING_CAP))
+    """The classes of :func:`larger_frozen_copy_pairs` within the oracle's
+    cap on n and the CLI's listing cap: 265 classes, among them P2 d=5 at
+    genus 0..2 and F1 (3,3) at genus 2 (n = 16, 59,782 diagrams)."""
+    return [(delta, n) for delta, n in larger_frozen_copy_pairs()
+            if n <= MAX_N and diagram_count(delta, n) <= LISTING_CAP]
