@@ -47,7 +47,6 @@ from .gw import (
     ab_identity_check,
     degeneration_cross_check,
     degeneration_series,
-    extract_invariant,
     f0_absolute_series,
     f2_relative_dminus2_series,
     gw_relative_series,
@@ -87,7 +86,6 @@ __all__ = [
     "degree_p2",
     "diagram_count",
     "enumerate_marked",
-    "extract_invariant",
     "f0_absolute_series",
     "f2_relative_dminus2_series",
     "gw_relative_series",

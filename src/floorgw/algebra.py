@@ -39,7 +39,8 @@ the powers e >= 0 are multiplied into p and the product is substituted
 once with t = the sum of those e; the negative powers are substituted
 together and inverted once.  ``lp_substitute_exponential`` (p alone, where
 each s^a + s^(-a) becomes 2 cos(a*u/2)) and ``sin_factor_series`` (one sine
-power) are its two public cases.
+power) are its two public cases: no route calls them, but they are the series
+of the paper's substitution that a reader can check, and floorbench traces both.
 
 Non-palindromic input to the substitution is rejected: its image would have
 a non-cancelling imaginary part, and every refined count is palindromic, so
@@ -118,6 +119,13 @@ def _integer(value, field: str) -> int:
         with suppress(ValueError):
             return _int_text(value)
     raise AlgebraError(f"{field} {value!r} is not an integer")
+
+
+def _whole(value, name: str, error: type) -> int:
+    """``value`` when it is an int, else ``error``: not a float, a str or a bool."""
+    if type(value) is not int:  # not isinstance: a bool is an int
+        raise error(f"{name} must be an integer, got {value!r}")
+    return value
 
 
 def _json(value, kind: type, field: str):
@@ -232,10 +240,6 @@ class LaurentPolyS:
     def one(cls) -> "LaurentPolyS":
         return cls(0, (1,))
 
-    @classmethod
-    def monomial(cls, exponent: int, coefficient: int = 1) -> "LaurentPolyS":
-        return cls(exponent, (coefficient,))
-
     def is_zero(self) -> bool:
         return not self.coefficients
 
@@ -246,13 +250,11 @@ class LaurentPolyS:
         return self.valuation + len(self.coefficients) - 1
 
     def coefficient(self, exponent: int) -> int:
+        """The coefficient of s^exponent: public as the reader of one term of a count."""
         i = exponent - self.valuation
         if 0 <= i < len(self.coefficients):
             return self.coefficients[i]
         return 0
-
-    def exponents(self) -> list[int]:
-        return [self.valuation + i for i, c in enumerate(self.coefficients) if c]
 
     def is_palindromic(self) -> bool:
         """True when invariant under s -> 1/s."""
@@ -328,6 +330,7 @@ class LaurentPolyS:
 
     @classmethod
     def from_json(cls, data: dict) -> "LaurentPolyS":
+        """What :meth:`to_json` wrote: public for the round trip that README documents."""
         return _read_series(cls, data, lambda c: _integer(c, "coefficient"), "valuation")
 
 
@@ -409,12 +412,6 @@ class USeries:
             raise AlgebraError("order must be >= 1 to represent the constant 1")
         return cls(0, (1,), order)
 
-    @classmethod
-    def monomial(cls, exponent: int, order: int, coefficient=1) -> "USeries":
-        if order <= exponent:
-            raise AlgebraError("monomial exponent at or beyond truncation order")
-        return cls(exponent, (coefficient,), order)
-
     def is_zero(self) -> bool:
         return not self._nums
 
@@ -429,9 +426,6 @@ class USeries:
         if self._fractions is None:
             return Fraction(self._nums[i], self._den) if self._nums[i] else _ZERO
         return self._fractions[i]
-
-    def nonzero_exponents(self) -> list[int]:
-        return [self.valuation + i for i, c in enumerate(self._nums) if c]
 
     def truncate(self, new_order: int) -> "USeries":
         """Forget coefficients at or beyond ``new_order`` (never extends)."""
@@ -557,6 +551,7 @@ class USeries:
 
     @classmethod
     def from_json(cls, data: dict) -> "USeries":
+        """What :meth:`to_json` wrote: public for the round trip that README documents."""
         return _read_series(cls, data, rational_from_str, "valuation", "order")
 
 

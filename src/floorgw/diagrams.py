@@ -32,7 +32,7 @@ from math import comb, prod
 from operator import itemgetter
 from typing import NamedTuple
 
-from .algebra import AlgebraError, LaurentPolyS, Partition, _integer, _json, q_integer
+from .algebra import AlgebraError, LaurentPolyS, Partition, _integer, _json, _whole, q_integer
 
 
 class DiagramError(ValueError):
@@ -80,9 +80,6 @@ class HTransverseDegree:
         return (((-1, 0),) * h + ((0, -1),) * self.d_b + ((0, 1),) * self.d_t
                 + ((1, self.divergence),) * h)
 
-    def genus_for_points(self, n: int) -> int:
-        return n + 1 - self.size
-
     def __eq__(self, other) -> bool:
         return isinstance(other, HTransverseDegree) and self.vectors == other.vectors
 
@@ -119,14 +116,14 @@ def degree_hirzebruch(k: int, h: int, d: int) -> HTransverseDegree:
 
 def points_for_genus(delta: HTransverseDegree, g: int) -> int:
     """The point count n = g - 1 + |delta| of genus g; :func:`_genus` refuses g < 0."""
-    n = g - 1 + delta.size
+    n = _whole(g, "genus", DiagramError) - 1 + delta.size
     _genus(delta, n)
     return n
 
 
 def _genus(delta: HTransverseDegree, n: int) -> int:
     """The genus n + 1 - |delta|; every entry point of a class refuses g < 0 here."""
-    g = delta.genus_for_points(n)
+    g = _whole(n, "n", DiagramError) + 1 - delta.size
     if g < 0:
         raise DiagramError(f"no diagrams: n = {n} gives negative genus {g} for {delta.label}")
     return g
@@ -172,9 +169,6 @@ class MarkedFloorDiagram(NamedTuple):
     divergence: int
     edges: tuple[Edge, ...]
 
-    def bounded_edges(self) -> list[Edge]:
-        return [e for e in self.edges if e.source is not None and e.target is not None]
-
     def to_json(self) -> dict:
         return {
             "n": self.n,
@@ -185,10 +179,6 @@ class MarkedFloorDiagram(NamedTuple):
                 for position, source, target, weight in self.edges
             ],
         }
-
-    def json_text(self) -> str:
-        """``json.dumps(self.to_json())``: the one-diagram case of :func:`json_pieces`."""
-        return "".join(json_pieces([self]))
 
     @classmethod
     def from_json(cls, data: dict) -> "MarkedFloorDiagram":
@@ -249,7 +239,8 @@ def refined_multiplicity(diagram: MarkedFloorDiagram) -> LaurentPolyS:
 
 
 def vertex_partitions(diagram: MarkedFloorDiagram, position: int) -> tuple[Partition, Partition]:
-    """(mu, nu) at a vertex: weights of outgoing resp. incoming edges."""
+    """(mu, nu) at a vertex: weights of outgoing resp. incoming edges.  Public as
+    the paper's vertex data, which the profile sum never lists; floorbench traces it."""
     if position not in diagram.vertex_positions:
         raise DiagramError(f"position {position} is not a vertex of the diagram")
     mu = Partition(e.weight for e in diagram.edges if e.source == position)

@@ -58,6 +58,7 @@ from .algebra import (
     Partition,
     USeries,
     _sine_series,
+    _whole,
     rational_to_str,
 )
 from .diagrams import (
@@ -101,7 +102,16 @@ class GwSeries(NamedTuple):
     g_min: int
 
     def invariant(self, g: int) -> Fraction:
-        return extract_invariant(self, g)
+        """The coefficient at genus g's u-power; a genus below ``g_min`` or past the
+        truncation order is a GwError, never a truncated coefficient read as 0."""
+        if _whole(g, "genus", GwError) < self.g_min:
+            raise GwError(f"genus {g} is below the minimal genus {self.g_min}")
+        exponent = 2 * g + self.exponent_offset
+        if exponent >= self.series.order:
+            raise GwError(
+                f"genus {g} sits at u^{exponent}, beyond truncation order {self.series.order}"
+            )
+        return self.series.coefficient(exponent)
 
     def max_genus(self) -> int:
         """Largest genus whose coefficient lies below the truncation order."""
@@ -122,26 +132,9 @@ class GwSeries(NamedTuple):
         }
 
 
-def extract_invariant(series: GwSeries, g: int) -> Fraction:
-    """Coefficient of the u-power assigned to genus g by the series' kind.
-
-    Requests below ``g_min`` or at exponents past the truncation order are
-    hard errors; a truncated coefficient is never silently reported as 0.
-    """
-    if g < series.g_min:
-        raise GwError(f"genus {g} is below the minimal genus {series.g_min}")
-    exponent = 2 * g + series.exponent_offset
-    if exponent >= series.series.order:
-        raise GwError(
-            f"genus {g} sits at u^{exponent}, beyond truncation order "
-            f"{series.series.order}"
-        )
-    return series.series.coefficient(exponent)
-
-
 def _order_check(order: int, valuation: int) -> None:
-    """Reject a truncation order over the cap or leaving no coefficient."""
-    if order > _ORDER_CAP:
+    """Reject a truncation order that is not an int, over the cap or leaving none."""
+    if _whole(order, "order", GwError) > _ORDER_CAP:
         raise GwError(f"order {order} is over the order cap {_ORDER_CAP}")
     if order <= valuation:
         raise GwError(
@@ -161,7 +154,7 @@ def _f_class(k: int, h: int, d: int, n: int) -> tuple[HTransverseDegree | None, 
     if h or d:
         delta = degree_hirzebruch(k, h, d)
         return delta, _genus(delta, n)
-    if n < 0:
+    if _whole(n, "n", DiagramError) < 0:
         raise DiagramError(f"n must be nonnegative, got {n}")
     return None, n + 1
 
@@ -241,7 +234,7 @@ def _degeneration(delta: HTransverseDegree, n: int, order: int) -> tuple[GwSerie
     for weights, count in profiles.items():
         specs = Counter(weights * 2) + Counter({1: delta.d_b + delta.d_t})
         total = total + _sine_series(
-            LaurentPolyS.monomial(0, count), sorted(specs.items()), order
+            LaurentPolyS(0, (count,)), sorted(specs.items()), order
         )
     return GwSeries(total, "degeneration", delta, n, exponent_offset=offset, g_min=g0), profiles
 
@@ -306,7 +299,8 @@ def f0_absolute_series(a: int, b: int, n: int, order: int = 16) -> GwSeries:
 
     Equals the relative series of the F0 degree (a, a+b) divided by
     S^(2(a+b)), one factor of S for each of the d_b + d_t = 2(a+b) boundary
-    contacts traded away.  A negative b with a + b >= 0 is a class too.
+    contacts traded away.  A negative b with a + b >= 0 is a class too.  Public
+    as the left side of ``verify ab``'s series level, which floorbench traces.
     """
     delta, g0 = _f_class(0, a, a + b, n)
     return _count_series("absolute_F0", delta, n, g0, -2, order)
@@ -316,7 +310,8 @@ def f2_relative_dminus2_series(h: int, d: int, n: int, order: int = 16) -> GwSer
     """Invariants of F2 relative to D_(-2) only: sum_g N(g) u^(2g-2+d).
 
     Equals the relative series of the F2 degree (h, d) divided by
-    S^(2h + d), one factor for each contact with D_2 traded away.
+    S^(2h + d), one factor for each contact with D_2 traded away.  Public as
+    the right side's terms of ``verify ab``'s series level, which floorbench traces.
     """
     delta, g0 = _f_class(2, h, d, n)
     return _count_series("relative_F2_Dminus2", delta, n, g0, d - 2, order)

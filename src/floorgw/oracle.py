@@ -217,8 +217,8 @@ def check_cap(n: int) -> None:
 
 def brute_force_enumerate(delta: HTransverseDegree, n: int) -> list[MarkedFloorDiagram]:
     """Every valid marked diagram on n points, by exhaustive generation, once the checks pass."""
-    check_cap(n)
     _genus(delta, n)
+    check_cap(n)
     h, results, made, orders = delta.height, [], {}, {}
     for bounded, incoming, outgoing in _shapes(delta, n):
         classes = Counter([*bounded, *((-1, t, 1) for t in incoming),

@@ -294,6 +294,11 @@ def frozen_extensions(h, classes, divergence, made):
     return diagrams
 
 
+def nonzero_exponents(p):
+    """The exponents of the nonzero coefficients of a LaurentPolyS or USeries."""
+    return [k for k, c in enumerate(p.coefficients, p.valuation) if c]
+
+
 def bernoulli(m_max):
     """B_0..B_m_max (with B_1 = +1/2) by the Akiyama-Tanigawa algorithm."""
     row, b = [], []
@@ -360,12 +365,6 @@ class FrozenUSeries:
             raise AlgebraError("order must be >= 1 to represent the constant 1")
         return cls(0, (1,), order)
 
-    @classmethod
-    def monomial(cls, exponent, order, coefficient=1):
-        if order <= exponent:
-            raise AlgebraError("monomial exponent at or beyond truncation order")
-        return cls(exponent, (coefficient,), order)
-
     def is_zero(self):
         return not self.coefficients
 
@@ -378,9 +377,6 @@ class FrozenUSeries:
         if i < 0:
             return Fraction(0)
         return self.coefficients[i]
-
-    def nonzero_exponents(self):
-        return [self.valuation + i for i, c in enumerate(self.coefficients) if c]
 
     def truncate(self, new_order):
         if new_order > self.order:

@@ -154,11 +154,11 @@ def test_exact_constructors_refuse_non_integers(build):
 
 def test_useries_mul_examples():
     # u^-1 * u = 1
-    x = USeries.monomial(-1, 6)
-    y = USeries.monomial(1, 6)
+    x = USeries(-1, [1], 6)
+    y = USeries(1, [1], 6)
     prod = x * y
     assert prod.coefficient(0) == 1
-    assert prod.nonzero_exponents() == [0]
+    assert prod == USeries(0, [1], 5)
     # (1 + u)^2 = 1 + 2u + u^2
     one_plus_u = USeries(0, [1, 1], 6)
     sq = one_plus_u**2
@@ -570,7 +570,6 @@ def assert_matches(ours, frozen):
     assert (ours.valuation, ours.order) == (frozen.valuation, frozen.order)
     assert ours.coefficients == frozen.coefficients
     assert all(type(c) is F for c in ours.coefficients)
-    assert ours.nonzero_exponents() == frozen.nonzero_exponents()
     assert str(ours) == str(frozen) and ours.to_json() == frozen.to_json()
 
 
@@ -623,7 +622,7 @@ REFUSALS = [
     lambda S: S(F(1, 2), [1], 3),
     lambda S: S(0, ["1"], 3),
     lambda S: S.one(0),
-    lambda S: S.monomial(3, 3),
+    lambda S: S(3, [1], 3),
     lambda S: S(2, [1, 1], 6).truncate(7),
     lambda S: S(2, [1, 1], 6).coefficient(6),
     lambda S: S.zero(5).inverse(),
@@ -634,7 +633,7 @@ REFUSALS = [
 
 @pytest.mark.parametrize("build", REFUSALS, ids=[
     "float-coefficient", "overlong-window", "float-order", "fraction-valuation",
-    "text-coefficient", "one-at-order-0", "monomial-at-order", "truncate-up",
+    "text-coefficient", "one-at-order-0", "window-at-order", "truncate-up",
     "coefficient-at-order", "zero-inverse", "zero-to-the-0", "zero-to-a-negative-power"])
 def test_useries_refusals_match_the_fraction_reference(build):
     ours = outcome(lambda: build(USeries))
@@ -820,12 +819,12 @@ def test_json_round_trips(p, x):
 
 @pytest.mark.parametrize("p,text", [
     (LaurentPolyS.zero(), "0"),
-    (LaurentPolyS.monomial(0, 7), "7"),
-    (LaurentPolyS.monomial(0, -7), "-7"),
-    (LaurentPolyS.monomial(1), "s"),
-    (LaurentPolyS.monomial(1, -1), "-s"),
-    (LaurentPolyS.monomial(-1), "s^-1"),
-    (LaurentPolyS.monomial(-1, -1), "-s^-1"),
+    (LaurentPolyS(0, (7,)), "7"),
+    (LaurentPolyS(0, (-7,)), "-7"),
+    (LaurentPolyS(1, (1,)), "s"),
+    (LaurentPolyS(1, (-1,)), "-s"),
+    (LaurentPolyS(-1, (1,)), "s^-1"),
+    (LaurentPolyS(-1, (-1,)), "-s^-1"),
     (LaurentPolyS(-2, [1, 0, 10, 0, 1]), "s^-2 + 10 + s^2"),
     (LaurentPolyS(-2, [-3, 1, -1, -1, 2]), "-3*s^-2 + s^-1 - 1 - s + 2*s^2"),
 ])

@@ -36,7 +36,7 @@ from floorgw import (
 )
 import floorgw.diagrams as diagrams
 from helpers import (acceptance_grid, frozen_fold_refined, frozen_state_sum,
-                     hirzebruch_family_grid)
+                     hirzebruch_family_grid, nonzero_exponents)
 
 
 def assert_counts_match_listing(delta, n):
@@ -45,7 +45,7 @@ def assert_counts_match_listing(delta, n):
     number of diagrams, and the refined count at q = 1."""
     diagrams = enumerate_marked(delta, n)
     assert weight_profiles(delta, n) == Counter(
-        tuple(sorted(e.weight for e in d.bounded_edges())) for d in diagrams
+        tuple(sorted(e.weight for e in d.edges if None not in e)) for d in diagrams
     ), (delta, n)
     total = LaurentPolyS.zero()
     for diagram in diagrams:
@@ -151,7 +151,7 @@ def assert_state_sums_match_frozen_copy(pairs):
     prunes.  Returns the number of states compared."""
     states = 0
     for delta, n in pairs:
-        if delta.genus_for_points(n) < 0:
+        if n + 1 - delta.size < 0:
             continue
         limits = diagrams._limits(delta, n)
         layer = {(0, 0, 0, delta.height, 0, ())}
@@ -271,10 +271,10 @@ def test_genus_zero_plane_counts_at_q_minus_one_are_welschinger_invariants():
     for d in range(1, 8):
         delta, n = degree_p2(d), 3 * d - 1
         refined = refined_count(delta, n)
-        assert all(k % 2 == 0 for k in refined.exponents())
+        assert all(k % 2 == 0 for k in nonzero_exponents(refined))
         # s^k at s = i for even k, by k % 4: (-1) ** (k // 2) is a float for k < 0
         at_i.append(sum(refined.coefficient(k) * (1 if k % 4 == 0 else -1)
-                        for k in refined.exponents()))
+                        for k in nonzero_exponents(refined)))
         all_odd.append(sum(c for weights, c in weight_profiles(delta, n).items()
                            if all(w % 2 for w in weights)))
     assert at_i == all_odd == expected
@@ -395,7 +395,7 @@ def test_refined_counts_of_f_k_are_polynomial_in_d(k, h, delta):
         surface = degree_hirzebruch(k, h, d)
         arithmetic_genus = (h - 1) * (k * h + 2 * d - 2) // 2
         counts.append(refined_count(surface, points_for_genus(surface, arithmetic_genus - delta)))
-    for exponent in set().union(*(c.exponents() for c in counts)):
+    for exponent in set().union(*(nonzero_exponents(c) for c in counts)):
         values = [c.coefficient(exponent) for c in counts]
         for _ in range(delta + 1):
             values = [b - a for a, b in zip(values, values[1:])]
@@ -412,7 +412,7 @@ def assert_plane_counts_polynomial_in_d(delta):
     runs 5."""
     counts = [refined_count(degree_p2(d), d * (d + 3) // 2 - delta)
               for d in range(delta + 2, 3 * delta + 4)]
-    for exponent in set().union(*(c.exponents() for c in counts)):
+    for exponent in set().union(*(nonzero_exponents(c) for c in counts)):
         values = [c.coefficient(exponent) for c in counts]
         for _ in range(2 * delta):
             values = [b - a for a, b in zip(values, values[1:])]
@@ -467,7 +467,7 @@ def log_node_series(delta, arithmetic_genus, top=4):
     counts = [refined_count(delta, points_for_genus(delta, arithmetic_genus - j))
               for j in range(top + 1)]
     assert counts[0] == LaurentPolyS.one(), delta
-    nodes = [{e: Fraction(c.coefficient(e)) for e in c.exponents()} for c in counts]
+    nodes = [{e: Fraction(c.coefficient(e)) for e in nonzero_exponents(c)} for c in counts]
     g = [{}]
     for m in range(1, top + 1):
         g.append(_combine((1, nodes[m]), *((Fraction(-k, m), _times(g[k], nodes[m - k]))

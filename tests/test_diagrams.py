@@ -3,6 +3,7 @@
 import gc
 import hashlib
 import json
+import re
 import sys
 from itertools import combinations
 
@@ -112,6 +113,10 @@ def test_points_for_genus():
     assert points_for_genus(degree_p2(2), 0) == 5  # |delta| = 6
     with pytest.raises(DiagramError):
         points_for_genus(degree_p2(2), -1)
+    # a genus that is not an int is refused, as degree_p2 refuses such a degree
+    for g in (1.5, 0.0, True, "0"):
+        with pytest.raises(DiagramError, match=re.escape(f"genus must be an integer, got {g!r}")):
+            points_for_genus(degree_p2(2), g)
 
 
 # --------------------------------------------------------------- enumeration
@@ -154,6 +159,9 @@ def test_enumerate_rejects_negative_genus():
 @pytest.mark.parametrize("delta,n,message", [
     (degree_p2(1), 1, "no diagrams: n = 1 gives negative genus -1 for P2(d=1)"),
     (degree_p2(40), 901, "n = 901 for P2(d=40) is over the point cap _MAX_POINTS = 900"),
+    (degree_p2(2), 5.0, "n must be an integer, got 5.0"),
+    (degree_p2(2), True, "n must be an integer, got True"),
+    (degree_p2(2), "5", "n must be an integer, got '5'"),
 ])
 def test_listing_and_count_refuse_a_class_alike_before_any_branch(monkeypatch, delta, n,
                                                                    message):
@@ -163,12 +171,13 @@ def test_listing_and_count_refuse_a_class_alike_before_any_branch(monkeypatch, d
     monkeypatch.setattr("floorgw.diagrams._walk", no_work)
     monkeypatch.setattr("floorgw.diagrams._state_sum", no_work)
     monkeypatch.setattr("floorgw.oracle._shapes", no_work)
-    # a negative genus is refused alike by every entry point of a (delta, n) request: the
-    # counts, the oracle and the series too (n = 901 meets the oracle's and the order's caps)
+    # a negative genus or an n that is not an int is refused alike by every entry point of a
+    # (delta, n) request: the counts, the oracle and the series too (n = 901 meets the
+    # oracle's and the order's caps)
     others = (classical_count, diagram_count, brute_force_enumerate, brute_force_refined_count,
               gw_relative_series, log_series, degeneration_series, degeneration_cross_check)
     for run in (enumerate_marked, weight_profiles, refined_count,
-                *(others if delta.genus_for_points(n) < 0 else ())):
+                *(others if n != 901 else ())):
         with pytest.raises(DiagramError) as refused:
             run(delta, n)
         assert str(refused.value) == message, run
@@ -226,7 +235,8 @@ def test_listing_order_is_pinned(delta, g, count, digest):
     assert len(diagrams) == count
     text = json.dumps([d.to_json() for d in diagrams])
     assert hashlib.sha256(text.encode()).hexdigest() == digest
-    assert [d.json_text() for d in diagrams] == [json.dumps(d.to_json()) for d in diagrams]
+    texts = [json.dumps(d.to_json()) for d in diagrams]
+    assert ["".join(json_pieces([d])) for d in diagrams] == texts
 
 
 # the d_t = 3 classes: up to three orderings of the outgoing ends per last floor
@@ -561,10 +571,10 @@ def test_diagram_is_a_named_tuple_like_edge():
 # ---------------------------------------------------------- JSON + validator
 
 
-def test_json_text_is_the_dumped_dict_and_reads_back():
+def test_one_diagram_json_pieces_are_the_dumped_dict_and_read_back():
     for delta, n in acceptance_grid():
         for diagram in enumerate_marked(delta, n):
-            text = diagram.json_text()
+            text = "".join(json_pieces([diagram]))
             assert text == json.dumps(diagram.to_json())
             assert MarkedFloorDiagram.from_json(json.loads(text)) == diagram
 
@@ -575,9 +585,10 @@ _FIELD = st.integers(-10**6, 10**6)
 @given(_FIELD, st.lists(_FIELD, max_size=5, unique=True), _FIELD,
        st.lists(st.tuples(_FIELD, st.none() | _FIELD, st.none() | _FIELD, _FIELD), max_size=6))
 @settings(max_examples=200, deadline=None)
-def test_json_text_is_the_dumped_dict_for_any_fields(n, vertices, divergence, edges):
+def test_one_diagram_json_pieces_are_the_dumped_dict_for_any_fields(n, vertices, divergence,
+                                                                   edges):
     diagram = MarkedFloorDiagram(n, tuple(vertices), divergence, tuple(map(Edge._make, edges)))
-    assert diagram.json_text() == json.dumps(diagram.to_json())
+    assert "".join(json_pieces([diagram])) == json.dumps(diagram.to_json())
 
 
 _SMALL = st.integers(-2, 3)  # a small range, so that heads and edges repeat
@@ -793,8 +804,8 @@ def test_a_valid_diagram_has_its_genus_as_betti_number(pair):
         validate_diagram(diagram, delta)
     except InvalidDiagram:
         return
-    betti = len(diagram.bounded_edges()) - len(diagram.vertex_positions) + 1
-    assert betti == delta.genus_for_points(diagram.n) >= 0
+    betti = sum(None not in e for e in diagram.edges) - len(diagram.vertex_positions) + 1
+    assert betti == diagram.n + 1 - delta.size >= 0
     assert diagram in enumerate_marked(delta, diagram.n)
 
 

@@ -23,7 +23,6 @@ from floorgw import (
     degree_hirzebruch,
     degree_p2,
     enumerate_marked,
-    extract_invariant,
     f0_absolute_series,
     f2_relative_dminus2_series,
     gw_relative_series,
@@ -34,7 +33,7 @@ from floorgw import (
     vertex_partitions,
     vertex_series,
 )
-from helpers import acceptance_grid, bernoulli
+from helpers import acceptance_grid, bernoulli, nonzero_exponents
 
 F = Fraction
 
@@ -88,16 +87,19 @@ def test_relative_series_f0_trivial_prefactor():
     assert gw.series == USeries.one(6)
 
 
-def test_extract_invariant_values_and_errors():
+def test_invariant_values_and_errors():
     s1 = gw_relative_series(degree_p2(1), 2, 6)
-    assert extract_invariant(s1, 1) == F(1, 24)
+    assert s1.invariant(1) == F(1, 24)
     s3 = gw_relative_series(degree_p2(3), 8, 8)
-    assert extract_invariant(s3, 0) == 12
-    assert extract_invariant(s3, 2) == F(21, 160)
+    assert s3.invariant(0) == 12
+    assert s3.invariant(2) == F(21, 160)
     with pytest.raises(GwError):
-        extract_invariant(s3, 4)  # u^9 is past the truncation order
+        s3.invariant(4)  # u^9 is past the truncation order
     with pytest.raises(GwError):
-        extract_invariant(s3, -1)
+        s3.invariant(-1)
+    for g in (1.0, True, "1"):
+        with pytest.raises(GwError, match=re.escape(f"genus must be an integer, got {g!r}")):
+            s3.invariant(g)
 
 
 def test_leading_invariant_is_classical_count():
@@ -105,15 +107,15 @@ def test_leading_invariant_is_classical_count():
         if classical_count(delta, n) == 0:
             continue
         gw = gw_relative_series(delta, n, 16)
-        g0 = delta.genus_for_points(n)
-        assert extract_invariant(gw, g0) == classical_count(delta, n), (delta.label, n)
+        g0 = n + 1 - delta.size
+        assert gw.invariant(g0) == classical_count(delta, n), (delta.label, n)
 
 
 def test_series_parity():
     for delta, n in acceptance_grid()[::3]:
         for build in (gw_relative_series, log_series, degeneration_series):
             gw = build(delta, n, 16)
-            for k in gw.series.nonzero_exponents():
+            for k in nonzero_exponents(gw.series):
                 assert (k - gw.exponent_offset) % 2 == 0, (build.__name__, delta.label)
     for gw in (
         f0_absolute_series(1, 1, 6, 16),
@@ -122,7 +124,7 @@ def test_series_parity():
         f2_relative_dminus2_series(2, 1, 11, 16),
         vertex_series(Partition([2, 1]), Partition([1]), 12),
     ):
-        for k in gw.series.nonzero_exponents():
+        for k in nonzero_exponents(gw.series):
             assert (k - gw.exponent_offset) % 2 == 0, gw.kind
 
 
@@ -132,7 +134,7 @@ def test_series_parity():
 def test_vertex_series_base_case():
     gw = vertex_series(Partition(), Partition(), 8)
     assert gw.series == USeries.one(8)
-    assert extract_invariant(gw, 0) == 1
+    assert gw.invariant(0) == 1
 
 
 def test_vertex_series_single_parts():
@@ -230,20 +232,20 @@ def test_degeneration_matches_log_series_invariants():
 def test_log_series_p2_degree1():
     gw = log_series(degree_p2(1), 2, 8)
     assert gw.series == sin_factor_series(1, 1, 8)
-    assert extract_invariant(gw, 0) == 1
+    assert gw.invariant(0) == 1
 
 
 def test_log_series_p2_cubics_leading():
     gw = log_series(degree_p2(3), 8, 10)
     assert gw.series.valuation == 7
     assert gw.series.coefficient(7) == 12
-    assert extract_invariant(gw, 0) == 12
+    assert gw.invariant(0) == 12
 
 
 def test_log_series_f0():
     gw = log_series(degree_hirzebruch(0, 1, 1), 3, 8)
     assert gw.series == sin_factor_series(1, 2, 8)
-    assert extract_invariant(gw, 0) == 1
+    assert gw.invariant(0) == 1
 
 
 def test_log_minimal_genus_matches_classical():
@@ -251,8 +253,8 @@ def test_log_minimal_genus_matches_classical():
         if classical_count(delta, n) == 0:
             continue
         gw = log_series(delta, n, 16)
-        g0 = delta.genus_for_points(n)
-        assert extract_invariant(gw, g0) == classical_count(delta, n)
+        g0 = n + 1 - delta.size
+        assert gw.invariant(g0) == classical_count(delta, n)
         assert gw.series.valuation == 2 * g0 + gw.exponent_offset
 
 
@@ -282,7 +284,7 @@ def test_f2_series_leading_is_classical():
 def test_f0_series_examples():
     gw = f0_absolute_series(1, 0, 3, 6)
     assert gw.series.valuation == -2
-    assert extract_invariant(gw, 0) == 1
+    assert gw.invariant(0) == 1
     assert f0_absolute_series(1, 0, 4, 6).series.is_zero()
     assert f0_absolute_series(0, 1, 1, 6).series.is_zero()
 
@@ -313,6 +315,9 @@ def test_empty_f_class_counts_zero_at_genus_n_plus_one():
         assert gw.delta is None and gw.g_min == 3 and gw.series.is_zero()
         with pytest.raises(DiagramError, match=re.escape("n must be nonnegative, got -1")):
             make(0, 0, -1, 12)
+        for n in (2.0, True, "2"):
+            with pytest.raises(DiagramError, match=re.escape(f"n must be an integer, got {n!r}")):
+                make(0, 0, n, 12)
 
 
 # ------------------------------------------------------ Abramovich-Bertram
@@ -466,6 +471,19 @@ def test_order_at_the_valuation_is_rejected_before_counting(
     )
     with pytest.raises(GwError, match=re.escape(message)):
         build(valuation)
+
+
+@pytest.mark.parametrize("build", [c[1] for c in ORDER_CASES], ids=[c[0] for c in ORDER_CASES])
+@pytest.mark.parametrize("order", [16.0, True, "16"])
+def test_order_that_is_not_an_int_is_rejected_before_counting(monkeypatch, build, order):
+    """An order must be an int, as a degree must: never a float, a bool or a str."""
+    def forbidden(*args):
+        raise AssertionError("counted or listed before the order check")
+
+    monkeypatch.setattr(floorgw.gw, "refined_count", forbidden)
+    monkeypatch.setattr(floorgw.gw, "weight_profiles", forbidden)
+    with pytest.raises(GwError, match=re.escape(f"order must be an integer, got {order!r}")):
+        build(order)
 
 
 # ------------------------------------------------------ records: shape and IO
