@@ -68,14 +68,6 @@ def _as_fraction(x) -> Fraction:
     raise AlgebraError(f"expected an exact rational, got {type(x).__name__}")
 
 
-def _integers(values: Iterable, what: str) -> list[int]:
-    """``values`` as ints, refusing a float or a Fraction instead of truncating it."""
-    try:
-        return list(map(index, values))
-    except TypeError as error:
-        raise AlgebraError(f"{what} must be integers: {error}") from None
-
-
 def rational_to_str(x: Fraction | int) -> str:
     """Serialize a rational as ``"num/den"``, or ``"num"`` when den = 1.
 
@@ -154,7 +146,8 @@ class Partition(tuple):
     """
 
     def __new__(cls, parts: Iterable[int] = ()):
-        normalized = tuple(sorted(_integers(parts, "partition parts"), reverse=True))
+        normalized = tuple(sorted([_whole(p, "partition part", AlgebraError) for p in parts],
+                                  reverse=True))
         if any(p <= 0 for p in normalized):
             raise AlgebraError(f"partition parts must be positive, got {normalized}")
         return super().__new__(cls, normalized)
@@ -210,7 +203,7 @@ class LaurentPolyS:
     __slots__ = ("valuation", "coefficients")
 
     def __init__(self, valuation: int, coefficients: Iterable[int]):
-        try:  # _integers inline, with one index call for the valuation: every operation builds one
+        try:  # index, not _whole, which refuses a bool too: every operation builds one
             valuation, coeffs = index(valuation), list(map(index, coefficients))
         except TypeError as error:
             raise AlgebraError(f"valuation and coefficients must be integers: {error}") from None
@@ -339,7 +332,7 @@ def q_integer(m: int) -> LaurentPolyS:
 
     Palindromic, with value m at s = 1.  Rejects m <= 0.
     """
-    if m <= 0:
+    if _whole(m, "m", AlgebraError) <= 0:
         raise AlgebraError(f"q_integer requires a positive integer, got {m}")
     coeffs = [0] * (2 * m - 1)
     for k in range(0, 2 * m - 1, 2):
@@ -377,7 +370,8 @@ class USeries:
     __slots__ = ("valuation", "order", "_nums", "_den", "_fractions")
 
     def __new__(cls, valuation: int, coefficients: Iterable, order: int):
-        valuation, order = _integers((valuation, order), "valuation and order")
+        valuation = _whole(valuation, "valuation", AlgebraError)
+        order = _whole(order, "order", AlgebraError)
         coeffs = [_as_fraction(c) for c in coefficients]
         if valuation + len(coeffs) > order:
             raise AlgebraError(
@@ -647,7 +641,7 @@ def lp_substitute_exponential(p: LaurentPolyS, order: int) -> USeries:
     result is a real series of valuation >= 0, truncated at ``order``.
     Non-palindromic input is rejected.
     """
-    if order < 1:
+    if _whole(order, "order", AlgebraError) < 1:
         raise AlgebraError("substitution order must be >= 1")
     return _sine_series(p, (), order)
 
@@ -660,6 +654,8 @@ def sin_factor_series(a: int, exponent: int, order: int) -> USeries:
     inverts the positive one, built with a window of order - exponent
     terms.  Requires order > exponent so at least one coefficient exists.
     """
+    for value, name in ((a, "a"), (exponent, "exponent"), (order, "order")):
+        _whole(value, name, AlgebraError)
     if a < 1:
         raise AlgebraError(f"sine frequency must be a positive integer, got {a}")
     if order <= exponent:

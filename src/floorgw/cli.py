@@ -39,12 +39,11 @@ from collections.abc import Sequence
 from .algebra import AlgebraError, Partition, _int_text, lp_eval_at_one, rational_to_str
 from .diagrams import (
     DiagramError,
+    _root_block,
     degree_hirzebruch,
     degree_p2,
     diagram_count,
-    enumerate_marked,
     fold_refined,
-    json_pieces,
     points_for_genus,
     refined_count,
     weight_profiles,
@@ -111,27 +110,86 @@ def _check_listing_cap(delta, n: int, count: int) -> None:
                            f"over the listing cap LISTING_CAP = {LISTING_CAP}")
 
 
-def _listing(delta, n: int, fmt: str) -> tuple[list[str], str]:
-    """``enumerate``'s pieces and their end; the diagrams go with this frame."""
+class _Texts(dict):
+    """The one text of each key, rendered by ``render`` when first asked."""
+
+    def __init__(self, render):
+        self.render = render
+
+    def __missing__(self, key):
+        text = self[key] = self.render(key)
+        return text
+
+
+def _json_texts(n: int, div: int) -> tuple:
+    """The JSON listing's texts for :func:`_pieces`: ``json.dumps`` of each
+    ``to_json`` (floors distinct, fields ints or None), ", " between them."""
+    head = '{"n": %s, "vertices": [%s], "divergences": {%s}, "edges": ['
+    edge = '{"position": %s, "source": %s, "target": %s, "weight": %s}'
+    return (lambda i: ", " if i else "",
+            _Texts(lambda floors: head % (n, ", ".join(map(str, floors)),
+                                          ", ".join(['"%s": %s' % (p, div) for p in floors]))),
+            _Texts(lambda e: (edge % e).replace("None", "null") + ", "),
+            _Texts(lambda e: (edge % e).replace("None", "null") + "]}"), "]}")
+
+
+def _csv_texts(n: int) -> tuple:
+    """The CSV listing's texts for :func:`_pieces`: one row per diagram."""
+    return (str, _Texts(lambda floors: f",{n},{';'.join(map(str, floors))},"),
+            _Texts(lambda e: "%s:%s->%s*%s;" % e), _Texts(lambda e: "%s:%s->%s*%s\n" % e), "\n")
+
+
+def _text_texts() -> tuple:
+    """The text listing's texts for :func:`_pieces`: a line per diagram and per edge."""
+    lines = _Texts(lambda e: "      edge@%s: %s -> %s, weight %s\n" % e)
+    return (lambda i: f"  #{i}", _Texts(lambda floors: f": vertices {list(floors)}\n"), lines,
+            lines, "")
+
+
+def _pieces(pieces: list[str], block, first, heads, inner, last, bare) -> list[str]:
+    """``pieces`` followed by those of each diagram of a root block
+    (``diagrams._root_block``), in listing order: ``first(i)`` for the i-th
+    diagram, ``heads[floors]``, ``inner[e]`` for each edge but the last,
+    ``last[e]`` for the last edge, or ``bare`` for a diagram with no edge.
+    Each distinct head and edge text is rendered once and each shared list
+    of tails once; the diagrams share the pieces."""
+    ends, i = {}, 0
+    for floors, _, edges, tails in block:
+        if not tails[0]:  # one empty tail: the diagram's last edge, if any, is in ``edges``
+            pieces += ([first(i), heads[floors], *map(inner.__getitem__, edges[:-1]),
+                        last[edges[-1]]] if edges else [first(i), heads[floors], bare])
+            i += 1
+            continue
+        if (texts := ends.get(id(tails))) is None:
+            texts = ends[id(tails)] = [[*map(inner.__getitem__, tail[:-1]), last[tail[-1]]]
+                                       for tail in tails]
+        body = [heads[floors], *map(inner.__getitem__, edges)]
+        for text in texts:
+            pieces.append(first(i))
+            pieces += body
+            pieces += text
+            i += 1
+    return pieces
+
+
+def _listing(delta, n: int, fmt: str) -> list[str]:
+    """``enumerate``'s pieces, rendered from the root block."""
     _check_listing_cap(delta, n, diagram_count(delta, n))
-    diagrams = enumerate_marked(delta, n)
-    if fmt == "json":
-        # json.dumps of the payload, from pieces shared between diagrams
-        return [f'{{"count": {len(diagrams)}, "diagrams": [', *json_pieces(diagrams), "]}\n"], ""
+    block = _root_block(delta, n)
+    count = sum([len(entry[3]) for entry in block])  # an entry's tails are its diagrams
+    if fmt == "json":  # json.dumps of the payload
+        pieces = _pieces([f'{{"count": {count}, "diagrams": ['], block,
+                         *_json_texts(n, delta.divergence))
+        pieces.append("]}\n")
+        return pieces
     if fmt == "csv":
-        return ["index,n,vertices,edges", *(
-            f"{i},{d.n},{';'.join(map(str, d.vertex_positions))},"
-            + ";".join(f"{p}:{s}->{t}*{w}" for p, s, t, w in d.edges)
-            for i, d in enumerate(diagrams))], "\n"
-    lines = [f"{len(diagrams)} marked diagram(s) for {delta.label}, n = {n}"]
-    for i, d in enumerate(diagrams):
-        lines.append(f"  #{i}: vertices {list(d.vertex_positions)}")
-        lines.extend(f"      edge@{p}: {s} -> {t}, weight {w}" for p, s, t, w in d.edges)
-    return lines, "\n"
+        return _pieces(["index,n,vertices,edges\n"], block, *_csv_texts(n))
+    return _pieces([f"{count} marked diagram(s) for {delta.label}, n = {n}\n"], block,
+                   *_text_texts())
 
 
 def _cmd_enumerate(args) -> int:
-    _emit(*_listing(args.delta, args.n, args.format))
+    _emit(_listing(args.delta, args.n, args.format), "")
     return 0
 
 
@@ -207,9 +265,12 @@ def _cmd_verify_oracle(args) -> int:
     profiles = weight_profiles(delta, n)
     _check_listing_cap(delta, n, sum(profiles.values()))
     brute_diagrams = brute_force_enumerate(delta, n)
-    sweep_diagrams = enumerate_marked(delta, n)
+    # the sweep's diagrams as plain tuples, which equal and hash like the oracle's
+    div = delta.divergence
+    sweep_diagrams = Counter((n, floors, div, edges + tail)
+                             for floors, _, edges, tails in _root_block(delta, n) for tail in tails)
     # dict.__eq__, in C: Counter.__eq__ walks both in a generator, and here every count is positive
-    diagrams_equal = dict.__eq__(Counter(sweep_diagrams), Counter(brute_diagrams))
+    diagrams_equal = dict.__eq__(sweep_diagrams, Counter(brute_diagrams))
     sweep = fold_refined(profiles)
     brute = refined_sum(brute_diagrams)
     equal = diagrams_equal and sweep == brute
@@ -217,7 +278,7 @@ def _cmd_verify_oracle(args) -> int:
         "target": "oracle",
         "delta": delta.to_json(),
         "n": n,
-        "sweep_diagrams": len(sweep_diagrams),
+        "sweep_diagrams": sweep_diagrams.total(),
         "brute_force_diagrams": len(brute_diagrams),
         "diagrams_equal": diagrams_equal,
         "sweep": sweep.to_json(),
@@ -225,7 +286,7 @@ def _cmd_verify_oracle(args) -> int:
         "equal": equal,
     }, lambda: (
         f"oracle check for {delta.label}, n = {n}",
-        f"  diagrams   : sweep {len(sweep_diagrams)}, "
+        f"  diagrams   : sweep {sweep_diagrams.total()}, "
         f"brute force {len(brute_diagrams)}, equal {diagrams_equal}",
         f"  sweep      : {sweep}",
         f"  brute force: {brute}",

@@ -144,9 +144,6 @@ class Edge(NamedTuple):
     weight: int
 
 
-_EDGE_JSON = '{"position": %s, "source": %s, "target": %s, "weight": %s}'
-
-
 class _Edges(dict):
     """The one :class:`Edge` of each (position, source, target, weight), and
     the one list of outgoing-end orderings (:func:`_ends`) of each (floors,
@@ -206,25 +203,6 @@ class MarkedFloorDiagram(NamedTuple):
         if len(set(div_map.values())) > 1:
             raise InvalidDiagram(f"divergence values {sorted(set(div_map.values()))} differ")
         return cls(n, vertices, div_map[vertices[0]], edges)
-
-
-def json_pieces(diagrams) -> list[str]:
-    """Texts joining to ``", ".join(json.dumps(d.to_json()) for d in diagrams)`` when
-    floors are distinct and fields are ints or None: each distinct head (n, vertices,
-    divergence) and distinct edge with its ``, `` or ``]}`` is rendered once, and shared."""
-    heads, inner, last, pieces = {}, {}, {}, []
-    for n, floors, div, edges in diagrams:
-        if (head := heads.get(key := (n, floors, div))) is None:
-            head = heads[key] = '{"n": %s, "vertices": [%s], "divergences": {%s}, "edges": [' % (
-                n, ", ".join(map(str, floors)), ", ".join(['"%s": %s' % (p, div) for p in floors]))
-        pieces.append(head)
-        for i, e in enumerate(edges, 1 - len(edges)):  # i is 0 at the last edge
-            table, end = (inner, ", ") if i else (last, "]}")
-            pieces.append(table.get(e) or table.setdefault(
-                e, (_EDGE_JSON % e).replace("None", "null") + end))
-        pieces += [", "] if edges else ["]}", ", "]
-    del pieces[-1:]  # the separator after the last diagram
-    return pieces
 
 
 def multiplicity(diagram: MarkedFloorDiagram) -> int:
@@ -348,11 +326,11 @@ def enumerate_marked(delta: HTransverseDegree, n: int) -> list[MarkedFloorDiagra
     last one starts, for each subset of heads it takes, a child residue,
     whose block the walk splices into its own; the walks wait on an
     explicit stack, so no frame is taken per floor.  Each diagram is built
-    once, from the root's block.  The last floor is placed only where the
-    graph is connected, and only outgoing ends follow it.  The budgets,
-    each >= 0, sum to the ends still to place plus d_b - d_t - h *
-    divergence (the inflow less the outflow and divergence of every
-    floor), which is d - 0 - d on P2 and (d + kh) - d - hk on F_k.  So the
+    once, from the root's block (:func:`_root_block`).  The last floor is
+    placed only where the graph is connected, and only outgoing ends follow
+    it.  The budgets, each >= 0, sum to the ends still to place plus d_b -
+    d_t - h * divergence (the inflow less the outflow and divergence of
+    every floor), which is d - 0 - d on P2 and (d + kh) - d - hk on F_k.  So the
     ends fill the positions after the last floor, and each ordering of
     them, a multiset permutation of the floors by budget (:func:`_ends`),
     is one diagram, in the order of a sweep that walks each end.  Each
@@ -363,6 +341,17 @@ def enumerate_marked(delta: HTransverseDegree, n: int) -> list[MarkedFloorDiagra
     refuses.  A height-0 degree has no floor for its unbounded edges to end
     on, so no diagram.
     """
+    div = delta.divergence
+    return [MarkedFloorDiagram(n, floors, div, edges + tail)
+            for floors, _, edges, tails in _root_block(delta, n) for tail in tails]
+
+
+def _root_block(delta: HTransverseDegree, n: int) -> list[tuple]:
+    """The block of the listing's root residue (:func:`_walk`): entries
+    (floors, (), the edges up to the last floor, the shared :func:`_ends`
+    tails after it), each tail one diagram, in listing order.  The one
+    listing form: :func:`enumerate_marked` expands it, and the CLI renders
+    and compares it without building a diagram."""
     limits, made = _limits(delta, n), _Edges()
     if not delta.height:
         return []
@@ -376,9 +365,7 @@ def enumerate_marked(delta: HTransverseDegree, n: int) -> list[MarkedFloorDiagra
             continue
         if (block := blocks.get(key)) is None:
             walks.append((key, _walk(limits, made, *key)))
-    div = delta.divergence
-    return [MarkedFloorDiagram(n, floors, div, edges + tail)
-            for floors, _, edges, tails in block for tail in tails]
+    return block
 
 
 def _walk(limits, made, pos, vertices, budgets, heads, components, in_used, bd_used, out_used):

@@ -9,10 +9,10 @@ from floorgw import Edge, MarkedFloorDiagram, degree_hirzebruch, degree_p2, poin
 from floorgw.algebra import (
     AlgebraError,
     LaurentPolyS,
-    _integers,
     _power,
     _read_series,
     _terms_str,
+    _whole,
     q_integer,
     rational_from_str,
     rational_to_str,
@@ -337,7 +337,8 @@ class FrozenUSeries:
     __slots__ = ("valuation", "coefficients", "order")
 
     def __init__(self, valuation, coefficients, order):
-        valuation, order = _integers((valuation, order), "valuation and order")
+        valuation = _whole(valuation, "valuation", AlgebraError)
+        order = _whole(order, "order", AlgebraError)
         coeffs = [_frozen_as_fraction(c) for c in coefficients]
         if valuation + len(coeffs) > order:
             raise AlgebraError(

@@ -135,21 +135,44 @@ def test_useries_rejects_floats():
     lambda: LaurentPolyS(0, [1.7, 0.5]),
     lambda: LaurentPolyS(0, [F(3, 2)]),
     lambda: LaurentPolyS(0, [1, F(2)]),
-    lambda: Partition([2.7, 1.2]),
-    lambda: Partition([F(2)]),
-    lambda: vertex_series([2.5], [], 6),
     lambda: LaurentPolyS(0.5, [1, 2]),
     lambda: LaurentPolyS(F(1, 2), [1]),
-    lambda: USeries(0, [1], 2.5),
-    lambda: USeries(0.5, [1], 3),
-], ids=["poly-float", "poly-fraction", "poly-whole-fraction", "partition-float",
-        "partition-fraction", "vertex-float", "poly-float-valuation",
-        "poly-fraction-valuation", "series-float-order", "series-float-valuation"])
+], ids=["poly-float", "poly-fraction", "poly-whole-fraction", "poly-float-valuation",
+        "poly-fraction-valuation"])
 def test_exact_constructors_refuse_non_integers(build):
     """A float or a Fraction is refused, not truncated to an int or carried on
     as an exponent."""
     with pytest.raises(AlgebraError, match="must be integers"):
         build()
+
+
+@pytest.mark.parametrize("build,name,value", [
+    (lambda: Partition([2.7, 1.2]), "partition part", 2.7),
+    (lambda: Partition([F(2)]), "partition part", F(2)),
+    (lambda: Partition([True, 2]), "partition part", True),
+    (lambda: vertex_series([2.5], [], 6), "partition part", 2.5),
+    (lambda: USeries(0, [1], 2.5), "order", 2.5),
+    (lambda: USeries(0, [1], True), "order", True),
+    (lambda: USeries(0.5, [1], 3), "valuation", 0.5),
+    (lambda: USeries(True, [1], 3), "valuation", True),
+    (lambda: q_integer(True), "m", True),
+    (lambda: q_integer(2.0), "m", 2.0),
+    (lambda: sin_factor_series(1, 1, 7.0), "order", 7.0),
+    (lambda: sin_factor_series(True, 1, 7), "a", True),
+    (lambda: sin_factor_series(1, 1.0, 7), "exponent", 1.0),
+    (lambda: lp_substitute_exponential(q_integer(2), 6.0), "order", 6.0),
+    (lambda: lp_substitute_exponential(q_integer(2), True), "order", True),
+], ids=["partition-float", "partition-fraction", "partition-bool", "vertex-float",
+        "series-float-order", "series-bool-order", "series-float-valuation",
+        "series-bool-valuation", "q-integer-bool", "q-integer-float", "sine-float-order",
+        "sine-bool-frequency", "sine-float-exponent", "substitution-float-order",
+        "substitution-bool-order"])
+def test_entry_points_refuse_a_bool_or_a_float_in_one_message(build, name, value):
+    """Not a bare TypeError, nor a bool read as 0 or 1: the one refusal of
+    ``algebra._whole``."""
+    with pytest.raises(AlgebraError) as refused:
+        build()
+    assert str(refused.value) == f"{name} must be an integer, got {value!r}"
 
 
 def test_useries_mul_examples():

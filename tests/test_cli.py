@@ -19,6 +19,7 @@ import floorgw.gw as gw
 import floorgw.oracle as oracle
 from floorgw.algebra import LaurentPolyS
 from floorgw.cli import main
+from helpers import acceptance_grid
 
 
 def run_cli(capsys, *argv):
@@ -183,6 +184,140 @@ def test_output_is_written_a_slice_of_pieces_at_a_time(monkeypatch, surface, fmt
     assert len(writes) > 100 and all(type(w) is str for w in writes)
     text = "".join(writes)
     assert hashlib.sha256(text.encode()).hexdigest() == ENUMERATE_DIGESTS[surface, fmt]
+
+
+# ------------------------------------------------- the listing's block renderers
+
+# the acceptance grid (F_k classes with d = 1, 2 have outgoing ends, so lists of
+# several tails) and F1 (h=2, d=3) at genus 0, with three ends after the last floor
+BLOCK_CLASSES = acceptance_grid() + [(diagrams.degree_hirzebruch(1, 2, 3), 11)]
+
+
+def per_diagram_render(delta, n, fmt):
+    """``enumerate``'s stdout rendered diagram by diagram from
+    ``enumerate_marked``, as it was rendered before the block renderers."""
+    listing = diagrams.enumerate_marked(delta, n)
+    if fmt == "json":
+        payload = {"count": len(listing), "diagrams": [d.to_json() for d in listing]}
+        return json.dumps(payload) + "\n"
+    if fmt == "csv":
+        lines = ["index,n,vertices,edges", *(
+            f"{i},{d.n},{';'.join(map(str, d.vertex_positions))},"
+            + ";".join(f"{p}:{s}->{t}*{w}" for p, s, t, w in d.edges)
+            for i, d in enumerate(listing))]
+    else:
+        lines = [f"{len(listing)} marked diagram(s) for {delta.label}, n = {n}"]
+        for i, d in enumerate(listing):
+            lines.append(f"  #{i}: vertices {list(d.vertex_positions)}")
+            lines.extend(f"      edge@{p}: {s} -> {t}, weight {w}" for p, s, t, w in d.edges)
+    return "".join(line + "\n" for line in lines)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+def test_block_renderers_equal_the_per_diagram_render(fmt):
+    for delta, n in BLOCK_CLASSES:
+        assert "".join(cli._listing(delta, n, fmt)) == per_diagram_render(delta, n, fmt), (delta, n)
+
+
+def json_body(n, div, block):
+    """The JSON texts of the diagrams of ``block``, joined by ", "."""
+    return "".join(cli._pieces([], block, *cli._json_texts(n, div)))
+
+
+def test_block_renderers_share_each_head_edge_and_line():
+    """The text pieces are a fresh index per diagram, one head per distinct
+    floors and one line per distinct edge; the JSON pieces one per distinct
+    head, two per distinct edge (followed by ", " or "]}") and the three
+    constants "", ", " and "]}"."""
+    several = 0  # lists of more than one tail, whose texts are rendered once
+    for delta, n in BLOCK_CLASSES:
+        listing, block = diagrams.enumerate_marked(delta, n), diagrams._root_block(delta, n)
+        heads = {d.vertex_positions for d in listing}
+        edges = {e for d in listing for e in d.edges}
+        lines = cli._pieces([], block, *cli._text_texts())
+        assert len({id(line) for line in lines if line.startswith("      edge@")}) == len(edges)
+        assert len({id(line) for line in lines}) <= len(listing) + len(heads) + len(edges) + 1
+        pieces = cli._pieces([], block, *cli._json_texts(n, delta.divergence))
+        assert len({id(p) for p in pieces}) <= len(heads) + 2 * len(edges) + 3
+        several += sum(len(tails) > 1 for *_, tails in block)
+    assert several > 50
+
+
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "--surface", *surface.split(), "--genus", "0", "--format", fmt]
+    for surface in ("p2 --degree 3", "fk --k 1 --h 2 --d 3") for fmt in ("json", "csv", "text")
+] + [
+    ["verify", "oracle", "--surface", "fk", "--k", "1", "--h", "2", "--d", "2", "--genus", "1",
+     "--format", fmt] for fmt in ("json", "text")
+], ids=" ".join)
+def test_listing_builds_no_diagram_objects(capsys, monkeypatch, argv):
+    """``enumerate`` renders and ``verify oracle`` compares the root block:
+    the only diagrams built are the brute-force oracle's, one per diagram."""
+    delta = diagrams.degree_hirzebruch(1, 2, 2)
+    oracle_built = (len(oracle.brute_force_enumerate(delta, diagrams.points_for_genus(delta, 1)))
+                    if argv[0] == "verify" else 0)
+    built, new = [], diagrams.MarkedFloorDiagram.__new__
+
+    def counted(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(diagrams.MarkedFloorDiagram, "__new__", counted)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == "" and out
+    assert len(built) == oracle_built
+
+
+def _one(diagram):
+    """The root block of the one ``diagram``: an entry with one empty tail."""
+    return [(diagram.vertex_positions, (), diagram.edges, [()])]
+
+
+def test_one_diagram_json_pieces_are_the_dumped_dict_and_read_back():
+    for delta, n in acceptance_grid():
+        for diagram in diagrams.enumerate_marked(delta, n):
+            text = json_body(n, delta.divergence, _one(diagram))
+            assert text == json.dumps(diagram.to_json())
+            assert diagrams.MarkedFloorDiagram.from_json(json.loads(text)) == diagram
+
+
+_FIELD = st.integers(-10**6, 10**6)
+
+
+@given(_FIELD, st.lists(_FIELD, max_size=5, unique=True), _FIELD,
+       st.lists(st.tuples(_FIELD, st.none() | _FIELD, st.none() | _FIELD, _FIELD), max_size=6))
+@settings(max_examples=200, deadline=None)
+def test_one_diagram_json_pieces_are_the_dumped_dict_for_any_fields(n, vertices, divergence,
+                                                                   edges):
+    diagram = diagrams.MarkedFloorDiagram(n, tuple(vertices), divergence,
+                                          tuple(map(diagrams.Edge._make, edges)))
+    text = json_body(n, divergence, _one(diagram))
+    assert text == json.dumps(diagram.to_json())
+
+
+_SMALL = st.integers(-2, 3)  # a small range, so that heads and edges repeat
+_EDGE = st.tuples(_SMALL, st.none() | _SMALL, st.none() | _SMALL, _SMALL).map(diagrams.Edge._make)
+# a list of tails is one empty tail, or tails of one or more outgoing ends
+_TAILS = st.just([()]) | st.lists(st.lists(_EDGE, min_size=1, max_size=2).map(tuple),
+                                  min_size=1, max_size=3)
+_ENTRIES = st.lists(st.tuples(st.lists(_SMALL, max_size=3, unique=True).map(tuple),
+                              st.lists(_EDGE, max_size=3).map(tuple), st.integers(0, 2)),
+                    max_size=5)
+
+
+@given(_SMALL, _SMALL, st.lists(_TAILS, min_size=1, max_size=3), _ENTRIES)
+@settings(max_examples=300, deadline=None)
+def test_json_pieces_join_to_the_dumped_dicts_and_are_shared(n, div, pool, entries):
+    """Entries share lists of tails, as the walk's entries do."""
+    block = [(floors, (), edges, pool[i % len(pool)]) for floors, edges, i in entries]
+    listing = [diagrams.MarkedFloorDiagram(n, floors, div, edges + tail)
+               for floors, _, edges, tails in block for tail in tails]
+    pieces = cli._pieces([], block, *cli._json_texts(n, div))
+    assert "".join(pieces) == ", ".join(json.dumps(d.to_json()) for d in listing)
+    # one text per distinct head, two per distinct edge (followed by ", " or "]}"),
+    # and the three constants "", ", " and "]}"
+    distinct = len({d[1] for d in listing}) + 2 * len({e for d in listing for e in d.edges})
+    assert len({id(p) for p in pieces}) <= distinct + 3
 
 
 def test_verify_exit_codes(capsys):
@@ -512,7 +647,7 @@ def test_order_may_end_below_zero_for_a_laurent_series(capsys):
 
 def test_verify_oracle_lists_once_with_each_enumerator(capsys, monkeypatch):
     calls = {"brute": 0, "sweep": 0}
-    brute, sweep = oracle.brute_force_enumerate, cli.enumerate_marked
+    brute, sweep = oracle.brute_force_enumerate, cli._root_block
 
     def counted_brute(*args, **kwargs):
         calls["brute"] += 1
@@ -525,7 +660,7 @@ def test_verify_oracle_lists_once_with_each_enumerator(capsys, monkeypatch):
     # both names: brute_force_refined_count would reach the oracle's own
     monkeypatch.setattr(cli, "brute_force_enumerate", counted_brute)
     monkeypatch.setattr(oracle, "brute_force_enumerate", counted_brute)
-    monkeypatch.setattr(cli, "enumerate_marked", counted_sweep)
+    monkeypatch.setattr(cli, "_root_block", counted_sweep)
     code, out, _ = run_cli(
         capsys, "verify", "oracle", "--surface", "p2", "--degree", "3", "--points", "8",
         "--format", "json",
@@ -543,7 +678,7 @@ def test_verify_oracle_checks_the_cap_before_the_sweep_lists(capsys, monkeypatch
 
     # P2 d=10 g=0 has 628,328,131,956,250,729 diagrams: counting them takes seconds
     monkeypatch.setattr(cli, "diagram_count", no_work)
-    monkeypatch.setattr(cli, "enumerate_marked", no_work)
+    monkeypatch.setattr(cli, "_root_block", no_work)
     for degree, genus, n in (("5", "3", 17), ("10", "0", 29)):
         code, out, err = run_cli(
             capsys, "verify", "oracle", "--surface", "p2", "--degree", degree, "--genus", genus,
@@ -571,7 +706,7 @@ def test_listing_over_the_cap_exits_1_without_listing(capsys, monkeypatch, comma
     def no_listing(*args, **kwargs):
         raise AssertionError("listed past the cap")
 
-    monkeypatch.setattr(cli, "enumerate_marked", no_listing)
+    monkeypatch.setattr(cli, "_root_block", no_listing)
     monkeypatch.setattr(diagrams, "_walk", no_listing)
     monkeypatch.setattr(cli, "brute_force_enumerate", no_listing)
     code, out, err = run_cli(capsys, *command.split())

@@ -38,7 +38,8 @@ from floorgw import (
     weight_profiles,
 )
 import floorgw.diagrams as diagrams
-from floorgw.diagrams import _head_subsets, json_pieces
+from floorgw.cli import _json_texts, _pieces
+from floorgw.diagrams import _head_subsets, _root_block
 from helpers import (
     acceptance_grid,
     frozen_enumerate_marked,
@@ -231,12 +232,14 @@ LISTING_DIGESTS = [
     ids=[f"{delta.label}-g{g}" for delta, g, _, _ in LISTING_DIGESTS],
 )
 def test_listing_order_is_pinned(delta, g, count, digest):
-    diagrams = enumerate_marked(delta, points_for_genus(delta, g))
+    n = points_for_genus(delta, g)
+    diagrams = enumerate_marked(delta, n)
     assert len(diagrams) == count
     text = json.dumps([d.to_json() for d in diagrams])
     assert hashlib.sha256(text.encode()).hexdigest() == digest
     texts = [json.dumps(d.to_json()) for d in diagrams]
-    assert ["".join(json_pieces([d])) for d in diagrams] == texts
+    block = _root_block(delta, n)
+    assert "".join(_pieces([], block, *_json_texts(n, delta.divergence))) == ", ".join(texts)
 
 
 # the d_t = 3 classes: up to three orderings of the outgoing ends per last floor
@@ -569,45 +572,6 @@ def test_diagram_is_a_named_tuple_like_edge():
 
 
 # ---------------------------------------------------------- JSON + validator
-
-
-def test_one_diagram_json_pieces_are_the_dumped_dict_and_read_back():
-    for delta, n in acceptance_grid():
-        for diagram in enumerate_marked(delta, n):
-            text = "".join(json_pieces([diagram]))
-            assert text == json.dumps(diagram.to_json())
-            assert MarkedFloorDiagram.from_json(json.loads(text)) == diagram
-
-
-_FIELD = st.integers(-10**6, 10**6)
-
-
-@given(_FIELD, st.lists(_FIELD, max_size=5, unique=True), _FIELD,
-       st.lists(st.tuples(_FIELD, st.none() | _FIELD, st.none() | _FIELD, _FIELD), max_size=6))
-@settings(max_examples=200, deadline=None)
-def test_one_diagram_json_pieces_are_the_dumped_dict_for_any_fields(n, vertices, divergence,
-                                                                   edges):
-    diagram = MarkedFloorDiagram(n, tuple(vertices), divergence, tuple(map(Edge._make, edges)))
-    assert "".join(json_pieces([diagram])) == json.dumps(diagram.to_json())
-
-
-_SMALL = st.integers(-2, 3)  # a small range, so that heads and edges repeat
-_DIAGRAMS = st.builds(
-    lambda n, vertices, divergence, edges: MarkedFloorDiagram(
-        n, tuple(vertices), divergence, tuple(map(Edge._make, edges))),
-    _SMALL, st.lists(_SMALL, max_size=3, unique=True), _SMALL,
-    st.lists(st.tuples(_SMALL, st.none() | _SMALL, st.none() | _SMALL, _SMALL), max_size=4))
-
-
-@given(st.lists(_DIAGRAMS, max_size=6))
-@settings(max_examples=300, deadline=None)
-def test_json_pieces_join_to_the_dumped_dicts_and_are_shared(listing):
-    pieces = json_pieces(listing)
-    assert "".join(pieces) == ", ".join(json.dumps(d.to_json()) for d in listing)
-    # one text per distinct head, two per distinct edge (followed by ", " or "]}"),
-    # and the two constants ", " and "]}"
-    distinct = len({d[:3] for d in listing}) + 2 * len({e for d in listing for e in d.edges})
-    assert len({id(p) for p in pieces}) <= distinct + 2
 
 
 def test_diagram_json_round_trip():
