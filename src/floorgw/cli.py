@@ -56,7 +56,7 @@ from .gw import (
     log_series,
     vertex_series,
 )
-from .oracle import OracleLimitError, brute_force_enumerate, check_cap, refined_sum
+from .oracle import OracleLimitError, brute_force_enumerate, check_cap, listing_profiles
 
 LISTING_CAP = 100_000
 _SLICE = 1 << 17  # pieces per write of ``_emit``
@@ -271,9 +271,9 @@ def _cmd_verify_oracle(args) -> int:
                              for floors, _, edges, tails in _root_block(delta, n) for tail in tails)
     # dict.__eq__, in C: Counter.__eq__ walks both in a generator, and here every count is positive
     diagrams_equal = dict.__eq__(sweep_diagrams, Counter(brute_diagrams))
-    sweep = fold_refined(profiles)
-    brute = refined_sum(brute_diagrams)
-    equal = diagrams_equal and sweep == brute
+    brute_profiles = listing_profiles(delta, brute_diagrams)
+    equal = diagrams_equal and profiles == brute_profiles
+    sweep, brute = fold_refined(profiles), fold_refined(brute_profiles)
     return _verdict(args.format, equal, lambda: {
         "target": "oracle",
         "delta": delta.to_json(),

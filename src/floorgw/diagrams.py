@@ -211,7 +211,8 @@ def multiplicity(diagram: MarkedFloorDiagram) -> int:
 
 
 def refined_multiplicity(diagram: MarkedFloorDiagram) -> LaurentPolyS:
-    """Product of squared q-integers of the edge weights; palindromic."""
+    """Product of squared q-integers of the edge weights; palindromic.  Public as the paper's
+    multiplicity, which a demo prints and the profile fold never calls; floorbench traces it."""
     return prod((q_integer(e.weight) ** 2 for e in diagram.edges if e.weight != 1),
                 start=LaurentPolyS.one())
 
@@ -229,10 +230,10 @@ def vertex_partitions(diagram: MarkedFloorDiagram, position: int) -> tuple[Parti
 def validate_diagram(diagram: MarkedFloorDiagram, delta: HTransverseDegree) -> None:
     """Check every marked-floor-diagram invariant; raise InvalidDiagram on failure.
 
-    Checks: vertex and edge positions partition {1..n}, so no vertex
-    position repeats; h vertices; the degree's divergence; edge weights,
-    endpoints and marking order; the unbounded edge counts; every vertex's
-    net flow equal to the divergence; connectivity.
+    Checks: vertex and edge positions partition {1..n}, so no vertex position repeats;
+    h vertices; the degree's divergence; edge weights, endpoints and marking order; the
+    unbounded edge counts; every vertex's net flow equal to the divergence; connectivity;
+    and, as malformed, fields of the wrong type or arity.
 
     The genus needs no check.  With h vertices and d_b + d_t unbounded
     edges among the n positions, n - h - d_b - d_t edges are bounded, so
@@ -241,61 +242,65 @@ def validate_diagram(diagram: MarkedFloorDiagram, delta: HTransverseDegree) -> N
     h - 1 of them and the genus is >= 0.  (With h = 0 no edge has an end, so a height-0
     degree has no diagram; the counts return 0, not a refusal: see ROADMAP item 5.)
     """
-    n, vertices, edges = diagram.n, diagram.vertex_positions, diagram.edges
-    # edges unpacked or read by index, not by field name: this runs on every listed diagram
-    positions = sorted([*vertices, *map(itemgetter(0), edges)])
-    if positions != list(range(1, n + 1)):
-        raise InvalidDiagram("positions do not partition 1..n into vertices and edges")
-    if len(vertices) != delta.height:
-        raise InvalidDiagram(f"expected {delta.height} vertices, found {len(vertices)}")
-    if diagram.divergence != delta.divergence:
-        raise InvalidDiagram(
-            f"divergence {diagram.divergence} differs from the degree's {delta.divergence}")
-
-    incoming_unbounded = outgoing_unbounded = 0
-    flow = dict.fromkeys(vertices, 0)
-    links = []  # (source, target) of each bounded edge
-    for position, source, target, weight in edges:
-        if weight < 1:
-            raise InvalidDiagram(f"edge at position {position} has weight {weight}")
-        if source is None:
-            if target is None:
-                raise InvalidDiagram("edge with no endpoint")
-            if target not in flow:
-                raise InvalidDiagram(f"edge target {target} is not a vertex")
-            if weight != 1:
-                raise InvalidDiagram("incoming unbounded edge of weight != 1")
-            if not position < target:
-                raise InvalidDiagram("incoming unbounded edge not before its target")
-            incoming_unbounded += 1
-            flow[target] += weight
-        elif source not in flow:  # an outgoing or a bounded edge
-            raise InvalidDiagram(f"edge source {source} is not a vertex")
-        elif target is None:
-            if weight != 1:
-                raise InvalidDiagram("outgoing unbounded edge of weight != 1")
-            if not source < position:
-                raise InvalidDiagram("outgoing unbounded edge not after its source")
-            outgoing_unbounded += 1
-            flow[source] -= weight
-        else:
-            if target not in flow:
-                raise InvalidDiagram(f"edge target {target} is not a vertex")
-            if not source < position < target:
-                raise InvalidDiagram(
-                    f"bounded edge at {position} violates source < position < target")
-            flow[target] += weight
-            flow[source] -= weight
-            links.append((source, target))
-    if incoming_unbounded != delta.d_b:
-        raise InvalidDiagram(f"expected {delta.d_b} incoming unbounded edges")
-    if outgoing_unbounded != delta.d_t:
-        raise InvalidDiagram(f"expected {delta.d_t} outgoing unbounded edges")
-    for p in vertices:
-        if flow[p] != delta.divergence:
-            raise InvalidDiagram(f"divergence mismatch at vertex {p}")
-    if not _connected(vertices, links):
-        raise InvalidDiagram("underlying graph is disconnected")
+    try:  # one try per diagram, none per edge
+        n, vertices, edges = diagram.n, diagram.vertex_positions, diagram.edges
+        # edges unpacked or read by index, not by field name: this runs on every listed diagram
+        positions = sorted([*vertices, *map(itemgetter(0), edges)])
+        if positions != list(range(1, n + 1)):
+            raise InvalidDiagram("positions do not partition 1..n into vertices and edges")
+        if len(vertices) != delta.height:
+            raise InvalidDiagram(f"expected {delta.height} vertices, found {len(vertices)}")
+        if diagram.divergence != delta.divergence:
+            raise InvalidDiagram(
+                f"divergence {diagram.divergence} differs from the degree's {delta.divergence}")
+        incoming_unbounded = outgoing_unbounded = 0
+        flow = dict.fromkeys(vertices, 0)
+        links = []  # (source, target) of each bounded edge
+        for position, source, target, weight in edges:
+            if weight < 1:
+                raise InvalidDiagram(f"edge at position {position} has weight {weight}")
+            if source is None:
+                if target is None:
+                    raise InvalidDiagram("edge with no endpoint")
+                if target not in flow:
+                    raise InvalidDiagram(f"edge target {target} is not a vertex")
+                if weight != 1:
+                    raise InvalidDiagram("incoming unbounded edge of weight != 1")
+                if not position < target:
+                    raise InvalidDiagram("incoming unbounded edge not before its target")
+                incoming_unbounded += 1
+                flow[target] += weight
+            elif source not in flow:  # an outgoing or a bounded edge
+                raise InvalidDiagram(f"edge source {source} is not a vertex")
+            elif target is None:
+                if weight != 1:
+                    raise InvalidDiagram("outgoing unbounded edge of weight != 1")
+                if not source < position:
+                    raise InvalidDiagram("outgoing unbounded edge not after its source")
+                outgoing_unbounded += 1
+                flow[source] -= weight
+            else:
+                if target not in flow:
+                    raise InvalidDiagram(f"edge target {target} is not a vertex")
+                if not source < position < target:
+                    raise InvalidDiagram(
+                        f"bounded edge at {position} violates source < position < target")
+                flow[target] += weight
+                flow[source] -= weight
+                links.append((source, target))
+        if incoming_unbounded != delta.d_b:
+            raise InvalidDiagram(f"expected {delta.d_b} incoming unbounded edges")
+        if outgoing_unbounded != delta.d_t:
+            raise InvalidDiagram(f"expected {delta.d_t} outgoing unbounded edges")
+        for p in vertices:
+            if flow[p] != delta.divergence:
+                raise InvalidDiagram(f"divergence mismatch at vertex {p}")
+        if not _connected(vertices, links):
+            raise InvalidDiagram("underlying graph is disconnected")
+    except InvalidDiagram:
+        raise
+    except (TypeError, ValueError) as error:  # a field of the wrong type or arity
+        raise InvalidDiagram(f"malformed diagram record: {error}") from error
 
 
 def enumerate_marked(delta: HTransverseDegree, n: int) -> list[MarkedFloorDiagram]:

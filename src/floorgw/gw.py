@@ -76,11 +76,11 @@ class GwError(ValueError):
     """Invalid request to the generating-series layer."""
 
 
-# Caps on the work of one request, sized on a 2-vCPU x86-64 host.  At order
-# 500 the slowest series known, ``ab_identity_check(3, 0, 11)``, takes about
-# 1.6-2.0 s (8.4-9.8 s at order 750, 27-32 s at 1000).  A vertex's sine
-# product is a Laurent polynomial of 2 * (|mu| + |nu|) + 1 coefficients;
-# with distinct parts 1..140, |mu| = 9870, it takes about 0.9 s at order 500.
+# Caps on the work of one request, sized on a shared 2-vCPU x86-64 host.  At order 500 the
+# slowest series known, ``ab_identity_check(3, 0, 11)``, takes 1.2-1.3 s in process on a quiet
+# host, up to 2.5 s on a busy one (6.8-9.8 s at order 750, 27-32 s at 1000).  A vertex's sine
+# product is a Laurent polynomial of 2 * (|mu| + |nu|) + 1 coefficients; with distinct
+# parts 1..140, |mu| = 9870, it takes about 0.55 s at order 500 on the quiet host.
 _ORDER_CAP = 500
 _VERTEX_SIZE_CAP = 10_000
 

@@ -11,7 +11,7 @@ cut by two lower bounds on the unbounded edges a partial shape already needs
 (see ``_shapes``), and each shape's linear extensions are listed gap by gap
 (see ``_extensions``).  Every diagram passes the full invariant validator.
 There are no options; n is capped by ``MAX_N``.  Nothing here is shared with
-the sweep but the negative-genus refusal.
+the sweep but the negative-genus refusal and the count pass's fold ``fold_refined``.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .diagrams import (
     MarkedFloorDiagram,
     _connected,
     _genus,
-    refined_multiplicity,
+    fold_refined,
     validate_diagram,
 )
 
@@ -229,21 +229,15 @@ def brute_force_enumerate(delta: HTransverseDegree, n: int) -> list[MarkedFloorD
     return results
 
 
-def refined_sum(diagrams) -> LaurentPolyS:
-    """The sum of the refined multiplicities of ``diagrams``, taking one
-    multiplicity per class of diagrams with the same sorted edge weights, on
-    which it depends: each class keeps its first diagram and a count."""
-    classes: dict[tuple[int, ...], list] = {}
-    for d in diagrams:
-        key = tuple(sorted([e[3] for e in d.edges]))
-        if (entry := classes.get(key)) is None:
-            classes[key] = [d, 1]
-        else:
-            entry[1] += 1
-    return sum((refined_multiplicity(d) * count for d, count in classes.values()),
-               LaurentPolyS.zero())
+def listing_profiles(delta: HTransverseDegree, diagrams) -> dict[tuple[int, ...], int]:
+    """``diagrams.weight_profiles`` of a listing of valid diagrams of ``delta``.  Each
+    diagram is keyed once by the sorted weights of all its edges; its d_b + d_t
+    unbounded edges weigh 1, so they lead its key and are cut from each distinct key."""
+    keys = Counter(tuple(sorted([e[3] for e in d.edges])) for d in diagrams)
+    ends = delta.d_b + delta.d_t
+    return {key[ends:]: count for key, count in keys.items()}
 
 
 def brute_force_refined_count(delta: HTransverseDegree, n: int) -> LaurentPolyS:
-    """Refined count through the brute-force path."""
-    return refined_sum(brute_force_enumerate(delta, n))
+    """Refined count through the brute-force path: the fold of its listing's profiles."""
+    return fold_refined(listing_profiles(delta, brute_force_enumerate(delta, n)))

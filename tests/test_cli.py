@@ -337,23 +337,54 @@ def test_verify_exit_codes(capsys):
     assert json.loads(out)["equal"] is True
 
 
+def _plus_one(value):
+    """A refined count plus 1, or a profile dict with one more diagram of no
+    bounded edge, which adds 1 to its fold."""
+    if isinstance(value, LaurentPolyS):
+        return value + LaurentPolyS.one()
+    return {**value, (): value.get((), 0) + 1}
+
+
 @pytest.mark.parametrize("command,module,route", [
     ("verify degeneration --surface p2 --degree 3 --genus 1 --order 12", gw, "fold_refined"),
     ("verify ab --a 1 --b 0 --points 3", gw, "_count"),
-    ("verify oracle --surface p2 --degree 2 --points 5", cli, "refined_sum"),
+    ("verify oracle --surface p2 --degree 2 --points 5", cli, "listing_profiles"),
 ])
 def test_verify_reports_a_failing_identity_with_exit_1(capsys, monkeypatch, command,
                                                        module, route):
     """A route that adds 1 to every refined count it gives makes each identity
     fail: the report says so in both formats, with exit code 1."""
     right = getattr(module, route)
-    monkeypatch.setattr(module, route, lambda *args: right(*args) + LaurentPolyS.one())
+    monkeypatch.setattr(module, route, lambda *args: _plus_one(right(*args)))
     code, out, err = run_cli(capsys, *command.split(), "--format", "json")
     assert (code, err) == (1, "") and json.loads(out)["equal"] is False
     code, out, err = run_cli(capsys, *command.split())
     # verify ab's text report gives the two levels of its identity, the series level last
     last = "  series    : equal -> False\n" if "ab" in command else "  equal: False\n"
     assert (code, err) == (1, "") and out.endswith(last)
+
+
+def test_verify_oracle_refuses_wrong_profiles_with_an_equal_fold(capsys, monkeypatch):
+    """P2 d=3 n=8's eight diagrams with one bounded edge of weight 1 filed
+    under (1,) and not (1, 1): the fold is the same, s^-2 + 10 + s^2, but
+    the profile dicts differ, and so the check fails."""
+    right = cli.weight_profiles
+
+    def wrong(delta, n):
+        profiles = right(delta, n)
+        assert profiles.pop((1, 1)) == 8
+        return {**profiles, (1,): 8}
+
+    monkeypatch.setattr(cli, "weight_profiles", wrong)
+    command = "verify oracle --surface p2 --degree 3 --points 8".split()
+    code, out, err = run_cli(capsys, *command, "--format", "json")
+    report = json.loads(out)
+    assert (code, err, report["equal"], report["diagrams_equal"]) == (1, "", False, True)
+    assert report["sweep"] == report["brute_force"] == {
+        "valuation": -2, "coefficients": ["1", "0", "10", "0", "1"],
+    }
+    code, out, err = run_cli(capsys, *command)
+    assert (code, err) == (1, "") and out.endswith("  equal: False\n")
 
 
 def test_domain_error_exits_1(capsys):

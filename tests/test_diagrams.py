@@ -668,6 +668,26 @@ def test_validator_names_each_failure(delta, diagram, message):
         validate_diagram(diagram, delta)
 
 
+# Records built in Python with a field of the wrong type or arity, which once
+# raised a bare TypeError or ValueError; from_json refuses each of them earlier
+MALFORMED_DIAGRAMS = [
+    ("str-vertex", MarkedFloorDiagram(2, ("2",), 1, (_incoming(1, 2),)),
+     r"^malformed diagram record: '<' not supported between instances of 'int' and 'str'$"),
+    ("float-n", MarkedFloorDiagram(2.5, (2,), 1, (_incoming(1, 2),)),
+     r"^malformed diagram record: 'float' object cannot be interpreted as an integer$"),
+    ("three-field-edge", MarkedFloorDiagram(2, (2,), 1, ((1, None, 2),)),
+     r"^malformed diagram record: not enough values to unpack \(expected 4, got 3\)$"),
+]
+
+
+@pytest.mark.parametrize("diagram,message", [row[1:] for row in MALFORMED_DIAGRAMS],
+                         ids=[row[0] for row in MALFORMED_DIAGRAMS])
+def test_validator_refuses_a_malformed_record_as_invalid(diagram, message):
+    with pytest.raises(InvalidDiagram, match=message) as refused:
+        validate_diagram(diagram, degree_p2(1))
+    assert isinstance(refused.value.__cause__, (TypeError, ValueError))
+
+
 def test_validator_accepts_valid_external_json():
     data = {
         "n": 2,

@@ -26,7 +26,8 @@ from floorgw import (
     validate_diagram,
 )
 from floorgw.cli import LISTING_CAP
-from floorgw.oracle import MAX_N, _extensions, _shapes, refined_sum
+from floorgw.diagrams import fold_refined, weight_profiles
+from floorgw.oracle import MAX_N, _extensions, _shapes, listing_profiles
 from helpers import acceptance_grid, diagram_key, frozen_extensions
 from test_count_paths import genus_range, larger_frozen_copy_pairs
 
@@ -82,7 +83,7 @@ LARGER_ORACLE_PAIRS = [
 
 
 def test_sweep_matches_oracle_everywhere():
-    """Exact agreement of diagram multisets and refined counts on the grid, on
+    """Exact agreement of diagram multisets and weight profiles on the grid, on
     the larger F_k classes, whose shapes give the marking generator longer
     windows, and on P2 d=5 g=2, where n = 16 is the oracle's cap."""
     larger = [(delta, points_for_genus(delta, g))
@@ -91,7 +92,7 @@ def test_sweep_matches_oracle_everywhere():
         listing = brute_force_enumerate(delta, n)
         sweep = sorted(map(diagram_key, enumerate_marked(delta, n)))
         assert sweep == sorted(map(diagram_key, listing)), (delta.label, n)
-        assert refined_count(delta, n) == refined_sum(listing)
+        assert weight_profiles(delta, n) == listing_profiles(delta, listing), (delta.label, n)
 
 
 @pytest.mark.parametrize("listed", [enumerate_marked, brute_force_enumerate])
@@ -170,12 +171,12 @@ def test_the_flow_bound_loses_no_shape():
 
 
 def test_per_class_brute_sum_equals_the_per_diagram_sum_on_the_grid():
-    # each weight class stands for its diagrams: a coarser grouping key
-    # (say, the bounded edge count) merges classes of unequal multiplicity
+    # each weight profile stands for its diagrams: a coarser grouping key
+    # (say, the bounded edge count) merges profiles of unequal multiplicity
     for delta, n in acceptance_grid():
         brute = brute_force_enumerate(delta, n)
         expected = sum(map(refined_multiplicity, brute), LaurentPolyS.zero())
-        assert refined_sum(brute) == expected, (delta.label, n)
+        assert fold_refined(listing_profiles(delta, brute)) == expected, (delta.label, n)
 
 
 def shape_classes(delta, n):
@@ -240,17 +241,20 @@ def test_marking_count_of_a_small_shape():
 
 def assert_extensions_match_frozen_copy(pairs):
     """Per shape, the gap-by-gap listing equals the frozen per-position
-    recursion as a multiset, with no diagram twice.  Returns the classes and
+    recursion as a multiset, with no diagram twice; per class, the listing's
+    weight profiles equal :func:`weight_profiles`.  Returns the classes and
     the diagrams compared."""
     total = 0
     for delta, n in pairs:
-        h, div = delta.height, delta.divergence
+        h, div, profiles = delta.height, delta.divergence, Counter()
         for classes in shape_classes(delta, n):
             listing = _extensions(h, classes, div, {}, {})
             assert len(set(listing)) == len(listing), (delta.label, n, classes)
             assert Counter(listing) == Counter(frozen_extensions(h, classes, div, {})), (
                 delta.label, n, classes)
+            profiles.update(listing_profiles(delta, listing))
             total += len(listing)
+        assert profiles == weight_profiles(delta, n), (delta.label, n)
     return len(pairs), total
 
 
