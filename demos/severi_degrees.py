@@ -14,8 +14,8 @@ from floorgw import (
     multiplicity,
     points_for_genus,
     refined_count,
-    refined_multiplicity,
 )
+from floorgw.diagrams import refined_multiplicity
 
 
 def main():

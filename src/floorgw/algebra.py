@@ -39,8 +39,9 @@ the powers e >= 0 are multiplied into p and the product is substituted
 once with t = the sum of those e; the negative powers are substituted
 together and inverted once.  ``lp_substitute_exponential`` (p alone, where
 each s^a + s^(-a) becomes 2 cos(a*u/2)) and ``sin_factor_series`` (one sine
-power) are its two public cases: no route calls them, but they are the series
-of the paper's substitution that a reader can check, and floorbench traces both.
+power) are its two named cases, not exported: no route calls them, but they
+are the series of the paper's substitution that a reader can check, and
+floorbench traces both.
 
 Non-palindromic input to the substitution is rejected: its image would have
 a non-cancelling imaginary part, and every refined count is palindromic, so
@@ -54,6 +55,9 @@ from fractions import Fraction
 from math import factorial, gcd, lcm
 from operator import add, index
 from typing import Iterable
+
+__all__ = ["AlgebraError", "LaurentPolyS", "Partition", "USeries", "lp_eval_at_one", "q_integer",
+           "rational_to_str"]
 
 
 class AlgebraError(ValueError):

@@ -39,6 +39,7 @@ from collections.abc import Sequence
 from .algebra import AlgebraError, Partition, _int_text, lp_eval_at_one, rational_to_str
 from .diagrams import (
     DiagramError,
+    _diagram_tuples,
     _root_block,
     degree_hirzebruch,
     degree_p2,
@@ -174,9 +175,9 @@ def _pieces(pieces: list[str], block, first, heads, inner, last, bare) -> list[s
 
 def _listing(delta, n: int, fmt: str) -> list[str]:
     """``enumerate``'s pieces, rendered from the root block."""
-    _check_listing_cap(delta, n, diagram_count(delta, n))
+    count = diagram_count(delta, n)  # the listing cap's count, and the header's
+    _check_listing_cap(delta, n, count)
     block = _root_block(delta, n)
-    count = sum([len(entry[3]) for entry in block])  # an entry's tails are its diagrams
     if fmt == "json":  # json.dumps of the payload
         pieces = _pieces([f'{{"count": {count}, "diagrams": ['], block,
                          *_json_texts(n, delta.divergence))
@@ -266,9 +267,7 @@ def _cmd_verify_oracle(args) -> int:
     _check_listing_cap(delta, n, sum(profiles.values()))
     brute_diagrams = brute_force_enumerate(delta, n)
     # the sweep's diagrams as plain tuples, which equal and hash like the oracle's
-    div = delta.divergence
-    sweep_diagrams = Counter((n, floors, div, edges + tail)
-                             for floors, _, edges, tails in _root_block(delta, n) for tail in tails)
+    sweep_diagrams = Counter(_diagram_tuples(delta, n))
     # dict.__eq__, in C: Counter.__eq__ walks both in a generator, and here every count is positive
     diagrams_equal = dict.__eq__(sweep_diagrams, Counter(brute_diagrams))
     brute_profiles = listing_profiles(delta, brute_diagrams)

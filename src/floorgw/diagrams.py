@@ -34,6 +34,11 @@ from typing import NamedTuple
 
 from .algebra import AlgebraError, LaurentPolyS, Partition, _integer, _json, _whole, q_integer
 
+__all__ = ["DiagramError", "Edge", "HTransverseDegree", "InvalidDiagram", "MarkedFloorDiagram",
+           "classical_count", "degree_hirzebruch", "degree_p2", "diagram_count",
+           "enumerate_marked", "multiplicity", "points_for_genus", "refined_count",
+           "validate_diagram", "weight_profiles"]
+
 
 class DiagramError(ValueError):
     """Invalid degree data or invalid request."""
@@ -211,15 +216,15 @@ def multiplicity(diagram: MarkedFloorDiagram) -> int:
 
 
 def refined_multiplicity(diagram: MarkedFloorDiagram) -> LaurentPolyS:
-    """Product of squared q-integers of the edge weights; palindromic.  Public as the paper's
-    multiplicity, which a demo prints and the profile fold never calls; floorbench traces it."""
+    """Product of squared q-integers of the edge weights; palindromic.  Not exported: the
+    paper's multiplicity, which a demo prints and the fold never calls; floorbench traces it."""
     return prod((q_integer(e.weight) ** 2 for e in diagram.edges if e.weight != 1),
                 start=LaurentPolyS.one())
 
 
 def vertex_partitions(diagram: MarkedFloorDiagram, position: int) -> tuple[Partition, Partition]:
-    """(mu, nu) at a vertex: weights of outgoing resp. incoming edges.  Public as
-    the paper's vertex data, which the profile sum never lists; floorbench traces it."""
+    """(mu, nu) at a vertex: weights of outgoing resp. incoming edges.  Not exported: the
+    paper's vertex data, which the profile sum never lists; floorbench traces it."""
     if position not in diagram.vertex_positions:
         raise DiagramError(f"position {position} is not a vertex of the diagram")
     mu = Partition(e.weight for e in diagram.edges if e.source == position)
@@ -233,6 +238,7 @@ def validate_diagram(diagram: MarkedFloorDiagram, delta: HTransverseDegree) -> N
     Checks: vertex and edge positions partition {1..n}, so no vertex position repeats;
     h vertices; the degree's divergence; edge weights, endpoints and marking order; the
     unbounded edge counts; every vertex's net flow equal to the divergence; connectivity;
+    every field an int, not a float or a bool equal to one (an edge's ends may be None);
     and, as malformed, fields of the wrong type or arity.
 
     The genus needs no check.  With h vertices and d_b + d_t unbounded
@@ -256,7 +262,12 @@ def validate_diagram(diagram: MarkedFloorDiagram, delta: HTransverseDegree) -> N
         incoming_unbounded = outgoing_unbounded = 0
         flow = dict.fromkeys(vertices, 0)
         links = []  # (source, target) of each bounded edge
+        # a float or a bool equal to an int passes the other checks, but not to_json
+        if not type(n) is type(diagram.divergence) is int:
+            _refuse_non_integer(diagram)
         for position, source, target, weight in edges:
+            if not type(position) is type(weight) is int:
+                _refuse_non_integer(diagram)
             if weight < 1:
                 raise InvalidDiagram(f"edge at position {position} has weight {weight}")
             if source is None:
@@ -264,6 +275,8 @@ def validate_diagram(diagram: MarkedFloorDiagram, delta: HTransverseDegree) -> N
                     raise InvalidDiagram("edge with no endpoint")
                 if target not in flow:
                     raise InvalidDiagram(f"edge target {target} is not a vertex")
+                if type(target) is not int:
+                    _refuse_non_integer(diagram)
                 if weight != 1:
                     raise InvalidDiagram("incoming unbounded edge of weight != 1")
                 if not position < target:
@@ -272,6 +285,8 @@ def validate_diagram(diagram: MarkedFloorDiagram, delta: HTransverseDegree) -> N
                 flow[target] += weight
             elif source not in flow:  # an outgoing or a bounded edge
                 raise InvalidDiagram(f"edge source {source} is not a vertex")
+            elif type(source) is not int:
+                _refuse_non_integer(diagram)
             elif target is None:
                 if weight != 1:
                     raise InvalidDiagram("outgoing unbounded edge of weight != 1")
@@ -282,6 +297,8 @@ def validate_diagram(diagram: MarkedFloorDiagram, delta: HTransverseDegree) -> N
             else:
                 if target not in flow:
                     raise InvalidDiagram(f"edge target {target} is not a vertex")
+                if type(target) is not int:
+                    _refuse_non_integer(diagram)
                 if not source < position < target:
                     raise InvalidDiagram(
                         f"bounded edge at {position} violates source < position < target")
@@ -293,6 +310,8 @@ def validate_diagram(diagram: MarkedFloorDiagram, delta: HTransverseDegree) -> N
         if outgoing_unbounded != delta.d_t:
             raise InvalidDiagram(f"expected {delta.d_t} outgoing unbounded edges")
         for p in vertices:
+            if type(p) is not int:
+                _refuse_non_integer(diagram)
             if flow[p] != delta.divergence:
                 raise InvalidDiagram(f"divergence mismatch at vertex {p}")
         if not _connected(vertices, links):
@@ -301,6 +320,19 @@ def validate_diagram(diagram: MarkedFloorDiagram, delta: HTransverseDegree) -> N
         raise
     except (TypeError, ValueError) as error:  # a field of the wrong type or arity
         raise InvalidDiagram(f"malformed diagram record: {error}") from error
+
+
+def _refuse_non_integer(diagram: MarkedFloorDiagram) -> None:
+    """Raise InvalidDiagram naming the first field of ``diagram``, in record
+    order, that is not an int; an edge's source and target may be None."""
+    _whole(diagram.n, "n", InvalidDiagram)
+    for p in diagram.vertex_positions:
+        _whole(p, "vertex", InvalidDiagram)
+    _whole(diagram.divergence, "divergence", InvalidDiagram)
+    for edge in diagram.edges:
+        for name, value in zip(Edge._fields, edge):
+            if value is not None:
+                _whole(value, name, InvalidDiagram)
 
 
 def enumerate_marked(delta: HTransverseDegree, n: int) -> list[MarkedFloorDiagram]:
@@ -346,17 +378,25 @@ def enumerate_marked(delta: HTransverseDegree, n: int) -> list[MarkedFloorDiagra
     refuses.  A height-0 degree has no floor for its unbounded edges to end
     on, so no diagram.
     """
+    return list(map(MarkedFloorDiagram._make, _diagram_tuples(delta, n)))
+
+
+def _diagram_tuples(delta: HTransverseDegree, n: int):
+    """Each diagram of :func:`_root_block` as the plain tuple (n, floors,
+    divergence, edges), which equals and hashes like its
+    :class:`MarkedFloorDiagram`, in listing order."""
     div = delta.divergence
-    return [MarkedFloorDiagram(n, floors, div, edges + tail)
-            for floors, _, edges, tails in _root_block(delta, n) for tail in tails]
+    return ((n, floors, div, edges + tail)
+            for floors, _, edges, tails in _root_block(delta, n) for tail in tails)
 
 
 def _root_block(delta: HTransverseDegree, n: int) -> list[tuple]:
     """The block of the listing's root residue (:func:`_walk`): entries
     (floors, (), the edges up to the last floor, the shared :func:`_ends`
     tails after it), each tail one diagram, in listing order.  The one
-    listing form: :func:`enumerate_marked` expands it, and the CLI renders
-    and compares it without building a diagram."""
+    listing form: :func:`_diagram_tuples` expands it for
+    :func:`enumerate_marked` and ``verify oracle``, and the CLI renders it
+    without building a diagram."""
     limits, made = _limits(delta, n), _Edges()
     if not delta.height:
         return []

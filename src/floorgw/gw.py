@@ -71,6 +71,10 @@ from .diagrams import (
     weight_profiles,
 )
 
+__all__ = ["AbIdentityReport", "CrossCheckReport", "GwError", "GwSeries", "ab_identity_check",
+           "degeneration_cross_check", "degeneration_series", "gw_relative_series", "log_series",
+           "vertex_series"]
+
 
 class GwError(ValueError):
     """Invalid request to the generating-series layer."""
@@ -299,8 +303,8 @@ def f0_absolute_series(a: int, b: int, n: int, order: int = 16) -> GwSeries:
 
     Equals the relative series of the F0 degree (a, a+b) divided by
     S^(2(a+b)), one factor of S for each of the d_b + d_t = 2(a+b) boundary
-    contacts traded away.  A negative b with a + b >= 0 is a class too.  Public
-    as the left side of ``verify ab``'s series level, which floorbench traces.
+    contacts traded away.  A negative b with a + b >= 0 is a class too.  Not
+    exported: the left side of ``verify ab``'s series level, which floorbench traces.
     """
     delta, g0 = _f_class(0, a, a + b, n)
     return _count_series("absolute_F0", delta, n, g0, -2, order)
@@ -310,7 +314,7 @@ def f2_relative_dminus2_series(h: int, d: int, n: int, order: int = 16) -> GwSer
     """Invariants of F2 relative to D_(-2) only: sum_g N(g) u^(2g-2+d).
 
     Equals the relative series of the F2 degree (h, d) divided by
-    S^(2h + d), one factor for each contact with D_2 traded away.  Public as
+    S^(2h + d), one factor for each contact with D_2 traded away.  Not exported:
     the right side's terms of ``verify ab``'s series level, which floorbench traces.
     """
     delta, g0 = _f_class(2, h, d, n)

@@ -31,6 +31,8 @@ from .diagrams import (
     validate_diagram,
 )
 
+__all__ = ["OracleLimitError", "brute_force_enumerate", "brute_force_refined_count"]
+
 
 class OracleLimitError(ValueError):
     """The request exceeds the brute-force cap on n."""

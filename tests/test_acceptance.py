@@ -20,11 +20,10 @@ from floorgw import (
     gw_relative_series,
     log_series,
     lp_eval_at_one,
-    lp_substitute_exponential,
     q_integer,
     refined_count,
-    sin_factor_series,
 )
+from floorgw.algebra import lp_substitute_exponential, sin_factor_series
 from helpers import acceptance_grid, diagram_key, nonzero_exponents
 
 F = Fraction

@@ -17,19 +17,17 @@ from floorgw import (
     USeries,
     degree_hirzebruch,
     degree_p2,
-    f0_absolute_series,
     gw_relative_series,
     lp_eval_at_one,
-    lp_substitute_exponential,
     points_for_genus,
     q_integer,
-    rational_from_str,
     rational_to_str,
     refined_count,
-    sin_factor_series,
     vertex_series,
 )
-from floorgw.algebra import _sine_series, _substitute
+from floorgw.algebra import (_sine_series, _substitute, lp_substitute_exponential,
+                             rational_from_str, sin_factor_series)
+from floorgw.gw import f0_absolute_series
 from helpers import FrozenUSeries, bernoulli, frozen_substitute
 
 F = Fraction

@@ -31,9 +31,9 @@ from floorgw import (
     lp_eval_at_one,
     points_for_genus,
     refined_count,
-    refined_multiplicity,
     weight_profiles,
 )
+from floorgw.diagrams import refined_multiplicity
 import floorgw.diagrams as diagrams
 from helpers import (acceptance_grid, frozen_fold_refined, frozen_state_sum,
                      hirzebruch_family_grid, nonzero_exponents)

@@ -32,14 +32,12 @@ from floorgw import (
     multiplicity,
     points_for_genus,
     refined_count,
-    refined_multiplicity,
     validate_diagram,
-    vertex_partitions,
     weight_profiles,
 )
 import floorgw.diagrams as diagrams
 from floorgw.cli import _json_texts, _pieces
-from floorgw.diagrams import _head_subsets, _root_block
+from floorgw.diagrams import _head_subsets, _root_block, refined_multiplicity, vertex_partitions
 from helpers import (
     acceptance_grid,
     frozen_enumerate_marked,
@@ -686,6 +684,47 @@ def test_validator_refuses_a_malformed_record_as_invalid(diagram, message):
     with pytest.raises(InvalidDiagram, match=message) as refused:
         validate_diagram(diagram, degree_p2(1))
     assert isinstance(refused.value.__cause__, (TypeError, ValueError))
+
+
+# Records built in Python with a float or a bool equal to an int, which every
+# other check passes: once validated, their to_json was JSON that from_json refuses
+NON_INTEGER_DIAGRAMS = [
+    ("float-vertex-bool-position-and-weight", degree_p2(1),
+     MarkedFloorDiagram(2, (2.0,), 1, (Edge(True, None, 2, True),)),
+     r"^vertex must be an integer, got 2\.0$"),
+    ("float-target", degree_p2(1), MarkedFloorDiagram(2, (2,), 1, (Edge(1, None, 2.0, 1),)),
+     r"^target must be an integer, got 2\.0$"),
+    ("bool-weight", degree_p2(1), MarkedFloorDiagram(2, (2,), 1, (Edge(1, None, 2, True),)),
+     r"^weight must be an integer, got True$"),
+    ("bool-position", degree_p2(1), MarkedFloorDiagram(2, (2,), 1, (Edge(True, None, 2, 1),)),
+     r"^position must be an integer, got True$"),
+    ("bool-n", degree_hirzebruch(0, 1, 0), MarkedFloorDiagram(True, (1,), 0, ()),
+     r"^n must be an integer, got True$"),
+    ("bool-divergence", degree_p2(1), MarkedFloorDiagram(2, (2,), True, (_incoming(1, 2),)),
+     r"^divergence must be an integer, got True$"),
+    ("float-outgoing-source", degree_hirzebruch(0, 1, 1),
+     MarkedFloorDiagram(3, (2,), 0, (_incoming(1, 2), Edge(3, 2.0, None, 1))),
+     r"^source must be an integer, got 2\.0$"),
+    ("float-bounded-source", degree_p2(2),
+     MarkedFloorDiagram(5, (3, 5), 1, (_incoming(1, 3), _incoming(2, 3), Edge(4, 3.0, 5, 1))),
+     r"^source must be an integer, got 3\.0$"),
+    ("float-bounded-target", degree_p2(2),
+     MarkedFloorDiagram(5, (3, 5), 1, (_incoming(1, 3), _incoming(2, 3), Edge(4, 3, 5.0, 1))),
+     r"^target must be an integer, got 5\.0$"),
+]
+
+
+@pytest.mark.parametrize("delta,diagram,message", [row[1:] for row in NON_INTEGER_DIAGRAMS],
+                         ids=[row[0] for row in NON_INTEGER_DIAGRAMS])
+def test_validator_refuses_a_field_equal_to_an_int_that_is_not_one(delta, diagram, message):
+    ints = MarkedFloorDiagram(int(diagram.n), tuple(map(int, diagram.vertex_positions)),
+                              int(diagram.divergence),
+                              tuple(Edge(*[None if f is None else int(f) for f in e])
+                                    for e in diagram.edges))
+    assert ints == diagram
+    validate_diagram(ints, delta)
+    with pytest.raises(InvalidDiagram, match=message):
+        validate_diagram(diagram, delta)
 
 
 def test_validator_accepts_valid_external_json():

@@ -23,16 +23,15 @@ from floorgw import (
     degree_hirzebruch,
     degree_p2,
     enumerate_marked,
-    f0_absolute_series,
-    f2_relative_dminus2_series,
     gw_relative_series,
     log_series,
     multiplicity,
     points_for_genus,
-    sin_factor_series,
-    vertex_partitions,
     vertex_series,
 )
+from floorgw.algebra import sin_factor_series
+from floorgw.diagrams import vertex_partitions
+from floorgw.gw import f0_absolute_series, f2_relative_dminus2_series
 from helpers import acceptance_grid, bernoulli, nonzero_exponents
 
 F = Fraction
