@@ -27,6 +27,7 @@ per multiset of bounded edge weights; every count is a fold of its result.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from itertools import accumulate, product
 from math import comb, prod
 from operator import itemgetter
@@ -238,8 +239,8 @@ def validate_diagram(diagram: MarkedFloorDiagram, delta: HTransverseDegree) -> N
     Checks: vertex and edge positions partition {1..n}, so no vertex position repeats;
     h vertices; the degree's divergence; edge weights, endpoints and marking order; the
     unbounded edge counts; every vertex's net flow equal to the divergence; connectivity;
-    every field an int, not a float or a bool equal to one (an edge's ends may be None);
-    and, as malformed, fields of the wrong type or arity.
+    every field an int (an edge's ends may be None), naming the first that is not; and,
+    as malformed, a record of the wrong arity or one whose fields cannot be read.
 
     The genus needs no check.  With h vertices and d_b + d_t unbounded
     edges among the n positions, n - h - d_b - d_t edges are bounded, so
@@ -319,6 +320,8 @@ def validate_diagram(diagram: MarkedFloorDiagram, delta: HTransverseDegree) -> N
     except InvalidDiagram:
         raise
     except (TypeError, ValueError) as error:  # a field of the wrong type or arity
+        with suppress(TypeError):  # InvalidDiagram, a ValueError, names a non-int field
+            _refuse_non_integer(diagram)
         raise InvalidDiagram(f"malformed diagram record: {error}") from error
 
 
@@ -619,14 +622,15 @@ def weight_profiles(delta: HTransverseDegree, n: int) -> dict[tuple[int, ...], i
       from one component, as an edge or an end attaches nothing.
 
     :func:`_limits` says what catches a wrong bound.  Every count and every
-    degeneration vertex product is a fold of the result.
+    degeneration vertex product is a fold of the result.  The floors' head
+    takes per component come from one :class:`_Takes`, dropped with the pass.
     """
     _, h, d_b, total_bounded, d_t, _, _ = limits = _limits(delta, n)
-    layer = {(0, 0, 0, h, 0, ()): {(): 1}}
+    layer, takes = {(0, 0, 0, h, 0, ()): {(): 1}}, _Takes()
     for _ in range(n):
         following: dict[tuple, dict[tuple[int, ...], int]] = {}
         for state, profiles in layer.items():
-            for ways, w, child in _state_sum(state, limits):
+            for ways, w, child in _state_sum(state, limits, takes):
                 total = following.setdefault(child, {})
                 for profile, count in profiles.items():
                     if w:
@@ -636,13 +640,36 @@ def weight_profiles(delta: HTransverseDegree, n: int) -> dict[tuple[int, ...], i
     return layer.get((d_b, total_bounded, d_t, 0, 0, (((), ()),)), {})
 
 
-def _state_sum(state: tuple, limits: tuple) -> list[tuple[int, int, tuple]]:
+class _Takes(dict):
+    """The takes of each (sorted pending heads, last floor) of a component by a
+    new floor, made when first asked, in ``product`` order: (weight taken, heads
+    taken, sorted heads left, prod of C(m, r) for r of the m heads of a weight)."""
+
+    def __missing__(self, key):
+        heads, last = key
+        groups = [(w, heads.count(w)) for w in dict.fromkeys(heads)]
+        return self.setdefault(key, [
+            (sum([w * r for (w, _), r in zip(groups, rs)]), sum(rs),
+             tuple([w for (w, m), r in zip(groups, rs) for _ in range(m - r)]),
+             prod([comb(m, r) for (_, m), r in zip(groups, rs)]))
+            for rs in product(*[(m,) if last else range(m + 1) for _, m in groups])])
+
+
+def _state_sum(state: tuple, limits: tuple,
+               takes: _Takes | None = None) -> list[tuple[int, int, tuple]]:
     """The live branches of a canonical :func:`weight_profiles` state, as
     (sweep branches, bounded edge weight or 0, canonical child), in branch
     order; ``limits`` is the record of :func:`_limits`.  Each prune is
-    tested before the child is built, as :func:`weight_profiles` says."""
+    tested before the child is built, as :func:`weight_profiles` says.
+
+    ``takes`` is the pass's :class:`_Takes` (a new one if None).  A floor
+    joins the components' takes in turn, dropping joins that close too many
+    cycles, and takes r0 unbounded heads outside them: ``product`` order over
+    (r0, each component's takes), so layers and profile dicts keep their order.
+    """
     in_used, bd_used, out_used, floors, free, comps = state
     _, _, d_b, total_bounded, d_t, div, room = limits
+    takes = _Takes() if takes is None else takes
     # not shared with the sweep: a shared gate measured ~1 % slower, plus a head walker 7-15 %
     spare = sum([sum(budgets) for budgets, _ in comps])
     need = total_bounded - bd_used - room[floors]  # the window test is spare >= need
@@ -669,30 +696,26 @@ def _state_sum(state: tuple, limits: tuple) -> list[tuple[int, int, tuple]]:
                                         tuple(sorted([*others, (left, heads)])))))
     last = floors == 1
     if floors and not (last and (in_used < d_b or bd_used < total_bounded)):
-        # head groups: (component index or None for unbounded heads, weight, count)
-        groups = [(None, 1, free)] + [(i, w, heads.count(w)) for i, (_, heads) in enumerate(comps)
-                                      for w in dict.fromkeys(heads)]
         # the new floor's budget keeps the window test; r heads taken from one
         # component close r - 1 cycles, of the ``cycles`` the genus leaves
         least = max(0, total_bounded - bd_used - room[floors - 1] - spare)
         cycles = total_bounded + 1 - bd_used - floors + sum([len(h) - 1 for _, h in comps])
-        for takes in product(*(((m,) if last else range(m + 1)) for _, _, m in groups)):
-            budget = sum(w * r for (_, w, _), r in zip(groups, takes)) - div
-            if budget < least:
-                continue
-            touched = {i for (i, _, _), r in zip(groups, takes) if r and i is not None}
-            if sum(takes) - takes[0] - len(touched) > cycles:
-                continue
-            budgets = [b for i in touched for b in comps[i][0]]
-            heads = tuple(sorted(w for (i, w, m), r in zip(groups, takes) if i in touched
-                                 for _ in range(m - r)))
-            if not (budget or budgets or heads) and (len(touched) < len(comps) or not last):
-                continue  # a closed component beside another or an unplaced floor
-            ways = prod(comb(m, r) for (_, _, m), r in zip(groups, takes))
-            kept = [c for i, c in enumerate(comps) if i not in touched]
-            left = tuple(sorted(budgets + [budget] if budget else budgets))
-            branches.append((ways, 0, (in_used, bd_used, out_used, floors - 1,
-                                       free - takes[0], tuple(sorted([*kept, (left, heads)])))))
+        # (weight, cycles, ways, touched budgets, their heads left, untouched) per join
+        joined = [(0, 0, 1, (), (), ())]
+        for comp in comps:
+            joined = [(weight + w, closed + r - 1, ways * c, spent + comp[0], left + rest, kept)
+                      if r else (weight, closed, ways, spent, left, kept + (comp,))
+                      for weight, closed, ways, spent, left, kept in joined
+                      for w, r, rest, c in takes[comp[1], last] if closed + r - 1 <= cycles]
+        for r0 in (free,) if last else range(free + 1):
+            unbounded = comb(free, r0)
+            for weight, _, ways, spent, left, kept in joined:
+                budget = weight + r0 - div
+                if budget < least or not (budget or spent or left) and (kept or not last):
+                    continue  # a closed component beside another or an unplaced floor
+                grown = (tuple(sorted(spent + (budget,) if budget else spent)), tuple(sorted(left)))
+                branches.append((unbounded * ways, 0, (in_used, bd_used, out_used, floors - 1,
+                                                       free - r0, tuple(sorted([*kept, grown])))))
     return branches
 
 

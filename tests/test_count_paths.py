@@ -65,6 +65,11 @@ def test_refined_count_equals_listing_sum_on_acceptance_grid():
         assert_counts_match_listing(delta, n)
 
 
+# F4 classes with 5 or 6 bounded edges (1, 29 and 1 diagrams), where a last floor's
+# ways doubled at divergence 4 and 5 <= bounded <= 58 passed every other test
+F4_FIVE_BOUNDED = (genus_range(degree_hirzebruch(4, 2, 1), [4])
+                   + genus_range(degree_hirzebruch(4, 2, 2), [4, 5]))
+
 BEYOND_GRID = (
     genus_range(degree_p2(4), range(5))
     # the window-capacity prune cuts most of the sweep in the next two
@@ -72,6 +77,7 @@ BEYOND_GRID = (
     + genus_range(degree_p2(6), [8, 9, 10])
     + genus_range(degree_hirzebruch(1, 3, 1), range(4))
     + genus_range(degree_hirzebruch(2, 3, 0), range(4))
+    + F4_FIVE_BOUNDED
 )
 
 
@@ -175,9 +181,10 @@ def plane_every_genus(d_max):
 
 
 def test_state_sum_builds_the_branches_of_the_frozen_copy():
-    """Under a second.  CI runs :func:`larger_frozen_copy_pairs` (about 8 s)."""
-    pairs = acceptance_grid() + plane_every_genus(6)
-    assert assert_state_sums_match_frozen_copy(pairs) == 4201
+    """Under a second.  CI runs :func:`larger_frozen_copy_pairs` (about 8 s)
+    and the F4 classes with 1 <= h <= 3, d <= 3 at genus <= 5."""
+    pairs = acceptance_grid() + plane_every_genus(6) + F4_FIVE_BOUNDED
+    assert assert_state_sums_match_frozen_copy(pairs) == 4281
 
 
 def larger_frozen_copy_pairs():
@@ -186,6 +193,13 @@ def larger_frozen_copy_pairs():
     F1 (h, 0) is P2 degree h, so 348 of the 409 pairs, with 56,296 states."""
     return list(dict.fromkeys(plane_every_genus(7) + [
         pair for delta in hirzebruch_family_grid(3, 3, 3) for pair in genus_range(delta, range(6))]))
+
+
+def f4_frozen_copy_pairs():
+    """F4 with 1 <= h <= 3, d <= 3 at genus <= 5, beyond the k <= 3 of
+    :func:`larger_frozen_copy_pairs`: 72 pairs, with 63,760 states."""
+    return [pair for h in range(1, 4) for d in range(4)
+            for pair in genus_range(degree_hirzebruch(4, h, d), range(6))]
 
 
 def test_packed_fold_equals_the_frozen_polynomial_fold():

@@ -666,13 +666,9 @@ def test_validator_names_each_failure(delta, diagram, message):
         validate_diagram(diagram, delta)
 
 
-# Records built in Python with a field of the wrong type or arity, which once
-# raised a bare TypeError or ValueError; from_json refuses each of them earlier
+# Records built in Python with a field of the wrong arity, which once raised a
+# bare TypeError or ValueError; from_json refuses each of them earlier
 MALFORMED_DIAGRAMS = [
-    ("str-vertex", MarkedFloorDiagram(2, ("2",), 1, (_incoming(1, 2),)),
-     r"^malformed diagram record: '<' not supported between instances of 'int' and 'str'$"),
-    ("float-n", MarkedFloorDiagram(2.5, (2,), 1, (_incoming(1, 2),)),
-     r"^malformed diagram record: 'float' object cannot be interpreted as an integer$"),
     ("three-field-edge", MarkedFloorDiagram(2, (2,), 1, ((1, None, 2),)),
      r"^malformed diagram record: not enough values to unpack \(expected 4, got 3\)$"),
 ]
@@ -686,9 +682,15 @@ def test_validator_refuses_a_malformed_record_as_invalid(diagram, message):
     assert isinstance(refused.value.__cause__, (TypeError, ValueError))
 
 
-# Records built in Python with a float or a bool equal to an int, which every
-# other check passes: once validated, their to_json was JSON that from_json refuses
+# Records built in Python with a field that is not an int.  A float or a bool
+# equal to an int passes every other check: once validated, its to_json was JSON
+# that from_json refuses.  A fractional n or a str vertex failed in another check,
+# refused as a malformed record without the field's name.
 NON_INTEGER_DIAGRAMS = [
+    ("str-vertex", degree_p2(1), MarkedFloorDiagram(2, ("2",), 1, (_incoming(1, 2),)),
+     r"^vertex must be an integer, got '2'$"),
+    ("float-n", degree_p2(1), MarkedFloorDiagram(2.5, (2,), 1, (_incoming(1, 2),)),
+     r"^n must be an integer, got 2\.5$"),
     ("float-vertex-bool-position-and-weight", degree_p2(1),
      MarkedFloorDiagram(2, (2.0,), 1, (Edge(True, None, 2, True),)),
      r"^vertex must be an integer, got 2\.0$"),
@@ -714,14 +716,15 @@ NON_INTEGER_DIAGRAMS = [
 ]
 
 
-@pytest.mark.parametrize("delta,diagram,message", [row[1:] for row in NON_INTEGER_DIAGRAMS],
+@pytest.mark.parametrize("name,delta,diagram,message", NON_INTEGER_DIAGRAMS,
                          ids=[row[0] for row in NON_INTEGER_DIAGRAMS])
-def test_validator_refuses_a_field_equal_to_an_int_that_is_not_one(delta, diagram, message):
+def test_validator_refuses_a_field_equal_to_an_int_that_is_not_one(name, delta, diagram,
+                                                                    message):
     ints = MarkedFloorDiagram(int(diagram.n), tuple(map(int, diagram.vertex_positions)),
                               int(diagram.divergence),
                               tuple(Edge(*[None if f is None else int(f) for f in e])
                                     for e in diagram.edges))
-    assert ints == diagram
+    assert (ints == diagram) is (name not in ("str-vertex", "float-n"))
     validate_diagram(ints, delta)
     with pytest.raises(InvalidDiagram, match=message):
         validate_diagram(diagram, delta)
