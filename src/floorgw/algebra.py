@@ -20,9 +20,11 @@ denominators; a product takes the window of each operand that it reads in
 lowest terms, convolves the numerators as plain integers and reduces the
 result, each reduction one gcd over a denominator and its numerators, never
 one per coefficient, which keeps the sizes bounded through a Newton
-inverse.  Sums, scalar multiples, shifts and truncations are not reduced.  A coefficient becomes a
-``Fraction`` only where it is read: ``coefficient``, ``coefficients``, the
-text and the JSON.  Both types share one square-and-multiply loop
+inverse.  Sums, scalar multiples, shifts and truncations are not reduced.
+A coefficient becomes a ``Fraction`` only where a library caller reads one
+(``coefficient``, ``coefficients``); the text and the JSON write each
+numerator and the denominator divided by their gcd, through the one writer
+``_ratio_texts``.  Both types share one square-and-multiply loop
 (``_power``) and one term printer (``_terms_str``), so ``s^-2 + 10 + s^2``
 and ``u - 1/24*u^3 + O(u^5)`` are written by the same rules.
 
@@ -35,13 +37,15 @@ M the last such m below the order, and makes no ``Fraction``.  One
 builder, ``_sine_series``, makes every u-series of the package with it: a
 palindromic Laurent polynomial p (invariant under s -> 1/s) times
 prod (2 sin(a*u/2))^e.  Since 2 sin(a*u/2) = -i (s^a - s^(-a)),
-the powers e >= 0 are multiplied into p and the product is substituted
-once with t = the sum of those e; the negative powers are substituted
-together and inverted once.  ``lp_substitute_exponential`` (p alone, where
-each s^a + s^(-a) becomes 2 cos(a*u/2)) and ``sin_factor_series`` (one sine
-power) are its two named cases, not exported: no route calls them, but they
-are the series of the paper's substitution that a reader can check, and
-floorbench traces both.
+each (s^a - s^(-a))^|e| is written by the binomial formula
+(``_sine_power``, no square-and-multiply), the powers e >= 0 are
+multiplied into p and the product is substituted once with t = the sum of
+those e; the negative powers are substituted together and inverted once.
+``lp_substitute_exponential`` (p alone, where each s^a + s^(-a) becomes
+2 cos(a*u/2)) and ``sin_factor_series`` (one sine power) are its two
+named cases, not exported: no route calls them, but they are the series of
+the paper's substitution that a reader can check, and floorbench traces
+both.
 
 Non-palindromic input to the substitution is rejected: its image would have
 a non-cancelling imaginary part, and every refined count is palindromic, so
@@ -52,7 +56,7 @@ from __future__ import annotations
 
 from contextlib import suppress
 from fractions import Fraction
-from math import factorial, gcd, lcm
+from math import comb, factorial, gcd, lcm
 from operator import add, index
 from typing import Iterable
 
@@ -67,25 +71,32 @@ class AlgebraError(ValueError):
 def _as_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if type(x) is not bool and isinstance(x, int):
         return Fraction(x)
     raise AlgebraError(f"expected an exact rational, got {type(x).__name__}")
 
 
-def rational_to_str(x: Fraction | int) -> str:
-    """Serialize a rational as ``"num/den"``, or ``"num"`` when den = 1.
+def _ratio_texts(nums, den: int) -> list[str]:
+    """The text of each nums[i] / den, den > 0, in lowest terms: "num/den",
+    or "num" when the reduced denominator is 1, so "0" for a zero.  The one
+    writer of a rational's text.
 
     An integer past the interpreter's int-to-str digit limit is an
     AlgebraError; the limit itself is left as it is.
     """
-    x = _as_fraction(x)
     try:
-        if x.denominator == 1:
-            return str(x.numerator)
-        return f"{x.numerator}/{x.denominator}"
+        return [f"{c // common}/{den // common}" if (common := gcd(c, den)) != den
+                else str(c // common) for c in nums]
     except ValueError:
         raise AlgebraError("a coefficient has more digits than the interpreter's "
                            "int-to-str limit allows") from None
+
+
+def rational_to_str(x: Fraction | int) -> str:
+    """Serialize a rational as ``"num/den"``, or ``"num"`` when den = 1; an
+    integer past the int-to-str digit limit is an AlgebraError."""
+    x = _as_fraction(x)
+    return _ratio_texts((x.numerator,), x.denominator)[0]
 
 
 def rational_from_str(text: str) -> Fraction:
@@ -180,18 +191,21 @@ def _power(base, k: int, one):
 def _terms_str(valuation: int, coefficients, var: str) -> str:
     """The nonzero terms ``c*var^k`` of a coefficient window starting at
     ``var^valuation``, joined by signs: ``c`` alone at k = 0, ``var`` for
-    k = 1, no ``1*`` or ``-1*``, and "0" when no term is nonzero."""
+    k = 1, no ``1*`` or ``-1*``, and "0" when no term is nonzero.  A
+    coefficient is a rational or the text ``rational_to_str`` writes of it."""
     terms = []
     for k, c in enumerate(coefficients, valuation):
-        if not c:
+        if type(c) is not str:
+            c = rational_to_str(c)
+        if c == "0":
             continue
         power = var if k == 1 else f"{var}^{k}"
         if k == 0:
-            terms.append(rational_to_str(c))
-        elif c in (1, -1):
-            terms.append(power if c == 1 else f"-{power}")
+            terms.append(c)
+        elif c in ("1", "-1"):
+            terms.append(power if c == "1" else f"-{power}")
         else:
-            terms.append(f"{rational_to_str(c)}*{power}")
+            terms.append(f"{c}*{power}")
     return " + ".join(terms).replace("+ -", "- ") if terms else "0"
 
 
@@ -367,11 +381,13 @@ class USeries:
     lowest terms and reduces its result, each by one gcd over the denominator
     and the numerators, and sums, negations, scalar multiples, shifts and
     truncations keep what they get.  ``coefficients`` is the window as
-    ``Fraction``s, built on first read and kept; equality and the hash
-    compare the lowest-terms pair.  Instances are immutable.
+    ``Fraction``s and ``_texts`` as the text that ``rational_to_str`` writes,
+    each built on first read and kept; the text and the JSON read only the
+    texts.  Equality and the hash compare the lowest-terms pair.  Instances
+    are immutable.
     """
 
-    __slots__ = ("valuation", "order", "_nums", "_den", "_fractions")
+    __slots__ = ("valuation", "order", "_nums", "_den", "_fractions", "_strs")
 
     def __new__(cls, valuation: int, coefficients: Iterable, order: int):
         valuation = _whole(valuation, "valuation", AlgebraError)
@@ -399,6 +415,14 @@ class USeries:
             object.__setattr__(self, "_fractions",
                                tuple([Fraction(c, den) if c else _ZERO for c in self._nums]))
         return self._fractions
+
+    def _texts(self) -> tuple[str, ...]:
+        """The window's coefficients as ``rational_to_str`` writes them, from
+        each numerator and the denominator divided by their gcd: no
+        ``Fraction`` is built."""
+        if self._strs is None:
+            object.__setattr__(self, "_strs", tuple(_ratio_texts(self._nums, self._den)))
+        return self._strs
 
     @classmethod
     def zero(cls, order: int) -> "USeries":
@@ -535,7 +559,7 @@ class USeries:
         return hash(("USeries", self.valuation, _lowest_terms(self._nums, self._den), self.order))
 
     def __str__(self) -> str:
-        return f"{_terms_str(self.valuation, self.coefficients, 'u')} + O(u^{self.order})"
+        return f"{_terms_str(self.valuation, self._texts(), 'u')} + O(u^{self.order})"
 
     def __repr__(self) -> str:
         return f"USeries({self.valuation}, {self.coefficients}, order={self.order})"
@@ -544,7 +568,7 @@ class USeries:
         return {
             "valuation": self.valuation,
             "order": self.order,
-            "coefficients": [rational_to_str(c) for c in self.coefficients],
+            "coefficients": list(self._texts()),
         }
 
     @classmethod
@@ -574,7 +598,7 @@ def _series(valuation: int, nums, den: int, order: int) -> USeries:
         valuation += lo
     series = object.__new__(USeries)
     for slot, value in (("valuation", valuation), ("order", order), ("_nums", nums),
-                        ("_den", den), ("_fractions", None)):
+                        ("_den", den), ("_fractions", None), ("_strs", None)):
         object.__setattr__(series, slot, value)
     return series
 
@@ -609,6 +633,14 @@ def _substitute(p: LaurentPolyS, turns: int, order: int) -> USeries:
     return _series(0, sums, factorial(top) << top, order)
 
 
+def _sine_power(a: int, e: int) -> LaurentPolyS:
+    """(s^a - s^-a)^e for a >= 1 and e >= 0 by the binomial formula: the
+    coefficient of s^(a(2j - e)) is (-1)^(e - j) C(e, j), no product taken."""
+    coeffs = [0] * (2 * a * e + 1)
+    coeffs[::2 * a] = [(-1) ** (e - j) * comb(e, j) for j in range(e + 1)]
+    return LaurentPolyS(-a * e, coeffs)
+
+
 def _sine_series(p: LaurentPolyS, sines: Iterable[tuple[int, int]], order: int) -> USeries:
     """p(e^(iu/2)) * prod (2 sin(a*u/2))^e over (a, e) in ``sines``, to ``order``,
     as the module docstring says; requires order > the sum of all e."""
@@ -619,7 +651,7 @@ def _sine_series(p: LaurentPolyS, sines: Iterable[tuple[int, int]], order: int) 
         )
     num, den, up, down = p, LaurentPolyS.one(), 0, 0
     for a, e in sines:
-        power = LaurentPolyS(-a, [-1] + [0] * (2 * a - 1) + [1]) ** abs(e)
+        power = _sine_power(a, abs(e))
         if e >= 0:
             num, up = power * num, up + e
         else:

@@ -36,7 +36,7 @@ import sys
 from collections import Counter
 from collections.abc import Sequence
 
-from .algebra import AlgebraError, Partition, _int_text, lp_eval_at_one, rational_to_str
+from .algebra import AlgebraError, Partition, _int_text, lp_eval_at_one
 from .diagrams import (
     DiagramError,
     _diagram_tuples,
@@ -225,7 +225,7 @@ def _cmd_series(args) -> int:
     if args.format == "json":
         _emit([json.dumps(gw.to_json())])
         return 0
-    rows = [(g, rational_to_str(v)) for g, v in gw.invariants()]
+    rows = gw._invariant_texts()
     if args.format == "csv":
         _emit(["g,value", *(f"{g},{v}" for g, v in rows)])
     else:

@@ -59,7 +59,6 @@ from .algebra import (
     USeries,
     _sine_series,
     _whole,
-    rational_to_str,
 )
 from .diagrams import (
     DiagramError,
@@ -124,15 +123,20 @@ class GwSeries(NamedTuple):
     def invariants(self) -> list[tuple[int, Fraction]]:
         return [(g, self.invariant(g)) for g in range(self.g_min, self.max_genus() + 1)]
 
+    def _invariant_texts(self) -> list[tuple[int, str]]:
+        """:meth:`invariants` as ``rational_to_str`` writes them: each the
+        series' text at the genus' exponent, "0" below its valuation."""
+        texts, low = self.series._texts(), self.series.valuation
+        return [(g, texts[i] if (i := 2 * g + self.exponent_offset - low) >= 0 else "0")
+                for g in range(self.g_min, self.max_genus() + 1)]
+
     def to_json(self) -> dict:
         return {
             "kind": self.kind,
             "delta": self.delta.to_json() if self.delta is not None else None,
             "n": self.n,
             "series": self.series.to_json(),
-            "invariants": [
-                {"g": g, "value": rational_to_str(v)} for g, v in self.invariants()
-            ],
+            "invariants": [{"g": g, "value": v} for g, v in self._invariant_texts()],
         }
 
 

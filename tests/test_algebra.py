@@ -25,7 +25,7 @@ from floorgw import (
     refined_count,
     vertex_series,
 )
-from floorgw.algebra import (_sine_series, _substitute, lp_substitute_exponential,
+from floorgw.algebra import (_sine_power, _sine_series, _substitute, lp_substitute_exponential,
                              rational_from_str, sin_factor_series)
 from floorgw.gw import f0_absolute_series
 from helpers import FrozenUSeries, bernoulli, frozen_substitute
@@ -127,6 +127,19 @@ def test_useries_rejects_overlong_window():
 def test_useries_rejects_floats():
     with pytest.raises(AlgebraError):
         USeries(0, [0.5], 2)
+
+
+@pytest.mark.parametrize("build,kind", [
+    (lambda: USeries(0, [True, 2], 3), "bool"),
+    (lambda: USeries(0, [1, 0.5], 3), "float"),
+    (lambda: rational_to_str(True), "bool"),
+    (lambda: rational_to_str(0.5), "float"),
+], ids=["series-bool", "series-float", "text-bool", "text-float"])
+def test_rationals_refuse_a_bool_or_a_float_in_one_message(build, kind):
+    """A bool is not read as the int 0 or 1: it is refused as a float is."""
+    with pytest.raises(AlgebraError) as refused:
+        build()
+    assert str(refused.value) == f"expected an exact rational, got {kind}"
 
 
 @pytest.mark.parametrize("build", [
@@ -815,6 +828,14 @@ def test_sine_series_matches_the_product_route(half_coeffs, sines, window):
     assert_same_series(_sine_series(p, sines, order), product_route(p, sines, order))
 
 
+def test_sine_power_is_the_repeated_product():
+    """The binomial formula gives (s^a - s^-a)^e as square-and-multiply does."""
+    for a in range(1, 13):
+        base = LaurentPolyS(-a, [-1] + [0] * (2 * a - 1) + [1])
+        for e in range(25):
+            assert _sine_power(a, e) == base ** e
+
+
 @pytest.mark.parametrize("series,delta,n,e", [
     # plane lines through 2 points: count * S^-1
     (lambda order: gw_relative_series(degree_p2(1), 2, order), degree_p2(1), 2, -1),
@@ -862,6 +883,18 @@ def test_laurent_text(p, text):
 ])
 def test_useries_text(x, text):
     assert str(x) == text
+
+
+@given(series_args(), series_args(), st.one_of(_exact, st.just(F(0))))
+@settings(max_examples=100, deadline=None)
+def test_series_texts_are_the_texts_of_the_fractions(x_args, y_args, scalar):
+    """The text and the JSON read each coefficient's text from the reduced
+    integer pair; it is the text of the coefficient's Fraction."""
+    x, y = USeries(*x_args), USeries(*y_args)
+    series = [x, y, USeries.zero(x.order), x + y, -x, x * y, x * scalar,
+              *(s.inverse() for s in (x, x * y) if not s.is_zero())]
+    for s in series:
+        assert s._texts() == tuple(rational_to_str(c) for c in s.coefficients)
 
 
 @given(laurent_polys, useries(), st.integers(0, 12))

@@ -17,7 +17,7 @@ import floorgw.cli as cli
 import floorgw.diagrams as diagrams
 import floorgw.gw as gw
 import floorgw.oracle as oracle
-from floorgw.algebra import LaurentPolyS
+from floorgw.algebra import LaurentPolyS, USeries
 from floorgw.cli import main
 from helpers import acceptance_grid
 
@@ -266,6 +266,33 @@ def test_listing_builds_no_diagram_objects(capsys, monkeypatch, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 0 and err == "" and out
     assert len(built) == oracle_built
+
+
+@pytest.mark.parametrize("argv", [
+    [*command.split(), "--order", "40", "--format", fmt]
+    for command in ("gw --surface p2 --degree 3 --genus 1",
+                    "log-gw --surface fk --k 1 --h 2 --d 1 --genus 0",
+                    "vertex --mu 3,2,1 --nu 1,1", "gw --surface p2 --degree 1 --points 2")
+    for fmt in ("json", "csv", "text")
+] + [
+    [*command.split(), "--order", "40", "--format", fmt]
+    for command in ("verify degeneration --surface p2 --degree 3 --genus 1",
+                    "verify ab --a 2 --b 1 --points 9")
+    for fmt in ("json", "text")
+], ids=" ".join)
+def test_series_commands_build_no_fractions(capsys, monkeypatch, argv):
+    """The series commands write each coefficient from its integer pair: with
+    ``USeries.coefficients`` and ``USeries.coefficient`` raising, every format
+    writes what it writes without them."""
+    expected = run_cli(capsys, *argv)
+    assert expected[0] == 0 and expected[2] == "" and expected[1]
+
+    def refuse(*args):
+        raise AssertionError("a Fraction coefficient was read")
+
+    monkeypatch.setattr(USeries, "coefficients", property(refuse))
+    monkeypatch.setattr(USeries, "coefficient", refuse)
+    assert run_cli(capsys, *argv) == expected
 
 
 def _one(diagram):

@@ -27,6 +27,7 @@ from floorgw import (
     log_series,
     multiplicity,
     points_for_genus,
+    rational_to_str,
     vertex_series,
 )
 from floorgw.algebra import sin_factor_series
@@ -99,6 +100,17 @@ def test_invariant_values_and_errors():
     for g in (1.0, True, "1"):
         with pytest.raises(GwError, match=re.escape(f"genus must be an integer, got {g!r}")):
             s3.invariant(g)
+
+
+def test_invariant_texts_are_the_texts_of_the_invariants():
+    """Each invariant's text is the series' text at its exponent, "0" below
+    the valuation (the empty class's series is zero)."""
+    built = [make(delta, n, 24) for delta, n in acceptance_grid()[::4]
+             for make in (gw_relative_series, log_series, degeneration_series)]
+    built += [vertex_series(Partition([3, 2, 1]), Partition([1, 1]), 40),
+              f0_absolute_series(0, 0, 2, 12), f0_absolute_series(1, 0, 3, 20)]
+    for gw in built:
+        assert gw._invariant_texts() == [(g, rational_to_str(v)) for g, v in gw.invariants()]
 
 
 def test_leading_invariant_is_classical_count():
