@@ -23,10 +23,11 @@ one per coefficient, which keeps the sizes bounded through a Newton
 inverse.  Sums, scalar multiples, shifts and truncations are not reduced.
 A coefficient becomes a ``Fraction`` only where a library caller reads one
 (``coefficient``, ``coefficients``); the text and the JSON write each
-numerator and the denominator divided by their gcd, through the one writer
-``_ratio_texts``.  Both types share one square-and-multiply loop
-(``_power``) and one term printer (``_terms_str``), so ``s^-2 + 10 + s^2``
-and ``u - 1/24*u^3 + O(u^5)`` are written by the same rules.
+numerator and the denominator divided by their gcd, through ``_ratio_texts``,
+the one writer of every coefficient text.  Both types share one product loop
+(``_convolve``), one square-and-multiply loop (``_power``) and one term
+printer (``_terms_str``), so ``s^-2 + 10 + s^2`` and ``u - 1/24*u^3 + O(u^5)``
+read alike.
 
 The bridge between the two worlds is the substitution s = e^(iu/2), i.e.
 q = e^(iu), performed purely over the rationals by one formula: s^k puts
@@ -68,11 +69,10 @@ class AlgebraError(ValueError):
     """Domain violation in exact-series arithmetic."""
 
 
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
+def _rational(x) -> Fraction | int:
+    """``x``, a ``Fraction`` or an int; a bool or a float is an AlgebraError."""
+    if isinstance(x, Fraction) or type(x) is not bool and isinstance(x, int):
         return x
-    if type(x) is not bool and isinstance(x, int):
-        return Fraction(x)
     raise AlgebraError(f"expected an exact rational, got {type(x).__name__}")
 
 
@@ -95,7 +95,7 @@ def _ratio_texts(nums, den: int) -> list[str]:
 def rational_to_str(x: Fraction | int) -> str:
     """Serialize a rational as ``"num/den"``, or ``"num"`` when den = 1; an
     integer past the int-to-str digit limit is an AlgebraError."""
-    x = _as_fraction(x)
+    x = _rational(x)
     return _ratio_texts((x.numerator,), x.denominator)[0]
 
 
@@ -188,15 +188,25 @@ def _power(base, k: int, one):
     return result
 
 
-def _terms_str(valuation: int, coefficients, var: str) -> str:
-    """The nonzero terms ``c*var^k`` of a coefficient window starting at
-    ``var^valuation``, joined by signs: ``c`` alone at k = 0, ``var`` for
-    k = 1, no ``1*`` or ``-1*``, and "0" when no term is nonzero.  A
-    coefficient is a rational or the text ``rational_to_str`` writes of it."""
+def _convolve(xs, ys, n: int) -> list[int]:
+    """The first n coefficients of the product of the windows xs and ys, by the
+    schoolbook double loop of both series types; zero terms are skipped."""
+    out = [0] * n
+    for i, x in enumerate(xs[:n]):
+        if x:
+            for k, y in enumerate(ys[: n - i], i):
+                if y:
+                    out[k] += x * y
+    return out
+
+
+def _terms_str(valuation: int, texts, var: str) -> str:
+    """The nonzero terms ``c*var^k`` of a window of coefficient texts (as
+    ``_ratio_texts`` writes them) starting at ``var^valuation``, joined by
+    signs: ``c`` alone at k = 0, ``var`` for k = 1, no ``1*`` or ``-1*``,
+    and "0" when no term is nonzero."""
     terms = []
-    for k, c in enumerate(coefficients, valuation):
-        if type(c) is not str:
-            c = rational_to_str(c)
+    for k, c in enumerate(texts, valuation):
         if c == "0":
             continue
         power = var if k == 1 else f"{var}^{k}"
@@ -297,18 +307,16 @@ class LaurentPolyS:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, int):
+        if isinstance(other, (int, float)):
+            other = _rational(other)
             return LaurentPolyS(self.valuation, [c * other for c in self.coefficients])
         if not isinstance(other, LaurentPolyS):
             return NotImplemented
         if self.is_zero() or other.is_zero():
             return LaurentPolyS.zero()
-        out = [0] * (len(self.coefficients) + len(other.coefficients) - 1)
-        for i, a in enumerate(self.coefficients):
-            if a:
-                for j, b in enumerate(other.coefficients):
-                    out[i + j] += a * b
-        return LaurentPolyS(self.valuation + other.valuation, out)
+        xs, ys = self.coefficients, other.coefficients
+        return LaurentPolyS(self.valuation + other.valuation,
+                            _convolve(xs, ys, len(xs) + len(ys) - 1))
 
     __rmul__ = __mul__
 
@@ -328,7 +336,7 @@ class LaurentPolyS:
         return hash(("LaurentPolyS", self.valuation, self.coefficients))
 
     def __str__(self) -> str:
-        return _terms_str(self.valuation, self.coefficients, "s")
+        return _terms_str(self.valuation, _ratio_texts(self.coefficients, 1), "s")
 
     def __repr__(self) -> str:
         return f"LaurentPolyS({self.valuation}, {self.coefficients})"
@@ -336,7 +344,7 @@ class LaurentPolyS:
     def to_json(self) -> dict:
         return {
             "valuation": self.valuation,
-            "coefficients": [str(c) for c in self.coefficients],
+            "coefficients": _ratio_texts(self.coefficients, 1),
         }
 
     @classmethod
@@ -392,7 +400,7 @@ class USeries:
     def __new__(cls, valuation: int, coefficients: Iterable, order: int):
         valuation = _whole(valuation, "valuation", AlgebraError)
         order = _whole(order, "order", AlgebraError)
-        coeffs = [_as_fraction(c) for c in coefficients]
+        coeffs = [_rational(c) for c in coefficients]
         if valuation + len(coeffs) > order:
             raise AlgebraError(
                 f"coefficient window [{valuation}, {valuation + len(coeffs)}) "
@@ -481,8 +489,8 @@ class USeries:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if other == 0:
+        if isinstance(other, (int, float, Fraction)):
+            if (other := _rational(other)) == 0:
                 return USeries.zero(self.order)
             num = other.numerator
             return _series(self.valuation, [c * num for c in self._nums],
@@ -498,13 +506,7 @@ class USeries:
         # needs less than its whole denominator
         xs, dx = _lowest_terms(self._nums[:n], self._den)
         ys, dy = _lowest_terms(other._nums[:n], other._den)
-        out = [0] * n
-        for i, x in enumerate(xs):
-            if x:
-                for k, y in enumerate(ys[: n - i], i):
-                    if y:
-                        out[k] += x * y
-        return _series(v, *_lowest_terms(out, dx * dy), order)
+        return _series(v, *_lowest_terms(_convolve(xs, ys, n), dx * dy), order)
 
     __rmul__ = __mul__
 

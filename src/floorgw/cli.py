@@ -43,7 +43,6 @@ from .diagrams import (
     _root_block,
     degree_hirzebruch,
     degree_p2,
-    diagram_count,
     fold_refined,
     points_for_genus,
     refined_count,
@@ -103,12 +102,15 @@ def _emit(pieces: Sequence[str], end: str = "\n") -> None:
         sys.stdout.write(end.join([*pieces[start:start + _SLICE], ""]))
 
 
-def _check_listing_cap(delta, n: int, count: int) -> None:
-    """Refuse to list (delta, n) when its ``count`` of diagrams, counted
-    without listing them, is over LISTING_CAP."""
-    if count > LISTING_CAP:
+def _listed(delta, n: int) -> tuple[dict, list]:
+    """The weight profiles and the root block (``diagrams._root_block``) of
+    (delta, n), the one entry of both listing commands: a class of more than
+    LISTING_CAP diagrams is refused after the count pass, before any listing."""
+    profiles = weight_profiles(delta, n)
+    if (count := sum(profiles.values())) > LISTING_CAP:
         raise DiagramError(f"{delta.label}, n = {n} has {count} diagrams, "
                            f"over the listing cap LISTING_CAP = {LISTING_CAP}")
+    return profiles, _root_block(delta, n)
 
 
 class _Texts(dict):
@@ -175,9 +177,8 @@ def _pieces(pieces: list[str], block, first, heads, inner, last, bare) -> list[s
 
 def _listing(delta, n: int, fmt: str) -> list[str]:
     """``enumerate``'s pieces, rendered from the root block."""
-    count = diagram_count(delta, n)  # the listing cap's count, and the header's
-    _check_listing_cap(delta, n, count)
-    block = _root_block(delta, n)
+    profiles, block = _listed(delta, n)
+    count = sum(profiles.values())
     if fmt == "json":  # json.dumps of the payload
         pieces = _pieces([f'{{"count": {count}, "diagrams": ['], block,
                          *_json_texts(n, delta.divergence))
@@ -263,11 +264,10 @@ def _cmd_verify_oracle(args) -> int:
     delta, n = args.delta, args.n
     # the oracle's cap on n first: it needs no count
     check_cap(n)
-    profiles = weight_profiles(delta, n)
-    _check_listing_cap(delta, n, sum(profiles.values()))
+    profiles, block = _listed(delta, n)
     brute_diagrams = brute_force_enumerate(delta, n)
     # the sweep's diagrams as plain tuples, which equal and hash like the oracle's
-    sweep_diagrams = Counter(_diagram_tuples(delta, n))
+    sweep_diagrams = Counter(_diagram_tuples(delta, n, block))
     # dict.__eq__, in C: Counter.__eq__ walks both in a generator, and here every count is positive
     diagrams_equal = dict.__eq__(sweep_diagrams, Counter(brute_diagrams))
     brute_profiles = listing_profiles(delta, brute_diagrams)

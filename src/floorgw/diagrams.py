@@ -381,16 +381,15 @@ def enumerate_marked(delta: HTransverseDegree, n: int) -> list[MarkedFloorDiagra
     refuses.  A height-0 degree has no floor for its unbounded edges to end
     on, so no diagram.
     """
-    return list(map(MarkedFloorDiagram._make, _diagram_tuples(delta, n)))
+    return list(map(MarkedFloorDiagram._make, _diagram_tuples(delta, n, _root_block(delta, n))))
 
 
-def _diagram_tuples(delta: HTransverseDegree, n: int):
-    """Each diagram of :func:`_root_block` as the plain tuple (n, floors,
-    divergence, edges), which equals and hashes like its
-    :class:`MarkedFloorDiagram`, in listing order."""
+def _diagram_tuples(delta: HTransverseDegree, n: int, block: list[tuple]):
+    """Each diagram of ``block``, the :func:`_root_block` of (delta, n), as
+    the plain tuple (n, floors, divergence, edges), which equals and hashes
+    like its :class:`MarkedFloorDiagram`, in listing order."""
     div = delta.divergence
-    return ((n, floors, div, edges + tail)
-            for floors, _, edges, tails in _root_block(delta, n) for tail in tails)
+    return ((n, floors, div, edges + tail) for floors, _, edges, tails in block for tail in tails)
 
 
 def _root_block(delta: HTransverseDegree, n: int) -> list[tuple]:
@@ -655,21 +654,19 @@ class _Takes(dict):
             for rs in product(*[(m,) if last else range(m + 1) for _, m in groups])])
 
 
-def _state_sum(state: tuple, limits: tuple,
-               takes: _Takes | None = None) -> list[tuple[int, int, tuple]]:
+def _state_sum(state: tuple, limits: tuple, takes: _Takes) -> list[tuple[int, int, tuple]]:
     """The live branches of a canonical :func:`weight_profiles` state, as
     (sweep branches, bounded edge weight or 0, canonical child), in branch
     order; ``limits`` is the record of :func:`_limits`.  Each prune is
     tested before the child is built, as :func:`weight_profiles` says.
 
-    ``takes`` is the pass's :class:`_Takes` (a new one if None).  A floor
+    ``takes`` is the pass's :class:`_Takes`.  A floor
     joins the components' takes in turn, dropping joins that close too many
     cycles, and takes r0 unbounded heads outside them: ``product`` order over
     (r0, each component's takes), so layers and profile dicts keep their order.
     """
     in_used, bd_used, out_used, floors, free, comps = state
     _, _, d_b, total_bounded, d_t, div, room = limits
-    takes = _Takes() if takes is None else takes
     # not shared with the sweep: a shared gate measured ~1 % slower, plus a head walker 7-15 %
     spare = sum([sum(budgets) for budgets, _ in comps])
     need = total_bounded - bd_used - room[floors]  # the window test is spare >= need

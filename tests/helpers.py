@@ -475,7 +475,8 @@ class FrozenUSeries:
         return hash(("USeries", self.valuation, self.coefficients, self.order))
 
     def __str__(self):
-        return f"{_terms_str(self.valuation, self.coefficients, 'u')} + O(u^{self.order})"
+        texts = [rational_to_str(c) for c in self.coefficients]
+        return f"{_terms_str(self.valuation, texts, 'u')} + O(u^{self.order})"
 
     def to_json(self):
         return {

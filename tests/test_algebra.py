@@ -134,9 +134,18 @@ def test_useries_rejects_floats():
     (lambda: USeries(0, [1, 0.5], 3), "float"),
     (lambda: rational_to_str(True), "bool"),
     (lambda: rational_to_str(0.5), "float"),
-], ids=["series-bool", "series-float", "text-bool", "text-float"])
+    (lambda: USeries(0, [1, 2], 3) * True, "bool"),
+    (lambda: USeries(0, [1, 2], 3) * 1.5, "float"),
+    (lambda: 1.5 * USeries(0, [1, 2], 3), "float"),
+    (lambda: LaurentPolyS(0, [1]) * True, "bool"),
+    (lambda: LaurentPolyS(0, [1]) * 1.5, "float"),
+    (lambda: True * LaurentPolyS(0, [1]), "bool"),
+], ids=["series-bool", "series-float", "text-bool", "text-float", "series-scalar-bool",
+        "series-scalar-float", "float-scalar-series", "poly-scalar-bool", "poly-scalar-float",
+        "bool-scalar-poly"])
 def test_rationals_refuse_a_bool_or_a_float_in_one_message(build, kind):
-    """A bool is not read as the int 0 or 1: it is refused as a float is."""
+    """A bool is not read as the int 0 or 1: it is refused as a float is, as
+    a coefficient and as a scalar factor."""
     with pytest.raises(AlgebraError) as refused:
         build()
     assert str(refused.value) == f"expected an exact rational, got {kind}"

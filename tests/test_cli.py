@@ -705,7 +705,7 @@ def test_order_may_end_below_zero_for_a_laurent_series(capsys):
 
 def test_verify_oracle_lists_once_with_each_enumerator(capsys, monkeypatch):
     calls = {"brute": 0, "sweep": 0}
-    brute, sweep = oracle.brute_force_enumerate, diagrams._root_block
+    brute, sweep = oracle.brute_force_enumerate, cli._root_block
 
     def counted_brute(*args, **kwargs):
         calls["brute"] += 1
@@ -718,7 +718,7 @@ def test_verify_oracle_lists_once_with_each_enumerator(capsys, monkeypatch):
     # both names: brute_force_refined_count would reach the oracle's own
     monkeypatch.setattr(cli, "brute_force_enumerate", counted_brute)
     monkeypatch.setattr(oracle, "brute_force_enumerate", counted_brute)
-    monkeypatch.setattr(diagrams, "_root_block", counted_sweep)
+    monkeypatch.setattr(cli, "_root_block", counted_sweep)
     code, out, _ = run_cli(
         capsys, "verify", "oracle", "--surface", "p2", "--degree", "3", "--points", "8",
         "--format", "json",
@@ -735,7 +735,7 @@ def test_verify_oracle_checks_the_cap_before_the_sweep_lists(capsys, monkeypatch
         raise AssertionError("counted or listed before the oracle's cap was checked")
 
     # P2 d=10 g=0 has 628,328,131,956,250,729 diagrams: counting them takes seconds
-    monkeypatch.setattr(cli, "diagram_count", no_work)
+    monkeypatch.setattr(cli, "weight_profiles", no_work)
     monkeypatch.setattr(diagrams, "_root_block", no_work)
     for degree, genus, n in (("5", "3", 17), ("10", "0", 29)):
         code, out, err = run_cli(

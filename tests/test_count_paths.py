@@ -132,7 +132,8 @@ def test_count_drops_a_child_with_more_cycles_than_the_genus():
     leaves it a negative budget; taking both closes a cycle."""
     limits = diagrams._limits(degree_p2(3), 8)
     state = (3, 2, 0, 2, 0, (((), (1, 1)),))
-    assert diagrams._state_sum(state, limits) == [(2, 0, (3, 2, 0, 1, 0, (((), (1,)),)))]
+    assert diagrams._state_sum(state, limits, diagrams._Takes()) == [
+        (2, 0, (3, 2, 0, 1, 0, (((), (1,)),)))]
 
 
 def passes_the_three_prunes(child, limits):
@@ -154,17 +155,18 @@ def assert_state_sums_match_frozen_copy(pairs):
     """On every state the forward pass reaches for each (delta, n), the
     branches of ``_state_sum`` are those of the frozen build-then-filter copy
     in ``helpers``, in the same order, and every child passes the three
-    prunes.  Returns the number of states compared."""
+    prunes.  Each class shares one take table, as each pass of
+    :func:`weight_profiles` does.  Returns the number of states compared."""
     states = 0
     for delta, n in pairs:
         if n + 1 - delta.size < 0:
             continue
-        limits = diagrams._limits(delta, n)
+        limits, takes = diagrams._limits(delta, n), diagrams._Takes()
         layer = {(0, 0, 0, delta.height, 0, ())}
         for _ in range(n):
             following = set()
             for state in layer:
-                branches = diagrams._state_sum(state, limits)
+                branches = diagrams._state_sum(state, limits, takes)
                 assert branches == frozen_state_sum(state, limits), (delta, n, state)
                 for _, _, child in branches:
                     assert passes_the_three_prunes(child, limits), (delta, n, state, child)

@@ -694,6 +694,9 @@ NON_INTEGER_DIAGRAMS = [
     ("float-vertex-bool-position-and-weight", degree_p2(1),
      MarkedFloorDiagram(2, (2.0,), 1, (Edge(True, None, 2, True),)),
      r"^vertex must be an integer, got 2\.0$"),
+    # int edge fields: the float vertex is refused in the vertex loop
+    ("float-vertex", degree_p2(1), MarkedFloorDiagram(2, (2.0,), 1, (Edge(1, None, 2, 1),)),
+     r"^vertex must be an integer, got 2\.0$"),
     ("float-target", degree_p2(1), MarkedFloorDiagram(2, (2,), 1, (Edge(1, None, 2.0, 1),)),
      r"^target must be an integer, got 2\.0$"),
     ("bool-weight", degree_p2(1), MarkedFloorDiagram(2, (2,), 1, (Edge(1, None, 2, True),)),
