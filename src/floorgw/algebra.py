@@ -321,7 +321,7 @@ class LaurentPolyS:
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "LaurentPolyS":
-        if k < 0:
+        if _whole(k, "exponent", AlgebraError) < 0:
             raise AlgebraError("negative powers of Laurent polynomials are not defined here")
         return _power(self, k, LaurentPolyS.one())
 
@@ -538,7 +538,7 @@ class USeries:
         return inv.shift(-self.valuation)
 
     def __pow__(self, k: int) -> "USeries":
-        if k < 0:
+        if _whole(k, "exponent", AlgebraError) < 0:
             return self.inverse() ** (-k)
         if k == 0:
             if self.is_zero():

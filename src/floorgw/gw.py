@@ -11,8 +11,8 @@ series relative to D_(-2).  One builder, ``_count_series``, makes all four:
 it checks the order, then takes the count.  ``_f_class`` builds the F0 and
 F2 classes, the empty class h = d = 0 counting 0 at genus n + 1.
 ``algebra._sine_series`` builds every series here, a Laurent polynomial
-times sine powers substituted once: the count series, the vertex, and each
-weight profile's term of the diagram sum.
+times sine powers substituted once: the count series, the vertex, the
+diagram sum and each side of the AB check.
 Two series do not start from the count:
 
 * vertex:       sum_g N(g) u^(2g+len(mu)+len(nu))
@@ -22,11 +22,11 @@ Two series do not start from the count:
 * degeneration: the diagram sum
                 sum_D (prod_E w_E^2) (prod_V vertex(mu(V), nu(V))).
                 A term depends only on the diagram's bounded edge weights,
-                so the sum takes one sine-product series per
-                ``weight_profiles`` entry and adds them as series.  The
-                refined count folds the same profiles, so the two routes
-                check the series side of the degeneration theorem; the
-                tests and ``verify oracle`` check the profiles against
+                so the sum adds one sine-product polynomial per
+                ``weight_profiles`` entry and substitutes the total once.
+                The refined count folds the same profiles, so the two
+                routes check the series side of the degeneration theorem;
+                the tests and ``verify oracle`` check the profiles against
                 listed diagrams.
 
 Order rule.  ``order`` is the u-truncation order of the reported series and
@@ -43,7 +43,10 @@ series.  ``degeneration_cross_check`` therefore compares the diagram sum
 against relative * S^(2h), term by term; the plane-degree-1 case (relative
 valuation -1, diagram sum valuation +1) pins the convention.
 ``ab_identity_check`` verifies the Abramovich-Bertram relation between F0
-and F2 counts at both the polynomial and the series level.
+and F2 counts at the polynomial and the series level.  Each check's series
+level is its polynomial identity under one substitution: the degeneration
+check compares the profiles' sine products with the packed fold, the AB
+check the two count sums.
 """
 
 from __future__ import annotations
@@ -57,6 +60,7 @@ from .algebra import (
     LaurentPolyS,
     Partition,
     USeries,
+    _sine_power,
     _sine_series,
     _whole,
 )
@@ -80,10 +84,11 @@ class GwError(ValueError):
 
 
 # Caps on the work of one request, sized on a shared 2-vCPU x86-64 host.  At order 500 the
-# slowest series known, ``ab_identity_check(3, 0, 11)``, takes 1.2-1.3 s in process on a quiet
-# host, up to 2.5 s on a busy one (6.8-9.8 s at order 750, 27-32 s at 1000).  A vertex's sine
-# product is a Laurent polynomial of 2 * (|mu| + |nu|) + 1 coefficients; with distinct
-# parts 1..140, |mu| = 9870, it takes about 0.55 s at order 500 on the quiet host.
+# slowest series known is still ``ab_identity_check(3, 0, 11)``: about 0.95 s in process, as
+# at g0 = 0 each side inverts S^2 and multiplies by the inverse (4.8-8.5 s at order 750,
+# 18.5 s at 1000).  A vertex's sine product is a Laurent polynomial of
+# 2 * (|mu| + |nu|) + 1 coefficients; with distinct parts 1..140, |mu| = 9870, it takes
+# about 0.5 s at order 500 on the same host.
 _ORDER_CAP = 500
 _VERTEX_SIZE_CAP = 10_000
 
@@ -219,14 +224,17 @@ def gw_relative_series(delta: HTransverseDegree, n: int, order: int = 16) -> GwS
 def degeneration_series(delta: HTransverseDegree, n: int, order: int = 16) -> GwSeries:
     """The diagram sum: sum_D (prod_E w_E^2) (prod_V vertex contribution).
 
-    Computed from sine-series products over the counts of ``weight_profiles``,
+    Computed from sine products over the counts of ``weight_profiles``,
     never touching the refined-count polynomial, and without listing any
     diagram.  The vertex partitions hold each bounded weight w twice and each
     of the d_b + d_t unbounded edges as a part 1, so the vertex factors'
     1/prod(parts) is 1/prod_E w_E^2 and cancels the prod w^2 exactly: each
     diagram adds prod_w (2 sin(w*u/2))^(2*#w) * S^(d_b + d_t), which depends
-    only on its sorted bounded weights.  The sum is therefore one sine product
-    per weight profile times the number of diagrams with it.  Its genus-g
+    only on its sorted bounded weights.  Every diagram has g0 + h - 1 bounded
+    edges, so every term carries the same sine exponent and the sum is one
+    polynomial under one substitution: the profiles' products
+    (s^w - s^-w)^(2*#w), each times its number of diagrams, summed and
+    substituted once with S^(d_b + d_t).  Its genus-g
     coefficient sits at u^(2g - 2 + 2h + d_b + d_t): the sum equals relative *
     S^(2h), i.e. the log series (see the module docstring's exponent audit).
     """
@@ -238,13 +246,13 @@ def _degeneration(delta: HTransverseDegree, n: int, order: int) -> tuple[GwSerie
     g0, offset = _genus(delta, n), _log_offset(delta)
     _order_check(order, 2 * g0 + offset)
     profiles = weight_profiles(delta, n)
-    total = USeries.zero(order)
+    # (2 sin(w*u/2))^2 = -(s^w - s^-w)^2 on each of the g0 + h - 1 bounded edges
+    sign, total = -1 if (g0 + delta.height - 1) % 2 else 1, LaurentPolyS.zero()
     for weights, count in profiles.items():
-        specs = Counter(weights * 2) + Counter({1: delta.d_b + delta.d_t})
-        total = total + _sine_series(
-            LaurentPolyS(0, (count,)), sorted(specs.items()), order
-        )
-    return GwSeries(total, "degeneration", delta, n, exponent_offset=offset, g_min=g0), profiles
+        total = total + prod((_sine_power(w, 2 * m) for w, m in Counter(weights).items()),
+                             start=LaurentPolyS(0, (sign * count,)))
+    series = _sine_series(total, [(1, delta.d_b + delta.d_t)], order)
+    return GwSeries(series, "degeneration", delta, n, exponent_offset=offset, g_min=g0), profiles
 
 
 def log_series(delta: HTransverseDegree, n: int, order: int = 16) -> GwSeries:
@@ -284,17 +292,19 @@ def degeneration_cross_check(
 ) -> CrossCheckReport:
     """Compare the two evaluation routes term by term.
 
-    Route one is the diagram sum of ``degeneration_series``: one substituted
-    sine product per weight profile, summed as series.  Route two is the log
-    series, relative * S^(2h): the folded refined count times its sine power,
-    substituted once.  Both routes read one ``weight_profiles`` pass (route
-    two through ``fold_refined``), so the check covers the series side of the
-    degeneration theorem, and neither lists a diagram.  Both build their
-    series with ``algebra._sine_series`` from nonnegative sine powers, so
-    neither multiplies two series.  The check catches an error in the count's
-    q-integers, but an error that hits every polynomial alike, such as a wrong
-    u-scale, or one in ``USeries`` multiplication passes here; the tests'
-    sympy and schoolbook pins catch those.
+    Route one is the diagram sum of ``degeneration_series``: the weight
+    profiles' sine products, summed as polynomials and substituted once.
+    Route two is the log series, relative * S^(2h): the folded refined count
+    times its sine power, substituted once.  Both routes read one
+    ``weight_profiles`` pass (route two through ``fold_refined``), and
+    neither lists a diagram.  The series level is a polynomial identity under
+    one substitution, so the check compares the profiles' sine products with
+    the packed fold.  Both build their series with ``algebra._sine_series``
+    from nonnegative sine powers, so neither multiplies two series.  The
+    check catches an error in the count's q-integers or in the fold, but an
+    error that hits every polynomial alike, such as a wrong u-scale, or one
+    in ``USeries`` multiplication passes here; the tests' sympy and
+    schoolbook pins catch those.
     """
     degeneration, profiles = _degeneration(delta, n, order)
     diagram_sum, e = degeneration.series, 2 * degeneration.g_min + degeneration.exponent_offset
@@ -353,32 +363,20 @@ def ab_identity_check(a: int, b: int, n: int, order: int = 16) -> AbIdentityRepo
     sum_{j=0..a} C(b+2j, j) * refined F2 (a-j, b+2j) count.  Series level:
     the F0 absolute series must equal
     sum_j C(b+2j, j) * (F2/D_(-2) series) * S^-(b+2j) to the truncation
-    order.  Every class is built (the F2 class (a, b) refuses b < 0) before
-    the order check, and each refined count is taken once for both levels.
-    Returns both sides of both levels.
+    order.  Every F2 class has the genus g0 of the F0 class, so each right
+    term is (F2 count) * S^(2*g0 - 2) and the series level is the polynomial
+    identity under one substitution: it compares the two count sums, each
+    times S^(2*g0 - 2).  Every class is built (the F2 class (a, b) refuses
+    b < 0) before the order check, and each refined count is taken once for
+    both levels.  Returns both sides of both levels.
     """
     f0, g0 = _f_class(0, a, a + b, n)
     f2 = [_f_class(2, a - j, b + 2 * j, n)[0] for j in range(a + 1)]
     _order_check(order, 2 * g0 - 2)
     lhs_poly = _count(f0, n)
+    rhs_poly = sum((comb(b + 2 * j, j) * _count(f2[j], n) for j in range(a + 1)),
+                   LaurentPolyS.zero())
     lhs_series = _sine_series(lhs_poly, [(1, 2 * g0 - 2)], order)
-    # One Newton inverse, S^-2 over the terms' window, serves every j by Horner's
-    # rule: S^-b * sum_j C(d, j) * D_j * (S^-2)^j, D_j = count * S^e the F2
-    # series relative to D_(-2).  D_0 with e < 0 (g0 = 0, b < 2) lends its S^-2.
-    window = order - 2 * g0 + 2
-    minus2 = _sine_series(LaurentPolyS.one(), [(1, -2)], window - 2)
-    rhs_poly = LaurentPolyS.zero()
-    for j in reversed(range(a + 1)):
-        d, e = b + 2 * j, 2 * g0 + b + 2 * j - 2
-        count = _count(f2[j], n)
-        rhs_poly = rhs_poly + comb(d, j) * count
-        lift = 2 if e < 0 else 0
-        term = _sine_series(count, [(1, e + lift)], order + d + lift) * comb(d, j)
-        if j < a:
-            term = term + (rhs_series if lift else rhs_series * minus2)
-        rhs_series = term * minus2 if lift else term
-    if b:  # S^-b = (S^-2)^ceil(b / 2) * S^(b % 2)
-        rhs_series = (rhs_series * minus2 ** ((b + 1) // 2)
-                      * _sine_series(LaurentPolyS.one(), [(1, b % 2)], window + b % 2))
+    rhs_series = _sine_series(rhs_poly, [(1, 2 * g0 - 2)], order)
     return AbIdentityReport(a, b, n, lhs_poly, rhs_poly, lhs_poly == rhs_poly,
                             lhs_series, rhs_series, lhs_series == rhs_series)

@@ -182,11 +182,21 @@ def test_exact_constructors_refuse_non_integers(build):
     (lambda: sin_factor_series(1, 1.0, 7), "exponent", 1.0),
     (lambda: lp_substitute_exponential(q_integer(2), 6.0), "order", 6.0),
     (lambda: lp_substitute_exponential(q_integer(2), True), "order", True),
+    (lambda: USeries(1, [1, 2], 5) ** True, "exponent", True),
+    (lambda: USeries(1, [1, 2], 5) ** 1.0, "exponent", 1.0),
+    (lambda: USeries(1, [1, 2], 5) ** 2.5, "exponent", 2.5),
+    (lambda: USeries(1, [1, 2], 5) ** -1.0, "exponent", -1.0),
+    (lambda: LaurentPolyS(-1, [1, 0, 1]) ** True, "exponent", True),
+    (lambda: LaurentPolyS(-1, [1, 0, 1]) ** 1.0, "exponent", 1.0),
+    (lambda: LaurentPolyS(-1, [1, 0, 1]) ** 2.5, "exponent", 2.5),
+    (lambda: LaurentPolyS(-1, [1, 0, 1]) ** -1.0, "exponent", -1.0),
 ], ids=["partition-float", "partition-fraction", "partition-bool", "vertex-float",
         "series-float-order", "series-bool-order", "series-float-valuation",
         "series-bool-valuation", "q-integer-bool", "q-integer-float", "sine-float-order",
         "sine-bool-frequency", "sine-float-exponent", "substitution-float-order",
-        "substitution-bool-order"])
+        "substitution-bool-order", "series-bool-power", "series-float-power",
+        "series-fractional-power", "series-negative-float-power", "poly-bool-power",
+        "poly-float-power", "poly-fractional-power", "poly-negative-float-power"])
 def test_entry_points_refuse_a_bool_or_a_float_in_one_message(build, name, value):
     """Not a bare TypeError, nor a bool read as 0 or 1: the one refusal of
     ``algebra._whole``."""

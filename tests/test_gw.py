@@ -5,7 +5,8 @@ import pickle
 import re
 from collections import Counter
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
+from unittest.mock import patch
 
 import pytest
 
@@ -14,6 +15,7 @@ from floorgw import (
     DiagramError,
     GwError,
     GwSeries,
+    LaurentPolyS,
     Partition,
     USeries,
     ab_identity_check,
@@ -402,19 +404,56 @@ def test_ab_identity_counts_each_class_once(monkeypatch):
 
 
 @pytest.mark.parametrize("a,b,n,g0", [(3, 0, 11, 0), (2, 1, 9, 0), (3, 2, 16, 1), (2, 3, 14, 1)])
-def test_ab_identity_builds_one_inverse_for_every_j(monkeypatch, a, b, n, g0):
-    """One Newton inverse, S^-2, serves every j of the F2 side; the F0
-    side's S^(2*g0 - 2) takes one more when g0 = 0."""
-    calls = []
-    real = floorgw.algebra.USeries.inverse
+def test_ab_identity_takes_no_series_power(monkeypatch, a, b, n, g0):
+    """Each side is one substitution of its count sum times S^(2*g0 - 2):
+    one Newton inverse per side when g0 = 0, none otherwise, and no series
+    power."""
+    calls = Counter()
+    real_inverse, real_pow = floorgw.algebra.USeries.inverse, floorgw.algebra.USeries.__pow__
 
-    def counting(self):
-        calls.append(None)
-        return real(self)
+    def counting_inverse(self):
+        calls["inverse"] += 1
+        return real_inverse(self)
 
-    monkeypatch.setattr(floorgw.algebra.USeries, "inverse", counting)
+    def counting_pow(self, k):
+        calls["pow"] += 1
+        return real_pow(self, k)
+
+    monkeypatch.setattr(floorgw.algebra.USeries, "inverse", counting_inverse)
+    monkeypatch.setattr(floorgw.algebra.USeries, "__pow__", counting_pow)
     assert ab_identity_check(a, b, n, 24).equal
-    assert len(calls) == 1 + (g0 == 0)
+    assert calls == Counter(inverse=2 * (g0 == 0))
+
+
+def assert_ab_series_matches_paper_form(a: int, b: int, n: int, order: int) -> None:
+    """The report's right series equals the paper's form, built term by term as
+    series: sum_j C(b+2j, j) * (F2/D_(-2) series) * S^-(b+2j), each term wide
+    enough to know ``order`` and the sum truncated there.  The terms may be
+    wider than the order cap, which sizes requests, not this arithmetic."""
+    wide = order + 2 * a + b + 2
+    paper = USeries.zero(order)
+    with patch.object(floorgw.gw, "_ORDER_CAP", max(floorgw.gw._ORDER_CAP, wide)):
+        for j in range(a + 1):
+            d = b + 2 * j
+            term = (f2_relative_dminus2_series(a - j, d, n, wide).series
+                    * sin_factor_series(1, -d, wide))
+            paper = paper + term.truncate(order) * comb(d, j)
+    assert ab_identity_check(a, b, n, order).rhs_series == paper, (a, b, n, order)
+
+
+def test_ab_series_matches_paper_form():
+    """Every (a, b, n, order) with a, b <= 3, n <= 11 whose F0 class exists and
+    whose order exceeds the valuation 2*g0 - 2."""
+    checked = 0
+    for order in (16, 40):
+        for a in range(4):
+            for b in range(4):
+                for n in range(12):
+                    g0 = n + 1 - 4 * a - 2 * b
+                    if 0 <= g0 and 2 * g0 - 2 < order:
+                        assert_ab_series_matches_paper_form(a, b, n, order)
+                        checked += 1
+    assert checked == 140
 
 
 def test_degeneration_cross_check_takes_one_forward_pass(monkeypatch):
@@ -434,6 +473,23 @@ def test_degeneration_cross_check_takes_one_forward_pass(monkeypatch):
         calls.clear()
         assert degeneration_cross_check(delta, n, 16).equal
         assert calls == {(delta, n): 1}, (delta, n, calls)
+
+
+@pytest.mark.parametrize("step", [1, -1])
+@pytest.mark.parametrize("delta", [degree_p2(3), degree_hirzebruch(1, 2, 1)],
+                         ids=["P2d3g0", "F1(2,1)g0"])
+def test_degeneration_cross_check_fails_on_a_moved_fold(monkeypatch, delta, step):
+    """The check compares the profiles' sine products with the packed fold: a
+    fold whose middle coefficient moves by one, still palindromic, fails it."""
+    real = floorgw.gw.fold_refined
+
+    def moved(profiles):
+        folded = real(profiles) + LaurentPolyS(0, (step,))
+        assert folded.is_palindromic()
+        return folded
+
+    monkeypatch.setattr(floorgw.gw, "fold_refined", moved)
+    assert not degeneration_cross_check(delta, points_for_genus(delta, 0), 16).equal
 
 
 # ------------------------------------------------------------ the order rule
