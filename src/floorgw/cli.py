@@ -33,20 +33,16 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from collections import Counter
 from collections.abc import Sequence
 
 from .algebra import AlgebraError, Partition, _int_text, lp_eval_at_one
 from .diagrams import (
     DiagramError,
-    _diagram_tuples,
-    _root_block,
+    _listed,
     degree_hirzebruch,
     degree_p2,
-    fold_refined,
     points_for_genus,
     refined_count,
-    weight_profiles,
 )
 from .gw import (
     GwError,
@@ -54,11 +50,11 @@ from .gw import (
     degeneration_cross_check,
     gw_relative_series,
     log_series,
+    oracle_cross_check,
     vertex_series,
 )
-from .oracle import OracleLimitError, brute_force_enumerate, check_cap, listing_profiles
+from .oracle import OracleLimitError
 
-LISTING_CAP = 100_000
 _SLICE = 1 << 17  # pieces per write of ``_emit``
 
 
@@ -100,17 +96,6 @@ def _emit(pieces: Sequence[str], end: str = "\n") -> None:
     pieces are rendered before the call: an error leaves stdout empty."""
     for start in range(0, len(pieces), _SLICE):
         sys.stdout.write(end.join([*pieces[start:start + _SLICE], ""]))
-
-
-def _listed(delta, n: int) -> tuple[dict, list]:
-    """The weight profiles and the root block (``diagrams._root_block``) of
-    (delta, n), the one entry of both listing commands: a class of more than
-    LISTING_CAP diagrams is refused after the count pass, before any listing."""
-    profiles = weight_profiles(delta, n)
-    if (count := sum(profiles.values())) > LISTING_CAP:
-        raise DiagramError(f"{delta.label}, n = {n} has {count} diagrams, "
-                           f"over the listing cap LISTING_CAP = {LISTING_CAP}")
-    return profiles, _root_block(delta, n)
 
 
 class _Texts(dict):
@@ -234,26 +219,26 @@ def _cmd_series(args) -> int:
     return 0
 
 
-def _verdict(fmt: str, equal: bool, payload, lines) -> int:
-    """Write a ``verify`` report, rendering only the format asked for: JSON of
-    ``payload()`` or the text ``lines()``.  Exit code 0 iff ``equal``."""
-    _emit([json.dumps(payload())] if fmt == "json" else lines())
-    return 0 if equal else 1
+def _verdict(fmt: str, report, lines) -> int:
+    """Write a ``verify`` report from ``gw``, rendering only the format asked
+    for: JSON of its ``to_json()`` or the text ``lines(report)``.  Exit code 0
+    iff it is equal."""
+    _emit([json.dumps(report.to_json())] if fmt == "json" else lines(report))
+    return 0 if report.equal else 1
 
 
 def _cmd_verify_degeneration(args) -> int:
-    delta, n = args.delta, args.n
-    report = degeneration_cross_check(delta, n, args.order)
-    return _verdict(args.format, report.equal, report.to_json, lambda: (
-        f"degeneration cross-check for {delta.label}, n = {n}, order {args.order}",
+    return _verdict(args.format, degeneration_cross_check(args.delta, args.n, args.order),
+                    lambda report: (
+        f"degeneration cross-check for {report.delta.label}, n = {report.n}, order {args.order}",
         f"  diagram sum : {report.diagram_sum}",
         f"  from refined: {report.from_refined}",
         f"  equal: {report.equal}"))
 
 
 def _cmd_verify_ab(args) -> int:
-    report = ab_identity_check(args.a, args.b, args.points, args.order)
-    return _verdict(args.format, report.equal, report.to_json, lambda: (
+    return _verdict(args.format, ab_identity_check(args.a, args.b, args.points, args.order),
+                    lambda report: (
         f"Abramovich-Bertram check for a={args.a}, b={args.b}, n={args.points}",
         f"  polynomial: {report.lhs_polynomial} vs {report.rhs_polynomial}"
         f" -> {report.polynomial_equal}",
@@ -261,35 +246,13 @@ def _cmd_verify_ab(args) -> int:
 
 
 def _cmd_verify_oracle(args) -> int:
-    delta, n = args.delta, args.n
-    # the oracle's cap on n first: it needs no count
-    check_cap(n)
-    profiles, block = _listed(delta, n)
-    brute_diagrams = brute_force_enumerate(delta, n)
-    # the sweep's diagrams as plain tuples, which equal and hash like the oracle's
-    sweep_diagrams = Counter(_diagram_tuples(delta, n, block))
-    # dict.__eq__, in C: Counter.__eq__ walks both in a generator, and here every count is positive
-    diagrams_equal = dict.__eq__(sweep_diagrams, Counter(brute_diagrams))
-    brute_profiles = listing_profiles(delta, brute_diagrams)
-    equal = diagrams_equal and profiles == brute_profiles
-    sweep, brute = fold_refined(profiles), fold_refined(brute_profiles)
-    return _verdict(args.format, equal, lambda: {
-        "target": "oracle",
-        "delta": delta.to_json(),
-        "n": n,
-        "sweep_diagrams": sweep_diagrams.total(),
-        "brute_force_diagrams": len(brute_diagrams),
-        "diagrams_equal": diagrams_equal,
-        "sweep": sweep.to_json(),
-        "brute_force": brute.to_json(),
-        "equal": equal,
-    }, lambda: (
-        f"oracle check for {delta.label}, n = {n}",
-        f"  diagrams   : sweep {sweep_diagrams.total()}, "
-        f"brute force {len(brute_diagrams)}, equal {diagrams_equal}",
-        f"  sweep      : {sweep}",
-        f"  brute force: {brute}",
-        f"  equal: {equal}"))
+    return _verdict(args.format, oracle_cross_check(args.delta, args.n), lambda report: (
+        f"oracle check for {report.delta.label}, n = {report.n}",
+        f"  diagrams   : sweep {report.sweep_diagrams}, "
+        f"brute force {report.brute_force_diagrams}, equal {report.diagrams_equal}",
+        f"  sweep      : {report.sweep}",
+        f"  brute force: {report.brute_force}",
+        f"  equal: {report.equal}"))
 
 
 _SURFACE = (

@@ -379,9 +379,10 @@ def enumerate_marked(delta: HTransverseDegree, n: int) -> list[MarkedFloorDiagra
     heads by position produces genuinely distinct marked diagrams.  No
     child is built that the window-capacity prune of :func:`_limits`
     refuses.  A height-0 degree has no floor for its unbounded edges to end
-    on, so no diagram.
+    on, so no diagram.  A class of more than ``LISTING_CAP`` diagrams is
+    refused after the count pass, before anything is listed (:func:`_listed`).
     """
-    return list(map(MarkedFloorDiagram._make, _diagram_tuples(delta, n, _root_block(delta, n))))
+    return list(map(MarkedFloorDiagram._make, _diagram_tuples(delta, n, _listed(delta, n)[1])))
 
 
 def _diagram_tuples(delta: HTransverseDegree, n: int, block: list[tuple]):
@@ -392,13 +393,28 @@ def _diagram_tuples(delta: HTransverseDegree, n: int, block: list[tuple]):
     return ((n, floors, div, edges + tail) for floors, _, edges, tails in block for tail in tails)
 
 
+# the most diagrams a listing holds: the count reaches P2 d=7 g=0, 1,413,862,091 of them
+LISTING_CAP = 100_000
+
+
+def _listed(delta: HTransverseDegree, n: int) -> tuple[dict, list]:
+    """The weight profiles and the root block (:func:`_root_block`) of
+    (delta, n), the one entry of every listing: a class of more than
+    LISTING_CAP diagrams is refused after the count pass, before any listing."""
+    profiles = weight_profiles(delta, n)
+    if (count := sum(profiles.values())) > LISTING_CAP:
+        raise DiagramError(f"{delta.label}, n = {n} has {count} diagrams, "
+                           f"over the listing cap LISTING_CAP = {LISTING_CAP}")
+    return profiles, _root_block(delta, n)
+
+
 def _root_block(delta: HTransverseDegree, n: int) -> list[tuple]:
     """The block of the listing's root residue (:func:`_walk`): entries
     (floors, (), the edges up to the last floor, the shared :func:`_ends`
     tails after it), each tail one diagram, in listing order.  The one
     listing form: :func:`_diagram_tuples` expands it for
-    :func:`enumerate_marked` and ``verify oracle``, and the CLI renders it
-    without building a diagram."""
+    :func:`enumerate_marked` and ``gw.oracle_cross_check``, and the CLI
+    renders it without building a diagram."""
     limits, made = _limits(delta, n), _Edges()
     if not delta.height:
         return []

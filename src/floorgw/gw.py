@@ -26,8 +26,8 @@ Two series do not start from the count:
                 ``weight_profiles`` entry and substitutes the total once.
                 The refined count folds the same profiles, so the two
                 routes check the series side of the degeneration theorem;
-                the tests and ``verify oracle`` check the profiles against
-                listed diagrams.
+                the tests and ``oracle_cross_check`` check the profiles
+                against listed diagrams.
 
 Order rule.  ``order`` is the u-truncation order of the reported series and
 must exceed its valuation 2*g0 + offset.  A smaller order is rejected with
@@ -43,7 +43,9 @@ series.  ``degeneration_cross_check`` therefore compares the diagram sum
 against relative * S^(2h), term by term; the plane-degree-1 case (relative
 valuation -1, diagram sum valuation +1) pins the convention.
 ``ab_identity_check`` verifies the Abramovich-Bertram relation between F0
-and F2 counts at the polynomial and the series level.  Each check's series
+and F2 counts at the polynomial and the series level, and
+``oracle_cross_check`` the sweep's listing and profiles against the
+brute-force oracle's.  Each check's series
 level is its polynomial identity under one substitution: the degeneration
 check compares the profiles' sine products with the packed fold, the AB
 check the two count sums.
@@ -67,16 +69,19 @@ from .algebra import (
 from .diagrams import (
     DiagramError,
     HTransverseDegree,
+    _diagram_tuples,
     _genus,
+    _listed,
     degree_hirzebruch,
     fold_refined,
     refined_count,
     weight_profiles,
 )
+from .oracle import brute_force_enumerate, check_cap, listing_profiles
 
-__all__ = ["AbIdentityReport", "CrossCheckReport", "GwError", "GwSeries", "ab_identity_check",
-           "degeneration_cross_check", "degeneration_series", "gw_relative_series", "log_series",
-           "vertex_series"]
+__all__ = ["AbIdentityReport", "CrossCheckReport", "GwError", "GwSeries", "OracleReport",
+           "ab_identity_check", "degeneration_cross_check", "degeneration_series",
+           "gw_relative_series", "log_series", "oracle_cross_check", "vertex_series"]
 
 
 class GwError(ValueError):
@@ -380,3 +385,40 @@ def ab_identity_check(a: int, b: int, n: int, order: int = 16) -> AbIdentityRepo
     rhs_series = _sine_series(rhs_poly, [(1, 2 * g0 - 2)], order)
     return AbIdentityReport(a, b, n, lhs_poly, rhs_poly, lhs_poly == rhs_poly,
                             lhs_series, rhs_series, lhs_series == rhs_series)
+
+
+class OracleReport(NamedTuple):
+    """Outcome of the oracle cross-check for one (delta, n)."""
+
+    delta: HTransverseDegree
+    n: int
+    sweep_diagrams: int
+    brute_force_diagrams: int
+    diagrams_equal: bool
+    sweep: LaurentPolyS
+    brute_force: LaurentPolyS
+    equal: bool
+
+    def to_json(self) -> dict:
+        return _report_json("oracle", self)
+
+
+def oracle_cross_check(delta: HTransverseDegree, n: int) -> OracleReport:
+    """Compare the sweep's listing with the brute-force oracle's (``floorgw.oracle``).
+
+    Refuses a negative genus, then n over the oracle's cap, which needs no
+    count, then a class over the listing cap (``diagrams._listed``).  Equal
+    when both list the same diagrams, each as often, and the count pass's
+    weight profiles equal the oracle listing's; ``sweep`` and ``brute_force``
+    are the refined counts folded from the two.
+    """
+    check_cap(delta, n)
+    profiles, block = _listed(delta, n)
+    brute = brute_force_enumerate(delta, n)
+    # the sweep's diagrams as plain tuples, which equal and hash like the oracle's
+    sweep = Counter(_diagram_tuples(delta, n, block))
+    # dict.__eq__, in C: Counter.__eq__ walks both in a generator, and here every count is positive
+    diagrams_equal = dict.__eq__(sweep, Counter(brute))
+    brute_profiles = listing_profiles(delta, brute)
+    return OracleReport(delta, n, sweep.total(), len(brute), diagrams_equal, fold_refined(profiles),
+                        fold_refined(brute_profiles), diagrams_equal and profiles == brute_profiles)

@@ -40,7 +40,7 @@ class OracleLimitError(ValueError):
 
 # The cap on n.  At n = 16 the oracle lists P2 d=5 g=2 (9,864 diagrams) in
 # about 0.2 s and F1 (h=3, d=3) g=2 (59,782) in about 0.8 s on a 2-vCPU x86-64
-# host; n = 16 classes with more diagrams are refused by the CLI's listing cap.
+# host; n = 16 classes with more diagrams are refused by ``diagrams.LISTING_CAP``.
 MAX_N = 16
 
 
@@ -211,16 +211,16 @@ def _orderings(counts: tuple) -> list:
     return [itemgetter(*[i * k + j for j, i in enumerate(seq)]) for seq, _ in sequences]
 
 
-def check_cap(n: int) -> None:
-    """Refuse n over ``MAX_N``, before any work."""
+def check_cap(delta: HTransverseDegree, n: int) -> None:
+    """Refuse a negative genus (``diagrams._genus``), then n over ``MAX_N``, before any work."""
+    _genus(delta, n)
     if n > MAX_N:
         raise OracleLimitError(f"n = {n} exceeds the brute-force cap {MAX_N}")
 
 
 def brute_force_enumerate(delta: HTransverseDegree, n: int) -> list[MarkedFloorDiagram]:
     """Every valid marked diagram on n points, by exhaustive generation, once the checks pass."""
-    _genus(delta, n)
-    check_cap(n)
+    check_cap(delta, n)
     h, results, made, orders = delta.height, [], {}, {}
     for bounded, incoming, outgoing in _shapes(delta, n):
         classes = Counter([*bounded, *((-1, t, 1) for t in incoming),

@@ -375,7 +375,7 @@ def _plus_one(value):
 @pytest.mark.parametrize("command,module,route", [
     ("verify degeneration --surface p2 --degree 3 --genus 1 --order 12", gw, "fold_refined"),
     ("verify ab --a 1 --b 0 --points 3", gw, "_count"),
-    ("verify oracle --surface p2 --degree 2 --points 5", cli, "listing_profiles"),
+    ("verify oracle --surface p2 --degree 2 --points 5", gw, "listing_profiles"),
 ])
 def test_verify_reports_a_failing_identity_with_exit_1(capsys, monkeypatch, command,
                                                        module, route):
@@ -395,14 +395,16 @@ def test_verify_oracle_refuses_wrong_profiles_with_an_equal_fold(capsys, monkeyp
     """P2 d=3 n=8's eight diagrams with one bounded edge of weight 1 filed
     under (1,) and not (1, 1): the fold is the same, s^-2 + 10 + s^2, but
     the profile dicts differ, and so the check fails."""
-    right = cli.weight_profiles
+    right = diagrams.weight_profiles
 
     def wrong(delta, n):
         profiles = right(delta, n)
         assert profiles.pop((1, 1)) == 8
         return {**profiles, (1,): 8}
 
-    monkeypatch.setattr(cli, "weight_profiles", wrong)
+    monkeypatch.setattr(diagrams, "weight_profiles", wrong)
+    report = gw.oracle_cross_check(diagrams.degree_p2(3), 8)
+    assert (report.equal, report.diagrams_equal) == (False, True)
     command = "verify oracle --surface p2 --degree 3 --points 8".split()
     code, out, err = run_cli(capsys, *command, "--format", "json")
     report = json.loads(out)
@@ -705,7 +707,7 @@ def test_order_may_end_below_zero_for_a_laurent_series(capsys):
 
 def test_verify_oracle_lists_once_with_each_enumerator(capsys, monkeypatch):
     calls = {"brute": 0, "sweep": 0}
-    brute, sweep = oracle.brute_force_enumerate, cli._root_block
+    brute, sweep = oracle.brute_force_enumerate, diagrams._root_block
 
     def counted_brute(*args, **kwargs):
         calls["brute"] += 1
@@ -716,9 +718,9 @@ def test_verify_oracle_lists_once_with_each_enumerator(capsys, monkeypatch):
         return sweep(*args, **kwargs)
 
     # both names: brute_force_refined_count would reach the oracle's own
-    monkeypatch.setattr(cli, "brute_force_enumerate", counted_brute)
+    monkeypatch.setattr(gw, "brute_force_enumerate", counted_brute)
     monkeypatch.setattr(oracle, "brute_force_enumerate", counted_brute)
-    monkeypatch.setattr(cli, "_root_block", counted_sweep)
+    monkeypatch.setattr(diagrams, "_root_block", counted_sweep)
     code, out, _ = run_cli(
         capsys, "verify", "oracle", "--surface", "p2", "--degree", "3", "--points", "8",
         "--format", "json",
@@ -735,7 +737,7 @@ def test_verify_oracle_checks_the_cap_before_the_sweep_lists(capsys, monkeypatch
         raise AssertionError("counted or listed before the oracle's cap was checked")
 
     # P2 d=10 g=0 has 628,328,131,956,250,729 diagrams: counting them takes seconds
-    monkeypatch.setattr(cli, "weight_profiles", no_work)
+    monkeypatch.setattr(diagrams, "weight_profiles", no_work)
     monkeypatch.setattr(diagrams, "_root_block", no_work)
     for degree, genus, n in (("5", "3", 17), ("10", "0", 29)):
         code, out, err = run_cli(
@@ -743,6 +745,54 @@ def test_verify_oracle_checks_the_cap_before_the_sweep_lists(capsys, monkeypatch
         )
         assert code == 1 and out == ""
         assert err == f"error: n = {n} exceeds the brute-force cap 16\n"
+
+
+def test_verify_oracle_refuses_a_negative_genus_before_its_cap(capsys, monkeypatch):
+    """n = 17 on P2 d=10 is over the oracle's cap and of genus -12: the
+    negative genus is refused first, with the count's line."""
+    def no_work(*args, **kwargs):
+        raise AssertionError("counted or listed a class of negative genus")
+
+    monkeypatch.setattr(diagrams, "_state_sum", no_work)
+    monkeypatch.setattr(diagrams, "_walk", no_work)
+    monkeypatch.setattr(oracle, "_shapes", no_work)
+    line = "error: no diagrams: n = 17 gives negative genus -12 for P2(d=10)\n"
+    for command in ("count", "enumerate", "verify oracle"):
+        code, out, err = run_cli(capsys, *command.split(), "--surface", "p2", "--degree", "10",
+                                 "--points", "17")
+        assert (code, out, err) == (1, "", line)
+
+
+def test_library_listings_refuse_a_class_over_the_cap_without_listing(capsys, monkeypatch):
+    """``enumerate_marked`` and ``oracle_cross_check`` refuse through the
+    one guard of ``diagrams._listed``, with the CLI's line."""
+    def no_listing(*args, **kwargs):
+        raise AssertionError("listed past the cap")
+
+    monkeypatch.setattr(diagrams, "_walk", no_listing)
+    monkeypatch.setattr(gw, "brute_force_enumerate", no_listing)
+    monkeypatch.setattr(oracle, "brute_force_enumerate", no_listing)
+    for check, args, command in (
+        (diagrams.enumerate_marked, (diagrams.degree_p2(7), 20),
+         "enumerate --surface p2 --degree 7 --points 20"),
+        (gw.oracle_cross_check, (diagrams.degree_hirzebruch(3, 3, 1), 16),
+         "verify oracle --surface fk --k 3 --h 3 --d 1 --points 16"),
+    ):
+        with pytest.raises(diagrams.DiagramError) as exc:
+            check(*args)
+        assert f"LISTING_CAP = {diagrams.LISTING_CAP}" in str(exc.value)
+        assert run_cli(capsys, *command.split()) == (1, "", f"error: {exc.value}\n")
+
+
+def test_verify_oracle_json_is_the_report_of_oracle_cross_check(capsys):
+    for delta, n in acceptance_grid():
+        name = dict(delta.name)
+        surface = (["p2", "--degree", str(name["degree"])] if name["family"] == "p2" else
+                   ["fk", *(text for key in "khd" for text in (f"--{key}", str(name[key])))])
+        code, out, err = run_cli(capsys, "verify", "oracle", "--surface", *surface,
+                                 "--points", str(n), "--format", "json")
+        assert (code, err) == (0, "")
+        assert gw.oracle_cross_check(delta, n).to_json() == json.loads(out)
 
 
 @pytest.mark.parametrize("flag,value", [("--max-weight", "1"), ("--max-elements", "17")])
@@ -764,13 +814,13 @@ def test_listing_over_the_cap_exits_1_without_listing(capsys, monkeypatch, comma
     def no_listing(*args, **kwargs):
         raise AssertionError("listed past the cap")
 
-    monkeypatch.setattr(cli, "_root_block", no_listing)
+    monkeypatch.setattr(diagrams, "_root_block", no_listing)
     monkeypatch.setattr(diagrams, "_walk", no_listing)
-    monkeypatch.setattr(cli, "brute_force_enumerate", no_listing)
+    monkeypatch.setattr(gw, "brute_force_enumerate", no_listing)
     code, out, err = run_cli(capsys, *command.split())
     assert code == 1 and out == ""
     assert len(err.splitlines()) == 1 and "Traceback" not in err
-    assert f"has {count} diagrams," in err and f"LISTING_CAP = {cli.LISTING_CAP}" in err
+    assert f"has {count} diagrams," in err and f"LISTING_CAP = {diagrams.LISTING_CAP}" in err
 
 
 @pytest.mark.parametrize("command", [
@@ -797,11 +847,11 @@ def test_verify_degeneration_lists_nothing(capsys, monkeypatch, command):
 def test_listing_cap_counts_diagrams_not_multiplicities(capsys, monkeypatch):
     """P2 d=3 g=0 has 9 diagrams and classical count 12."""
     command = "enumerate --surface p2 --degree 3 --genus 0".split()
-    monkeypatch.setattr(cli, "LISTING_CAP", 9)
+    monkeypatch.setattr(diagrams, "LISTING_CAP", 9)
     code, out, err = run_cli(capsys, *command)
     assert code == 0 and err == ""
     assert out.startswith("9 marked diagram(s) for P2(d=3), n = 8\n")
-    monkeypatch.setattr(cli, "LISTING_CAP", 8)
+    monkeypatch.setattr(diagrams, "LISTING_CAP", 8)
     code, out, err = run_cli(capsys, *command)
     assert code == 1 and out == ""
     assert err == ("error: P2(d=3), n = 8 has 9 diagrams, "
@@ -822,7 +872,7 @@ def test_verify_sums_the_refined_count_once(capsys, monkeypatch, command):
         calls.append(args)
         return counted(*args, **kwargs)
 
-    for module in (cli, gw, diagrams):
+    for module in (gw, diagrams):
         monkeypatch.setattr(module, "weight_profiles", counting)
     code, _, _ = run_cli(capsys, *command.split())
     assert code == 0 and len(calls) == 1

@@ -10,12 +10,12 @@ MODULES = (algebra, diagrams, gw, oracle)
 EXPORTED = {
     "AbIdentityReport", "AlgebraError", "CrossCheckReport", "DiagramError", "Edge", "GwError",
     "GwSeries", "HTransverseDegree", "InvalidDiagram", "LaurentPolyS", "MarkedFloorDiagram",
-    "OracleLimitError", "Partition", "USeries", "ab_identity_check", "brute_force_enumerate",
-    "brute_force_refined_count", "classical_count", "degeneration_cross_check",
-    "degeneration_series", "degree_hirzebruch", "degree_p2", "diagram_count",
-    "enumerate_marked", "gw_relative_series", "log_series", "lp_eval_at_one", "multiplicity",
-    "points_for_genus", "q_integer", "rational_to_str", "refined_count", "validate_diagram",
-    "vertex_series", "weight_profiles",
+    "OracleLimitError", "OracleReport", "Partition", "USeries", "ab_identity_check",
+    "brute_force_enumerate", "brute_force_refined_count", "classical_count",
+    "degeneration_cross_check", "degeneration_series", "degree_hirzebruch", "degree_p2",
+    "diagram_count", "enumerate_marked", "gw_relative_series", "log_series", "lp_eval_at_one",
+    "multiplicity", "oracle_cross_check", "points_for_genus", "q_integer", "rational_to_str",
+    "refined_count", "validate_diagram", "vertex_series", "weight_profiles",
 }
 
 # defined and read by module path (floorbench's tracer, the tests, a demo), not exported

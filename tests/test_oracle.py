@@ -24,8 +24,7 @@ from floorgw import (
     refined_count,
     validate_diagram,
 )
-from floorgw.cli import LISTING_CAP
-from floorgw.diagrams import fold_refined, refined_multiplicity, weight_profiles
+from floorgw.diagrams import LISTING_CAP, fold_refined, refined_multiplicity, weight_profiles
 from floorgw.oracle import MAX_N, _extensions, _shapes, listing_profiles
 from helpers import acceptance_grid, diagram_key, frozen_extensions
 from test_count_paths import genus_range, larger_frozen_copy_pairs
