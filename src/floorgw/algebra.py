@@ -152,6 +152,33 @@ def _read_series(cls, data: dict, coefficient, *keys):
     return cls(valuation, [coefficient(c) for c in coefficients], *rest)
 
 
+class _Memo(dict):
+    """A per-call table: ``make(key)`` for each key, made when first asked and kept."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make):
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
+
+
+class _Frozen:
+    """The slots-only base of the immutable value types: a write after the
+    constructor's ``object.__setattr__`` is refused, and pickle and copy
+    rebuild an instance from its slots in order."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        return type(self), tuple([getattr(self, slot) for slot in self.__slots__])
+
+
 class Partition(tuple):
     """A partition: weakly decreasing tuple of positive integers.
 
@@ -219,7 +246,7 @@ def _terms_str(valuation: int, texts, var: str) -> str:
     return " + ".join(terms).replace("+ -", "- ") if terms else "0"
 
 
-class LaurentPolyS:
+class LaurentPolyS(_Frozen):
     """Laurent polynomial in s = q^(1/2) with integer coefficients.
 
     Stored as a valuation plus a dense coefficient tuple indexed from the
@@ -246,12 +273,6 @@ class LaurentPolyS:
         else:
             object.__setattr__(self, "valuation", valuation + lo)
             object.__setattr__(self, "coefficients", tuple(coeffs[lo:hi]))
-
-    def __setattr__(self, name, value):  # immutable after __init__
-        raise AttributeError("LaurentPolyS is immutable")
-
-    def __reduce__(self):  # for pickle and copy, which would set the slots one by one
-        return LaurentPolyS, (self.valuation, self.coefficients)
 
     @classmethod
     def zero(cls) -> "LaurentPolyS":
@@ -374,7 +395,7 @@ def lp_eval_at_one(p: LaurentPolyS) -> int:
 _ZERO = Fraction(0)
 
 
-class USeries:
+class USeries(_Frozen):
     """Truncated Laurent series in u with exact rational coefficients.
 
     The coefficient of u^(valuation + i) is ``coefficients[i]``; the window
@@ -410,10 +431,7 @@ class USeries:
         return _series(valuation, [c.numerator * (den // c.denominator) for c in coeffs], den,
                        order)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("USeries is immutable")
-
-    def __reduce__(self):  # for pickle and copy, which would set the slots one by one
+    def __reduce__(self):  # from the Fractions: the slots hold caches
         return USeries, (self.valuation, self.coefficients, self.order)
 
     @property

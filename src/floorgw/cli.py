@@ -35,7 +35,7 @@ import json
 import sys
 from collections.abc import Sequence
 
-from .algebra import AlgebraError, Partition, _int_text, lp_eval_at_one
+from .algebra import AlgebraError, Partition, _int_text, _Memo, lp_eval_at_one
 from .diagrams import (
     DiagramError,
     _listed,
@@ -98,39 +98,28 @@ def _emit(pieces: Sequence[str], end: str = "\n") -> None:
         sys.stdout.write(end.join([*pieces[start:start + _SLICE], ""]))
 
 
-class _Texts(dict):
-    """The one text of each key, rendered by ``render`` when first asked."""
-
-    def __init__(self, render):
-        self.render = render
-
-    def __missing__(self, key):
-        text = self[key] = self.render(key)
-        return text
-
-
 def _json_texts(n: int, div: int) -> tuple:
     """The JSON listing's texts for :func:`_pieces`: ``json.dumps`` of each
     ``to_json`` (floors distinct, fields ints or None), ", " between them."""
     head = '{"n": %s, "vertices": [%s], "divergences": {%s}, "edges": ['
     edge = '{"position": %s, "source": %s, "target": %s, "weight": %s}'
     return (lambda i: ", " if i else "",
-            _Texts(lambda floors: head % (n, ", ".join(map(str, floors)),
-                                          ", ".join(['"%s": %s' % (p, div) for p in floors]))),
-            _Texts(lambda e: (edge % e).replace("None", "null") + ", "),
-            _Texts(lambda e: (edge % e).replace("None", "null") + "]}"), "]}")
+            _Memo(lambda floors: head % (n, ", ".join(map(str, floors)),
+                                         ", ".join(['"%s": %s' % (p, div) for p in floors]))),
+            _Memo(lambda e: (edge % e).replace("None", "null") + ", "),
+            _Memo(lambda e: (edge % e).replace("None", "null") + "]}"), "]}")
 
 
 def _csv_texts(n: int) -> tuple:
     """The CSV listing's texts for :func:`_pieces`: one row per diagram."""
-    return (str, _Texts(lambda floors: f",{n},{';'.join(map(str, floors))},"),
-            _Texts(lambda e: "%s:%s->%s*%s;" % e), _Texts(lambda e: "%s:%s->%s*%s\n" % e), "\n")
+    return (str, _Memo(lambda floors: f",{n},{';'.join(map(str, floors))},"),
+            _Memo(lambda e: "%s:%s->%s*%s;" % e), _Memo(lambda e: "%s:%s->%s*%s\n" % e), "\n")
 
 
 def _text_texts() -> tuple:
     """The text listing's texts for :func:`_pieces`: a line per diagram and per edge."""
-    lines = _Texts(lambda e: "      edge@%s: %s -> %s, weight %s\n" % e)
-    return (lambda i: f"  #{i}", _Texts(lambda floors: f": vertices {list(floors)}\n"), lines,
+    lines = _Memo(lambda e: "      edge@%s: %s -> %s, weight %s\n" % e)
+    return (lambda i: f"  #{i}", _Memo(lambda floors: f": vertices {list(floors)}\n"), lines,
             lines, "")
 
 

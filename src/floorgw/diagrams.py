@@ -33,7 +33,8 @@ from math import comb, prod
 from operator import itemgetter
 from typing import NamedTuple
 
-from .algebra import AlgebraError, LaurentPolyS, Partition, _integer, _json, _whole, q_integer
+from .algebra import (AlgebraError, LaurentPolyS, Partition, _Frozen, _integer, _json, _Memo,
+                      _whole, q_integer)
 
 __all__ = ["DiagramError", "Edge", "HTransverseDegree", "InvalidDiagram", "MarkedFloorDiagram",
            "classical_count", "degree_hirzebruch", "degree_p2", "diagram_count",
@@ -49,7 +50,7 @@ class InvalidDiagram(DiagramError):
     """A structure violating the marked-floor-diagram invariants."""
 
 
-class HTransverseDegree:
+class HTransverseDegree(_Frozen):
     """Degree datum of the plane or of a Hirzebruch surface.
 
     ``name`` holds the JSON fields that name the degree: "family" and
@@ -67,12 +68,6 @@ class HTransverseDegree:
         fields = name, d_b, d_t, height, divergence, label
         for slot, value in zip(self.__slots__, fields):
             object.__setattr__(self, slot, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("HTransverseDegree is immutable")
-
-    def __reduce__(self):  # for pickle and copy, which would set the slots one by one
-        return HTransverseDegree, tuple([getattr(self, slot) for slot in self.__slots__])
 
     @property
     def size(self) -> int:
@@ -148,16 +143,6 @@ class Edge(NamedTuple):
     source: int | None
     target: int | None
     weight: int
-
-
-class _Edges(dict):
-    """The one :class:`Edge` of each (position, source, target, weight), and
-    the one list of outgoing-end orderings (:func:`_ends`) of each (floors,
-    budgets) that a last floor leaves, made when first asked: a listing's
-    walks (:func:`_walk`), their blocks and its diagrams share them."""
-
-    def __missing__(self, key):
-        return self.setdefault(key, Edge._make(key) if len(key) == 4 else _ends(*key, self))
 
 
 class MarkedFloorDiagram(NamedTuple):
@@ -415,11 +400,14 @@ def _root_block(delta: HTransverseDegree, n: int) -> list[tuple]:
     listing form: :func:`_diagram_tuples` expands it for
     :func:`enumerate_marked` and ``gw.oracle_cross_check``, and the CLI
     renders it without building a diagram."""
-    limits, made = _limits(delta, n), _Edges()
+    limits, made = _limits(delta, n), _Memo(Edge._make)
     if not delta.height:
         return []
+    # the one Edge of each (position, source, target, weight) and the one list
+    # of :func:`_ends` of each (floors, budgets), shared by the walks and diagrams
+    ends = _Memo(lambda key: _ends(*key, made))
     root = (1, (), (), (), (), 0, 0, 0)
-    blocks, walks, block = {}, [(root, _walk(limits, made, *root))], None
+    blocks, walks, block = {}, [(root, _walk(limits, made, ends, *root))], None
     while walks:  # the top walk gets the block of the residue it last asked for
         try:
             key = walks[-1][1].send(block)
@@ -427,11 +415,12 @@ def _root_block(delta: HTransverseDegree, n: int) -> list[tuple]:
             block = blocks[walks.pop()[0]] = done.value
             continue
         if (block := blocks.get(key)) is None:
-            walks.append((key, _walk(limits, made, *key)))
+            walks.append((key, _walk(limits, made, ends, *key)))
     return block
 
 
-def _walk(limits, made, pos, vertices, budgets, heads, components, in_used, bd_used, out_used):
+def _walk(limits, made, ends, pos, vertices, budgets, heads, components, in_used, bd_used,
+          out_used):
     """The block of a residue: what every sweep state sharing it still
     lists, as (floors, the target floor of each pending head, the edges from
     ``pos`` to the last floor, the :func:`_ends` tails after it), in branch
@@ -442,7 +431,8 @@ def _walk(limits, made, pos, vertices, budgets, heads, components, in_used, bd_u
     pending heads keep their (source or None, weight) in position order,
     and the finished edges only the ``components`` they join the floors
     into, each labelled by its first floor.  ``limits`` is the record of
-    :func:`_limits`; edges and tails come from ``made`` (:class:`_Edges`).
+    :func:`_limits`; edges come from ``made`` and tails from ``ends``, the
+    memos of :func:`_root_block`.
     The edge branches pass the window test of :func:`_limits`.  A floor
     before the last starts a child residue for each head subset of
     :func:`_head_subsets` and resolves the heads' edges once per (floor,
@@ -479,10 +469,10 @@ def _walk(limits, made, pos, vertices, budgets, heads, components, in_used, bd_u
                 resolved, ids = {}, [i for i, _, _ in rest]
                 for floors, targets, edges, tails in child:
                     if (start := resolved.get(targets)) is None:
-                        ends = dict.fromkeys([i for i, _, _ in subset], p) | dict(zip(ids, targets))
+                        at = dict.fromkeys([i for i, _, _ in subset], p) | dict(zip(ids, targets))
                         start = resolved[targets] = (
-                            tuple([ends[i] for i in range(len(named))]),
-                            tuple([e if type(e) is Edge else made[e[0], e[1], ends[e[0]], e[2]]
+                            tuple([at[i] for i in range(len(named))]),
+                            tuple([e if type(e) is Edge else made[e[0], e[1], at[e[0]], e[2]]
                                    for e in path]))
                     here.append((floors, start[0], start[1] + edges, tails))
             block += reversed(here)
@@ -491,7 +481,7 @@ def _walk(limits, made, pos, vertices, budgets, heads, components, in_used, bd_u
         elif in_used == d_b and not need and weight >= div:  # so no component lacks a head
             floors = vertices + (p,)
             prefix = tuple([e if type(e) is Edge else made[e[0], e[1], p, e[2]] for e in path])
-            tails = made[floors, budgets + (weight - div,)]
+            tails = ends[floors, budgets + (weight - div,)]
             block.append((floors, (p,) * len(named), prefix, tails))
         if in_used < d_b and spare >= need:
             stack.append((p + 1, budgets, path + ((p, None, 1),), weight + 1, lacking,
@@ -512,12 +502,12 @@ def _walk(limits, made, pos, vertices, budgets, heads, components, in_used, bd_u
     return block
 
 
-def _ends(floors: tuple[int, ...], budgets: tuple[int, ...],
-          made: _Edges) -> list[tuple[Edge, ...]]:
+def _ends(floors: tuple[int, ...], budgets: tuple[int, ...], made: dict) -> list[tuple[Edge, ...]]:
     """Every ordering of the outgoing ends that ``budgets`` leave the
     ``floors``, at the positions after the last floor: the multiset
     permutations of the floors, each as often as its budget, in the sweep's
-    branch order, a floor before every later one."""
+    branch order, a floor before every later one; ``made`` is the listing's
+    memo of Edges."""
     tails = [((), budgets)]
     start = floors[-1] + 1
     for p in range(start, start + sum(budgets)):
@@ -638,10 +628,11 @@ def weight_profiles(delta: HTransverseDegree, n: int) -> dict[tuple[int, ...], i
 
     :func:`_limits` says what catches a wrong bound.  Every count and every
     degeneration vertex product is a fold of the result.  The floors' head
-    takes per component come from one :class:`_Takes`, dropped with the pass.
+    takes per component come from one memo of :func:`_head_takes`, dropped
+    with the pass.
     """
     _, h, d_b, total_bounded, d_t, _, _ = limits = _limits(delta, n)
-    layer, takes = {(0, 0, 0, h, 0, ()): {(): 1}}, _Takes()
+    layer, takes = {(0, 0, 0, h, 0, ()): {(): 1}}, _Memo(_head_takes)
     for _ in range(n):
         following: dict[tuple, dict[tuple[int, ...], int]] = {}
         for state, profiles in layer.items():
@@ -655,28 +646,25 @@ def weight_profiles(delta: HTransverseDegree, n: int) -> dict[tuple[int, ...], i
     return layer.get((d_b, total_bounded, d_t, 0, 0, (((), ()),)), {})
 
 
-class _Takes(dict):
-    """The takes of each (sorted pending heads, last floor) of a component by a
-    new floor, made when first asked, in ``product`` order: (weight taken, heads
-    taken, sorted heads left, prod of C(m, r) for r of the m heads of a weight)."""
-
-    def __missing__(self, key):
-        heads, last = key
-        groups = [(w, heads.count(w)) for w in dict.fromkeys(heads)]
-        return self.setdefault(key, [
-            (sum([w * r for (w, _), r in zip(groups, rs)]), sum(rs),
+def _head_takes(key: tuple) -> list[tuple[int, int, tuple, int]]:
+    """The takes of a component's (sorted pending heads, last floor) by a new
+    floor, in ``product`` order: (weight taken, heads taken, sorted heads
+    left, prod of C(m, r) for r of the m heads of a weight)."""
+    heads, last = key
+    groups = [(w, heads.count(w)) for w in dict.fromkeys(heads)]
+    return [(sum([w * r for (w, _), r in zip(groups, rs)]), sum(rs),
              tuple([w for (w, m), r in zip(groups, rs) for _ in range(m - r)]),
              prod([comb(m, r) for (_, m), r in zip(groups, rs)]))
-            for rs in product(*[(m,) if last else range(m + 1) for _, m in groups])])
+            for rs in product(*[(m,) if last else range(m + 1) for _, m in groups])]
 
 
-def _state_sum(state: tuple, limits: tuple, takes: _Takes) -> list[tuple[int, int, tuple]]:
+def _state_sum(state: tuple, limits: tuple, takes: _Memo) -> list[tuple[int, int, tuple]]:
     """The live branches of a canonical :func:`weight_profiles` state, as
     (sweep branches, bounded edge weight or 0, canonical child), in branch
     order; ``limits`` is the record of :func:`_limits`.  Each prune is
     tested before the child is built, as :func:`weight_profiles` says.
 
-    ``takes`` is the pass's :class:`_Takes`.  A floor
+    ``takes`` is the pass's memo of :func:`_head_takes`.  A floor
     joins the components' takes in turn, dropping joins that close too many
     cycles, and takes r0 unbounded heads outside them: ``product`` order over
     (r0, each component's takes), so layers and profile dicts keep their order.

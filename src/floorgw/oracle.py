@@ -10,8 +10,12 @@ exactly once.  The shapes are found by a depth-first search over the ranks,
 cut by two lower bounds on the unbounded edges a partial shape already needs
 (see ``_shapes``), and each shape's linear extensions are listed gap by gap
 (see ``_extensions``).  Every diagram passes the full invariant validator.
-There are no options; n is capped by ``MAX_N``.  Nothing here is shared with
-the sweep but the negative-genus refusal and the count pass's fold ``fold_refined``.
+There are no options; n is capped by ``MAX_N``.  Neither the sweep's walk nor
+its count pass is shared: from ``diagrams`` come only the value types
+``Edge``, ``HTransverseDegree`` and ``MarkedFloorDiagram``, the connectivity
+test ``_connected``, the validator ``validate_diagram``, the negative-genus
+refusal ``_genus`` and the count pass's fold ``fold_refined``, and from
+``algebra`` ``LaurentPolyS`` and the per-call table ``_Memo``.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from collections import Counter
 from itertools import combinations_with_replacement, product
 from operator import itemgetter
 
-from .algebra import LaurentPolyS
+from .algebra import LaurentPolyS, _Memo
 from .diagrams import (
     Edge,
     HTransverseDegree,
@@ -152,8 +156,8 @@ def _extensions(h: int, classes: dict, divergence: int, made: dict, orders: dict
     indistinguishable, so a gap's orderings are the permutations of a
     multiset and each diagram comes once.  Earlier gaps take more copies
     first, and a gap's orderings come in sorted class order.  ``made`` and
-    ``orders`` hold the listing's one Edge per distinct edge and its
-    orderings (:func:`_orderings`) per tuple of copies that a gap takes.
+    ``orders`` are the listing's memos of its one Edge per distinct edge and
+    of its orderings (:func:`_orderings`) per tuple of copies that a gap takes.
     """
     keys = sorted(classes)
     n = h + sum(classes.values())
@@ -188,12 +192,10 @@ def _markings(n: int, divergence: int, keys: list, gaps: list, made: dict, order
         if content:
             fields = [(p, at[s + 1], at[t + 1], w)
                       for s, t, w in [keys[k] for k, _ in content] for p in range(start, stop)]
-            table = tuple([made.get(e) or made.setdefault(e, Edge._make(e)) for e in fields])
+            table = tuple([made[e] for e in fields])
             if content[1:]:
-                counts = tuple([m for _, m in content])
-                if counts not in orders:
-                    orders[counts] = _orderings(counts)
-                edges = [e + take(table) for e in edges for take in orders[counts]]
+                orderings = orders[tuple([m for _, m in content])]
+                edges = [e + take(table) for e in edges for take in orderings]
             else:  # one class: its Edges in turn
                 edges = [e + table for e in edges]
     return [MarkedFloorDiagram(n, floors, divergence, e) for e in edges]
@@ -221,7 +223,7 @@ def check_cap(delta: HTransverseDegree, n: int) -> None:
 def brute_force_enumerate(delta: HTransverseDegree, n: int) -> list[MarkedFloorDiagram]:
     """Every valid marked diagram on n points, by exhaustive generation, once the checks pass."""
     check_cap(delta, n)
-    h, results, made, orders = delta.height, [], {}, {}
+    h, results, made, orders = delta.height, [], _Memo(Edge._make), _Memo(_orderings)
     for bounded, incoming, outgoing in _shapes(delta, n):
         classes = Counter([*bounded, *((-1, t, 1) for t in incoming),
                            *((s, h, 1) for s in outgoing)])

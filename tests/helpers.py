@@ -9,6 +9,7 @@ from floorgw import Edge, MarkedFloorDiagram, degree_hirzebruch, degree_p2, poin
 from floorgw.algebra import (
     AlgebraError,
     LaurentPolyS,
+    _Memo,
     _power,
     _read_series,
     _terms_str,
@@ -17,7 +18,7 @@ from floorgw.algebra import (
     rational_from_str,
     rational_to_str,
 )
-from floorgw.diagrams import InvalidDiagram, _Edges, _head_subsets, _limits
+from floorgw.diagrams import InvalidDiagram, _head_subsets, _limits
 
 
 def hirzebruch_family_grid(k_max=2, h_max=2, d_max=2):
@@ -125,7 +126,7 @@ def frozen_enumerate_marked(delta, n):
     """A frozen copy of ``diagrams.enumerate_marked`` as it was while the sweep
     still walked each outgoing end after the last floor: every completed
     sweep is a leaf state, listed when its graph is connected."""
-    limits, made = _limits(delta, n), _Edges()
+    limits, made = _limits(delta, n), _Memo(Edge._make)
     found = []
     stack = [((), (), (), (), 0, 0, 0)]
     while stack:

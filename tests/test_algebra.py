@@ -1,6 +1,8 @@
 """Exact-arithmetic layer: Laurent polynomials in s, truncated series in u."""
 
+import copy
 import json
+import pickle
 from fractions import Fraction
 from functools import reduce
 from math import factorial
@@ -267,11 +269,40 @@ def test_useries_truncate_scale_and_shift_edges():
     assert USeries.zero(5).shift(-3) == USeries.zero(2)
 
 
-@pytest.mark.parametrize("value", [LaurentPolyS(-1, [1, 0, 1]), USeries(0, [1], 3), degree_p2(3)],
+@pytest.mark.parametrize("value", [LaurentPolyS(-1, [1, 0, 1]), USeries(-1, [F(1, 2), 0, 3], 4),
+                                   degree_p2(3)],
                          ids=["LaurentPolyS", "USeries", "HTransverseDegree"])
-def test_values_refuse_assignment(value):
-    with pytest.raises(AttributeError, match=f"^{type(value).__name__} is immutable$"):
-        value.valuation = 5
+def test_frozen_values_refuse_assignment_and_round_trip(value):
+    """Each value type refuses a write, and pickle and deepcopy, which
+    cannot set its slots, rebuild an equal value that refuses one too."""
+    for twin in (value, pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+        assert type(twin) is type(value) and twin == value and repr(twin) == repr(value)
+        with pytest.raises(AttributeError, match=f"^{type(value).__name__} is immutable$"):
+            twin.valuation = 5
+
+
+def test_zero_polynomial_has_no_degree():
+    with pytest.raises(AlgebraError, match="^the zero polynomial has no degree$"):
+        LaurentPolyS.zero().degree
+
+
+@pytest.mark.parametrize("operate", [
+    lambda: LaurentPolyS.one() + 1,
+    lambda: LaurentPolyS.one() * "x",
+    lambda: USeries.one(3) + 1,
+    lambda: USeries.one(3) * "x",
+], ids=["poly+1", "poly*str", "series+1", "series*str"])
+def test_series_refuse_an_operand_of_another_type(operate):
+    """The operators return NotImplemented, so Python raises a TypeError."""
+    with pytest.raises(TypeError):
+        operate()
+
+
+def test_value_reprs():
+    assert repr(Partition([1, 3, 1])) == "Partition((3, 1, 1))"
+    assert repr(LaurentPolyS(-1, [1, 0, 1])) == "LaurentPolyS(-1, (1, 0, 1))"
+    assert repr(USeries(-1, [F(1, 2), 0], 1)) == (
+        "USeries(-1, (Fraction(1, 2), Fraction(0, 1)), order=1)")
 
 
 def test_laurent_hash_agrees_with_equality():

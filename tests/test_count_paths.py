@@ -33,6 +33,7 @@ from floorgw import (
     refined_count,
     weight_profiles,
 )
+from floorgw.algebra import _Memo
 from floorgw.diagrams import refined_multiplicity
 import floorgw.diagrams as diagrams
 from helpers import (acceptance_grid, frozen_fold_refined, frozen_state_sum,
@@ -132,7 +133,7 @@ def test_count_drops_a_child_with_more_cycles_than_the_genus():
     leaves it a negative budget; taking both closes a cycle."""
     limits = diagrams._limits(degree_p2(3), 8)
     state = (3, 2, 0, 2, 0, (((), (1, 1)),))
-    assert diagrams._state_sum(state, limits, diagrams._Takes()) == [
+    assert diagrams._state_sum(state, limits, _Memo(diagrams._head_takes)) == [
         (2, 0, (3, 2, 0, 1, 0, (((), (1,)),)))]
 
 
@@ -161,7 +162,7 @@ def assert_state_sums_match_frozen_copy(pairs):
     for delta, n in pairs:
         if n + 1 - delta.size < 0:
             continue
-        limits, takes = diagrams._limits(delta, n), diagrams._Takes()
+        limits, takes = diagrams._limits(delta, n), _Memo(diagrams._head_takes)
         layer = {(0, 0, 0, delta.height, 0, ())}
         for _ in range(n):
             following = set()
@@ -233,12 +234,12 @@ def test_sweep_builds_only_children_that_pass_the_window_test(monkeypatch, delta
     n = points_for_genus(delta, g)
     walk, residues = diagrams._walk, []
 
-    def checked(limits, made, *residue):
+    def checked(limits, made, ends, *residue):
         _, vertices, budgets, _, _, _, bd_used, _ = residue
         _, h, _, total_bounded, _, _, room = limits
         assert sum(budgets) >= total_bounded - bd_used - room[h - len(vertices)]
         residues.append(residue)
-        return walk(limits, made, *residue)
+        return walk(limits, made, ends, *residue)
 
     monkeypatch.setattr(diagrams, "_walk", checked)
     assert enumerate_marked(delta, n) and len(residues) > 1

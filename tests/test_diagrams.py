@@ -36,6 +36,7 @@ from floorgw import (
     weight_profiles,
 )
 import floorgw.diagrams as diagrams
+from floorgw.algebra import _Memo
 from floorgw.cli import _json_texts, _pieces
 from floorgw.diagrams import _head_subsets, _root_block, refined_multiplicity, vertex_partitions
 from helpers import (
@@ -270,9 +271,9 @@ def counted_walks(monkeypatch):
     """The residues that ``diagrams._walk`` is called with, in call order."""
     walk, residues = diagrams._walk, []
 
-    def counted(limits, made, *residue):
+    def counted(limits, made, ends, *residue):
         residues.append(residue)
-        return walk(limits, made, *residue)
+        return walk(limits, made, ends, *residue)
 
     monkeypatch.setattr(diagrams, "_walk", counted)
     return residues
@@ -318,7 +319,7 @@ def frozen_residues(delta, n):
     """The residue of each state of the frozen sweep at the root or just
     after a floor, with a floor still to place, mapped to the (finished
     edges, pending heads) of the states that share it."""
-    limits, made, h = diagrams._limits(delta, n), diagrams._Edges(), delta.height
+    limits, made, h = diagrams._limits(delta, n), _Memo(Edge._make), delta.height
     shared, stack = {}, [((), (), (), (), 0, 0, 0)]
     while stack:
         vertices, budgets, edges, heads, *used = state = stack.pop()

@@ -24,8 +24,9 @@ from floorgw import (
     refined_count,
     validate_diagram,
 )
+from floorgw.algebra import _Memo
 from floorgw.diagrams import LISTING_CAP, fold_refined, refined_multiplicity, weight_profiles
-from floorgw.oracle import MAX_N, _extensions, _shapes, listing_profiles
+from floorgw.oracle import MAX_N, _extensions, _orderings, _shapes, listing_profiles
 from helpers import acceptance_grid, diagram_key, frozen_extensions
 from test_count_paths import genus_range, larger_frozen_copy_pairs
 
@@ -246,7 +247,7 @@ def assert_extensions_match_frozen_copy(pairs):
     for delta, n in pairs:
         h, div, profiles = delta.height, delta.divergence, Counter()
         for classes in shape_classes(delta, n):
-            listing = _extensions(h, classes, div, {}, {})
+            listing = _extensions(h, classes, div, _Memo(Edge._make), _Memo(_orderings))
             assert len(set(listing)) == len(listing), (delta.label, n, classes)
             assert Counter(listing) == Counter(frozen_extensions(h, classes, div, {})), (
                 delta.label, n, classes)

@@ -1,13 +1,16 @@
 """The public surface: what ``floorgw`` exports, and the names that the
 benchmark's tracer (``floorbench/tracer.py``) wraps.  ``Tracer.install``
 reads each wrapped name with ``getattr``, so a removed one makes every traced
-benchmark run fail; this pins them in tier-1."""
+benchmark run fail; this pins them in tier-1.  Also the one memo class and the
+one frozen base that every per-call table and every value type share."""
 
+import inspect
 import subprocess
 import sys
 from pathlib import Path
 
 import floorgw
+from floorgw import algebra, cli, diagrams, gw, oracle
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -40,3 +43,15 @@ tracer.Tracer().install()
         [sys.executable, "-c", code, str(ROOT / "src"), str(ROOT / "floorbench" / "tracer.py")],
         capture_output=True, text=True)
     assert (run.returncode, run.stdout, run.stderr) == (0, "[]\n", "")
+
+
+def test_one_class_defines_each_table_and_immutability_hook():
+    """``__missing__`` is defined only by ``algebra._Memo``, the one per-call
+    table, and ``__setattr__`` only by ``algebra._Frozen``, the one immutable
+    base: a hand-written table or immutability refusal fails here."""
+    classes = [cls for module in (algebra, diagrams, gw, cli, oracle)
+               for _, cls in inspect.getmembers(module, inspect.isclass)
+               if cls.__module__ == module.__name__]
+    assert {hook: [cls.__qualname__ for cls in classes if hook in vars(cls)]
+            for hook in ("__missing__", "__setattr__")} == {
+        "__missing__": ["_Memo"], "__setattr__": ["_Frozen"]}
