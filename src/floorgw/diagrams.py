@@ -235,21 +235,22 @@ def validate_diagram(diagram: MarkedFloorDiagram, delta: HTransverseDegree) -> N
     degree has no diagram; the counts return 0, not a refusal: see ROADMAP item 5.)
     """
     try:  # one try per diagram, none per edge
-        n, vertices, edges = diagram.n, diagram.vertex_positions, diagram.edges
-        # edges unpacked or read by index, not by field name: this runs on every listed diagram
+        # the record and its edges unpacked, not read by field name: this runs on every
+        # listed diagram, and unpacking refuses a record of the wrong arity
+        n, vertices, divergence, edges = diagram
         positions = sorted([*vertices, *map(itemgetter(0), edges)])
         if positions != list(range(1, n + 1)):
             raise InvalidDiagram("positions do not partition 1..n into vertices and edges")
         if len(vertices) != delta.height:
             raise InvalidDiagram(f"expected {delta.height} vertices, found {len(vertices)}")
-        if diagram.divergence != delta.divergence:
+        if divergence != delta.divergence:
             raise InvalidDiagram(
-                f"divergence {diagram.divergence} differs from the degree's {delta.divergence}")
+                f"divergence {divergence} differs from the degree's {delta.divergence}")
         incoming_unbounded = outgoing_unbounded = 0
         flow = dict.fromkeys(vertices, 0)
         links = []  # (source, target) of each bounded edge
         # a float or a bool equal to an int passes the other checks, but not to_json
-        if not type(n) is type(diagram.divergence) is int:
+        if not type(n) is type(divergence) is int:
             _refuse_non_integer(diagram)
         for position, source, target, weight in edges:
             if not type(position) is type(weight) is int:
@@ -305,7 +306,9 @@ def validate_diagram(diagram: MarkedFloorDiagram, delta: HTransverseDegree) -> N
     except InvalidDiagram:
         raise
     except (TypeError, ValueError) as error:  # a field of the wrong type or arity
-        with suppress(TypeError):  # InvalidDiagram, a ValueError, names a non-int field
+        # InvalidDiagram, a ValueError, names a non-int field; past the last field of a
+        # record with too few, the IndexError leaves it malformed
+        with suppress(TypeError, IndexError):
             _refuse_non_integer(diagram)
         raise InvalidDiagram(f"malformed diagram record: {error}") from error
 

@@ -26,8 +26,9 @@ Two series do not start from the count:
                 ``weight_profiles`` entry and substitutes the total once.
                 The refined count folds the same profiles, so the two
                 routes check the series side of the degeneration theorem;
-                the tests and ``oracle_cross_check`` check the profiles
-                against listed diagrams.
+                the tests check the profiles against listed diagrams,
+                ``oracle_cross_check`` against the oracle's, counted per
+                shape.
 
 Order rule.  ``order`` is the u-truncation order of the reported series and
 must exceed its valuation 2*g0 + offset.  A smaller order is rejected with
@@ -77,7 +78,7 @@ from .diagrams import (
     refined_count,
     weight_profiles,
 )
-from .oracle import brute_force_enumerate, check_cap, listing_profiles
+from .oracle import brute_force_enumerate, check_cap
 
 __all__ = ["AbIdentityReport", "CrossCheckReport", "GwError", "GwSeries", "OracleReport",
            "ab_identity_check", "degeneration_cross_check", "degeneration_series",
@@ -409,16 +410,17 @@ def oracle_cross_check(delta: HTransverseDegree, n: int) -> OracleReport:
     Refuses a negative genus, then n over the oracle's cap, which needs no
     count, then a class over the listing cap (``diagrams._listed``).  Equal
     when both list the same diagrams, each as often, and the count pass's
-    weight profiles equal the oracle listing's; ``sweep`` and ``brute_force``
-    are the refined counts folded from the two.
+    weight profiles equal the oracle's, which its listing counts per shape
+    (every diagram of a shape has its bounded weights); ``sweep`` and
+    ``brute_force`` are the refined counts folded from the two.
     """
     check_cap(delta, n)
     profiles, block = _listed(delta, n)
-    brute = brute_force_enumerate(delta, n)
+    brute_profiles: dict[tuple[int, ...], int] = {}
+    brute = brute_force_enumerate(delta, n, brute_profiles)
     # the sweep's diagrams as plain tuples, which equal and hash like the oracle's
     sweep = Counter(_diagram_tuples(delta, n, block))
     # dict.__eq__, in C: Counter.__eq__ walks both in a generator, and here every count is positive
     diagrams_equal = dict.__eq__(sweep, Counter(brute))
-    brute_profiles = listing_profiles(delta, brute)
     return OracleReport(delta, n, sweep.total(), len(brute), diagrams_equal, fold_refined(profiles),
                         fold_refined(brute_profiles), diagrams_equal and profiles == brute_profiles)

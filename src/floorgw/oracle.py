@@ -10,6 +10,9 @@ exactly once.  The shapes are found by a depth-first search over the ranks,
 cut by two lower bounds on the unbounded edges a partial shape already needs
 (see ``_shapes``), and each shape's linear extensions are listed gap by gap
 (see ``_extensions``).  Every diagram passes the full invariant validator.
+The oracle's weight profiles come per shape, not per diagram: every diagram
+of a shape has the shape's bounded edge weights, so the listing adds each
+shape's diagram count under them, into a dict its caller passes.
 There are no options; n is capped by ``MAX_N``.  Neither the sweep's walk nor
 its count pass is shared: from ``diagrams`` come only the value types
 ``Edge``, ``HTransverseDegree`` and ``MarkedFloorDiagram``, the connectivity
@@ -220,28 +223,44 @@ def check_cap(delta: HTransverseDegree, n: int) -> None:
         raise OracleLimitError(f"n = {n} exceeds the brute-force cap {MAX_N}")
 
 
-def brute_force_enumerate(delta: HTransverseDegree, n: int) -> list[MarkedFloorDiagram]:
-    """Every valid marked diagram on n points, by exhaustive generation, once the checks pass."""
+def brute_force_enumerate(delta: HTransverseDegree, n: int,
+                          profiles: dict | None = None) -> list[MarkedFloorDiagram]:
+    """Every valid marked diagram on n points, by exhaustive generation, once the checks pass.
+
+    ``profiles``, when given, is an output: each shape adds its number of listed
+    diagrams under its sorted bounded edge weights, since every diagram of a shape
+    has that shape's weights.  So it ends equal to :func:`listing_profiles` of the
+    listing, read from no diagram; the listing is the same with or without it.
+    """
     check_cap(delta, n)
     h, results, made, orders = delta.height, [], _Memo(Edge._make), _Memo(_orderings)
     for bounded, incoming, outgoing in _shapes(delta, n):
         classes = Counter([*bounded, *((-1, t, 1) for t in incoming),
                            *((s, h, 1) for s in outgoing)])
+        listed = len(results)
         for diagram in _extensions(h, classes, delta.divergence, made, orders):
             validate_diagram(diagram, delta)
             results.append(diagram)
+        if profiles is not None:
+            key = tuple(sorted([w for _, _, w in bounded]))
+            profiles[key] = profiles.get(key, 0) + len(results) - listed
     return results
 
 
 def listing_profiles(delta: HTransverseDegree, diagrams) -> dict[tuple[int, ...], int]:
-    """``diagrams.weight_profiles`` of a listing of valid diagrams of ``delta``.  Each
-    diagram is keyed once by the sorted weights of all its edges; its d_b + d_t
-    unbounded edges weigh 1, so they lead its key and are cut from each distinct key."""
+    """``diagrams.weight_profiles`` of a listing of valid diagrams of ``delta``, read
+    diagram by diagram: the reader the tests apply to a listing, against the dict
+    that :func:`brute_force_enumerate` fills per shape.  Each diagram is keyed once
+    by the sorted weights of all its edges; its d_b + d_t unbounded edges weigh 1,
+    so they lead its key and are cut from each distinct key."""
     keys = Counter(tuple(sorted([e[3] for e in d.edges])) for d in diagrams)
     ends = delta.d_b + delta.d_t
     return {key[ends:]: count for key, count in keys.items()}
 
 
 def brute_force_refined_count(delta: HTransverseDegree, n: int) -> LaurentPolyS:
-    """Refined count through the brute-force path: the fold of its listing's profiles."""
-    return fold_refined(listing_profiles(delta, brute_force_enumerate(delta, n)))
+    """Refined count through the brute-force path: the fold of its listing's profiles,
+    counted per shape."""
+    profiles: dict[tuple[int, ...], int] = {}
+    brute_force_enumerate(delta, n, profiles)
+    return fold_refined(profiles)

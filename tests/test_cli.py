@@ -372,17 +372,33 @@ def _plus_one(value):
     return {**value, (): value.get((), 0) + 1}
 
 
-@pytest.mark.parametrize("command,module,route", [
-    ("verify degeneration --surface p2 --degree 3 --genus 1 --order 12", gw, "fold_refined"),
-    ("verify ab --a 1 --b 0 --points 3", gw, "_count"),
-    ("verify oracle --surface p2 --degree 2 --points 5", gw, "listing_profiles"),
+def _plus_one_result(right):
+    return lambda *args: _plus_one(right(*args))
+
+
+def _plus_one_profiles(right):
+    """A listing that fills its profile dict by the ``_plus_one`` rule."""
+    def listing(delta, n, profiles=None):
+        diagrams = right(delta, n, profiles)
+        if profiles is not None:
+            profiles.update(_plus_one(profiles))
+        return diagrams
+    return listing
+
+
+@pytest.mark.parametrize("command,module,route,wrong", [
+    ("verify degeneration --surface p2 --degree 3 --genus 1 --order 12", gw, "fold_refined",
+     _plus_one_result),
+    ("verify ab --a 1 --b 0 --points 3", gw, "_count", _plus_one_result),
+    # the oracle's profiles come from the dict that its listing fills
+    ("verify oracle --surface p2 --degree 2 --points 5", gw, "brute_force_enumerate",
+     _plus_one_profiles),
 ])
 def test_verify_reports_a_failing_identity_with_exit_1(capsys, monkeypatch, command,
-                                                       module, route):
+                                                       module, route, wrong):
     """A route that adds 1 to every refined count it gives makes each identity
     fail: the report says so in both formats, with exit code 1."""
-    right = getattr(module, route)
-    monkeypatch.setattr(module, route, lambda *args: _plus_one(right(*args)))
+    monkeypatch.setattr(module, route, wrong(getattr(module, route)))
     code, out, err = run_cli(capsys, *command.split(), "--format", "json")
     assert (code, err) == (1, "") and json.loads(out)["equal"] is False
     code, out, err = run_cli(capsys, *command.split())

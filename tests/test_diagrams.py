@@ -667,11 +667,17 @@ def test_validator_names_each_failure(delta, diagram, message):
         validate_diagram(diagram, delta)
 
 
-# Records built in Python with a field of the wrong arity, which once raised a
-# bare TypeError or ValueError; from_json refuses each of them earlier
+# Records built in Python with a field or a record of the wrong arity, which once
+# raised a bare TypeError, ValueError or IndexError, or (five fields) passed;
+# from_json refuses each of them earlier
 MALFORMED_DIAGRAMS = [
     ("three-field-edge", MarkedFloorDiagram(2, (2,), 1, ((1, None, 2),)),
      r"^malformed diagram record: not enough values to unpack \(expected 4, got 3\)$"),
+    ("three-field-record", tuple.__new__(MarkedFloorDiagram, (2, (2,), 1)),
+     r"^malformed diagram record: not enough values to unpack \(expected 4, got 3\)$"),
+    ("five-field-record",
+     tuple.__new__(MarkedFloorDiagram, (2, (2,), 1, (_incoming(1, 2),), 0)),
+     r"^malformed diagram record: too many values to unpack \(expected 4(, got 5)?\)$"),
 ]
 
 

@@ -169,6 +169,20 @@ def test_the_flow_bound_loses_no_shape():
         assert Counter(_shapes(delta, n)) == expected, (delta.label, n)
 
 
+def test_profiles_counted_per_shape_equal_the_listing_profiles():
+    """The dict that ``brute_force_enumerate`` fills per shape equals the
+    profiles read from each diagram of its listing, on the grid and the larger
+    F_k classes; the listing is the same, in order, without the dict, and the
+    refined count folds the same profiles."""
+    larger = [(delta, points_for_genus(delta, g)) for delta, g in LARGER_ORACLE_PAIRS]
+    for delta, n in acceptance_grid() + larger:
+        profiles = {}
+        listing = brute_force_enumerate(delta, n, profiles)
+        assert profiles == listing_profiles(delta, listing), (delta.label, n)
+        assert listing == brute_force_enumerate(delta, n), (delta.label, n)
+        assert brute_force_refined_count(delta, n) == fold_refined(profiles), (delta.label, n)
+
+
 def test_per_class_brute_sum_equals_the_per_diagram_sum_on_the_grid():
     # each weight profile stands for its diagrams: a coarser grouping key
     # (say, the bounded edge count) merges profiles of unequal multiplicity
@@ -241,11 +255,12 @@ def test_marking_count_of_a_small_shape():
 def assert_extensions_match_frozen_copy(pairs):
     """Per shape, the gap-by-gap listing equals the frozen per-position
     recursion as a multiset, with no diagram twice; per class, the listing's
-    weight profiles equal :func:`weight_profiles`.  Returns the classes and
-    the diagrams compared."""
+    weight profiles, read from each diagram and as ``brute_force_enumerate``
+    counts them per shape, equal :func:`weight_profiles`.  Returns the classes
+    and the diagrams compared."""
     total = 0
     for delta, n in pairs:
-        h, div, profiles = delta.height, delta.divergence, Counter()
+        h, div, profiles, per_shape = delta.height, delta.divergence, Counter(), {}
         for classes in shape_classes(delta, n):
             listing = _extensions(h, classes, div, _Memo(Edge._make), _Memo(_orderings))
             assert len(set(listing)) == len(listing), (delta.label, n, classes)
@@ -253,7 +268,8 @@ def assert_extensions_match_frozen_copy(pairs):
                 delta.label, n, classes)
             profiles.update(listing_profiles(delta, listing))
             total += len(listing)
-        assert profiles == weight_profiles(delta, n), (delta.label, n)
+        brute_force_enumerate(delta, n, per_shape)
+        assert profiles == per_shape == weight_profiles(delta, n), (delta.label, n)
     return len(pairs), total
 
 
