@@ -22,12 +22,12 @@ result, each reduction one gcd over a denominator and its numerators, never
 one per coefficient, which keeps the sizes bounded through a Newton
 inverse.  Sums, scalar multiples, shifts and truncations are not reduced.
 A coefficient becomes a ``Fraction`` only where a library caller reads one
-(``coefficient``, ``coefficients``); the text and the JSON write each
-numerator and the denominator divided by their gcd, through ``_ratio_texts``,
-the one writer of every coefficient text.  Both types share one product loop
-(``_convolve``), one square-and-multiply loop (``_power``) and one term
-printer (``_terms_str``), so ``s^-2 + 10 + s^2`` and ``u - 1/24*u^3 + O(u^5)``
-read alike.
+(``coefficient``, ``coefficients``), built on each read and not kept; the
+text and the JSON write each numerator and the denominator divided by their
+gcd, through ``_ratio_texts``, the one writer of every coefficient text.
+Both types share one product loop (``_convolve``), one square-and-multiply
+loop (``_power``) and one term printer (``_terms_str``), so
+``s^-2 + 10 + s^2`` and ``u - 1/24*u^3 + O(u^5)`` read alike.
 
 The bridge between the two worlds is the substitution s = e^(iu/2), i.e.
 q = e^(iu), performed purely over the rationals by one formula: s^k puts
@@ -310,12 +310,9 @@ class LaurentPolyS(_Frozen):
     def __add__(self, other: "LaurentPolyS") -> "LaurentPolyS":
         if not isinstance(other, LaurentPolyS):
             return NotImplemented
-        if self.is_zero():
-            return other
-        if other.is_zero():
-            return self
         lo = min(self.valuation, other.valuation)
-        out = [0] * (max(self.degree, other.degree) + 1 - lo)
+        hi = max(self.valuation + len(self.coefficients), other.valuation + len(other.coefficients))
+        out = [0] * (hi - lo)
         for p in (self, other):
             i = p.valuation - lo
             out[i:i + len(p.coefficients)] = map(add, out[i:], p.coefficients)
@@ -333,8 +330,6 @@ class LaurentPolyS(_Frozen):
             return LaurentPolyS(self.valuation, [c * other for c in self.coefficients])
         if not isinstance(other, LaurentPolyS):
             return NotImplemented
-        if self.is_zero() or other.is_zero():
-            return LaurentPolyS.zero()
         xs, ys = self.coefficients, other.coefficients
         return LaurentPolyS(self.valuation + other.valuation,
                             _convolve(xs, ys, len(xs) + len(ys) - 1))
@@ -382,17 +377,13 @@ def q_integer(m: int) -> LaurentPolyS:
     if _whole(m, "m", AlgebraError) <= 0:
         raise AlgebraError(f"q_integer requires a positive integer, got {m}")
     coeffs = [0] * (2 * m - 1)
-    for k in range(0, 2 * m - 1, 2):
-        coeffs[k] = 1
+    coeffs[::2] = [1] * m
     return LaurentPolyS(-(m - 1), coeffs)
 
 
 def lp_eval_at_one(p: LaurentPolyS) -> int:
     """Value at s = 1, i.e. the plain coefficient sum (the q -> 1 limit)."""
     return sum(p.coefficients)
-
-
-_ZERO = Fraction(0)
 
 
 class USeries(_Frozen):
@@ -410,13 +401,13 @@ class USeries(_Frozen):
     lowest terms and reduces its result, each by one gcd over the denominator
     and the numerators, and sums, negations, scalar multiples, shifts and
     truncations keep what they get.  ``coefficients`` is the window as
-    ``Fraction``s and ``_texts`` as the text that ``rational_to_str`` writes,
-    each built on first read and kept; the text and the JSON read only the
-    texts.  Equality and the hash compare the lowest-terms pair.  Instances
-    are immutable.
+    ``Fraction``s, built on each read; ``_texts`` is the window as the text
+    that ``rational_to_str`` writes, built on first read and kept, the one
+    cache of the type.  The text and the JSON read only the texts.  Equality
+    and the hash compare the lowest-terms pair.  Instances are immutable.
     """
 
-    __slots__ = ("valuation", "order", "_nums", "_den", "_fractions", "_strs")
+    __slots__ = ("valuation", "order", "_nums", "_den", "_strs")
 
     def __new__(cls, valuation: int, coefficients: Iterable, order: int):
         valuation = _whole(valuation, "valuation", AlgebraError)
@@ -431,16 +422,12 @@ class USeries(_Frozen):
         return _series(valuation, [c.numerator * (den // c.denominator) for c in coeffs], den,
                        order)
 
-    def __reduce__(self):  # from the Fractions: the slots hold caches
+    def __reduce__(self):  # from the Fractions: the slots hold a cache
         return USeries, (self.valuation, self.coefficients, self.order)
 
     @property
     def coefficients(self) -> tuple[Fraction, ...]:
-        if self._fractions is None:
-            den = self._den
-            object.__setattr__(self, "_fractions",
-                               tuple([Fraction(c, den) if c else _ZERO for c in self._nums]))
-        return self._fractions
+        return tuple([Fraction(c, self._den) for c in self._nums])
 
     def _texts(self) -> tuple[str, ...]:
         """The window's coefficients as ``rational_to_str`` writes them, from
@@ -468,12 +455,7 @@ class USeries(_Frozen):
             raise AlgebraError(
                 f"coefficient of u^{exponent} is beyond truncation order {self.order}"
             )
-        i = exponent - self.valuation
-        if i < 0:
-            return _ZERO
-        if self._fractions is None:
-            return Fraction(self._nums[i], self._den) if self._nums[i] else _ZERO
-        return self._fractions[i]
+        return Fraction(self._nums[i] if (i := exponent - self.valuation) >= 0 else 0, self._den)
 
     def truncate(self, new_order: int) -> "USeries":
         """Forget coefficients at or beyond ``new_order`` (never extends)."""
@@ -530,8 +512,6 @@ class USeries(_Frozen):
 
     def shift(self, k: int) -> "USeries":
         """Multiply by u^k."""
-        if self.is_zero():
-            return USeries.zero(self.order + k)
         return _series(self.valuation + k, self._nums, self._den, self.order + k)
 
     def inverse(self) -> "USeries":
@@ -558,11 +538,9 @@ class USeries(_Frozen):
     def __pow__(self, k: int) -> "USeries":
         if _whole(k, "exponent", AlgebraError) < 0:
             return self.inverse() ** (-k)
-        if k == 0:
-            if self.is_zero():
-                raise AlgebraError("0**0 of series is undefined")
-            return USeries.one(self.order - self.valuation)
         if self.is_zero():
+            if not k:
+                raise AlgebraError("0**0 of series is undefined")
             return USeries.zero(k * self.order)
         unit = _series(0, self._nums, self._den, self.order - self.valuation)
         return _power(unit, k, USeries.one(unit.order)).shift(k * self.valuation)
@@ -618,7 +596,7 @@ def _series(valuation: int, nums, den: int, order: int) -> USeries:
         valuation += lo
     series = object.__new__(USeries)
     for slot, value in (("valuation", valuation), ("order", order), ("_nums", nums),
-                        ("_den", den), ("_fractions", None), ("_strs", None)):
+                        ("_den", den), ("_strs", None)):
         object.__setattr__(series, slot, value)
     return series
 

@@ -225,7 +225,8 @@ def validate_diagram(diagram: MarkedFloorDiagram, delta: HTransverseDegree) -> N
     h vertices; the degree's divergence; edge weights, endpoints and marking order; the
     unbounded edge counts; every vertex's net flow equal to the divergence; connectivity;
     every field an int (an edge's ends may be None), naming the first that is not; and,
-    as malformed, a record of the wrong arity or one whose fields cannot be read.
+    as malformed, a record of the wrong arity, a record that is not iterable, or one
+    whose fields cannot be read by position.
 
     The genus needs no check.  With h vertices and d_b + d_t unbounded
     edges among the n positions, n - h - d_b - d_t edges are bounded, so
@@ -305,22 +306,24 @@ def validate_diagram(diagram: MarkedFloorDiagram, delta: HTransverseDegree) -> N
             raise InvalidDiagram("underlying graph is disconnected")
     except InvalidDiagram:
         raise
-    except (TypeError, ValueError) as error:  # a field of the wrong type or arity
-        # InvalidDiagram, a ValueError, names a non-int field; past the last field of a
-        # record with too few, the IndexError leaves it malformed
-        with suppress(TypeError, IndexError):
+    except (TypeError, ValueError, LookupError) as error:  # a field of the wrong type or arity
+        # InvalidDiagram, a ValueError, names a non-int field; a record that cannot be
+        # indexed, or one with too few fields, is left malformed
+        with suppress(TypeError, LookupError):
             _refuse_non_integer(diagram)
         raise InvalidDiagram(f"malformed diagram record: {error}") from error
 
 
 def _refuse_non_integer(diagram: MarkedFloorDiagram) -> None:
     """Raise InvalidDiagram naming the first field of ``diagram``, in record
-    order, that is not an int; an edge's source and target may be None."""
-    _whole(diagram.n, "n", InvalidDiagram)
-    for p in diagram.vertex_positions:
+    order, that is not an int; an edge's source and target may be None.  The
+    fields are read by position, as ``validate_diagram`` unpacks them, so a
+    plain tuple is read as a record is."""
+    _whole(diagram[0], "n", InvalidDiagram)
+    for p in diagram[1]:
         _whole(p, "vertex", InvalidDiagram)
-    _whole(diagram.divergence, "divergence", InvalidDiagram)
-    for edge in diagram.edges:
+    _whole(diagram[2], "divergence", InvalidDiagram)
+    for edge in diagram[3]:
         for name, value in zip(Edge._fields, edge):
             if value is not None:
                 _whole(value, name, InvalidDiagram)

@@ -229,8 +229,8 @@ def brute_force_enumerate(delta: HTransverseDegree, n: int,
 
     ``profiles``, when given, is an output: each shape adds its number of listed
     diagrams under its sorted bounded edge weights, since every diagram of a shape
-    has that shape's weights.  So it ends equal to :func:`listing_profiles` of the
-    listing, read from no diagram; the listing is the same with or without it.
+    has that shape's weights.  So it ends equal to ``diagrams.weight_profiles`` of
+    the class, read from no diagram; the listing is the same with or without it.
     """
     check_cap(delta, n)
     h, results, made, orders = delta.height, [], _Memo(Edge._make), _Memo(_orderings)
@@ -245,17 +245,6 @@ def brute_force_enumerate(delta: HTransverseDegree, n: int,
             key = tuple(sorted([w for _, _, w in bounded]))
             profiles[key] = profiles.get(key, 0) + len(results) - listed
     return results
-
-
-def listing_profiles(delta: HTransverseDegree, diagrams) -> dict[tuple[int, ...], int]:
-    """``diagrams.weight_profiles`` of a listing of valid diagrams of ``delta``, read
-    diagram by diagram: the reader the tests apply to a listing, against the dict
-    that :func:`brute_force_enumerate` fills per shape.  Each diagram is keyed once
-    by the sorted weights of all its edges; its d_b + d_t unbounded edges weigh 1,
-    so they lead its key and are cut from each distinct key."""
-    keys = Counter(tuple(sorted([e[3] for e in d.edges])) for d in diagrams)
-    ends = delta.d_b + delta.d_t
-    return {key[ends:]: count for key, count in keys.items()}
 
 
 def brute_force_refined_count(delta: HTransverseDegree, n: int) -> LaurentPolyS:

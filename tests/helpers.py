@@ -1,6 +1,7 @@
 """Shared grids and small utilities for the test suite."""
 
 from bisect import bisect_left
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 from math import comb, lcm, prod
@@ -53,6 +54,17 @@ def diagram_key(diagram):
             )
         ),
     )
+
+
+def listing_profiles(delta, diagrams):
+    """``diagrams.weight_profiles`` of a listing of valid diagrams of ``delta``, read
+    diagram by diagram: the reference applied to a listing, against the dict that
+    ``oracle.brute_force_enumerate`` fills per shape.  Each diagram is keyed once
+    by the sorted weights of all its edges; its d_b + d_t unbounded edges weigh 1,
+    so they lead its key and are cut from each distinct key."""
+    keys = Counter(tuple(sorted([e[3] for e in d.edges])) for d in diagrams)
+    ends = delta.d_b + delta.d_t
+    return {key[ends:]: count for key, count in keys.items()}
 
 
 def frozen_state_sum(state: tuple, limits: tuple) -> list[tuple[int, int, tuple]]:

@@ -9,7 +9,7 @@ from math import factorial
 from operator import mul
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from floorgw import (
@@ -570,6 +570,10 @@ def sympy_coefficient(expr, var, k):
 
 @given(laurent_polys, laurent_polys, laurent_polys)
 @settings(max_examples=60, deadline=None)
+# zero operands, one and both, on every run: the sum and product have no zero branch
+@example(LaurentPolyS.zero(), LaurentPolyS(-2, [1, 0, -3]), LaurentPolyS(3, [2, 5]))
+@example(LaurentPolyS(-4, [-1, 2]), LaurentPolyS(2, [0, 0]), LaurentPolyS.zero())
+@example(LaurentPolyS.zero(), LaurentPolyS.zero(), LaurentPolyS.zero())
 def test_laurent_ring_laws_against_sympy_expansion(p, q, r):
     sympy = pytest.importorskip("sympy")
     s = sympy.symbols("s")
@@ -660,6 +664,11 @@ def assert_matches(ours, frozen):
 @given(series_args(), series_args(), st.one_of(_exact, st.just(F(0))), st.integers(-4, 4),
        st.integers(-8, 16))
 @settings(max_examples=150, deadline=None)
+# zero operands, one and both, on every run: sum, product, shift and power have no
+# zero branch but 0**0
+@example((2, [], 5), (-1, [F(1, 2), 3], 4), F(0), 3, 2)
+@example((-1, [3, F(-1, 2)], 3), (0, [0, 0], 4), 2, -2, 0)
+@example((-3, [], -1), (1, [0], 3), 0, 4, -2)
 def test_useries_matches_the_fraction_reference(x_args, y_args, scalar, k, cut):
     x, fx = USeries(*x_args), FrozenUSeries(*x_args)
     y, fy = USeries(*y_args), FrozenUSeries(*y_args)

@@ -667,9 +667,9 @@ def test_validator_names_each_failure(delta, diagram, message):
         validate_diagram(diagram, delta)
 
 
-# Records built in Python with a field or a record of the wrong arity, which once
-# raised a bare TypeError, ValueError or IndexError, or (five fields) passed;
-# from_json refuses each of them earlier
+# Records built in Python with a field or a record of the wrong arity, or no record,
+# which once raised a bare TypeError, ValueError, IndexError or AttributeError, or
+# (five fields) passed; from_json refuses each of them earlier
 MALFORMED_DIAGRAMS = [
     ("three-field-edge", MarkedFloorDiagram(2, (2,), 1, ((1, None, 2),)),
      r"^malformed diagram record: not enough values to unpack \(expected 4, got 3\)$"),
@@ -678,6 +678,8 @@ MALFORMED_DIAGRAMS = [
     ("five-field-record",
      tuple.__new__(MarkedFloorDiagram, (2, (2,), 1, (_incoming(1, 2),), 0)),
      r"^malformed diagram record: too many values to unpack \(expected 4(, got 5)?\)$"),
+    ("none-record", None,
+     r"^malformed diagram record: cannot unpack non-iterable NoneType object$"),
 ]
 
 
@@ -723,6 +725,9 @@ NON_INTEGER_DIAGRAMS = [
     ("float-bounded-target", degree_p2(2),
      MarkedFloorDiagram(5, (3, 5), 1, (_incoming(1, 3), _incoming(2, 3), Edge(4, 3, 5.0, 1))),
      r"^target must be an integer, got 5\.0$"),
+    # a plain tuple, not a MarkedFloorDiagram: its fields are read by position
+    ("float-n-plain-tuple", degree_p2(1), (2.0, (2,), 1, (Edge(1, None, 2, 1),)),
+     r"^n must be an integer, got 2\.0$"),
 ]
 
 
@@ -730,14 +735,31 @@ NON_INTEGER_DIAGRAMS = [
                          ids=[row[0] for row in NON_INTEGER_DIAGRAMS])
 def test_validator_refuses_a_field_equal_to_an_int_that_is_not_one(name, delta, diagram,
                                                                     message):
-    ints = MarkedFloorDiagram(int(diagram.n), tuple(map(int, diagram.vertex_positions)),
-                              int(diagram.divergence),
+    n, vertices, divergence, edges = diagram
+    ints = MarkedFloorDiagram(int(n), tuple(map(int, vertices)), int(divergence),
                               tuple(Edge(*[None if f is None else int(f) for f in e])
-                                    for e in diagram.edges))
+                                    for e in edges))
     assert (ints == diagram) is (name not in ("str-vertex", "float-n"))
     validate_diagram(ints, delta)
     with pytest.raises(InvalidDiagram, match=message):
         validate_diagram(diagram, delta)
+
+
+# A str where a record holds an int, with no int form to build: the str record, read
+# by position, was a bare AttributeError, and the dict edge, read as the tuple of its
+# keys, a bare KeyError
+STR_FIELD_DIAGRAMS = [
+    ("str-record", "abcd", r"^n must be an integer, got 'a'$"),
+    ("dict-edge", MarkedFloorDiagram(2, (2,), 1, ({"a": 1},)),
+     r"^position must be an integer, got 'a'$"),
+]
+
+
+@pytest.mark.parametrize("diagram,message", [row[1:] for row in STR_FIELD_DIAGRAMS],
+                         ids=[row[0] for row in STR_FIELD_DIAGRAMS])
+def test_validator_names_a_str_field_of_a_record_with_no_int_form(diagram, message):
+    with pytest.raises(InvalidDiagram, match=message):
+        validate_diagram(diagram, degree_p2(1))
 
 
 def test_validator_accepts_valid_external_json():

@@ -26,8 +26,8 @@ from floorgw import (
 )
 from floorgw.algebra import _Memo
 from floorgw.diagrams import LISTING_CAP, fold_refined, refined_multiplicity, weight_profiles
-from floorgw.oracle import MAX_N, _extensions, _orderings, _shapes, listing_profiles
-from helpers import acceptance_grid, diagram_key, frozen_extensions
+from floorgw.oracle import MAX_N, _extensions, _orderings, _shapes
+from helpers import acceptance_grid, diagram_key, frozen_extensions, listing_profiles
 from test_count_paths import genus_range, larger_frozen_copy_pairs
 
 
