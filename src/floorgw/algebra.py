@@ -41,7 +41,8 @@ prod (2 sin(a*u/2))^e.  Since 2 sin(a*u/2) = -i (s^a - s^(-a)),
 each (s^a - s^(-a))^|e| is written by the binomial formula
 (``_sine_power``, no square-and-multiply), the powers e >= 0 are
 multiplied into p and the product is substituted once with t = the sum of
-those e; the negative powers are substituted together and inverted once.
+those e; the negative powers are substituted together and inverted once,
+and ``_sine_series_each`` shares that inverse among several polynomials.
 ``lp_substitute_exponential`` (p alone, where each s^a + s^(-a) becomes
 2 cos(a*u/2)) and ``sin_factor_series`` (one sine power) are its two
 named cases, not exported: no route calls them, but they are the series of
@@ -59,7 +60,7 @@ from contextlib import suppress
 from fractions import Fraction
 from math import comb, factorial, gcd, lcm
 from operator import add, index
-from typing import Iterable
+from typing import Iterable, Sequence
 
 __all__ = ["AlgebraError", "LaurentPolyS", "Partition", "USeries", "lp_eval_at_one", "q_integer",
            "rational_to_str"]
@@ -642,27 +643,35 @@ def _sine_power(a: int, e: int) -> LaurentPolyS:
 def _sine_series(p: LaurentPolyS, sines: Iterable[tuple[int, int]], order: int) -> USeries:
     """p(e^(iu/2)) * prod (2 sin(a*u/2))^e over (a, e) in ``sines``, to ``order``,
     as the module docstring says; requires order > the sum of all e."""
-    if not p.is_palindromic():
+    return _sine_series_each([p], sines, order)[0]
+
+
+def _sine_series_each(ps: Sequence[LaurentPolyS], sines: Iterable[tuple[int, int]],
+                      order: int) -> list[USeries]:
+    """:func:`_sine_series` of each p in ``ps``: the sine powers e >= 0 are
+    multiplied into each p, and the negative ones substituted and inverted
+    once for all of them."""
+    if not all(p.is_palindromic() for p in ps):
         raise AlgebraError(
             "substitution requires a palindromic polynomial (imaginary parts "
             "would not cancel)"
         )
-    num, den, up, down = p, LaurentPolyS.one(), 0, 0
+    nums, den, up, down = ps, LaurentPolyS.one(), 0, 0
     for a, e in sines:
         power = _sine_power(a, abs(e))
         if e >= 0:
-            num, up = power * num, up + e
+            nums, up = [power * num for num in nums], up + e
         else:
             den, down = power * den, down - e
     if not down:
-        series = _substitute(num, up, order)
+        series = [_substitute(q, up, order) for q in nums]
     else:
         # window order + down - up: the inverse ends at order - up, and the
         # numerator's series starts at u^up or later
-        series = _substitute(den, down, order + 2 * down - up).inverse()
-        if num != LaurentPolyS.one():
-            series = _substitute(num, up, order + down) * series
-    if series.order != order:
+        inverse = _substitute(den, down, order + 2 * down - up).inverse()
+        series = [inverse if q == LaurentPolyS.one()
+                  else _substitute(q, up, order + down) * inverse for q in nums]
+    if any(s.order != order for s in series):
         raise AssertionError("truncation bookkeeping drift")
     return series
 

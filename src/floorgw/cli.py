@@ -15,7 +15,10 @@ that ``str`` writes of an int, as the JSON readers do (``algebra._int_text``):
 Rationals are strings ("num/den") so no JSON consumer can lose precision;
 identical invocations produce byte-identical output.  Each command renders
 its whole output and then hands the pieces to ``_emit``, the one writer of
-stdout, which writes them a slice at a time.
+stdout, which writes them a slice at a time.  ``main`` runs each command with
+the cyclic garbage collector paused, and restores the caller's setting on
+every exit: no command leaves a reference cycle, so the collector's passes
+over a command's objects would find nothing.
 
 A request is read from one table, ``_COMMANDS``, of each leaf command's
 flags and the keyword arguments of their ``add_argument``.  ``_read`` takes a
@@ -31,6 +34,7 @@ so help and usage errors read as they always have.  Nothing is cached.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from collections.abc import Sequence
@@ -367,6 +371,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = _read(argv) or build_parser().parse_args(argv)
+    # no command leaves a reference cycle (the tests pin it): the collector would find nothing
+    paused = gc.isenabled()
+    gc.disable()
     try:
         if "surface" in args:  # the one place a request's class is built
             delta = args.delta = _parse_surface(args)
@@ -377,6 +384,9 @@ def main(argv: list[str] | None = None) -> int:
     except (AlgebraError, DiagramError, GwError, OracleLimitError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
+    finally:
+        if paused:
+            gc.enable()
 
 
 if __name__ == "__main__":

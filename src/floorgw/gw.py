@@ -12,7 +12,8 @@ it checks the order, then takes the count.  ``_f_class`` builds the F0 and
 F2 classes, the empty class h = d = 0 counting 0 at genus n + 1.
 ``algebra._sine_series`` builds every series here, a Laurent polynomial
 times sine powers substituted once: the count series, the vertex, the
-diagram sum and each side of the AB check.
+diagram sum and each side of the AB check, whose two sides share one sine
+product (``algebra._sine_series_each``).
 Two series do not start from the count:
 
 * vertex:       sum_g N(g) u^(2g+len(mu)+len(nu))
@@ -65,6 +66,7 @@ from .algebra import (
     USeries,
     _sine_power,
     _sine_series,
+    _sine_series_each,
     _whole,
 )
 from .diagrams import (
@@ -90,9 +92,9 @@ class GwError(ValueError):
 
 
 # Caps on the work of one request, sized on a shared 2-vCPU x86-64 host.  At order 500 the
-# slowest series known is still ``ab_identity_check(3, 0, 11)``: about 0.95 s in process, as
-# at g0 = 0 each side inverts S^2 and multiplies by the inverse (4.8-8.5 s at order 750,
-# 18.5 s at 1000).  A vertex's sine product is a Laurent polynomial of
+# slowest series known is still ``ab_identity_check(3, 0, 11)``: about 0.75-0.85 s in
+# process, as at g0 = 0 both sides share one inverse of S^2 and each multiplies by it
+# (about 3.8 s at order 750).  A vertex's sine product is a Laurent polynomial of
 # 2 * (|mu| + |nu|) + 1 coefficients; with distinct parts 1..140, |mu| = 9870, it takes
 # about 0.5 s at order 500 on the same host.
 _ORDER_CAP = 500
@@ -176,6 +178,14 @@ def _f_class(k: int, h: int, d: int, n: int) -> tuple[HTransverseDegree | None, 
     if _whole(n, "n", DiagramError) < 0:
         raise DiagramError(f"n must be nonnegative, got {n}")
     return None, n + 1
+
+
+def _f0_class(a: int, b: int, n: int) -> tuple[HTransverseDegree | None, int]:
+    """The F0 class a*D + (a+b)*F by :func:`_f_class`, a and b refused as
+    integers first, so that their sum is only ever taken of two ints."""
+    _whole(a, "a", DiagramError)
+    _whole(b, "b", DiagramError)
+    return _f_class(0, a, a + b, n)
 
 
 def _count(delta: HTransverseDegree | None, n: int) -> LaurentPolyS:
@@ -326,7 +336,7 @@ def f0_absolute_series(a: int, b: int, n: int, order: int = 16) -> GwSeries:
     contacts traded away.  A negative b with a + b >= 0 is a class too.  Not
     exported: the left side of ``verify ab``'s series level, which floorbench traces.
     """
-    delta, g0 = _f_class(0, a, a + b, n)
+    delta, g0 = _f0_class(a, b, n)
     return _count_series("absolute_F0", delta, n, g0, -2, order)
 
 
@@ -372,18 +382,19 @@ def ab_identity_check(a: int, b: int, n: int, order: int = 16) -> AbIdentityRepo
     order.  Every F2 class has the genus g0 of the F0 class, so each right
     term is (F2 count) * S^(2*g0 - 2) and the series level is the polynomial
     identity under one substitution: it compares the two count sums, each
-    times S^(2*g0 - 2).  Every class is built (the F2 class (a, b) refuses
+    times S^(2*g0 - 2), with one sine product for both (at g0 = 0, one
+    inverse of S^2).  Every class is built (the F2 class (a, b) refuses
     b < 0) before the order check, and each refined count is taken once for
     both levels.  Returns both sides of both levels.
     """
-    f0, g0 = _f_class(0, a, a + b, n)
+    f0, g0 = _f0_class(a, b, n)
     f2 = [_f_class(2, a - j, b + 2 * j, n)[0] for j in range(a + 1)]
     _order_check(order, 2 * g0 - 2)
     lhs_poly = _count(f0, n)
     rhs_poly = sum((comb(b + 2 * j, j) * _count(f2[j], n) for j in range(a + 1)),
                    LaurentPolyS.zero())
-    lhs_series = _sine_series(lhs_poly, [(1, 2 * g0 - 2)], order)
-    rhs_series = _sine_series(rhs_poly, [(1, 2 * g0 - 2)], order)
+    # at g0 = 0 both sides divide by S^2: one inverse serves both
+    lhs_series, rhs_series = _sine_series_each([lhs_poly, rhs_poly], [(1, 2 * g0 - 2)], order)
     return AbIdentityReport(a, b, n, lhs_poly, rhs_poly, lhs_poly == rhs_poly,
                             lhs_series, rhs_series, lhs_series == rhs_series)
 

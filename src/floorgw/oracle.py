@@ -10,6 +10,9 @@ exactly once.  The shapes are found by a depth-first search over the ranks,
 cut by two lower bounds on the unbounded edges a partial shape already needs
 (see ``_shapes``), and each shape's linear extensions are listed gap by gap
 (see ``_extensions``).  Every diagram passes the full invariant validator.
+Both recursive searches clear their own cell once they return, so the
+listing leaves no reference cycle: reference counting frees it, and the CLI
+can run with the cyclic collector paused.
 The oracle's weight profiles come per shape, not per diagram: every diagram
 of a shape has the shape's bounded edge weights, so the listing adds each
 shape's diagram count under them, into a dict its caller passes.
@@ -140,6 +143,7 @@ def _shapes(delta: HTransverseDegree, n: int) -> list:
                        used_in, used_out, left)
 
     choose(0, 0, d_b - divergence, 0, 0, n_bounded)
+    del choose  # its cell refers back to it: cleared, the search leaves no reference cycle
     return shapes
 
 
@@ -183,6 +187,7 @@ def _extensions(h: int, classes: dict, divergence: int, made: dict, orders: dict
             gaps.pop()
 
     distribute(0, 1, [classes[key] for key in keys])
+    del distribute  # as in ``_shapes``: no cycle keeps the shape's diagrams alive
     return diagrams
 
 

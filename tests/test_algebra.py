@@ -27,8 +27,8 @@ from floorgw import (
     refined_count,
     vertex_series,
 )
-from floorgw.algebra import (_sine_power, _sine_series, _substitute, lp_substitute_exponential,
-                             rational_from_str, sin_factor_series)
+from floorgw.algebra import (_sine_power, _sine_series, _sine_series_each, _substitute,
+                             lp_substitute_exponential, rational_from_str, sin_factor_series)
 from floorgw.gw import f0_absolute_series
 from helpers import FrozenUSeries, bernoulli, frozen_substitute
 
@@ -877,14 +877,18 @@ def product_route(p, sines, order):
     return result
 
 
-@given(st.lists(st.integers(-9, 9), min_size=1, max_size=5),
+@given(st.lists(st.lists(st.integers(-9, 9), min_size=1, max_size=5), min_size=1, max_size=3),
        st.lists(st.tuples(st.integers(1, 5), st.integers(-3, 4)), max_size=4),
        st.integers(1, 120))
 @settings(max_examples=60, deadline=None)
-def test_sine_series_matches_the_product_route(half_coeffs, sines, window):
-    p = palindrome(half_coeffs)
+def test_sine_series_matches_the_product_route(halves, sines, window):
+    """``_sine_series`` of one polynomial, and ``_sine_series_each`` of several
+    with one shared inverse, each equal the product route."""
+    ps = [palindrome(half) for half in halves]
     order = sum(e for _, e in sines) + window
-    assert_same_series(_sine_series(p, sines, order), product_route(p, sines, order))
+    assert_same_series(_sine_series(ps[0], sines, order), product_route(ps[0], sines, order))
+    for got, p in zip(_sine_series_each(ps, sines, order), ps, strict=True):
+        assert_same_series(got, product_route(p, sines, order))
 
 
 def test_sine_power_is_the_repeated_product():

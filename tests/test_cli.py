@@ -1,5 +1,6 @@
 """Command-line behavior: payloads, exit codes, determinism."""
 
+import gc
 import hashlib
 import io
 import json
@@ -502,6 +503,36 @@ def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("argv,code", [
+    ("count --surface p2 --degree 3 --genus 0", 0),
+    ("verify ab --a 1 --b 0 --points 2", 1),  # a negative genus, refused in the command
+    ("count --surface p2 --points 2", 2),  # an incomplete surface, refused in main's try
+    ("count --surface p2 --degree 3", 2),  # refused by argparse, before the command
+])
+def test_main_restores_the_collector_on_every_exit(capsys, monkeypatch, enabled, argv, code):
+    """The command runs with the cyclic collector off, and ``main`` leaves it
+    as the caller had it, on a normal return, a domain error and a usage
+    error (a ``SystemExit``) alike."""
+    seen = []
+    real = cli.refined_count
+    monkeypatch.setattr(cli, "refined_count",
+                        lambda delta, n: seen.append(gc.isenabled()) or real(delta, n))
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if code == 2:
+            with pytest.raises(SystemExit) as exc:
+                main(argv.split())
+            assert exc.value.code == 2
+        else:
+            assert main(argv.split()) == code
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
+    capsys.readouterr()
+    assert seen == ([False] if code == 0 else [])
 
 
 def run_usage(capsys, monkeypatch, argv):

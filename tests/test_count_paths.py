@@ -14,7 +14,9 @@ polynomiality in the degree and refined universality across surfaces.
 """
 
 import gc
+import io
 from collections import Counter
+from contextlib import redirect_stdout
 from fractions import Fraction
 from functools import cache
 from math import comb
@@ -23,16 +25,20 @@ import pytest
 
 from floorgw import (
     LaurentPolyS,
+    brute_force_enumerate,
+    brute_force_refined_count,
     classical_count,
     degree_hirzebruch,
     degree_p2,
     diagram_count,
     enumerate_marked,
     lp_eval_at_one,
+    oracle_cross_check,
     points_for_genus,
     refined_count,
     weight_profiles,
 )
+from floorgw import cli
 from floorgw.algebra import _Memo
 from floorgw.diagrams import refined_multiplicity
 import floorgw.diagrams as diagrams
@@ -449,16 +455,42 @@ def test_plane_count_is_one_at_maximal_genus_and_zero_above(d):
     assert refined_count(delta, points_for_genus(delta, top + 1)).is_zero()
 
 
+# one well-formed request per subcommand, each exiting 0
+_CLI_REQUESTS = [
+    "enumerate --surface p2 --degree 4 --genus 0 --format json",
+    "count --surface p2 --degree 4 --genus 0 --refined",
+    "gw --surface p2 --degree 4 --genus 0",
+    "log-gw --surface fk --k 1 --h 2 --d 1 --genus 1 --format csv",
+    "vertex --mu 2,1 --nu 1",
+    "verify degeneration --surface p2 --degree 4 --genus 0",
+    "verify ab --a 2 --b 0 --points 7",
+    "verify oracle --surface fk --k 1 --h 3 --d 2 --genus 0",
+]
+
+
 def test_refined_count_leaves_no_cyclic_garbage():
-    """The layers of the count and the generators of the listing are freed
-    on return by reference counting alone."""
+    """The layers of the count, the generators of the listing, the oracle's
+    search and every CLI command are freed on return by reference counting
+    alone, which is what lets ``cli.main`` run with the collector paused."""
+    p2, f1 = degree_p2(4), degree_hirzebruch(1, 3, 2)
+    calls = [
+        ("weight_profiles", lambda: weight_profiles(p2, 11)),
+        ("refined_count", lambda: refined_count(p2, 11)),
+        ("enumerate_marked", lambda: enumerate_marked(p2, 11)),
+        ("brute_force_enumerate", lambda: brute_force_enumerate(f1, 13)),
+        ("brute_force_refined_count", lambda: brute_force_refined_count(f1, 13)),
+        ("oracle_cross_check", lambda: oracle_cross_check(f1, 13)),
+    ]
     gc.collect()
     gc.disable()
     try:
-        weight_profiles(degree_p2(4), 11)
-        refined_count(degree_p2(4), 11)
-        enumerate_marked(degree_p2(4), 11)
-        assert gc.collect() == 0
+        for name, call in calls:
+            call()
+            assert gc.collect() == 0, name
+        for argv in _CLI_REQUESTS:
+            with redirect_stdout(io.StringIO()):
+                assert cli.main(argv.split()) == 0, argv
+            assert gc.collect() == 0, argv
     finally:
         gc.enable()
 

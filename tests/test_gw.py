@@ -366,6 +366,9 @@ def test_ab_identity_rejects_bad_parameters():
     (0, 0, -1, 12, "n must be nonnegative, got -1"),
     # the classes are refused before the order is checked
     (1, 0, 2, 501, "no diagrams: n = 2 gives negative genus -1 for F0(h=1,d=1)"),
+    # a and b are refused as integers before their sum is taken
+    ("x", 0, 5, 16, "a must be an integer, got 'x'"),
+    (3, "x", 5, 16, "b must be an integer, got 'x'"),
 ])
 def test_ab_identity_refuses_a_class_before_counting(monkeypatch, a, b, n, order, message):
     def no_count(delta, n):
@@ -406,8 +409,8 @@ def test_ab_identity_counts_each_class_once(monkeypatch):
 @pytest.mark.parametrize("a,b,n,g0", [(3, 0, 11, 0), (2, 1, 9, 0), (3, 2, 16, 1), (2, 3, 14, 1)])
 def test_ab_identity_takes_no_series_power(monkeypatch, a, b, n, g0):
     """Each side is one substitution of its count sum times S^(2*g0 - 2):
-    one Newton inverse per side when g0 = 0, none otherwise, and no series
-    power."""
+    one Newton inverse of S^2 for both sides when g0 = 0, none otherwise,
+    and no series power."""
     calls = Counter()
     real_inverse, real_pow = floorgw.algebra.USeries.inverse, floorgw.algebra.USeries.__pow__
 
@@ -422,7 +425,7 @@ def test_ab_identity_takes_no_series_power(monkeypatch, a, b, n, g0):
     monkeypatch.setattr(floorgw.algebra.USeries, "inverse", counting_inverse)
     monkeypatch.setattr(floorgw.algebra.USeries, "__pow__", counting_pow)
     assert ab_identity_check(a, b, n, 24).equal
-    assert calls == Counter(inverse=2 * (g0 == 0))
+    assert calls == Counter(inverse=int(g0 == 0))
 
 
 def assert_ab_series_matches_paper_form(a: int, b: int, n: int, order: int) -> None:
