@@ -25,6 +25,10 @@ A coefficient becomes a ``Fraction`` only where a library caller reads one
 (``coefficient``, ``coefficients``), built on each read and not kept; the
 text and the JSON write each numerator and the denominator divided by their
 gcd, through ``_ratio_texts``, the one writer of every coefficient text.
+``fractions`` is imported only by the functions that build or recognise a
+``Fraction`` (``_rational`` past its int fast path, ``rational_from_str``,
+those two readers and the scalar branch of ``USeries.__mul__``), so the
+CLI, which reads no ``Fraction``, never loads it.
 Both types share one product loop (``_convolve``), one square-and-multiply
 loop (``_power``) and one term printer (``_terms_str``), so
 ``s^-2 + 10 + s^2`` and ``u - 1/24*u^3 + O(u^5)`` read alike.
@@ -57,10 +61,12 @@ such input always signals a bug upstream.
 from __future__ import annotations
 
 from contextlib import suppress
-from fractions import Fraction
 from math import comb, factorial, gcd, lcm
 from operator import add, index
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = ["AlgebraError", "LaurentPolyS", "Partition", "USeries", "lp_eval_at_one", "q_integer",
            "rational_to_str"]
@@ -72,6 +78,9 @@ class AlgebraError(ValueError):
 
 def _rational(x) -> Fraction | int:
     """``x``, a ``Fraction`` or an int; a bool or a float is an AlgebraError."""
+    if type(x) is int:
+        return x
+    from fractions import Fraction
     if isinstance(x, Fraction) or type(x) is not bool and isinstance(x, int):
         return x
     raise AlgebraError(f"expected an exact rational, got {type(x).__name__}")
@@ -102,6 +111,7 @@ def rational_to_str(x: Fraction | int) -> str:
 
 def rational_from_str(text: str) -> Fraction:
     """The rational that :func:`rational_to_str` writes as ``text``, else an AlgebraError."""
+    from fractions import Fraction
     num, slash, den = text.partition("/") if type(text) is str else ("", "", "")
     with suppress(ValueError, ZeroDivisionError):
         if rational_to_str(x := Fraction(int(num), int(den) if slash else 1)) == text:
@@ -134,6 +144,15 @@ def _whole(value, name: str, error: type) -> int:
     if type(value) is not int:  # not isinstance: a bool is an int
         raise error(f"{name} must be an integer, got {value!r}")
     return value
+
+
+def _iterable(values, name: str):
+    """An iterator over ``values``, else an AlgebraError: an int where a
+    sequence is documented is refused, not left to a bare TypeError."""
+    try:
+        return iter(values)
+    except TypeError:
+        raise AlgebraError(f"{name} must be iterable, got {type(values).__name__}") from None
 
 
 def _json(value, kind: type, field: str):
@@ -189,8 +208,8 @@ class Partition(tuple):
     """
 
     def __new__(cls, parts: Iterable[int] = ()):
-        normalized = tuple(sorted([_whole(p, "partition part", AlgebraError) for p in parts],
-                                  reverse=True))
+        normalized = tuple(sorted([_whole(p, "partition part", AlgebraError)
+                                   for p in _iterable(parts, "partition parts")], reverse=True))
         if any(p <= 0 for p in normalized):
             raise AlgebraError(f"partition parts must be positive, got {normalized}")
         return super().__new__(cls, normalized)
@@ -370,13 +389,21 @@ class LaurentPolyS(_Frozen):
         return _read_series(cls, data, lambda c: _integer(c, "coefficient"), "valuation")
 
 
+# the largest m of q_integer: a listed diagram's weights are at most d_b <= n <= 900
+# (diagrams._MAX_POINTS), and [m]_q holds 2m - 1 coefficients
+_Q_INTEGER_CAP = 10_000
+
+
 def q_integer(m: int) -> LaurentPolyS:
     """The q-integer [m]_q = s^-(m-1) + s^-(m-3) + ... + s^(m-1).
 
-    Palindromic, with value m at s = 1.  Rejects m <= 0.
+    Palindromic, with value m at s = 1.  Rejects m <= 0 and m over
+    ``_Q_INTEGER_CAP``, before anything is built.
     """
     if _whole(m, "m", AlgebraError) <= 0:
         raise AlgebraError(f"q_integer requires a positive integer, got {m}")
+    if m > _Q_INTEGER_CAP:
+        raise AlgebraError(f"q_integer: m is over the cap _Q_INTEGER_CAP = {_Q_INTEGER_CAP}")
     coeffs = [0] * (2 * m - 1)
     coeffs[::2] = [1] * m
     return LaurentPolyS(-(m - 1), coeffs)
@@ -413,7 +440,7 @@ class USeries(_Frozen):
     def __new__(cls, valuation: int, coefficients: Iterable, order: int):
         valuation = _whole(valuation, "valuation", AlgebraError)
         order = _whole(order, "order", AlgebraError)
-        coeffs = [_rational(c) for c in coefficients]
+        coeffs = [_rational(c) for c in _iterable(coefficients, "coefficients")]
         if valuation + len(coeffs) > order:
             raise AlgebraError(
                 f"coefficient window [{valuation}, {valuation + len(coeffs)}) "
@@ -428,6 +455,7 @@ class USeries(_Frozen):
 
     @property
     def coefficients(self) -> tuple[Fraction, ...]:
+        from fractions import Fraction
         return tuple([Fraction(c, self._den) for c in self._nums])
 
     def _texts(self) -> tuple[str, ...]:
@@ -456,6 +484,7 @@ class USeries(_Frozen):
             raise AlgebraError(
                 f"coefficient of u^{exponent} is beyond truncation order {self.order}"
             )
+        from fractions import Fraction
         return Fraction(self._nums[i] if (i := exponent - self.valuation) >= 0 else 0, self._den)
 
     def truncate(self, new_order: int) -> "USeries":
@@ -490,14 +519,15 @@ class USeries(_Frozen):
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, float, Fraction)):
+        if not isinstance(other, USeries):
+            from fractions import Fraction
+            if not isinstance(other, (int, float, Fraction)):
+                return NotImplemented
             if (other := _rational(other)) == 0:
                 return USeries.zero(self.order)
             num = other.numerator
             return _series(self.valuation, [c * num for c in self._nums],
                            self._den * other.denominator, self.order)
-        if not isinstance(other, USeries):
-            return NotImplemented
         order = min(self.order + other.valuation, other.order + self.valuation)
         if self.is_zero() or other.is_zero():
             return USeries.zero(order)

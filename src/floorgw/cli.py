@@ -29,15 +29,23 @@ a usage error, ``--flag=value``, an abbreviation, a repeated flag, a negative
 value) and a ``UsageError`` (an incomplete surface, a malformed partition) go
 to the whole argparse tree that ``build_parser()`` builds from the same table,
 so help and usage errors read as they always have.  Nothing is cached.
+
+A well-formed request loads neither ``argparse`` (nor its ``gettext``) nor
+``fractions`` (nor its ``decimal`` and ``numbers``): ``argparse`` is imported
+by ``build_parser()`` and by ``_int``'s refusal only, and no command builds a
+``Fraction`` (``algebra`` imports ``fractions`` only where one is built or
+recognised).  An interpreter start plus this import is most of a small
+request's time.
 """
 
 from __future__ import annotations
 
-import argparse
 import gc
 import json
 import sys
 from collections.abc import Sequence
+from types import SimpleNamespace
+from typing import TYPE_CHECKING
 
 from .algebra import AlgebraError, Partition, _int_text, _Memo, lp_eval_at_one
 from .diagrams import (
@@ -59,6 +67,9 @@ from .gw import (
 )
 from .oracle import OracleLimitError
 
+if TYPE_CHECKING:
+    import argparse
+
 _SLICE = 1 << 17  # pieces per write of ``_emit``
 
 
@@ -67,7 +78,7 @@ class UsageError(Exception):
     argparse reports a usage error, with exit code 2."""
 
 
-def _parse_surface(args: argparse.Namespace):
+def _parse_surface(args: SimpleNamespace):
     if args.surface == "p2":
         if args.degree is None:
             raise UsageError("--surface p2 requires --degree")
@@ -91,7 +102,8 @@ def _int(text: str) -> int:
     try:
         return _int_text(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        from argparse import ArgumentTypeError
+        raise ArgumentTypeError(f"invalid int value: {text!r}") from None
 
 
 def _emit(pieces: Sequence[str], end: str = "\n") -> None:
@@ -297,10 +309,10 @@ _COMMANDS = {
 }
 
 
-def _read(argv: Sequence[str]) -> argparse.Namespace | None:
-    """The Namespace of ``build_parser().parse_args(argv)`` when argv is a
+def _read(argv: Sequence[str]) -> SimpleNamespace | None:
+    """The attributes of ``build_parser().parse_args(argv)`` when argv is a
     well-formed request in its plainest spelling (see the module docstring),
-    else None."""
+    else None.  An int flag is read by ``_int_text``, so no argparse is loaded."""
     if not argv or argv[0] not in _COMMANDS:
         return None
     args = {"command": argv[0]}
@@ -324,10 +336,11 @@ def _read(argv: Sequence[str]) -> argparse.Namespace | None:
         value = next(tokens, None)
         if value is None or value.startswith("-"):
             return None
-        try:
-            value = kwargs.get("type", str)(value)
-        except argparse.ArgumentTypeError:
-            return None
+        if "type" in kwargs:  # every typed flag is an _int
+            try:
+                value = _int_text(value)
+            except ValueError:
+                return None
         if "choices" in kwargs and value not in kwargs["choices"]:
             return None
         given[flag] = value
@@ -340,7 +353,7 @@ def _read(argv: Sequence[str]) -> argparse.Namespace | None:
             # argparse's default: None, or False for the one store_true flag
             given[flag] = kwargs.get("default", False if "action" in kwargs else None)
         args[flag[2:]] = given[flag]
-    return argparse.Namespace(run=run, **args)
+    return SimpleNamespace(run=run, **args)
 
 
 def _add_subcommands(parser, dest, table) -> None:
@@ -359,7 +372,10 @@ def _add_subcommands(parser, dest, table) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The whole argparse tree, every subcommand built from ``_COMMANDS``."""
+    """The whole argparse tree, every subcommand built from ``_COMMANDS``:
+    the one place ``argparse`` is imported but ``_int``'s refusal."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="floorgw",
         description="Floor diagrams, refined counts and Gromov-Witten series",
@@ -375,7 +391,7 @@ def main(argv: list[str] | None = None) -> int:
     paused = gc.isenabled()
     gc.disable()
     try:
-        if "surface" in args:  # the one place a request's class is built
+        if "surface" in vars(args):  # the one place a request's class is built
             delta = args.delta = _parse_surface(args)
             args.n = points_for_genus(delta, args.genus) if args.points is None else args.points
         return args.run(args)

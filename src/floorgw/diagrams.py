@@ -30,7 +30,6 @@ from __future__ import annotations
 from contextlib import suppress
 from itertools import accumulate, product
 from math import comb, prod
-from operator import itemgetter
 from typing import NamedTuple
 
 from .algebra import (AlgebraError, LaurentPolyS, Partition, _Frozen, _integer, _json, _Memo,
@@ -236,10 +235,11 @@ def validate_diagram(diagram: MarkedFloorDiagram, delta: HTransverseDegree) -> N
     degree has no diagram; the counts return 0, not a refusal: see ROADMAP item 5.)
     """
     try:  # one try per diagram, none per edge
-        # the record and its edges unpacked, not read by field name: this runs on every
-        # listed diagram, and unpacking refuses a record of the wrong arity
+        # the record and its edges unpacked, not read by field name or index: this runs on
+        # every listed diagram, unpacking refuses a record of the wrong arity, and the
+        # partition reads each position as the edge loop does (a dict edge unpacks its keys)
         n, vertices, divergence, edges = diagram
-        positions = sorted([*vertices, *map(itemgetter(0), edges)])
+        positions = sorted([*vertices, *[position for position, _, _, _ in edges]])
         if positions != list(range(1, n + 1)):
             raise InvalidDiagram("positions do not partition 1..n into vertices and edges")
         if len(vertices) != delta.height:

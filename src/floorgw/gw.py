@@ -56,9 +56,8 @@ check the two count sums.
 from __future__ import annotations
 
 from collections import Counter
-from fractions import Fraction
 from math import comb, prod
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .algebra import (
     LaurentPolyS,
@@ -67,6 +66,7 @@ from .algebra import (
     _sine_power,
     _sine_series,
     _sine_series_each,
+    _series,
     _whole,
 )
 from .diagrams import (
@@ -81,6 +81,9 @@ from .diagrams import (
     weight_profiles,
 )
 from .oracle import brute_force_enumerate, check_cap
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = ["AbIdentityReport", "CrossCheckReport", "GwError", "GwSeries", "OracleReport",
            "ab_identity_check", "degeneration_cross_check", "degeneration_series",
@@ -219,9 +222,10 @@ def vertex_series(mu: Partition, nu: Partition, order: int) -> GwSeries:
                       f"size cap {_VERTEX_SIZE_CAP}")
     specs = sorted(Counter(mu + nu).items())
     series = _sine_series(LaurentPolyS.one(), specs, order)
-    scalar = Fraction(1, prod(part ** m for part, m in specs))
-    return GwSeries(series * scalar, "vertex", None, None,
-                    exponent_offset=len(mu) + len(nu), g_min=0)
+    # divided by the integer prod part^m: its denominator times it, no Fraction built
+    series = _series(series.valuation, series._nums,
+                     series._den * prod(part ** m for part, m in specs), order)
+    return GwSeries(series, "vertex", None, None, exponent_offset=len(mu) + len(nu), g_min=0)
 
 
 def gw_relative_series(delta: HTransverseDegree, n: int, order: int = 16) -> GwSeries:

@@ -27,8 +27,10 @@ from floorgw import (
     refined_count,
     vertex_series,
 )
-from floorgw.algebra import (_sine_power, _sine_series, _sine_series_each, _substitute,
-                             lp_substitute_exponential, rational_from_str, sin_factor_series)
+from floorgw.algebra import (_Q_INTEGER_CAP, _sine_power, _sine_series, _sine_series_each,
+                             _substitute, lp_substitute_exponential, rational_from_str,
+                             sin_factor_series)
+from floorgw.diagrams import _MAX_POINTS
 from floorgw.gw import f0_absolute_series
 from helpers import FrozenUSeries, bernoulli, frozen_substitute
 
@@ -205,6 +207,26 @@ def test_entry_points_refuse_a_bool_or_a_float_in_one_message(build, name, value
     with pytest.raises(AlgebraError) as refused:
         build()
     assert str(refused.value) == f"{name} must be an integer, got {value!r}"
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: Partition(3), "partition parts must be iterable, got int"),
+    (lambda: USeries(0, 5, 3), "coefficients must be iterable, got int"),
+    (lambda: vertex_series(1, (), 16), "partition parts must be iterable, got int"),
+    (lambda: q_integer(10**30), "q_integer: m is over the cap _Q_INTEGER_CAP = 10000"),
+], ids=["partition-int", "series-int-coefficients", "vertex-int-mu", "q-integer-huge"])
+def test_entry_points_refuse_a_non_iterable_or_an_over_cap_size(build, message):
+    """Once a bare TypeError or OverflowError; a size is refused before
+    anything is allocated."""
+    with pytest.raises(AlgebraError) as refused:
+        build()
+    assert str(refused.value) == message
+
+
+def test_q_integer_cap_is_well_above_every_listed_weight():
+    """A weight is at most d_b <= n <= _MAX_POINTS; [m]_q at the cap is built."""
+    assert _MAX_POINTS < _Q_INTEGER_CAP // 10
+    assert lp_eval_at_one(q_integer(_Q_INTEGER_CAP)) == _Q_INTEGER_CAP
 
 
 def test_useries_mul_examples():

@@ -1014,16 +1014,87 @@ COMMANDS = ("enumerate", "count", "gw", "log-gw", "vertex",
             "verify degeneration", "verify ab", "verify oracle")
 
 
+SRC = str(Path(cli.__file__).parents[1])
+# modules that no well-formed request runs: argparse with gettext, fractions with
+# decimal and numbers; pytest itself imports argparse, so only a fresh process shows them
+LAZY = ("argparse", "gettext", "fractions", "decimal", "numbers")
+
+
 def test_import_loads_no_introspection_modules():
     # dataclasses would load inspect, ast, dis and tokenize into every floorgw
     # process, most of the package's own import time; -S keeps site hooks out
-    src = str(Path(cli.__file__).parents[1])
-    code = (f"import sys; sys.path.insert(0, {src!r}); import floorgw.cli; "
-            "print(sorted({'dataclasses', 'inspect', 'ast', 'dis', 'tokenize'}"
+    code = (f"import sys; sys.path.insert(0, {SRC!r}); import floorgw.cli; "
+            f"print(sorted({{'dataclasses', 'inspect', 'ast', 'dis', 'tokenize', *{LAZY!r}}}"
             " & set(sys.modules)))")
     run = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
                          check=True)
     assert run.stdout == "[]\n"
+
+
+def fresh_cli(argv: list[str]) -> tuple:
+    """(exit code, stdout, stderr) of ``main(argv)`` in a fresh ``python -S`` at
+    80 columns; when ``main`` returns, stderr ends with the LAZY modules loaded."""
+    code = (f"import sys; sys.path.insert(0, {SRC!r}); from floorgw.cli import main; "
+            f"code = main({argv!r}); "
+            f"print(sorted(set({LAZY!r}) & set(sys.modules)), file=sys.stderr); sys.exit(code)")
+    run = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                         env={"COLUMNS": "80"})
+    return run.returncode, run.stdout, run.stderr
+
+
+def in_process(capsys, monkeypatch, argv: list[str]) -> tuple:
+    """(exit code, stdout, stderr) of ``main(argv)`` here, at 80 columns."""
+    monkeypatch.setenv("COLUMNS", "80")
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("command", [
+    *(f"{leaf} --format {fmt}" for leaf in (
+        "enumerate --surface p2 --degree 2 --genus 1",
+        "count --surface fk --k 2 --h 3 --d 1 --genus 0 --refined",
+        "gw --surface p2 --degree 3 --genus 1 --order 24",
+        "log-gw --surface fk --k 1 --h 3 --d 1 --genus 0 --order 24",
+        "vertex --mu 3,2,1 --nu 1,1 --order 24") for fmt in ("json", "csv", "text")),
+    *(f"{leaf} --format {fmt}" for leaf in (
+        "verify degeneration --surface p2 --degree 3 --genus 1 --order 48",
+        "verify ab --a 2 --b 1 --points 9 --order 40",
+        "verify oracle --surface p2 --degree 2 --genus 1") for fmt in ("json", "text")),
+])
+def test_well_formed_request_in_a_fresh_process_loads_no_argparse_or_fractions(
+        capsys, monkeypatch, command):
+    code, out, err = fresh_cli(command.split())
+    assert (code, out) == in_process(capsys, monkeypatch, command.split())[:2]
+    assert code == 0 and out and err == "[]\n"
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("command,code,pinned", [
+    ("--help", 0, lambda out, err: _sha(out) == HELP_DIGESTS["-h"] and err == ""),
+    ("verify --help", 0, lambda out, err: _sha(out) == HELP_DIGESTS["verify -h"] and err == ""),
+    ("frobnicate", 2, lambda out, err: out == "" and err == USAGE_ERRORS["frobnicate"]),
+    # argparse reads it, as _read reads --degree 2; main returns, so the report follows
+    ("count --surface p2 --degree=2 --points 5", 0,
+     lambda out, err: out == "classical count for P2(d=2), n = 5: 1\n"
+     and err == "['argparse', 'gettext']\n"),
+    ("count --surface p2 --degree 1_0 --points 2", 2, lambda out, err: out == ""
+     and err.endswith("floorgw count: error: argument --degree: invalid int value: '1_0'\n")),
+])
+def test_help_usage_and_unusual_spellings_in_a_fresh_process(capsys, monkeypatch, command,
+                                                             code, pinned):
+    """What the lazily imported argparse serves keeps its bytes and exit code
+    in a process that had not loaded argparse before."""
+    fresh = fresh_cli(command.split())
+    assert fresh[0] == code and pinned(*fresh[1:])
+    here = in_process(capsys, monkeypatch, command.split())
+    assert fresh[:2] == here[:2] and fresh[2].startswith(here[2])
 
 
 # one well-formed request per leaf command, in the shapes of the floorbench jobs

@@ -608,8 +608,8 @@ def _incoming(position, target):
 
 # One row per check of validate_diagram, in the order it runs them; each
 # diagram passes every earlier check.  P2 d=1 has one floor and one incoming
-# edge.  The last row repeats a vertex position, which the partition check
-# refuses.
+# edge.  The last two rows repeat a vertex position and give a dict edge, which
+# the partition check refuses.
 INVALID_DIAGRAMS = [
     ("partition", degree_p2(1), MarkedFloorDiagram(3, (2,), 1, (_incoming(1, 2),)),
      r"^positions do not partition 1\.\.n into vertices and edges$"),
@@ -656,6 +656,10 @@ INVALID_DIAGRAMS = [
     # partition check saw the vertex tuple
     ("repeated-vertex", degree_hirzebruch(0, 2, 1),
      MarkedFloorDiagram(3, (2, 2), 0, (_incoming(1, 2), Edge(3, 2, None, 1))),
+     r"^positions do not partition 1\.\.n into vertices and edges$"),
+    # unpacked, its keys are (0, None, 2, 1): once validated with position 1, its
+    # key 0's value, while the edge loop and to_json read position 0
+    ("dict-edge", degree_p2(1), MarkedFloorDiagram(2, (2,), 1, ({0: 1, None: 0, 2: 0, 1: 0},)),
      r"^positions do not partition 1\.\.n into vertices and edges$"),
 ]
 
