@@ -136,14 +136,37 @@ def _integer(value, field: str) -> int:
     if type(value) is str:
         with suppress(ValueError):
             return _int_text(value)
-    raise AlgebraError(f"{field} {value!r} is not an integer")
+    raise AlgebraError(f"{field} {_shown(value)} is not an integer")
 
 
 def _whole(value, name: str, error: type) -> int:
     """``value`` when it is an int, else ``error``: not a float, a str or a bool."""
     if type(value) is not int:  # not isinstance: a bool is an int
-        raise error(f"{name} must be an integer, got {value!r}")
+        raise error(f"{name} must be an integer, got {_shown(value)}")
     return value
+
+
+# ints this far from 0 are shown by their size: under 640 digits, no limit that
+# sys.set_int_max_str_digits can set refuses their text
+_SHOWN_BOUND = 10**100
+
+
+def _shown(value) -> str:
+    """The text of a value in a refusal: ``repr(value)``, but an int of 100 digits
+    or more is written as its sign and bit length, ``-<an int of 16610 bits>``,
+    element by element in a tuple or a list, and a value whose repr raises
+    ValueError (a ``Fraction`` of such an int) as ``<its type's name>``.  So no
+    refusal meets Python's limit on the digits of an int's text."""
+    if type(value) is int and not -_SHOWN_BOUND < value < _SHOWN_BOUND:
+        return f"{'-' if value < 0 else ''}<an int of {value.bit_length()} bits>"
+    if type(value) is list:
+        return f"[{', '.join(map(_shown, value))}]"
+    if type(value) is tuple:
+        return f"({', '.join(map(_shown, value))}{',' if len(value) == 1 else ''})"
+    try:
+        return repr(value)
+    except ValueError:
+        return f"<{type(value).__name__}>"
 
 
 def _iterable(values, name: str):
@@ -211,7 +234,7 @@ class Partition(tuple):
         normalized = tuple(sorted([_whole(p, "partition part", AlgebraError)
                                    for p in _iterable(parts, "partition parts")], reverse=True))
         if any(p <= 0 for p in normalized):
-            raise AlgebraError(f"partition parts must be positive, got {normalized}")
+            raise AlgebraError(f"partition parts must be positive, got {_shown(normalized)}")
         return super().__new__(cls, normalized)
 
     @property
@@ -401,7 +424,7 @@ def q_integer(m: int) -> LaurentPolyS:
     ``_Q_INTEGER_CAP``, before anything is built.
     """
     if _whole(m, "m", AlgebraError) <= 0:
-        raise AlgebraError(f"q_integer requires a positive integer, got {m}")
+        raise AlgebraError(f"q_integer requires a positive integer, got {_shown(m)}")
     if m > _Q_INTEGER_CAP:
         raise AlgebraError(f"q_integer: m is over the cap _Q_INTEGER_CAP = {_Q_INTEGER_CAP}")
     coeffs = [0] * (2 * m - 1)
@@ -443,8 +466,8 @@ class USeries(_Frozen):
         coeffs = [_rational(c) for c in _iterable(coefficients, "coefficients")]
         if valuation + len(coeffs) > order:
             raise AlgebraError(
-                f"coefficient window [{valuation}, {valuation + len(coeffs)}) "
-                f"exceeds truncation order {order}"
+                f"coefficient window [{_shown(valuation)}, {_shown(valuation + len(coeffs))}) "
+                f"exceeds truncation order {_shown(order)}"
             )
         den = lcm(*(c.denominator for c in coeffs))
         return _series(valuation, [c.numerator * (den // c.denominator) for c in coeffs], den,
@@ -482,7 +505,8 @@ class USeries(_Frozen):
     def coefficient(self, exponent: int) -> Fraction:
         if exponent >= self.order:
             raise AlgebraError(
-                f"coefficient of u^{exponent} is beyond truncation order {self.order}"
+                f"coefficient of u^{_shown(exponent)} is beyond truncation order "
+                f"{_shown(self.order)}"
             )
         from fractions import Fraction
         return Fraction(self._nums[i] if (i := exponent - self.valuation) >= 0 else 0, self._den)
@@ -730,9 +754,9 @@ def sin_factor_series(a: int, exponent: int, order: int) -> USeries:
     for value, name in ((a, "a"), (exponent, "exponent"), (order, "order")):
         _whole(value, name, AlgebraError)
     if a < 1:
-        raise AlgebraError(f"sine frequency must be a positive integer, got {a}")
+        raise AlgebraError(f"sine frequency must be a positive integer, got {_shown(a)}")
     if order <= exponent:
         raise AlgebraError(
-            f"order {order} leaves no coefficients for valuation {exponent}"
+            f"order {_shown(order)} leaves no coefficients for valuation {_shown(exponent)}"
         )
     return _sine_series(LaurentPolyS.one(), [(a, exponent)], order)

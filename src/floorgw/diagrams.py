@@ -28,12 +28,12 @@ per multiset of bounded edge weights; every count is a fold of its result.
 from __future__ import annotations
 
 from contextlib import suppress
-from itertools import accumulate, product
+from itertools import accumulate
 from math import comb, prod
 from typing import NamedTuple
 
 from .algebra import (AlgebraError, LaurentPolyS, Partition, _Frozen, _integer, _json, _Memo,
-                      _whole, q_integer)
+                      _shown, _whole, q_integer)
 
 __all__ = ["DiagramError", "Edge", "HTransverseDegree", "InvalidDiagram", "MarkedFloorDiagram",
            "classical_count", "degree_hirzebruch", "degree_p2", "diagram_count",
@@ -96,8 +96,8 @@ class HTransverseDegree(_Frozen):
 def degree_p2(d: int) -> HTransverseDegree:
     """Degree-d curves in the plane: d_b = d, d_t = 0, height = d, divergence 1."""
     if type(d) is not int or d <= 0:  # not isinstance: a bool is an int
-        raise DiagramError(f"plane degree must be a positive integer, got {d!r}")
-    return HTransverseDegree((("family", "p2"), ("degree", d)), d, 0, d, 1, f"P2(d={d})")
+        raise DiagramError(f"plane degree must be a positive integer, got {_shown(d)}")
+    return HTransverseDegree((("family", "p2"), ("degree", d)), d, 0, d, 1, f"P2(d={_shown(d)})")
 
 
 def degree_hirzebruch(k: int, h: int, d: int) -> HTransverseDegree:
@@ -107,11 +107,13 @@ def degree_hirzebruch(k: int, h: int, d: int) -> HTransverseDegree:
     d_b = d + k*h, d_t = d, height = h, divergence = k.
     """
     if not all(type(x) is int and x >= 0 for x in (k, h, d)):
-        raise DiagramError(f"Hirzebruch parameters must be nonnegative integers, got {(k, h, d)}")
+        raise DiagramError(
+            f"Hirzebruch parameters must be nonnegative integers, got {_shown((k, h, d))}")
     if h + d < 1:
         raise DiagramError("h + d must be at least 1")
     name = ("family", "hirzebruch"), ("k", k), ("h", h), ("d", d)
-    return HTransverseDegree(name, d + k * h, d, h, k, f"F{k}(h={h},d={d})")
+    label = f"F{_shown(k)}(h={_shown(h)},d={_shown(d)})"
+    return HTransverseDegree(name, d + k * h, d, h, k, label)
 
 
 def points_for_genus(delta: HTransverseDegree, g: int) -> int:
@@ -125,7 +127,8 @@ def _genus(delta: HTransverseDegree, n: int) -> int:
     """The genus n + 1 - |delta|; every entry point of a class refuses g < 0 here."""
     g = _whole(n, "n", DiagramError) + 1 - delta.size
     if g < 0:
-        raise DiagramError(f"no diagrams: n = {n} gives negative genus {g} for {delta.label}")
+        raise DiagramError(
+            f"no diagrams: n = {_shown(n)} gives negative genus {_shown(g)} for {delta.label}")
     return g
 
 
@@ -191,7 +194,8 @@ class MarkedFloorDiagram(NamedTuple):
         if set(div_map) != set(vertices):
             raise InvalidDiagram("divergence keys do not match the vertex list")
         if len(set(div_map.values())) > 1:
-            raise InvalidDiagram(f"divergence values {sorted(set(div_map.values()))} differ")
+            raise InvalidDiagram(
+                f"divergence values {_shown(sorted(set(div_map.values())))} differ")
         return cls(n, vertices, div_map[vertices[0]], edges)
 
 
@@ -211,7 +215,7 @@ def vertex_partitions(diagram: MarkedFloorDiagram, position: int) -> tuple[Parti
     """(mu, nu) at a vertex: weights of outgoing resp. incoming edges.  Not exported: the
     paper's vertex data, which the profile sum never lists; floorbench traces it."""
     if position not in diagram.vertex_positions:
-        raise DiagramError(f"position {position} is not a vertex of the diagram")
+        raise DiagramError(f"position {_shown(position)} is not a vertex of the diagram")
     mu = Partition(e.weight for e in diagram.edges if e.source == position)
     nu = Partition(e.weight for e in diagram.edges if e.target == position)
     return mu, nu
@@ -243,10 +247,12 @@ def validate_diagram(diagram: MarkedFloorDiagram, delta: HTransverseDegree) -> N
         if positions != list(range(1, n + 1)):
             raise InvalidDiagram("positions do not partition 1..n into vertices and edges")
         if len(vertices) != delta.height:
-            raise InvalidDiagram(f"expected {delta.height} vertices, found {len(vertices)}")
+            raise InvalidDiagram(
+                f"expected {_shown(delta.height)} vertices, found {len(vertices)}")
         if divergence != delta.divergence:
             raise InvalidDiagram(
-                f"divergence {divergence} differs from the degree's {delta.divergence}")
+                f"divergence {_shown(divergence)} differs from the degree's "
+                f"{_shown(delta.divergence)}")
         incoming_unbounded = outgoing_unbounded = 0
         flow = dict.fromkeys(vertices, 0)
         links = []  # (source, target) of each bounded edge
@@ -257,12 +263,13 @@ def validate_diagram(diagram: MarkedFloorDiagram, delta: HTransverseDegree) -> N
             if not type(position) is type(weight) is int:
                 _refuse_non_integer(diagram)
             if weight < 1:
-                raise InvalidDiagram(f"edge at position {position} has weight {weight}")
+                raise InvalidDiagram(
+                    f"edge at position {_shown(position)} has weight {_shown(weight)}")
             if source is None:
                 if target is None:
                     raise InvalidDiagram("edge with no endpoint")
                 if target not in flow:
-                    raise InvalidDiagram(f"edge target {target} is not a vertex")
+                    raise InvalidDiagram(f"edge target {_shown(target)} is not a vertex")
                 if type(target) is not int:
                     _refuse_non_integer(diagram)
                 if weight != 1:
@@ -272,7 +279,7 @@ def validate_diagram(diagram: MarkedFloorDiagram, delta: HTransverseDegree) -> N
                 incoming_unbounded += 1
                 flow[target] += weight
             elif source not in flow:  # an outgoing or a bounded edge
-                raise InvalidDiagram(f"edge source {source} is not a vertex")
+                raise InvalidDiagram(f"edge source {_shown(source)} is not a vertex")
             elif type(source) is not int:
                 _refuse_non_integer(diagram)
             elif target is None:
@@ -284,24 +291,24 @@ def validate_diagram(diagram: MarkedFloorDiagram, delta: HTransverseDegree) -> N
                 flow[source] -= weight
             else:
                 if target not in flow:
-                    raise InvalidDiagram(f"edge target {target} is not a vertex")
+                    raise InvalidDiagram(f"edge target {_shown(target)} is not a vertex")
                 if type(target) is not int:
                     _refuse_non_integer(diagram)
                 if not source < position < target:
                     raise InvalidDiagram(
-                        f"bounded edge at {position} violates source < position < target")
+                        f"bounded edge at {_shown(position)} violates source < position < target")
                 flow[target] += weight
                 flow[source] -= weight
                 links.append((source, target))
         if incoming_unbounded != delta.d_b:
-            raise InvalidDiagram(f"expected {delta.d_b} incoming unbounded edges")
+            raise InvalidDiagram(f"expected {_shown(delta.d_b)} incoming unbounded edges")
         if outgoing_unbounded != delta.d_t:
-            raise InvalidDiagram(f"expected {delta.d_t} outgoing unbounded edges")
+            raise InvalidDiagram(f"expected {_shown(delta.d_t)} outgoing unbounded edges")
         for p in vertices:
             if type(p) is not int:
                 _refuse_non_integer(diagram)
             if flow[p] != delta.divergence:
-                raise InvalidDiagram(f"divergence mismatch at vertex {p}")
+                raise InvalidDiagram(f"divergence mismatch at vertex {_shown(p)}")
         if not _connected(vertices, links):
             raise InvalidDiagram("underlying graph is disconnected")
     except InvalidDiagram:
@@ -593,7 +600,7 @@ def _limits(delta: HTransverseDegree, n: int) -> tuple:
     """
     _genus(delta, n)
     if n > _MAX_POINTS:
-        raise DiagramError(f"n = {n} for {delta.label} is over the point cap "
+        raise DiagramError(f"n = {_shown(n)} for {delta.label} is over the point cap "
                            f"_MAX_POINTS = {_MAX_POINTS}")
     h, d_b, d_t, div = delta.height, delta.d_b, delta.d_t, delta.divergence
     room = (0, *accumulate([max(0, d_b - j * div) for j in range(h - 1, 0, -1)], initial=0))
@@ -632,36 +639,63 @@ def weight_profiles(delta: HTransverseDegree, n: int) -> dict[tuple[int, ...], i
       first Betti number: only a floor adds cycles, r - 1 for r heads taken
       from one component, as an edge or an end attaches nothing.
 
+    A fourth prune is tested on each state before it is expanded, not on the
+    branches: a state whose bounded edges are all placed and whose budgets sum
+    to more than the d_t - out_used ends it has left is dead.  With no bounded
+    edge left, a floor adds a budget >= 0 and only an end spends one, one
+    unit each, while the finished state has no budget.
+
+    Inside the pass a profile is one int, sum of count_w << W * (w - 1) over
+    its weights w, W = (bounded + 1).bit_length(), so a bounded edge of
+    weight w adds the precomputed 1 << W * (w - 1).  A profile holds at most
+    ``bounded`` edges, so no count fills its W bits and no field carries
+    into the next; every w is at most d_b, since an edge's weight is at most
+    the budgets' sum, at most d_b - j * divergence while window j is open
+    (:func:`_limits`).  So the packing is one-to-one, the merges meet the
+    same profiles in the same order, and the ints are decoded to sorted
+    tuples once, at the end.
+
     :func:`_limits` says what catches a wrong bound.  Every count and every
     degeneration vertex product is a fold of the result.  The floors' head
     takes per component come from one memo of :func:`_head_takes`, dropped
     with the pass.
     """
     _, h, d_b, total_bounded, d_t, _, _ = limits = _limits(delta, n)
-    layer, takes = {(0, 0, 0, h, 0, ()): {(): 1}}, _Memo(_head_takes)
+    width = (total_bounded + 1).bit_length()
+    steps = [0] + [1 << width * (w - 1) for w in range(1, d_b + 1)]  # steps[w]: one edge of w
+    layer, takes = {(0, 0, 0, h, 0, ()): {0: 1}}, _Memo(_head_takes)
     for _ in range(n):
-        following: dict[tuple, dict[tuple[int, ...], int]] = {}
+        following: dict[tuple, dict[int, int]] = {}
         for state, profiles in layer.items():
+            _, bd_used, out_used, _, _, comps = state
+            if bd_used == total_bounded and sum([sum(b) for b, _ in comps]) > d_t - out_used:
+                continue  # budgets that the ends left cannot spend
             for ways, w, child in _state_sum(state, limits, takes):
-                total = following.setdefault(child, {})
+                step, total = steps[w], following.setdefault(child, {})
                 for profile, count in profiles.items():
-                    if w:
-                        profile = tuple(sorted(profile + (w,)))
+                    profile += step
                     total[profile] = total.get(profile, 0) + count * ways
         layer = following
-    return layer.get((d_b, total_bounded, d_t, 0, 0, (((), ()),)), {})
+    mask, profiles = (1 << width) - 1, layer.get((d_b, total_bounded, d_t, 0, 0, (((), ()),)), {})
+    return {tuple([w for w in range(1, d_b + 1) for _ in range(packed >> width * (w - 1) & mask)]):
+            count for packed, count in profiles.items()}
 
 
 def _head_takes(key: tuple) -> list[tuple[int, int, tuple, int]]:
     """The takes of a component's (sorted pending heads, last floor) by a new
-    floor, in ``product`` order: (weight taken, heads taken, sorted heads
-    left, prod of C(m, r) for r of the m heads of a weight)."""
+    floor: (weight taken, heads taken, sorted heads left, prod of C(m, r) for
+    r of the m heads of a weight), r = m for every weight at the last floor.
+
+    One fold over the weight groups, ascending: each take so far is extended
+    by every r of the next group in turn, so the first group varies slowest
+    and the takes come in the order of ``product`` over the groups' ranges."""
     heads, last = key
-    groups = [(w, heads.count(w)) for w in dict.fromkeys(heads)]
-    return [(sum([w * r for (w, _), r in zip(groups, rs)]), sum(rs),
-             tuple([w for (w, m), r in zip(groups, rs) for _ in range(m - r)]),
-             prod([comb(m, r) for (_, m), r in zip(groups, rs)]))
-            for rs in product(*[(m,) if last else range(m + 1) for _, m in groups])]
+    takes = [(0, 0, (), 1)]
+    for w in dict.fromkeys(heads):
+        m = heads.count(w)
+        takes = [(weight + w * r, taken + r, left + (w,) * (m - r), ways * comb(m, r))
+                 for weight, taken, left, ways in takes for r in ((m,) if last else range(m + 1))]
+    return takes
 
 
 def _state_sum(state: tuple, limits: tuple, takes: _Memo) -> list[tuple[int, int, tuple]]:
@@ -673,7 +707,10 @@ def _state_sum(state: tuple, limits: tuple, takes: _Memo) -> list[tuple[int, int
     ``takes`` is the pass's memo of :func:`_head_takes`.  A floor
     joins the components' takes in turn, dropping joins that close too many
     cycles, and takes r0 unbounded heads outside them: ``product`` order over
-    (r0, each component's takes), so layers and profile dicts keep their order.
+    (r0, each component's takes), and each component's takes in ``product``
+    order over its weight groups, as the fold of :func:`_head_takes` gives
+    them, so layers and profile dicts keep their order.  A child with one
+    component is ``(grown,)``, which needs no sort.
     """
     in_used, bd_used, out_used, floors, free, comps = state
     _, _, d_b, total_bounded, d_t, div, room = limits
@@ -695,12 +732,12 @@ def _state_sum(state: tuple, limits: tuple, takes: _Memo) -> list[tuple[int, int
                 left = tuple(sorted(rest + (b - w,))) if w < b else rest
                 grown = (left, tuple(sorted(heads + (w,))))
                 branches.append((m, w, (in_used, bd_used + 1, out_used, floors, free,
-                                        tuple(sorted([*others, grown])))))
+                                        tuple(sorted([*others, grown])) if others else (grown,))))
             # an outgoing end that leaves its component nothing closes it
             if ends and (b > 1 or rest or heads or not (others or floors)):
-                left = tuple(sorted(rest + (b - 1,))) if b > 1 else rest
+                grown = (tuple(sorted(rest + (b - 1,))) if b > 1 else rest, heads)
                 branches.append((m, 0, (in_used, bd_used, out_used + 1, floors, free,
-                                        tuple(sorted([*others, (left, heads)])))))
+                                        tuple(sorted([*others, grown])) if others else (grown,))))
     last = floors == 1
     if floors and not (last and (in_used < d_b or bd_used < total_bounded)):
         # the new floor's budget keeps the window test; r heads taken from one
@@ -721,8 +758,9 @@ def _state_sum(state: tuple, limits: tuple, takes: _Memo) -> list[tuple[int, int
                 if budget < least or not (budget or spent or left) and (kept or not last):
                     continue  # a closed component beside another or an unplaced floor
                 grown = (tuple(sorted(spent + (budget,) if budget else spent)), tuple(sorted(left)))
-                branches.append((unbounded * ways, 0, (in_used, bd_used, out_used, floors - 1,
-                                                       free - r0, tuple(sorted([*kept, grown])))))
+                branches.append((unbounded * ways, 0, (
+                    in_used, bd_used, out_used, floors - 1, free - r0,
+                    tuple(sorted([*kept, grown])) if kept else (grown,))))
     return branches
 
 

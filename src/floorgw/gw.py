@@ -67,6 +67,7 @@ from .algebra import (
     _sine_series,
     _sine_series_each,
     _series,
+    _shown,
     _whole,
 )
 from .diagrams import (
@@ -124,11 +125,12 @@ class GwSeries(NamedTuple):
         """The coefficient at genus g's u-power; a genus below ``g_min`` or past the
         truncation order is a GwError, never a truncated coefficient read as 0."""
         if _whole(g, "genus", GwError) < self.g_min:
-            raise GwError(f"genus {g} is below the minimal genus {self.g_min}")
+            raise GwError(f"genus {_shown(g)} is below the minimal genus {self.g_min}")
         exponent = 2 * g + self.exponent_offset
         if exponent >= self.series.order:
             raise GwError(
-                f"genus {g} sits at u^{exponent}, beyond truncation order {self.series.order}"
+                f"genus {_shown(g)} sits at u^{_shown(exponent)}, beyond truncation order "
+                f"{self.series.order}"
             )
         return self.series.coefficient(exponent)
 
@@ -159,11 +161,11 @@ class GwSeries(NamedTuple):
 def _order_check(order: int, valuation: int) -> None:
     """Reject a truncation order that is not an int, over the cap or leaving none."""
     if _whole(order, "order", GwError) > _ORDER_CAP:
-        raise GwError(f"order {order} is over the order cap {_ORDER_CAP}")
+        raise GwError(f"order {_shown(order)} is over the order cap {_ORDER_CAP}")
     if order <= valuation:
         raise GwError(
-            f"order {order} is too small: the series starts at u^{valuation}, "
-            f"so the order must be at least {valuation + 1}"
+            f"order {_shown(order)} is too small: the series starts at u^{_shown(valuation)}, "
+            f"so the order must be at least {_shown(valuation + 1)}"
         )
 
 
@@ -179,7 +181,7 @@ def _f_class(k: int, h: int, d: int, n: int) -> tuple[HTransverseDegree | None, 
         delta = degree_hirzebruch(k, h, d)
         return delta, _genus(delta, n)
     if _whole(n, "n", DiagramError) < 0:
-        raise DiagramError(f"n must be nonnegative, got {n}")
+        raise DiagramError(f"n must be nonnegative, got {_shown(n)}")
     return None, n + 1
 
 
@@ -218,7 +220,7 @@ def vertex_series(mu: Partition, nu: Partition, order: int) -> GwSeries:
     mu, nu = Partition(mu), Partition(nu)
     _order_check(order, len(mu) + len(nu))
     if mu.size + nu.size > _VERTEX_SIZE_CAP:
-        raise GwError(f"|mu| + |nu| = {mu.size + nu.size} is over the vertex "
+        raise GwError(f"|mu| + |nu| = {_shown(mu.size + nu.size)} is over the vertex "
                       f"size cap {_VERTEX_SIZE_CAP}")
     specs = sorted(Counter(mu + nu).items())
     series = _sine_series(LaurentPolyS.one(), specs, order)

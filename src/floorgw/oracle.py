@@ -30,7 +30,7 @@ from collections import Counter
 from itertools import combinations_with_replacement, product
 from operator import itemgetter
 
-from .algebra import LaurentPolyS, _Memo
+from .algebra import LaurentPolyS, _Memo, _shown
 from .diagrams import (
     Edge,
     HTransverseDegree,
@@ -225,7 +225,7 @@ def check_cap(delta: HTransverseDegree, n: int) -> None:
     """Refuse a negative genus (``diagrams._genus``), then n over ``MAX_N``, before any work."""
     _genus(delta, n)
     if n > MAX_N:
-        raise OracleLimitError(f"n = {n} exceeds the brute-force cap {MAX_N}")
+        raise OracleLimitError(f"n = {_shown(n)} exceeds the brute-force cap {MAX_N}")
 
 
 def brute_force_enumerate(delta: HTransverseDegree, n: int,

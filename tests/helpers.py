@@ -134,6 +134,40 @@ def frozen_state_sum(state: tuple, limits: tuple) -> list[tuple[int, int, tuple]
     return live
 
 
+def frozen_head_takes(key: tuple) -> list[tuple[int, int, tuple, int]]:
+    """A frozen copy of ``diagrams._head_takes`` as it was before it folded
+    over the weight groups: one ``product`` over the groups' take counts,
+    with four comprehensions per take."""
+    heads, last = key
+    groups = [(w, heads.count(w)) for w in dict.fromkeys(heads)]
+    return [(sum([w * r for (w, _), r in zip(groups, rs)]), sum(rs),
+             tuple([w for (w, m), r in zip(groups, rs) for _ in range(m - r)]),
+             prod([comb(m, r) for (_, m), r in zip(groups, rs)]))
+            for rs in product(*[(m,) if last else range(m + 1) for _, m in groups])]
+
+
+def frozen_weight_profiles(delta, n) -> tuple[dict[tuple[int, ...], int], int]:
+    """A frozen copy of the loop of ``diagrams.weight_profiles`` as it was
+    before it packed each profile into one int and left unexpanded the states
+    whose budgets the ends left cannot spend: every state is expanded, by
+    :func:`frozen_state_sum`, and each profile is a sorted tuple.  Returns the
+    profile dict and the number of states expanded."""
+    _, h, d_b, total_bounded, d_t, _, _ = limits = _limits(delta, n)
+    layer, expanded = {(0, 0, 0, h, 0, ()): {(): 1}}, 0
+    for _ in range(n):
+        following = {}
+        for state, profiles in layer.items():
+            expanded += 1
+            for ways, w, child in frozen_state_sum(state, limits):
+                total = following.setdefault(child, {})
+                for profile, count in profiles.items():
+                    if w:
+                        profile = tuple(sorted(profile + (w,)))
+                    total[profile] = total.get(profile, 0) + count * ways
+        layer = following
+    return layer.get((d_b, total_bounded, d_t, 0, 0, (((), ()),)), {}), expanded
+
+
 def frozen_enumerate_marked(delta, n):
     """A frozen copy of ``diagrams.enumerate_marked`` as it was while the sweep
     still walked each outgoing end after the last floor: every completed

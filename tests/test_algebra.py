@@ -14,9 +14,14 @@ from hypothesis import strategies as st
 
 from floorgw import (
     AlgebraError,
+    DiagramError,
+    GwError,
     LaurentPolyS,
+    OracleLimitError,
     Partition,
     USeries,
+    ab_identity_check,
+    brute_force_enumerate,
     degree_hirzebruch,
     degree_p2,
     gw_relative_series,
@@ -221,6 +226,52 @@ def test_entry_points_refuse_a_non_iterable_or_an_over_cap_size(build, message):
     with pytest.raises(AlgebraError) as refused:
         build()
     assert str(refused.value) == message
+
+
+HUGE = 10**5000  # past the 4,300 digits that Python converts to text by default
+HUGE_TEXT = "<an int of 16610 bits>"
+
+
+@pytest.mark.parametrize("build,error,message", [
+    (lambda: degree_p2(-HUGE), DiagramError,
+     f"plane degree must be a positive integer, got -{HUGE_TEXT}"),
+    (lambda: degree_hirzebruch(-HUGE, 1, 1), DiagramError,
+     f"Hirzebruch parameters must be nonnegative integers, got (-{HUGE_TEXT}, 1, 1)"),
+    (lambda: points_for_genus(degree_p2(3), -HUGE), DiagramError,
+     f"no diagrams: n = -{HUGE_TEXT} gives negative genus -{HUGE_TEXT} for P2(d=3)"),
+    (lambda: refined_count(degree_p2(3), HUGE), DiagramError,
+     f"n = {HUGE_TEXT} for P2(d=3) is over the point cap _MAX_POINTS = 900"),
+    (lambda: refined_count(degree_p2(3), -HUGE), DiagramError,
+     f"no diagrams: n = -{HUGE_TEXT} gives negative genus -{HUGE_TEXT} for P2(d=3)"),
+    (lambda: gw_relative_series(degree_p2(3), 8, HUGE), GwError,
+     f"order {HUGE_TEXT} is over the order cap 500"),
+    (lambda: vertex_series((1,), (1,), HUGE), GwError,
+     f"order {HUGE_TEXT} is over the order cap 500"),
+    (lambda: brute_force_enumerate(degree_p2(3), HUGE), OracleLimitError,
+     f"n = {HUGE_TEXT} exceeds the brute-force cap 16"),
+    (lambda: q_integer(-HUGE), AlgebraError,
+     f"q_integer requires a positive integer, got -{HUGE_TEXT}"),
+    (lambda: Partition([-HUGE]), AlgebraError,
+     f"partition parts must be positive, got (-{HUGE_TEXT},)"),
+    (lambda: USeries(0, [1], -HUGE), AlgebraError,
+     f"coefficient window [0, 1) exceeds truncation order -{HUGE_TEXT}"),
+    (lambda: gw_relative_series(degree_p2(3), 8, 10).invariant(-HUGE), GwError,
+     f"genus -{HUGE_TEXT} is below the minimal genus 0"),
+    (lambda: ab_identity_check(HUGE, 0, 11), DiagramError,
+     "no diagrams: n = 11 gives negative genus -<an int of 16612 bits> for "
+     f"F0(h={HUGE_TEXT},d={HUGE_TEXT})"),
+    (lambda: Partition([F(HUGE)]), AlgebraError,
+     "partition part must be an integer, got <Fraction>"),
+], ids=["degree-p2", "degree-hirzebruch", "points-for-genus", "count-over-cap",
+        "count-negative-genus", "gw-order", "vertex-order", "oracle-n", "q-integer",
+        "partition-part", "series-order", "invariant-genus", "ab-class", "fraction-part"])
+def test_refusals_write_an_int_past_the_digit_limit_by_its_size(build, error, message):
+    """Once a bare ValueError from the f-string of the refusal itself:
+    ``algebra._shown`` writes every refused value, an int of 100 digits or more
+    by its sign and bit length."""
+    with pytest.raises(error) as refused:
+        build()
+    assert type(refused.value) is error and str(refused.value) == message
 
 
 def test_q_integer_cap_is_well_above_every_listed_weight():

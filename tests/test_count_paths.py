@@ -19,6 +19,7 @@ from collections import Counter
 from contextlib import redirect_stdout
 from fractions import Fraction
 from functools import cache
+from itertools import combinations_with_replacement
 from math import comb
 
 import pytest
@@ -42,8 +43,8 @@ from floorgw import cli
 from floorgw.algebra import _Memo
 from floorgw.diagrams import refined_multiplicity
 import floorgw.diagrams as diagrams
-from helpers import (acceptance_grid, frozen_fold_refined, frozen_state_sum,
-                     hirzebruch_family_grid, nonzero_exponents)
+from helpers import (acceptance_grid, frozen_fold_refined, frozen_head_takes, frozen_state_sum,
+                     frozen_weight_profiles, hirzebruch_family_grid, nonzero_exponents)
 
 
 def assert_counts_match_listing(delta, n):
@@ -209,6 +210,54 @@ def f4_frozen_copy_pairs():
     :func:`larger_frozen_copy_pairs`: 72 pairs, with 63,760 states."""
     return [pair for h in range(1, 4) for d in range(4)
             for pair in genus_range(degree_hirzebruch(4, h, d), range(6))]
+
+
+def test_head_takes_fold_equals_the_frozen_product():
+    """Every sorted head tuple of at most 7 heads of weights 1..4, at a
+    last floor and before it: the same takes in the same order."""
+    for size in range(8):
+        for heads in combinations_with_replacement(range(1, 5), size):
+            for last in (False, True):
+                assert diagrams._head_takes((heads, last)) == frozen_head_takes((heads, last))
+
+
+def assert_profiles_match_frozen_pass(pairs):
+    """On each (delta, n), ``weight_profiles`` equals the frozen pass of
+    ``helpers``: the same profiles with the same counts, in the same order.
+    Returns the states the frozen pass expands and those ``weight_profiles``
+    expands, which leaves unexpanded a state whose budgets the ends it has
+    left cannot spend."""
+    frozen_states = 0
+    with pytest.MonkeyPatch.context() as patch:
+        calls = counted(patch, "_state_sum")
+        for delta, n in pairs:
+            frozen, expanded = frozen_weight_profiles(delta, n)
+            assert list(weight_profiles(delta, n).items()) == list(frozen.items()), (delta, n)
+            frozen_states += expanded
+    return frozen_states, len(calls)
+
+
+def test_weight_profiles_equal_the_frozen_pass_in_order():
+    """CI runs :func:`larger_frozen_copy_pairs` and :func:`f4_frozen_copy_pairs`."""
+    pairs = acceptance_grid() + plane_every_genus(6) + F4_FIVE_BOUNDED
+    assert assert_profiles_match_frozen_pass(pairs) == (4281, 4275)
+
+
+SEVERI_CLASSES = ([(degree_p2(5), g) for g in (0, 4, 5, 6, 7)]
+                  + [(degree_hirzebruch(2, 3, 1), 0), (degree_hirzebruch(3, 3, 0), 0)])
+
+
+def test_count_leaves_spent_states_unexpanded(monkeypatch):
+    """The seven classes of floorbench's ``severi_counts`` expand 538 states
+    in all, 580 with every state expanded: the dead-state test skips 11 on
+    F2 (3,1) and 31 on F3 (3,0), whose other 16 dead states need a look
+    further ahead.  It changes no count, so only this pins it."""
+    calls = counted(monkeypatch, "_state_sum")
+    expanded = []
+    for delta, g in SEVERI_CLASSES:
+        weight_profiles(delta, points_for_genus(delta, g))
+        expanded.append(len(calls) - sum(expanded))
+    assert expanded == [105, 76, 44, 20, 1, 157, 135]
 
 
 def test_packed_fold_equals_the_frozen_polynomial_fold():
