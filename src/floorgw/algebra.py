@@ -29,9 +29,12 @@ gcd, through ``_ratio_texts``, the one writer of every coefficient text.
 ``Fraction`` (``_rational`` past its int fast path, ``rational_from_str``,
 those two readers and the scalar branch of ``USeries.__mul__``), so the
 CLI, which reads no ``Fraction``, never loads it.
-Both types share one product loop (``_convolve``), one square-and-multiply
-loop (``_power``) and one term printer (``_terms_str``), so
-``s^-2 + 10 + s^2`` and ``u - 1/24*u^3 + O(u^5)`` read alike.
+Both types share one sum loop (``_window_sum``), one product loop
+(``_convolve``), one square-and-multiply loop (``_power``) and one term
+printer (``_terms_str``), so ``s^-2 + 10 + s^2`` and
+``u - 1/24*u^3 + O(u^5)`` read alike.  Each operation has one path: a
+zero operand or scalar goes through the general loops, which leave the zero
+of the result's order; ``**`` keeps one zero branch, which refuses 0**0.
 
 The bridge between the two worlds is the substitution s = e^(iu/2), i.e.
 q = e^(iu), performed purely over the rationals by one formula: s^k puts
@@ -45,8 +48,10 @@ prod (2 sin(a*u/2))^e.  Since 2 sin(a*u/2) = -i (s^a - s^(-a)),
 each (s^a - s^(-a))^|e| is written by the binomial formula
 (``_sine_power``, no square-and-multiply), the powers e >= 0 are
 multiplied into p and the product is substituted once with t = the sum of
-those e; the negative powers are substituted together and inverted once,
-and ``_sine_series_each`` shares that inverse among several polynomials.
+those e; the negative powers are substituted together, inverted once and
+multiplied in, p = 1 included.  It takes one polynomial: the AB check
+substitutes its identity's polynomial once and the right side apart only
+when the identity fails.
 ``lp_substitute_exponential`` (p alone, where each s^a + s^(-a) becomes
 2 cos(a*u/2)) and ``sin_factor_series`` (one sine power) are its two
 named cases, not exported: no route calls them, but they are the series of
@@ -63,7 +68,7 @@ from __future__ import annotations
 from contextlib import suppress
 from math import comb, factorial, gcd, lcm
 from operator import add, index
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -270,6 +275,18 @@ def _convolve(xs, ys, n: int) -> list[int]:
     return out
 
 
+def _window_sum(lo: int, hi: int, *windows) -> list[int]:
+    """The coefficients over [lo, hi) of the sum of the windows (valuation,
+    ints, scale), each cut at hi and multiplied by its scale: the one sum
+    loop of both series types."""
+    out = [0] * (hi - lo)
+    for valuation, ints, scale in windows:
+        ints = ints[: max(hi - valuation, 0)]
+        i = valuation - lo
+        out[i:i + len(ints)] = map(add, out[i:], ints if scale == 1 else [c * scale for c in ints])
+    return out
+
+
 def _terms_str(valuation: int, texts, var: str) -> str:
     """The nonzero terms ``c*var^k`` of a window of coefficient texts (as
     ``_ratio_texts`` writes them) starting at ``var^valuation``, joined by
@@ -336,7 +353,7 @@ class LaurentPolyS(_Frozen):
 
     def coefficient(self, exponent: int) -> int:
         """The coefficient of s^exponent: public as the reader of one term of a count."""
-        i = exponent - self.valuation
+        i = _whole(exponent, "exponent", AlgebraError) - self.valuation
         if 0 <= i < len(self.coefficients):
             return self.coefficients[i]
         return 0
@@ -355,11 +372,8 @@ class LaurentPolyS(_Frozen):
             return NotImplemented
         lo = min(self.valuation, other.valuation)
         hi = max(self.valuation + len(self.coefficients), other.valuation + len(other.coefficients))
-        out = [0] * (hi - lo)
-        for p in (self, other):
-            i = p.valuation - lo
-            out[i:i + len(p.coefficients)] = map(add, out[i:], p.coefficients)
-        return LaurentPolyS(lo, out)
+        return LaurentPolyS(lo, _window_sum(lo, hi, *[(p.valuation, p.coefficients, 1)
+                                                      for p in (self, other)]))
 
     def __neg__(self) -> "LaurentPolyS":
         return LaurentPolyS(self.valuation, [-c for c in self.coefficients])
@@ -503,7 +517,7 @@ class USeries(_Frozen):
         return not self._nums
 
     def coefficient(self, exponent: int) -> Fraction:
-        if exponent >= self.order:
+        if _whole(exponent, "exponent", AlgebraError) >= self.order:
             raise AlgebraError(
                 f"coefficient of u^{_shown(exponent)} is beyond truncation order "
                 f"{_shown(self.order)}"
@@ -513,12 +527,10 @@ class USeries(_Frozen):
 
     def truncate(self, new_order: int) -> "USeries":
         """Forget coefficients at or beyond ``new_order`` (never extends)."""
-        if new_order > self.order:
+        if _whole(new_order, "order", AlgebraError) > self.order:
             raise AlgebraError("truncate cannot increase the truncation order")
-        if new_order <= self.valuation:
-            return USeries.zero(new_order)
-        return _series(self.valuation, self._nums[: new_order - self.valuation], self._den,
-                       new_order)
+        return _series(self.valuation, self._nums[: max(new_order - self.valuation, 0)],
+                       self._den, new_order)
 
     def __add__(self, other: "USeries") -> "USeries":
         if not isinstance(other, USeries):
@@ -526,15 +538,8 @@ class USeries(_Frozen):
         order = min(self.order, other.order)
         lo = min(self.valuation, other.valuation, order)
         den = lcm(self._den, other._den)
-        vals = [0] * (order - lo)
-        for x in (self, other):
-            window = x._nums[: max(order - x.valuation, 0)]
-            if x._den != den:
-                scale = den // x._den
-                window = [c * scale for c in window]
-            i = x.valuation - lo
-            vals[i:i + len(window)] = map(add, vals[i:], window)
-        return _series(lo, vals, den, order)
+        return _series(lo, _window_sum(lo, order, *[(x.valuation, x._nums, den // x._den)
+                                                    for x in (self, other)]), den, order)
 
     def __neg__(self) -> "USeries":
         return _series(self.valuation, [-c for c in self._nums], self._den, self.order)
@@ -547,14 +552,11 @@ class USeries(_Frozen):
             from fractions import Fraction
             if not isinstance(other, (int, float, Fraction)):
                 return NotImplemented
-            if (other := _rational(other)) == 0:
-                return USeries.zero(self.order)
-            num = other.numerator
+            num = (other := _rational(other)).numerator
             return _series(self.valuation, [c * num for c in self._nums],
                            self._den * other.denominator, self.order)
+        # a zero operand's valuation is its order, so it leaves n = 0 and the zero of this order
         order = min(self.order + other.valuation, other.order + self.valuation)
-        if self.is_zero() or other.is_zero():
-            return USeries.zero(order)
         v = self.valuation + other.valuation
         n = order - v
         # each operand's window in lowest terms: a truncated or longer operand
@@ -567,6 +569,7 @@ class USeries(_Frozen):
 
     def shift(self, k: int) -> "USeries":
         """Multiply by u^k."""
+        k = _whole(k, "shift", AlgebraError)
         return _series(self.valuation + k, self._nums, self._den, self.order + k)
 
     def inverse(self) -> "USeries":
@@ -696,36 +699,27 @@ def _sine_power(a: int, e: int) -> LaurentPolyS:
 
 def _sine_series(p: LaurentPolyS, sines: Iterable[tuple[int, int]], order: int) -> USeries:
     """p(e^(iu/2)) * prod (2 sin(a*u/2))^e over (a, e) in ``sines``, to ``order``,
-    as the module docstring says; requires order > the sum of all e."""
-    return _sine_series_each([p], sines, order)[0]
-
-
-def _sine_series_each(ps: Sequence[LaurentPolyS], sines: Iterable[tuple[int, int]],
-                      order: int) -> list[USeries]:
-    """:func:`_sine_series` of each p in ``ps``: the sine powers e >= 0 are
-    multiplied into each p, and the negative ones substituted and inverted
-    once for all of them."""
-    if not all(p.is_palindromic() for p in ps):
+    as the module docstring says; requires order > the sum of all e.  The
+    sine powers e >= 0 are multiplied into p, which is substituted once; the
+    negative ones are substituted together and inverted once."""
+    if not p.is_palindromic():
         raise AlgebraError(
             "substitution requires a palindromic polynomial (imaginary parts "
             "would not cancel)"
         )
-    nums, den, up, down = ps, LaurentPolyS.one(), 0, 0
+    den, up, down = LaurentPolyS.one(), 0, 0
     for a, e in sines:
         power = _sine_power(a, abs(e))
         if e >= 0:
-            nums, up = [power * num for num in nums], up + e
+            p, up = power * p, up + e
         else:
             den, down = power * den, down - e
-    if not down:
-        series = [_substitute(q, up, order) for q in nums]
-    else:
+    series = _substitute(p, up, order + down)
+    if down:
         # window order + down - up: the inverse ends at order - up, and the
         # numerator's series starts at u^up or later
-        inverse = _substitute(den, down, order + 2 * down - up).inverse()
-        series = [inverse if q == LaurentPolyS.one()
-                  else _substitute(q, up, order + down) * inverse for q in nums]
-    if any(s.order != order for s in series):
+        series = series * _substitute(den, down, order + 2 * down - up).inverse()
+    if series.order != order:
         raise AssertionError("truncation bookkeeping drift")
     return series
 

@@ -12,8 +12,8 @@ it checks the order, then takes the count.  ``_f_class`` builds the F0 and
 F2 classes, the empty class h = d = 0 counting 0 at genus n + 1.
 ``algebra._sine_series`` builds every series here, a Laurent polynomial
 times sine powers substituted once: the count series, the vertex, the
-diagram sum and each side of the AB check, whose two sides share one sine
-product (``algebra._sine_series_each``).
+diagram sum and the AB check's sides, the right side only when its
+polynomial differs from the left (an equal report substitutes once).
 Two series do not start from the count:
 
 * vertex:       sum_g N(g) u^(2g+len(mu)+len(nu))
@@ -65,7 +65,6 @@ from .algebra import (
     USeries,
     _sine_power,
     _sine_series,
-    _sine_series_each,
     _series,
     _shown,
     _whole,
@@ -96,11 +95,12 @@ class GwError(ValueError):
 
 
 # Caps on the work of one request, sized on a shared 2-vCPU x86-64 host.  At order 500 the
-# slowest series known is still ``ab_identity_check(3, 0, 11)``: about 0.75-0.85 s in
-# process, as at g0 = 0 both sides share one inverse of S^2 and each multiplies by it
-# (about 3.8 s at order 750).  A vertex's sine product is a Laurent polynomial of
-# 2 * (|mu| + |nu|) + 1 coefficients; with distinct parts 1..140, |mu| = 9870, it takes
-# about 0.5 s at order 500 on the same host.
+# slowest series known is still ``ab_identity_check(3, 0, 11)``: about 0.42-0.51 s in
+# process (Python 3.11), as at g0 = 0 its one substitution, which serves both equal sides,
+# takes a Newton inverse of S^2 and one product with it (about 2.2 s at order 750).  A
+# vertex's sine product is a Laurent polynomial of 2 * (|mu| + |nu|) + 1 coefficients;
+# with distinct parts 1..140, |mu| = 9870, it takes about 0.5 s at order 500 on the same
+# host.
 _ORDER_CAP = 500
 _VERTEX_SIZE_CAP = 10_000
 
@@ -387,11 +387,12 @@ def ab_identity_check(a: int, b: int, n: int, order: int = 16) -> AbIdentityRepo
     sum_j C(b+2j, j) * (F2/D_(-2) series) * S^-(b+2j) to the truncation
     order.  Every F2 class has the genus g0 of the F0 class, so each right
     term is (F2 count) * S^(2*g0 - 2) and the series level is the polynomial
-    identity under one substitution: it compares the two count sums, each
-    times S^(2*g0 - 2), with one sine product for both (at g0 = 0, one
-    inverse of S^2).  Every class is built (the F2 class (a, b) refuses
-    b < 0) before the order check, and each refined count is taken once for
-    both levels.  Returns both sides of both levels.
+    identity under one substitution of each count sum times S^(2*g0 - 2).
+    So equal polynomials are substituted once, the right series being the
+    left one; only a failing identity substitutes the right polynomial too,
+    and reports both series.  Every class is built (the F2 class (a, b)
+    refuses b < 0) before the order check, and each refined count is taken
+    once for both levels.  Returns both sides of both levels.
     """
     f0, g0 = _f0_class(a, b, n)
     f2 = [_f_class(2, a - j, b + 2 * j, n)[0] for j in range(a + 1)]
@@ -399,8 +400,9 @@ def ab_identity_check(a: int, b: int, n: int, order: int = 16) -> AbIdentityRepo
     lhs_poly = _count(f0, n)
     rhs_poly = sum((comb(b + 2 * j, j) * _count(f2[j], n) for j in range(a + 1)),
                    LaurentPolyS.zero())
-    # at g0 = 0 both sides divide by S^2: one inverse serves both
-    lhs_series, rhs_series = _sine_series_each([lhs_poly, rhs_poly], [(1, 2 * g0 - 2)], order)
+    sines = [(1, 2 * g0 - 2)]
+    lhs_series = _sine_series(lhs_poly, sines, order)
+    rhs_series = lhs_series if rhs_poly == lhs_poly else _sine_series(rhs_poly, sines, order)
     return AbIdentityReport(a, b, n, lhs_poly, rhs_poly, lhs_poly == rhs_poly,
                             lhs_series, rhs_series, lhs_series == rhs_series)
 

@@ -22,6 +22,19 @@ from floorgw.algebra import (
 from floorgw.diagrams import InvalidDiagram, _head_subsets, _limits
 
 
+def assert_same_text(got: str, want: str, *context) -> None:
+    """``got == want`` tested as one bool: on a mismatch the message names the
+    first differing offset with a window of 40 characters on each side, so
+    two listings of megabytes fail at once, not after an assert's diff of
+    both whole texts."""
+    if got != want:
+        at = next((i for i, (x, y) in enumerate(zip(got, want)) if x != y),
+                  min(len(got), len(want)))
+        start, where = max(at - 40, 0), f"{context}: " if context else ""
+        raise AssertionError(f"{where}texts of {len(got)} and {len(want)} characters first differ "
+                             f"at offset {at}: {got[start:at + 40]!r} != {want[start:at + 40]!r}")
+
+
 def hirzebruch_family_grid(k_max=2, h_max=2, d_max=2):
     out = []
     for k in range(k_max + 1):

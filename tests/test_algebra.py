@@ -32,9 +32,8 @@ from floorgw import (
     refined_count,
     vertex_series,
 )
-from floorgw.algebra import (_Q_INTEGER_CAP, _sine_power, _sine_series, _sine_series_each,
-                             _substitute, lp_substitute_exponential, rational_from_str,
-                             sin_factor_series)
+from floorgw.algebra import (_Q_INTEGER_CAP, _sine_power, _sine_series, _substitute,
+                             lp_substitute_exponential, rational_from_str, sin_factor_series)
 from floorgw.diagrams import _MAX_POINTS
 from floorgw.gw import f0_absolute_series
 from helpers import FrozenUSeries, bernoulli, frozen_substitute
@@ -199,13 +198,25 @@ def test_exact_constructors_refuse_non_integers(build):
     (lambda: LaurentPolyS(-1, [1, 0, 1]) ** 1.0, "exponent", 1.0),
     (lambda: LaurentPolyS(-1, [1, 0, 1]) ** 2.5, "exponent", 2.5),
     (lambda: LaurentPolyS(-1, [1, 0, 1]) ** -1.0, "exponent", -1.0),
+    (lambda: USeries(1, [1, 2], 5).truncate(2.5), "order", 2.5),
+    (lambda: USeries(1, [1, 2], 5).truncate(True), "order", True),
+    (lambda: USeries(1, [1, 2], 5).shift("3"), "shift", "3"),
+    (lambda: USeries(1, [1, 2], 5).shift(True), "shift", True),
+    (lambda: USeries(1, [1, 2], 5).coefficient(None), "exponent", None),
+    (lambda: USeries(1, [1, 2], 5).coefficient(2.0), "exponent", 2.0),
+    (lambda: USeries(1, [1, 2], 5).coefficient(True), "exponent", True),
+    (lambda: LaurentPolyS(-1, [1, 0, 1]).coefficient(2.0), "exponent", 2.0),
+    (lambda: LaurentPolyS(-1, [1, 0, 1]).coefficient(True), "exponent", True),
 ], ids=["partition-float", "partition-fraction", "partition-bool", "vertex-float",
         "series-float-order", "series-bool-order", "series-float-valuation",
         "series-bool-valuation", "q-integer-bool", "q-integer-float", "sine-float-order",
         "sine-bool-frequency", "sine-float-exponent", "substitution-float-order",
         "substitution-bool-order", "series-bool-power", "series-float-power",
         "series-fractional-power", "series-negative-float-power", "poly-bool-power",
-        "poly-float-power", "poly-fractional-power", "poly-negative-float-power"])
+        "poly-float-power", "poly-fractional-power", "poly-negative-float-power",
+        "series-float-truncate", "series-bool-truncate", "series-str-shift", "series-bool-shift",
+        "series-none-coefficient", "series-float-coefficient", "series-bool-coefficient",
+        "poly-float-coefficient", "poly-bool-coefficient"])
 def test_entry_points_refuse_a_bool_or_a_float_in_one_message(build, name, value):
     """Not a bare TypeError, nor a bool read as 0 or 1: the one refusal of
     ``algebra._whole``."""
@@ -954,14 +965,15 @@ def product_route(p, sines, order):
        st.lists(st.tuples(st.integers(1, 5), st.integers(-3, 4)), max_size=4),
        st.integers(1, 120))
 @settings(max_examples=60, deadline=None)
+# p = 1 over negative sine powers alone: the numerator is substituted and multiplied
+# by the inverse as any other p is
+@example([[1]], [(1, -2)], 30)
+@example([[1], [0, 1]], [(2, -1), (1, -3)], 9)
 def test_sine_series_matches_the_product_route(halves, sines, window):
-    """``_sine_series`` of one polynomial, and ``_sine_series_each`` of several
-    with one shared inverse, each equal the product route."""
-    ps = [palindrome(half) for half in halves]
+    """``_sine_series`` of each drawn polynomial equals the product route."""
     order = sum(e for _, e in sines) + window
-    assert_same_series(_sine_series(ps[0], sines, order), product_route(ps[0], sines, order))
-    for got, p in zip(_sine_series_each(ps, sines, order), ps, strict=True):
-        assert_same_series(got, product_route(p, sines, order))
+    for p in map(palindrome, halves):
+        assert_same_series(_sine_series(p, sines, order), product_route(p, sines, order))
 
 
 def test_sine_power_is_the_repeated_product():

@@ -20,7 +20,7 @@ import floorgw.gw as gw
 import floorgw.oracle as oracle
 from floorgw.algebra import LaurentPolyS, USeries
 from floorgw.cli import main
-from helpers import acceptance_grid
+from helpers import acceptance_grid, assert_same_text
 
 
 def run_cli(capsys, *argv):
@@ -124,7 +124,8 @@ def test_enumerate_json_is_the_dumped_payload(capsys, delta, surface, g):
     code, out, _ = run_cli(capsys, "enumerate", *surface, "--genus", str(g), "--format", "json")
     listing = diagrams.enumerate_marked(delta, diagrams.points_for_genus(delta, g))
     payload = {"count": len(listing), "diagrams": [d.to_json() for d in listing]}
-    assert code == 0 and out == json.dumps(payload) + "\n"
+    assert code == 0
+    assert_same_text(out, json.dumps(payload) + "\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -217,7 +218,8 @@ def per_diagram_render(delta, n, fmt):
 @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
 def test_block_renderers_equal_the_per_diagram_render(fmt):
     for delta, n in BLOCK_CLASSES:
-        assert "".join(cli._listing(delta, n, fmt)) == per_diagram_render(delta, n, fmt), (delta, n)
+        assert_same_text("".join(cli._listing(delta, n, fmt)), per_diagram_render(delta, n, fmt),
+                         delta, n)
 
 
 def json_body(n, div, block):
@@ -341,7 +343,7 @@ def test_json_pieces_join_to_the_dumped_dicts_and_are_shared(n, div, pool, entri
     listing = [diagrams.MarkedFloorDiagram(n, floors, div, edges + tail)
                for floors, _, edges, tails in block for tail in tails]
     pieces = cli._pieces([], block, *cli._json_texts(n, div))
-    assert "".join(pieces) == ", ".join(json.dumps(d.to_json()) for d in listing)
+    assert_same_text("".join(pieces), ", ".join(json.dumps(d.to_json()) for d in listing))
     # one text per distinct head, two per distinct edge (followed by ", " or "]}"),
     # and the three constants "", ", " and "]}"
     distinct = len({d[1] for d in listing}) + 2 * len({e for d in listing for e in d.edges})

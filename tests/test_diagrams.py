@@ -41,6 +41,7 @@ from floorgw.cli import _json_texts, _pieces
 from floorgw.diagrams import _head_subsets, _root_block, refined_multiplicity, vertex_partitions
 from helpers import (
     acceptance_grid,
+    assert_same_text,
     frozen_enumerate_marked,
     frozen_sweep,
     frozen_validate_diagram,
@@ -238,7 +239,8 @@ def test_listing_order_is_pinned(delta, g, count, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
     texts = [json.dumps(d.to_json()) for d in diagrams]
     block = _root_block(delta, n)
-    assert "".join(_pieces([], block, *_json_texts(n, delta.divergence))) == ", ".join(texts)
+    assert_same_text("".join(_pieces([], block, *_json_texts(n, delta.divergence))),
+                     ", ".join(texts))
 
 
 # the d_t = 3 classes: up to three orderings of the outgoing ends per last floor

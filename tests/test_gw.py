@@ -32,7 +32,7 @@ from floorgw import (
     rational_to_str,
     vertex_series,
 )
-from floorgw.algebra import sin_factor_series
+from floorgw.algebra import _sine_series, sin_factor_series
 from floorgw.diagrams import vertex_partitions
 from floorgw.gw import f0_absolute_series, f2_relative_dminus2_series
 from helpers import acceptance_grid, bernoulli, nonzero_exponents
@@ -408,11 +408,17 @@ def test_ab_identity_counts_each_class_once(monkeypatch):
 
 @pytest.mark.parametrize("a,b,n,g0", [(3, 0, 11, 0), (2, 1, 9, 0), (3, 2, 16, 1), (2, 3, 14, 1)])
 def test_ab_identity_takes_no_series_power(monkeypatch, a, b, n, g0):
-    """Each side is one substitution of its count sum times S^(2*g0 - 2):
-    one Newton inverse of S^2 for both sides when g0 = 0, none otherwise,
-    and no series power."""
+    """An equal report substitutes its count sum times S^(2*g0 - 2) once, the
+    right series being the left one: one Newton inverse of S^2 and two
+    substitutions (S^2 and the polynomial) when g0 = 0, else one
+    substitution, and no series power."""
     calls = Counter()
     real_inverse, real_pow = floorgw.algebra.USeries.inverse, floorgw.algebra.USeries.__pow__
+    real_substitute = floorgw.algebra._substitute
+
+    def counting_substitute(p, turns, order):
+        calls["substitute"] += 1
+        return real_substitute(p, turns, order)
 
     def counting_inverse(self):
         calls["inverse"] += 1
@@ -424,8 +430,27 @@ def test_ab_identity_takes_no_series_power(monkeypatch, a, b, n, g0):
 
     monkeypatch.setattr(floorgw.algebra.USeries, "inverse", counting_inverse)
     monkeypatch.setattr(floorgw.algebra.USeries, "__pow__", counting_pow)
+    monkeypatch.setattr(floorgw.algebra, "_substitute", counting_substitute)
     assert ab_identity_check(a, b, n, 24).equal
-    assert calls == Counter(inverse=int(g0 == 0))
+    assert calls == Counter(inverse=int(g0 == 0), substitute=2 if g0 == 0 else 1)
+
+
+@pytest.mark.parametrize("a,b,n,g0", [(2, 1, 9, 0), (3, 2, 16, 1)])
+def test_a_failing_ab_identity_reports_both_sides(monkeypatch, a, b, n, g0):
+    """With one F2 class miscounted, both levels fail and each series is its
+    own polynomial times S^(2*g0 - 2), the right one substituted apart."""
+    real, wrong = floorgw.gw._count, degree_hirzebruch(2, a - 1, b + 2)
+
+    def miscounting(delta, n):
+        count = real(delta, n)
+        return count + LaurentPolyS.one() if delta == wrong else count
+
+    monkeypatch.setattr(floorgw.gw, "_count", miscounting)
+    report = ab_identity_check(a, b, n, 24)
+    assert not report.polynomial_equal and not report.series_equal and not report.equal
+    for series, polynomial in ((report.lhs_series, report.lhs_polynomial),
+                               (report.rhs_series, report.rhs_polynomial)):
+        assert series == _sine_series(polynomial, [(1, 2 * g0 - 2)], 24)
 
 
 def assert_ab_series_matches_paper_form(a: int, b: int, n: int, order: int) -> None:
