@@ -34,7 +34,12 @@ Both types share one sum loop (``_window_sum``), one product loop
 printer (``_terms_str``), so ``s^-2 + 10 + s^2`` and
 ``u - 1/24*u^3 + O(u^5)`` read alike.  Each operation has one path: a
 zero operand or scalar goes through the general loops, which leave the zero
-of the result's order; ``**`` keeps one zero branch, which refuses 0**0.
+of the result's order, and so does a substitution with no coefficient of
+the right parity below its order; ``**`` keeps one zero branch, which
+refuses 0**0.  Both types, like ``diagrams.HTransverseDegree``, derive from
+``_Frozen``, whose ``_fill`` writes every instance's slots: a
+``LaurentPolyS`` with all coefficients zero is filled as (0, ()) by the
+same call as any other, and the one other write is ``USeries``' text cache.
 
 The bridge between the two worlds is the substitution s = e^(iu/2), i.e.
 q = e^(iu), performed purely over the rationals by one formula: s^k puts
@@ -214,11 +219,18 @@ class _Memo(dict):
 
 
 class _Frozen:
-    """The slots-only base of the immutable value types: a write after the
-    constructor's ``object.__setattr__`` is refused, and pickle and copy
+    """The slots-only base of the immutable value types: ``_fill`` writes the
+    slots at construction, every later write is refused, and pickle and copy
     rebuild an instance from its slots in order."""
 
     __slots__ = ()
+
+    def _fill(self, *values):
+        """Write ``values`` into the slots in order and return the instance:
+        the one writer at construction of every value type."""
+        for slot, value in zip(self.__slots__, values):
+            object.__setattr__(self, slot, value)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -327,12 +339,7 @@ class LaurentPolyS(_Frozen):
             lo += 1
         while hi > lo and coeffs[hi - 1] == 0:
             hi -= 1
-        if lo == hi:
-            object.__setattr__(self, "valuation", 0)
-            object.__setattr__(self, "coefficients", ())
-        else:
-            object.__setattr__(self, "valuation", valuation + lo)
-            object.__setattr__(self, "coefficients", tuple(coeffs[lo:hi]))
+        self._fill(valuation + lo if lo < hi else 0, tuple(coeffs[lo:hi]))
 
     @classmethod
     def zero(cls) -> "LaurentPolyS":
@@ -652,11 +659,7 @@ def _series(valuation: int, nums, den: int, order: int) -> USeries:
     else:
         nums = (*nums[lo:], *[0] * (order - valuation - len(nums)))
         valuation += lo
-    series = object.__new__(USeries)
-    for slot, value in (("valuation", valuation), ("order", order), ("_nums", nums),
-                        ("_den", den), ("_strs", None)):
-        object.__setattr__(series, slot, value)
-    return series
+    return object.__new__(USeries)._fill(valuation, order, nums, den, None)
 
 
 def _substitute(p: LaurentPolyS, turns: int, order: int) -> USeries:
@@ -666,7 +669,9 @@ def _substitute(p: LaurentPolyS, turns: int, order: int) -> USeries:
     coefficients at u^m with m - turns odd are 0 and are not summed.  For
     the others (-k)^m = (-1)^turns k^m, so s^k and s^-k are summed as one
     term.  The sums[m] / (2^m m!) are written over one denominator
-    2^top top!, top the last such m below the order.
+    2^top top!, top the last such m below the order, or 0 when there is
+    none (order 1, turns odd): every sum is then 0, and the general path
+    writes the zero series.  Requires order >= 1.
     """
     parity = turns % 2
     folded: dict[int, int] = {}
@@ -679,9 +684,7 @@ def _substitute(p: LaurentPolyS, turns: int, order: int) -> USeries:
             for m in range(parity, order, 2):
                 sums[m] += power
                 power *= step
-    top = order - 1 - (order - 1 - parity) % 2
-    if top < 0:
-        return USeries.zero(order)
+    top = max(order - 1 - (order - 1 - parity) % 2, 0)
     scale = 1  # 2^top top! / (2^m m!)
     for m in range(top, -1, -2):
         sums[m] *= scale if (m - turns) // 2 % 2 == 0 else -scale

@@ -34,14 +34,15 @@ A well-formed request loads neither ``argparse`` (nor its ``gettext``) nor
 ``fractions`` (nor its ``decimal`` and ``numbers``): ``argparse`` is imported
 by ``build_parser()`` and by ``_int``'s refusal only, and no command builds a
 ``Fraction`` (``algebra`` imports ``fractions`` only where one is built or
-recognised).  An interpreter start plus this import is most of a small
-request's time.
+recognised).  ``json`` is imported by ``_dumps`` alone, so only a request
+that writes a JSON payload loads it; the JSON listing is written from its
+own texts and loads none.  An interpreter start plus this import is most of
+a small request's time.
 """
 
 from __future__ import annotations
 
 import gc
-import json
 import sys
 from collections.abc import Sequence
 from types import SimpleNamespace
@@ -112,6 +113,13 @@ def _emit(pieces: Sequence[str], end: str = "\n") -> None:
     pieces are rendered before the call: an error leaves stdout empty."""
     for start in range(0, len(pieces), _SLICE):
         sys.stdout.write(end.join([*pieces[start:start + _SLICE], ""]))
+
+
+def _dumps(payload) -> str:
+    """``json.dumps`` of a JSON payload: ``json`` is imported here alone, so a
+    text or CSV request never loads it."""
+    import json
+    return json.dumps(payload)
 
 
 def _json_texts(n: int, div: int) -> tuple:
@@ -193,7 +201,7 @@ def _cmd_count(args) -> int:
         payload: dict = {"classical": classical}
         if args.refined:
             payload["refined"] = refined.to_json()
-        _emit([json.dumps(payload)])
+        _emit([_dumps(payload)])
     elif args.format == "csv":
         _emit(["classical,refined", f"{classical},{refined}"] if args.refined
               else ["classical", str(classical)])
@@ -214,7 +222,7 @@ def _cmd_series(args) -> int:
         gw = make(args.delta, args.n, args.order)
         header = f"{gw.kind} series for {args.delta.label}, n = {args.n}"
     if args.format == "json":
-        _emit([json.dumps(gw.to_json())])
+        _emit([_dumps(gw.to_json())])
         return 0
     rows = gw._invariant_texts()
     if args.format == "csv":
@@ -228,7 +236,7 @@ def _verdict(fmt: str, report, lines) -> int:
     """Write a ``verify`` report from ``gw``, rendering only the format asked
     for: JSON of its ``to_json()`` or the text ``lines(report)``.  Exit code 0
     iff it is equal."""
-    _emit([json.dumps(report.to_json())] if fmt == "json" else lines(report))
+    _emit([_dumps(report.to_json())] if fmt == "json" else lines(report))
     return 0 if report.equal else 1
 
 

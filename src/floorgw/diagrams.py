@@ -64,9 +64,7 @@ class HTransverseDegree(_Frozen):
     __slots__ = ("name", "d_b", "d_t", "height", "divergence", "label")
 
     def __init__(self, name, d_b, d_t, height, divergence, label):
-        fields = name, d_b, d_t, height, divergence, label
-        for slot, value in zip(self.__slots__, fields):
-            object.__setattr__(self, slot, value)
+        self._fill(name, d_b, d_t, height, divergence, label)
 
     @property
     def size(self) -> int:
@@ -788,14 +786,14 @@ def fold_refined(profiles: dict[tuple[int, ...], int]) -> LaurentPolyS:
     product and partial sum, has coefficients >= 0, so each of its
     coefficients is at most its value at s = 1, and that value is at most T
     < 2^(B-1).  So no slot of any packed int reaches 2^B, no carry crosses
-    a slot, and each int operation is the polynomial operation.
+    a slot, and each int operation is the polynomial operation.  An empty
+    dict needs no case of its own: E = 0, the sum is 0, and its one slot
+    unpacks to the zero polynomial.
     """
-    if not profiles:
-        return LaurentPolyS.zero()
     bits = sum(c * prod(weights) ** 2 for weights, c in profiles.items()).bit_length() + 1
     squares = {w: sum(min(j + 1, 2 * w - 1 - j) << bits * j for j in range(2 * w - 1))
                for w in set().union(*profiles)}
-    top = max(sum(weights) - len(weights) for weights in profiles)  # E / 2
+    top = max((sum(weights) - len(weights) for weights in profiles), default=0)  # E / 2
     total = sum(count * prod(map(squares.__getitem__, weights))
                 << bits * (top - sum(weights) + len(weights))
                 for weights, count in profiles.items())

@@ -80,6 +80,60 @@ def listing_profiles(delta, diagrams):
     return {key[ends:]: count for key, count in keys.items()}
 
 
+def disconnected_refined_counts(delta) -> list:
+    """R(delta, n) for n = 0, 1, ..., the refined count of the possibly
+    disconnected marked floor diagrams of ``delta`` on n points, by one
+    forward pass over the positions that keeps no components.  It shares no
+    code with ``diagrams._state_sum``, ``weight_profiles`` or ``_walk``, and
+    reads only ``LaurentPolyS`` and ``q_integer``.  A state is (incoming ends used, outgoing ends used,
+    floors left, free incoming heads, the sorted positive budgets of the
+    placed floors, the sorted weights of the pending bounded heads).  At each
+    position the state places an incoming head; a bounded edge of weight
+    w <= b from one of the floors of budget b, times [w]_q^2; an outgoing
+    end from one of them; or a floor that takes r0 free heads and a
+    sub-multiset of the pending heads, in C(free, r0) prod C(m_w, r_w) ways,
+    with budget = weight taken + r0 - divergence >= 0 (a divergence-0 floor
+    may take nothing).  Nothing bounds the number of bounded edges, so the
+    finished state at layer n is R(delta, n), and the pass ends when no
+    state is left.  No branch is pruned."""
+    d_b, d_t, div = delta.d_b, delta.d_t, delta.divergence
+    # free heads, pending weights and budgets together never exceed the incoming ends placed
+    squares = {w: q_integer(w) ** 2 for w in range(1, d_b + 1)}
+    zero = LaurentPolyS.zero()
+    layer, counts = {(0, 0, delta.height, 0, (), ()): LaurentPolyS.one()}, []
+    while layer:
+        counts.append(layer.get((d_b, d_t, 0, 0, (), ()), zero))
+        after = {}
+        for (ins, outs, floors, free, budgets, pending), value in layer.items():
+            branches = []
+            if ins < d_b:
+                branches.append((value, (ins + 1, outs, floors, free + 1, budgets, pending)))
+            for b in set(budgets):
+                rest = list(budgets)
+                rest.remove(b)
+                placed = value * budgets.count(b)
+                for w in range(1, b + 1):
+                    branches.append((placed * squares[w], (
+                        ins, outs, floors, free, tuple(sorted(rest + [b - w] * (w < b))),
+                        tuple(sorted(pending + (w,))))))
+                if outs < d_t:
+                    branches.append((placed, (ins, outs + 1, floors, free,
+                                              tuple(sorted(rest + [b - 1] * (b > 1))), pending)))
+            groups = [(w, pending.count(w)) for w in sorted(set(pending))]
+            for r0, *takes in product(range(free + 1), *[range(m + 1) for _, m in groups]):
+                budget = sum([w * r for (w, _), r in zip(groups, takes)]) + r0 - div
+                if floors and budget >= 0:
+                    ways = comb(free, r0) * prod([comb(m, r) for (_, m), r in zip(groups, takes)])
+                    left = tuple([w for (w, m), r in zip(groups, takes) for _ in range(m - r)])
+                    branches.append((value * ways, (
+                        ins, outs, floors - 1, free - r0,
+                        tuple(sorted(budgets + (budget,) * (budget > 0))), left)))
+            for part, child in branches:
+                after[child] = after[child] + part if child in after else part
+        layer = after
+    return counts
+
+
 def frozen_state_sum(state: tuple, limits: tuple) -> list[tuple[int, int, tuple]]:
     """A frozen copy of ``diagrams._state_sum`` as it was before it tested
     its prunes from what each branch changes: it builds every raw child,

@@ -9,8 +9,10 @@ the sum of refined multiplicities over it, its value at q = 1 and the
 number of diagrams listed; beyond it, the counts are pinned by Kontsevich's recursion, the
 WDVV recursion of F0 and F1 (and of F2 through the Abramovich-Bertram
 relation), the one- and two-node polynomials and the counts at and above
-maximal genus, none of which shares code with the sweep, and by
-polynomiality in the degree and refined universality across surfaces.
+maximal genus, none of which shares code with the sweep, by
+polynomiality in the degree and refined universality across surfaces, and,
+at every genus, by the exponential formula against a count of possibly
+disconnected diagrams that keeps no components.
 """
 
 import gc
@@ -43,8 +45,9 @@ from floorgw import cli
 from floorgw.algebra import _Memo
 from floorgw.diagrams import refined_multiplicity
 import floorgw.diagrams as diagrams
-from helpers import (acceptance_grid, frozen_fold_refined, frozen_head_takes, frozen_state_sum,
-                     frozen_weight_profiles, hirzebruch_family_grid, nonzero_exponents)
+from helpers import (acceptance_grid, disconnected_refined_counts, frozen_fold_refined,
+                     frozen_head_takes, frozen_state_sum, frozen_weight_profiles,
+                     hirzebruch_family_grid, nonzero_exponents)
 
 
 def assert_counts_match_listing(delta, n):
@@ -636,3 +639,72 @@ def assert_universal_across_surfaces(classes):
 
 def test_refined_counts_are_universal_across_surfaces():
     assert_universal_across_surfaces([(0, 5, 5), (1, 6, 5), (2, 5, 6), (0, 6, 7)])
+
+
+def class_splits(delta):
+    """Each (beta1, beta - beta1) with beta1 <= beta a class with a floor, the
+    second None where it is 0: on P2 the degrees d1 = 1..d, on F_k the
+    classes (h1, d1) with 1 <= h1 <= h and 0 <= d1 <= d."""
+    name = dict(delta.name)
+    if name["family"] == "p2":
+        d = name["degree"]
+        return [(degree_p2(d1), degree_p2(d - d1) if d1 < d else None) for d1 in range(1, d + 1)]
+    k, h, d = name["k"], name["h"], name["d"]
+    return [(degree_hirzebruch(k, h1, d1),
+             degree_hirzebruch(k, h - h1, d - d1) if (h1, d1) != (h, d) else None)
+            for h1 in range(1, h + 1) for d1 in range(d + 1)]
+
+
+def assert_exponential_formula(delta):
+    """R(delta, n) = sum over beta1 <= delta with a floor and s = 1..n of
+    C(n - 1, s - 1) N(beta1, s) R(delta - beta1, n - s), at every n up to the
+    last where either side can be nonzero; R(0, 0) = 1, and N(beta1, s) is
+    ``refined_count``, 0 at a negative genus.
+
+    R is :func:`helpers.disconnected_refined_counts`, the count of possibly
+    disconnected diagrams.  A disconnected marked diagram is a set partition
+    of its positions into connected ones, the block holding position 1
+    first, so the identity is combinatorial (Fomin-Mikhalkin,
+    arXiv:0906.3828): both sides rest on the floor-diagram theorem, and the
+    pass shares no code with ``weight_profiles``.  Returns that last n."""
+    zero, splits = LaurentPolyS.zero(), class_splits(delta)
+    counts = {None: [LaurentPolyS.one()]}
+    for part in {part for split in splits for part in split} - {None}:
+        counts[part] = disconnected_refined_counts(part)
+
+    def value(part, n):
+        return counts[part][n] if n < len(counts[part]) else zero
+
+    def last(part):
+        return max([n for n, c in enumerate(counts[part]) if c], default=-1)
+
+    refined = _Memo(lambda key: refined_count(*key))
+    top = max([last(delta), *[last(first) + last(rest) for first, rest in splits]])
+    for n in range(top + 1):
+        assert value(delta, n) == sum(
+            [refined[first, s] * value(rest, n - s) * comb(n - 1, s - 1) for first, rest in splits
+             for s in range(max(first.size - 1, 1), n + 1)], zero), (delta, n)
+    return top
+
+
+EXPONENTIAL_CLASSES = [
+    *[degree_p2(d) for d in range(1, 7)],
+    *[degree_hirzebruch(k, h, d) for k in range(5) for h in (1, 2) for d in range(3)],
+    degree_hirzebruch(1, 3, 1), degree_hirzebruch(1, 3, 2), degree_hirzebruch(0, 3, 2),
+    degree_hirzebruch(2, 3, 0)]
+
+
+@pytest.mark.parametrize("delta", EXPONENTIAL_CLASSES, ids=[delta.label for delta in
+                                                             EXPONENTIAL_CLASSES])
+def test_counts_follow_the_exponential_formula_at_every_genus(delta):
+    assert_exponential_formula(delta)
+
+
+def test_disconnected_counts_at_q_one_are_severi_degrees():
+    """The component-free pass at s = 1 counts possibly reducible curves: the
+    Severi degrees of plane quartics with 0..6 nodes, at n = 14..8, and of
+    quintics with 0..3 nodes, at n = 20..17."""
+    quartic = [lp_eval_at_one(c) for c in disconnected_refined_counts(degree_p2(4))]
+    assert quartic[:7:-1] == [1, 27, 225, 675, 666, 378, 105] and not any(quartic[:8])
+    quintic = [lp_eval_at_one(c) for c in disconnected_refined_counts(degree_p2(5))]
+    assert quintic[:16:-1] == [1, 48, 882, 7915]

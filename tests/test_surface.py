@@ -2,8 +2,10 @@
 benchmark's tracer (``floorbench/tracer.py``) wraps.  ``Tracer.install``
 reads each wrapped name with ``getattr``, so a removed one makes every traced
 benchmark run fail; this pins them in tier-1.  Also the one memo class and the
-one frozen base that every per-call table and every value type share."""
+one frozen base that every per-call table and every value type share, and the
+one writer of a value's fields."""
 
+import ast
 import inspect
 import subprocess
 import sys
@@ -55,3 +57,24 @@ def test_one_class_defines_each_table_and_immutability_hook():
     assert {hook: [cls.__qualname__ for cls in classes if hook in vars(cls)]
             for hook in ("__missing__", "__setattr__")} == {
         "__missing__": ["_Memo"], "__setattr__": ["_Frozen"]}
+
+
+def test_one_writer_of_every_value_field():
+    """``object.__setattr__`` is called only by ``_Frozen._fill``, which writes
+    every value type's slots at construction, and by ``USeries._texts``, which
+    writes the text cache: read from the source, so a constructor that writes
+    its own fields fails here."""
+    callers = []
+    for path in sorted((ROOT / "src" / "floorgw").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        scopes = {}  # each node's enclosing class or function, by qualified name
+        for parent in ast.walk(tree):
+            for child in ast.iter_child_nodes(parent):
+                name = scopes.get(parent, "")
+                if isinstance(parent, (ast.ClassDef, ast.FunctionDef)):
+                    name = f"{name}.{parent.name}" if name else parent.name
+                scopes[child] = name
+        callers += [f"{path.stem}.{scopes[node]}" for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and node.attr == "__setattr__"
+                    and isinstance(node.value, ast.Name) and node.value.id == "object"]
+    assert sorted(callers) == ["algebra.USeries._texts", "algebra._Frozen._fill"]
