@@ -611,7 +611,7 @@ class USeries(_Frozen):
         return _power(unit, k, USeries.one(unit.order)).shift(k * self.valuation)
 
     def __eq__(self, other) -> bool:
-        return (
+        return other is self or (
             isinstance(other, USeries)
             and self.order == other.order
             and self.valuation == other.valuation

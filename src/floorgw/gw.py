@@ -12,8 +12,7 @@ it checks the order, then takes the count.  ``_f_class`` builds the F0 and
 F2 classes, the empty class h = d = 0 counting 0 at genus n + 1.
 ``algebra._sine_series`` builds every series here, a Laurent polynomial
 times sine powers substituted once: the count series, the vertex, the
-diagram sum and the AB check's sides, the right side only when its
-polynomial differs from the left (an equal report substitutes once).
+diagram sum and the checks' sides.
 Two series do not start from the count:
 
 * vertex:       sum_g N(g) u^(2g+len(mu)+len(nu))
@@ -23,8 +22,9 @@ Two series do not start from the count:
 * degeneration: the diagram sum
                 sum_D (prod_E w_E^2) (prod_V vertex(mu(V), nu(V))).
                 A term depends only on the diagram's bounded edge weights,
-                so the sum adds one sine-product polynomial per
-                ``weight_profiles`` entry and substitutes the total once.
+                so the sum adds one sine product per
+                ``weight_profiles`` entry, packed in one integer as the
+                refined count is, and substitutes the total once.
                 The refined count folds the same profiles, so the two
                 routes check the series side of the degeneration theorem;
                 the tests check the profiles against listed diagrams,
@@ -48,9 +48,13 @@ valuation -1, diagram sum valuation +1) pins the convention.
 and F2 counts at the polynomial and the series level, and
 ``oracle_cross_check`` the sweep's listing and profiles against the
 brute-force oracle's.  Each check's series
-level is its polynomial identity under one substitution: the degeneration
-check compares the profiles' sine products with the packed fold, the AB
-check the two count sums.
+level is its polynomial identity under one substitution, so each check
+decides its identity once, on exact values: the degeneration check compares
+the profiles' sine products with the packed fold times its sine power, the
+AB check the two count sums, the oracle check the two profile dicts.  An
+identity that holds builds one side, substitutes or folds it once and
+reports it as both (``_sides``); only a failing identity builds the other
+side too, so that its report shows both.
 """
 
 from __future__ import annotations
@@ -255,26 +259,45 @@ def degeneration_series(delta: HTransverseDegree, n: int, order: int = 16) -> Gw
     only on its sorted bounded weights.  Every diagram has g0 + h - 1 bounded
     edges, so every term carries the same sine exponent and the sum is one
     polynomial under one substitution: the profiles' products
-    (s^w - s^-w)^(2*#w), each times its number of diagrams, summed and
-    substituted once with S^(d_b + d_t).  Its genus-g
+    (s^w - s^-w)^(2*#w), each times its number of diagrams, summed in one
+    packed integer and substituted once with S^(d_b + d_t).  Its genus-g
     coefficient sits at u^(2g - 2 + 2h + d_b + d_t): the sum equals relative *
     S^(2h), i.e. the log series (see the module docstring's exponent audit).
     """
-    return _degeneration(delta, n, order)[0]
+    g0, _, total = _degeneration(delta, n, order)
+    series = _sine_series(total, [(1, delta.d_b + delta.d_t)], order)
+    return GwSeries(series, "degeneration", delta, n, exponent_offset=_log_offset(delta), g_min=g0)
 
 
-def _degeneration(delta: HTransverseDegree, n: int, order: int) -> tuple[GwSeries, dict]:
-    """:func:`degeneration_series` with the ``weight_profiles`` it sums."""
-    g0, offset = _genus(delta, n), _log_offset(delta)
-    _order_check(order, 2 * g0 + offset)
+def _degeneration(delta: HTransverseDegree, n: int, order: int) -> tuple[int, dict, LaurentPolyS]:
+    """The order check, then g0, the ``weight_profiles`` and the sum of their
+    sine products: the diagram sum before its substitution.
+
+    A profile's product over its bounded edges, prod (s^w - s^-w)^2, is
+    q^-W prod (q^w - 1)^2 with q = s^2 and W its weight sum.  Like
+    ``fold_refined``, the sum is packed in one integer at q = 2^bits, each
+    product times its count shifted up by top - W, top the largest W, so
+    that slot j holds s^(2(j - top)).  The slots are signed: each is read as
+    the digit in [-2^(bits-1), 2^(bits-1)) that the integer's remainder
+    gives.  Each (q^w - 1)^2 has coefficients of absolute sum 4, so no
+    coefficient of the sum exceeds sum count * 4^#E in absolute value, which
+    is below 2^(bits-1); so each digit read is the coefficient.
+    """
+    g0 = _genus(delta, n)
+    _order_check(order, 2 * g0 + _log_offset(delta))
     profiles = weight_profiles(delta, n)
     # (2 sin(w*u/2))^2 = -(s^w - s^-w)^2 on each of the g0 + h - 1 bounded edges
-    sign, total = -1 if (g0 + delta.height - 1) % 2 else 1, LaurentPolyS.zero()
-    for weights, count in profiles.items():
-        total = total + prod((_sine_power(w, 2 * m) for w, m in Counter(weights).items()),
-                             start=LaurentPolyS(0, (sign * count,)))
-    series = _sine_series(total, [(1, delta.d_b + delta.d_t)], order)
-    return GwSeries(series, "degeneration", delta, n, exponent_offset=offset, g_min=g0), profiles
+    sign = -1 if (g0 + delta.height - 1) % 2 else 1
+    bits = sum(count << 2 * len(weights) for weights, count in profiles.items()).bit_length() + 1
+    top = max(map(sum, profiles), default=0)
+    total = sum(sign * count * prod([((1 << bits * w) - 1) ** 2 for w in weights])
+                << bits * (top - sum(weights)) for weights, count in profiles.items())
+    mask, half, coeffs = (1 << bits) - 1, 1 << bits - 1, []
+    for _ in range(2 * top + 1):
+        digit = ((total + half) & mask) - half
+        coeffs += (digit, 0)
+        total = (total - digit) >> bits
+    return g0, profiles, LaurentPolyS(-2 * top, coeffs[:-1])
 
 
 def log_series(delta: HTransverseDegree, n: int, order: int = 16) -> GwSeries:
@@ -285,6 +308,14 @@ def log_series(delta: HTransverseDegree, n: int, order: int = 16) -> GwSeries:
     the classical count.
     """
     return _count_series("log", delta, n, _genus(delta, n), _log_offset(delta), order)
+
+
+def _sides(holds: bool, left, right) -> tuple:
+    """The two sides of a checked identity from their builders: when it holds
+    on exact values (``holds``), ``left()`` is built once and reported as
+    both sides; only a failing identity builds ``right()`` too."""
+    value = left()
+    return value, value if holds else right()
 
 
 def _report_json(target: str, report) -> dict:
@@ -315,22 +346,32 @@ def degeneration_cross_check(
     """Compare the two evaluation routes term by term.
 
     Route one is the diagram sum of ``degeneration_series``: the weight
-    profiles' sine products, summed as polynomials and substituted once.
+    profiles' sine products, summed in one packed integer and substituted
+    once.
     Route two is the log series, relative * S^(2h): the folded refined count
-    times its sine power, substituted once.  Both routes read one
+    times its sine power.  Both routes read one
     ``weight_profiles`` pass (route two through ``fold_refined``), and
     neither lists a diagram.  The series level is a polynomial identity under
-    one substitution, so the check compares the profiles' sine products with
-    the packed fold.  Both build their series with ``algebra._sine_series``
-    from nonnegative sine powers, so neither multiplies two series.  The
-    check catches an error in the count's q-integers or in the fold, but an
-    error that hits every polynomial alike, such as a wrong u-scale, or one
-    in ``USeries`` multiplication passes here; the tests' sympy and
-    schoolbook pins catch those.
+    one substitution: route one's sum of sine products, of sign (-1)^B over
+    the B = g0 + h - 1 bounded edges, against (-1)^B * fold * (s - s^-1)^(2B),
+    the (-i)^(2B) of the substitution cancelling (-1)^B.  When they agree,
+    route one alone is substituted and its series is reported as both
+    ``diagram_sum`` and ``from_refined``; only a failing identity
+    substitutes route two too.  ``equal`` stays the series comparison.  Both
+    build their series with ``algebra._sine_series`` from nonnegative sine
+    powers, so neither multiplies two series.  The check catches an error in
+    the count's q-integers or in the fold, but an error in the substitution,
+    such as a wrong u-scale, or one in ``USeries`` multiplication passes
+    here; the tests' sympy and schoolbook pins catch those.
     """
-    degeneration, profiles = _degeneration(delta, n, order)
-    diagram_sum, e = degeneration.series, 2 * degeneration.g_min + degeneration.exponent_offset
-    from_refined = _sine_series(fold_refined(profiles), [(1, e)], order)
+    g0, profiles, total = _degeneration(delta, n, order)
+    bounded, ends, refined = g0 + delta.height - 1, delta.d_b + delta.d_t, fold_refined(profiles)
+    # S^(2B) = (-1)^B (s - s^-1)^(2B) over the B bounded edges, the diagram sum's sign; a
+    # class with B < 0 has no diagram and both sides are 0
+    holds = total == (-1 if bounded % 2 else 1) * refined * _sine_power(1, 2 * bounded)
+    diagram_sum, from_refined = _sides(
+        holds, lambda: _sine_series(total, [(1, ends)], order),
+        lambda: _sine_series(refined, [(1, 2 * bounded + ends)], order))
     return CrossCheckReport(delta, n, diagram_sum, from_refined, diagram_sum == from_refined)
 
 
@@ -400,10 +441,10 @@ def ab_identity_check(a: int, b: int, n: int, order: int = 16) -> AbIdentityRepo
     lhs_poly = _count(f0, n)
     rhs_poly = sum((comb(b + 2 * j, j) * _count(f2[j], n) for j in range(a + 1)),
                    LaurentPolyS.zero())
-    sines = [(1, 2 * g0 - 2)]
-    lhs_series = _sine_series(lhs_poly, sines, order)
-    rhs_series = lhs_series if rhs_poly == lhs_poly else _sine_series(rhs_poly, sines, order)
-    return AbIdentityReport(a, b, n, lhs_poly, rhs_poly, lhs_poly == rhs_poly,
+    sines, holds = [(1, 2 * g0 - 2)], lhs_poly == rhs_poly
+    lhs_series, rhs_series = _sides(holds, lambda: _sine_series(lhs_poly, sines, order),
+                                    lambda: _sine_series(rhs_poly, sines, order))
+    return AbIdentityReport(a, b, n, lhs_poly, rhs_poly, holds,
                             lhs_series, rhs_series, lhs_series == rhs_series)
 
 
@@ -440,6 +481,7 @@ def oracle_cross_check(delta: HTransverseDegree, n: int) -> OracleReport:
     # the sweep's diagrams as plain tuples, which equal and hash like the oracle's
     sweep = Counter(_diagram_tuples(delta, n, block))
     # dict.__eq__, in C: Counter.__eq__ walks both in a generator, and here every count is positive
-    diagrams_equal = dict.__eq__(sweep, Counter(brute))
-    return OracleReport(delta, n, sweep.total(), len(brute), diagrams_equal, fold_refined(profiles),
-                        fold_refined(brute_profiles), diagrams_equal and profiles == brute_profiles)
+    diagrams_equal, holds = dict.__eq__(sweep, Counter(brute)), profiles == brute_profiles
+    folds = _sides(holds, lambda: fold_refined(profiles), lambda: fold_refined(brute_profiles))
+    return OracleReport(delta, n, sweep.total(), len(brute), diagrams_equal, *folds,
+                        diagrams_equal and holds)

@@ -424,6 +424,8 @@ def test_verify_oracle_refuses_wrong_profiles_with_an_equal_fold(capsys, monkeyp
     monkeypatch.setattr(diagrams, "weight_profiles", wrong)
     report = gw.oracle_cross_check(diagrams.degree_p2(3), 8)
     assert (report.equal, report.diagrams_equal) == (False, True)
+    # unequal profiles are folded apart, to equal polynomials
+    assert report.sweep == report.brute_force and report.sweep is not report.brute_force
     command = "verify oracle --surface p2 --degree 3 --points 8".split()
     code, out, err = run_cli(capsys, *command, "--format", "json")
     report = json.loads(out)
@@ -891,6 +893,33 @@ def test_verify_degeneration_lists_nothing(capsys, monkeypatch, command):
                              "--format", "json")
     assert code == 0 and err == ""
     assert json.loads(out)["equal"] is True
+
+
+@pytest.mark.parametrize("command", [
+    "verify degeneration --surface p2 --degree 4 --genus 1 --order 48",
+    "verify degeneration --surface fk --k 1 --h 3 --d 1 --genus 0 --order 48",
+    "verify ab --a 3 --b 0 --points 11 --order 40",
+    "verify ab --a 2 --b 1 --points 9 --order 40",
+])
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_an_agreeing_verify_job_substitutes_once(capsys, monkeypatch, command, fmt):
+    """An identity that holds on exact values is substituted once, its one
+    series reported as both sides: one ``_sine_series`` call per job."""
+    calls, real = [], gw._sine_series
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    # gw binds algebra's _sine_series at import: the wrapper goes where gw calls it
+    monkeypatch.setattr(gw, "_sine_series", counting)
+    code, out, err = run_cli(capsys, *command.split(), "--format", fmt)
+    assert (code, err, len(calls)) == (0, "", 1)
+    if fmt == "json":
+        report = json.loads(out)
+        sides = ("diagram_sum", "from_refined") if "degeneration" in command else (
+            "lhs_series", "rhs_series")
+        assert report["equal"] is True and report[sides[0]] == report[sides[1]]
 
 
 def test_listing_cap_counts_diagrams_not_multiplicities(capsys, monkeypatch):

@@ -507,6 +507,29 @@ def test_plane_count_is_one_at_maximal_genus_and_zero_above(d):
     assert refined_count(delta, points_for_genus(delta, top + 1)).is_zero()
 
 
+def assert_top_coefficient_is_binomial(d, genera=None):
+    """On P2 of degree d, the refined count at genus g has q-degree
+    delta = g_max - g and top coefficient C(g_max, g), g_max = (d - 1)(d - 2)/2
+    the maximal genus, at each g of ``genera`` (every genus when None).  An
+    edge of weight w adds w - 1 to the q-degree of its diagram's multiplicity,
+    whose top coefficient is 1, so the top coefficient counts the diagrams of
+    q-degree delta, heavy edges included, at any genus and degree in one
+    call each.  Returns the number of genera checked."""
+    delta, g_max = degree_p2(d), (d - 1) * (d - 2) // 2
+    genera = range(g_max + 1) if genera is None else genera
+    for g in genera:
+        count = refined_count(delta, points_for_genus(delta, g))
+        assert (count.degree, count.coefficients[-1]) == (2 * (g_max - g), comb(g_max, g)), (d, g)
+    return len(genera)
+
+
+def test_top_coefficient_is_the_binomial_of_the_maximal_genus():
+    """Every genus on P2 d <= 7 (42 pairs) and genus 0 on d = 8..10, where a
+    bounded edge first weighs 8 or more; CI runs every genus to d = 10."""
+    assert sum(assert_top_coefficient_is_binomial(d, None if d <= 7 else [0])
+               for d in range(1, 11)) == 45
+
+
 # one well-formed request per subcommand, each exiting 0
 _CLI_REQUESTS = [
     "enumerate --surface p2 --degree 4 --genus 0 --format json",

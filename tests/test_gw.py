@@ -28,11 +28,13 @@ from floorgw import (
     gw_relative_series,
     log_series,
     multiplicity,
+    oracle_cross_check,
     points_for_genus,
     rational_to_str,
+    refined_count,
     vertex_series,
 )
-from floorgw.algebra import _sine_series, sin_factor_series
+from floorgw.algebra import _sine_power, _sine_series, sin_factor_series
 from floorgw.diagrams import vertex_partitions
 from floorgw.gw import f0_absolute_series, f2_relative_dminus2_series
 from helpers import acceptance_grid, bernoulli, nonzero_exponents
@@ -212,6 +214,18 @@ def test_degeneration_cross_check_grid():
         assert degeneration_cross_check(delta, n, 16).equal, (delta.label, n)
 
 
+def test_an_agreeing_check_builds_one_side():
+    """Every identity of the grid holds on exact values, so the degeneration
+    check substitutes once and reports one series as both routes, and the
+    oracle check folds once and reports one polynomial as both counts."""
+    for delta, n in acceptance_grid():
+        report = degeneration_cross_check(delta, n, 16)
+        assert report.equal and report.from_refined is report.diagram_sum, (delta.label, n)
+        oracle = oracle_cross_check(delta, n)
+        assert oracle.equal and oracle.brute_force is oracle.sweep, (delta.label, n)
+        assert type(oracle.sweep) is LaurentPolyS
+
+
 @pytest.mark.parametrize(
     "delta,g",
     [(degree_p2(3), 0), (degree_p2(4), 1), (degree_hirzebruch(1, 2, 1), 0),
@@ -229,6 +243,36 @@ def test_degeneration_series_equals_literal_diagram_sum(delta, g):
         literal = literal + product.truncate(order) * multiplicity(diagram)
     assert not literal.is_zero()
     assert degeneration_series(delta, n, order).series == literal
+
+
+def polynomial_diagram_sum(profiles, bounded):
+    """The profiles' sine products summed as polynomials, one product per
+    profile: the reference for the packed sum of ``gw._degeneration``."""
+    sign, total = (-1) ** (bounded % 2), LaurentPolyS.zero()
+    for weights, count in profiles.items():
+        product = LaurentPolyS(0, (sign * count,))
+        for w in weights:
+            product = product * _sine_power(w, 2)
+        total = total + product
+    return total
+
+
+def test_packed_diagram_sum_equals_the_polynomial_sum(monkeypatch):
+    """On P2 d <= 7 and F_k with k, h, d <= 3 at genus 0..3, and on made-up
+    profiles whose counts pass 2^64, of every sign the slots can take."""
+    classes = [degree_p2(d) for d in range(1, 8)] + [
+        degree_hirzebruch(k, h, d) for k in range(4) for h in range(1, 4) for d in range(4)]
+    for delta in classes:
+        for g in range(4):
+            n = points_for_genus(delta, g)
+            g0, profiles, total = floorgw.gw._degeneration(delta, n, 40)
+            assert total == polynomial_diagram_sum(profiles, g0 + delta.height - 1), (delta, g)
+    made_up = {(1, 1, 1): 2**64 + 1, (1, 2, 5): 3**45, (4, 4, 4): 7, (1, 1, 9): 1}
+    monkeypatch.setattr(floorgw.gw, "weight_profiles", lambda delta, n: made_up)
+    # P2 d=4 at n = 11 has g0 = 0 and h = 4: three bounded edges, as each profile
+    g0, profiles, total = floorgw.gw._degeneration(degree_p2(4), 11, 40)
+    assert profiles is made_up and total == polynomial_diagram_sum(made_up, 3)
+    assert min(total.coefficients) < -2**64 < 2**64 < max(total.coefficients)
 
 
 def test_degeneration_matches_log_series_invariants():
@@ -320,6 +364,28 @@ def test_f0_series_serves_a_negative_b(order):
     D + 2F with the two rulings of P1 x P1 swapped."""
     assert (f0_absolute_series(2, -1, 5, order).series
             == f0_absolute_series(1, 1, 5, order).series)
+
+
+def assert_f0_ruling_swap(h, d, top):
+    """The refined count of F0 (h, d) equals that of F0 (d, h), the same class
+    with the two rulings of P1 x P1 swapped, at every n from the genus-0 n to
+    ``top``: the two sides sweep h floors and d floors.  Returns the number
+    of n checked."""
+    first = points_for_genus(degree_hirzebruch(0, h, d), 0)
+    for n in range(first, top + 1):
+        assert (refined_count(degree_hirzebruch(0, h, d), n)
+                == refined_count(degree_hirzebruch(0, d, h), n)), (h, d, n)
+    return top + 1 - first
+
+
+def test_f0_counts_swap_the_two_rulings():
+    """What the test above checks once, at every n <= 24 on 1 <= h < d <= 5
+    (140 triples).  Height 0 is left out: F0 (0, 1), the fiber class, counts 0
+    at n = 1 where F0 (1, 0) counts 1, the open height-0 question of ROADMAP
+    item 5.  CI runs F0 (5, 6) against F0 (6, 5) at all 21 genera."""
+    assert sum(assert_f0_ruling_swap(h, d, 24) for d in range(2, 6) for h in range(1, d)) == 140
+    assert refined_count(degree_hirzebruch(0, 0, 1), 1).is_zero()
+    assert refined_count(degree_hirzebruch(0, 1, 0), 1) == LaurentPolyS.one()
 
 
 def test_empty_f_class_counts_zero_at_genus_n_plus_one():
@@ -508,7 +574,8 @@ def test_degeneration_cross_check_takes_one_forward_pass(monkeypatch):
                          ids=["P2d3g0", "F1(2,1)g0"])
 def test_degeneration_cross_check_fails_on_a_moved_fold(monkeypatch, delta, step):
     """The check compares the profiles' sine products with the packed fold: a
-    fold whose middle coefficient moves by one, still palindromic, fails it."""
+    fold whose middle coefficient moves by one, still palindromic, fails it,
+    and the report holds both routes, each substituted apart."""
     real = floorgw.gw.fold_refined
 
     def moved(profiles):
@@ -517,7 +584,14 @@ def test_degeneration_cross_check_fails_on_a_moved_fold(monkeypatch, delta, step
         return folded
 
     monkeypatch.setattr(floorgw.gw, "fold_refined", moved)
-    assert not degeneration_cross_check(delta, points_for_genus(delta, 0), 16).equal
+    n = points_for_genus(delta, 0)
+    report = degeneration_cross_check(delta, n, 16)
+    assert not report.equal and report.from_refined != report.diagram_sum
+    # each route substituted apart: the diagram sum, and the log series plus step * S^e
+    assert report.diagram_sum == degeneration_series(delta, n, 16).series
+    log = log_series(delta, n, 16)
+    e = 2 * log.g_min + log.exponent_offset
+    assert report.from_refined == log.series + sin_factor_series(1, e, 16) * step
 
 
 # ------------------------------------------------------------ the order rule
