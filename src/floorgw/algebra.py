@@ -156,6 +156,14 @@ def _whole(value, name: str, error: type) -> int:
     return value
 
 
+def _instance(value, kind: type, name: str, error: type):
+    """``value`` when it is a ``kind``, else ``error`` naming its type: never the
+    bare AttributeError of reading a field of it."""
+    if not isinstance(value, kind):
+        raise error(f"{name} must be of type {kind.__name__}, got {type(value).__name__}")
+    return value
+
+
 # ints this far from 0 are shown by their size: under 640 digits, no limit that
 # sys.set_int_max_str_digits can set refuses their text
 _SHOWN_BOUND = 10**100
@@ -455,7 +463,7 @@ def q_integer(m: int) -> LaurentPolyS:
 
 def lp_eval_at_one(p: LaurentPolyS) -> int:
     """Value at s = 1, i.e. the plain coefficient sum (the q -> 1 limit)."""
-    return sum(p.coefficients)
+    return sum(_instance(p, LaurentPolyS, "p", AlgebraError).coefficients)
 
 
 class USeries(_Frozen):

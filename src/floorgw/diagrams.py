@@ -32,8 +32,8 @@ from itertools import accumulate
 from math import comb, prod
 from typing import NamedTuple
 
-from .algebra import (AlgebraError, LaurentPolyS, Partition, _Frozen, _integer, _json, _Memo,
-                      _shown, _whole, q_integer)
+from .algebra import (AlgebraError, LaurentPolyS, Partition, _Frozen, _instance, _integer, _json,
+                      _Memo, _shown, _whole, q_integer)
 
 __all__ = ["DiagramError", "Edge", "HTransverseDegree", "InvalidDiagram", "MarkedFloorDiagram",
            "classical_count", "degree_hirzebruch", "degree_p2", "diagram_count",
@@ -115,14 +115,18 @@ def degree_hirzebruch(k: int, h: int, d: int) -> HTransverseDegree:
 
 
 def points_for_genus(delta: HTransverseDegree, g: int) -> int:
-    """The point count n = g - 1 + |delta| of genus g; :func:`_genus` refuses g < 0."""
+    """The point count n = g - 1 + |delta| of genus g; a non-degree is refused
+    as :func:`_genus` refuses it, before |delta| is read, and g < 0 by it."""
+    delta = _instance(delta, HTransverseDegree, "delta", DiagramError)
     n = _whole(g, "genus", DiagramError) - 1 + delta.size
     _genus(delta, n)
     return n
 
 
 def _genus(delta: HTransverseDegree, n: int) -> int:
-    """The genus n + 1 - |delta|; every entry point of a class refuses g < 0 here."""
+    """The genus n + 1 - |delta|; every entry point of a class refuses a
+    non-degree and g < 0 here."""
+    _instance(delta, HTransverseDegree, "delta", DiagramError)
     g = _whole(n, "n", DiagramError) + 1 - delta.size
     if g < 0:
         raise DiagramError(
@@ -198,7 +202,9 @@ class MarkedFloorDiagram(NamedTuple):
 
 
 def multiplicity(diagram: MarkedFloorDiagram) -> int:
-    """Product of squared edge weights over all edges (unbounded ones weigh 1)."""
+    """Product of squared edge weights over all edges (unbounded ones weigh 1);
+    a value that is not a diagram is an InvalidDiagram."""
+    _instance(diagram, MarkedFloorDiagram, "diagram", InvalidDiagram)
     return prod(e.weight for e in diagram.edges) ** 2
 
 
@@ -227,7 +233,8 @@ def validate_diagram(diagram: MarkedFloorDiagram, delta: HTransverseDegree) -> N
     unbounded edge counts; every vertex's net flow equal to the divergence; connectivity;
     every field an int (an edge's ends may be None), naming the first that is not; and,
     as malformed, a record of the wrong arity, a record that is not iterable, or one
-    whose fields cannot be read by position.
+    whose fields cannot be read by position.  A ``delta`` that is not a degree is an
+    InvalidDiagram too.
 
     The genus needs no check.  With h vertices and d_b + d_t unbounded
     edges among the n positions, n - h - d_b - d_t edges are bounded, so
@@ -236,6 +243,7 @@ def validate_diagram(diagram: MarkedFloorDiagram, delta: HTransverseDegree) -> N
     h - 1 of them and the genus is >= 0.  (With h = 0 no edge has an end, so a height-0
     degree has no diagram; the counts return 0, not a refusal: see ROADMAP item 5.)
     """
+    _instance(delta, HTransverseDegree, "delta", InvalidDiagram)
     try:  # one try per diagram, none per edge
         # the record and its edges unpacked, not read by field name or index: this runs on
         # every listed diagram, unpacking refuses a record of the wrong arity, and the
@@ -771,36 +779,47 @@ def refined_count(delta: HTransverseDegree, n: int) -> LaurentPolyS:
 
 def fold_refined(profiles: dict[tuple[int, ...], int]) -> LaurentPolyS:
     """The refined count of the diagrams that ``profiles`` (a result of
-    :func:`weight_profiles`) counts: [w]_q^2 per bounded edge of weight w.
+    :func:`weight_profiles`) counts: :func:`_fold` with [w]_q^2 per bounded
+    edge of weight w, whose q-coefficients are 1, 2, ..., w, ..., 2, 1."""
+    return _fold(profiles, lambda w: [*range(1, w), *range(w, 0, -1)])
 
-    Folded in one integer (Kronecker substitution).  Every [w]_q^2 has only
-    even s-exponents, so its coefficients 1, 2, ..., w, ..., 2, 1 at
-    s^-2(w-1), ..., s^2(w-1) go into one int at B bits per q-step.  A
-    profile's product, times its count, is shifted up by
-    B * (E - sum 2(w - 1)) / 2, E the largest sum 2(w - 1) over the profiles,
-    so that every product's slot j holds s^(-E + 2j); the sum is unpacked
-    once.
 
-    B is one more than the bit length of T = sum count * prod w^2, the value
-    at s = 1.  Every polynomial here, each factor, partial product, scaled
-    product and partial sum, has coefficients >= 0, so each of its
-    coefficients is at most its value at s = 1, and that value is at most T
-    < 2^(B-1).  So no slot of any packed int reaches 2^B, no carry crosses
-    a slot, and each int operation is the polynomial operation.  An empty
-    dict needs no case of its own: E = 0, the sum is 0, and its one slot
-    unpacks to the zero polynomial.
+def _fold(profiles: dict[tuple[int, ...], int], factor) -> LaurentPolyS:
+    """sum count * prod factor(w) over the weights w of each profile of
+    ``profiles``, as a Laurent polynomial in s: ``factor(w)`` is the list of
+    q-coefficients, q = s^2, of a palindromic polynomial centred at q^0, its
+    2m + 1 entries those of q^-m, ..., q^m.  The one packed fold of the
+    package: :func:`fold_refined` takes it with [w]_q^2, and the diagram sum
+    of ``gw._degeneration`` with (2 sin(w*u/2))^2.
+
+    Folded in one integer (Kronecker substitution) at q = 2^bits: each
+    distinct weight's factor is one int, its q^-m, ..., q^m in slots
+    0, ..., 2m, and each profile's product of them, times its count, is
+    shifted up by top minus its sum of m, top the largest such sum, so that
+    slot j of the total holds s^(2(j - top)).  The total is read back once,
+    slot by slot, each slot the signed digit in [-2^(bits-1), 2^(bits-1))
+    that the remainder gives.
+
+    bits is one more than the bit length of T = sum count * prod |factor(w)|,
+    |factor(w)| the sum of the absolute values of its coefficients.  A
+    product's absolute coefficient sum is at most the product of its
+    factors', so no coefficient of the sum exceeds T < 2^(bits-1) in
+    absolute value.  The total is the sum times q^top at q = 2^bits, so each
+    digit read is its coefficient.  An empty dict needs no case of its own:
+    top = 0, the total 0, and its one slot the zero polynomial.
     """
-    bits = sum(c * prod(weights) ** 2 for weights, c in profiles.items()).bit_length() + 1
-    squares = {w: sum(min(j + 1, 2 * w - 1 - j) << bits * j for j in range(2 * w - 1))
-               for w in set().union(*profiles)}
-    top = max((sum(weights) - len(weights) for weights in profiles), default=0)  # E / 2
-    total = sum(count * prod(map(squares.__getitem__, weights))
-                << bits * (top - sum(weights) + len(weights))
-                for weights, count in profiles.items())
-    mask, coeffs = (1 << bits) - 1, []
-    for _ in range(2 * top + 1):
-        coeffs += (total & mask, 0)
-        total >>= bits
+    factors = {w: factor(w) for w in set().union(*profiles)}
+    size = {w: sum(map(abs, coeffs)) for w, coeffs in factors.items()}
+    centre = {w: len(coeffs) // 2 for w, coeffs in factors.items()}
+    bits = sum(c * prod(map(size.get, weights)) for weights, c in profiles.items()).bit_length() + 1
+    packed = {w: sum(c << bits * j for j, c in enumerate(coeffs)) for w, coeffs in factors.items()}
+    top = max((sum(map(centre.get, weights)) for weights in profiles), default=0)
+    total = sum(c * prod(map(packed.get, weights)) << bits * (top - sum(map(centre.get, weights)))
+                for weights, c in profiles.items())
+    mask, half, coeffs = (1 << bits) - 1, 1 << bits - 1, []
+    for _ in range(2 * top + 1):  # the low bits of total + half: the slot plus half, no carry
+        coeffs += (((total + half) & mask) - half, 0)
+        total = (total + half) >> bits
     return LaurentPolyS(-2 * top, coeffs[:-1])
 
 

@@ -23,8 +23,9 @@ Two series do not start from the count:
                 sum_D (prod_E w_E^2) (prod_V vertex(mu(V), nu(V))).
                 A term depends only on the diagram's bounded edge weights,
                 so the sum adds one sine product per
-                ``weight_profiles`` entry, packed in one integer as the
-                refined count is, and substitutes the total once.
+                ``weight_profiles`` entry, in the packed fold that also
+                folds the refined count (``diagrams._fold``), and
+                substitutes the total once.
                 The refined count folds the same profiles, so the two
                 routes check the series side of the degeneration theorem;
                 the tests check the profiles against listed diagrams,
@@ -53,8 +54,8 @@ decides its identity once, on exact values: the degeneration check compares
 the profiles' sine products with the packed fold times its sine power, the
 AB check the two count sums, the oracle check the two profile dicts.  An
 identity that holds builds one side, substitutes or folds it once and
-reports it as both (``_sides``); only a failing identity builds the other
-side too, so that its report shows both.
+reports it as both; only a failing identity builds the other side too, so
+that its report shows both.
 """
 
 from __future__ import annotations
@@ -77,6 +78,7 @@ from .diagrams import (
     DiagramError,
     HTransverseDegree,
     _diagram_tuples,
+    _fold,
     _genus,
     _listed,
     degree_hirzebruch,
@@ -258,9 +260,10 @@ def degeneration_series(delta: HTransverseDegree, n: int, order: int = 16) -> Gw
     diagram adds prod_w (2 sin(w*u/2))^(2*#w) * S^(d_b + d_t), which depends
     only on its sorted bounded weights.  Every diagram has g0 + h - 1 bounded
     edges, so every term carries the same sine exponent and the sum is one
-    polynomial under one substitution: the profiles' products
-    (s^w - s^-w)^(2*#w), each times its number of diagrams, summed in one
-    packed integer and substituted once with S^(d_b + d_t).  Its genus-g
+    polynomial under one substitution: the profiles' products of
+    (2 sin(w*u/2))^2 as Laurent polynomials in s, each times its number of
+    diagrams, folded in one packed integer (``_degeneration``) and
+    substituted once with S^(d_b + d_t).  Its genus-g
     coefficient sits at u^(2g - 2 + 2h + d_b + d_t): the sum equals relative *
     S^(2h), i.e. the log series (see the module docstring's exponent audit).
     """
@@ -271,33 +274,16 @@ def degeneration_series(delta: HTransverseDegree, n: int, order: int = 16) -> Gw
 
 def _degeneration(delta: HTransverseDegree, n: int, order: int) -> tuple[int, dict, LaurentPolyS]:
     """The order check, then g0, the ``weight_profiles`` and the sum of their
-    sine products: the diagram sum before its substitution.
-
-    A profile's product over its bounded edges, prod (s^w - s^-w)^2, is
-    q^-W prod (q^w - 1)^2 with q = s^2 and W its weight sum.  Like
-    ``fold_refined``, the sum is packed in one integer at q = 2^bits, each
-    product times its count shifted up by top - W, top the largest W, so
-    that slot j holds s^(2(j - top)).  The slots are signed: each is read as
-    the digit in [-2^(bits-1), 2^(bits-1)) that the integer's remainder
-    gives.  Each (q^w - 1)^2 has coefficients of absolute sum 4, so no
-    coefficient of the sum exceeds sum count * 4^#E in absolute value, which
-    is below 2^(bits-1); so each digit read is the coefficient.
+    sine products: the diagram sum before its substitution, the packed
+    ``diagrams._fold`` with (2 sin(w*u/2))^2 per bounded edge of weight w.
+    At q = s^2 = e^(iu) that factor is -(s^w - s^-w)^2 = -q^w + 2 - q^-w, so
+    its q-coefficients -1, 0, ..., 0, 2, 0, ..., 0, -1 carry the sign
+    (-1)^B of the B = g0 + h - 1 bounded edges' (s^w - s^-w)^2.
     """
     g0 = _genus(delta, n)
     _order_check(order, 2 * g0 + _log_offset(delta))
     profiles = weight_profiles(delta, n)
-    # (2 sin(w*u/2))^2 = -(s^w - s^-w)^2 on each of the g0 + h - 1 bounded edges
-    sign = -1 if (g0 + delta.height - 1) % 2 else 1
-    bits = sum(count << 2 * len(weights) for weights, count in profiles.items()).bit_length() + 1
-    top = max(map(sum, profiles), default=0)
-    total = sum(sign * count * prod([((1 << bits * w) - 1) ** 2 for w in weights])
-                << bits * (top - sum(weights)) for weights, count in profiles.items())
-    mask, half, coeffs = (1 << bits) - 1, 1 << bits - 1, []
-    for _ in range(2 * top + 1):
-        digit = ((total + half) & mask) - half
-        coeffs += (digit, 0)
-        total = (total - digit) >> bits
-    return g0, profiles, LaurentPolyS(-2 * top, coeffs[:-1])
+    return g0, profiles, _fold(profiles, lambda w: [-1, *[0] * (w - 1), 2, *[0] * (w - 1), -1])
 
 
 def log_series(delta: HTransverseDegree, n: int, order: int = 16) -> GwSeries:
@@ -308,14 +294,6 @@ def log_series(delta: HTransverseDegree, n: int, order: int = 16) -> GwSeries:
     the classical count.
     """
     return _count_series("log", delta, n, _genus(delta, n), _log_offset(delta), order)
-
-
-def _sides(holds: bool, left, right) -> tuple:
-    """The two sides of a checked identity from their builders: when it holds
-    on exact values (``holds``), ``left()`` is built once and reported as
-    both sides; only a failing identity builds ``right()`` too."""
-    value = left()
-    return value, value if holds else right()
 
 
 def _report_json(target: str, report) -> dict:
@@ -346,32 +324,36 @@ def degeneration_cross_check(
     """Compare the two evaluation routes term by term.
 
     Route one is the diagram sum of ``degeneration_series``: the weight
-    profiles' sine products, summed in one packed integer and substituted
-    once.
-    Route two is the log series, relative * S^(2h): the folded refined count
-    times its sine power.  Both routes read one
-    ``weight_profiles`` pass (route two through ``fold_refined``), and
-    neither lists a diagram.  The series level is a polynomial identity under
-    one substitution: route one's sum of sine products, of sign (-1)^B over
-    the B = g0 + h - 1 bounded edges, against (-1)^B * fold * (s - s^-1)^(2B),
-    the (-i)^(2B) of the substitution cancelling (-1)^B.  When they agree,
-    route one alone is substituted and its series is reported as both
-    ``diagram_sum`` and ``from_refined``; only a failing identity
-    substitutes route two too.  ``equal`` stays the series comparison.  Both
-    build their series with ``algebra._sine_series`` from nonnegative sine
-    powers, so neither multiplies two series.  The check catches an error in
-    the count's q-integers or in the fold, but an error in the substitution,
-    such as a wrong u-scale, or one in ``USeries`` multiplication passes
-    here; the tests' sympy and schoolbook pins catch those.
+    profiles' sine products, folded in one packed integer and substituted
+    once.  Route two is the log series, relative * S^(2h): the folded
+    refined count times its sine power.  Both routes read one
+    ``weight_profiles`` pass and one packed fold, ``diagrams._fold``, with
+    their own factors: (2 sin(w*u/2))^2 for route one, [w]_q^2 for route
+    two (``fold_refined``); neither lists a diagram.  The series level is a
+    polynomial identity under one substitution: route one's sum, of sign
+    (-1)^B over the B = g0 + h - 1 bounded edges, against
+    (-1)^B * fold * (s - s^-1)^(2B), the (-i)^(2B) of the substitution
+    cancelling (-1)^B.  When they agree, route one alone is substituted and
+    its series is reported as both ``diagram_sum`` and ``from_refined``;
+    only a failing identity substitutes route two too.  ``equal`` stays the
+    series comparison.  Both build their series with
+    ``algebra._sine_series`` from nonnegative sine powers, so neither
+    multiplies two series.
+
+    The two factors stay apart, so the check catches a wrong [w]_q^2 or a
+    wrong sine factor.  A fault of the packed fold that hits both routes
+    alike, an error in the substitution (a wrong u-scale, say) or one in
+    ``USeries`` multiplication passes here; the tests pin the fold against
+    polynomial sums, and the substitution and product against sympy and a
+    schoolbook product.
     """
     g0, profiles, total = _degeneration(delta, n, order)
     bounded, ends, refined = g0 + delta.height - 1, delta.d_b + delta.d_t, fold_refined(profiles)
     # S^(2B) = (-1)^B (s - s^-1)^(2B) over the B bounded edges, the diagram sum's sign; a
     # class with B < 0 has no diagram and both sides are 0
     holds = total == (-1 if bounded % 2 else 1) * refined * _sine_power(1, 2 * bounded)
-    diagram_sum, from_refined = _sides(
-        holds, lambda: _sine_series(total, [(1, ends)], order),
-        lambda: _sine_series(refined, [(1, 2 * bounded + ends)], order))
+    diagram_sum = _sine_series(total, [(1, ends)], order)
+    from_refined = diagram_sum if holds else _sine_series(refined, [(1, 2 * bounded + ends)], order)
     return CrossCheckReport(delta, n, diagram_sum, from_refined, diagram_sum == from_refined)
 
 
@@ -442,8 +424,8 @@ def ab_identity_check(a: int, b: int, n: int, order: int = 16) -> AbIdentityRepo
     rhs_poly = sum((comb(b + 2 * j, j) * _count(f2[j], n) for j in range(a + 1)),
                    LaurentPolyS.zero())
     sines, holds = [(1, 2 * g0 - 2)], lhs_poly == rhs_poly
-    lhs_series, rhs_series = _sides(holds, lambda: _sine_series(lhs_poly, sines, order),
-                                    lambda: _sine_series(rhs_poly, sines, order))
+    lhs_series = _sine_series(lhs_poly, sines, order)
+    rhs_series = lhs_series if holds else _sine_series(rhs_poly, sines, order)
     return AbIdentityReport(a, b, n, lhs_poly, rhs_poly, holds,
                             lhs_series, rhs_series, lhs_series == rhs_series)
 
@@ -482,6 +464,7 @@ def oracle_cross_check(delta: HTransverseDegree, n: int) -> OracleReport:
     sweep = Counter(_diagram_tuples(delta, n, block))
     # dict.__eq__, in C: Counter.__eq__ walks both in a generator, and here every count is positive
     diagrams_equal, holds = dict.__eq__(sweep, Counter(brute)), profiles == brute_profiles
-    folds = _sides(holds, lambda: fold_refined(profiles), lambda: fold_refined(brute_profiles))
-    return OracleReport(delta, n, sweep.total(), len(brute), diagrams_equal, *folds,
-                        diagrams_equal and holds)
+    sweep_fold = fold_refined(profiles)
+    brute_fold = sweep_fold if holds else fold_refined(brute_profiles)
+    return OracleReport(delta, n, sweep.total(), len(brute), diagrams_equal, sweep_fold,
+                        brute_fold, diagrams_equal and holds)

@@ -264,10 +264,13 @@ def test_count_leaves_spent_states_unexpanded(monkeypatch):
 
 
 def test_packed_fold_equals_the_frozen_polynomial_fold():
-    """On the acceptance grid and on P2 d <= 7 at every genus."""
+    """On the acceptance grid and on P2 d <= 7 at every genus, and on no
+    profile and the empty one."""
     for delta, n in acceptance_grid() + plane_every_genus(7):
         profiles = weight_profiles(delta, n)
         assert diagrams.fold_refined(profiles) == frozen_fold_refined(profiles), (delta.label, n)
+    for profiles in ({}, {(): 2**70 + 3}):
+        assert diagrams.fold_refined(profiles) == frozen_fold_refined(profiles), profiles
 
 
 def test_packed_fold_of_a_count_past_64_bits():
@@ -507,6 +510,14 @@ def test_plane_count_is_one_at_maximal_genus_and_zero_above(d):
     assert refined_count(delta, points_for_genus(delta, top + 1)).is_zero()
 
 
+@cache
+def plane_count(d, g):
+    """The refined count of P2 degree d at genus g, computed once for the
+    checks that share it: the top coefficient and the codegree polynomials."""
+    delta = degree_p2(d)
+    return refined_count(delta, points_for_genus(delta, g))
+
+
 def assert_top_coefficient_is_binomial(d, genera=None):
     """On P2 of degree d, the refined count at genus g has q-degree
     delta = g_max - g and top coefficient C(g_max, g), g_max = (d - 1)(d - 2)/2
@@ -518,7 +529,7 @@ def assert_top_coefficient_is_binomial(d, genera=None):
     delta, g_max = degree_p2(d), (d - 1) * (d - 2) // 2
     genera = range(g_max + 1) if genera is None else genera
     for g in genera:
-        count = refined_count(delta, points_for_genus(delta, g))
+        count = plane_count(d, g)
         assert (count.degree, count.coefficients[-1]) == (2 * (g_max - g), comb(g_max, g)), (d, g)
     return len(genera)
 
@@ -528,6 +539,61 @@ def test_top_coefficient_is_the_binomial_of_the_maximal_genus():
     bounded edge first weighs 8 or more; CI runs every genus to d = 10."""
     assert sum(assert_top_coefficient_is_binomial(d, None if d <= 7 else [0])
                for d in range(1, 11)) == 45
+
+
+def assert_codegrees_polynomial(count, first, last, degree, i_max):
+    """For i = 0..i_max, the codegree-i coefficient of ``count(d)``, the one
+    i powers of q = s^2 below its top, is a polynomial of degree exactly
+    ``degree(i)`` in d on ``first(i)`` <= d <= ``last``: its degree(i)-th
+    differences are one nonzero constant, so every further difference is 0.
+    Below its top means mirrored past the middle for i > the q-degree, which
+    the polynomial meets there too.  Returns the number of coefficients read."""
+    read = 0
+    for i in range(i_max + 1):
+        counts = [count(d) for d in range(first(i), last + 1)]
+        values = [c.coefficient(c.degree - 2 * i) for c in counts]
+        assert len(values) >= degree(i) + 2, (i, len(values))
+        for _ in range(degree(i)):
+            values = [b - a for a, b in zip(values, values[1:])]
+        assert len(set(values)) == 1 and values[0] != 0, (i, values)
+        read += len(counts)
+    return read
+
+
+def assert_plane_codegrees_polynomial(g, last, i_max):
+    """A consistency check of codegree polynomiality, the property that
+    Brugalle and Jaramillo Puentes study for tropical refined invariants
+    (arXiv:2011.12278); the ranges here are the ones measured on these
+    counts, not their theorem's.  On P2 at genus g the codegree-i
+    coefficient is a polynomial of degree 2g + i in d from d = i + 2, or
+    from the first degree with a genus-g curve.  It reads every bounded
+    edge weight, so it reaches heavy edges that the q-degree bound of the
+    node polynomials does not."""
+    least = next(d for d in range(1, last + 1) if (d - 1) * (d - 2) // 2 >= g)
+    return assert_codegrees_polynomial(lambda d: plane_count(d, g), lambda i: max(i + 2, least),
+                                       last, lambda i: 2 * g + i, i_max)
+
+
+def assert_hirzebruch_codegrees_polynomial(k, h, start, last, i_max):
+    """The same on F_k with h fixed at genus 0: the codegree-i coefficient
+    of h*D_k + d*F is a polynomial of degree i in d from d = i + start (F0
+    from i + 1, where F0 (h, i) still has too few curves; F1 and F2 from i)."""
+    def count(d):
+        delta = degree_hirzebruch(k, h, d)
+        return refined_count(delta, points_for_genus(delta, 0))
+    return assert_codegrees_polynomial(count, lambda i: i + start, last, lambda i: i, i_max)
+
+
+def test_codegree_coefficients_are_polynomial_in_d():
+    """P2 at genus 0 for i <= 3 on d <= 10, on the counts the top-coefficient
+    test reads, where codegree 1 is 3d + 1; and F0, F1 and F2 with h = 2 for
+    i <= 3 on d <= 9.  CI runs P2 at genus <= 2 on d <= 11, and F1 with
+    h = 3 too."""
+    assert [plane_count(d, 0).coefficient((d - 1) * (d - 2) - 2)
+            for d in range(3, 11)] == [3 * d + 1 for d in range(3, 11)]
+    assert assert_plane_codegrees_polynomial(0, 10, 3) == 30
+    assert sum(assert_hirzebruch_codegrees_polynomial(k, 2, int(k == 0), 9, 3)
+               for k in range(3)) == 98
 
 
 # one well-formed request per subcommand, each exiting 0

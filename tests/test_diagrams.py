@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from floorgw import (
+    AlgebraError,
     DiagramError,
     Edge,
     InvalidDiagram,
@@ -30,6 +31,7 @@ from floorgw import (
     log_series,
     lp_eval_at_one,
     multiplicity,
+    oracle_cross_check,
     points_for_genus,
     refined_count,
     validate_diagram,
@@ -182,6 +184,31 @@ def test_listing_and_count_refuse_a_class_alike_before_any_branch(monkeypatch, d
         with pytest.raises(DiagramError) as refused:
             run(delta, n)
         assert str(refused.value) == message, run
+
+
+@pytest.mark.parametrize("value", [None, "p2", 3, (3, 0, 3)], ids=["none", "str", "int", "tuple"])
+def test_every_entry_of_a_class_refuses_a_non_degree_in_one_line(value):
+    """Once a bare AttributeError: every entry point of a (delta, n) or
+    (delta, g) request refuses a delta that is not a degree with the one
+    DiagramError of ``diagrams._genus``, ``points_for_genus`` before it reads
+    the size; ``validate_diagram`` refuses it, and ``multiplicity`` a value
+    that is not a diagram, as an InvalidDiagram, and ``lp_eval_at_one`` a
+    value that is not a polynomial as an AlgebraError."""
+    got = f"got {type(value).__name__}"
+    for run in (refined_count, classical_count, diagram_count, weight_profiles,
+                enumerate_marked, points_for_genus, gw_relative_series, log_series,
+                degeneration_series, degeneration_cross_check, oracle_cross_check,
+                brute_force_enumerate, brute_force_refined_count):
+        with pytest.raises(DiagramError) as refused:
+            run(value, 3)
+        assert str(refused.value) == f"delta must be of type HTransverseDegree, {got}", run
+    diagram = enumerate_marked(degree_p2(2), 5)[0]
+    with pytest.raises(InvalidDiagram, match=f"^delta must be of type HTransverseDegree, {got}$"):
+        validate_diagram(diagram, value)
+    with pytest.raises(InvalidDiagram, match=f"^diagram must be of type MarkedFloorDiagram, {got}$"):
+        multiplicity(value)
+    with pytest.raises(AlgebraError, match=f"^p must be of type LaurentPolyS, {got}$"):
+        lp_eval_at_one(value)
 
 
 def test_height_zero_collections_have_no_diagrams():

@@ -37,7 +37,7 @@ from floorgw import (
 from floorgw.algebra import _sine_power, _sine_series, sin_factor_series
 from floorgw.diagrams import vertex_partitions
 from floorgw.gw import f0_absolute_series, f2_relative_dminus2_series
-from helpers import acceptance_grid, bernoulli, nonzero_exponents
+from helpers import acceptance_grid, bernoulli, frozen_fold_refined, nonzero_exponents
 
 F = Fraction
 
@@ -259,7 +259,9 @@ def polynomial_diagram_sum(profiles, bounded):
 
 def test_packed_diagram_sum_equals_the_polynomial_sum(monkeypatch):
     """On P2 d <= 7 and F_k with k, h, d <= 3 at genus 0..3, and on made-up
-    profiles whose counts pass 2^64, of every sign the slots can take."""
+    profiles whose counts pass 2^64, of every sign the slots can take; the
+    made-up profiles, no profile and the empty one go through the same
+    packed fold with [w]_q^2 too, against the frozen polynomial fold."""
     classes = [degree_p2(d) for d in range(1, 8)] + [
         degree_hirzebruch(k, h, d) for k in range(4) for h in range(1, 4) for d in range(4)]
     for delta in classes:
@@ -273,6 +275,13 @@ def test_packed_diagram_sum_equals_the_polynomial_sum(monkeypatch):
     g0, profiles, total = floorgw.gw._degeneration(degree_p2(4), 11, 40)
     assert profiles is made_up and total == polynomial_diagram_sum(made_up, 3)
     assert min(total.coefficients) < -2**64 < 2**64 < max(total.coefficients)
+    assert floorgw.gw.fold_refined(made_up) == frozen_fold_refined(made_up)
+    for made_up in ({}, {(): 2**70 + 3}):
+        monkeypatch.setattr(floorgw.gw, "weight_profiles", lambda delta, n: made_up)
+        # P2 d=1 at n = 2 has g0 = 0 and h = 1: no bounded edge, as the empty profile
+        g0, profiles, total = floorgw.gw._degeneration(degree_p2(1), 2, 40)
+        assert profiles is made_up and total == polynomial_diagram_sum(made_up, 0)
+        assert floorgw.gw.fold_refined(made_up) == frozen_fold_refined(made_up)
 
 
 def test_degeneration_matches_log_series_invariants():
